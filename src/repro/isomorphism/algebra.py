@@ -332,18 +332,19 @@ def check_union(
     """Property 7: ``[P ∪ Q] = [P] ∩ [Q]``.
 
     Holds iff the ``[P ∪ Q]`` partition coincides with the common
-    refinement of ``[P]`` and ``[Q]`` — one O(n) pass matching union-class
-    indices against (P-class, Q-class) pairs, in both directions.
+    refinement of ``[P]`` and ``[Q]``.  The two sides are computed
+    separately: ``[P ∪ Q]`` relabels the rows of the per-process history
+    label columns of ``P ∪ Q``, while ``[P] ∩ [Q]`` is the refinement
+    product of the two tables' ``class_of`` arrays.  Both labellings are
+    canonical (first occurrence), so the property holds iff the arrays
+    are equal — fingerprint fast-path, then one C-level comparison.  The
+    object-level oracle ``check_union_reference`` in
+    :mod:`repro.isomorphism.reference` stays the independent check.
     """
     p_set = as_process_set(first)
     q_set = as_process_set(second)
-    # [P] ∩ [Q] is the memoised refinement product — built from the
-    # class-index arrays, canonically labelled in first-occurrence order
-    # and shared across subset pairs (and with check_containment).  The
-    # [P ∪ Q] table is built independently, from projection keys; both
-    # labellings are canonical, so the property holds iff the two
-    # class_of arrays are equal — fingerprint fast-path, then one
-    # C-level array comparison.
+    # The refinement product is memoised and shared across subset pairs
+    # (and with check_containment).
     refinement = universe.refinement_product(p_set, q_set)
     union_table = universe.partition_table(p_set | q_set)
     return refinement.same_partition_as(union_table)

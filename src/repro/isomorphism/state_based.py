@@ -159,11 +159,10 @@ class StateKnowledgeEvaluator:
         p_set = as_process_set(processes)
         table = self._tables.get(p_set)
         if table is None:
-            buckets: dict[tuple, list[int]] = {}
-            for config_id, configuration in enumerate(self._universe):
-                key = self._abstraction.configuration_state(configuration, p_set)
-                buckets.setdefault(key, []).append(config_id)
-            table = PartitionTable(len(self._universe), buckets)
+            state = self._abstraction.configuration_state
+            table = PartitionTable.from_keys(
+                state(configuration, p_set) for configuration in self._universe
+            )
             self._tables[p_set] = table
         return table
 

@@ -523,7 +523,8 @@ class ArenaStore:
         BFS parent ids are non-decreasing along the id order, so one
         rolling two-layer cache gives every child an O(1) parent lookup;
         resident transient objects stay bounded by two BFS layers no
-        matter the universe size.
+        matter the universe size.  Every child rebuilt here counts in
+        :attr:`materialisations`, like a chain-walk rebuild.
         """
         cache: dict[int, Configuration] = {}
         floor = 0
@@ -542,6 +543,7 @@ class ArenaStore:
                 current = _materialise_child(
                     parent, events[event_index], content_hash
                 )
+                self.materialisations += 1
             cache[index] = current
             yield current
 

@@ -4,8 +4,8 @@ A :class:`Universe` is the set of all reachable configurations (canonical
 ``[D]``-classes of system computations) of a protocol, up to optional
 bounds.  It is *the* quantification domain for everything in the theory:
 
-* ``x [P] y`` quantifies over projections — answered by an index from
-  P-projections to configurations;
+* ``x [P] y`` quantifies over projections — answered by a partition
+  table built from per-process history labels;
 * composed relations ``x [P1 … Pn] z`` existentially quantify over
   intermediate computations — answered by breadth-first search through
   isomorphism classes;
@@ -20,8 +20,8 @@ When a bound is hit the universe is a sound under-approximation and
 incomplete universes unless explicitly told otherwise.
 
 Every configuration receives a *dense integer id* (its BFS discovery
-index).  Successor lists are stored as id arrays and projection indexes
-map each ``[P]``-projection key to an **int bitmask** over ids, so set
+index).  Successor lists are stored as id arrays and partition tables
+map each ``[P]``-class to an **int bitmask** over ids, so set
 algebra over the universe (knowledge extensions, class containment,
 fixpoints) runs as single bitwise operations on Python ints — see
 PERFORMANCE.md for the architecture.
@@ -36,7 +36,8 @@ import zlib
 from math import inf
 from array import array
 from collections import deque
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Hashable, Iterable, Iterator, Sequence
+from itertools import repeat
 
 from repro.core.configuration import (
     _HASH_MODULUS,
@@ -53,10 +54,6 @@ from repro.universe.fileops import DEFAULT_FILEOPS, FaultInjectingFileOps
 from repro.universe.options import UNSET, ExplorationOptions, resolve_options
 from repro.universe.recovery import RecoveryLog
 from repro.universe.protocol import Protocol
-
-ProjectionKey = tuple
-"""Canonical key identifying a ``[P]``-class (see Configuration.projection)."""
-
 
 _BYTE_BITS = tuple(
     tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
@@ -129,6 +126,17 @@ evaluation) that would otherwise re-materialise the same mask per call,
 while the full dense cache stays quadratic and out of reach."""
 
 
+def first_occurrence_labels(keys: Iterable[Hashable]) -> tuple[array, dict]:
+    """``(labels, label_of)``: ``labels[i]`` is ``label_of[key]`` of the
+    ``i``-th key, labels counting up in order of first occurrence — the
+    canonical labelling of the partition ``keys`` induces on positions.
+    ``label_of`` iterates the distinct keys in label order."""
+    label_of: dict = {}
+    setdefault = label_of.setdefault
+    labels = array("i", [setdefault(key, len(label_of)) for key in keys])
+    return labels, label_of
+
+
 class PartitionTable:
     """The ``[P]``-partition of a universe on dense configuration ids.
 
@@ -143,6 +151,8 @@ class PartitionTable:
     * ``contained_classes_mask(body)`` — the union of classes wholly
       inside ``body`` (the modal step of ``knows``).
 
+    A table is built from ``(class_of, num_classes)`` with classes
+    numbered in first-occurrence order; it never writes to ``class_of``.
     Dense tables cache all class masks; *sparse* tables (fragmented
     partitions where per-class masks would be quadratic in memory) keep
     only the id arrays and materialise masks transiently.
@@ -152,9 +162,8 @@ class PartitionTable:
         "size",
         "num_classes",
         "class_of",
-        "members",
-        "key_to_class",
         "sparse",
+        "_members",
         "_masks",
         "_compose_memo",
         "_sparse_memo",
@@ -165,33 +174,51 @@ class PartitionTable:
 
     def __init__(
         self,
-        size: int,
-        buckets: dict[ProjectionKey, list[int]],
+        class_of: array,
+        num_classes: int,
         sparse: bool | None = None,
     ) -> None:
-        self.size = size
-        self.num_classes = len(buckets)
-        self.key_to_class: dict[ProjectionKey, int] = {}
-        class_of = array("i", bytes(4 * size))
-        members: list[array] = []
-        for index, (key, ids) in enumerate(buckets.items()):
-            self.key_to_class[key] = index
-            row = array("i", ids)
-            members.append(row)
-            for config_id in ids:
-                class_of[config_id] = index
+        self.size = size = len(class_of)
+        self.num_classes = num_classes
         self.class_of = class_of
-        self.members = tuple(members)
         if sparse is None:
             words = (size + 63) >> 6
-            sparse = self.num_classes * words > _DENSE_MASK_WORD_BUDGET
+            sparse = num_classes * words > _DENSE_MASK_WORD_BUDGET
         self.sparse = sparse
+        self._members: tuple[array, ...] | None = None
         self._masks: list[int] | None = None
         self._compose_memo: dict[tuple[int, ...], int] = {}
         self._sparse_memo: dict[int, int] = {}
         self._sparse_memo_words = 0
         self._fingerprint: tuple[int, int, int] | None = None
         self._consistent: bool | None = None
+
+    @classmethod
+    def from_keys(cls, keys: Iterable[Hashable]) -> "PartitionTable":
+        """The partition of ids ``0, 1, …`` by equal ``keys[id]``.
+
+        Classes are labelled in first-occurrence order, the canonical
+        labelling every table uses (see :attr:`fingerprint`).
+        """
+        class_of, label_of = first_occurrence_labels(keys)
+        return cls(class_of, len(label_of))
+
+    @property
+    def members(self) -> tuple[array, ...]:
+        """``members[k]`` — the ids of class ``k``, ascending.
+
+        Bucketed from :attr:`class_of` in one pass on first use: tables
+        that are only compared (fingerprints, refinement products) never
+        pay for it.
+        """
+        members = self._members
+        if members is None:
+            rows = [array("i") for _ in range(self.num_classes)]
+            appends = [row.append for row in rows]
+            for config_id, index in enumerate(self.class_of):
+                appends[index](config_id)
+            members = self._members = tuple(rows)
+        return members
 
     # -- mask materialisation ------------------------------------------
     def _mask_of_ids(self, ids: Sequence[int]) -> int:
@@ -1589,44 +1616,55 @@ class Universe:
         Tables are computed once per process set and cached; they are the
         engine behind ``iso_class``, composed-relation pipelines, the
         property checkers, and the knowledge evaluator.
+
+        ``x [P] y`` iff every process of ``P`` has the same history in
+        ``x`` and ``y``, so per-process history labels fix every table.
+        The singleton tables' ``class_of`` arrays *are* those labels, all
+        built in one streaming pass (:meth:`_build_history_labels`);
+        ``[P]`` for ``|P| > 1`` relabels the rows of its processes' label
+        columns in first-occurrence order, over ints only, and ``[∅]`` is
+        one class.
         """
         p_set = as_process_set(processes)
         table = self._partition_tables.get(p_set)
         if table is None:
-            buckets: dict[ProjectionKey, list[int]] = {}
             if len(p_set) == 1:
-                # Single-process classes are keyed by the history tuple
-                # itself — no projection tuple to build.  This is the hot
-                # shape: the common-knowledge fixpoint and most ``knows``
-                # queries partition by singletons.
-                (process,) = p_set
-                for config_id, configuration in enumerate(self._configurations):
-                    key = configuration._histories.get(process, ())
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = [config_id]
-                    else:
-                        bucket.append(config_id)
-            else:
-                # Multi-process classes are keyed by the tuple of
-                # per-process histories in sorted process order — the
-                # same equivalence as `Configuration.projection` for a
-                # fixed process set, without building (and memoising) a
-                # (process, history)-pair tuple per configuration.
-                ordered_p = tuple(sorted(p_set))
-                for config_id, configuration in enumerate(self._configurations):
-                    histories = configuration._histories
-                    key = tuple(
-                        histories.get(process, ()) for process in ordered_p
-                    )
-                    bucket = buckets.get(key)
-                    if bucket is None:
-                        buckets[key] = [config_id]
-                    else:
-                        bucket.append(config_id)
-            table = PartitionTable(len(self._configurations), buckets)
+                self._build_history_labels(p_set)
+                return self._partition_tables[p_set]
+            columns = [
+                self.partition_table(frozenset((process,))).class_of
+                for process in sorted(p_set)
+            ]
+            table = PartitionTable.from_keys(
+                zip(*columns) if columns else repeat((), len(self._configurations))
+            )
             self._partition_tables[p_set] = table
         return table
+
+    def _build_history_labels(self, requested: frozenset[ProcessId]) -> None:
+        """Label every configuration's ``p``-history, for every process
+        ``p`` of ``D ∪ requested`` not labelled yet, in one pass.
+
+        Each process keeps an intern dict (one entry per distinct history)
+        and an ``array('i')`` column of first-occurrence labels — the
+        canonical labelling — which becomes its singleton table's
+        ``class_of``.  The pass reads only ``self._configurations``, so
+        the arena materialises each configuration once for all tables.
+        """
+        tables = self._partition_tables
+        lanes = [
+            (process, {}, array("i"))
+            for process in sorted(self.processes | requested)
+            if frozenset((process,)) not in tables
+        ]
+        for configuration in self._configurations:
+            histories = configuration._histories
+            for process, label_of, column in lanes:
+                column.append(
+                    label_of.setdefault(histories.get(process, ()), len(label_of))
+                )
+        for process, label_of, column in lanes:
+            tables[frozenset((process,))] = PartitionTable(column, len(label_of))
 
     def class_masks(self, processes: ProcessSetLike) -> tuple[int, ...]:
         """One bitmask per ``[P]``-class of the universe.
@@ -1658,7 +1696,8 @@ class Universe:
         and ``pairs[k]`` is the ``(P-class, Q-class)`` pair of refinement
         class ``k``.  ``pairs`` is oriented for the *requested* order.
 
-        Built from the two ``class_of`` index arrays in one O(n) pass and
+        Built from the two ``class_of`` index arrays in one O(n) pass (the
+        first-occurrence relabelling of their rows) and
         memoised per unordered pair of process sets; a fingerprint-keyed
         layer additionally shares the product across subset pairs whose
         partitions coincide extensionally (verified exactly, arrays
@@ -1689,23 +1728,9 @@ class Universe:
                 return table, pairs
         p_of = p_table.class_of
         q_of = q_table.class_of
-        width = q_table.num_classes
-        labels: dict[int, int] = {}
-        buckets: list[list[int]] = []
-        pair_keys: list[int] = []
-        for config_id in range(len(self._configurations)):
-            pair = p_of[config_id] * width + q_of[config_id]
-            label = labels.get(pair)
-            if label is None:
-                label = len(buckets)
-                labels[pair] = label
-                buckets.append([])
-                pair_keys.append(pair)
-            buckets[label].append(config_id)
-        pairs = [divmod(pair, width) for pair in pair_keys]
-        table = PartitionTable(
-            len(self._configurations), dict(zip(pairs, buckets))
-        )
+        class_of, label_of = first_occurrence_labels(zip(p_of, q_of))
+        pairs = list(label_of)
+        table = PartitionTable(class_of, len(pairs))
         self._refinement_products[key] = (p_set, table, pairs)
         self._refinement_by_fp[fp_key] = (p_of, q_of, table, pairs)
         return table, pairs
@@ -1716,9 +1741,10 @@ class Universe:
         """The common refinement of ``[P]`` and ``[Q]`` as a partition table.
 
         This is the relation ``[P] ∩ [Q]`` computed *from the class-index
-        arrays* — independently of the ``[P ∪ Q]`` projection index, which
-        is what lets :func:`repro.isomorphism.algebra.check_union` compare
-        the two.  Canonically labelled, memoised, fingerprint-shared; see
+        arrays* — independently of the ``[P ∪ Q]`` table, which relabels
+        the history label columns of ``P ∪ Q`` directly; that is what
+        lets :func:`repro.isomorphism.algebra.check_union` compare the
+        two.  Canonically labelled, memoised, fingerprint-shared; see
         :meth:`_refinement_entry`.
         """
         p_set = as_process_set(first)
@@ -1765,18 +1791,9 @@ class Universe:
         self, configuration: Configuration, processes: ProcessSetLike
     ) -> int:
         """Bitmask of the ``[P]``-class of ``configuration``."""
-        self.require(configuration)
-        p_set = as_process_set(processes)
-        table = self.partition_table(p_set)
-        if len(p_set) == 1:
-            (process,) = p_set
-            key: ProjectionKey = configuration.history(process)
-        else:
-            histories = configuration._histories
-            key = tuple(
-                histories.get(process, ()) for process in sorted(p_set)
-            )
-        return table.class_mask(table.key_to_class[key])
+        config_id = self.config_id(configuration)
+        table = self.partition_table(processes)
+        return table.class_mask(table.class_of[config_id])
 
     def iso_class_index(
         self, configuration: Configuration, processes: ProcessSetLike

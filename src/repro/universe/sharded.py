@@ -992,6 +992,7 @@ def _worker_main(
     heartbeat_records,
     fault_actions,
     packed=True,
+    inherited=(),
 ):
     """Body of one shard worker process.
 
@@ -999,7 +1000,15 @@ def _worker_main(
     tuples scoped to this worker — deterministic fault injection for the
     recovery test matrix; empty in production use.  ``packed`` selects
     the replica representation (see :data:`_DEFAULT_REPLICA`).
+
+    ``inherited`` holds the coordinator-side pipe ends this fork copied:
+    the worker's own and its earlier siblings'.  They are closed first,
+    so when the coordinator dies — even by SIGKILL — the last writer of
+    ``connection`` is gone and ``recv`` raises ``EOFError`` instead of
+    blocking forever.
     """
+    for end in inherited:
+        end.close()
     gc.disable()
     faults_by_layer: dict[int, list] = {}
     for kind, layer, seconds in fault_actions:
@@ -1185,6 +1194,7 @@ class ShardedExplorer:
             self._policy.heartbeat_records,
             actions,
             self._packed_replicas,
+            (parent_end, *(c for c in self._connections if c is not None)),
         )
         delay = self._policy.spawn_backoff
         try:

@@ -1,8 +1,12 @@
 """Partition tables: dense/sparse representations and mask algebra."""
 
+from array import array
+from itertools import combinations
+
 import pytest
 
-from repro.protocols.broadcast import BroadcastProtocol, star_topology
+from repro.protocols.broadcast import BroadcastProtocol, star_topology, tree_topology
+from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.explorer import PartitionTable, Universe, iter_bit_ids
 
 
@@ -15,10 +19,7 @@ def star_universe() -> Universe:
 
 def sparse_twin(table: PartitionTable) -> PartitionTable:
     """The same partition, forced onto the sparse representation."""
-    buckets = {
-        index: list(members) for index, members in enumerate(table.members)
-    }
-    return PartitionTable(table.size, buckets, sparse=True)
+    return PartitionTable(table.class_of, table.num_classes, sparse=True)
 
 
 class TestIterBitIds:
@@ -90,14 +91,14 @@ class TestSparseRepresentation:
         # pick the sparse representation and still answer identically.
         import repro.universe.explorer as explorer
 
-        buckets = {index: [index] for index in range(len(star_universe))}
-        dense = PartitionTable(len(star_universe), buckets, sparse=False)
-        auto = PartitionTable(len(star_universe), buckets)
+        singletons = array("i", range(len(star_universe)))
+        dense = PartitionTable(singletons, len(singletons), sparse=False)
+        auto = PartitionTable(singletons, len(singletons))
         assert auto.sparse == (
             auto.num_classes * ((auto.size + 63) >> 6)
             > explorer._DENSE_MASK_WORD_BUDGET
         )
-        forced = PartitionTable(len(star_universe), buckets, sparse=True)
+        forced = PartitionTable(singletons, len(singletons), sparse=True)
         assert forced.compose(0b101) == dense.compose(0b101) == 0b101
         assert forced.masks() == dense.masks()
 
@@ -169,10 +170,7 @@ class TestSparseMaskMemo:
 class TestFingerprints:
     def test_equal_partitions_share_a_fingerprint(self, star_universe):
         table = star_universe.partition_table(frozenset({"hub"}))
-        rebuilt = PartitionTable(
-            table.size,
-            {index: list(members) for index, members in enumerate(table.members)},
-        )
+        rebuilt = PartitionTable.from_keys(list(table.class_of))
         assert rebuilt.fingerprint == table.fingerprint
         assert rebuilt.same_partition_as(table)
         assert table.same_partition_as(rebuilt)
@@ -249,3 +247,99 @@ class TestRefinementProduct:
         for config_id in range(len(star_universe)):
             expected[p_of[config_id]].add(q_of[config_id])
         assert [set(row) for row in rows] == expected
+
+
+def projection_key_labels(universe: Universe, processes) -> list[int]:
+    """Oracle: the ``[P]``-partition bucketed by projection keys.
+
+    This is the table build that preceded per-process history labels:
+    one pass over the configurations per process set, keyed by the
+    history tuple (one process) or the tuple of histories in sorted
+    process order (several), classes numbered by first occurrence.
+    """
+    ordered = sorted(processes)
+    buckets: dict[tuple, list[int]] = {}
+    for config_id, configuration in enumerate(universe):
+        if len(ordered) == 1:
+            key = configuration.history(ordered[0])
+        else:
+            key = tuple(configuration.history(process) for process in ordered)
+        buckets.setdefault(key, []).append(config_id)
+    class_of = [0] * len(universe)
+    for index, ids in enumerate(buckets.values()):
+        for config_id in ids:
+            class_of[config_id] = index
+    return class_of
+
+
+def all_subsets(processes):
+    ordered = sorted(processes)
+    for size in range(len(ordered) + 1):
+        yield from (frozenset(subset) for subset in combinations(ordered, size))
+
+
+ORACLE_UNIVERSES = {
+    "star5": lambda store: Universe(
+        BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub"),
+        store=store,
+    ),
+    "tree6": lambda store: Universe(
+        BroadcastProtocol(tree_topology([f"t{i}" for i in range(6)], 2), "t0"),
+        store=store,
+    ),
+    "token_bus_h4": lambda store: Universe(TokenBusProtocol(max_hops=4), store=store),
+    "star5_truncated": lambda store: Universe(
+        BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub"),
+        max_events=4,
+        store=store,
+    ),
+}
+
+
+class TestHistoryLabelOracle:
+    """Tables built from history label columns equal the projection-key
+    build, for every process set, on both stores."""
+
+    @pytest.mark.parametrize("store", ["objects", "arena"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_UNIVERSES))
+    def test_every_subset_matches_projection_keys(self, name, store):
+        universe = ORACLE_UNIVERSES[name](store)
+        if name == "star5_truncated":
+            assert not universe.is_complete
+        subsets = list(all_subsets(universe.processes))
+        assert frozenset() in subsets and universe.processes in subsets
+        for p_set in subsets:
+            table = universe.partition_table(p_set)
+            expected = projection_key_labels(universe, p_set)
+            assert list(table.class_of) == expected, sorted(p_set)
+            assert table.num_classes == max(expected) + 1
+            assert table.verify_consistency()
+            # iso_class_mask answers from class_of, with no projection key.
+            config_id = len(universe) // 2
+            oracle = sum(
+                1 << other
+                for other, label in enumerate(expected)
+                if label == expected[config_id]
+            )
+            configuration = universe.configuration_of_id(config_id)
+            assert universe.iso_class_mask(configuration, p_set) == oracle
+
+
+class TestArenaMaterialisationGuard:
+    def test_singleton_and_pair_tables_take_one_pass(self):
+        """Every singleton and 2-process table of an arena universe
+        costs one materialising pass in total, not one per table."""
+        universe = ORACLE_UNIVERSES["star5"]("arena")
+        store = universe._configurations
+        before = store.materialisations
+        processes = sorted(universe.processes)
+        for process in processes:
+            universe.partition_table(frozenset({process}))
+        for pair in combinations(processes, 2):
+            universe.partition_table(frozenset(pair))
+        assert store.materialisations - before <= len(universe)
+        # Streamed rebuilds count: one full pass rebuilds every id but
+        # the pinned root.
+        before = store.materialisations
+        list(store)
+        assert store.materialisations - before == len(universe) - 1
