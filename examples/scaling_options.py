@@ -2,8 +2,8 @@
 """The ExplorationOptions API: every scaling knob in one grouped bundle.
 
 The ``Universe`` constructor grew a dozen keyword arguments across the
-scaling work (limits, checkpointing, resource budgets, sharding, store
-selection).  ``ExplorationOptions`` groups them into four small frozen
+scaling work (limits, checkpointing, resource budgets, sharding).
+``ExplorationOptions`` groups them into four small frozen
 dataclasses, and both calling styles run through the same code path —
 a universe built from legacy kwargs and one built from the equivalent
 options object are bit-identical.  This example drives each group:
@@ -13,8 +13,8 @@ options object are bit-identical.  This example drives each group:
    truncated run to completion from disk;
 3. ``Sharding`` — explore with two forked worker shards and read back
    their peak memory from the farewell frames;
-4. ``store="arena"`` + ``ResourceBudget`` — the packed configuration
-   store with a spill directory.
+4. ``ResourceBudget`` — the arena (the one configuration store) with a
+   spill directory for its cold tier.
 
 Run:  python examples/scaling_options.py
 """
@@ -91,17 +91,16 @@ def main() -> None:
     print(f"Sharded x2 matches single-process; worker peaks: {peaks}")
 
     # ------------------------------------------------------------------
-    # 4. The arena store with a spill directory.
+    # 4. ResourceBudget: spill the arena's sealed cold chunks to disk.
     # ------------------------------------------------------------------
     with tempfile.TemporaryDirectory() as tmpdir:
-        arena = Universe(
+        spilled = Universe(
             star(5),
-            options=ExplorationOptions(
-                store="arena", budget=ResourceBudget(spill_dir=tmpdir)
-            ),
+            options=ExplorationOptions(budget=ResourceBudget(spill_dir=tmpdir)),
         )
-        assert len(arena) == len(single)
-        print(f"Arena store rebuilt the same {len(arena)} configurations")
+        assert len(spilled) == len(single)
+        print(f"Arena with a spill directory rebuilt the same {len(spilled)} "
+              "configurations")
 
     # Legacy kwargs still work (Universe(star(5), workers=2, ...)) and
     # resolve through the same path; a DeprecationWarning fires only if

@@ -39,21 +39,13 @@ the recovery overhead plus each worker's farewell-frame peak RSS.
 ``--quick`` is the CI smoke mode.
 
 The exploration-scale suite also carries the memory axis: each
-``explore_rss_*`` pair explores the same protocol twice in *fresh
-subprocess interpreters* (``VmHWM`` is a high-water mark, so peak
-RSS is only attributable when the process did nothing else), once with
-the object store and once with the compact arena store, recording
+``explore_rss_*`` entry explores a protocol in a *fresh subprocess
+interpreter* (``VmHWM`` is a high-water mark, so peak RSS is only
+attributable when the process did nothing else), recording
 ``peak_rss_mb`` / ``bytes_per_configuration`` and the arena's
-compression telemetry.  The ``sharded_rss_*`` pairs do the same for
-the sharded engine's worker replicas: the same protocol explored twice
-in fresh subprocess *trees* — once as the pre-packed engine (object
-coordinator store, object-store replica per worker), once in the
-memory-frugal configuration (arena coordinator store, packed frontier
-window per worker) — summing the coordinator's ``VmHWM`` with
-every worker's farewell-frame peak, the controlled pair behind the
-packed-replica memory claim.  ``--store arena`` re-runs the suite's
-exploration entries themselves on the arena store (the CI smoke uses
-this to keep the packed path exercised).
+compression and spill telemetry.  The ``sharded_rss_*`` entries do the
+same for the sharded engine in a fresh subprocess *tree*, summing the
+coordinator's ``VmHWM`` with every worker's farewell-frame peak.
 """
 
 from __future__ import annotations
@@ -145,12 +137,6 @@ class BenchRecoveryMismatch(RuntimeError):
     the whole point of the reliability layer, so always on."""
 
 
-class BenchStoreMismatch(RuntimeError):
-    """Raised by the memory axis when the arena-store exploration does
-    not reproduce the object-store universe explored in the same pair
-    (always on — a wrong universe invalidates the memory comparison)."""
-
-
 _SRC_DIR = str(Path(__file__).resolve().parents[1])
 
 _PEAK_RSS_SNIPPET = '''\
@@ -183,12 +169,10 @@ from repro.universe.explorer import Universe
     + _PEAK_RSS_SNIPPET
     + """
 receivers = tuple(sys.argv[1].split(","))
-store = sys.argv[2]
-spill_dir = sys.argv[3] or None
+spill_dir = sys.argv[2] or None
 start = time.perf_counter()
 universe = Universe(
     BroadcastProtocol(star_topology("hub", receivers), "hub"),
-    store=store,
     spill_dir=spill_dir,
     max_configurations=None,
 )
@@ -196,9 +180,8 @@ report = {
     "configurations": len(universe),
     "explore_seconds": time.perf_counter() - start,
     "peak_rss_mb": _peak_rss_mb(),
+    "arena": universe._configurations.stats(),
 }
-if store == "arena":
-    report["arena"] = universe._configurations.stats()
 print(json.dumps(report))
 """
 )
@@ -213,7 +196,6 @@ _SHARDED_RSS_CHILD = (
     """\
 import json, sys, time
 from repro.protocols.broadcast import BroadcastProtocol, star_topology
-from repro.universe import sharded
 from repro.universe.explorer import Universe
 from repro.universe.options import ExplorationOptions, Limits, Sharding
 
@@ -222,18 +204,12 @@ from repro.universe.options import ExplorationOptions, Limits, Sharding
     + """
 receivers = tuple(sys.argv[1].split(","))
 workers = int(sys.argv[2])
-# The replica representation is an engine implementation detail, not a
-# Universe knob; the bench pins it per child to build the controlled
-# packed-vs-objects pair.
-sharded._DEFAULT_REPLICA = sys.argv[3]
-store = sys.argv[4]
 start = time.perf_counter()
 universe = Universe(
     BroadcastProtocol(star_topology("hub", receivers), "hub"),
     options=ExplorationOptions(
         limits=Limits(max_configurations=None),
         sharding=Sharding(workers=workers),
-        store=store,
     ),
 )
 report = {
@@ -248,14 +224,11 @@ print(json.dumps(report))
 """Child script of the sharded-memory axis: explores one star protocol
 with the sharded engine in a fresh interpreter and prints the
 coordinator's own ``VmHWM`` plus every worker's farewell-frame peak
-as JSON.  Both halves of the packed-vs-objects pair fork their workers
-from the same-sized parent at the same point, so the summed
-process-tree peak is a controlled comparison of the replica
-representations alone."""
+as JSON."""
 
 
 def _explore_in_subprocess(
-    receivers: tuple[str, ...], store: str, spill_dir: str | None = None
+    receivers: tuple[str, ...], spill_dir: str | None = None
 ) -> dict:
     """Explore a star protocol in a fresh interpreter; return its report."""
     env = dict(os.environ)
@@ -266,7 +239,6 @@ def _explore_in_subprocess(
             "-c",
             _RSS_CHILD,
             ",".join(receivers),
-            store,
             spill_dir or "",
         ],
         capture_output=True,
@@ -274,15 +246,15 @@ def _explore_in_subprocess(
         env=env,
     )
     if completed.returncode != 0:
-        raise BenchStoreMismatch(
-            f"memory-axis child ({store}, n={len(receivers) + 1}) failed: "
+        raise RuntimeError(
+            f"memory-axis child (n={len(receivers) + 1}) failed: "
             f"{completed.stderr.strip().splitlines()[-1:]}"
         )
     return json.loads(completed.stdout.strip().splitlines()[-1])
 
 
 def _sharded_explore_in_subprocess(
-    receivers: tuple[str, ...], workers: int, replica: str, store: str
+    receivers: tuple[str, ...], workers: int
 ) -> dict:
     """Explore a star protocol with the sharded engine in a fresh
     interpreter; return its report (coordinator + per-worker peaks)."""
@@ -295,8 +267,6 @@ def _sharded_explore_in_subprocess(
             _SHARDED_RSS_CHILD,
             ",".join(receivers),
             str(workers),
-            replica,
-            store,
         ],
         capture_output=True,
         text=True,
@@ -304,13 +274,13 @@ def _sharded_explore_in_subprocess(
     )
     if completed.returncode != 0:
         raise BenchShardMismatch(
-            f"sharded-rss child ({replica}, n={len(receivers) + 1}) failed: "
+            f"sharded-rss child (n={len(receivers) + 1}) failed: "
             f"{completed.stderr.strip().splitlines()[-1:]}"
         )
     report = json.loads(completed.stdout.strip().splitlines()[-1])
     if len(report["worker_rss_mb"]) != workers:
         raise BenchShardMismatch(
-            f"sharded-rss child ({replica}): only "
+            f"sharded-rss child: only "
             f"{len(report['worker_rss_mb'])} of {workers} workers sent "
             f"farewell frames — summed RSS would undercount"
         )
@@ -491,7 +461,6 @@ def run_benchmarks(
     suite: str = "core",
     budget: float | None = None,
     workers: int = 1,
-    store: str = "objects",
 ) -> dict:
     """Run a benchmark suite; returns the result document (JSON-ready).
 
@@ -523,11 +492,6 @@ def run_benchmarks(
         raise ValueError(f"workers must be >= 1, got {workers}")
     if suite not in ("core", "exploration-scale", "fault-recovery"):
         raise ValueError(f"unknown suite {suite!r}")
-    if store not in ("objects", "arena"):
-        raise ValueError(f"unknown store {store!r}")
-    # The exploration entries of the scale suite run on the selected
-    # store; the explore_rss_* pairs always measure both stores.
-    store_kwargs = {"store": store} if store != "objects" else {}
     if quick:
         repeats = 1
     guard = _BudgetGuard(budget)
@@ -731,154 +695,69 @@ def run_benchmarks(
             repeats_used=1,
         )
 
-    def memory_pair_benchmark(
+    def memory_benchmark(
         label: str, receivers: tuple[str, ...], spill: bool = False
     ) -> None:
-        """The peak-RSS axis: one protocol, two fresh interpreters.
+        """The peak-RSS axis: one exploration in a fresh interpreter.
 
-        Each half of the pair explores the same star protocol in its own
-        subprocess (``_RSS_CHILD``) so ``VmHWM`` measures exactly one
-        exploration with one store — a controlled arena-vs-objects pair
-        under identical load.  The arena entry records the reduction and
-        the wall-clock ratio against its object-store twin, plus the
-        arena's own compression/spill telemetry.
+        The child (``_RSS_CHILD``) explores the star protocol alone, so
+        ``VmHWM`` measures exactly that exploration; the entry also
+        records the arena's compression and spill telemetry.
         """
         import tempfile
 
-        reports: dict[str, dict] = {}
         with tempfile.TemporaryDirectory() as tmpdir:
-            for kind in ("objects", "arena"):
-                spill_dir = tmpdir if (spill and kind == "arena") else None
-                reports[kind] = _explore_in_subprocess(
-                    receivers, kind, spill_dir
-                )
-                guard.check(f"explore_rss_{label}_{kind}")
-        if reports["arena"]["configurations"] != reports["objects"][
-            "configurations"
-        ]:
-            raise BenchStoreMismatch(
-                f"{label}: arena explored "
-                f"{reports['arena']['configurations']} configurations, "
-                f"object store {reports['objects']['configurations']}"
+            report = _explore_in_subprocess(
+                receivers, tmpdir if spill else None
             )
-        for kind in ("objects", "arena"):
-            report = reports[kind]
-            extra = {
-                "configurations": report["configurations"],
-                "peak_rss_mb": round(report["peak_rss_mb"], 1),
-                "bytes_per_configuration": round(
-                    report["peak_rss_mb"]
-                    * 1024.0
-                    * 1024.0
-                    / report["configurations"],
-                    1,
-                ),
-                "measured_in": "fresh subprocess (VmHWM)",
-                "repeats_used": 1,
-            }
-            if kind == "arena":
-                extra["rss_reduction_vs_objects"] = round(
-                    reports["objects"]["peak_rss_mb"] / report["peak_rss_mb"],
-                    2,
+        extra = {
+            "configurations": report["configurations"],
+            "peak_rss_mb": round(report["peak_rss_mb"], 1),
+            "bytes_per_configuration": round(
+                report["peak_rss_mb"] * 1024.0 * 1024.0
+                / report["configurations"],
+                1,
+            ),
+            "measured_in": "fresh subprocess (VmHWM)",
+            "repeats_used": 1,
+        }
+        stats = report["arena"]
+        if stats.get("raw_bytes"):
+            extra["arena_raw_bytes"] = stats["raw_bytes"]
+            extra["arena_compressed_bytes"] = stats["compressed_bytes"]
+            if stats["compressed_bytes"]:
+                extra["arena_compression_ratio"] = round(
+                    stats["raw_bytes"] / stats["compressed_bytes"], 2
                 )
-                extra["wallclock_ratio_vs_objects"] = round(
-                    report["explore_seconds"]
-                    / reports["objects"]["explore_seconds"],
-                    2,
-                )
-                stats = report.get("arena", {})
-                if stats.get("raw_bytes"):
-                    extra["arena_raw_bytes"] = stats["raw_bytes"]
-                    extra["arena_compressed_bytes"] = stats["compressed_bytes"]
-                    if stats["compressed_bytes"]:
-                        extra["arena_compression_ratio"] = round(
-                            stats["raw_bytes"] / stats["compressed_bytes"], 2
-                        )
-                    extra["arena_spilled_bytes"] = stats.get(
-                        "spilled_bytes", 0
-                    )
-            record(f"explore_rss_{label}_{kind}", report["explore_seconds"], **extra)
+            extra["arena_spilled_bytes"] = stats.get("spilled_bytes", 0)
+        record(f"explore_rss_{label}_arena", report["explore_seconds"], **extra)
 
-    def sharded_rss_pair_benchmark(
+    def sharded_memory_benchmark(
         label: str, receivers: tuple[str, ...]
     ) -> None:
-        """The sharded-memory axis: the PR 9 engine against the
-        object-replica engine it replaced.
-
-        Each half explores the same star protocol with the same worker
-        count in a fresh subprocess tree and sums the coordinator's
-        ``VmHWM`` with every worker's farewell-frame peak.  The
-        ``objects`` half is the pre-PR-9 engine as it actually ran —
-        object coordinator store, full object-store replica per worker;
-        the ``packed`` half is the engine's memory-frugal configuration
-        — arena coordinator store, one packed frontier window per
-        worker (the same arena representation, which is the point of
-        "arena-backed worker replicas").  Measured the same way in the
-        same run: ``rss_fraction_vs_objects`` is the controlled pair
-        behind the acceptance bar (summed sharded RSS at most 40% of
-        the object-replica baseline), and the recorded
-        ``coordinator_rss_mb`` / ``worker_rss_mb`` split attributes the
-        win per side (``worker_rss_fraction_vs_objects`` isolates the
-        replica representation; the coordinator's own store pair is the
-        ``explore_rss_*`` axis).
-        """
+        """The sharded-memory axis: one sharded exploration in a fresh
+        subprocess tree, summing the coordinator's ``VmHWM`` with every
+        worker's farewell-frame peak (``coordinator_rss_mb`` /
+        ``worker_rss_mb`` attribute it per side)."""
         pair_workers = workers if workers > 1 else 2
-        halves = (("objects", "objects"), ("packed", "arena"))
-        reports: dict[str, dict] = {}
-        for replica, pair_store in halves:
-            reports[replica] = _sharded_explore_in_subprocess(
-                receivers, pair_workers, replica, pair_store
-            )
-            guard.check(f"sharded_rss_{label}_{replica}")
-        if (
-            reports["packed"]["configurations"]
-            != reports["objects"]["configurations"]
-        ):
-            raise BenchShardMismatch(
-                f"{label}: packed replicas explored "
-                f"{reports['packed']['configurations']} configurations, "
-                f"object replicas {reports['objects']['configurations']}"
-            )
-        summed: dict[str, float] = {}
-        worker_sums: dict[str, float] = {}
-        for replica, pair_store in halves:
-            report = reports[replica]
-            worker_sums[replica] = sum(report["worker_rss_mb"].values())
-            total = report["coordinator_rss_mb"] + worker_sums[replica]
-            summed[replica] = total
-            extra = {
-                "configurations": report["configurations"],
-                "workers": pair_workers,
-                "replica": replica,
-                "store": pair_store,
-                "coordinator_rss_mb": round(report["coordinator_rss_mb"], 1),
-                "worker_rss_mb": [
-                    round(mb, 1)
-                    for _, mb in sorted(report["worker_rss_mb"].items())
-                ],
-                "summed_rss_mb": round(total, 1),
-                "measured_in": (
-                    "fresh subprocess tree (VmHWM + farewell frames)"
-                ),
-                "repeats_used": 1,
-            }
-            if replica == "packed":
-                extra["rss_fraction_vs_objects"] = round(
-                    total / summed["objects"], 3
-                )
-                extra["worker_rss_fraction_vs_objects"] = round(
-                    worker_sums["packed"] / worker_sums["objects"], 3
-                )
-                extra["wallclock_ratio_vs_objects"] = round(
-                    report["explore_seconds"]
-                    / reports["objects"]["explore_seconds"],
-                    2,
-                )
-            record(
-                f"sharded_rss_{label}_workers{pair_workers}_{replica}",
-                report["explore_seconds"],
-                **extra,
-            )
+        report = _sharded_explore_in_subprocess(receivers, pair_workers)
+        total = report["coordinator_rss_mb"] + sum(
+            report["worker_rss_mb"].values()
+        )
+        record(
+            f"sharded_rss_{label}_workers{pair_workers}_packed",
+            report["explore_seconds"],
+            configurations=report["configurations"],
+            workers=pair_workers,
+            coordinator_rss_mb=round(report["coordinator_rss_mb"], 1),
+            worker_rss_mb=[
+                round(mb, 1)
+                for _, mb in sorted(report["worker_rss_mb"].items())
+            ],
+            summed_rss_mb=round(total, 1),
+            measured_in="fresh subprocess tree (VmHWM + farewell frames)",
+            repeats_used=1,
+        )
 
     def frontier_memo_benchmark(
         name: str, universe: Universe, max_sets: int
@@ -953,7 +832,6 @@ def run_benchmarks(
                 "universe_star_broadcast_n5",
                 _star_protocol(("w", "x", "y", "z")),
                 repeats,
-                **store_kwargs,
             )
             if workers > 1:
                 sharded_universe_benchmark(
@@ -961,7 +839,6 @@ def run_benchmarks(
                     lambda: _star_protocol(("w", "x", "y", "z")),
                     first_n5,
                     size_n5,
-                    **store_kwargs,
                 )
             scale_universe_benchmark(
                 "universe_tree_broadcast_d2",
@@ -969,7 +846,6 @@ def run_benchmarks(
                     tree_topology(tuple(f"t{i}" for i in range(7))), "t0"
                 ),
                 repeats,
-                **store_kwargs,
             )
             scale_universe_benchmark(
                 "universe_ring_broadcast_n5",
@@ -977,15 +853,13 @@ def run_benchmarks(
                     ring_topology(tuple(f"r{i}" for i in range(5))), "r0"
                 ),
                 repeats,
-                **store_kwargs,
             )
             truncated_benchmark(
                 "universe_star_broadcast_n5_truncated",
                 _star_protocol(("w", "x", "y", "z")),
                 cap=200,
-                **store_kwargs,
             )
-            universe_n4 = Universe(_star_protocol(("x", "y", "z")), **store_kwargs)
+            universe_n4 = Universe(_star_protocol(("x", "y", "z")))
             properties_benchmark(
                 "iso_properties_star_n4",
                 universe_n4,
@@ -995,22 +869,16 @@ def run_benchmarks(
             frontier_memo_benchmark(
                 "iso_frontier_memo_star_n4", universe_n4, max_sets=4
             )
-            # Memory axis smoke: tiny pair, spill path exercised.  At
-            # this size RSS is interpreter baseline, so the reduction
-            # ratio is recorded but carries no acceptance meaning.
-            memory_pair_benchmark(
-                "star_n5", ("w", "x", "y", "z"), spill=True
-            )
-            # Sharded-memory smoke: same caveat — at this size the
-            # summed tree RSS is interpreter baseline, so the fraction
-            # is recorded but carries no acceptance meaning.
-            sharded_rss_pair_benchmark("star_n5", ("w", "x", "y", "z"))
+            # Memory axis smoke, spill path exercised.  At this size
+            # RSS is interpreter baseline, so the numbers carry no
+            # acceptance meaning.
+            memory_benchmark("star_n5", ("w", "x", "y", "z"), spill=True)
+            sharded_memory_benchmark("star_n5", ("w", "x", "y", "z"))
         else:
             first_n7, size_n7 = scale_universe_benchmark(
                 "universe_star_broadcast_n7",
                 _star_protocol(("u", "v", "w", "x", "y", "z")),
                 min(repeats, 2),
-                **store_kwargs,
             )
             if workers > 1:
                 sharded_universe_benchmark(
@@ -1019,14 +887,12 @@ def run_benchmarks(
                     first_n7,
                     size_n7,
                     max_configurations=None,
-                    **store_kwargs,
                 )
             first_n8, size_n8 = scale_universe_benchmark(
                 "universe_star_broadcast_n8",
                 _star_protocol(("t", "u", "v", "w", "x", "y", "z")),
                 1,
                 max_configurations=None,
-                **store_kwargs,
             )
             if workers > 1:
                 sharded_universe_benchmark(
@@ -1035,18 +901,12 @@ def run_benchmarks(
                     first_n8,
                     size_n8,
                     max_configurations=None,
-                    **store_kwargs,
                 )
-            # The memory axis headline: the arena acceptance pair at
-            # star n=8 (~10^6 configurations), each half in its own
-            # interpreter so peak RSS is attributable.
-            memory_pair_benchmark(
-                "star_n8", ("t", "u", "v", "w", "x", "y", "z")
-            )
-            # The packed-replica acceptance pair: summed process-tree
-            # peak RSS of the sharded engine at star n=8, packed window
-            # replicas against the retained object-store replicas.
-            sharded_rss_pair_benchmark(
+            # The memory axis headline at star n=8 (~10^6
+            # configurations): single-process and summed sharded
+            # process-tree peak RSS, each in fresh interpreters.
+            memory_benchmark("star_n8", ("t", "u", "v", "w", "x", "y", "z"))
+            sharded_memory_benchmark(
                 "star_n8", ("t", "u", "v", "w", "x", "y", "z")
             )
             if budget is not None and budget >= _N9_BUDGET_FLOOR:
@@ -1059,7 +919,6 @@ def run_benchmarks(
                     max_configurations=_N9_CONFIGURATION_CAP,
                     on_limit="truncate",
                     workers=workers if workers > 1 else None,
-                    **store_kwargs,
                 )
                 seconds = time.perf_counter() - start
                 record(
@@ -1079,7 +938,6 @@ def run_benchmarks(
                 ),
                 1,
                 max_configurations=None,
-                **store_kwargs,
             )
             scale_universe_benchmark(
                 "universe_ring_broadcast_n8",
@@ -1087,17 +945,13 @@ def run_benchmarks(
                     ring_topology(tuple(f"r{i}" for i in range(8))), "r0"
                 ),
                 repeats,
-                **store_kwargs,
             )
             truncated_benchmark(
                 "universe_star_broadcast_n8_truncated_500k",
                 _star_protocol(("t", "u", "v", "w", "x", "y", "z")),
                 cap=500_000,
-                **store_kwargs,
             )
-            universe_n7 = Universe(
-                _star_protocol(("u", "v", "w", "x", "y", "z")), **store_kwargs
-            )
+            universe_n7 = Universe(_star_protocol(("u", "v", "w", "x", "y", "z")))
             properties_benchmark(
                 "iso_properties_star_n7",
                 universe_n7,
@@ -1560,20 +1414,13 @@ def run_benchmarks(
             "recovery_overhead_seconds against the fault-free sharded "
             "exploration of the same run, with the recovered universe "
             "asserted bit-identical (worker_peak_rss_mb lists each worker's "
-            "farewell-frame peak); explore_rss_* pairs explore the same "
-            "protocol in fresh subprocess interpreters (objects then arena "
-            "store) and record each child's own VmHWM as peak_rss_mb / "
-            "bytes_per_configuration — rss_reduction_vs_objects and "
-            "wallclock_ratio_vs_objects pair the arena against its "
-            "object-store twin measured in the same run; sharded_rss_* "
-            "pairs run the sharded engine twice in fresh subprocess trees "
-            "with the same worker count (object coordinator store + object "
-            "replicas = the pre-packed engine, then arena coordinator "
-            "store + packed window replicas) and sum the coordinator's "
-            "VmHWM with every worker's farewell-frame peak — "
-            "rss_fraction_vs_objects is the acceptance ratio and "
-            "worker_rss_fraction_vs_objects isolates the replica "
-            "representation; "
+            "farewell-frame peak); explore_rss_* entries explore the "
+            "protocol in a fresh subprocess interpreter and record its own "
+            "VmHWM as peak_rss_mb / bytes_per_configuration plus the "
+            "arena's compression and spill telemetry; sharded_rss_* "
+            "entries run the sharded engine in a fresh subprocess tree and "
+            "sum the coordinator's VmHWM with every worker's "
+            "farewell-frame peak; "
             "iso_frontier_memo_* entries time the inversion+concatenation "
             "sweep with the per-universe frontier-class memo disabled "
             "(memo_off_seconds, the pre-memo behaviour), cold, and warm"
@@ -1582,8 +1429,6 @@ def run_benchmarks(
     }
     if workers > 1:
         document["workers"] = workers
-    if store != "objects":
-        document["store"] = store
     if budget is not None:
         document["budget_seconds"] = budget
         document["elapsed_seconds"] = round(guard.elapsed(), 3)
@@ -1638,7 +1483,6 @@ def run_and_report(
     suite: str = "core",
     budget: float | None = None,
     workers: int = 1,
-    store: str = "objects",
 ) -> int:
     """Run the benchmarks, print the summary, optionally write the
     trajectory file.  Shared by ``repro bench`` and ``run_bench.py``."""
@@ -1654,16 +1498,12 @@ def run_and_report(
             suite=suite,
             budget=budget,
             workers=workers,
-            store=store,
         )
     except BenchCheckFailure as failure:
         print(f"repro bench --check FAILED: {failure}")
         return 1
     except BenchShardMismatch as mismatch:
         print(f"repro bench --workers FAILED: {mismatch}")
-        return 1
-    except BenchStoreMismatch as mismatch:
-        print(f"repro bench memory axis FAILED: {mismatch}")
         return 1
     except BenchBudgetExceeded as overrun:
         print(f"repro bench --budget FAILED: {overrun}")
@@ -1726,15 +1566,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "re-explores the scale targets with N multiprocess worker shards, "
         "paired against the single-process times of the same run",
     )
-    parser.add_argument(
-        "--store",
-        choices=("objects", "arena"),
-        default="objects",
-        help="configuration store for the exploration-scale suite's "
-        "exploration entries (the explore_rss_* memory pairs always "
-        "measure both stores); 'arena' is the packed "
-        "compressed-cold-layer store",
-    )
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -1754,7 +1585,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         suite=args.suite,
         budget=args.budget,
         workers=args.workers,
-        store=args.store,
     )
 
 

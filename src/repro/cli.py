@@ -131,17 +131,15 @@ def cmd_explore(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     workers = f", workers: {args.workers}" if args.workers > 1 else ""
-    store = f", store: {args.store}" if args.store != "objects" else ""
     print(f"{args.protocol}: {len(universe)} configurations "
-          f"(complete: {universe.is_complete}{workers}{store})")
-    if args.store == "arena":
-        stats = universe._configurations.stats()
-        print(
-            f"arena: {stats['sealed_chunks']} sealed chunks "
-            f"({stats['raw_bytes']} raw -> {stats['compressed_bytes']} "
-            f"compressed bytes), {stats['spilled_chunks']} spilled "
-            f"({stats['spilled_bytes']} bytes on disk)"
-        )
+          f"(complete: {universe.is_complete}{workers})")
+    stats = universe._configurations.stats()
+    print(
+        f"arena: {stats['sealed_chunks']} sealed chunks "
+        f"({stats['raw_bytes']} raw -> {stats['compressed_bytes']} "
+        f"compressed bytes), {stats['spilled_chunks']} spilled "
+        f"({stats['spilled_bytes']} bytes on disk)"
+    )
     session = universe._checkpoint_session
     if session is not None:
         if session.resumed_from is not None:
@@ -249,7 +247,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         suite=args.suite,
         budget=args.budget,
         workers=args.workers,
-        store=args.store,
     )
 
 
@@ -385,16 +382,6 @@ def make_parser() -> argparse.ArgumentParser:
     explore = subparsers.add_parser("explore", help="explore a universe")
     add_protocol_options(explore)
     explore.add_argument("--diagram-limit", type=int, default=30)
-    explore.add_argument(
-        "--store",
-        choices=["objects", "arena"],
-        default="objects",
-        help="configuration store (ExplorationOptions.store): 'objects' "
-        "keeps every Configuration materialised (fastest for small "
-        "universes); 'arena' packs (parent id, event, hash) columns with "
-        "lazy materialisation and compressed cold layers — same result "
-        "bit-for-bit, a fraction of the memory at scale",
-    )
 
     # Flag groups mirror the ExplorationOptions dataclasses one-to-one;
     # options_from_args() is the single mapping between the two.
@@ -474,9 +461,9 @@ def make_parser() -> argparse.ArgumentParser:
         "--spill-dir",
         metavar="PATH",
         default=None,
-        help="directory for the arena's on-disk cold tier (requires "
-        "--store arena); sealed layers stream to an mmap-backed spill "
-        "file, and the --rss-budget watchdog spills before it truncates",
+        help="directory for the arena's on-disk cold tier: sealed layers "
+        "stream to an mmap-backed spill file, and the --rss-budget "
+        "watchdog spills before it truncates",
     )
     explore.set_defaults(handler=cmd_explore)
 

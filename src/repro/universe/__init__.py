@@ -23,7 +23,6 @@ from repro.universe.sharded import (
     ShardedExplorer,
     SupervisionPolicy,
     WorkerError,
-    discovery_stream,
 )
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "Universe",
     "WorkerError",
     "compatibility_token",
-    "discovery_stream",
     "iter_bit_ids",
     "configuration_from_events",
     "figure_3_1_computations",

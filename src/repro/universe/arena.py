@@ -5,7 +5,7 @@ one event*.  The arena persists exactly that — three packed
 struct-of-arrays columns (parent dense id, interned event index, rolling
 content hash; 20 bytes per configuration) — and materialises
 :class:`~repro.core.configuration.Configuration` objects lazily, behind
-the same sequence interface the object store exposed:
+a read-only list-like sequence interface:
 
 * a **hot window** keeps the current BFS frontier and the layer under
   construction as real objects (the only ids the kernel dereferences,
@@ -262,7 +262,7 @@ class ArenaStore:
     ) -> int:
         """Record a first discovery: pack the columns, keep the object hot.
 
-        ``child`` may be ``None``: the packed exploration kernel tracks
+        ``child`` may be ``None``: the exploration kernel tracks
         its own window of history rows and never builds child objects,
         so only the columns are written and any later read materialises
         through the cold tiers.
@@ -572,8 +572,7 @@ class ArenaStore:
         ``stream`` is the saved ``(parent_id, event)`` record list in
         discovery order.  Parents arrive in non-decreasing order, so the
         hot window advances exactly as it did during live exploration —
-        resident objects stay bounded by two BFS layers instead of the
-        full-universe replica the object store instantiates.  Returns the
+        resident objects stay bounded by two BFS layers.  Returns the
         content-hash -> dense id dedup table (with collision buckets),
         ready to install on the universe.
         """

@@ -12,11 +12,10 @@ Design: the checkpoint does **not** store configurations or hashes.  It
 stores the *merged discovery stream* — the sequence ``[(parent_id,
 event), ...]`` of first discoveries in global BFS order — plus the CSR
 successor arrays (dense ids only) and the completeness flag.  Replaying
-the stream through the same construction path the sharded workers use
-(:class:`repro.universe.sharded._Replica`) rebuilds the configuration
-list, the content-hash id table (including collision-bucket layout) and
-the rolling entry-hash memo *exactly*, so exploration continues from the
-first unexpanded layer as if it had never stopped; the finished universe
+the stream into the arena (:meth:`repro.universe.arena.ArenaStore.replay`)
+rebuilds the packed configuration columns and the content-hash id table
+(including collision-bucket layout) *exactly*, so exploration continues
+from the first unexpanded layer as if it had never stopped; the finished universe
 is bit-identical to an uninterrupted run (asserted in
 ``tests/test_universe_checkpoint.py`` and, across whole-process SIGKILLs,
 in ``tests/test_universe_chaos.py``).
@@ -116,7 +115,7 @@ from collections import deque
 from pathlib import Path
 
 from repro.core.errors import UniverseError
-from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
+from repro.universe.arena import compress_batch, decompress_batch
 from repro.universe.fileops import DEFAULT_FILEOPS
 from repro.universe.recovery import RecoveryLog
 from repro.universe.retry import (
@@ -188,12 +187,11 @@ def _parse_version(raw: bytes) -> int:
 class ResumedExploration:
     """What :meth:`CheckpointSession.try_resume` hands back to an engine."""
 
-    __slots__ = ("frontier_start", "stream", "entry_hash_of", "layers")
+    __slots__ = ("frontier_start", "stream", "layers")
 
-    def __init__(self, frontier_start, stream, entry_hash_of, layers) -> None:
+    def __init__(self, frontier_start, stream, layers) -> None:
         self.frontier_start = frontier_start
         self.stream = stream
-        self.entry_hash_of = entry_hash_of
         self.layers = layers
 
 
@@ -665,45 +663,23 @@ class CheckpointSession:
     ) -> ResumedExploration:
         """Rebuild ``universe``'s stores from a verified stream + CSR.
 
-        Replays the stream through the exact construction path the
-        sharded replicas use, so the rebuilt state is bit-identical.
-        Under the arena store the replay goes straight into the packed
-        columns (:meth:`~repro.universe.arena.ArenaStore.replay`) — the
-        hot window advances with the stream, so resume memory stays
-        O(two layers) instead of a full object replica.
+        The replay goes straight into the packed columns
+        (:meth:`~repro.universe.arena.ArenaStore.replay`), so the rebuilt
+        state is bit-identical; the hot window advances with the stream,
+        so resume memory stays O(two layers).
         """
         if len(offsets) != frontier_start + 1:
             raise CheckpointError(
                 f"checkpoint {self.path} CSR desync: {len(offsets)} "
                 f"offsets for a frontier at {frontier_start}"
             )
-        configurations = universe._configurations
-        if isinstance(configurations, ArenaStore):
-            ids_by_hash = configurations.replay(stream)
-            if len(configurations) != count:
-                raise CheckpointError(
-                    f"checkpoint {self.path} replay desync: rebuilt "
-                    f"{len(configurations)} configurations, file "
-                    f"records {count}"
-                )
-            # The kernel's entry memo recomputes on miss, so an empty
-            # memo is correct (the arena evicted the cold histories).
-            entry_hash_of: dict[int, int] = {}
-        else:
-            from repro.universe.sharded import _Replica
-
-            replica = _Replica(self.protocol, self.max_events)
-            replica.apply(stream)
-            if len(replica.configurations) != count:
-                raise CheckpointError(
-                    f"checkpoint {self.path} replay desync: rebuilt "
-                    f"{len(replica.configurations)} configurations, file "
-                    f"records {count}"
-                )
-            configurations.clear()
-            configurations.extend(replica.configurations)
-            entry_hash_of = replica.entry_hash_of
-            ids_by_hash = replica.ids_by_hash
+        arena = universe._configurations
+        ids_by_hash = arena.replay(stream)
+        if len(arena) != count:
+            raise CheckpointError(
+                f"checkpoint {self.path} replay desync: rebuilt "
+                f"{len(arena)} configurations, file records {count}"
+            )
         universe._ids_by_hash.clear()
         universe._ids_by_hash.update(ids_by_hash)
         del universe._succ_ids[:]
@@ -718,7 +694,7 @@ class CheckpointSession:
         self._saved_count = count
         self._complete_at_save = complete
         self.resumed_from = frontier_start
-        return ResumedExploration(frontier_start, stream, entry_hash_of, layers)
+        return ResumedExploration(frontier_start, stream, layers)
 
     # -- commit --------------------------------------------------------
     def commit_layer(

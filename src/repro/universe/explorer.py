@@ -402,9 +402,6 @@ _BOUND_MESSAGE = (
     "the protocol"
 )
 
-_EMPTY_ENTRY_MEMO: dict[int, int] = {}
-"""Permanent previous-generation entry-hash memo of the object store."""
-
 
 class Universe:
     """All reachable configurations of a protocol, with isomorphism indexes.
@@ -469,15 +466,14 @@ class Universe:
         the coordinator's heartbeat/respawn tunables; ``workers >= 2``
         only.
     store:
-        Configuration storage backend.  ``"objects"`` (default) keeps
-        every configuration as a live Python object; ``"arena"`` keeps
-        packed ``(parent id, event, hash)`` columns
-        (:class:`~repro.universe.arena.ArenaStore`) and materialises
-        objects lazily — same dense ids, CSR arrays and hash buckets,
-        at a fraction of the resident memory.
+        Configuration storage backend; ``"arena"`` is the only one.
+        Configurations are kept as packed ``(parent id, event, hash)``
+        columns (:class:`~repro.universe.arena.ArenaStore`) and
+        materialised lazily.  Any other value raises
+        :class:`UniverseError` (the object store was removed).
     spill_dir:
-        Directory for the arena's on-disk cold tier (``store="arena"``
-        only): sealed cold chunks stream to an mmap-backed spill file
+        Directory for the arena's on-disk cold tier: sealed cold chunks
+        stream to an mmap-backed spill file
         there as layers retire, and the ``rss_budget_mb`` watchdog
         force-spills before it ever truncates.
     options:
@@ -545,12 +541,11 @@ class Universe:
             raise UniverseError(
                 f"on_limit must be 'raise' or 'truncate', got {on_limit!r}"
             )
-        if store not in ("objects", "arena"):
+        if store != "arena":
             raise UniverseError(
-                f"store must be 'objects' or 'arena', got {store!r}"
+                f"store must be 'arena' (the object store was removed), "
+                f"got {store!r}"
             )
-        if spill_dir is not None and store != "arena":
-            raise UniverseError("spill_dir requires store='arena'")
         self._protocol = protocol
         self._max_events = max_events
         self._recovery_log = RecoveryLog()
@@ -573,16 +568,11 @@ class Universe:
                 self._storage_faults.setdefault(layer, []).append(
                     (kind, seconds)
                 )
-        if store == "arena":
-            self._configurations: list[Configuration] | ArenaStore = (
-                ArenaStore(
-                    spill_dir=spill_dir,
-                    fileops=self._fileops,
-                    recovery_log=self._recovery_log,
-                )
-            )
-        else:
-            self._configurations = []
+        self._configurations: Sequence[Configuration] = ArenaStore(
+            spill_dir=spill_dir,
+            fileops=self._fileops,
+            recovery_log=self._recovery_log,
+        )
         # Content hash -> dense id (or list of ids on hash collision).
         # This is both the BFS dedup table and, after exploration, the
         # public configuration -> id index: one table, no second
@@ -717,315 +707,12 @@ class Universe:
         session=None,
         rss_budget_mb: float | None = None,
     ) -> None:
-        """The frontier-batched exploration kernel.
+        """The exploration kernel: frontier BFS over *packed window rows*.
 
-        The BFS works over *append-only id buffers*: `configurations` is
-        the discovery-ordered buffer, the cursor walks it one frontier
-        batch at a time, and successors append to the flat CSR arrays.
-        Per popped configuration the enabled events are table lookups —
-        compiled local steps plus the memoised receive set — and each
-        candidate child is resolved against the local content-hash table
-        via :meth:`Configuration._extension_parts` (O(1) child hash, no
-        intern-registry round-trip, construction only on first
-        discovery).  Projection/partition indexes are built lazily after
-        exploration, never incrementally inside this loop.
-        """
-        configurations = self._configurations
-        if isinstance(configurations, ArenaStore):
-            # The arena runs its own kernel over packed window rows —
-            # no child objects at all; see :meth:`_explore_packed`.
-            return self._explore_packed(
-                max_configurations,
-                on_limit,
-                session=session,
-                rss_budget_mb=rss_budget_mb,
-            )
-        lookup = configurations.__getitem__
-        ids_by_hash = self._ids_by_hash
-        succ_ids = self._succ_ids
-        succ_offsets = self._succ_offsets
-        protocol = self._protocol
-        max_events = self._max_events
-        bound_error: str | None = None
-
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
-        ordered = protocol.ordered_processes
-        selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events
-            if protocol.has_enabling_filter
-            else None
-        )
-        receive_sets = protocol.receive_events_for
-        selective_receives = protocol.selective_receive_events
-        compiled_enabled = protocol.compiled_enabled_events
-        # Processes absent from a configuration all share one compiled
-        # entry: their local steps after the empty history.
-        initial_steps = {
-            process: steps_for(process, ()) for process in ordered
-        }
-        # math.inf compares greater than every count, so `count >= limit`
-        # is the single bound test; non-positive bounds fire on the first
-        # discovered child, like the pre-CSR explorer.
-        limit = max_configurations if max_configurations is not None else inf
-        modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
-        seed_of = {
-            process: hash(process) % modulus for process in ordered
-        }
-        # Rolling entry hashes, keyed by history-tuple *identity*: the
-        # tuples are pinned alive by the configurations list for the whole
-        # exploration, every child shares its unchanged histories with its
-        # parent, and the kernel creates exactly one tuple per discovered
-        # child — so this one memo replaces the per-child entry-hash dict
-        # copy (and its ~360 bytes/configuration) entirely.  The object
-        # store pins every tuple forever, so the memo never rotates and
-        # the previous generation stays the shared empty dict.  (The
-        # packed kernel evicts tuples and must rotate — see
-        # :meth:`_explore_packed`.)
-        entry_hash_of: dict[int, int] = {}
-        entry_prev_get = _EMPTY_ENTRY_MEMO.get
-        from_trusted = Configuration._from_trusted
-
-        watchdog = None
-        if rss_budget_mb is not None:
-            from repro.universe.checkpoint import RssWatchdog
-
-            watchdog = RssWatchdog(rss_budget_mb)
-        self._rss_watchdog = watchdog
-        resumed = session.try_resume(self) if session is not None else None
-        if resumed is not None:
-            # try_resume rebuilt the stores in place; adopt its state and
-            # continue from the first unexpanded layer.
-            entry_hash_of = resumed.entry_hash_of
-            count = len(configurations)
-            edges = len(succ_ids)
-            cursor = resumed.frontier_start
-        else:
-            configurations.append(EMPTY_CONFIGURATION)
-            ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
-            count = 1  # == len(configurations), maintained locally
-            edges = 0  # == len(succ_ids)
-            cursor = 0
-        entry_memo_get = entry_hash_of.get
-        track = session is not None
-        layers_done = resumed.layers if resumed is not None else 0
-        self._arm_storage_faults(layers_done)
-        rss_truncated = False
-        # The kernel allocates millions of acyclic, long-lived objects and
-        # creates no reference cycles of its own; CPython's generational
-        # collector would rescan the growing universe on every threshold
-        # crossing — a superlinear tax that dominated n=8 exploration.
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while cursor < count:
-                batch_end = count  # one BFS frontier batch
-                layer_records = [] if track else None
-                while cursor < batch_end:
-                    current = lookup(cursor)
-                    cursor += 1
-                    if max_events is not None and len(current) >= max_events:
-                        if compiled_enabled(current):
-                            self._complete = False
-                        succ_offsets.append(edges)
-                        continue
-                    parent_histories = current._histories
-                    history_of = parent_histories.get
-                    if custom_enabling:
-                        # The protocol restricts system-level enabling
-                        # beyond local steps + willing receives; its
-                        # override is authoritative.
-                        enabled = list(protocol.enabled_events(current))
-                    else:
-                        enabled = []
-                        for process in ordered:
-                            history = history_of(process)
-                            if history is None:
-                                enabled += initial_steps[process]
-                            else:
-                                steps = by_history[process].get(history)
-                                enabled += (
-                                    steps
-                                    if steps is not None
-                                    else steps_for(process, history)
-                                )
-                        in_flight = current.in_flight_messages
-                        if in_flight:
-                            if not selective:
-                                enabled += receive_sets(in_flight)
-                            else:
-                                enabled += selective_receives(
-                                    history_of, in_flight
-                                )
-                        if enabling_filter is not None:
-                            # Declarative system-level restriction on top
-                            # of the compiled local steps + receives —
-                            # the hook that keeps filter-only protocols
-                            # on this fast path.
-                            enabled = enabling_filter(current, enabled)
-                    # Inlined Configuration._extension_parts, with the
-                    # parent's content hash loop-invariant across this
-                    # configuration's edges and rolling entry hashes read
-                    # from the history-identity memo.
-                    parent_hash = current._hash
-                    if parent_hash is None:
-                        parent_hash = hash(current)
-                    matches = current._matches_extension
-                    propagate = current._propagate_caches
-                    for event in enabled:
-                        process = event.process
-                        try:
-                            event_hash = event._hash_cache
-                        except AttributeError:
-                            event_hash = hash(event)
-                        old_history = history_of(process)
-                        if old_history is None:
-                            new_history = (event,)
-                            new_entry = (
-                                seed_of[process] * multiplier + event_hash
-                            ) % modulus
-                            child_hash = (parent_hash + new_entry) % modulus
-                        else:
-                            key = id(old_history)
-                            old_entry = entry_memo_get(key)
-                            if old_entry is None:
-                                old_entry = entry_prev_get(key)
-                                if old_entry is None:
-                                    old_entry = _entry_hash(
-                                        process, old_history
-                                    )
-                                entry_hash_of[key] = old_entry
-                            new_history = old_history + (event,)
-                            new_entry = (
-                                old_entry * multiplier + event_hash
-                            ) % modulus
-                            child_hash = (
-                                parent_hash - old_entry + new_entry
-                            ) % modulus
-                        existing = ids_by_hash.get(child_hash)
-                        if existing is None:
-                            if count >= limit:
-                                bound_error = _BOUND_MESSAGE % max_configurations
-                                break
-                            child_id = count
-                        elif type(existing) is int:
-                            if matches(
-                                lookup(existing), process, new_history
-                            ):
-                                succ_ids.append(existing)
-                                edges += 1
-                                continue
-                            # content-hash collision: open the bucket
-                            if count >= limit:
-                                bound_error = _BOUND_MESSAGE % max_configurations
-                                break
-                            child_id = count
-                            ids_by_hash[child_hash] = [existing, child_id]
-                        else:
-                            for candidate_id in existing:
-                                if matches(
-                                    lookup(candidate_id),
-                                    process,
-                                    new_history,
-                                ):
-                                    child_id = candidate_id
-                                    break
-                            else:
-                                if count >= limit:
-                                    bound_error = (
-                                        _BOUND_MESSAGE % max_configurations
-                                    )
-                                    break
-                                child_id = count
-                                existing.append(child_id)
-                            if child_id != count:
-                                succ_ids.append(child_id)
-                                edges += 1
-                                continue
-                        # First discovery: build the child without a
-                        # per-child entry-hash dict (lazy recompute path).
-                        if existing is None:
-                            ids_by_hash[child_hash] = child_id
-                        count += 1
-                        entry_hash_of[id(new_history)] = new_entry
-                        if old_history is not None:
-                            items = dict(parent_histories)
-                            items[process] = new_history
-                        else:
-                            items = {}
-                            placed = False
-                            for existing_process, history in (
-                                parent_histories.items()
-                            ):
-                                if not placed and process < existing_process:
-                                    items[process] = new_history
-                                    placed = True
-                                items[existing_process] = history
-                            if not placed:
-                                items[process] = new_history
-                        child = from_trusted(items, child_hash, None)
-                        propagate(child, event)
-                        configurations.append(child)
-                        succ_ids.append(child_id)
-                        edges += 1
-                        if track:
-                            layer_records.append((cursor - 1, event))
-                    succ_offsets.append(edges)
-                    if bound_error is not None:
-                        break
-                if bound_error is not None:
-                    # Mid-layer stop: the checkpoint keeps the previous
-                    # (complete) layer boundary, never a torn layer.
-                    break
-                layers_done += 1
-                self._arm_storage_faults(layers_done)
-                if track:
-                    session.commit_layer(
-                        layer_records,
-                        batch_end,
-                        self,
-                        final=cursor >= count,
-                    )
-                if watchdog is not None and cursor < count and watchdog.exceeded():
-                    # The object store has no cold tier to spill; truncate
-                    # is the only rung of the degradation ladder here.
-                    self._recovery_log.record(
-                        "rss_budget",
-                        "truncate",
-                        detail=f"{count} configurations",
-                    )
-                    rss_truncated = True
-                    break
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        if bound_error is not None and on_limit == "raise":
-            raise UniverseError(bound_error)
-        if bound_error is not None or rss_truncated:
-            self._complete = False
-            # Unexpanded frontier configurations keep empty successor rows.
-            while len(succ_offsets) < len(configurations) + 1:
-                succ_offsets.append(len(succ_ids))
-
-    def _explore_packed(
-        self,
-        max_configurations: int | None,
-        on_limit: str,
-        session=None,
-        rss_budget_mb: float | None = None,
-    ) -> None:
-        """The arena kernel: frontier BFS over *packed window rows*.
-
-        Mirror of :meth:`_explore` for the arena store.  The object
-        kernel keeps two full layers of ``Configuration`` objects alive
-        — frontier plus the layer under construction — and at star n=8
-        that window peaks at ~474k objects of ~1.1 KB each, dominating
-        peak RSS.  This kernel never builds child objects at all.  A
-        window entry is the 4-tuple
+        Configurations go straight into the arena as packed ``(parent
+        id, event, hash)`` columns; the kernel never builds child
+        objects.  Its only live state is a window over the frontier and
+        the layer under construction, one 4-tuple per configuration
 
             ``(row, content_hash, received, in_flight)``
 
@@ -1037,22 +724,26 @@ class Universe:
         enabling, enabling filters, ``max_events`` probes), and each
         window entry is popped the moment its expansion completes, so a
         consumed frontier prefix stops counting toward peak RSS
-        mid-layer instead of at the next boundary.  Dedup compares rows
+        mid-layer instead of at the next boundary.  Per edge the enabled
+        events are table lookups (compiled local steps plus the memoised
+        receive set) and the child's content hash is O(1) from the
+        parent's (rolling entry hashes).  Dedup compares rows
         elementwise — shared history tuples make those identity hits —
         and the rare cross-layer content-hash collision falls back to
-        the arena's chain-walk materialisation.
+        the arena's chain-walk materialisation.  Partition indexes are
+        built lazily after exploration, never inside this loop.
 
-        Mid-layer eviction cannot alias the id-keyed entry memo: every
-        history tuple a parent can look up is held by a live window row,
-        and any tuple that reuses a freed address was itself a freshly
-        discovered child's ``new_history``, whose memo entry is
-        overwritten at creation.  The memo still rotates generations at
-        layer boundaries exactly like the old arena path.
+        Rolling entry hashes are memoised by history-tuple *identity*.
+        Mid-layer eviction cannot alias that memo: every history tuple a
+        parent can look up is held by a live window row, and any tuple
+        that reuses a freed address was itself a freshly discovered
+        child's ``new_history``, whose memo entry is overwritten at
+        creation.  The memo rotates generations at layer boundaries.
 
-        Keep the dedup/bounds/checkpoint semantics in lockstep with
-        :meth:`_explore`: the suite in ``tests/test_universe_arena.py``
-        holds the two kernels bit-identical (ids, CSR arrays, hash
-        buckets) on every bundled protocol and both engines.
+        :func:`repro.universe.reference.reference_bfs` is the oracle:
+        ``tests/test_universe_arena.py`` holds this kernel and the
+        sharded engine bit-identical to it (ids, CSR arrays, hash
+        buckets, completeness, truncation point).
         """
         arena: ArenaStore = self._configurations
         ids_by_hash = self._ids_by_hash
@@ -1081,6 +772,9 @@ class Universe:
         initial_steps = {
             process: steps_for(process, ()) for process in ordered
         }
+        # math.inf compares greater than every count, so `count >= limit`
+        # is the single bound test; non-positive bounds fire on the first
+        # discovered child.
         limit = max_configurations if max_configurations is not None else inf
         modulus = _HASH_MODULUS
         multiplier = _ROLL_MULTIPLIER
@@ -1088,7 +782,7 @@ class Universe:
             process: hash(process) % modulus for process in ordered
         }
         entry_hash_of: dict[int, int] = {}
-        entry_prev_get = _EMPTY_ENTRY_MEMO.get
+        entry_prev_get = {}.get  # no previous generation yet
         from_trusted = Configuration._from_trusted
         # Per-layer frozenset intern table: channel contents repeat
         # heavily across siblings, so the per-child ``received`` /
@@ -1159,7 +853,6 @@ class Universe:
             # rebuild the kernel's row window for the open frontier and
             # continue from the first unexpanded layer.  (The entry memo
             # resumes empty and recomputes on miss.)
-            entry_hash_of = resumed.entry_hash_of
             count = len(arena)
             edges = len(succ_ids)
             cursor = resumed.frontier_start
@@ -1195,8 +888,10 @@ class Universe:
         layers_done = resumed.layers if resumed is not None else 0
         self._arm_storage_faults(layers_done)
         rss_truncated = False
-        # Same GC stance as the object kernel: acyclic long-lived data,
-        # no cycles of our own — stop the generational rescans.
+        # The kernel allocates millions of acyclic, long-lived objects and
+        # creates no reference cycles of its own; CPython's generational
+        # collector would rescan the growing universe on every threshold
+        # crossing — a superlinear tax at n=8.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -1595,6 +1290,11 @@ class Universe:
 
     def configuration_of_id(self, index: int) -> Configuration:
         """The configuration with dense id ``index``."""
+        if not 0 <= index < len(self._configurations):
+            raise UniverseError(
+                f"no configuration with id {index} in a universe of "
+                f"{len(self._configurations)}"
+            )
         return self._configurations[index]
 
     @property

@@ -10,7 +10,6 @@ top-level :class:`ExplorationOptions` bundle:
     checkpoint=CheckpointPolicy(path="run.ckpt"),
     budget=ResourceBudget(rss_budget_mb=8192),
     sharding=Sharding(workers=4),
-    store="arena",
 ))``
 
 Legacy keyword arguments keep working through :func:`resolve_options`,
@@ -98,13 +97,17 @@ class Sharding:
 
 @dataclass(frozen=True)
 class ExplorationOptions:
-    """Everything ``Universe`` accepts beyond the protocol itself."""
+    """Everything ``Universe`` accepts beyond the protocol itself.
+
+    ``store`` accepts only ``"arena"`` (the one configuration store); it
+    stays a field so callers that name the store explicitly keep working.
+    """
 
     limits: Limits = Limits()
     checkpoint: CheckpointPolicy = CheckpointPolicy()
     budget: ResourceBudget = ResourceBudget()
     sharding: Sharding = Sharding()
-    store: str = "objects"
+    store: str = "arena"
 
 
 class _Unset:
@@ -239,7 +242,6 @@ def options_from_args(args: Any) -> ExplorationOptions:
                 FaultPlan.parse(fault_specs) if fault_specs else None
             ),
         ),
-        store=getattr(args, "store", "objects"),
     )
 
 

@@ -31,21 +31,19 @@ what makes the frontier partitionable:
   back (batch-compressed once, sent ``K`` times) and every worker replays
   it to keep its replica bit-identical to the coordinator's frontier.
 
-Worker replicas are **packed** (PR 9, :class:`_PackedReplica`): because
+Worker replicas are **packed** (:class:`_PackedReplica`): because
 shard expansion only ever reads the *current* frontier layer — batch
 dedup is layer-local by the uniform-event-count argument above, and
 cross-layer collisions are resolved coordinator-side — a worker keeps no
 ``Configuration`` objects and no id table at all.  Its state is one
 window of packed history rows (fixed-width tuples in
-``ordered_processes`` order, exactly the representation of the arena
-kernel ``Universe._explore_packed``) plus per-layer-interned
+``ordered_processes`` order, exactly the representation of the
+kernel ``Universe._explore``) plus per-layer-interned
 received/in-flight message frozensets; replaying the discovery stream
 advances the window floor parent-by-parent, so replaying the *full*
-stream after a respawn still peaks at one layer of rows.  That removes
-the (K+1)× object-store replication that made sharded n≥8 RAM-infeasible.
-The object-store replica (:class:`_Replica`) survives as the
-coordinator's fold-in fallback and as the measured baseline of the
-``sharded_rss_*`` bench pair.
+stream after a respawn still peaks at one layer of rows.  The
+coordinator's fold-in fallback (:class:`_Replica`) expands over the
+coordinator's own arena instead.
 
 Determinism: the coordinator replay *is* the kernel's inner loop fed by a
 pre-computed enabled-event stream, so the resulting universe — dense ids,
@@ -64,8 +62,8 @@ poll, workers send heartbeats while expanding (every
 corrupt frame (CRC mismatch) surfaces as a typed :class:`WorkerFailure`
 instead of a deadlock.  Recovery leans on the same purity that makes the
 engine deterministic: **shard expansion is a pure function of the merged
-discovery stream**, and the stream is reconstructible from the
-coordinator's own CSR store (:func:`discovery_stream`), so the
+discovery stream**, and the coordinator's arena holds that stream
+verbatim (:meth:`~repro.universe.arena.ArenaStore.records`), so the
 coordinator either
 
 * **respawns** a replacement worker and feeds it the full reconstructed
@@ -122,7 +120,7 @@ from repro.core.configuration import (
 )
 from repro.core.errors import UniverseError
 from repro.core.events import ReceiveEvent, SendEvent
-from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
+from repro.universe.arena import compress_batch, decompress_batch
 from repro.universe.recovery import RecoveryLog
 from repro.universe.retry import (
     TRANSIENT_SPAWN_ERRNOS,
@@ -137,12 +135,6 @@ _BOUND_MESSAGE = (
 
 _MAX_WORKERS = 64
 """Safety cap on the worker count (each worker replicates the frontier)."""
-
-_DEFAULT_REPLICA = "packed"
-"""Worker replica representation: ``"packed"`` (window of packed history
-rows, the production default) or ``"objects"`` (full Configuration-list
-replica — retained as the measured memory baseline of the
-``sharded_rss_*`` bench pair)."""
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -252,33 +244,47 @@ class WorkerError(UniverseError):
         super().__init__(text)
 
 
-class _Replica:
-    """A worker's private copy of the universe under construction.
+def _child_items(parent: Configuration, process, new_history):
+    """The child's normalised history dict (kernel construction)."""
+    parent_histories = parent._histories
+    if len(new_history) > 1:
+        items = dict(parent_histories)
+        items[process] = new_history
+    else:
+        items = {}
+        placed = False
+        for existing_process, history in parent_histories.items():
+            if not placed and process < existing_process:
+                items[process] = new_history
+                placed = True
+            items[existing_process] = history
+        if not placed:
+            items[process] = new_history
+    return items
 
-    Grown exclusively by :meth:`apply` — replaying the coordinator's merged
-    discovery stream — so every replica (and the coordinator) holds the
-    same configurations at the same dense ids, with the same hash-table
-    collision buckets.
+
+class _Replica:
+    """The coordinator's expander for a folded shard.
+
+    Reads the coordinator's own configuration store — authoritative, so
+    :meth:`expand` re-derives exactly the batch the dead worker would
+    have sent (shard expansion is a pure function of the stream).
     """
 
     __slots__ = (
         "protocol",
         "configurations",
-        "ids_by_hash",
         "entry_hash_of",
         "seed_of",
         "max_events",
         "initial_steps",
     )
 
-    def __init__(self, protocol, max_events) -> None:
+    def __init__(self, protocol, max_events, configurations) -> None:
         self.protocol = protocol
-        self.configurations: list[Configuration] = [EMPTY_CONFIGURATION]
-        self.ids_by_hash: dict[int, int | list[int]] = {
-            hash(EMPTY_CONFIGURATION): 0
-        }
+        self.configurations = configurations
         # Rolling entry hashes keyed by history-tuple identity, exactly as
-        # in the kernel: histories are pinned by `configurations`.
+        # in the kernel; valid only while the keyed histories stay alive.
         self.entry_hash_of: dict[int, int] = {}
         self.seed_of = {
             process: hash(process) % _HASH_MODULUS
@@ -291,19 +297,9 @@ class _Replica:
             for process in protocol.ordered_processes
         }
 
-    @classmethod
-    def attached(cls, protocol, max_events, configurations) -> "_Replica":
-        """A replica that *reads* an externally owned configuration list
-        (the coordinator's) instead of maintaining its own — used to fold
-        a dead worker's shard into the coordinator.  Only :meth:`expand`
-        may be called on it."""
-        replica = cls(protocol, max_events)
-        replica.configurations = configurations
-        return replica
-
     # -- shared hash math ----------------------------------------------
     def _child_parts(self, parent: Configuration, event):
-        """``(process, new_history, new_entry, child_hash)`` of one edge.
+        """``(process, new_history, child_hash)`` of one edge.
 
         The kernel's rolling-hash math verbatim: O(1) per edge via the
         history-identity entry memo.
@@ -334,60 +330,7 @@ class _Replica:
                 old_entry * _ROLL_MULTIPLIER + event_hash
             ) % _HASH_MODULUS
             child_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
-        return process, new_history, new_entry, child_hash
-
-    @staticmethod
-    def _child_items(parent: Configuration, process, new_history):
-        """The child's normalised history dict (kernel construction)."""
-        parent_histories = parent._histories
-        if len(new_history) > 1:
-            items = dict(parent_histories)
-            items[process] = new_history
-        else:
-            items = {}
-            placed = False
-            for existing_process, history in parent_histories.items():
-                if not placed and process < existing_process:
-                    items[process] = new_history
-                    placed = True
-                items[existing_process] = history
-            if not placed:
-                items[process] = new_history
-        return items
-
-    # -- replay ---------------------------------------------------------
-    def apply(self, records, progress=None, progress_every: int = 0) -> None:
-        """Replay a merged discovery stream ``[(parent_id, event), ...]``
-        — append the children in stream order.  ``progress`` (if given)
-        is invoked every ``progress_every`` records so a worker replaying
-        a huge layer keeps its heartbeat alive."""
-        configurations = self.configurations
-        ids_by_hash = self.ids_by_hash
-        from_trusted = Configuration._from_trusted
-        since_progress = 0
-        for parent_id, event in records:
-            parent = configurations[parent_id]
-            process, new_history, new_entry, child_hash = self._child_parts(
-                parent, event
-            )
-            self.entry_hash_of[id(new_history)] = new_entry
-            items = self._child_items(parent, process, new_history)
-            child = from_trusted(items, child_hash, None)
-            parent._propagate_caches(child, event)
-            child_id = len(configurations)
-            configurations.append(child)
-            existing = ids_by_hash.get(child_hash)
-            if existing is None:
-                ids_by_hash[child_hash] = child_id
-            elif type(existing) is int:
-                ids_by_hash[child_hash] = [existing, child_id]
-            else:
-                existing.append(child_id)
-            if progress is not None:
-                since_progress += 1
-                if since_progress >= progress_every:
-                    since_progress = 0
-                    progress()
+        return process, new_history, child_hash
 
     # -- expansion ------------------------------------------------------
     def expand(
@@ -431,7 +374,7 @@ class _Replica:
         compiled_enabled = protocol.compiled_enabled_events
         initial_steps = self.initial_steps
         child_parts = self._child_parts
-        child_items = self._child_items
+        child_items = _child_items
         from_trusted = Configuration._from_trusted
 
         records = []
@@ -488,7 +431,7 @@ class _Replica:
             matches = current._matches_extension
             edges: list = []
             for event in enabled:
-                process, new_history, _, child_hash = child_parts(
+                process, new_history, child_hash = child_parts(
                     current, event
                 )
                 bucket = layer_candidates.get(child_hash)
@@ -519,18 +462,16 @@ class _Replica:
 class _PackedReplica:
     """A worker's *packed window* replica of the frontier.
 
-    The object replica above keeps every configuration of the universe
-    alive per worker — (K+1)× the coordinator's RSS.  But a shard worker
-    only ever reads the layer it is expanding: batch dedup is layer-local
-    (every edge adds one event, so duplicates collide within a layer),
-    and the rare cross-layer content-hash collision is resolved on the
-    coordinator, which owns the id table.  So this replica keeps exactly
+    A shard worker only ever reads the layer it is expanding: batch
+    dedup is layer-local (every edge adds one event, so duplicates
+    collide within a layer), and the rare cross-layer content-hash
+    collision is resolved on the coordinator, which owns the id table.  So this replica keeps exactly
     one window of packed entries
 
         ``id -> (row, content_hash, received, in_flight)``
 
-    in the representation of the arena kernel
-    (:meth:`repro.universe.explorer.Universe._explore_packed`): ``row``
+    in the representation of the kernel
+    (:meth:`repro.universe.explorer.Universe._explore`): ``row``
     is a fixed-width tuple of per-process histories in
     ``ordered_processes`` order (``()`` for absent processes), and the
     message frozensets are interned per layer so siblings share set
@@ -538,16 +479,17 @@ class _PackedReplica:
     stream into packed form, advancing the window floor as the stream's
     (non-decreasing) parent ids move past entries — a full-stream replay
     after a respawn therefore still peaks at one layer of rows.
-    :meth:`expand` produces **bit-identical batches** to the object
-    replica: same enabled-event enumeration (compiled tables, selective
-    receives, enabling filters via transient materialisation), same
-    rolling child hashes, same batch-local candidate ordering.
+    :meth:`expand` produces **bit-identical batches** to the
+    coordinator's :class:`_Replica`: same enabled-event enumeration
+    (compiled tables, selective receives, enabling filters via transient
+    materialisation), same rolling child hashes, same batch-local
+    candidate ordering.
 
     The rolling entry-hash memo is id-keyed on history tuples and
-    rotates per :meth:`apply` generation, exactly as in the packed
-    kernel: every tuple a lookup can name is held by a live window row,
-    and a freshly allocated tuple that reuses a freed address has its
-    memo entry overwritten at creation, so eviction cannot alias.
+    rotates per :meth:`apply` generation, exactly as in the kernel:
+    every tuple a lookup can name is held by a live window row, and a
+    freshly allocated tuple that reuses a freed address has its memo
+    entry overwritten at creation, so eviction cannot alias.
     """
 
     __slots__ = (
@@ -686,7 +628,7 @@ class _PackedReplica:
             entry_hash_of[id(new_history)] = new_entry
             child_row = row[:position] + (new_history,) + row[position + 1:]
             # Inlined Configuration._propagate_caches over the interned
-            # frozensets, exactly as in the packed kernel (including the
+            # frozensets, exactly as in the kernel (including the
             # degenerate re-send of an already-received message).
             if isinstance(event, SendEvent):
                 message = event.message
@@ -894,54 +836,6 @@ class _PackedReplica:
 
 
 # ---------------------------------------------------------------------
-# Discovery-stream reconstruction (the failover replay source)
-# ---------------------------------------------------------------------
-def _discovery_event(parent: Configuration, child: Configuration):
-    """The event extending ``parent`` to ``child``.
-
-    Children constructed by the merge (and by checkpoint replay) share
-    every unchanged history tuple with their parent by identity, so the
-    grown history is the one that is not the same object; its last entry
-    is the discovery event.
-    """
-    parent_histories = parent._histories
-    for process, history in child._histories.items():
-        if parent_histories.get(process) is not history:
-            return history[-1]
-    raise UniverseError(
-        "discovery-stream reconstruction found no extending event "
-        "(parent and child share all histories)"
-    )
-
-
-def discovery_stream(configurations, succ_offsets, succ_ids) -> list:
-    """Reconstruct the merged discovery stream from the CSR store.
-
-    Dense ids are assigned in discovery order, so walking the expanded
-    parents' successor rows in global BFS order, the first edge whose
-    child id equals the next unassigned id *is* that child's discovery
-    edge.  This is what lets the coordinator rebuild a dead worker's
-    replica without retaining the stream in memory: the stream is a pure
-    function of the state the coordinator already owns.
-    """
-    stream: list = []
-    expected = 1
-    for parent_id in range(len(succ_offsets) - 1):
-        row_start = succ_offsets[parent_id]
-        row_end = succ_offsets[parent_id + 1]
-        if row_start == row_end:
-            continue
-        parent = configurations[parent_id]
-        for child_id in succ_ids[row_start:row_end]:
-            if child_id == expected:
-                stream.append(
-                    (parent_id, _discovery_event(parent, configurations[child_id]))
-                )
-                expected += 1
-    return stream
-
-
-# ---------------------------------------------------------------------
 # Worker process body
 # ---------------------------------------------------------------------
 def _send_error(connection, error: BaseException | None, message: str) -> None:
@@ -991,15 +885,13 @@ def _worker_main(
     heartbeat_parents,
     heartbeat_records,
     fault_actions,
-    packed=True,
     inherited=(),
 ):
     """Body of one shard worker process.
 
     ``fault_actions`` is a list of :meth:`repro.universe.faults.Fault.as_wire`
     tuples scoped to this worker — deterministic fault injection for the
-    recovery test matrix; empty in production use.  ``packed`` selects
-    the replica representation (see :data:`_DEFAULT_REPLICA`).
+    recovery test matrix; empty in production use.
 
     ``inherited`` holds the coordinator-side pipe ends this fork copied:
     the worker's own and its earlier siblings'.  They are closed first,
@@ -1030,11 +922,7 @@ def _worker_main(
                 "or a pinned PYTHONHASHSEED)",
             )
             return
-        replica = (
-            _PackedReplica(protocol, max_events)
-            if packed
-            else _Replica(protocol, max_events)
-        )
+        replica = _PackedReplica(protocol, max_events)
         while True:
             message = connection.recv()
             kind = message[0]
@@ -1063,14 +951,11 @@ def _worker_main(
                 progress=heartbeat,
                 progress_every=heartbeat_records,
             )
-            replica_count = (
-                replica.count if packed else len(replica.configurations)
-            )
-            if replica_count != layer_end:
+            if replica.count != layer_end:
                 _send_error(
                     connection,
                     None,
-                    f"replica desync: {replica_count} "
+                    f"replica desync: {replica.count} "
                     f"configurations, expected {layer_end}",
                 )
                 return
@@ -1137,23 +1022,16 @@ class ShardedExplorer:
         workers: int,
         supervision: SupervisionPolicy | None = None,
         fault_plan=None,
-        replica: str | None = None,
     ) -> None:
         if workers < 2:
             raise UniverseError(
                 f"sharded exploration needs at least 2 workers, got {workers}"
-            )
-        replica = replica if replica is not None else _DEFAULT_REPLICA
-        if replica not in ("packed", "objects"):
-            raise UniverseError(
-                f"replica must be 'packed' or 'objects', got {replica!r}"
             )
         self._protocol = protocol
         self._max_events = max_events
         self._workers = workers
         self._policy = supervision or SupervisionPolicy()
         self._fault_plan = fault_plan
-        self._packed_replicas = replica == "packed"
         if fault_plan is not None:
             fault_plan.validate(workers)
         self._connections: list = [None] * workers
@@ -1193,7 +1071,6 @@ class ShardedExplorer:
             self._policy.heartbeat_parents,
             self._policy.heartbeat_records,
             actions,
-            self._packed_replicas,
             (parent_end, *(c for c in self._connections if c is not None)),
         )
         delay = self._policy.spawn_backoff
@@ -1281,22 +1158,13 @@ class ShardedExplorer:
     def _full_stream_blob(self, universe, layer_end: int) -> bytes:
         """The compressed full discovery stream up to ``layer_end``,
         cached per layer (several failures in one layer replay the same
-        stream).  Under the arena store the columns *are* the stream
-        (:meth:`~repro.universe.arena.ArenaStore.records`); under the
-        object store it is reconstructed from the CSR walk."""
+        stream).  The arena's columns *are* the stream
+        (:meth:`~repro.universe.arena.ArenaStore.records`)."""
         cached = self._stream_blob
         if cached is not None and cached[0] == layer_end:
             return cached[1]
-        configurations = universe._configurations
-        if isinstance(configurations, ArenaStore):
-            stream = configurations.records(1, len(configurations))
-        else:
-            stream = discovery_stream(
-                configurations,
-                universe._succ_offsets,
-                universe._succ_ids,
-            )
-        blob = compress_batch(stream)
+        arena = universe._configurations
+        blob = compress_batch(arena.records(1, len(arena)))
         self._stream_blob = (layer_end, blob)
         return blob
 
@@ -1305,20 +1173,19 @@ class ShardedExplorer:
     ):
         """Expand ``shard`` in the coordinator — the no-respawn fallback.
 
-        The coordinator's own state is authoritative, so an attached
-        replica over it re-derives exactly the batch the worker would
-        have sent (pure function of the stream)."""
+        The coordinator's own state is authoritative, so a
+        :class:`_Replica` over it re-derives exactly the batch the worker
+        would have sent (pure function of the stream)."""
         if self._fallback is None:
-            self._fallback = _Replica.attached(
+            self._fallback = _Replica(
                 self._protocol, self._max_events, universe._configurations
             )
-        if isinstance(universe._configurations, ArenaStore):
-            # The arena evicts cold layers (freeing their history tuples),
-            # so the id-keyed entry memo cannot persist across layers
-            # without aliasing risk.  Frontier parents stay alive in the
-            # hot window for the whole expand call, so a per-call memo is
-            # both safe and still O(1) per edge within the layer.
-            self._fallback.entry_hash_of.clear()
+        # The arena evicts cold layers (freeing their history tuples), so
+        # the id-keyed entry memo cannot persist across layers without
+        # aliasing risk.  Frontier parents stay alive in the hot window
+        # for the whole expand call, so a per-call memo is both safe and
+        # still O(1) per edge within the layer.
+        self._fallback.entry_hash_of.clear()
         return self._fallback.expand(
             layer_start, layer_end, shard, self._workers
         )
@@ -1660,22 +1527,17 @@ class ShardedExplorer:
     ) -> None:
         """The coordinator side: broadcast, gather, merge, repeat."""
         workers = self._workers
-        configurations = universe._configurations
-        arena = (
-            configurations if isinstance(configurations, ArenaStore) else None
-        )
-        lookup = (
-            arena._get_hot if arena is not None else configurations.__getitem__
-        )
+        arena = universe._configurations
+        lookup = arena._get_hot
         ids_by_hash = universe._ids_by_hash
         succ_ids = universe._succ_ids
         succ_offsets = universe._succ_offsets
         from_trusted = Configuration._from_trusted
-        child_items = _Replica._child_items
+        child_items = _child_items
         limit = max_configurations if max_configurations is not None else inf
 
         if resumed is not None:
-            count = len(configurations)
+            count = len(arena)
             edges = len(succ_ids)
             layer_start = resumed.frontier_start
             layer = resumed.layers
@@ -1683,7 +1545,7 @@ class ShardedExplorer:
             # is the full restored stream, not one layer's.
             replay: list = resumed.stream
         else:
-            configurations.append(EMPTY_CONFIGURATION)
+            arena.append(EMPTY_CONFIGURATION)
             ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
             count = 1
             edges = 0
@@ -1800,12 +1662,7 @@ class ShardedExplorer:
                             None,
                         )
                         propagate(child, event)
-                        if arena is None:
-                            configurations.append(child)
-                        else:
-                            arena.append_child(
-                                parent_id, event, child_hash, child
-                            )
+                        arena.append_child(parent_id, event, child_hash, child)
                         replay.append((parent_id, event))
                         resolved.append(child_id)
                         succ_ids.append(child_id)
@@ -1822,20 +1679,15 @@ class ShardedExplorer:
                     checkpoint.commit_layer(
                         replay, layer_end, universe, final=done
                     )
-                if arena is not None:
-                    # The consumed frontier is cold now: evict its window
-                    # objects and seal/compress whole chunks below it.
-                    arena.retire(layer_end)
+                # The consumed frontier is cold now: evict its window
+                # objects and seal/compress whole chunks below it.
+                arena.retire(layer_end)
                 layer_start = layer_end
                 layer += 1
                 if done:
                     break
                 if watchdog is not None and watchdog.exceeded():
-                    if (
-                        arena is not None
-                        and arena.spill_cold()
-                        and not watchdog.exceeded()
-                    ):
+                    if arena.spill_cold() and not watchdog.exceeded():
                         # Graceful spill bought headroom; keep exploring.
                         self.recovery_log.append(
                             {
@@ -1865,7 +1717,7 @@ class ShardedExplorer:
             raise UniverseError(bound_error)
         if bound_error is not None or rss_truncated:
             universe._complete = False
-            while len(succ_offsets) < len(configurations) + 1:
+            while len(succ_offsets) < len(arena) + 1:
                 succ_offsets.append(len(succ_ids))
 
 
@@ -1874,6 +1726,5 @@ __all__ = [
     "SupervisionPolicy",
     "WorkerError",
     "WorkerFailure",
-    "discovery_stream",
     "resolve_workers",
 ]

@@ -35,7 +35,7 @@ the CI smoke::
     python tests/chaos.py --size 5 --kills 3 --seed 7
     python tests/chaos.py --size 6 --kills 3 --workers 2 --seed 1
     python tests/chaos.py --size 6 --kills 4 --workers-schedule 1,2,1,3
-    python tests/chaos.py --size 6 --kills 3 --store arena --seed 2
+    python tests/chaos.py --size 6 --kills 3 --spill-dir /tmp/spill --seed 2
     python tests/chaos.py --size 5 --kills 3 --stall-kill --seed 4
     python tests/chaos.py --size 5 --kills 1 --disk-faults --seed 11
 """
@@ -145,7 +145,6 @@ def explore_command(
     size: int,
     workers: int,
     fault_specs: tuple[str, ...] = (),
-    store: str = "objects",
     spill_dir: pathlib.Path | None = None,
 ) -> list[str]:
     """The exact ``repro explore`` invocation the campaign crashes."""
@@ -166,8 +165,6 @@ def explore_command(
     ]
     if workers > 1:
         cmd += ["--workers", str(workers)]
-    if store != "objects":
-        cmd += ["--store", store]
     if spill_dir is not None:
         cmd += ["--spill-dir", str(spill_dir)]
     for spec in fault_specs:
@@ -258,7 +255,6 @@ def run_campaign(
     torn_save: bool = True,
     stall_kill: bool = False,
     timeout: float = DEFAULT_TIMEOUT,
-    store: str = "objects",
     spill_dir: pathlib.Path | None = None,
     disk_faults: bool = False,
 ) -> ChaosResult:
@@ -273,10 +269,9 @@ def run_campaign(
     the fresh file guarantees the watched-for orphan is ours).
     ``workers_schedule`` cycles across attempts, so mixed schedules
     exercise kernel<->sharded resume of the same file.
-    ``store``/``spill_dir`` select the configuration store of every
-    crashed attempt (the arena with spill enabled must survive SIGKILL
-    mid-spill exactly like the object store — spilled chunks are a
-    cache, never checkpoint state).
+    ``spill_dir`` enables the arena's disk spill for every attempt (a
+    SIGKILL mid-spill must be survived like any other — spilled chunks
+    are a cache, never checkpoint state).
 
     ``disk_faults`` layers hostile storage on top: every crashed
     attempt carries one seeded transient storage fault (retried or
@@ -338,7 +333,6 @@ def run_campaign(
                 size,
                 workers,
                 faults + storage_faults,
-                store=store,
                 spill_dir=spill_dir,
             ),
             path,
@@ -375,34 +369,24 @@ def run_campaign(
             )
 
 
-def verify_bit_identical(
-    path: pathlib.Path, size: int, store: str = "objects"
-) -> int:
-    """Resume the survivor in-process and compare it with an
-    uninterrupted run; returns the universe size.
-
-    The clean reference always uses the object store, so an arena
-    campaign's final comparison is also a cross-store identity check.
-    """
+def verify_bit_identical(path: pathlib.Path, size: int) -> int:
+    """Resume the survivor in-process and compare it with the reference
+    BFS (:mod:`repro.universe.reference`), which shares no code with the
+    engines that wrote the checkpoint; returns the universe size."""
     from repro.cli import broadcast_protocol
     from repro.universe.explorer import Universe
+    from repro.universe.reference import reference_bfs
 
-    single = Universe(broadcast_protocol("star", size))
-    survivor = Universe(
-        broadcast_protocol("star", size), checkpoint=path, store=store
-    )
+    survivor = Universe(broadcast_protocol("star", size), checkpoint=path)
     if not survivor.is_complete:
         raise AssertionError("surviving checkpoint is not complete")
-    if len(survivor) != len(single):
+    differences = reference_bfs(broadcast_protocol("star", size)).differences(
+        survivor
+    )
+    if differences:
         raise AssertionError(
-            f"survivor has {len(survivor)} configurations, "
-            f"uninterrupted run has {len(single)}"
+            f"survivor differs from the reference BFS in {differences}"
         )
-    if survivor._configurations != single._configurations:
-        raise AssertionError("survivor differs from clean run in dense ids")
-    for attr in ("_succ_offsets", "_succ_ids", "_ids_by_hash"):
-        if getattr(survivor, attr) != getattr(single, attr):
-            raise AssertionError(f"survivor differs from clean run in {attr}")
     return len(survivor)
 
 
@@ -454,20 +438,12 @@ def main(argv: list[str] | None = None) -> int:
         help="write the checkpoint here and keep it (default: temp dir)",
     )
     parser.add_argument(
-        "--store",
-        choices=("objects", "arena"),
-        default="objects",
-        help="configuration store for every crashed attempt (the final "
-        "bit-identity check always compares against an object-store run)",
-    )
-    parser.add_argument(
         "--spill-dir",
         type=str,
         default=None,
         metavar="PATH",
-        help="arena cold-chunk spill directory (default with --store "
-        "arena: a directory inside the campaign's temp dir, so kills "
-        "land while spill files exist)",
+        help="arena cold-chunk spill directory for every attempt, so "
+        "kills land while spill files exist (default: no spill)",
     )
     args = parser.parse_args(argv)
 
@@ -482,13 +458,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.keep_checkpoint
             else pathlib.Path(tmp) / "chaos.ckpt"
         )
-        if args.spill_dir is not None:
-            spill_dir = pathlib.Path(args.spill_dir)
-        elif args.store == "arena":
-            spill_dir = pathlib.Path(tmp) / "spill"
-            spill_dir.mkdir()
-        else:
-            spill_dir = None
+        spill_dir = pathlib.Path(args.spill_dir) if args.spill_dir else None
         result = run_campaign(
             path,
             size=args.size,
@@ -497,7 +467,6 @@ def main(argv: list[str] | None = None) -> int:
             workers_schedule=schedule,
             torn_save=not args.no_torn_save,
             stall_kill=args.stall_kill,
-            store=args.store,
             spill_dir=spill_dir,
             disk_faults=args.disk_faults,
         )
@@ -516,8 +485,8 @@ def main(argv: list[str] | None = None) -> int:
                 "no kill landed inside the background-write window:\n"
                 + result.describe()
             )
-        count = verify_bit_identical(path, args.size, store=args.store)
-        print(f"survivor is bit-identical to an uninterrupted run ({count} configurations)")
+        count = verify_bit_identical(path, args.size)
+        print(f"survivor is bit-identical to the reference BFS ({count} configurations)")
     return 0
 
 

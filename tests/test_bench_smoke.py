@@ -113,6 +113,10 @@ class TestExplorationScaleSmoke:
         truncated = benchmarks["universe_star_broadcast_n5_truncated"]
         assert truncated["complete"] is False
         assert truncated["configurations"] == truncated["max_configurations"]
+        # The memory axis records the one store only.
+        assert benchmarks["explore_rss_star_n5_arena"]["peak_rss_mb"] > 0
+        assert benchmarks["sharded_rss_star_n5_workers2_packed"]["summed_rss_mb"] > 0
+        assert not [name for name in benchmarks if name.endswith("_objects")]
         import json
 
         assert json.loads(json.dumps(document)) == document

@@ -1,8 +1,10 @@
-"""Arena store vs object store: randomized equivalence, packed tiers.
+"""The arena-backed universe against the reference BFS; packed tiers.
 
-The arena must be indistinguishable from the plain object list behind
-the ``Universe`` API: same dense ids, same CSR successor arrays, same
-hash table, and — under randomized access patterns — the same
+Every engine stores its universe in the arena, so the oracle is the
+plain BFS of :mod:`repro.universe.reference`: the kernel and the sharded
+engine must reproduce its dense ids, CSR successor arrays, hash table
+(collision buckets included), completeness flag and truncation point
+bit for bit — and, under randomized access patterns, the same
 materialised configurations, projections, and mask queries.  The packed
 tiers (sealed zlib chunks, disk spill, bounded LRU with chain-walk
 materialisation) are exercised directly by shrinking the chunk size so
@@ -16,7 +18,14 @@ import random
 
 import pytest
 
-from repro.protocols.broadcast import BroadcastProtocol, star_topology
+from repro.core import configuration as configuration_module
+from repro.core.errors import UniverseError
+from repro.protocols.broadcast import (
+    BroadcastProtocol,
+    ring_topology,
+    star_topology,
+    tree_topology,
+)
 from repro.protocols.failure_monitor import (
     AsyncFailureMonitorProtocol,
     SyncFailureMonitorProtocol,
@@ -25,160 +34,210 @@ from repro.protocols.mutex import TokenRingMutexProtocol
 from repro.protocols.pingpong import PingPongProtocol
 from repro.protocols.snapshot import SnapshotTokenRingProtocol
 from repro.protocols.token_bus import TokenBusProtocol
+from repro.simulation.network import FifoProtocol
 from repro.universe import arena as arena_module
+from repro.universe import explorer as explorer_module
+from repro.universe import sharded as sharded_module
 from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
 from repro.universe.builder import packed_store_of
-from repro.universe.explorer import Universe
+from repro.universe.explorer import Universe, iter_bit_ids
+from repro.universe.options import ExplorationOptions
+from repro.universe.reference import reference_bfs
 
 
 def star(receivers: tuple[str, ...]) -> BroadcastProtocol:
     return BroadcastProtocol(star_topology("hub", receivers), "hub")
 
 
-EQUIVALENCE_PROTOCOLS = [
-    ("star_n4", lambda: star(("x", "y", "z"))),
-    ("token_bus_h4", lambda: TokenBusProtocol(max_hops=4)),
-    ("pingpong_r2", lambda: PingPongProtocol(rounds=2)),
-    ("mutex_h3", lambda: TokenRingMutexProtocol(max_hops=3)),
-    # Slow-path coverage for the packed kernel's transient
-    # materialisation: selective receives (can_receive overrides) and
-    # the declarative enabling filter.
-    ("async_monitor", lambda: AsyncFailureMonitorProtocol(heartbeats=2)),
-    ("sync_monitor", lambda: SyncFailureMonitorProtocol(rounds=2)),
-    ("snapshot_ring", lambda: SnapshotTokenRingProtocol(max_hops=3)),
+def star5() -> BroadcastProtocol:
+    return star(("w", "x", "y", "z"))
+
+
+REFERENCE_CASES = [
+    ("star_n5", star5, {}),
+    (
+        "tree_d2",
+        lambda: BroadcastProtocol(
+            tree_topology(tuple(f"t{i}" for i in range(7))), "t0"
+        ),
+        {},
+    ),
+    (
+        "ring_n5",
+        lambda: BroadcastProtocol(
+            ring_topology(tuple(f"r{i}" for i in range(5))), "r0"
+        ),
+        {},
+    ),
+    ("token_bus_h4", lambda: TokenBusProtocol(max_hops=4), {}),
+    ("pingpong_r2", lambda: PingPongProtocol(rounds=2), {}),
+    ("mutex_h3", lambda: TokenRingMutexProtocol(max_hops=3), {}),
+    # Selective receives (can_receive overrides).
+    ("async_monitor", lambda: AsyncFailureMonitorProtocol(heartbeats=2), {}),
+    ("snapshot_ring", lambda: SnapshotTokenRingProtocol(max_hops=3), {}),
+    # The declarative enabling filter.
+    ("sync_monitor", lambda: SyncFailureMonitorProtocol(rounds=2), {}),
+    # Custom system-level enabling (enabled_events override).
+    (
+        "fifo_snapshot",
+        lambda: FifoProtocol(
+            SnapshotTokenRingProtocol(("a", "b", "c"), max_hops=3)
+        ),
+        {},
+    ),
+    ("star_n4_max_events", lambda: star(("x", "y", "z")), {"max_events": 4}),
+    (
+        "star_n5_truncated",
+        star5,
+        {"max_configurations": 150, "on_limit": "truncate"},
+    ),
 ]
 
 
-def assert_same_universe(objects: Universe, arena: Universe) -> None:
-    """The full bit-identity contract between the two stores."""
-    assert len(arena) == len(objects)
-    assert arena.is_complete == objects.is_complete
-    assert arena._succ_offsets == objects._succ_offsets
-    assert arena._succ_ids == objects._succ_ids
-    assert arena._ids_by_hash == objects._ids_by_hash
-    for ours, theirs in zip(arena, objects):
-        assert ours == theirs
-        assert ours._histories == theirs._histories
+def assert_same_universe(universe: Universe, reference) -> None:
+    """The full bit-identity contract against the reference BFS."""
+    assert reference.differences(universe) == []
 
 
 @pytest.fixture(scope="module")
 def star_pair():
-    """One medium universe (star n=5, 634 configurations), both stores."""
-    return Universe(star(("w", "x", "y", "z"))), Universe(
-        star(("w", "x", "y", "z")), store="arena"
-    )
+    """One medium universe (star n=5, 634 configurations) and its
+    reference BFS."""
+    return reference_bfs(star5()), Universe(star5())
 
 
-class TestBitIdentity:
+class TestReferenceIdentity:
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "label,factory",
-        EQUIVALENCE_PROTOCOLS,
-        ids=[entry[0] for entry in EQUIVALENCE_PROTOCOLS],
+        "label,factory,bounds",
+        REFERENCE_CASES,
+        ids=[entry[0] for entry in REFERENCE_CASES],
     )
-    def test_kernel_arena_matches_object_store(self, label, factory):
-        assert_same_universe(
-            Universe(factory()), Universe(factory(), store="arena")
-        )
+    def test_engine_matches_reference(self, label, factory, bounds, workers):
+        universe = Universe(factory(), workers=workers, **bounds)
+        assert_same_universe(universe, reference_bfs(factory(), **bounds))
+        if "max_events" in bounds or "max_configurations" in bounds:
+            assert not universe.is_complete
 
-    def test_sharded_arena_matches_object_store(self):
-        objects = Universe(star(("w", "x", "y", "z")))
-        arena = Universe(star(("w", "x", "y", "z")), store="arena", workers=2)
-        assert_same_universe(objects, arena)
-
-    def test_truncated_arena_matches_object_prefix(self):
-        objects = Universe(
-            star(("w", "x", "y", "z")),
-            max_configurations=150,
-            on_limit="truncate",
-        )
-        arena = Universe(
-            star(("w", "x", "y", "z")),
-            max_configurations=150,
-            on_limit="truncate",
-            store="arena",
-        )
-        assert_same_universe(objects, arena)
-
-    def test_max_events_bounded_arena_matches(self):
-        objects = Universe(star(("x", "y", "z")), max_events=4)
-        arena = Universe(star(("x", "y", "z")), max_events=4, store="arena")
-        assert_same_universe(objects, arena)
-
-    def test_invalid_store_rejected(self):
-        from repro.core.errors import UniverseError
-
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raise_mode_matches_reference(self, workers):
         with pytest.raises(UniverseError):
-            Universe(PingPongProtocol(rounds=1), store="parquet")
+            reference_bfs(star5(), max_configurations=150)
+        with pytest.raises(UniverseError):
+            Universe(star5(), max_configurations=150, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_forced_hash_collisions(self, monkeypatch, workers):
+        """A tiny hash modulus forces content-hash collisions, so the
+        collision-bucket and chain-walk paths run against the reference
+        (complete and truncated)."""
+        for module in (configuration_module, explorer_module, sharded_module):
+            monkeypatch.setattr(module, "_HASH_MODULUS", 1009)
+        reference = reference_bfs(star5())
+        buckets = [b for b in reference.ids_by_hash.values() if type(b) is list]
+        assert len(buckets) > 50
+        assert_same_universe(Universe(star5(), workers=workers), reference)
+        bounds = {"max_configurations": 300, "on_limit": "truncate"}
+        assert_same_universe(
+            Universe(star5(), workers=workers, **bounds),
+            reference_bfs(star5(), **bounds),
+        )
+
+    @pytest.mark.parametrize("store", ["objects", "parquet"])
+    def test_other_stores_rejected(self, store):
+        with pytest.raises(UniverseError, match="object store was removed"):
+            Universe(PingPongProtocol(rounds=1), store=store)
+        with pytest.raises(UniverseError, match="object store was removed"):
+            Universe(
+                PingPongProtocol(rounds=1),
+                options=ExplorationOptions(store=store),
+            )
+
+    def test_default_and_explicit_arena_store(self):
+        default = Universe(PingPongProtocol(rounds=1))
+        explicit = Universe(
+            PingPongProtocol(rounds=1),
+            options=ExplorationOptions(store="arena"),
+        )
+        assert isinstance(default._configurations, ArenaStore)
+        assert_same_universe(
+            explicit, reference_bfs(PingPongProtocol(rounds=1))
+        )
 
 
 class TestRandomizedAccess:
     def test_random_indexing_matches(self, star_pair):
-        objects, arena = star_pair
-        reference = list(objects.configurations)
-        store = arena._configurations
+        reference, universe = star_pair
+        configurations = reference.configurations
+        store = universe._configurations
         rng = random.Random(7)
-        for index in rng.sample(range(len(reference)), 200):
+        for index in rng.sample(range(len(configurations)), 200):
             ours = store[index]
-            assert ours == reference[index]
-            assert ours._histories == reference[index]._histories
+            assert ours == configurations[index]
+            assert ours._histories == configurations[index]._histories
         # Negative indices and slices follow list semantics.
-        assert store[-1] == reference[-1]
-        assert store[10:20] == reference[10:20]
+        assert store[-1] == configurations[-1]
+        assert store[10:20] == configurations[10:20]
         with pytest.raises(IndexError):
-            store[len(reference)]
+            store[len(configurations)]
 
     def test_random_projections_match(self, star_pair):
-        objects, arena = star_pair
-        reference = list(objects.configurations)
-        store = arena._configurations
+        reference, universe = star_pair
+        configurations = reference.configurations
+        store = universe._configurations
         rng = random.Random(11)
-        processes = sorted(objects.processes)
-        for index in rng.sample(range(len(reference)), 64):
+        processes = sorted(universe.processes)
+        for index in rng.sample(range(len(configurations)), 64):
             process = rng.choice(processes)
-            assert store[index].history(process) == reference[index].history(
-                process
-            )
+            assert store[index].history(process) == configurations[
+                index
+            ].history(process)
 
     def test_random_masks_match(self, star_pair):
-        objects, arena = star_pair
+        reference, universe = star_pair
         rng = random.Random(13)
         for _ in range(32):
-            mask = rng.getrandbits(len(objects))
-            assert arena.configurations_in_mask(
-                mask
-            ) == objects.configurations_in_mask(mask)
+            mask = rng.getrandbits(len(reference))
+            assert universe.configurations_in_mask(mask) == tuple(
+                reference.configurations[index]
+                for index in iter_bit_ids(mask)
+            )
 
     def test_partition_tables_match(self, star_pair):
-        objects, arena = star_pair
-        for process in sorted(objects.processes):
-            ours = arena.partition_table(frozenset({process}))
-            theirs = objects.partition_table(frozenset({process}))
-            assert ours.num_classes == theirs.num_classes
-            assert ours.class_of == theirs.class_of
+        reference, universe = star_pair
+        for process in sorted(universe.processes):
+            label_of: dict = {}
+            expected = [
+                label_of.setdefault(configuration.history(process), len(label_of))
+                for configuration in reference.configurations
+            ]
+            table = universe.partition_table(frozenset({process}))
+            assert table.num_classes == len(label_of)
+            assert list(table.class_of) == expected
 
     def test_config_id_round_trip(self, star_pair):
-        objects, arena = star_pair
+        reference, universe = star_pair
         rng = random.Random(17)
-        for index in rng.sample(range(len(objects)), 64):
-            assert arena.config_id(arena._configurations[index]) == index
+        for index in rng.sample(range(len(reference)), 64):
+            assert universe.config_id(reference.configurations[index]) == index
 
 
 class TestPickleAndSeeding:
     def test_store_pickle_round_trip(self, star_pair):
-        _, arena = star_pair
-        store = arena._configurations
+        _, universe = star_pair
+        store = universe._configurations
         loaded = pickle.loads(pickle.dumps(store))
         assert isinstance(loaded, ArenaStore)
         assert loaded == store
         assert list(loaded) == list(store)
 
     def test_packed_store_of_round_trip(self, star_pair):
-        objects, _ = star_pair
-        reference = list(objects.configurations)[:100]
-        store = packed_store_of(reference)
-        assert len(store) == len(reference)
-        assert store == reference
-        assert pickle.loads(pickle.dumps(store)) == reference
+        reference, _ = star_pair
+        configurations = reference.configurations[:100]
+        store = packed_store_of(configurations)
+        assert len(store) == len(configurations)
+        assert store == configurations
+        assert pickle.loads(pickle.dumps(store)) == configurations
 
     def test_batch_codec_round_trip(self):
         payload = {"layer": 3, "records": [(0, "a"), (1, "b")], "n": 634}
@@ -201,38 +260,36 @@ def small_chunks(monkeypatch):
 
 class TestPackedTiers:
     def test_sealed_chunks_stay_equivalent(self, small_chunks):
-        objects = Universe(star(("w", "x", "y", "z")))
-        arena = Universe(star(("w", "x", "y", "z")), store="arena")
-        store = arena._configurations
+        reference = reference_bfs(star5())
+        universe = Universe(star5())
+        store = universe._configurations
         stats = store.stats()
         assert stats["sealed_chunks"] > 0
         assert 0 < stats["compressed_bytes"] < stats["raw_bytes"]
-        assert_same_universe(objects, arena)
+        assert_same_universe(universe, reference)
         # Random access through the cold tier chain-walks and caches.
-        reference = list(objects.configurations)
+        configurations = reference.configurations
         rng = random.Random(19)
-        for index in rng.sample(range(len(reference)), 100):
-            assert store[index] == reference[index]
+        for index in rng.sample(range(len(configurations)), 100):
+            assert store[index] == configurations[index]
         assert store.chain_walks > 0
 
     def test_spill_tier_round_trip(self, small_chunks, tmp_path):
-        objects = Universe(star(("w", "x", "y", "z")))
-        arena = Universe(
-            star(("w", "x", "y", "z")), store="arena", spill_dir=tmp_path
-        )
-        store = arena._configurations
+        reference = reference_bfs(star5())
+        universe = Universe(star5(), spill_dir=tmp_path)
+        store = universe._configurations
         stats = store.stats()
         assert stats["spilled_chunks"] > 0
         assert stats["spilled_bytes"] > 0
         spill_files = list(tmp_path.glob("arena-*.spill"))
         assert len(spill_files) == 1
-        assert_same_universe(objects, arena)
+        assert_same_universe(universe, reference)
         # spill_cold drops the caches; reads fault back in via mmap.
         store.spill_cold()
-        reference = list(objects.configurations)
+        configurations = reference.configurations
         rng = random.Random(23)
-        for index in rng.sample(range(len(reference)), 50):
-            assert store[index] == reference[index]
+        for index in rng.sample(range(len(configurations)), 50):
+            assert store[index] == configurations[index]
         # close() releases and removes the spill file (idempotent).
         store.close()
         store.close()
@@ -241,27 +298,27 @@ class TestPackedTiers:
     def test_tiny_lru_replay_matches(self, small_chunks):
         """A pathologically small LRU forces long chain-walks up the
         parent column; replay of the packed discovery records must still
-        reproduce the object store exactly."""
-        objects = Universe(star(("w", "x", "y", "z")))
-        arena = Universe(star(("w", "x", "y", "z")), store="arena")
-        records = arena._configurations.records(1, len(arena))
+        reproduce the reference exactly."""
+        reference = reference_bfs(star5())
+        universe = Universe(star5())
+        records = universe._configurations.records(1, len(universe))
         tiny = ArenaStore(lru_size=4, chunk_cache_size=2)
         ids_by_hash = tiny.replay(records)
-        assert ids_by_hash == objects._ids_by_hash
+        assert ids_by_hash == reference.ids_by_hash
         tiny.retire(len(tiny))  # evict the replay window: cold reads only
-        reference = list(objects.configurations)
-        assert len(tiny) == len(reference)
+        configurations = reference.configurations
+        assert len(tiny) == len(configurations)
         rng = random.Random(29)
-        for index in rng.sample(range(len(reference)), 60):
+        for index in rng.sample(range(len(configurations)), 60):
             ours = tiny[index]
-            assert ours == reference[index]
-            assert ours._histories == reference[index]._histories
+            assert ours == configurations[index]
+            assert ours._histories == configurations[index]._histories
         assert len(tiny._lru) <= 4
         assert tiny.chain_walks > 0
 
     def test_records_skip_roots(self, small_chunks):
-        arena = Universe(star(("x", "y")), store="arena")
-        store = arena._configurations
+        universe = Universe(star(("x", "y")))
+        store = universe._configurations
         records = store.records(0, len(store))
         assert len(records) == len(store) - 1  # the root has no record
         assert all(parent >= 0 for parent, _ in records)

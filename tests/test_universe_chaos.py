@@ -20,9 +20,7 @@ def run_and_check(tmp_path, **kwargs):
     path = tmp_path / "chaos.ckpt"
     result = run_campaign(path, **kwargs)
     assert result.completed, result.describe()
-    count = verify_bit_identical(
-        path, result.size, store=kwargs.get("store", "objects")
-    )
+    count = verify_bit_identical(path, result.size)
     return result, count
 
 
@@ -74,11 +72,10 @@ class TestShardedChaos:
 
 class TestArenaChaos:
     def test_arena_with_spill_survives_kills(self, tmp_path):
-        """The packed arena store with disk spill enabled dies and
-        resumes like the object store: spilled chunks are a read cache,
-        never checkpoint state, so a kill while spill files exist (and a
+        """Disk spill enabled: spilled chunks are a read cache, never
+        checkpoint state, so a kill while spill files exist (and a
         resume that never sees them again) must still reconstruct
-        bit-identically — verified against an object-store clean run."""
+        bit-identically — verified against the reference BFS."""
         spill = tmp_path / "spill"
         spill.mkdir()
         result, count = run_and_check(
@@ -87,7 +84,6 @@ class TestArenaChaos:
             kills=3,
             seed=7,
             workers_schedule=(1,),
-            store="arena",
             spill_dir=spill,
         )
         assert count == STAR6

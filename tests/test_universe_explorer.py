@@ -57,6 +57,17 @@ class TestExploration:
         with pytest.raises(UniverseError):
             pingpong_universe.require(foreign)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_configuration_of_id_rejects_out_of_range(self, workers):
+        """Ids outside ``[0, len)`` raise instead of wrapping: ``-1``
+        must not silently return the last configuration."""
+        universe = Universe(PingPongProtocol(rounds=1), workers=workers)
+        last = len(universe) - 1
+        assert universe.config_id(universe.configuration_of_id(last)) == last
+        for bad in (-1, len(universe)):
+            with pytest.raises(UniverseError):
+                universe.configuration_of_id(bad)
+
 
 class TestIsoClasses:
     def test_iso_class_members_share_projection(self, pingpong_universe):

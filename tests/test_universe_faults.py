@@ -28,7 +28,6 @@ from repro.universe.sharded import (
     ShardedExplorer,
     SupervisionPolicy,
     WorkerError,
-    discovery_stream,
 )
 
 from test_universe_sharded import assert_bit_identical, star_protocol
@@ -468,26 +467,20 @@ class TestSupervisionPolicyApi:
 
 class TestDiscoveryStreamReconstruction:
     def test_stream_replays_to_the_same_universe(self):
-        """The failover replay source: reconstructing the stream from
-        the CSR store and replaying it rebuilds the identical state."""
-        from repro.universe.sharded import _Replica
+        """The failover replay source: the arena's discovery records,
+        replayed into a fresh arena, rebuild the identical state."""
+        from repro.universe.arena import ArenaStore
 
         universe = Universe(star_protocol(5))
-        stream = discovery_stream(
-            universe._configurations,
-            universe._succ_offsets,
-            universe._succ_ids,
-        )
+        arena = universe._configurations
+        stream = arena.records(1, len(arena))
         assert len(stream) == len(universe) - 1  # one record per discovery
-        replica = _Replica(universe.protocol, None)
-        replica.apply(stream)
-        assert len(replica.configurations) == len(universe)
-        for ours, theirs in zip(
-            replica.configurations, universe._configurations
-        ):
+        rebuilt = ArenaStore()
+        assert rebuilt.replay(stream) == universe._ids_by_hash
+        assert len(rebuilt) == len(universe)
+        for ours, theirs in zip(rebuilt, arena):
             assert ours == theirs
             assert ours._histories == theirs._histories
-        assert replica.ids_by_hash == universe._ids_by_hash
 
 
 class TestFaultSpecParsing:

@@ -76,7 +76,7 @@ class TestCallStyleMatrix:
     def test_options_property_reflects_resolution(self):
         universe = Universe(star_protocol(4), max_configurations=500)
         assert universe.options.limits.max_configurations == 500
-        assert universe.options.store == "objects"
+        assert universe.options.store == "arena"
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sharded_options_style(self, workers):
@@ -92,7 +92,7 @@ class TestCallStyleMatrix:
 
     def test_arena_store_options_style(self, tmp_path):
         with no_warnings():
-            objects = Universe(star_protocol(5))
+            default = Universe(star_protocol(5))
             arena = Universe(
                 star_protocol(5),
                 options=ExplorationOptions(
@@ -100,9 +100,9 @@ class TestCallStyleMatrix:
                     budget=ResourceBudget(spill_dir=tmp_path),
                 ),
             )
-        assert len(objects) == len(arena)
-        assert objects._succ_ids == arena._succ_ids
-        assert objects._ids_by_hash == arena._ids_by_hash
+        assert len(default) == len(arena)
+        assert default._succ_ids == arena._succ_ids
+        assert default._ids_by_hash == arena._ids_by_hash
 
 
 class TestRecoveryEquivalence:
@@ -248,7 +248,7 @@ class TestPicklePortability:
         finally:
             child.join(timeout=30)
         assert complete
-        assert store == "objects"
+        assert store == "arena"
         assert count == len(Universe(star_protocol(4)))
 
 
@@ -268,7 +268,6 @@ class TestOptionsFromArgs:
             spill_dir=str(tmp_path),
             workers=4,
             fault=["torn_save@2"],
-            store="arena",
         )
         options = options_from_args(args)
         assert options.limits.max_configurations == 123
@@ -279,7 +278,6 @@ class TestOptionsFromArgs:
         assert options.budget.rss_budget_mb == 2048.0
         assert options.sharding.workers == 4
         assert len(options.sharding.fault_plan) == 1
-        assert options.store == "arena"
 
     def test_partial_namespace_uses_defaults(self):
         import argparse

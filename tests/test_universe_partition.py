@@ -279,31 +279,27 @@ def all_subsets(processes):
 
 
 ORACLE_UNIVERSES = {
-    "star5": lambda store: Universe(
+    "star5": lambda: Universe(
         BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub"),
-        store=store,
     ),
-    "tree6": lambda store: Universe(
+    "tree6": lambda: Universe(
         BroadcastProtocol(tree_topology([f"t{i}" for i in range(6)], 2), "t0"),
-        store=store,
     ),
-    "token_bus_h4": lambda store: Universe(TokenBusProtocol(max_hops=4), store=store),
-    "star5_truncated": lambda store: Universe(
+    "token_bus_h4": lambda: Universe(TokenBusProtocol(max_hops=4)),
+    "star5_truncated": lambda: Universe(
         BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub"),
         max_events=4,
-        store=store,
     ),
 }
 
 
 class TestHistoryLabelOracle:
     """Tables built from history label columns equal the projection-key
-    build, for every process set, on both stores."""
+    build, for every process set."""
 
-    @pytest.mark.parametrize("store", ["objects", "arena"])
     @pytest.mark.parametrize("name", sorted(ORACLE_UNIVERSES))
-    def test_every_subset_matches_projection_keys(self, name, store):
-        universe = ORACLE_UNIVERSES[name](store)
+    def test_every_subset_matches_projection_keys(self, name):
+        universe = ORACLE_UNIVERSES[name]()
         if name == "star5_truncated":
             assert not universe.is_complete
         subsets = list(all_subsets(universe.processes))
@@ -327,9 +323,9 @@ class TestHistoryLabelOracle:
 
 class TestArenaMaterialisationGuard:
     def test_singleton_and_pair_tables_take_one_pass(self):
-        """Every singleton and 2-process table of an arena universe
-        costs one materialising pass in total, not one per table."""
-        universe = ORACLE_UNIVERSES["star5"]("arena")
+        """Every singleton and 2-process table of a universe costs one
+        materialising pass in total, not one per table."""
+        universe = ORACLE_UNIVERSES["star5"]()
         store = universe._configurations
         before = store.materialisations
         processes = sorted(universe.processes)

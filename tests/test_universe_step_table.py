@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.configuration import EMPTY_CONFIGURATION
 from repro.protocols.broadcast import (
     BroadcastProtocol,
     line_topology,
@@ -27,7 +26,7 @@ from repro.protocols.pingpong import PingPongProtocol
 from repro.protocols.termination import generate_workload
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.explorer import Universe
-from repro.universe.protocol import Protocol
+from repro.universe.reference import reference_bfs
 
 
 def bundled_protocols():
@@ -146,39 +145,18 @@ class TestCompiledStepTableOracle:
     def test_enabling_filter_universe_matches_pre_filter_exploration(self):
         """The filtered kernel fast path discovers exactly the universe
         the enabled_events oracle defines (size + successor structure),
-        in both engines and both stores."""
+        in both engines."""
         from repro.protocols.failure_monitor import SyncFailureMonitorProtocol
 
-        reference = Universe(SyncFailureMonitorProtocol(rounds=2))
-        for kwargs in ({"store": "arena"}, {"workers": 2}):
-            other = Universe(SyncFailureMonitorProtocol(rounds=2), **kwargs)
+        reference = reference_bfs(SyncFailureMonitorProtocol(rounds=2))
+        for workers in (1, 2):
+            other = Universe(SyncFailureMonitorProtocol(rounds=2), workers=workers)
             assert len(other) == len(reference)
-            assert other._succ_offsets == reference._succ_offsets
-            assert other._succ_ids == reference._succ_ids
+            assert other._succ_offsets == reference.succ_offsets
+            assert other._succ_ids == reference.succ_ids
 
 
 class TestCSRSuccessorStore:
-    def reference_bfs(self, protocol: Protocol):
-        """From-scratch BFS over interned extend — the pre-CSR store."""
-        configurations = [EMPTY_CONFIGURATION]
-        ids = {EMPTY_CONFIGURATION: 0}
-        successor_lists: list[list[int]] = [[]]
-        cursor = 0
-        while cursor < len(configurations):
-            current = configurations[cursor]
-            row = successor_lists[cursor]
-            cursor += 1
-            for event in protocol.enabled_events(current):
-                child = current.extend(event)
-                child_id = ids.get(child)
-                if child_id is None:
-                    child_id = len(configurations)
-                    ids[child] = child_id
-                    configurations.append(child)
-                    successor_lists.append([])
-                row.append(child_id)
-        return configurations, successor_lists
-
     @pytest.mark.parametrize(
         "protocol",
         [
@@ -191,13 +169,10 @@ class TestCSRSuccessorStore:
         """Same configurations, same ids, same successor rows (order
         included) as the reference id-list store."""
         universe = Universe(protocol)
-        configurations, successor_lists = self.reference_bfs(protocol)
-        assert list(universe.configurations) == configurations
-        offsets = universe._succ_offsets
-        ids = universe._succ_ids
-        assert len(offsets) == len(universe) + 1
-        for index, row in enumerate(successor_lists):
-            assert list(ids[offsets[index] : offsets[index + 1]]) == row
+        reference = reference_bfs(protocol)
+        assert list(universe.configurations) == reference.configurations
+        assert universe._succ_offsets == reference.succ_offsets
+        assert universe._succ_ids == reference.succ_ids
 
     def test_offsets_invariants(self, pingpong_universe):
         offsets = pingpong_universe._succ_offsets
