@@ -1089,63 +1089,34 @@ def run_benchmarks(
                 repeats_used=1,
             )
 
-        # Incremental-vs-full save cost: the controlled pair behind the
-        # segmented format.  The same kernel exploration runs twice with
-        # --checkpoint-every 1 semantics; only the writer differs
-        # (append-one-delta-segment vs rewrite-the-whole-blob), so the
-        # per-save cost difference is the format's doing alone.  The
-        # steady-state figure (mean of the last three saves, where the
-        # monolithic stream is at its largest) is the acceptance metric.
-        pair_receivers = (
+        # Save cost: one kernel exploration saving at every layer
+        # boundary.  The steady-state figure is the mean of the last
+        # three saves, where the stream is at its largest.
+        save_receivers = (
             ("w", "x", "y", "z")
             if quick
             else ("u", "v", "w", "x", "y", "z")
         )
-        pair_label = f"n{len(pair_receivers) + 1}"
-
-        def steady_save(seconds_list):
-            tail = seconds_list[-3:] or seconds_list
-            return sum(tail) / len(tail)
-
         with tempfile.TemporaryDirectory() as tmpdir:
-            pair = {}
-            for fmt in ("monolithic", "segmented"):
-                path = _os.path.join(tmpdir, f"{fmt}.ckpt")
-                start = time.perf_counter()
-                universe = Universe(
-                    _star_protocol(pair_receivers),
-                    checkpoint=path,
-                    checkpoint_format=fmt,
-                )
-                total = time.perf_counter() - start
-                pair[fmt] = (universe, total, universe._checkpoint_session)
-            _assert_recovered_identical(
-                pair["monolithic"][0], pair["segmented"][0], "save-format-pair"
+            start = time.perf_counter()
+            universe = Universe(
+                _star_protocol(save_receivers),
+                checkpoint=_os.path.join(tmpdir, "save.ckpt"),
             )
-            mono_steady = steady_save(pair["monolithic"][2].save_seconds)
-            seg_steady = steady_save(pair["segmented"][2].save_seconds)
-            for fmt in ("monolithic", "segmented"):
-                universe, total, session = pair[fmt]
-                extra = {
-                    "configurations": len(universe),
-                    "saves": session.saves,
-                    "steady_save_seconds": round(
-                        steady_save(session.save_seconds), 6
-                    ),
-                    "max_save_seconds": round(max(session.save_seconds), 6),
-                    "total_save_seconds": round(sum(session.save_seconds), 6),
-                    "explore_seconds": round(total, 6),
-                    "repeats_used": 1,
-                }
-                if fmt == "segmented":
-                    extra["steady_save_speedup_vs_monolithic"] = round(
-                        mono_steady / seg_steady, 2
-                    )
-                record(
-                    f"checkpoint_save_{fmt}_star_{pair_label}",
-                    sum(session.save_seconds),
-                    **extra,
-                )
+            total = time.perf_counter() - start
+            session = universe._checkpoint_session
+            tail = session.save_seconds[-3:]
+            record(
+                f"checkpoint_save_segmented_star_n{len(save_receivers) + 1}",
+                sum(session.save_seconds),
+                configurations=len(universe),
+                saves=session.saves,
+                steady_save_seconds=round(sum(tail) / len(tail), 6),
+                max_save_seconds=round(max(session.save_seconds), 6),
+                total_save_seconds=round(sum(session.save_seconds), 6),
+                explore_seconds=round(total, 6),
+                repeats_used=1,
+            )
 
         # Corrupt-tail salvage: flip one byte in the newest committed
         # segment of a truncated run, then measure the resume that

@@ -313,19 +313,18 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
         f"  layers: {report['layers']}, configurations: {report['count']}, "
         f"complete: {report['complete']}"
     )
-    if report["format_version"] >= 2:
+    print(
+        f"  generation: {report['generation']}, "
+        f"segments: {len(report['segments'])}"
+    )
+    for row in report["segments"]:
         print(
-            f"  generation: {report['generation']}, "
-            f"segments: {len(report['segments'])}"
+            f"    {row['name']}: layers {row['layer_from']}"
+            f"..{row['layer_to']}, {row['records']} records, "
+            f"{row['size']} bytes — {row['status']}"
         )
-        for row in report["segments"]:
-            print(
-                f"    {row['name']}: layers {row['layer_from']}"
-                f"..{row['layer_to']}, {row['records']} records, "
-                f"{row['size']} bytes — {row['status']}"
-            )
-        for orphan in report["orphans"]:
-            print(f"    {orphan}: orphan (uncommitted torn save)")
+    for orphan in report["orphans"]:
+        print(f"    {orphan}: orphan (uncommitted torn save)")
     for event in report.get("recovery", ()):
         layer = event.get("layer")
         where = f" at layer {layer}" if layer is not None else ""
@@ -418,9 +417,10 @@ def make_parser() -> argparse.ArgumentParser:
         "--checkpoint",
         metavar="PATH",
         default=None,
-        help="checkpoint file: save at BFS layer boundaries (atomic "
-        "write-then-rename) and resume from it if it already exists; "
-        "the resumed universe is bit-identical to an uninterrupted run",
+        help="checkpoint manifest: each BFS layer boundary appends a "
+        "delta segment file next to it, then atomically replaces the "
+        "manifest (the commit point); an existing checkpoint is resumed, "
+        "and the resumed universe is bit-identical to an uninterrupted run",
     )
     ckpt.add_argument(
         "--checkpoint-every",
@@ -428,14 +428,6 @@ def make_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="save the checkpoint every N completed layers (default 1)",
-    )
-    ckpt.add_argument(
-        "--checkpoint-format",
-        choices=["segmented", "monolithic"],
-        default="segmented",
-        help="on-disk writer: 'segmented' appends O(delta) segment files "
-        "from a background thread; 'monolithic' rewrites one v1 blob "
-        "per save (the retained baseline format)",
     )
     ckpt.add_argument(
         "--strict",

@@ -27,13 +27,12 @@ The compatibility token therefore covers what replay genuinely depends
 on: the format version, the protocol identity (class and process set)
 and the ``max_events`` bound.
 
-Segmented incremental format (version 2)
-----------------------------------------
+On-disk format (version 2)
+--------------------------
 
-The PR 6 format was a single monolithic blob rewritten in full on every
-save — O(stream) per layer, which dominates checkpointing cost at large
-n.  Version 2 replaces it with a **manifest plus append-only per-layer
-delta segments**:
+Checkpoints have one format and one writer.  The format is a
+**manifest plus append-only per-layer delta segments**, so a save
+writes O(new layers), not O(stream):
 
 * ``PATH`` is the *manifest*: magic ``REPRO-CKPT2\\n``, a CRC-32, and a
   compressed pickle of ``{token, layers, frontier_start, count,
@@ -43,8 +42,7 @@ delta segments**:
   (``PATH.g<generation>-<index>.seg``): segment magic, a CRC-guarded
   header (layer range, frontier, cumulative count/completeness), and a
   CRC-guarded compressed payload holding that save's **delta** — the new
-  discovery records plus the CSR slice appended since the previous save.
-  ``commit_layer`` therefore writes O(new layers), not O(stream);
+  discovery records plus the CSR slice appended since the previous save;
 * resume concatenates the segment deltas (CSR arrays are rebuilt by
   concatenation, configurations by replaying the concatenated stream)
   and verifies every CRC on the way;
@@ -52,7 +50,13 @@ delta segments**:
   session *compacts*: folds all committed segments into one under a new
   generation, commits the manifest, then deletes the old files — so the
   file count is bounded and the fold cost is amortised over the
-  compaction interval.
+  compaction interval.  ``repro checkpoint compact PATH``
+  (:func:`compact_checkpoint`) runs the same fold offline.
+
+A file with the version-1 magic ``REPRO-CKPT\\n`` (the retired
+single-blob format) is recognised and rejected with a
+:class:`CheckpointError` naming its version; nothing in this package
+writes or reads it any more.
 
 **Crash anatomy.**  The manifest is the commit point.  A crash after the
 segment append but before the manifest replace leaves an *orphan*
@@ -66,13 +70,12 @@ universe's ``recovery_log``, and re-explores the lost tail —
 :class:`CheckpointError` instead, and ``repro checkpoint verify PATH``
 reports per-segment integrity with a non-zero exit on any damage.
 
-**Background writes.**  Segmented saves run on a dedicated writer
-thread: ``save`` snapshots the delta synchronously (the pending records
-list is handed off wholesale and the CSR slices are copied with
-``tobytes()``) and returns, so the exploration thread never waits on
-compression or ``fsync``.  The crash-safety argument is unchanged
-because the *ordering* is unchanged: jobs drain FIFO through one
-writer, each job appends its segment (write + fsync) before the
+**The writer thread.**  Every save runs on a dedicated writer thread:
+``save`` snapshots the delta synchronously (the pending records list is
+handed off wholesale and the CSR slices are copied with ``tobytes()``)
+and returns, so the exploration thread never waits on compression or
+``fsync``.  Crash safety rests on *ordering*: jobs drain FIFO through
+one writer, each job appends its segment (write + fsync) before the
 manifest replace, and the manifest replace remains the only commit
 point.  A crash at any moment therefore leaves either the previous
 manifest (plus discardable orphan segments) or the new one — exactly
@@ -84,12 +87,6 @@ is sticky: the stored exception re-raises on the next ``save``/
 ``flush`` on the exploration thread.  The ``stall_write`` fault kind
 makes the writer sleep *inside* the append→commit window, giving the
 chaos harness a deterministic target for SIGKILL-mid-background-write.
-
-Version 1 monolithic checkpoints are still **readable**: resuming one
-migrates it in place to the segmented format (one folded segment).
-Writing v1 is retained behind ``format="monolithic"`` for the
-controlled incremental-vs-full benchmark pair
-(``repro bench --suite fault-recovery``).
 
 The module also hosts the RSS watchdog used by ``--rss-budget``: rather
 than being OOM-killed mid-layer (losing the run *and* the checkpoint
@@ -106,6 +103,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import re
 import threading
 import time
 import warnings
@@ -124,9 +122,6 @@ from repro.universe.retry import (
     retry_io,
 )
 
-CHECKPOINT_MAGIC = b"REPRO-CKPT\n"
-"""Version-1 (monolithic) magic — still readable, migrated on resume."""
-
 MANIFEST_MAGIC = b"REPRO-CKPT2\n"
 """Version-2 (segmented) manifest magic."""
 
@@ -134,7 +129,7 @@ SEGMENT_MAGIC = b"RSEG"
 """Leading magic of every segment file."""
 
 CHECKPOINT_VERSION = 2
-MIN_READABLE_VERSION = 1
+"""The one on-disk format version this build writes and reads."""
 
 DEFAULT_COMPACT_SEGMENTS = 64
 """Compaction threshold: when a manifest references more committed
@@ -145,7 +140,14 @@ saves, so steady-state save cost stays O(delta) amortised."""
 
 class CheckpointError(UniverseError):
     """A checkpoint file is unreadable, corrupt, or incompatible with
-    the exploration it was asked to resume."""
+    the exploration it was asked to resume.
+
+    ``format_version`` is the version named by the file's magic line
+    when the file was read that far, else ``None``."""
+
+    def __init__(self, message: str, format_version: int | None = None):
+        super().__init__(message)
+        self.format_version = format_version
 
 
 def compatibility_token(protocol, max_events) -> tuple:
@@ -182,6 +184,62 @@ def _parse_version(raw: bytes) -> int:
     if digits.isdigit():
         return int(digits)
     raise CheckpointError("not a repro checkpoint file (bad magic header)")
+
+
+def _read_manifest(
+    path: Path,
+    fileops=DEFAULT_FILEOPS,
+    policy=DEFAULT_RETRY_POLICY,
+    on_retry=None,
+) -> dict:
+    """Read, version-check, CRC-verify and decode the manifest at
+    ``path``.
+
+    A missing file raises ``FileNotFoundError``, which each caller reads
+    its own way (a fresh run, a usage error, a report row); anything
+    else that keeps the file from being a readable version-2 manifest
+    raises :class:`CheckpointError`, with ``format_version`` set once
+    the magic line has been parsed."""
+    try:
+        raw = retry_io(
+            "manifest read",
+            lambda: fileops.read_bytes(path),
+            policy=policy,
+            on_retry=on_retry,
+        )
+    except FileNotFoundError:
+        raise
+    except OSError as error:
+        raise CheckpointError(
+            f"cannot read checkpoint {path}: {error}"
+        ) from error
+    version = _parse_version(raw)
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"checkpoint format version {version} is not supported "
+            f"(this build reads version {CHECKPOINT_VERSION})",
+            version,
+        )
+    base = len(MANIFEST_MAGIC)
+    if len(raw) < base + 4:
+        raise CheckpointError(
+            "checkpoint manifest is corrupt or truncated", version
+        )
+    blob = raw[base + 4 :]
+    if zlib.crc32(blob) != int.from_bytes(raw[base : base + 4], "little"):
+        raise CheckpointError(
+            "checkpoint manifest is corrupt or truncated (CRC mismatch)",
+            version,
+        )
+    try:
+        manifest = pickle.loads(zlib.decompress(blob))
+    except Exception as error:
+        raise CheckpointError(
+            f"checkpoint manifest is corrupt or truncated: {error}", version
+        ) from error
+    if not isinstance(manifest, dict) or "token" not in manifest:
+        raise CheckpointError("checkpoint payload is malformed", version)
+    return manifest
 
 
 class ResumedExploration:
@@ -290,30 +348,183 @@ def _load_segment(
     return header, decoded
 
 
+_ENTRY_FIELDS = (
+    "payload_crc",
+    "layer_from",
+    "layer_to",
+    "frontier_start",
+    "count",
+    "complete",
+    "records",
+)
+"""Header fields a manifest entry repeats, so resume can cross-check
+each segment against the manifest that committed it."""
+
+
+def _write_segment(
+    path: Path,
+    segment: dict,
+    *,
+    operation: str,
+    fileops=DEFAULT_FILEOPS,
+    policy=DEFAULT_RETRY_POLICY,
+    on_retry=None,
+) -> dict:
+    """Compress, encode and durably write one segment of checkpoint
+    ``path``; return its manifest entry.
+
+    ``segment`` holds the delta (``records``, ``succ_ids``,
+    ``succ_offsets``), where it goes (``generation``, ``index``) and the
+    totals it covers (``layer_from``, ``layer_to``, ``frontier_start``,
+    ``count``, ``complete``); other keys are ignored."""
+    payload = compress_batch(
+        {
+            "records": segment["records"],
+            "succ_ids": segment["succ_ids"],
+            "succ_offsets": segment["succ_offsets"],
+        }
+    )
+    header = {
+        "version": CHECKPOINT_VERSION,
+        "generation": segment["generation"],
+        "index": segment["index"],
+        "layer_from": segment["layer_from"],
+        "layer_to": segment["layer_to"],
+        "frontier_start": segment["frontier_start"],
+        "count": segment["count"],
+        "complete": segment["complete"],
+        "records": len(segment["records"]),
+        "payload_len": len(payload),
+        "payload_crc": zlib.crc32(payload),
+    }
+    blob = _encode_segment(header, payload)
+    name = f"{path.name}.g{header['generation']}-{header['index']:06d}.seg"
+    retry_io(
+        operation,
+        lambda: fileops.write_durable(path.with_name(name), blob),
+        policy=policy,
+        on_retry=on_retry,
+    )
+    entry = {"name": name, "size": len(blob)}
+    for field in _ENTRY_FIELDS:
+        entry[field] = header[field]
+    return entry
+
+
+def _read_deltas(
+    path: Path, entries: list[dict], fileops=DEFAULT_FILEOPS, on_retry=None
+) -> tuple[dict, int, str | None]:
+    """Verify ``entries`` in order and concatenate the deltas of their
+    longest intact prefix.
+
+    Returns ``(delta, intact, damage)``: ``delta`` holds the prefix's
+    ``records``, ``succ_ids`` and ``succ_offsets``, ``intact`` is the
+    prefix length, and ``damage`` is why ``entries[intact]`` failed
+    verification (``None`` when every entry is intact)."""
+    records: list = []
+    succ_ids_parts: list[bytes] = []
+    offsets_parts: list[bytes] = []
+    damage = None
+    for entry in entries:
+        try:
+            _, decoded = _load_segment(path, entry, fileops, on_retry)
+        except _SegmentInvalid as error:
+            damage = str(error)
+            break
+        records.extend(decoded["records"])
+        succ_ids_parts.append(decoded["succ_ids"])
+        offsets_parts.append(decoded["succ_offsets"])
+    delta = {
+        "records": records,
+        "succ_ids": b"".join(succ_ids_parts),
+        "succ_offsets": b"".join(offsets_parts),
+    }
+    return delta, len(offsets_parts), damage
+
+
+def _fold_segments(
+    path: Path,
+    manifest: dict,
+    *,
+    fileops=DEFAULT_FILEOPS,
+    policy=DEFAULT_RETRY_POLICY,
+    on_retry=None,
+) -> dict:
+    """Fold every segment ``manifest`` commits into one, index 0 of the
+    next generation, and return the manifest now committed at ``path``.
+
+    Crash-safe by construction: the fold is written under a name the
+    current manifest does not reference, the manifest replace is the
+    commit point, and only then are the old files removed (a crash in
+    between leaves orphans, discarded on the next resume).  Every input
+    is fully verified first (the same read resume uses): a damaged one
+    raises :class:`_SegmentInvalid` before anything is written, and
+    each caller applies its own policy to that."""
+    entries = manifest["segments"]
+    delta, intact, damage = _read_deltas(path, entries, fileops, on_retry)
+    if damage is not None:
+        raise _SegmentInvalid(
+            f"segment {entries[intact]['name']} is damaged ({damage})"
+        )
+    generation = manifest["generation"] + 1
+    # The last entry carries the cumulative totals the fold covers.
+    folded = _write_segment(
+        path,
+        dict(entries[-1], generation=generation, index=0, layer_from=0, **delta),
+        operation="compaction fold write",
+        fileops=fileops,
+        policy=policy,
+        on_retry=on_retry,
+    )
+    manifest = dict(manifest, generation=generation, segments=[folded])
+    _commit_manifest(
+        path, manifest, fileops=fileops, policy=policy, on_retry=on_retry
+    )
+    _unlink_segments(path, [entry["name"] for entry in entries], fileops)
+    return manifest
+
+
+def _unlink_segments(path: Path, names, fileops=DEFAULT_FILEOPS) -> None:
+    """Best-effort removal of segment files no manifest references (a
+    leftover is an orphan the next resume discards)."""
+    for name in names:
+        try:
+            fileops.unlink(path.with_name(name))
+        except OSError:  # pragma: no cover - best-effort cleanup
+            pass
+
+
+def _list_orphans(path: Path, referenced: set[str]) -> list[str]:
+    """Names of checkpoint ``path``'s segment files that ``referenced``
+    does not hold, sorted.
+
+    Names are matched literally, so a checkpoint name holding glob
+    metacharacters (``run[1].ckpt``, ``a*.ckpt``) never claims another
+    checkpoint's segments."""
+    pattern = re.compile(re.escape(path.name) + r"\.g\d+-\d{6,}\.seg")
+    return sorted(
+        name
+        for name in os.listdir(path.parent)
+        if pattern.fullmatch(name) and name not in referenced
+    )
+
+
 class CheckpointSession:
     """One exploration's checkpoint lifecycle: resume, commit, save.
 
     Created by :class:`~repro.universe.explorer.Universe` when a
     ``checkpoint`` path is given and threaded through whichever engine
     runs the exploration.  ``every`` saves once per ``every`` completed
-    layers (the final state is always saved).
-
-    ``format`` selects the on-disk writer: ``"segmented"`` (default,
-    version 2 — O(delta) incremental saves) or ``"monolithic"`` (the
-    retained PR 6 full-rewrite format, kept for the controlled
-    incremental-vs-full benchmark pair).  Both resume either format;
-    resuming a v1 file with a segmented session migrates it in place.
+    layers (the final state is always saved).  Every save appends one
+    version-2 delta segment from the background writer thread and then
+    replaces the manifest; resuming any other version raises
+    :class:`CheckpointError`.
 
     ``strict`` turns corrupt-tail salvage into a hard
     :class:`CheckpointError`.  ``fault_actions`` is the checkpoint slice
     of a :class:`~repro.universe.faults.FaultPlan` — ``(kind, layer,
     seconds)`` wire tuples, each fired at most once, for the
     chaos/recovery test matrix; empty in production use.
-
-    ``background`` (default on) runs segmented saves on the writer
-    thread; ``background=False`` keeps them on the calling thread — the
-    knob exists for the synchronous-cost benchmark pair and for tests
-    that need deterministic interleaving.
 
     ``fileops`` is the file-operations shim every filesystem call routes
     through (fault-injecting under chaos, passthrough otherwise);
@@ -339,10 +550,8 @@ class CheckpointSession:
         every: int = 1,
         *,
         strict: bool = False,
-        format: str = "segmented",
         compact_at: int | None = None,
         fault_actions=(),
-        background: bool = True,
         fileops=None,
         recovery_log: RecoveryLog | None = None,
         retry_policy=None,
@@ -351,17 +560,9 @@ class CheckpointSession:
             raise UniverseError(
                 f"checkpoint interval must be >= 1 layer, got {every}"
             )
-        if format not in ("segmented", "monolithic"):
-            raise UniverseError(
-                f"checkpoint format must be 'segmented' or 'monolithic', "
-                f"got {format!r}"
-            )
         self.path = Path(path)
-        self.protocol = protocol
-        self.max_events = max_events
         self.every = every
         self.strict = strict
-        self.format = format
         self.compact_at = (
             DEFAULT_COMPACT_SEGMENTS if compact_at is None else compact_at
         )
@@ -371,24 +572,18 @@ class CheckpointSession:
                 f"{self.compact_at}"
             )
         self.token = compatibility_token(protocol, max_events)
-        # Monolithic mode retains the cumulative stream (it rewrites the
-        # whole thing per save); segmented mode only buffers the delta.
-        self.stream: list = []
         self._pending_records: list = []
         self._segments: list[dict] = []
         self._generation = 0
         self._saved_frontier = 0
         self._saved_edges = 0
-        self._saved_count = 1
         self._saved_layers = 0
-        self._complete_at_save = True
         self.layers = 0
         self.resumed_from: int | None = None
         self.salvaged = False
         self.saves = 0
         self.save_seconds: list[float] = []
         self.writer_seconds: list[float] = []
-        self.background = background
         self._segment_index = 0
         self._writer_thread: threading.Thread | None = None
         self._writer_cv = threading.Condition()
@@ -481,28 +676,53 @@ class CheckpointSession:
         from the wrong protocol must fail loudly, never mis-merge.
         """
         try:
-            raw = retry_io(
-                "manifest read",
-                lambda: self._fileops.read_bytes(self.path),
-                policy=self._retry,
-                on_retry=self._log_retry,
+            manifest = _read_manifest(
+                self.path, self._fileops, self._retry, self._log_retry
             )
         except FileNotFoundError:
             return None
-        except OSError as error:
-            raise CheckpointError(
-                f"cannot read checkpoint {self.path}: {error}"
-            ) from error
-        version = _parse_version(raw)
-        if version == 1:
-            return self._resume_monolithic(universe, raw)
-        if version == CHECKPOINT_VERSION:
-            return self._resume_segmented(universe, raw)
-        raise CheckpointError(
-            f"checkpoint format version {version} is not supported (this "
-            f"build reads versions {MIN_READABLE_VERSION}"
-            f"..{CHECKPOINT_VERSION})"
+        self._check_token(manifest["token"])
+        entries = manifest["segments"]
+        self._generation = manifest["generation"]
+        delta, intact, damage = _read_deltas(
+            self.path, entries, self._fileops, self._log_retry
         )
+        kept = entries[:intact]
+        if damage is not None:
+            name = entries[intact]["name"]
+            if self.strict:
+                raise CheckpointError(
+                    f"checkpoint {self.path} segment {name} is corrupt "
+                    f"({damage}); {intact} of {len(entries)} segments are "
+                    f"intact — resume without --strict to salvage that "
+                    f"prefix"
+                )
+            self.salvaged = True
+            self.recovery_log.record(
+                "corrupt_segment",
+                "salvage-truncate" if kept else "restart",
+                layer=entries[intact]["layer_from"],
+                detail=f"{name}: {damage}",
+            )
+        self._discard_orphans({entry["name"] for entry in entries})
+        self._segments = kept
+        self._segment_index = len(kept)
+        if not kept:
+            # Nothing salvageable: a fresh run (the first save overwrites
+            # the damaged segment names and recommits the manifest).
+            return None
+        last = kept[-1]
+        if damage is None and (
+            manifest["layers"] != last["layer_to"]
+            or manifest["count"] != last["count"]
+            or manifest["frontier_start"] != last["frontier_start"]
+        ):
+            raise CheckpointError(
+                f"checkpoint {self.path} manifest totals disagree with "
+                f"its own segments — the file is corrupt"
+            )
+        complete = manifest["complete"] if damage is None else last["complete"]
+        return self._install(universe, delta, last, complete)
 
     def _check_token(self, theirs: tuple) -> None:
         """Field-by-field compatibility check with actionable messages."""
@@ -527,174 +747,56 @@ class CheckpointSession:
                 f"max_events={ours[3]} — resume with the original bound"
             )
 
-    def _resume_monolithic(self, universe, raw: bytes):
-        """Read a version-1 blob; migrate it to the segmented layout
-        when this session writes segmented."""
-        payload = self._decode_v1(raw)
-        self._check_token(payload["token"])
-        stream = payload["stream"]
-        offsets = array("q")
-        offsets.frombytes(payload["succ_offsets"])
-        resumed = self._install(
-            universe,
-            stream,
-            payload["succ_ids"],
-            offsets,
-            payload["count"],
-            payload["frontier_start"],
-            payload["complete"],
-            payload["layers"],
-        )
-        if self.format == "monolithic":
-            self.stream = list(stream)
-        else:
-            # Migrate in place: one folded segment + manifest covering
-            # the restored state, so subsequent saves append deltas.
-            # ``_install`` marked everything as already saved; rewind the
-            # watermarks so the fold captures the full stream and CSR.
-            self._pending_records = list(stream)
-            self._saved_frontier = 0
-            self._saved_edges = 0
-            self._saved_layers = 0
-            self._save_segmented(payload["frontier_start"], universe)
-            # Migration must be durable before the resumed exploration
-            # starts appending deltas on top of it.
-            self.flush()
-        return resumed
-
-    def _resume_segmented(self, universe, raw: bytes):
-        manifest = self._decode_manifest(raw)
-        self._check_token(manifest["token"])
-        entries = manifest["segments"]
-        self._generation = manifest["generation"]
-        stream: list = []
-        succ_ids = array("q")
-        offsets = array("q", (0,))
-        kept: list[dict] = []
-        damage: tuple[int, str] | None = None
-        for index, entry in enumerate(entries):
-            try:
-                _, decoded = _load_segment(
-                    self.path, entry, self._fileops, self._log_retry
-                )
-            except _SegmentInvalid as error:
-                damage = (index, str(error))
-                break
-            stream.extend(decoded["records"])
-            succ_ids.frombytes(decoded["succ_ids"])
-            offsets.frombytes(decoded["succ_offsets"])
-            kept.append(entry)
-        if damage is not None:
-            index, reason = damage
-            name = entries[index]["name"]
-            if self.strict:
-                raise CheckpointError(
-                    f"checkpoint {self.path} segment {name} is corrupt "
-                    f"({reason}); {index} of {len(entries)} segments are "
-                    f"intact — resume without --strict to salvage that "
-                    f"prefix"
-                )
-            self.salvaged = True
-            self.recovery_log.record(
-                "corrupt_segment",
-                "salvage-truncate" if kept else "restart",
-                layer=entries[index]["layer_from"],
-                detail=f"{name}: {reason}",
-            )
-        self._discard_orphans(
-            universe, {entry["name"] for entry in entries}
-        )
-        self._segments = kept
-        self._segment_index = len(kept)
-        if not kept:
-            # Nothing salvageable: a fresh run (the first save overwrites
-            # the damaged segment names and recommits the manifest).
-            return None
-        last = kept[-1]
-        if damage is None and (
-            manifest["layers"] != last["layer_to"]
-            or manifest["count"] != last["count"]
-            or manifest["frontier_start"] != last["frontier_start"]
-        ):
-            raise CheckpointError(
-                f"checkpoint {self.path} manifest totals disagree with "
-                f"its own segments — the file is corrupt"
-            )
-        return self._install(
-            universe,
-            stream,
-            succ_ids.tobytes(),
-            offsets,
-            last["count"],
-            last["frontier_start"],
-            last["complete"] if damage is not None else manifest["complete"],
-            last["layer_to"],
-        )
-
-    def _discard_orphans(self, universe, referenced: set[str]) -> None:
+    def _discard_orphans(self, referenced: set[str]) -> None:
         """Remove (and log) segment files the manifest never committed —
         the torn tail of a crash between segment append and manifest
         replace."""
-        pattern = f"{self.path.name}.g*-*.seg"
-        for stray in sorted(self.path.parent.glob(pattern)):
-            if stray.name in referenced:
-                continue
+        orphans = _list_orphans(self.path, referenced)
+        for name in orphans:
             self.recovery_log.record(
-                "torn_save",
-                "discard-orphan",
-                layer=self.layers,
-                detail=stray.name,
+                "torn_save", "discard-orphan", layer=self.layers, detail=name
             )
-            try:
-                self._fileops.unlink(stray)
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
+        _unlink_segments(self.path, orphans, self._fileops)
 
     def _install(
-        self,
-        universe,
-        stream,
-        succ_ids_bytes,
-        offsets,
-        count,
-        frontier_start,
-        complete,
-        layers,
+        self, universe, delta: dict, last: dict, complete: bool
     ) -> ResumedExploration:
-        """Rebuild ``universe``'s stores from a verified stream + CSR.
+        """Rebuild ``universe``'s stores from a verified ``delta`` (the
+        concatenated stream + CSR) whose totals ``last`` records.
 
         The replay goes straight into the packed columns
         (:meth:`~repro.universe.arena.ArenaStore.replay`), so the rebuilt
         state is bit-identical; the hot window advances with the stream,
         so resume memory stays O(two layers).
         """
+        frontier_start = last["frontier_start"]
+        offsets = array("q", (0,))
+        offsets.frombytes(delta["succ_offsets"])
         if len(offsets) != frontier_start + 1:
             raise CheckpointError(
                 f"checkpoint {self.path} CSR desync: {len(offsets)} "
                 f"offsets for a frontier at {frontier_start}"
             )
+        stream = delta["records"]
         arena = universe._configurations
         ids_by_hash = arena.replay(stream)
-        if len(arena) != count:
+        if len(arena) != last["count"]:
             raise CheckpointError(
                 f"checkpoint {self.path} replay desync: rebuilt "
-                f"{len(arena)} configurations, file records {count}"
+                f"{len(arena)} configurations, file records {last['count']}"
             )
         universe._ids_by_hash.clear()
         universe._ids_by_hash.update(ids_by_hash)
         del universe._succ_ids[:]
-        universe._succ_ids.frombytes(succ_ids_bytes)
+        universe._succ_ids.frombytes(delta["succ_ids"])
         del universe._succ_offsets[:]
         universe._succ_offsets.extend(offsets)
         universe._complete = complete
-        self.layers = layers
-        self._saved_layers = layers
+        self.layers = self._saved_layers = last["layer_to"]
         self._saved_frontier = frontier_start
         self._saved_edges = len(universe._succ_ids)
-        self._saved_count = count
-        self._complete_at_save = complete
         self.resumed_from = frontier_start
-        return ResumedExploration(frontier_start, stream, layers)
+        return ResumedExploration(frontier_start, stream, self.layers)
 
     # -- commit --------------------------------------------------------
     def commit_layer(
@@ -717,27 +819,24 @@ class CheckpointSession:
             self.save(frontier_start, universe, final=final)
 
     def save(self, frontier_start: int, universe, final: bool = False) -> None:
-        """Persist the state up to ``frontier_start`` (format-dispatch).
+        """Persist the state up to ``frontier_start``.
 
-        Segmented saves hand the delta to the background writer and
-        return; the ``final`` save additionally :meth:`flush`\\ es so a
+        The delta is handed to the background writer and ``save``
+        returns; the ``final`` save additionally :meth:`flush`\\ es so a
         finished exploration never returns with uncommitted state.
 
         A degraded session no-ops; a storage-classified failure on the
-        synchronous paths degrades the session here (the background
-        writer degrades inside its own loop).  Unclassified errors —
-        including a sticky writer error — re-raise verbatim.
+        synchronous path (compaction) degrades the session here (the
+        background writer degrades inside its own loop).  Unclassified
+        errors — including a sticky writer error — re-raise verbatim.
         """
         if self.degraded:
             return
         start = time.perf_counter()
         try:
-            if self.format == "monolithic":
-                self._save_monolithic(frontier_start, universe)
-            else:
-                self._save_segmented(frontier_start, universe)
-                if final:
-                    self.flush()
+            self._save_delta(frontier_start, universe)
+            if final:
+                self.flush()
         except Exception as error:
             if classify_storage_error(error) is None:
                 raise
@@ -746,11 +845,8 @@ class CheckpointSession:
         self.saves += 1
         self.save_seconds.append(time.perf_counter() - start)
 
-    # -- segmented writer ----------------------------------------------
-    def _segment_name(self, generation: int, index: int) -> str:
-        return f"{self.path.name}.g{generation}-{index:06d}.seg"
-
-    def _save_segmented(self, frontier_start: int, universe) -> None:
+    # -- writer ---------------------------------------------------------
+    def _save_delta(self, frontier_start: int, universe) -> None:
         """Snapshot this save's delta and hand it to the writer.
 
         Everything the writer needs is copied (or ownership-transferred)
@@ -782,17 +878,12 @@ class CheckpointSession:
         self._segment_index += 1
         self._saved_frontier = frontier_start
         self._saved_edges = len(succ_ids)
-        self._saved_count = job["count"]
         self._saved_layers = self.layers
-        self._complete_at_save = job["complete"]
         self._pending_records = []
-        if self.background:
-            self._enqueue(job)
-        else:
-            self._write_segment_job(job)
+        self._enqueue(job)
         if self._segment_index > self.compact_at:
             self.flush()
-            self._compact(universe)
+            self._compact()
             self._segment_index = len(self._segments)
 
     def arm_storage_faults(self, actions) -> bool:
@@ -801,10 +892,10 @@ class CheckpointSession:
         this layer boundary's own (or a later) filesystem operation —
         never retroactively on a still-queued earlier save, whose
         manifest must stay committable.  Returns ``False`` when the
-        session cannot order the arming (foreground writes, monolithic
-        format, degraded, or an idle drained writer — all of which make
-        the caller's direct arming already ordered)."""
-        if self.degraded or self.format != "segmented" or not self.background:
+        session cannot order the arming (degraded, or an idle drained
+        writer — both of which make the caller's direct arming already
+        ordered)."""
+        if self.degraded:
             return False
         with self._writer_cv:
             if self._writer_thread is None and not self._writer_queue:
@@ -889,8 +980,7 @@ class CheckpointSession:
             raise error
 
     def _write_segment_job(self, job: dict) -> None:
-        """Compress, append, and commit one segment (writer thread, or
-        the calling thread when ``background=False``)."""
+        """Append and commit one segment (on the writer thread)."""
         arm = job.get("arm")
         if arm is not None:
             # Queue-ordered fault arming marker, not a segment: every
@@ -900,32 +990,11 @@ class CheckpointSession:
             return
         start = time.perf_counter()
         actions = job["actions"]
-        payload = compress_batch(
-            {
-                "records": job["records"],
-                "succ_ids": job["succ_ids"],
-                "succ_offsets": job["succ_offsets"],
-            }
-        )
-        header = {
-            "version": CHECKPOINT_VERSION,
-            "generation": job["generation"],
-            "index": job["index"],
-            "layer_from": job["layer_from"],
-            "layer_to": job["layer_to"],
-            "frontier_start": job["frontier_start"],
-            "count": job["count"],
-            "complete": job["complete"],
-            "records": len(job["records"]),
-            "payload_len": len(payload),
-            "payload_crc": zlib.crc32(payload),
-        }
-        blob = _encode_segment(header, payload)
-        name = self._segment_name(job["generation"], job["index"])
-        seg_path = self.path.with_name(name)
-        retry_io(
-            "segment append",
-            lambda: self._fileops.write_durable(seg_path, blob),
+        entry = _write_segment(
+            self.path,
+            job,
+            operation="segment append",
+            fileops=self._fileops,
             policy=self._retry,
             on_retry=self._log_retry,
         )
@@ -938,205 +1007,65 @@ class CheckpointSession:
             # Chaos hook: die between segment append and manifest commit
             # — the archetypal torn save the orphan-discard path heals.
             self._hard_exit()
-        entry = {
-            "name": name,
-            "size": len(blob),
-            "payload_crc": header["payload_crc"],
-            "layer_from": header["layer_from"],
-            "layer_to": header["layer_to"],
-            "frontier_start": header["frontier_start"],
-            "count": header["count"],
-            "complete": header["complete"],
-            "records": header["records"],
-        }
         self._segments.append(entry)
-        self._write_manifest()
+        _commit_manifest(
+            self.path,
+            self._manifest(),
+            fileops=self._fileops,
+            policy=self._retry,
+            on_retry=self._log_retry,
+        )
         if any(kind == "corrupt_segment" for kind, _ in actions):
             # Chaos hook: flip one committed payload byte *after* the
             # CRC was recorded — the next resume must detect + salvage.
+            seg_path = self.path.with_name(entry["name"])
             damaged = bytearray(seg_path.read_bytes())
             damaged[-1] ^= 0xFF
             seg_path.write_bytes(bytes(damaged))
         self.writer_seconds.append(time.perf_counter() - start)
 
-    def _write_manifest(self) -> None:
-        # Totals come from the last *committed* segment, not the live
-        # watermarks: with queued background saves the watermarks run
-        # ahead of the disk state, and the manifest must describe
-        # exactly what its segment list can rebuild.
-        last = self._segments[-1] if self._segments else None
-        _commit_manifest(
-            self.path,
-            {
-                "token": self.token,
-                "layers": last["layer_to"] if last else self._saved_layers,
-                "frontier_start": (
-                    last["frontier_start"] if last else self._saved_frontier
-                ),
-                "count": last["count"] if last else self._saved_count,
-                "complete": (
-                    last["complete"] if last else self._complete_at_save
-                ),
-                "generation": self._generation,
-                "segments": self._segments,
-                "recovery": [
-                    event.as_dict() for event in self.recovery_log
-                ],
-            },
-            fileops=self._fileops,
-            policy=self._retry,
-            on_retry=self._log_retry,
-        )
+    def _manifest(self) -> dict:
+        """The manifest describing the committed segments.
 
-    def _compact(self, universe) -> None:
-        """Fold every committed segment into one under a new generation.
-
-        Crash-safe by construction: the fold is written under names the
-        current manifest does not reference, the manifest replace is the
-        commit point, and only then are the old generation's files
-        removed (a crash in between leaves orphans, discarded on the
-        next resume).
-        """
-        records: list = []
-        succ_ids_parts: list[bytes] = []
-        offsets_parts: list[bytes] = []
-        for entry in self._segments:
-            try:
-                _, decoded = _load_segment(
-                    self.path, entry, self._fileops, self._log_retry
-                )
-            except _SegmentInvalid as error:  # pragma: no cover - defensive
-                # A just-committed segment went bad under us: skip the
-                # fold, keep the (still consistent) multi-segment layout.
-                warnings.warn(
-                    f"checkpoint compaction skipped: {entry['name']} "
-                    f"failed verification ({error})",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-                return
-            records.extend(decoded["records"])
-            succ_ids_parts.append(decoded["succ_ids"])
-            offsets_parts.append(decoded["succ_offsets"])
+        Totals come from the last *committed* segment, not the live
+        watermarks: with queued background saves the watermarks run
+        ahead of the disk state, and the manifest must describe exactly
+        what its segment list can rebuild."""
         last = self._segments[-1]
-        payload = compress_batch(
-            {
-                "records": records,
-                "succ_ids": b"".join(succ_ids_parts),
-                "succ_offsets": b"".join(offsets_parts),
-            }
-        )
-        generation = self._generation + 1
-        header = {
-            "version": CHECKPOINT_VERSION,
-            "generation": generation,
-            "index": 0,
-            "layer_from": 0,
-            "layer_to": last["layer_to"],
+        return {
+            "token": self.token,
+            "layers": last["layer_to"],
             "frontier_start": last["frontier_start"],
             "count": last["count"],
             "complete": last["complete"],
-            "records": len(records),
-            "payload_len": len(payload),
-            "payload_crc": zlib.crc32(payload),
+            "generation": self._generation,
+            "segments": self._segments,
+            "recovery": [event.as_dict() for event in self.recovery_log],
         }
-        blob = _encode_segment(header, payload)
-        name = self._segment_name(generation, 0)
-        retry_io(
-            "compaction fold write",
-            lambda: self._fileops.write_durable(self.path.with_name(name), blob),
-            policy=self._retry,
-            on_retry=self._log_retry,
-        )
-        stale = [entry["name"] for entry in self._segments]
-        self._segments = [
-            {
-                "name": name,
-                "size": len(blob),
-                "payload_crc": header["payload_crc"],
-                "layer_from": 0,
-                "layer_to": last["layer_to"],
-                "frontier_start": last["frontier_start"],
-                "count": last["count"],
-                "complete": last["complete"],
-                "records": len(records),
-            }
-        ]
-        self._generation = generation
-        self._write_manifest()
-        for old in stale:
-            try:
-                self._fileops.unlink(self.path.with_name(old))
-            except OSError:  # pragma: no cover - best-effort cleanup
-                pass
 
-    # -- monolithic (v1) writer ----------------------------------------
-    def _save_monolithic(self, frontier_start: int, universe) -> None:
-        """The retained PR 6 full-rewrite save: one blob, O(stream)."""
-        self.stream.extend(self._pending_records)
-        self._pending_records = []
-        payload = {
-            "token": (1,) + self.token[1:],
-            "stream": self.stream,
-            "count": len(universe._configurations),
-            "frontier_start": frontier_start,
-            "succ_ids": universe._succ_ids.tobytes(),
-            "succ_offsets": universe._succ_offsets.tobytes(),
-            "complete": universe._complete,
-            "layers": self.layers,
-        }
-        blob = CHECKPOINT_MAGIC + compress_batch(payload)
-        temp = self.path.with_name(self.path.name + ".tmp")
-
-        def commit() -> None:
-            self._fileops.write_durable(temp, blob)
-            self._fileops.replace(temp, self.path)
-
-        retry_io(
-            "monolithic save",
-            commit,
-            policy=self._retry,
-            on_retry=self._log_retry,
-        )
-
-    # -- decoding ------------------------------------------------------
-    @staticmethod
-    def _decode_v1(raw: bytes) -> dict:
+    def _compact(self) -> None:
+        """Fold every committed segment into one under a new generation
+        (:func:`_fold_segments`, the fold ``repro checkpoint compact``
+        runs too)."""
         try:
-            payload = decompress_batch(raw[len(CHECKPOINT_MAGIC):])
-        except Exception as error:
-            raise CheckpointError(
-                f"checkpoint is corrupt or truncated: {error}"
-            ) from error
-        if not isinstance(payload, dict) or "token" not in payload:
-            raise CheckpointError("checkpoint payload is malformed")
-        return payload
-
-    def _decode_manifest(self, raw: bytes) -> dict:
-        return decode_manifest(raw)
-
-
-def decode_manifest(raw: bytes) -> dict:
-    """Decode + CRC-verify a version-2 manifest blob, or raise
-    :class:`CheckpointError`."""
-    base = len(MANIFEST_MAGIC)
-    if len(raw) < base + 4:
-        raise CheckpointError("checkpoint manifest is corrupt or truncated")
-    crc = int.from_bytes(raw[base : base + 4], "little")
-    blob = raw[base + 4 :]
-    if zlib.crc32(blob) != crc:
-        raise CheckpointError(
-            "checkpoint manifest is corrupt or truncated (CRC mismatch)"
-        )
-    try:
-        manifest = pickle.loads(zlib.decompress(blob))
-    except Exception as error:
-        raise CheckpointError(
-            f"checkpoint manifest is corrupt or truncated: {error}"
-        ) from error
-    if not isinstance(manifest, dict) or "token" not in manifest:
-        raise CheckpointError("checkpoint payload is malformed")
-    return manifest
+            manifest = _fold_segments(
+                self.path,
+                self._manifest(),
+                fileops=self._fileops,
+                policy=self._retry,
+                on_retry=self._log_retry,
+            )
+        except _SegmentInvalid as error:  # pragma: no cover - defensive
+            # A just-committed segment went bad under us: skip the fold,
+            # keep the (still consistent) multi-segment layout.
+            warnings.warn(
+                f"checkpoint compaction skipped: {error}",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return
+        self._segments = manifest["segments"]
+        self._generation = manifest["generation"]
 
 
 def _commit_manifest(
@@ -1167,140 +1096,45 @@ def compact_checkpoint(path) -> dict:
     """Fold every committed segment of a checkpoint into one — the
     ``repro checkpoint compact PATH`` operator verb.
 
-    Works offline on the files alone (no protocol object needed): every
-    segment is read and fully CRC-verified, their deltas are
-    concatenated into a single folded segment written under a **bumped
-    generation**, the manifest replace is the commit point, and only
-    then are the old generation's files unlinked — the same crash-safe
-    dance the in-session auto-compaction performs, so a kill at any
-    point leaves either the old layout or the new one plus discardable
-    orphans.  A damaged segment aborts with :class:`CheckpointError`
-    (run ``repro checkpoint verify`` / a non-strict resume to salvage
-    first).  Returns a report dict (segment and byte counts before and
-    after, the new generation).
+    Works offline on the files alone (no protocol object needed) and
+    runs the session's own fold (:func:`_fold_segments`), so a kill at
+    any point leaves either the old layout or the new one plus
+    discardable orphans.  A damaged segment aborts with
+    :class:`CheckpointError` before any file changes (run ``repro
+    checkpoint verify`` / a non-strict resume to salvage first).
+    Returns a report dict (segment and byte counts before and after,
+    the new generation).
     """
     path = Path(path)
-    fileops = DEFAULT_FILEOPS
     try:
-        raw = retry_io("manifest read", lambda: fileops.read_bytes(path))
+        manifest = _read_manifest(path)
     except FileNotFoundError:
         raise CheckpointError(f"no such checkpoint: {path}") from None
-    except OSError as error:
-        raise CheckpointError(
-            f"cannot read checkpoint {path}: {error}"
-        ) from error
-    version = _parse_version(raw)
-    if version == 1:
-        return {
-            "path": str(path),
-            "compacted": False,
-            "reason": "version-1 checkpoints are a single blob already",
-            "segments_before": 1,
-            "segments_after": 1,
-        }
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"checkpoint format version {version} is not supported (this "
-            f"build reads versions {MIN_READABLE_VERSION}"
-            f"..{CHECKPOINT_VERSION})"
-        )
-    manifest = decode_manifest(raw)
     entries = manifest["segments"]
-    bytes_before = sum(entry["size"] for entry in entries)
-    if len(entries) <= 1:
-        return {
-            "path": str(path),
-            "compacted": False,
-            "reason": "already a single segment",
-            "segments_before": len(entries),
-            "segments_after": len(entries),
-            "bytes_before": bytes_before,
-            "bytes_after": bytes_before,
-            "generation": manifest["generation"],
-        }
-    records: list = []
-    succ_ids_parts: list[bytes] = []
-    offsets_parts: list[bytes] = []
-    for entry in entries:
+    report = {
+        "path": str(path),
+        "compacted": len(entries) > 1,
+        "segments_before": len(entries),
+        "bytes_before": sum(entry["size"] for entry in entries),
+    }
+    if not report["compacted"]:
+        report["reason"] = "already a single segment"
+    else:
         try:
-            _, decoded = _load_segment(path, entry)
+            manifest = _fold_segments(path, manifest)
         except _SegmentInvalid as error:
             raise CheckpointError(
-                f"cannot compact {path}: segment {entry['name']} is "
-                f"damaged ({error}) — verify/salvage before compacting"
+                f"cannot compact {path}: {error} — verify/salvage before "
+                f"compacting"
             ) from error
-        records.extend(decoded["records"])
-        succ_ids_parts.append(decoded["succ_ids"])
-        offsets_parts.append(decoded["succ_offsets"])
-    last = entries[-1]
-    payload = compress_batch(
-        {
-            "records": records,
-            "succ_ids": b"".join(succ_ids_parts),
-            "succ_offsets": b"".join(offsets_parts),
-        }
+    report.update(
+        segments_after=len(manifest["segments"]),
+        bytes_after=sum(entry["size"] for entry in manifest["segments"]),
+        generation=manifest["generation"],
+        layers=manifest["layers"],
+        count=manifest["count"],
     )
-    generation = manifest["generation"] + 1
-    header = {
-        "version": CHECKPOINT_VERSION,
-        "generation": generation,
-        "index": 0,
-        "layer_from": 0,
-        "layer_to": last["layer_to"],
-        "frontier_start": last["frontier_start"],
-        "count": last["count"],
-        "complete": last["complete"],
-        "records": len(records),
-        "payload_len": len(payload),
-        "payload_crc": zlib.crc32(payload),
-    }
-    blob = _encode_segment(header, payload)
-    name = f"{path.name}.g{generation}-{0:06d}.seg"
-    retry_io(
-        "compaction fold write",
-        lambda: fileops.write_durable(path.with_name(name), blob),
-    )
-    folded = {
-        "name": name,
-        "size": len(blob),
-        "payload_crc": header["payload_crc"],
-        "layer_from": 0,
-        "layer_to": last["layer_to"],
-        "frontier_start": last["frontier_start"],
-        "count": last["count"],
-        "complete": last["complete"],
-        "records": len(records),
-    }
-    _commit_manifest(
-        path,
-        {
-            "token": manifest["token"],
-            "layers": manifest["layers"],
-            "frontier_start": manifest["frontier_start"],
-            "count": manifest["count"],
-            "complete": manifest["complete"],
-            "generation": generation,
-            "segments": [folded],
-            "recovery": manifest.get("recovery", []),
-        },
-        fileops=fileops,
-    )
-    for entry in entries:
-        try:
-            fileops.unlink(path.with_name(entry["name"]))
-        except OSError:  # pragma: no cover - best-effort cleanup
-            pass
-    return {
-        "path": str(path),
-        "compacted": True,
-        "segments_before": len(entries),
-        "segments_after": 1,
-        "bytes_before": bytes_before,
-        "bytes_after": len(blob),
-        "generation": generation,
-        "layers": manifest["layers"],
-        "count": manifest["count"],
-    }
+    return report
 
 
 # ---------------------------------------------------------------------
@@ -1337,63 +1171,25 @@ def inspect_checkpoint(path, verify_segments: bool = True) -> dict:
         "valid": False,
     }
     try:
-        raw = retry_io(
-            "manifest read", lambda: DEFAULT_FILEOPS.read_bytes(path)
-        )
+        manifest = _read_manifest(path)
     except FileNotFoundError:
         report["exists"] = False
         report["error"] = "no such file"
         return report
-    except OSError as error:
-        report["exists"] = False
-        report["error"] = str(error)
-        return report
-    try:
-        version = _parse_version(raw)
     except CheckpointError as error:
+        report["format_version"] = error.format_version
         report["error"] = str(error)
         return report
-    report["format_version"] = version
-
-    def token_view(token) -> dict:
-        return {
-            "format_version": token[0],
-            "protocol": token[1],
-            "processes": list(token[2]),
-            "max_events": token[3],
-        }
-
-    if version == 1:
-        try:
-            payload = CheckpointSession._decode_v1(raw)
-        except CheckpointError as error:
-            report["error"] = str(error)
-            return report
-        report["token"] = token_view(payload["token"])
-        report["layers"] = payload["layers"]
-        report["count"] = payload["count"]
-        report["complete"] = payload["complete"]
-        report["frontier_start"] = payload["frontier_start"]
-        report["salvageable_layers"] = payload["layers"]
-        report["valid"] = True
-        return report
-    if version != CHECKPOINT_VERSION:
-        report["error"] = (
-            f"format version {version} is not supported (this build reads "
-            f"versions {MIN_READABLE_VERSION}..{CHECKPOINT_VERSION})"
-        )
-        return report
-    try:
-        manifest = decode_manifest(raw)
-    except CheckpointError as error:
-        report["error"] = str(error)
-        return report
-    report["token"] = token_view(manifest["token"])
-    report["layers"] = manifest["layers"]
-    report["count"] = manifest["count"]
-    report["complete"] = manifest["complete"]
-    report["frontier_start"] = manifest["frontier_start"]
-    report["generation"] = manifest["generation"]
+    report["format_version"] = CHECKPOINT_VERSION
+    token = manifest["token"]
+    report["token"] = {
+        "format_version": token[0],
+        "protocol": token[1],
+        "processes": list(token[2]),
+        "max_events": token[3],
+    }
+    for field in ("layers", "count", "complete", "frontier_start", "generation"):
+        report[field] = manifest[field]
     # Recovery/degradation events recorded up to the committing save
     # (structured RecoveryEvent dicts persisted with the manifest).
     report["recovery"] = list(manifest.get("recovery", []))
@@ -1422,11 +1218,8 @@ def inspect_checkpoint(path, verify_segments: bool = True) -> dict:
                 if prefix_intact:
                     report["salvageable_layers"] = entry["layer_to"]
         report["segments"].append(row)
-    referenced = {entry["name"] for entry in manifest["segments"]}
-    report["orphans"] = sorted(
-        stray.name
-        for stray in path.parent.glob(f"{path.name}.g*-*.seg")
-        if stray.name not in referenced
+    report["orphans"] = _list_orphans(
+        path, {entry["name"] for entry in manifest["segments"]}
     )
     if verify_segments:
         report["valid"] = prefix_intact and all(
@@ -1516,7 +1309,6 @@ class RssWatchdog:
 
 
 __all__ = [
-    "CHECKPOINT_MAGIC",
     "CHECKPOINT_VERSION",
     "DEFAULT_COMPACT_SEGMENTS",
     "MANIFEST_MAGIC",
@@ -1527,7 +1319,6 @@ __all__ = [
     "RssWatchdog",
     "compact_checkpoint",
     "compatibility_token",
-    "decode_manifest",
     "inspect_checkpoint",
     "process_rss_mb",
 ]

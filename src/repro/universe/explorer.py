@@ -435,19 +435,18 @@ class Universe:
         (:mod:`repro.universe.checkpoint`): if the file exists, the
         exploration *resumes* from its last completed BFS layer; the
         finished universe is bit-identical to an uninterrupted run.
-        Saved every ``checkpoint_every`` layers in the segmented
-        incremental format (append one delta segment, atomically replace
-        the manifest) and at the end.  A corrupt tail is salvaged to the
-        last valid layer boundary (logged on :attr:`recovery_log`)
-        unless ``checkpoint_strict``.
+        Saved every ``checkpoint_every`` layers and at the end, in the
+        one checkpoint format (version 2): a background writer appends
+        one delta segment, then atomically replaces the manifest.  A
+        file of any other format version (the retired version 1
+        included) raises
+        :class:`~repro.universe.checkpoint.CheckpointError`.  A corrupt
+        tail is salvaged to the last valid layer boundary (logged on
+        :attr:`recovery_log`) unless ``checkpoint_strict``.
     checkpoint_strict:
         Refuse to salvage a damaged checkpoint: raise
         :class:`~repro.universe.checkpoint.CheckpointError` instead of
         truncating to the valid prefix.
-    checkpoint_format:
-        ``"segmented"`` (default) or ``"monolithic"`` (the PR 6
-        full-rewrite format, retained for the controlled
-        incremental-vs-full benchmark pair).
     rss_budget_mb:
         Optional resident-memory budget (MiB, coordinator plus live
         workers).  When exploration crosses it at a layer boundary it
@@ -500,7 +499,6 @@ class Universe:
         checkpoint=UNSET,
         checkpoint_every=UNSET,
         checkpoint_strict=UNSET,
-        checkpoint_format=UNSET,
         rss_budget_mb=UNSET,
         fault_plan=UNSET,
         supervision=UNSET,
@@ -518,7 +516,6 @@ class Universe:
                 "checkpoint": checkpoint,
                 "checkpoint_every": checkpoint_every,
                 "checkpoint_strict": checkpoint_strict,
-                "checkpoint_format": checkpoint_format,
                 "rss_budget_mb": rss_budget_mb,
                 "fault_plan": fault_plan,
                 "supervision": supervision,
@@ -633,7 +630,6 @@ class Universe:
                 max_events,
                 every=opts.checkpoint.every,
                 strict=opts.checkpoint.strict,
-                format=opts.checkpoint.format,
                 fault_actions=(
                     fault_plan.take_checkpoint_faults()
                     if fault_plan is not None

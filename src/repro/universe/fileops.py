@@ -1,7 +1,7 @@
 """File-operations shim: one seam between the engine and the filesystem.
 
 Everything durable in this codebase — checkpoint segment appends,
-manifest commits, monolithic saves, compaction, segment/manifest reads,
+manifest commits, compaction, segment/manifest reads,
 and the arena's spill tier — routes its filesystem calls through a
 :class:`FileOps` instance instead of calling ``open``/``os.fsync``/
 ``os.replace`` directly.  In production that instance is the

@@ -68,14 +68,12 @@ class CheckpointPolicy:
     """Layer-boundary checkpointing (``None`` path = disabled).
 
     ``every`` saves each N layers, ``strict`` errors on damaged
-    checkpoints instead of salvage-truncating, ``format`` selects the
-    segmented incremental writer or the legacy monolithic blob.
+    checkpoints instead of salvage-truncating.
     """
 
     path: Any = None
     every: int = 1
     strict: bool = False
-    format: str = "segmented"
 
 
 @dataclass(frozen=True)
@@ -129,7 +127,6 @@ _LEGACY_FIELDS = {
     "checkpoint": ("checkpoint", "path"),
     "checkpoint_every": ("checkpoint", "every"),
     "checkpoint_strict": ("checkpoint", "strict"),
-    "checkpoint_format": ("checkpoint", "format"),
     "rss_budget_mb": ("budget", "rss_budget_mb"),
     "spill_dir": ("budget", "spill_dir"),
     "workers": ("sharding", "workers"),
@@ -230,7 +227,6 @@ def options_from_args(args: Any) -> ExplorationOptions:
             path=getattr(args, "checkpoint", None),
             every=getattr(args, "checkpoint_every", 1),
             strict=getattr(args, "strict", False),
-            format=getattr(args, "checkpoint_format", "segmented"),
         ),
         budget=ResourceBudget(
             rss_budget_mb=rss_budget_mb,

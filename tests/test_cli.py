@@ -149,6 +149,25 @@ class TestCheckpointCommand:
         assert main(["checkpoint", "verify", str(tmp_path / "no.ckpt")]) == 2
         assert "no such file" in capsys.readouterr().out
 
+    def test_compact_exit_codes(self, capsys, tmp_path):
+        path = build_checkpoint(tmp_path)
+        capsys.readouterr()
+        assert main(["checkpoint", "compact", str(path)]) == 0
+        assert "compacted" in capsys.readouterr().out
+        assert main(["checkpoint", "verify", str(path)]) == 0
+        assert main(["checkpoint", "compact", str(path)]) == 0
+        assert "not compacted" in capsys.readouterr().out
+        capsys.readouterr()
+        assert main(["checkpoint", "compact", str(tmp_path / "no.ckpt")]) == 2
+        assert "checkpoint error" in capsys.readouterr().err
+
+    def test_compact_damaged_checkpoint_exits_two(self, capsys, tmp_path):
+        path = build_checkpoint(tmp_path)
+        corrupt_tail(path)
+        capsys.readouterr()
+        assert main(["checkpoint", "compact", str(path)]) == 2
+        assert "damaged" in capsys.readouterr().err
+
     def test_resume_via_cli_round_trip(self, capsys, tmp_path):
         path = build_checkpoint(tmp_path)
         capsys.readouterr()

@@ -11,6 +11,7 @@ the merged discovery stream rather than engine-specific state.
 
 import os
 import pathlib
+import re
 import warnings
 
 import pytest
@@ -19,12 +20,12 @@ import repro.universe.checkpoint as checkpoint_module
 from repro.core.errors import UniverseError
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.checkpoint import (
-    CHECKPOINT_MAGIC,
     MANIFEST_MAGIC,
     SEGMENT_MAGIC,
     CheckpointError,
     CheckpointSession,
     RssWatchdog,
+    compact_checkpoint,
     compatibility_token,
     inspect_checkpoint,
     process_rss_mb,
@@ -39,7 +40,17 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def segment_files(path):
-    return sorted(path.parent.glob(f"{path.name}.g*-*.seg"))
+    return sorted(
+        item
+        for item in path.parent.iterdir()
+        if re.fullmatch(re.escape(path.name) + r"\.g\d+-\d{6,}\.seg", item.name)
+    )
+
+
+def snapshot_files(path):
+    """Every file of one checkpoint (manifest plus segments), by name."""
+    files = [path, *segment_files(path)]
+    return {item.name: item.read_bytes() for item in files}
 
 
 def flip_last_byte(path):
@@ -48,14 +59,13 @@ def flip_last_byte(path):
     path.write_bytes(bytes(raw))
 
 
-def partial_checkpoint(tmp_path, cap=300, name="u.ckpt", **kwargs):
+def partial_checkpoint(tmp_path, cap=300, name="u.ckpt", size=5):
     path = tmp_path / name
     Universe(
-        star_protocol(5),
+        star_protocol(size),
         max_configurations=cap,
         on_limit="truncate",
         checkpoint=path,
-        **kwargs,
     )
     return path
 
@@ -273,7 +283,7 @@ class TestFileFormat:
     def test_corrupt_payload_rejected(self, tmp_path):
         path = self.build_checkpoint(tmp_path)
         raw = bytearray(path.read_bytes())
-        raw[len(CHECKPOINT_MAGIC) + 4] ^= 0xFF
+        raw[len(MANIFEST_MAGIC) + 4] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
             Universe(star_protocol(5), checkpoint=path)
@@ -424,12 +434,6 @@ class TestSegmentedLayout:
         with pytest.raises(UniverseError, match=">= 2"):
             CheckpointSession(
                 tmp_path / "x", star_protocol(4), None, compact_at=1
-            )
-
-    def test_format_validation(self, tmp_path):
-        with pytest.raises(UniverseError, match="segmented.*monolithic"):
-            CheckpointSession(
-                tmp_path / "x", star_protocol(4), None, format="yaml"
             )
 
 
@@ -592,42 +596,33 @@ class TestCheckpointFaultInjection:
 
 
 class TestVersioning:
-    """v1 read-compatibility, migration, and future-version refusal."""
+    """One readable format version: older and newer files are refused
+    with an error naming their version."""
 
-    def test_monolithic_writer_still_produces_v1(self, tmp_path):
-        path = partial_checkpoint(tmp_path, checkpoint_format="monolithic")
-        raw = path.read_bytes()
-        assert raw.startswith(CHECKPOINT_MAGIC)
-        assert not raw.startswith(MANIFEST_MAGIC)
-        assert not segment_files(path)
-
-    def test_v1_resume_migrates_to_segmented(self, tmp_path):
-        single = Universe(star_protocol(5))
-        path = partial_checkpoint(tmp_path, checkpoint_format="monolithic")
-        resumed = Universe(star_protocol(5), checkpoint=path)
-        assert_bit_identical(single, resumed)
-        assert path.read_bytes().startswith(MANIFEST_MAGIC)
-        assert segment_files(path)
-        # And the migrated file itself resumes cleanly.
-        again = Universe(star_protocol(5), checkpoint=path)
-        assert_bit_identical(single, again)
-
-    def test_monolithic_round_trip_stays_v1(self, tmp_path):
-        single = Universe(star_protocol(5))
-        path = partial_checkpoint(tmp_path, checkpoint_format="monolithic")
-        resumed = Universe(
-            star_protocol(5), checkpoint=path, checkpoint_format="monolithic"
-        )
-        assert_bit_identical(single, resumed)
-        assert path.read_bytes().startswith(CHECKPOINT_MAGIC)
-        assert not segment_files(path)
+    def test_v1_file_rejected_everywhere(self, tmp_path):
+        """The retired version-1 magic is recognised, not mistaken for
+        garbage: resume, inspect and compact all name version 1."""
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(b"REPRO-CKPT\n" + b"\x00" * 64)
+        files = snapshot_files(path)
+        message = r"version 1 is not supported.*reads version 2"
+        with pytest.raises(CheckpointError, match=message):
+            Universe(star_protocol(5), checkpoint=path)
+        report = inspect_checkpoint(path)
+        assert report["format_version"] == 1
+        assert not report["valid"]
+        assert "version 1 is not supported" in report["error"]
+        with pytest.raises(CheckpointError, match=message):
+            compact_checkpoint(path)
+        assert snapshot_files(path) == files
 
     def test_future_version_fixture_rejected(self, tmp_path):
         fixture = FIXTURES / "checkpoint_v99.ckpt"
         path = tmp_path / "u.ckpt"
         path.write_bytes(fixture.read_bytes())
         with pytest.raises(
-            CheckpointError, match=r"version 99 is not supported.*1\.\.2"
+            CheckpointError,
+            match=r"version 99 is not supported.*reads version 2\)",
         ):
             Universe(star_protocol(5), checkpoint=path)
         report = inspect_checkpoint(path)
@@ -683,9 +678,162 @@ class TestInspectCheckpoint:
         assert not report["valid"]
         assert "bad magic" in report["error"]
 
-    def test_v1_report(self, tmp_path):
-        path = partial_checkpoint(tmp_path, checkpoint_format="monolithic")
+
+class TestOfflineCompaction:
+    """``compact_checkpoint`` / ``repro checkpoint compact``: fold a
+    checkpoint's committed segments into one, crash-safely."""
+
+    def test_multi_segment_folds_into_one(self, tmp_path):
+        single = Universe(star_protocol(5))
+        path = partial_checkpoint(tmp_path)
+        before = inspect_checkpoint(path)
+        old = segment_files(path)
+        assert len(old) >= 2
+        bytes_before = sum(seg.stat().st_size for seg in old)
+        report = compact_checkpoint(path)
+        assert report["compacted"] is True
+        assert report["segments_before"] == len(old)
+        assert report["segments_after"] == 1
+        assert report["bytes_before"] == bytes_before
+        assert report["generation"] == before["generation"] + 1
+        assert report["layers"] == before["layers"]
+        assert report["count"] == before["count"]
+        (folded,) = segment_files(path)
+        assert folded.name == (
+            f"{path.name}.g{report['generation']}-000000.seg"
+        )
+        assert report["bytes_after"] == folded.stat().st_size
+        assert not any(seg.exists() for seg in old)
+        after = inspect_checkpoint(path)
+        assert after["valid"], after
+        assert after["generation"] == report["generation"]
+        assert after["orphans"] == []
+        for field in ("layers", "count", "complete", "frontier_start"):
+            assert after[field] == before[field]
+        resumed = Universe(star_protocol(5), checkpoint=path)
+        assert_bit_identical(single, resumed)
+        assert not resumed.recovery_log
+
+    def test_single_segment_is_a_no_op(self, tmp_path):
+        path = partial_checkpoint(tmp_path)
+        compact_checkpoint(path)
+        files = snapshot_files(path)
+        report = compact_checkpoint(path)
+        assert report["compacted"] is False
+        assert report["segments_before"] == report["segments_after"] == 1
+        assert snapshot_files(path) == files
+
+    def test_damaged_segment_raises_and_touches_nothing(self, tmp_path):
+        path = partial_checkpoint(tmp_path)
+        flip_last_byte(segment_files(path)[1])
+        files = snapshot_files(path)
+        with pytest.raises(CheckpointError, match="damaged"):
+            compact_checkpoint(path)
+        assert snapshot_files(path) == files
+
+    def test_missing_checkpoint_raises(self, tmp_path):
+        with pytest.raises(CheckpointError, match="no such checkpoint"):
+            compact_checkpoint(tmp_path / "nope.ckpt")
+
+    def test_session_and_offline_folds_write_the_same_bytes(
+        self, tmp_path, monkeypatch
+    ):
+        """The in-session auto-compaction and the offline verb fold the
+        same committed segments into byte-identical segments."""
+        (tmp_path / "offline").mkdir()
+        (tmp_path / "session").mkdir()
+        offline = partial_checkpoint(tmp_path / "offline", cap=40, size=4)
+        assert len(segment_files(offline)) == 4
+        compact_checkpoint(offline)
+        monkeypatch.setattr(checkpoint_module, "DEFAULT_COMPACT_SEGMENTS", 3)
+        session = partial_checkpoint(tmp_path / "session", cap=40, size=4)
+        (offline_fold,) = segment_files(offline)
+        (session_fold,) = segment_files(session)
+        assert offline_fold.name == session_fold.name == "u.ckpt.g1-000000.seg"
+        assert offline_fold.read_bytes() == session_fold.read_bytes()
+
+
+class TestFormatStability:
+    """The on-disk format is pinned by a committed fixture: a star n=4
+    checkpoint (manifest plus four delta segments) truncated at 40
+    configurations, written by an earlier build of this module."""
+
+    FIXTURE = "star4_v2.ckpt"
+
+    def copy_fixture(self, tmp_path):
+        for item in FIXTURES.glob(f"{self.FIXTURE}*"):
+            (tmp_path / item.name).write_bytes(item.read_bytes())
+        return tmp_path / self.FIXTURE
+
+    def test_fixture_inspects_valid(self, tmp_path):
+        path = self.copy_fixture(tmp_path)
         report = inspect_checkpoint(path)
-        assert report["format_version"] == 1
-        assert report["valid"]
-        assert report["segments"] == []
+        assert report["valid"], report
+        assert report["format_version"] == 2
+        assert len(report["segments"]) == 4
+        assert report["orphans"] == []
+
+    def test_fixture_resumes_bit_identical(self, tmp_path):
+        single = Universe(star_protocol(4))
+        path = self.copy_fixture(tmp_path)
+        resumed = Universe(star_protocol(4), checkpoint=path)
+        assert resumed._checkpoint_session.resumed_from is not None
+        assert not resumed.recovery_log
+        assert_bit_identical(single, resumed)
+
+
+class TestOrphanNameMatching:
+    """Orphan segments are matched by literal file name: a checkpoint
+    whose name holds glob metacharacters never claims (or deletes)
+    another checkpoint's segments."""
+
+    @pytest.mark.parametrize(
+        "victim, resumed_name",
+        [("run1.ckpt", "run[1].ckpt"), ("ab.ckpt", "a*.ckpt")],
+    )
+    def test_resume_leaves_other_checkpoints_alone(
+        self, tmp_path, victim, resumed_name
+    ):
+        single = Universe(star_protocol(4))
+        victim_path = tmp_path / victim
+        Universe(star_protocol(4), checkpoint=victim_path)
+        victim_files = snapshot_files(victim_path)
+        path = tmp_path / resumed_name
+        Universe(
+            star_protocol(4),
+            max_configurations=40,
+            on_limit="truncate",
+            checkpoint=path,
+        )
+        resumed = Universe(star_protocol(4), checkpoint=path)
+        assert_bit_identical(single, resumed)
+        assert not any(
+            entry["action"] == "discard-orphan"
+            for entry in resumed.recovery_log
+        )
+        assert snapshot_files(victim_path) == victim_files
+        assert inspect_checkpoint(victim_path)["valid"]
+
+    @pytest.mark.parametrize(
+        "victim, inspected_name",
+        [("run1.ckpt", "run[1].ckpt"), ("ab.ckpt", "a*.ckpt")],
+    )
+    def test_inspect_lists_only_its_own_orphans(
+        self, tmp_path, victim, inspected_name
+    ):
+        Universe(star_protocol(4), checkpoint=tmp_path / victim)
+        path = tmp_path / inspected_name
+        Universe(star_protocol(4), checkpoint=path)
+        assert inspect_checkpoint(path)["orphans"] == []
+        orphan = tmp_path / f"{inspected_name}.g0-000099.seg"
+        orphan.write_bytes(SEGMENT_MAGIC + b"torn half-written segment")
+        report = inspect_checkpoint(path)
+        assert report["valid"], report
+        assert report["orphans"] == [orphan.name]
+        resumed = Universe(star_protocol(4), checkpoint=path)
+        assert [
+            entry["detail"]
+            for entry in resumed.recovery_log
+            if entry["action"] == "discard-orphan"
+        ] == [orphan.name]
+        assert inspect_checkpoint(tmp_path / victim)["valid"]

@@ -262,7 +262,6 @@ class TestOptionsFromArgs:
             limit=123,
             checkpoint=str(tmp_path / "c.ckpt"),
             checkpoint_every=3,
-            checkpoint_format="monolithic",
             strict=True,
             rss_budget=2048.0,
             spill_dir=str(tmp_path),
@@ -273,7 +272,6 @@ class TestOptionsFromArgs:
         assert options.limits.max_configurations == 123
         assert options.limits.on_limit == "truncate"  # implied by budget
         assert options.checkpoint.every == 3
-        assert options.checkpoint.format == "monolithic"
         assert options.checkpoint.strict is True
         assert options.budget.rss_budget_mb == 2048.0
         assert options.sharding.workers == 4

@@ -405,15 +405,14 @@ class TestWriterStickyError:
         assert [e.kind for e in log] == ["checkpoint_degraded"]
 
     def test_queue_ordered_arming_declines_when_unorderable(self, tmp_path):
-        session = CheckpointSession(
-            tmp_path / "fg.ckpt", star_protocol(4), None, background=False
-        )
-        # Foreground writes are already ordered — the caller arms directly.
+        session = CheckpointSession(tmp_path / "idle.ckpt", star_protocol(4), None)
+        # An idle, drained writer is already ordered — the caller arms
+        # directly.
         assert not session.arm_storage_faults([("enospc", 0.0)])
-        mono = CheckpointSession(
-            tmp_path / "mono.ckpt", star_protocol(4), None, format="monolithic"
-        )
-        assert not mono.arm_storage_faults([("enospc", 0.0)])
+        # So is a degraded session: nothing will ever be written again.
+        with pytest.warns(RuntimeWarning, match="checkpointing disabled"):
+            session._degrade(OSError(errno.ENOSPC, "disk full"))
+        assert not session.arm_storage_faults([("enospc", 0.0)])
 
 
 class TestArenaSpillLadder:
