@@ -27,8 +27,7 @@ Usage::
 
 The ``exploration-scale`` suite measures the frontier kernel at scale
 (star n=7/n=8, tree/ring depth targets, streaming truncation, the n=7
-property sweep) against the recorded PR-2 engine (``PR2_BASELINE``);
-``--budget`` is its wall-clock tripwire.
+property sweep); ``--budget`` is its wall-clock tripwire.
 
 The ``fault-recovery`` suite measures the sharded engine's failover
 paths (worker kill, corrupt frame, heartbeat timeout, shard fold,
@@ -84,35 +83,6 @@ from repro.protocols.token_bus import TokenBusProtocol
 from repro.simulation.scheduler import RandomScheduler
 from repro.simulation.simulator import simulate
 from repro.universe.explorer import Universe
-
-SEED_BASELINE = {
-    "universe_star_broadcast_n5": 0.0187,
-    "universe_star_broadcast_n6": 0.2997,
-    "evaluator_star_broadcast_n6": 0.0392,
-    "causality_happened_before_all_pairs": 0.0214,
-}
-"""Best wall times of the pre-bitset seed — the "before" column of the
-trajectory.  Measured back-to-back with the PR-1 engine on the same
-machine under identical load (seed checkout via a git worktree, same
-benchmark definitions, best of 9), so the recorded speedups are a
-controlled before/after pair rather than numbers from different noise
-windows."""
-
-
-PR2_BASELINE = {
-    "universe_star_broadcast_n7": {"first": 2.106, "steady": 0.556},
-    "universe_star_broadcast_n8": {"first": 55.924, "steady": 29.164},
-    "universe_tree_broadcast_d3": {"first": 15.360, "steady": 9.942},
-    "universe_ring_broadcast_n8": {"first": 0.6505, "steady": 0.0015},
-    "iso_properties_star_n7": {"first": 18.196},
-}
-"""Wall times of the pre-kernel engine (PR 2, commit 466473e) for the
-exploration-scale suite — measured back-to-back with the compiled-table /
-CSR kernel on the same machine under identical load immediately before
-the kernel landed, so ``speedup_vs_pr2`` is a controlled before/after
-pair (same protocols, same sizes, same measurement discipline as the
-PR 1/PR 2 pairs)."""
-
 
 class BenchCheckFailure(RuntimeError):
     """Raised by ``--check`` when the mask engine disagrees with the
@@ -467,8 +437,7 @@ def run_benchmarks(
     ``suite`` selects the workload: ``"core"`` is the PR-1/PR-2
     trajectory set; ``"exploration-scale"`` is the frontier-kernel scale
     suite (star n=7/n=8, tree/ring depth targets, streaming truncation,
-    and the n=7 property sweep), paired against the recorded PR-2
-    engine via :data:`PR2_BASELINE`.  ``quick`` restricts either suite
+    and the n=7 property sweep).  ``quick`` restricts either suite
     to small universes with ``repeats=1`` (the smoke mode); ``check``
     runs the mask-vs-reference cross-validation first and raises
     :class:`BenchCheckFailure` on any disagreement; ``budget`` is a
@@ -502,25 +471,7 @@ def run_benchmarks(
     results: dict[str, dict] = {}
 
     def record(name: str, seconds: float, **extra) -> None:
-        entry: dict = {"best_seconds": round(seconds, 6), **extra}
-        baseline = SEED_BASELINE.get(name)
-        if baseline is not None:
-            entry["seed_seconds"] = baseline
-            entry["speedup_vs_seed"] = round(baseline / seconds, 2)
-        pr2 = PR2_BASELINE.get(name)
-        if pr2 is not None:
-            entry["pr2_seconds"] = pr2
-            # Scale benchmarks headline the cold run (universes are built
-            # once), so the controlled pairing is cold-vs-cold, with the
-            # warm re-exploration paired separately when both exist.
-            if pr2.get("first"):
-                entry["speedup_vs_pr2"] = round(pr2["first"] / seconds, 2)
-            steady = entry.get("steady_seconds")
-            if steady and pr2.get("steady"):
-                entry["steady_speedup_vs_pr2"] = round(
-                    pr2["steady"] / steady, 2
-                )
-        results[name] = entry
+        results[name] = {"best_seconds": round(seconds, 6), **extra}
         guard.check(name)
 
     def record_paired(
@@ -825,8 +776,7 @@ def run_benchmarks(
     if suite == "exploration-scale":
         # The frontier-kernel scale suite: exploration is the benchmark.
         # Fresh protocol instances per entry keep first_seconds honest
-        # (cold compiled tables); PR2_BASELINE pairs the full-size runs
-        # against the recorded pre-kernel engine.
+        # (cold compiled tables).
         if quick:
             first_n5, size_n5 = scale_universe_benchmark(
                 "universe_star_broadcast_n5",
@@ -1368,15 +1318,11 @@ def run_benchmarks(
             "(universes are build-once; steady_seconds is the best warm "
             "re-exploration with the first universe released); "
             "first_seconds = first construction in this process (cold "
-            "caches); speedup_vs_seed "
-            "compares best_seconds against the pre-bitset seed's best; "
-            "object_seconds times the retained object-level reference "
+            "caches); object_seconds times the retained object-level reference "
             "implementation once in the same run (speedup_vs_object is the "
             "controlled mask-vs-object pairing); table_build_seconds is the "
             "wall time spent compiling protocol step tables during the first "
             "exploration (bfs_first_seconds = first_seconds minus it); "
-            "pr2_seconds / speedup_vs_pr2 pair scale benchmarks against the "
-            "pre-kernel PR-2 engine measured back-to-back on this machine; "
             "*_workersK entries run the multiprocess sharded frontier engine "
             "with K worker shards, paired against the single-process cold "
             "exploration of the same protocol in the same run "
@@ -1426,18 +1372,11 @@ def write_trajectory(document: dict, output_dir: str | Path = ".") -> Path:
 
 
 def print_summary(document: dict) -> None:
-    print(
-        f"{'benchmark':>38} {'best (s)':>10} {'seed (s)':>9} {'speedup':>8} "
-        f"{'vs object':>10}"
-    )
+    print(f"{'benchmark':>38} {'best (s)':>10} {'vs object':>10}")
     for name, entry in sorted(document["benchmarks"].items()):
-        seed = entry.get("seed_seconds")
-        speedup = entry.get("speedup_vs_seed")
         object_speedup = entry.get("speedup_vs_object")
         print(
             f"{name:>38} {entry['best_seconds']:>10.4f} "
-            f"{seed if seed is not None else '-':>9} "
-            f"{f'{speedup}x' if speedup is not None else '-':>8} "
             f"{f'{object_speedup}x' if object_speedup is not None else '-':>10}"
         )
     checked = document.get("cross_checked")

@@ -7,9 +7,11 @@ content hash; 20 bytes per configuration) — and materialises
 :class:`~repro.core.configuration.Configuration` objects lazily, behind
 a read-only list-like sequence interface:
 
-* a **hot window** keeps the current BFS frontier and the layer under
-  construction as real objects (the only ids the kernel dereferences,
-  thanks to the layer-uniform event count of BFS layers);
+* a **hot window** keeps the objects a checkpoint replay
+  (:meth:`ArenaStore.replay`) is still extending — the layer being
+  replayed and the one under construction — as real objects; the
+  exploration engines keep their frontier as packed rows instead
+  (:class:`~repro.universe.frontier.PackedFrontier`);
 * everything colder is reached by a **chain walk** up the parent column
   to the nearest materialised ancestor, rebuilding descendants through a
   bounded LRU — property sweeps and spot lookups never pay for objects
@@ -72,10 +74,9 @@ def _materialise_child(
 ) -> Configuration:
     """Rebuild the child ``parent + event`` with its recorded hash.
 
-    Mirrors the kernel's first-discovery construction exactly (same
-    sorted-insert items layout, same trusted constructor, same cache
-    propagation), so a lazily rematerialised configuration is
-    structurally identical to the object the kernel once held.
+    Sorted-insert items layout, the trusted constructor and cache
+    propagation, so a lazily rematerialised configuration is
+    structurally identical to ``parent.extend(event)``.
     """
     process = event.process
     parent_histories = parent._histories
@@ -153,8 +154,8 @@ class ArenaStore:
         self._tail_parent = array("q")
         self._tail_event = array("i")
         self._tail_hash = array("q")
-        # Hot window: materialised objects for the ids the kernel still
-        # dereferences (current frontier + layer under construction).
+        # Hot window: materialised objects a checkpoint replay still
+        # extends (the layer being replayed + the one it builds).
         self._window: dict[int, Configuration] = {}
         self._window_floor = 0
         # Roots appended directly (no parent) stay pinned forever.
@@ -262,10 +263,10 @@ class ArenaStore:
     ) -> int:
         """Record a first discovery: pack the columns, keep the object hot.
 
-        ``child`` may be ``None``: the exploration kernel tracks
-        its own window of history rows and never builds child objects,
-        so only the columns are written and any later read materialises
-        through the cold tiers.
+        ``child`` is ``None`` from the exploration engines, which keep
+        their frontier as packed rows and never build child objects: only
+        the columns are written and any later read materialises through
+        the cold tiers.
         """
         event_index = self._event_index.get(event)
         if event_index is None:
@@ -284,7 +285,7 @@ class ArenaStore:
     def extend(self, configurations) -> None:
         """Append arbitrary configurations as pinned roots.
 
-        Compatibility fallback (generic install paths); the kernel and
+        Compatibility fallback (generic install paths); the engines and
         checkpoint replay use :meth:`append_child`/:meth:`replay`, which
         keep the store packed.
         """
@@ -452,13 +453,6 @@ class ArenaStore:
 
     def __bool__(self) -> bool:
         return self._count > 0
-
-    def _get_hot(self, index: int) -> Configuration:
-        """Kernel fast path: hot window first, full lookup on miss."""
-        configuration = self._window.get(index)
-        if configuration is not None:
-            return configuration
-        return self[index]
 
     def __getitem__(self, index):
         if isinstance(index, slice):

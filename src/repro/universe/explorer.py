@@ -51,6 +51,7 @@ from repro.core.events import Event, ReceiveEvent, SendEvent
 from repro.core.process import ProcessId, ProcessSetLike, as_process_set
 from repro.universe.arena import ArenaStore
 from repro.universe.fileops import DEFAULT_FILEOPS, FaultInjectingFileOps
+from repro.universe.frontier import PackedFrontier
 from repro.universe.options import UNSET, ExplorationOptions, resolve_options
 from repro.universe.recovery import RecoveryLog
 from repro.universe.protocol import Protocol
@@ -401,6 +402,7 @@ _BOUND_MESSAGE = (
     "exploration exceeded %s configurations; raise the bound or shrink "
     "the protocol"
 )
+"""The ``max_configurations`` error of every engine (``%s`` is the bound)."""
 
 
 class Universe:
@@ -707,34 +709,26 @@ class Universe:
 
         Configurations go straight into the arena as packed ``(parent
         id, event, hash)`` columns; the kernel never builds child
-        objects.  Its only live state is a window over the frontier and
-        the layer under construction, one 4-tuple per configuration
-
-            ``(row, content_hash, received, in_flight)``
-
-        where ``row`` is a fixed-width tuple of per-process histories in
-        ``ordered_processes`` order (``()`` for absent processes) and
-        the two message frozensets are interned per layer, so siblings
-        with equal channel contents share one set object.  Parents are
-        materialised transiently only on the slow paths (custom
-        enabling, enabling filters, ``max_events`` probes), and each
-        window entry is popped the moment its expansion completes, so a
-        consumed frontier prefix stops counting toward peak RSS
-        mid-layer instead of at the next boundary.  Per edge the enabled
-        events are table lookups (compiled local steps plus the memoised
-        receive set) and the child's content hash is O(1) from the
-        parent's (rolling entry hashes).  Dedup compares rows
-        elementwise — shared history tuples make those identity hits —
-        and the rare cross-layer content-hash collision falls back to
-        the arena's chain-walk materialisation.  Partition indexes are
-        built lazily after exploration, never inside this loop.
-
-        Rolling entry hashes are memoised by history-tuple *identity*.
-        Mid-layer eviction cannot alias that memo: every history tuple a
-        parent can look up is held by a live window row, and any tuple
-        that reuses a freed address was itself a freshly discovered
-        child's ``new_history``, whose memo entry is overwritten at
-        creation.  The memo rotates generations at layer boundaries.
+        objects.  Its only live state is a
+        :class:`~repro.universe.frontier.PackedFrontier` — a window over
+        the frontier and the layer under construction, one entry
+        ``(row, content_hash, received, in_flight)`` per configuration —
+        which supplies the set-up, the per-parent enabled events, the
+        slow-path transient objects, the collision-aware row comparison
+        and the resume rebuild.  Each window entry is popped the moment
+        its expansion completes, so a consumed frontier prefix stops
+        counting toward peak RSS mid-layer instead of at the next
+        boundary.  The per-edge work stays inline because this loop is
+        the hot path: the child's content hash is O(1) from the parent's
+        (rolling entry hashes), dedup compares rows elementwise — shared
+        history tuples make those identity hits, and the rare
+        cross-layer content-hash collision falls back to the arena's
+        chain-walk materialisation — and a first discovery appends its
+        packed columns and window entry here, with the same row and
+        message-set derivation as :meth:`PackedFrontier.child
+        <repro.universe.frontier.PackedFrontier.child>`.  Partition
+        indexes are built lazily after exploration, never inside this
+        loop.
 
         :func:`repro.universe.reference.reference_bfs` is the oracle:
         ``tests/test_universe_arena.py`` holds this kernel and the
@@ -749,93 +743,20 @@ class Universe:
         max_events = self._max_events
         bound_error: str | None = None
 
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
-        ordered = protocol.ordered_processes
-        width = len(ordered)
-        index_of = {process: i for i, process in enumerate(ordered)}
-        selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events
-            if protocol.has_enabling_filter
-            else None
-        )
-        receive_sets = protocol.receive_events_for
-        selective_receives = protocol.selective_receive_events
+        frontier = PackedFrontier(protocol, max_events, arena)
+        window = frontier.window
+        enabled_at = frontier.enabled
+        transient = frontier.transient
+        row_matches = frontier.row_matches
+        index_of = frontier.index_of
+        seed_of = frontier.seed_of
         compiled_enabled = protocol.compiled_enabled_events
-        initial_steps = {
-            process: steps_for(process, ()) for process in ordered
-        }
         # math.inf compares greater than every count, so `count >= limit`
         # is the single bound test; non-positive bounds fire on the first
         # discovered child.
         limit = max_configurations if max_configurations is not None else inf
         modulus = _HASH_MODULUS
         multiplier = _ROLL_MULTIPLIER
-        seed_of = {
-            process: hash(process) % modulus for process in ordered
-        }
-        entry_hash_of: dict[int, int] = {}
-        entry_prev_get = {}.get  # no previous generation yet
-        from_trusted = Configuration._from_trusted
-        # Per-layer frozenset intern table: channel contents repeat
-        # heavily across siblings, so the per-child ``received`` /
-        # ``in_flight`` sets collapse to a handful of shared objects.
-        # Rotated with the memo so it never outlives the rows that
-        # reference its sets.
-        interned: dict[frozenset, frozenset] = {}
-        intern = interned.setdefault
-
-        window: dict[int, tuple] = {}
-        empty_set: frozenset = frozenset()
-
-        def row_of(configuration: Configuration) -> tuple:
-            histories_get = configuration._histories.get
-            return tuple(histories_get(process, ()) for process in ordered)
-
-        def transient(entry: tuple) -> Configuration:
-            """A throwaway ``Configuration`` for the slow-path hooks."""
-            row, content_hash, received, in_flight = entry
-            items = {
-                process: history
-                for process, history in zip(ordered, row)
-                if history
-            }
-            configuration = from_trusted(items, content_hash, None)
-            cache = configuration.__dict__
-            cache["received_messages"] = received
-            cache["in_flight_messages"] = in_flight
-            return configuration
-
-        def row_matches(
-            candidate_id: int,
-            row: tuple,
-            position: int,
-            new_history: tuple,
-        ) -> bool:
-            """``candidate == parent`` with ``position → new_history``."""
-            entry = window.get(candidate_id)
-            if entry is not None:
-                candidate_row = entry[0]
-            else:
-                # Cross-layer content-hash collision: same-depth
-                # duplicates always live in the window, so this is the
-                # rare modulus collision — chain-walk the packed
-                # columns.
-                candidate_row = row_of(arena._get_hot(candidate_id))
-            theirs = candidate_row[position]
-            if theirs is not new_history and theirs != new_history:
-                return False
-            for j in range(width):
-                if j == position:
-                    continue
-                theirs = candidate_row[j]
-                ours = row[j]
-                if theirs is not ours and theirs != ours:
-                    return False
-            return True
 
         watchdog = None
         if rss_budget_mb is not None:
@@ -846,40 +767,29 @@ class Universe:
         resumed = session.try_resume(self) if session is not None else None
         if resumed is not None:
             # try_resume replayed the stream into the packed columns;
-            # rebuild the kernel's row window for the open frontier and
-            # continue from the first unexpanded layer.  (The entry memo
-            # resumes empty and recomputes on miss.)
+            # rebuild the frontier window and continue from the first
+            # unexpanded layer.
             count = len(arena)
             edges = len(succ_ids)
             cursor = resumed.frontier_start
-            depth = 0
-            for index in range(cursor, count):
-                configuration = arena[index]
-                if index == cursor:
-                    # Every BFS edge appends one event, so the layer
-                    # depth is any frontier member's event count.
-                    depth = len(configuration)
-                received = configuration.received_messages
-                in_flight = configuration.in_flight_messages
-                window[index] = (
-                    row_of(configuration),
-                    hash(configuration),
-                    intern(received, received),
-                    intern(in_flight, in_flight),
-                )
+            frontier.load(arena, cursor, count)
+            # Every BFS edge appends one event, so the layer depth is any
+            # frontier member's event count.
+            depth = sum(map(len, window[cursor][0])) if cursor < count else 0
             # The replay's materialised objects are now redundant: the
-            # rows above carry the frontier from here on.
+            # window rows carry the frontier from here on.
             arena.retire(count)
         else:
             arena.append(EMPTY_CONFIGURATION)
-            root_hash = hash(EMPTY_CONFIGURATION)
-            ids_by_hash[root_hash] = 0
-            window[0] = (((),) * width, root_hash, empty_set, empty_set)
+            ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
             count = 1
             edges = 0
             cursor = 0
             depth = 0
+        entry_hash_of = frontier.entry_hash_of
         entry_memo_get = entry_hash_of.get
+        entry_prev_get = frontier.entry_prev_get
+        intern = frontier.interned.setdefault
         track = session is not None
         layers_done = resumed.layers if resumed is not None else 0
         self._arm_storage_faults(layers_done)
@@ -903,44 +813,9 @@ class Universe:
                             self._complete = False
                         succ_offsets.append(edges)
                         continue
-                    row, parent_hash, received, in_flight = entry
-                    if custom_enabling:
-                        # The protocol restricts system-level enabling
-                        # beyond local steps + willing receives; its
-                        # override is authoritative.
-                        enabled = list(
-                            protocol.enabled_events(transient(entry))
-                        )
-                    else:
-                        enabled = []
-                        for position, process in enumerate(ordered):
-                            history = row[position]
-                            if not history:
-                                enabled += initial_steps[process]
-                            else:
-                                steps = by_history[process].get(history)
-                                enabled += (
-                                    steps
-                                    if steps is not None
-                                    else steps_for(process, history)
-                                )
-                        if in_flight:
-                            if not selective:
-                                enabled += receive_sets(in_flight)
-                            else:
-                                items = {
-                                    process: history
-                                    for process, history in zip(ordered, row)
-                                    if history
-                                }
-                                enabled += selective_receives(
-                                    items.get, in_flight
-                                )
-                        if enabling_filter is not None:
-                            enabled = enabling_filter(
-                                transient(entry), enabled
-                            )
-                    for event in enabled:
+                    row = entry[0]
+                    parent_hash = entry[1]
+                    for event in enabled_at(entry):
                         process = event.process
                         position = index_of[process]
                         try:
@@ -1010,40 +885,31 @@ class Universe:
                                 edges += 1
                                 continue
                         # First discovery: pack the columns, keep only the
-                        # row + message sets hot — no child object.
+                        # row + message sets hot — no child object.  The
+                        # window entry is PackedFrontier.child inlined
+                        # (memo write, interned message sets, child row).
                         if existing is None:
                             ids_by_hash[child_hash] = child_id
                         count += 1
                         entry_hash_of[id(new_history)] = new_entry
-                        child_row = (
-                            row[:position] + (new_history,) + row[position + 1:]
-                        )
-                        # Inlined Configuration._propagate_caches over the
-                        # interned frozensets, kept exactly equal to the
-                        # lazy definitions (including the degenerate
-                        # re-send of an already-received message).
+                        received = entry[2]
+                        in_flight = entry[3]
                         if isinstance(event, SendEvent):
                             message = event.message
-                            child_received = received
-                            if message in received:
-                                child_in_flight = in_flight
-                            else:
-                                new_set = in_flight | {message}
-                                child_in_flight = intern(new_set, new_set)
+                            if message not in received:
+                                in_flight = in_flight | {message}
+                                in_flight = intern(in_flight, in_flight)
                         elif isinstance(event, ReceiveEvent):
                             message = event.message
-                            new_set = received | {message}
-                            child_received = intern(new_set, new_set)
-                            new_set = in_flight - {message}
-                            child_in_flight = intern(new_set, new_set)
-                        else:
-                            child_received = received
-                            child_in_flight = in_flight
+                            received = received | {message}
+                            received = intern(received, received)
+                            in_flight = in_flight - {message}
+                            in_flight = intern(in_flight, in_flight)
                         window[child_id] = (
-                            child_row,
+                            row[:position] + (new_history,) + row[position + 1:],
                             child_hash,
-                            child_received,
-                            child_in_flight,
+                            received,
+                            in_flight,
                         )
                         arena.append_child(parent_id, event, child_hash, None)
                         succ_ids.append(child_id)
@@ -1069,11 +935,11 @@ class Universe:
                 # Advance the arena floor (seals + compresses full cold
                 # chunks) and rotate the generation-scoped memos.
                 arena.retire(batch_end)
-                entry_prev_get = entry_hash_of.get
-                entry_hash_of = {}
+                frontier.rotate()
+                entry_hash_of = frontier.entry_hash_of
                 entry_memo_get = entry_hash_of.get
-                interned = {}
-                intern = interned.setdefault
+                entry_prev_get = frontier.entry_prev_get
+                intern = frontier.interned.setdefault
                 depth += 1
                 if watchdog is not None and cursor < count and watchdog.exceeded():
                     # Graceful degradation ladder: spill the cold tier to

@@ -1,0 +1,444 @@
+"""The packed frontier: the one hot representation every engine expands.
+
+The in-process kernel (:meth:`repro.universe.explorer.Universe._explore`),
+the sharded engine's workers and its coordinator
+(:mod:`repro.universe.sharded`) all hold the configurations they are
+about to expand in a :class:`PackedFrontier` — a window of packed entries
+
+    ``id -> (row, content_hash, received, in_flight)``
+
+where ``row`` is a fixed-width tuple of per-process histories in
+``ordered_processes`` order (``()`` for absent processes) and the two
+message frozensets are interned per layer, so siblings with equal
+channel contents share one set object.  No ``Configuration`` is built on
+the hot path: :meth:`PackedFrontier.transient` materialises a throwaway
+one only for the slow-path hooks (custom enabling, enabling filters,
+``max_events`` probes).
+
+The frontier is the one place that knows this format: the per-protocol
+constants, the enabled-event enumeration (:attr:`PackedFrontier.enabled`),
+the rolling child-hash step (:meth:`~PackedFrontier.step`), the child's
+row and interned message sets (:meth:`~PackedFrontier.child`), the
+collision-aware row comparison (:meth:`~PackedFrontier.row_matches`),
+the resume rebuild (:meth:`~PackedFrontier.load`), replay of a merged
+discovery stream (:meth:`~PackedFrontier.apply`) and shard expansion
+(:meth:`~PackedFrontier.expand`).  The kernel keeps only its per-edge
+hash, dedup and append inline, because that loop is the hot path.
+
+Rolling entry hashes are memoised by history-tuple *identity*, and the
+memo rotates generations at BFS layer boundaries (:meth:`rotate`).
+Evicting window entries cannot alias that memo: every history tuple a
+lookup can name is held by a live window row, every tuple a row gains
+after a :meth:`load` is a freshly discovered child's ``new_history``
+whose memo entry is overwritten at creation (by :meth:`child`, or the
+kernel's inlined copy of it), and :meth:`load` only runs on a fresh
+frontier, whose memo is empty.
+"""
+
+from __future__ import annotations
+
+from repro.core.configuration import (
+    _HASH_MODULUS,
+    _ROLL_MULTIPLIER,
+    _entry_hash,
+    EMPTY_CONFIGURATION,
+    Configuration,
+)
+from repro.core.events import ReceiveEvent, SendEvent
+
+
+def _transient(ordered, entry: tuple) -> Configuration:
+    """A throwaway ``Configuration`` of one window entry."""
+    row, content_hash, received, in_flight = entry
+    items = {process: history for process, history in zip(ordered, row) if history}
+    configuration = Configuration._from_trusted(items, content_hash, None)
+    cache = configuration.__dict__
+    cache["received_messages"] = received
+    cache["in_flight_messages"] = in_flight
+    return configuration
+
+
+def _rows_match(
+    candidate_row: tuple, row: tuple, position: int, new_history: tuple
+) -> bool:
+    """``candidate_row == row`` with ``row[position]`` replaced by
+    ``new_history``.  Rows share history tuples, so most elements are
+    identity hits."""
+    theirs = candidate_row[position]
+    if theirs is not new_history and theirs != new_history:
+        return False
+    for index, theirs in enumerate(candidate_row):
+        if index != position:
+            ours = row[index]
+            if theirs is not ours and theirs != ours:
+                return False
+    return True
+
+
+class PackedFrontier:
+    """A window of packed frontier entries plus everything that reads or
+    grows it (see the module docstring).
+
+    ``arena`` (optional) is the engine's
+    :class:`~repro.universe.arena.ArenaStore`; :meth:`row_matches`
+    chain-walks it for candidates outside the window.  Shard workers
+    pass none: their dedup is batch-local.
+
+    ``window`` starts as the root entry at id 0 and is never rebound, so
+    engines may hold it.  ``floor`` and ``count`` bound the ids
+    :meth:`apply` and :meth:`expand` have seen: entries below ``floor``
+    are dead and ``count`` is the next id :meth:`apply` assigns.
+    """
+
+    __slots__ = (
+        "protocol",
+        "max_events",
+        "arena",
+        "ordered",
+        "index_of",
+        "seed_of",
+        "initial_steps",
+        "window",
+        "floor",
+        "count",
+        "entry_hash_of",
+        "entry_prev_get",
+        "interned",
+        "enabled",
+    )
+
+    def __init__(self, protocol, max_events, arena=None) -> None:
+        self.protocol = protocol
+        self.max_events = max_events
+        self.arena = arena
+        ordered = self.ordered = protocol.ordered_processes
+        self.index_of = {process: i for i, process in enumerate(ordered)}
+        self.seed_of = {
+            process: hash(process) % _HASH_MODULUS for process in ordered
+        }
+        steps_for = protocol.step_table.steps
+        self.initial_steps = {
+            process: steps_for(process, ()) for process in ordered
+        }
+        empty: frozenset = frozenset()
+        self.window: dict[int, tuple] = {
+            0: (((),) * len(ordered), hash(EMPTY_CONFIGURATION), empty, empty)
+        }
+        self.floor = 0
+        self.count = 1
+        self.entry_hash_of: dict[int, int] = {}
+        self.entry_prev_get = {}.get
+        self.interned: dict[frozenset, frozenset] = {}
+        self.enabled = self._enumeration()
+
+    def _enumeration(self):
+        """Build :attr:`enabled`, ``entry -> list of enabled events``.
+
+        A closure over the protocol's tables, so the per-parent call
+        reads cells instead of attributes.  Order: each process's local
+        steps (compiled table) in ``ordered_processes`` order, then the
+        receives; the protocol's enabling filter applies last, and a
+        custom ``enabled_events`` override is authoritative.
+        """
+        protocol = self.protocol
+        ordered = self.ordered
+        initial_steps = self.initial_steps
+        table = protocol.step_table
+        steps_for = table.steps
+        by_history = table._by_history
+        selective = protocol.is_selective
+        custom_enabling = protocol.has_custom_enabling
+        enabling_filter = (
+            protocol.filter_enabled_events if protocol.has_enabling_filter else None
+        )
+        receive_sets = protocol.receive_events_for
+        selective_receives = protocol.selective_receive_events
+
+        def enabled(entry: tuple) -> list:
+            if custom_enabling:
+                return list(protocol.enabled_events(_transient(ordered, entry)))
+            row = entry[0]
+            events: list = []
+            for process, history in zip(ordered, row):
+                if not history:
+                    events += initial_steps[process]
+                else:
+                    steps = by_history[process].get(history)
+                    events += (
+                        steps if steps is not None else steps_for(process, history)
+                    )
+            in_flight = entry[3]
+            if in_flight:
+                if not selective:
+                    events += receive_sets(in_flight)
+                else:
+                    items = {
+                        process: history
+                        for process, history in zip(ordered, row)
+                        if history
+                    }
+                    events += selective_receives(items.get, in_flight)
+            if enabling_filter is not None:
+                events = enabling_filter(_transient(ordered, entry), events)
+            return events
+
+        return enabled
+
+    def transient(self, entry: tuple) -> Configuration:
+        """A throwaway ``Configuration`` for the slow-path hooks."""
+        return _transient(self.ordered, entry)
+
+    # -- window maintenance ----------------------------------------------
+    def rotate(self) -> None:
+        """Start a new memo generation (at a BFS layer boundary): the
+        previous generation stays readable for one more layer, and the
+        frozenset intern table starts empty."""
+        self.entry_prev_get = self.entry_hash_of.get
+        self.entry_hash_of = {}
+        self.interned = {}
+
+    def load(self, arena, start: int, end: int) -> None:
+        """Rebuild the window over ids ``[start, end)`` from ``arena``
+        after a checkpoint resume (the replay left exactly those
+        configurations hot).  Call on a fresh frontier: its memo is
+        empty, so it holds nothing the loaded tuples could alias."""
+        window = self.window
+        window.clear()
+        ordered = self.ordered
+        intern = self.interned.setdefault
+        for index in range(start, end):
+            configuration = arena[index]
+            history_of = configuration._histories.get
+            received = configuration.received_messages
+            in_flight = configuration.in_flight_messages
+            window[index] = (
+                tuple(history_of(process, ()) for process in ordered),
+                hash(configuration),
+                intern(received, received),
+                intern(in_flight, in_flight),
+            )
+        self.floor = start
+        self.count = end
+
+    # -- one edge ----------------------------------------------------------
+    def step(self, row: tuple, parent_hash: int, event):
+        """The edge ``row --event-->`` as ``(position, new_history,
+        new_entry, child_hash)``: the child's content hash is O(1) from
+        the parent's through the rolling entry hashes."""
+        process = event.process
+        position = self.index_of[process]
+        try:
+            event_hash = event._hash_cache
+        except AttributeError:
+            event_hash = hash(event)
+        old_history = row[position]
+        if not old_history:
+            new_entry = (
+                self.seed_of[process] * _ROLL_MULTIPLIER + event_hash
+            ) % _HASH_MODULUS
+            child_hash = (parent_hash + new_entry) % _HASH_MODULUS
+            return position, (event,), new_entry, child_hash
+        key = id(old_history)
+        memo = self.entry_hash_of
+        old_entry = memo.get(key)
+        if old_entry is None:
+            old_entry = self.entry_prev_get(key)
+            if old_entry is None:
+                old_entry = _entry_hash(process, old_history)
+            memo[key] = old_entry
+        new_entry = (old_entry * _ROLL_MULTIPLIER + event_hash) % _HASH_MODULUS
+        child_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
+        return position, old_history + (event,), new_entry, child_hash
+
+    def child(
+        self,
+        entry: tuple,
+        event,
+        position: int,
+        new_history: tuple,
+        new_entry: int,
+        child_hash: int,
+    ) -> tuple:
+        """The window entry of a first-discovered child of ``entry``.
+
+        Records ``new_history``'s entry hash (the write that keeps the
+        identity-keyed memo alias-free) and derives the child's message
+        sets from the parent's interned ones — exactly the lazy
+        ``Configuration`` definitions, including the degenerate re-send
+        of an already-received message.
+        """
+        self.entry_hash_of[id(new_history)] = new_entry
+        row, _, received, in_flight = entry
+        if isinstance(event, SendEvent):
+            message = event.message
+            if message not in received:
+                in_flight = in_flight | {message}
+                in_flight = self.interned.setdefault(in_flight, in_flight)
+        elif isinstance(event, ReceiveEvent):
+            message = event.message
+            intern = self.interned.setdefault
+            received = received | {message}
+            received = intern(received, received)
+            in_flight = in_flight - {message}
+            in_flight = intern(in_flight, in_flight)
+        return (
+            row[:position] + (new_history,) + row[position + 1 :],
+            child_hash,
+            received,
+            in_flight,
+        )
+
+    def row_matches(
+        self, candidate_id: int, row: tuple, position: int, new_history: tuple
+    ) -> bool:
+        """Whether configuration ``candidate_id`` equals ``row`` with
+        ``row[position]`` replaced by ``new_history``.
+
+        Same-depth duplicates always live in the window; a candidate
+        outside it is a rare cross-layer content-hash collision, read by
+        chain-walking the arena's packed columns.
+        """
+        entry = self.window.get(candidate_id)
+        if entry is not None:
+            candidate_row = entry[0]
+        else:
+            history_of = self.arena[candidate_id]._histories.get
+            candidate_row = tuple(
+                history_of(process, ()) for process in self.ordered
+            )
+        return _rows_match(candidate_row, row, position, new_history)
+
+    # -- engines' bulk operations -------------------------------------------
+    def apply(self, records, progress=None, progress_every: int = 0) -> None:
+        """Replay a merged discovery stream ``[(parent_id, event), ...]``
+        into window entries.
+
+        Parent ids are non-decreasing in any discovery stream, so entries
+        strictly below the current parent are dropped as the replay
+        advances — the window floor — and a full-stream replay after a
+        respawn still peaks at one layer of rows.  Rotates the memo
+        generation first, and again wherever the stream crosses a BFS
+        layer (a parent this call itself created).
+        """
+        window = self.window
+        step = self.step
+        child = self.child
+        floor = self.floor
+        count = self.count
+        since_progress = 0
+        self.rotate()
+        boundary = count
+        for parent_id, event in records:
+            if parent_id >= boundary:
+                boundary = count
+                self.rotate()
+            while floor < parent_id:
+                window.pop(floor, None)
+                floor += 1
+            entry = window[parent_id]
+            position, new_history, new_entry, child_hash = step(
+                entry[0], entry[1], event
+            )
+            window[count] = child(
+                entry, event, position, new_history, new_entry, child_hash
+            )
+            count += 1
+            if progress is not None:
+                since_progress += 1
+                if since_progress >= progress_every:
+                    since_progress = 0
+                    progress()
+        self.floor = floor
+        self.count = count
+
+    def expand(
+        self,
+        layer_start: int,
+        layer_end: int,
+        shard: int,
+        shards: int,
+        progress=None,
+        progress_every: int = 0,
+    ):
+        """Expand the parents of layer ``[layer_start, layer_end)`` whose
+        content hash is ``shard`` modulo ``shards``.
+
+        Returns ``(records, incomplete)``: per owned parent, in ascending
+        id order, ``(parent_id, edges)`` where ``edges`` is ``None`` for a
+        ``max_events``-capped parent, else a list whose elements are
+        either an ``int`` (duplicate of the batch-local candidate with
+        that index) or ``(event, child_hash)`` (candidate-new edge, first
+        local discovery).  ``incomplete`` is True iff a capped parent
+        still had enabled events (the kernel's completeness rule).
+
+        Dedup is layer-local — every edge adds one event, so duplicates
+        collide within a layer — and compares candidate rows
+        elementwise, never by hash alone.  ``progress`` (if given) is
+        invoked every ``progress_every`` *owned* parents: the worker-side
+        heartbeat hook.
+        """
+        window = self.window
+        # Entries below the frontier are dead (their children are built).
+        floor = self.floor
+        while floor < layer_start:
+            window.pop(floor, None)
+            floor += 1
+        self.floor = floor
+        max_events = self.max_events
+        compiled_enabled = self.protocol.compiled_enabled_events
+        enabled = self.enabled
+        step = self.step
+        # Every BFS edge appends one event, so the layer depth is any
+        # frontier member's total event count.
+        capped = (
+            max_events is not None
+            and layer_start < layer_end
+            and sum(map(len, window[layer_start][0])) >= max_events
+        )
+        records = []
+        incomplete = False
+        candidates = 0
+        since_progress = 0
+        # Batch-local candidate table: child_hash -> [(index, row)].
+        layer_candidates: dict[int, list] = {}
+        for parent_id in range(layer_start, layer_end):
+            entry = window[parent_id]
+            row, parent_hash = entry[0], entry[1]
+            if parent_hash % shards != shard:
+                continue
+            if progress is not None:
+                since_progress += 1
+                if since_progress >= progress_every:
+                    since_progress = 0
+                    progress()
+            if capped:
+                if compiled_enabled(self.transient(entry)):
+                    incomplete = True
+                records.append((parent_id, None))
+                continue
+            edges: list = []
+            for event in enabled(entry):
+                position, new_history, _, child_hash = step(
+                    row, parent_hash, event
+                )
+                bucket = layer_candidates.get(child_hash)
+                if bucket is None:
+                    bucket = layer_candidates[child_hash] = []
+                else:
+                    for candidate_index, candidate_row in bucket:
+                        if _rows_match(candidate_row, row, position, new_history):
+                            break
+                    else:
+                        candidate_index = None
+                    if candidate_index is not None:
+                        edges.append(candidate_index)
+                        continue
+                candidate_row = row[:position] + (new_history,) + row[position + 1 :]
+                bucket.append((candidates, candidate_row))
+                edges.append((event, child_hash))
+                candidates += 1
+            records.append((parent_id, edges))
+        return records, incomplete
+
+
+__all__ = ["PackedFrontier"]

@@ -116,32 +116,6 @@ class RecoveryLog:
             self._events.append(event)
             return event
 
-    def append(self, entry) -> RecoveryEvent:
-        """Legacy dict append — translated into a :class:`RecoveryEvent`.
-
-        Accepts the pre-PR 10 loose-dict shape (``action`` meaning
-        ``rung``); kept so out-of-tree producers keep working.
-        """
-        if isinstance(entry, RecoveryEvent):
-            with self._lock:
-                event = RecoveryEvent(
-                    kind=entry.kind,
-                    rung=entry.rung,
-                    layer=entry.layer,
-                    shard=entry.shard,
-                    detail=entry.detail,
-                    seq=len(self._events),
-                )
-                self._events.append(event)
-                return event
-        return self.record(
-            entry["kind"],
-            entry.get("rung", entry.get("action", "")),
-            layer=entry.get("layer"),
-            shard=entry.get("shard"),
-            detail=entry.get("detail", ""),
-        )
-
     def snapshot(self) -> tuple[RecoveryEvent, ...]:
         with self._lock:
             return tuple(self._events)

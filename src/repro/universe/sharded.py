@@ -12,10 +12,9 @@ what makes the frontier partitionable:
   hash is a pure function of the configuration, see
   :mod:`repro.core.configuration`);
 * worker ``w`` expands the parents of its shard: compiled-table enabled
-  events, rolling child hashes, and *local* duplicate resolution with the
-  same structural checks the kernel performs (transient children are
-  materialised per locally-distinct candidate so hash collisions are
-  detected exactly, not probabilistically);
+  events, rolling child hashes, and *local* duplicate resolution by
+  elementwise row comparison (hash collisions are detected exactly, not
+  probabilistically);
 * workers ship per-parent **edge batches** — a duplicate edge is one
   ``int`` (the index of the worker-local candidate it collapsed into), a
   candidate-new edge is ``(event, child_hash)``; the batch is packed with
@@ -25,33 +24,35 @@ what makes the frontier partitionable:
 * the coordinator merges the batches *in global BFS order* (ascending
   parent id, original enabled-event order within a parent), resolving
   cross-worker duplicates against its authoritative id table with the
-  kernel's own dedup logic, constructing each first-discovered child
-  exactly once, and appending the CSR successor rows;
+  kernel's own dedup logic and appending each first-discovered child as
+  packed arena columns, plus the CSR successor rows;
 * the merged discovery stream ``[(parent_id, event), ...]`` is broadcast
   back (batch-compressed once, sent ``K`` times) and every worker replays
-  it to keep its replica bit-identical to the coordinator's frontier.
+  it to keep its frontier bit-identical to the coordinator's.
 
-Worker replicas are **packed** (:class:`_PackedReplica`): because
-shard expansion only ever reads the *current* frontier layer — batch
-dedup is layer-local by the uniform-event-count argument above, and
-cross-layer collisions are resolved coordinator-side — a worker keeps no
-``Configuration`` objects and no id table at all.  Its state is one
-window of packed history rows (fixed-width tuples in
-``ordered_processes`` order, exactly the representation of the
-kernel ``Universe._explore``) plus per-layer-interned
-received/in-flight message frozensets; replaying the discovery stream
-advances the window floor parent-by-parent, so replaying the *full*
-stream after a respawn still peaks at one layer of rows.  The
-coordinator's fold-in fallback (:class:`_Replica`) expands over the
-coordinator's own arena instead.
+**One packed frontier.**  The kernel, every worker and the coordinator
+hold their frontier in the same
+:class:`~repro.universe.frontier.PackedFrontier`: a window of packed
+history rows (fixed-width tuples in ``ordered_processes`` order) plus
+per-layer-interned received/in-flight message frozensets, with no
+``Configuration`` objects and, on the workers, no id table.  Shard
+expansion only ever reads the *current* layer — batch dedup is
+layer-local by the uniform-event-count argument above, and cross-layer
+collisions are resolved coordinator-side — and replaying the stream
+advances the window floor parent-by-parent, so a *full*-stream replay
+after a respawn still peaks at one layer of rows.  The coordinator's
+frontier holds exactly the rows the workers hold, so folding a dead
+worker's shard is a call to that frontier's ``expand``: no second
+expander, and no replay at fold time.
 
 Determinism: the coordinator replay *is* the kernel's inner loop fed by a
 pre-computed enabled-event stream, so the resulting universe — dense ids,
 CSR successor arrays, hash table (including collision buckets),
 completeness flag, truncation point under ``on_limit="truncate"`` — is
 bit-identical to single-process exploration.  The test suite asserts this
-on star/tree/ring broadcast, token bus, ping-pong and custom-enabling
-protocols.
+against :func:`repro.universe.reference.reference_bfs` on star/tree/ring
+broadcast, token bus, ping-pong, selective-receive, enabling-filter and
+custom-enabling protocols, with and without folded shards.
 
 Fault tolerance (PR 6).  The coordinator never blocks on a bare
 ``recv()``: every wait is a bounded ``multiprocessing.connection.wait``
@@ -67,14 +68,13 @@ verbatim (:meth:`~repro.universe.arena.ArenaStore.records`), so the
 coordinator either
 
 * **respawns** a replacement worker and feeds it the full reconstructed
-  stream as its first replay (the replacement rebuilds the replica and
+  stream as its first replay (the replacement rebuilds its frontier and
   re-expands the failed layer shard — bit-identical by construction), or
 * once the respawn budget (``SupervisionPolicy.max_respawns``) is spent,
-  **folds** the dead worker's shard into itself: the coordinator owns the
-  authoritative state and expands that shard in-process for the rest of
-  the run.  The shard *assignment* (``hash % K``) never changes — only
-  who executes a shard — which is exactly why recovery cannot perturb
-  the result.
+  **folds** the dead worker's shard into itself: the coordinator expands
+  that shard from its own packed frontier for the rest of the run.  The
+  shard *assignment* (``hash % K``) never changes — only who executes a
+  shard — which is exactly why recovery cannot perturb the result.
 
 Worker-side exceptions are shipped as structured error frames (type,
 message, original traceback) and re-raised by the coordinator as
@@ -110,28 +110,12 @@ from dataclasses import dataclass
 from math import inf
 from multiprocessing.connection import wait as _connection_wait
 
-from repro.core.configuration import (
-    _HASH_MODULUS,
-    _ROLL_MULTIPLIER,
-    _entry_hash,
-    EMPTY_CONFIGURATION,
-    Configuration,
-    hash_domain_token,
-)
+from repro.core.configuration import EMPTY_CONFIGURATION, hash_domain_token
 from repro.core.errors import UniverseError
-from repro.core.events import ReceiveEvent, SendEvent
 from repro.universe.arena import compress_batch, decompress_batch
-from repro.universe.recovery import RecoveryLog
-from repro.universe.retry import (
-    TRANSIENT_SPAWN_ERRNOS,
-    is_storage_error,
-    transient_spawn_error,
-)
-
-_BOUND_MESSAGE = (
-    "exploration exceeded %s configurations; raise the bound or shrink "
-    "the protocol"
-)
+from repro.universe.explorer import _BOUND_MESSAGE
+from repro.universe.frontier import PackedFrontier
+from repro.universe.retry import is_storage_error, transient_spawn_error
 
 _MAX_WORKERS = 64
 """Safety cap on the worker count (each worker replicates the frontier)."""
@@ -150,12 +134,6 @@ def resolve_workers(workers: int | None) -> int:
             f"workers must be <= {_MAX_WORKERS}, got {workers}"
         )
     return max(workers, 1)
-
-
-# Spawn-transient classification lives in the shared typed-retry module
-# now (PR 10); these aliases keep the original names importable.
-_TRANSIENT_SPAWN_ERRNOS = TRANSIENT_SPAWN_ERRNOS
-_transient_spawn_error = transient_spawn_error
 
 
 @dataclass(frozen=True)
@@ -242,597 +220,6 @@ class WorkerError(UniverseError):
                 + self.worker_traceback
             )
         super().__init__(text)
-
-
-def _child_items(parent: Configuration, process, new_history):
-    """The child's normalised history dict (kernel construction)."""
-    parent_histories = parent._histories
-    if len(new_history) > 1:
-        items = dict(parent_histories)
-        items[process] = new_history
-    else:
-        items = {}
-        placed = False
-        for existing_process, history in parent_histories.items():
-            if not placed and process < existing_process:
-                items[process] = new_history
-                placed = True
-            items[existing_process] = history
-        if not placed:
-            items[process] = new_history
-    return items
-
-
-class _Replica:
-    """The coordinator's expander for a folded shard.
-
-    Reads the coordinator's own configuration store — authoritative, so
-    :meth:`expand` re-derives exactly the batch the dead worker would
-    have sent (shard expansion is a pure function of the stream).
-    """
-
-    __slots__ = (
-        "protocol",
-        "configurations",
-        "entry_hash_of",
-        "seed_of",
-        "max_events",
-        "initial_steps",
-    )
-
-    def __init__(self, protocol, max_events, configurations) -> None:
-        self.protocol = protocol
-        self.configurations = configurations
-        # Rolling entry hashes keyed by history-tuple identity, exactly as
-        # in the kernel; valid only while the keyed histories stay alive.
-        self.entry_hash_of: dict[int, int] = {}
-        self.seed_of = {
-            process: hash(process) % _HASH_MODULUS
-            for process in protocol.ordered_processes
-        }
-        self.max_events = max_events
-        table = protocol.step_table
-        self.initial_steps = {
-            process: table.steps(process, ())
-            for process in protocol.ordered_processes
-        }
-
-    # -- shared hash math ----------------------------------------------
-    def _child_parts(self, parent: Configuration, event):
-        """``(process, new_history, child_hash)`` of one edge.
-
-        The kernel's rolling-hash math verbatim: O(1) per edge via the
-        history-identity entry memo.
-        """
-        process = event.process
-        try:
-            event_hash = event._hash_cache
-        except AttributeError:
-            event_hash = hash(event)
-        parent_hash = parent._hash
-        if parent_hash is None:
-            parent_hash = hash(parent)
-        old_history = parent._histories.get(process)
-        if old_history is None:
-            new_history = (event,)
-            new_entry = (
-                self.seed_of[process] * _ROLL_MULTIPLIER + event_hash
-            ) % _HASH_MODULUS
-            child_hash = (parent_hash + new_entry) % _HASH_MODULUS
-        else:
-            memo = self.entry_hash_of
-            old_entry = memo.get(id(old_history))
-            if old_entry is None:
-                old_entry = _entry_hash(process, old_history)
-                memo[id(old_history)] = old_entry
-            new_history = old_history + (event,)
-            new_entry = (
-                old_entry * _ROLL_MULTIPLIER + event_hash
-            ) % _HASH_MODULUS
-            child_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
-        return process, new_history, child_hash
-
-    # -- expansion ------------------------------------------------------
-    def expand(
-        self,
-        layer_start: int,
-        layer_end: int,
-        shard: int,
-        shards: int,
-        progress=None,
-        progress_every: int = 0,
-    ):
-        """Expand this shard's parents of one frontier layer.
-
-        Returns ``(records, incomplete)``: per owned parent, in ascending
-        id order, ``(parent_id, edges)`` where ``edges`` is ``None`` for a
-        ``max_events``-capped parent, else a list whose elements are
-        either an ``int`` (duplicate of the batch-local candidate with
-        that index) or ``(event, child_hash)`` (candidate-new edge, first
-        local discovery).  ``incomplete`` is True iff a capped parent
-        still had enabled events (the kernel's completeness rule).
-
-        ``progress`` (if given) is invoked every ``progress_every``
-        *owned* parents — the worker-side heartbeat hook.
-        """
-        protocol = self.protocol
-        configurations = self.configurations
-        max_events = self.max_events
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
-        ordered = protocol.ordered_processes
-        selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events
-            if protocol.has_enabling_filter
-            else None
-        )
-        receive_sets = protocol.receive_events_for
-        selective_receives = protocol.selective_receive_events
-        compiled_enabled = protocol.compiled_enabled_events
-        initial_steps = self.initial_steps
-        child_parts = self._child_parts
-        child_items = _child_items
-        from_trusted = Configuration._from_trusted
-
-        records = []
-        incomplete = False
-        candidates = 0
-        since_progress = 0
-        # Batch-local candidate table: child_hash -> [(index, transient)].
-        # Transient children are materialised so local duplicate edges get
-        # the kernel's structural check, not a hash-only equality.
-        layer_candidates: dict[int, list] = {}
-        for parent_id in range(layer_start, layer_end):
-            current = configurations[parent_id]
-            parent_hash = current._hash
-            if parent_hash is None:
-                parent_hash = hash(current)
-            if parent_hash % shards != shard:
-                continue
-            if progress is not None:
-                since_progress += 1
-                if since_progress >= progress_every:
-                    since_progress = 0
-                    progress()
-            if max_events is not None and len(current) >= max_events:
-                if compiled_enabled(current):
-                    incomplete = True
-                records.append((parent_id, None))
-                continue
-            if custom_enabling:
-                enabled = list(protocol.enabled_events(current))
-            else:
-                history_of = current._histories.get
-                enabled = []
-                for process in ordered:
-                    history = history_of(process)
-                    if history is None:
-                        enabled += initial_steps[process]
-                    else:
-                        steps = by_history[process].get(history)
-                        enabled += (
-                            steps
-                            if steps is not None
-                            else steps_for(process, history)
-                        )
-                in_flight = current.in_flight_messages
-                if in_flight:
-                    if not selective:
-                        enabled += receive_sets(in_flight)
-                    else:
-                        enabled += selective_receives(
-                            current._histories.get, in_flight
-                        )
-                if enabling_filter is not None:
-                    enabled = enabling_filter(current, enabled)
-            matches = current._matches_extension
-            edges: list = []
-            for event in enabled:
-                process, new_history, child_hash = child_parts(
-                    current, event
-                )
-                bucket = layer_candidates.get(child_hash)
-                if bucket is not None:
-                    resolved = None
-                    for candidate_index, transient in bucket:
-                        if matches(transient, process, new_history):
-                            resolved = candidate_index
-                            break
-                    if resolved is not None:
-                        edges.append(resolved)
-                        continue
-                transient = from_trusted(
-                    child_items(current, process, new_history),
-                    child_hash,
-                    None,
-                )
-                if bucket is None:
-                    layer_candidates[child_hash] = [(candidates, transient)]
-                else:
-                    bucket.append((candidates, transient))
-                edges.append((event, child_hash))
-                candidates += 1
-            records.append((parent_id, edges))
-        return records, incomplete
-
-
-class _PackedReplica:
-    """A worker's *packed window* replica of the frontier.
-
-    A shard worker only ever reads the layer it is expanding: batch
-    dedup is layer-local (every edge adds one event, so duplicates
-    collide within a layer), and the rare cross-layer content-hash
-    collision is resolved on the coordinator, which owns the id table.  So this replica keeps exactly
-    one window of packed entries
-
-        ``id -> (row, content_hash, received, in_flight)``
-
-    in the representation of the kernel
-    (:meth:`repro.universe.explorer.Universe._explore`): ``row``
-    is a fixed-width tuple of per-process histories in
-    ``ordered_processes`` order (``()`` for absent processes), and the
-    message frozensets are interned per layer so siblings share set
-    objects.  :meth:`apply` replays the coordinator's merged discovery
-    stream into packed form, advancing the window floor as the stream's
-    (non-decreasing) parent ids move past entries — a full-stream replay
-    after a respawn therefore still peaks at one layer of rows.
-    :meth:`expand` produces **bit-identical batches** to the
-    coordinator's :class:`_Replica`: same enabled-event enumeration
-    (compiled tables, selective receives, enabling filters via transient
-    materialisation), same rolling child hashes, same batch-local
-    candidate ordering.
-
-    The rolling entry-hash memo is id-keyed on history tuples and
-    rotates per :meth:`apply` generation, exactly as in the kernel:
-    every tuple a lookup can name is held by a live window row, and a
-    freshly allocated tuple that reuses a freed address has its memo
-    entry overwritten at creation, so eviction cannot alias.
-    """
-
-    __slots__ = (
-        "protocol",
-        "max_events",
-        "count",
-        "window",
-        "floor",
-        "entry_hash_of",
-        "entry_prev_get",
-        "interned",
-        "seed_of",
-        "initial_steps",
-        "ordered",
-        "index_of",
-        "width",
-    )
-
-    def __init__(self, protocol, max_events) -> None:
-        self.protocol = protocol
-        self.max_events = max_events
-        self.ordered = protocol.ordered_processes
-        self.width = len(self.ordered)
-        self.index_of = {
-            process: i for i, process in enumerate(self.ordered)
-        }
-        self.seed_of = {
-            process: hash(process) % _HASH_MODULUS
-            for process in self.ordered
-        }
-        table = protocol.step_table
-        self.initial_steps = {
-            process: table.steps(process, ()) for process in self.ordered
-        }
-        root_hash = hash(EMPTY_CONFIGURATION)
-        empty = frozenset()
-        self.window: dict[int, tuple] = {
-            0: (((),) * self.width, root_hash, empty, empty)
-        }
-        self.floor = 0
-        self.count = 1
-        self.entry_hash_of: dict[int, int] = {}
-        self.entry_prev_get = {}.get
-        self.interned: dict[frozenset, frozenset] = {}
-
-    def _transient(self, entry: tuple) -> Configuration:
-        """A throwaway ``Configuration`` for the slow-path hooks
-        (custom enabling, enabling filters, ``max_events`` probes)."""
-        row, content_hash, received, in_flight = entry
-        items = {
-            process: history
-            for process, history in zip(self.ordered, row)
-            if history
-        }
-        configuration = Configuration._from_trusted(items, content_hash, None)
-        cache = configuration.__dict__
-        cache["received_messages"] = received
-        cache["in_flight_messages"] = in_flight
-        return configuration
-
-    # -- replay ---------------------------------------------------------
-    def apply(self, records, progress=None, progress_every: int = 0) -> None:
-        """Replay a merged discovery stream ``[(parent_id, event), ...]``
-        into packed window entries.
-
-        Parent ids are non-decreasing in any discovery stream (children
-        are appended in global BFS order), so entries strictly below the
-        current parent can never be referenced again and are dropped as
-        the replay advances — the window floor.  Rotates the entry-hash
-        memo and the frozenset intern table: one ``apply`` + the
-        following ``expand`` form one generation.
-        """
-        window = self.window
-        index_of = self.index_of
-        seed_of = self.seed_of
-        modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
-        # Rotate the generation-scoped memos (see class docstring).
-        self.entry_prev_get = self.entry_hash_of.get
-        entry_prev_get = self.entry_prev_get
-        entry_hash_of: dict[int, int] = {}
-        self.entry_hash_of = entry_hash_of
-        entry_memo_get = entry_hash_of.get
-        interned: dict[frozenset, frozenset] = {}
-        self.interned = interned
-        intern = interned.setdefault
-        floor = self.floor
-        count = self.count
-        since_progress = 0
-        # Layer tracking for full-stream replays (respawn recovery): a
-        # parent at or past `boundary` was itself created by this call,
-        # i.e. the stream crossed a BFS layer — rotate the memos there
-        # too, so a whole-universe replay keeps per-layer memo footprint.
-        boundary = count
-        for parent_id, event in records:
-            if parent_id >= boundary:
-                boundary = count
-                self.entry_prev_get = entry_hash_of.get
-                entry_prev_get = self.entry_prev_get
-                entry_hash_of = {}
-                self.entry_hash_of = entry_hash_of
-                entry_memo_get = entry_hash_of.get
-                interned = {}
-                self.interned = interned
-                intern = interned.setdefault
-            while floor < parent_id:
-                window.pop(floor, None)
-                floor += 1
-            row, parent_hash, received, in_flight = window[parent_id]
-            process = event.process
-            position = index_of[process]
-            try:
-                event_hash = event._hash_cache
-            except AttributeError:
-                event_hash = hash(event)
-            old_history = row[position]
-            if not old_history:
-                new_history = (event,)
-                new_entry = (
-                    seed_of[process] * multiplier + event_hash
-                ) % modulus
-                child_hash = (parent_hash + new_entry) % modulus
-            else:
-                key = id(old_history)
-                old_entry = entry_memo_get(key)
-                if old_entry is None:
-                    old_entry = entry_prev_get(key)
-                    if old_entry is None:
-                        old_entry = _entry_hash(process, old_history)
-                    entry_hash_of[key] = old_entry
-                new_history = old_history + (event,)
-                new_entry = (
-                    old_entry * multiplier + event_hash
-                ) % modulus
-                child_hash = (parent_hash - old_entry + new_entry) % modulus
-            entry_hash_of[id(new_history)] = new_entry
-            child_row = row[:position] + (new_history,) + row[position + 1:]
-            # Inlined Configuration._propagate_caches over the interned
-            # frozensets, exactly as in the kernel (including the
-            # degenerate re-send of an already-received message).
-            if isinstance(event, SendEvent):
-                message = event.message
-                child_received = received
-                if message in received:
-                    child_in_flight = in_flight
-                else:
-                    new_set = in_flight | {message}
-                    child_in_flight = intern(new_set, new_set)
-            elif isinstance(event, ReceiveEvent):
-                message = event.message
-                new_set = received | {message}
-                child_received = intern(new_set, new_set)
-                new_set = in_flight - {message}
-                child_in_flight = intern(new_set, new_set)
-            else:
-                child_received = received
-                child_in_flight = in_flight
-            window[count] = (
-                child_row,
-                child_hash,
-                child_received,
-                child_in_flight,
-            )
-            count += 1
-            if progress is not None:
-                since_progress += 1
-                if since_progress >= progress_every:
-                    since_progress = 0
-                    progress()
-        self.floor = floor
-        self.count = count
-
-    # -- expansion ------------------------------------------------------
-    def expand(
-        self,
-        layer_start: int,
-        layer_end: int,
-        shard: int,
-        shards: int,
-        progress=None,
-        progress_every: int = 0,
-    ):
-        """Expand this shard's parents of one frontier layer.
-
-        Same contract and bit-identical output as
-        :meth:`_Replica.expand`; operates on packed rows, materialising
-        transient configurations only on the slow paths.
-        """
-        protocol = self.protocol
-        max_events = self.max_events
-        window = self.window
-        # Entries below the frontier are dead (their children are built);
-        # drop any stragglers the last replay's floor left behind.
-        floor = self.floor
-        while floor < layer_start:
-            window.pop(floor, None)
-            floor += 1
-        self.floor = floor
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
-        ordered = self.ordered
-        width = self.width
-        index_of = self.index_of
-        selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events
-            if protocol.has_enabling_filter
-            else None
-        )
-        receive_sets = protocol.receive_events_for
-        selective_receives = protocol.selective_receive_events
-        compiled_enabled = protocol.compiled_enabled_events
-        initial_steps = self.initial_steps
-        transient = self._transient
-        seed_of = self.seed_of
-        modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
-        entry_hash_of = self.entry_hash_of
-        entry_memo_get = entry_hash_of.get
-        entry_prev_get = self.entry_prev_get
-
-        # Every BFS edge appends one event, so the layer depth is any
-        # frontier member's total event count.
-        depth = None
-        if max_events is not None and layer_start < layer_end:
-            depth = sum(map(len, window[layer_start][0]))
-
-        records = []
-        incomplete = False
-        candidates = 0
-        since_progress = 0
-        # Batch-local candidate table: child_hash -> [(index, row)].
-        # Candidate rows are compared elementwise — shared history tuples
-        # make those identity hits — so local duplicate edges get the
-        # kernel's structural check, not a hash-only equality.
-        layer_candidates: dict[int, list] = {}
-        for parent_id in range(layer_start, layer_end):
-            entry = window[parent_id]
-            row, parent_hash, received, in_flight = entry
-            if parent_hash % shards != shard:
-                continue
-            if progress is not None:
-                since_progress += 1
-                if since_progress >= progress_every:
-                    since_progress = 0
-                    progress()
-            if depth is not None and depth >= max_events:
-                if compiled_enabled(transient(entry)):
-                    incomplete = True
-                records.append((parent_id, None))
-                continue
-            if custom_enabling:
-                enabled = list(protocol.enabled_events(transient(entry)))
-            else:
-                enabled = []
-                for position, process in enumerate(ordered):
-                    history = row[position]
-                    if not history:
-                        enabled += initial_steps[process]
-                    else:
-                        steps = by_history[process].get(history)
-                        enabled += (
-                            steps
-                            if steps is not None
-                            else steps_for(process, history)
-                        )
-                if in_flight:
-                    if not selective:
-                        enabled += receive_sets(in_flight)
-                    else:
-                        items = {
-                            process: history
-                            for process, history in zip(ordered, row)
-                            if history
-                        }
-                        enabled += selective_receives(items.get, in_flight)
-                if enabling_filter is not None:
-                    enabled = enabling_filter(transient(entry), enabled)
-            edges: list = []
-            for event in enabled:
-                process = event.process
-                position = index_of[process]
-                try:
-                    event_hash = event._hash_cache
-                except AttributeError:
-                    event_hash = hash(event)
-                old_history = row[position]
-                if not old_history:
-                    new_history = (event,)
-                    new_entry = (
-                        seed_of[process] * multiplier + event_hash
-                    ) % modulus
-                    child_hash = (parent_hash + new_entry) % modulus
-                else:
-                    key = id(old_history)
-                    old_entry = entry_memo_get(key)
-                    if old_entry is None:
-                        old_entry = entry_prev_get(key)
-                        if old_entry is None:
-                            old_entry = _entry_hash(process, old_history)
-                        entry_hash_of[key] = old_entry
-                    new_history = old_history + (event,)
-                    new_entry = (
-                        old_entry * multiplier + event_hash
-                    ) % modulus
-                    child_hash = (
-                        parent_hash - old_entry + new_entry
-                    ) % modulus
-                bucket = layer_candidates.get(child_hash)
-                if bucket is not None:
-                    resolved = None
-                    for candidate_index, candidate_row in bucket:
-                        theirs = candidate_row[position]
-                        if theirs is not new_history and theirs != new_history:
-                            continue
-                        for j in range(width):
-                            if j == position:
-                                continue
-                            theirs = candidate_row[j]
-                            ours = row[j]
-                            if theirs is not ours and theirs != ours:
-                                break
-                        else:
-                            resolved = candidate_index
-                            break
-                    if resolved is not None:
-                        edges.append(resolved)
-                        continue
-                candidate_row = (
-                    row[:position] + (new_history,) + row[position + 1:]
-                )
-                if bucket is None:
-                    layer_candidates[child_hash] = [
-                        (candidates, candidate_row)
-                    ]
-                else:
-                    bucket.append((candidates, candidate_row))
-                edges.append((event, child_hash))
-                candidates += 1
-            records.append((parent_id, edges))
-        return records, incomplete
 
 
 # ---------------------------------------------------------------------
@@ -922,7 +309,7 @@ def _worker_main(
                 "or a pinned PYTHONHASHSEED)",
             )
             return
-        replica = _PackedReplica(protocol, max_events)
+        frontier = PackedFrontier(protocol, max_events)
         while True:
             message = connection.recv()
             kind = message[0]
@@ -946,20 +333,20 @@ def _worker_main(
                     # kill or a segfault.
                     os._exit(17)
             heartbeat()
-            replica.apply(
+            frontier.apply(
                 decompress_batch(blob),
                 progress=heartbeat,
                 progress_every=heartbeat_records,
             )
-            if replica.count != layer_end:
+            if frontier.count != layer_end:
                 _send_error(
                     connection,
                     None,
-                    f"replica desync: {replica.count} "
+                    f"frontier desync: {frontier.count} "
                     f"configurations, expected {layer_end}",
                 )
                 return
-            batch, incomplete = replica.expand(
+            batch, incomplete = frontier.expand(
                 layer_start,
                 layer_end,
                 shard,
@@ -1038,11 +425,10 @@ class ShardedExplorer:
         self._processes: list = [None] * workers
         self._alive: list[bool] = [False] * workers
         self._respawns_left = self._policy.resolve_respawns(workers)
-        self._fallback: _Replica | None = None
+        self._frontier: PackedFrontier | None = None
         self._stream_blob: tuple[int, bytes] | None = None
         self._context = None
         self._token = None
-        self.recovery_log: list[dict] = []
         self.worker_peak_rss_mb: dict[int, float] = {}
 
     # -- process lifecycle ---------------------------------------------
@@ -1084,21 +470,18 @@ class ShardedExplorer:
                     break
                 except OSError as error:
                     if (
-                        not _transient_spawn_error(error)
+                        not transient_spawn_error(error)
                         or attempt == self._policy.spawn_attempts
                     ):
                         raise
-                    self.recovery_log.append(
-                        {
-                            "shard": shard,
-                            "layer": None,
-                            "kind": "spawn",
-                            "action": "retry",
-                            "detail": (
-                                f"attempt {attempt}/"
-                                f"{self._policy.spawn_attempts}: {error}"
-                            ),
-                        }
+                    self.recovery_log.record(
+                        "spawn",
+                        "retry",
+                        shard=shard,
+                        detail=(
+                            f"attempt {attempt}/"
+                            f"{self._policy.spawn_attempts}: {error}"
+                        ),
                     )
                     time.sleep(delay)
                     delay *= 2
@@ -1168,28 +551,6 @@ class ShardedExplorer:
         self._stream_blob = (layer_end, blob)
         return blob
 
-    def _fold_shard(
-        self, universe, shard: int, layer_start: int, layer_end: int
-    ):
-        """Expand ``shard`` in the coordinator — the no-respawn fallback.
-
-        The coordinator's own state is authoritative, so a
-        :class:`_Replica` over it re-derives exactly the batch the worker
-        would have sent (pure function of the stream)."""
-        if self._fallback is None:
-            self._fallback = _Replica(
-                self._protocol, self._max_events, universe._configurations
-            )
-        # The arena evicts cold layers (freeing their history tuples), so
-        # the id-keyed entry memo cannot persist across layers without
-        # aliasing risk.  Frontier parents stay alive in the hot window
-        # for the whole expand call, so a per-call memo is both safe and
-        # still O(1) per edge within the layer.
-        self._fallback.entry_hash_of.clear()
-        return self._fallback.expand(
-            layer_start, layer_end, shard, self._workers
-        )
-
     def _recover(
         self,
         universe,
@@ -1214,14 +575,12 @@ class ShardedExplorer:
             except OSError as error:
                 # The host refused us a replacement process even after
                 # the bounded retries; fold the shard instead of dying.
-                self.recovery_log.append(
-                    {
-                        "layer": layer,
-                        "shard": shard,
-                        "kind": failure.kind,
-                        "action": "respawn-failed",
-                        "detail": f"spawn: {error}",
-                    }
+                self.recovery_log.record(
+                    failure.kind,
+                    "respawn-failed",
+                    layer=layer,
+                    shard=shard,
+                    detail=f"spawn: {error}",
                 )
                 self._recover(
                     universe,
@@ -1245,14 +604,12 @@ class ShardedExplorer:
             except (BrokenPipeError, OSError) as error:
                 # The replacement died before taking the job; recurse —
                 # bounded by the respawn budget, then folds.
-                self.recovery_log.append(
-                    {
-                        "layer": layer,
-                        "shard": shard,
-                        "kind": failure.kind,
-                        "action": "respawn-failed",
-                        "detail": str(error),
-                    }
+                self.recovery_log.record(
+                    failure.kind,
+                    "respawn-failed",
+                    layer=layer,
+                    shard=shard,
+                    detail=str(error),
                 )
                 self._recover(
                     universe,
@@ -1265,30 +622,26 @@ class ShardedExplorer:
                 return
             state.pending.add(shard)
             state.last_seen[shard] = time.monotonic()
-            self.recovery_log.append(
-                {
-                    "layer": layer,
-                    "shard": shard,
-                    "kind": failure.kind,
-                    "action": "respawn",
-                    "detail": failure.detail,
-                }
+            self.recovery_log.record(
+                failure.kind,
+                "respawn",
+                layer=layer,
+                shard=shard,
+                detail=failure.detail,
             )
             return
         state.pending.discard(shard)
-        records, incomplete = self._fold_shard(
-            universe, shard, layer_start, layer_end
+        records, incomplete = self._frontier.expand(
+            layer_start, layer_end, shard, self._workers
         )
         state.batches[shard] = records
         state.incomplete |= incomplete
-        self.recovery_log.append(
-            {
-                "layer": layer,
-                "shard": shard,
-                "kind": failure.kind,
-                "action": "fold",
-                "detail": failure.detail,
-            }
+        self.recovery_log.record(
+            failure.kind,
+            "fold",
+            layer=layer,
+            shard=shard,
+            detail=failure.detail,
         )
 
     # -- layer exchange -------------------------------------------------
@@ -1309,8 +662,8 @@ class ShardedExplorer:
         for shard in range(self._workers):
             if not self._alive[shard]:
                 # Permanently folded shard: the coordinator does the work.
-                records, incomplete = self._fold_shard(
-                    universe, shard, layer_start, layer_end
+                records, incomplete = self._frontier.expand(
+                    layer_start, layer_end, shard, self._workers
                 )
                 state.batches[shard] = records
                 state.incomplete |= incomplete
@@ -1447,20 +800,11 @@ class ShardedExplorer:
                 "start method (content hashes depend on the interpreter's "
                 "hash seed, which fork inherits)"
             ) from error
-        # Warm the root's message-set caches before forking so the
-        # propagate chain is unbroken in every process, as in the kernel.
-        EMPTY_CONFIGURATION.received_messages
-        EMPTY_CONFIGURATION.in_flight_messages
         self._token = hash_domain_token()
         # Share the universe's structured log so worker-failover rungs,
         # checkpoint salvage events and storage degradations interleave
-        # on one monotonic sequence; fall back to our own list when
-        # driven outside a Universe.
-        recovery = getattr(universe, "_recovery_log", None)
-        if recovery is None:
-            recovery = RecoveryLog()
-            universe._recovery_log = recovery
-        self.recovery_log = recovery
+        # on one monotonic sequence.
+        self.recovery_log = universe._recovery_log
         watchdog = None
         if rss_budget_mb is not None:
             from repro.universe.checkpoint import RssWatchdog
@@ -1525,23 +869,39 @@ class ShardedExplorer:
         watchdog,
         resumed,
     ) -> None:
-        """The coordinator side: broadcast, gather, merge, repeat."""
+        """The coordinator side: broadcast, gather, merge, repeat.
+
+        The coordinator holds the frontier in its own
+        :class:`~repro.universe.frontier.PackedFrontier`, the same
+        structure the workers replay into: the merge reads parent rows
+        and hashes from it, resolves cross-worker duplicates with its
+        :meth:`~repro.universe.frontier.PackedFrontier.row_matches`, and
+        adds each first-discovered child as packed columns plus one
+        window entry — never a ``Configuration``.  A folded shard is
+        that frontier's ``expand``.
+        """
         workers = self._workers
         arena = universe._configurations
-        lookup = arena._get_hot
         ids_by_hash = universe._ids_by_hash
         succ_ids = universe._succ_ids
         succ_offsets = universe._succ_offsets
-        from_trusted = Configuration._from_trusted
-        child_items = _child_items
         limit = max_configurations if max_configurations is not None else inf
+        frontier = self._frontier = PackedFrontier(
+            self._protocol, self._max_events, arena
+        )
+        window = frontier.window
+        step = frontier.step
+        child_entry = frontier.child
+        row_matches = frontier.row_matches
 
         if resumed is not None:
             count = len(arena)
             edges = len(succ_ids)
             layer_start = resumed.frontier_start
             layer = resumed.layers
-            # Fresh replicas rebuild from the root: the first replay blob
+            frontier.load(arena, layer_start, count)
+            arena.retire(count)
+            # Fresh workers rebuild from the root: the first replay blob
             # is the full restored stream, not one layer's.
             replay: list = resumed.stream
         else:
@@ -1552,9 +912,7 @@ class ShardedExplorer:
             layer_start = 0
             layer = 0
             replay = []  # previous layer's merged discovery stream
-        arm_storage = getattr(universe, "_arm_storage_faults", None)
-        if arm_storage is not None:
-            arm_storage(layer)
+        universe._arm_storage_faults(layer)
         bound_error: str | None = None
         rss_truncated = False
         gc_was_enabled = gc.isenabled()
@@ -1574,10 +932,8 @@ class ShardedExplorer:
                 # in batch order as the merge walks the layer.
                 candidate_ids: list[list[int]] = [[] for _ in range(workers)]
                 for parent_id in range(layer_start, layer_end):
-                    parent = lookup(parent_id)
-                    parent_hash = parent._hash
-                    if parent_hash is None:
-                        parent_hash = hash(parent)
+                    entry = window.pop(parent_id)
+                    row, parent_hash = entry[0], entry[1]
                     shard = parent_hash % workers
                     record = batches[shard][cursors[shard]]
                     cursors[shard] += 1
@@ -1591,20 +947,14 @@ class ShardedExplorer:
                         succ_offsets.append(edges)
                         continue
                     resolved = candidate_ids[shard]
-                    propagate = parent._propagate_caches
-                    matches = parent._matches_extension
                     for edge in edge_list:
                         if type(edge) is int:
                             succ_ids.append(resolved[edge])
                             edges += 1
                             continue
                         event, child_hash = edge
-                        process = event.process
-                        old_history = parent._histories.get(process)
-                        new_history = (
-                            old_history + (event,)
-                            if old_history is not None
-                            else (event,)
+                        position, new_history, new_entry, _ = step(
+                            row, parent_hash, event
                         )
                         existing = ids_by_hash.get(child_hash)
                         if existing is None:
@@ -1615,8 +965,8 @@ class ShardedExplorer:
                                 break
                             child_id = count
                         elif type(existing) is int:
-                            if matches(
-                                lookup(existing), process, new_history
+                            if row_matches(
+                                existing, row, position, new_history
                             ):
                                 resolved.append(existing)
                                 succ_ids.append(existing)
@@ -1632,10 +982,8 @@ class ShardedExplorer:
                             ids_by_hash[child_hash] = [existing, child_id]
                         else:
                             for candidate_id in existing:
-                                if matches(
-                                    lookup(candidate_id),
-                                    process,
-                                    new_history,
+                                if row_matches(
+                                    candidate_id, row, position, new_history
                                 ):
                                     child_id = candidate_id
                                     break
@@ -1656,13 +1004,11 @@ class ShardedExplorer:
                         if existing is None:
                             ids_by_hash[child_hash] = child_id
                         count += 1
-                        child = from_trusted(
-                            child_items(parent, process, new_history),
+                        window[child_id] = child_entry(
+                            entry, event, position, new_history, new_entry,
                             child_hash,
-                            None,
                         )
-                        propagate(child, event)
-                        arena.append_child(parent_id, event, child_hash, child)
+                        arena.append_child(parent_id, event, child_hash, None)
                         replay.append((parent_id, event))
                         resolved.append(child_id)
                         succ_ids.append(child_id)
@@ -1673,15 +1019,17 @@ class ShardedExplorer:
                 if bound_error is not None:
                     break
                 done = count == layer_end  # no new configurations
-                if arm_storage is not None:
-                    arm_storage(layer + 1)
+                universe._arm_storage_faults(layer + 1)
                 if checkpoint is not None:
                     checkpoint.commit_layer(
                         replay, layer_end, universe, final=done
                     )
-                # The consumed frontier is cold now: evict its window
-                # objects and seal/compress whole chunks below it.
+                # The consumed frontier is cold now: seal/compress whole
+                # arena chunks below it, and start the frontier's next
+                # memo generation.
                 arena.retire(layer_end)
+                frontier.floor = layer_end
+                frontier.rotate()
                 layer_start = layer_end
                 layer += 1
                 if done:
@@ -1689,24 +1037,18 @@ class ShardedExplorer:
                 if watchdog is not None and watchdog.exceeded():
                     if arena.spill_cold() and not watchdog.exceeded():
                         # Graceful spill bought headroom; keep exploring.
-                        self.recovery_log.append(
-                            {
-                                "layer": layer,
-                                "shard": None,
-                                "kind": "rss_budget",
-                                "action": "spill",
-                                "detail": f"{count} configurations",
-                            }
+                        self.recovery_log.record(
+                            "rss_budget",
+                            "spill",
+                            layer=layer,
+                            detail=f"{count} configurations",
                         )
                         continue
-                    self.recovery_log.append(
-                        {
-                            "layer": layer,
-                            "shard": None,
-                            "kind": "rss_budget",
-                            "action": "truncate",
-                            "detail": f"{count} configurations",
-                        }
+                    self.recovery_log.record(
+                        "rss_budget",
+                        "truncate",
+                        layer=layer,
+                        detail=f"{count} configurations",
                     )
                     rss_truncated = True
                     break

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import pickle
 import random
+import sys
 
 import pytest
 
-from repro.core import configuration as configuration_module
 from repro.core.errors import UniverseError
 from repro.protocols.broadcast import (
     BroadcastProtocol,
@@ -36,8 +36,6 @@ from repro.protocols.snapshot import SnapshotTokenRingProtocol
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.simulation.network import FifoProtocol
 from repro.universe import arena as arena_module
-from repro.universe import explorer as explorer_module
-from repro.universe import sharded as sharded_module
 from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
 from repro.universe.builder import packed_store_of
 from repro.universe.explorer import Universe, iter_bit_ids
@@ -94,6 +92,21 @@ REFERENCE_CASES = [
 ]
 
 
+def force_hash_collisions(monkeypatch, modulus: int = 1009) -> list[str]:
+    """Shrink ``_HASH_MODULUS`` in every loaded ``repro`` module that
+    binds it, so content-hash collisions are frequent; returns the
+    patched module names.  Scanning ``sys.modules`` means a module that
+    starts hashing cannot silently escape the patch."""
+    patched = []
+    for name, module in sorted(sys.modules.items()):
+        if name.partition(".")[0] != "repro" or module is None:
+            continue
+        if "_HASH_MODULUS" in vars(module):
+            monkeypatch.setattr(module, "_HASH_MODULUS", modulus)
+            patched.append(name)
+    return patched
+
+
 def assert_same_universe(universe: Universe, reference) -> None:
     """The full bit-identity contract against the reference BFS."""
     assert reference.differences(universe) == []
@@ -131,8 +144,9 @@ class TestReferenceIdentity:
         """A tiny hash modulus forces content-hash collisions, so the
         collision-bucket and chain-walk paths run against the reference
         (complete and truncated)."""
-        for module in (configuration_module, explorer_module, sharded_module):
-            monkeypatch.setattr(module, "_HASH_MODULUS", 1009)
+        patched = force_hash_collisions(monkeypatch)
+        assert "repro.core.configuration" in patched
+        assert "repro.universe.frontier" in patched
         reference = reference_bfs(star5())
         buckets = [b for b in reference.ids_by_hash.values() if type(b) is list]
         assert len(buckets) > 50

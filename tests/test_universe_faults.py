@@ -22,14 +22,17 @@ from repro.core.errors import UniverseError
 from repro.protocols.broadcast import BroadcastProtocol, tree_topology
 from repro.protocols.failure_monitor import SyncFailureMonitorProtocol
 from repro.protocols.token_bus import TokenBusProtocol
+from repro.universe.checkpoint import inspect_checkpoint
 from repro.universe.explorer import Universe
 from repro.universe.faults import FAULT_KINDS, Fault, FaultPlan
+from repro.universe.reference import reference_bfs
 from repro.universe.sharded import (
     ShardedExplorer,
     SupervisionPolicy,
     WorkerError,
 )
 
+from test_universe_arena import REFERENCE_CASES, force_hash_collisions
 from test_universe_sharded import assert_bit_identical, star_protocol
 
 # Deterministic faults need no long grace periods; a tight poll keeps
@@ -209,8 +212,88 @@ class TestOtherFaultKinds:
         )
 
 
+NO_RESPAWN = SupervisionPolicy(
+    heartbeat_timeout=5.0, poll_interval=0.02, max_respawns=0
+)
+
+
+def kill_every_worker(workers: int, layer: int) -> FaultPlan:
+    return FaultPlan(tuple(Fault("kill", shard, layer) for shard in range(workers)))
+
+
+def folds(universe: Universe) -> list:
+    return [event for event in universe.recovery_log if event["action"] == "fold"]
+
+
 class TestFoldPath:
     """Respawn budget exhausted: the shard folds into the coordinator."""
+
+    @pytest.mark.parametrize("layer", [0, 2])
+    @pytest.mark.parametrize(
+        "label,factory,bounds",
+        REFERENCE_CASES,
+        ids=[entry[0] for entry in REFERENCE_CASES],
+    )
+    def test_every_worker_folded_matches_reference(
+        self, label, factory, bounds, layer
+    ):
+        """Both workers die at ``layer`` with no respawn budget, so the
+        coordinator's own frontier expands every shard from there on —
+        on every protocol family the reference cases cover (custom
+        enabling, selective receive, the enabling filter, ``max_events``
+        and truncation)."""
+        universe = Universe(
+            factory(),
+            workers=2,
+            fault_plan=kill_every_worker(2, layer),
+            supervision=NO_RESPAWN,
+            **bounds,
+        )
+        assert reference_bfs(factory(), **bounds).differences(universe) == []
+        assert len(folds(universe)) == 2
+
+    @pytest.mark.parametrize("layer", [1, 4])
+    def test_fold_under_forced_hash_collisions(self, monkeypatch, layer):
+        """The coordinator's fold and merge resolve collision buckets,
+        including cross-layer chain walks, exactly like the reference."""
+        force_hash_collisions(monkeypatch)
+        reference = reference_bfs(star_protocol(5))
+        buckets = [b for b in reference.ids_by_hash.values() if type(b) is list]
+        assert len(buckets) > 50
+        universe = Universe(
+            star_protocol(5),
+            workers=2,
+            fault_plan=kill_every_worker(2, layer),
+            supervision=NO_RESPAWN,
+        )
+        assert reference.differences(universe) == []
+        assert len(folds(universe)) == 2
+
+    @pytest.mark.parametrize("writer_workers", [None, 2])
+    def test_resume_then_fold(self, tmp_path, writer_workers):
+        """A truncated checkpoint (kernel- or shard-written) resumed on
+        the sharded engine, with every worker killed at the first
+        resumed layer: the coordinator folds from the restored frontier."""
+        path = tmp_path / "partial.ckpt"
+        partial = Universe(
+            star_protocol(5),
+            max_configurations=200,
+            on_limit="truncate",
+            checkpoint=path,
+            workers=writer_workers,
+        )
+        assert len(partial) == 200
+        first_layer = inspect_checkpoint(path)["layers"]
+        resumed = Universe(
+            star_protocol(5),
+            checkpoint=path,
+            workers=2,
+            fault_plan=kill_every_worker(2, first_layer),
+            supervision=NO_RESPAWN,
+        )
+        assert resumed._checkpoint_session.resumed_from is not None
+        assert reference_bfs(star_protocol(5)).differences(resumed) == []
+        assert [event["layer"] for event in folds(resumed)] == [first_layer] * 2
 
     def test_fold_is_bit_identical(self):
         single = Universe(star_protocol(5))
@@ -606,13 +689,13 @@ class TestSpawnRetry:
     def test_transient_error_classification(self):
         import errno
 
-        from repro.universe.sharded import _transient_spawn_error
+        from repro.universe.retry import transient_spawn_error
 
-        assert _transient_spawn_error(OSError(errno.EAGAIN, "try again"))
-        assert _transient_spawn_error(
+        assert transient_spawn_error(OSError(errno.EAGAIN, "try again"))
+        assert transient_spawn_error(
             OSError(12345, "resource temporarily unavailable")
         )
-        assert not _transient_spawn_error(OSError(errno.EPERM, "no"))
+        assert not transient_spawn_error(OSError(errno.EPERM, "no"))
 
     def test_eagain_is_retried_and_logged(self, monkeypatch):
         import errno

@@ -525,11 +525,14 @@ class TestRecoveryEventCompat:
 
     def test_log_sequencing_and_legacy_append(self):
         log = RecoveryLog()
+        assert not log
         log.record("worker", "respawn", shard=0)
-        log.append({"kind": "worker", "action": "fold", "shard": 1})
-        log.append(RecoveryEvent("rss_budget", "truncate", seq=99))
-        assert [e.seq for e in log] == [0, 1, 2]  # seq reassigned on append
+        log.record("worker", "fold", shard=1)
+        log.record("rss_budget", "truncate", layer=4)
+        assert [e.seq for e in log] == [0, 1, 2]
         assert [e.rung for e in log] == ["respawn", "fold", "truncate"]
+        assert [e.shard for e in log] == [0, 1, None]
+        assert log[2].layer == 4
         assert len(log) == 3 and bool(log)
 
     def test_events_are_frozen(self):
