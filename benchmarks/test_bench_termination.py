@@ -21,6 +21,7 @@ from repro.protocols.termination import (
 )
 from repro.simulation.scheduler import RandomScheduler
 from repro.universe.explorer import Universe
+from repro.universe.options import ExplorationOptions, Limits
 
 
 def test_bench_overhead_table(benchmark):
@@ -61,7 +62,10 @@ def test_bench_lower_bound_arguments(benchmark):
         processes=("a", "b"), root="a", plans={"a": (Activation(("b",)),)}
     )
     protocol = PollingDetectorProtocol(workload, max_waves=1)
-    universe = Universe(protocol, max_configurations=2_000_000)
+    universe = Universe(
+        protocol,
+        options=ExplorationOptions(limits=Limits(max_configurations=2_000_000)),
+    )
     census = detector_ambiguity(universe)
     assert census["ambiguous"] == census["not_terminated"]
     print(

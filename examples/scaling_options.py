@@ -1,12 +1,10 @@
 #!/usr/bin/env python3
 """The ExplorationOptions API: every scaling knob in one grouped bundle.
 
-The ``Universe`` constructor grew a dozen keyword arguments across the
-scaling work (limits, checkpointing, resource budgets, sharding).
-``ExplorationOptions`` groups them into four small frozen
-dataclasses, and both calling styles run through the same code path —
-a universe built from legacy kwargs and one built from the equivalent
-options object are bit-identical.  This example drives each group:
+``Universe(protocol, options=None)`` takes every exploration knob
+(limits, checkpointing, resource budgets, sharding) as one
+``ExplorationOptions`` bundle of four small frozen dataclasses.  This
+example drives each group:
 
 1. ``Limits`` — cap the universe and stream a truncated prefix;
 2. ``CheckpointPolicy`` — save at layer boundaries, then resume the
@@ -101,10 +99,6 @@ def main() -> None:
         assert len(spilled) == len(single)
         print(f"Arena with a spill directory rebuilt the same {len(spilled)} "
               "configurations")
-
-    # Legacy kwargs still work (Universe(star(5), workers=2, ...)) and
-    # resolve through the same path; a DeprecationWarning fires only if
-    # the same knob is set both ways with different values.
 
 
 if __name__ == "__main__":

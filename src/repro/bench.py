@@ -1,33 +1,21 @@
-"""Scaling benchmarks with a JSON trajectory file (``repro bench``).
+"""Scale and recovery benchmarks with a JSON trajectory file (``repro bench``).
 
-Runs the hot-path benchmarks the dense-index bitset engine targets —
-universe construction, knowledge-extension computation, causality
-queries, and the isomorphism suite (``check_all_properties``,
-``composed_class`` chains) — and writes a ``BENCH_<date>.json``
-trajectory file so perf is tracked across PRs, not eyeballed.  Each
-benchmark reports the best wall time over ``--repeats`` runs (the
-pytest-benchmark convention), plus the speedup against the recorded seed
-baseline where one exists.  Isomorphism benchmarks additionally time the
-retained object-level reference implementations
-(:mod:`repro.isomorphism.reference`) in the same run, so mask-engine
-speedups are controlled before/after pairs.
-
-``--quick`` runs a small-universe subset in seconds (repeats forced
-to 1); ``--check`` cross-validates the mask engine against the reference
-oracles during the run and fails loudly on any mismatch — together they
-are the smoke mode the tier-1 suite exercises so the harness cannot rot.
+Measures what the repo benchmark (``perfbench/``) cannot: exploration at
+star n=7–9 with its peak-RSS axis, and the fault-recovery overhead pairs.
+Writes a ``BENCH_<date>.json`` trajectory file so these numbers are
+tracked across changes, not eyeballed.  ``--quick`` runs a
+small-universe subset in seconds (repeats forced to 1) — the smoke mode
+the tier-1 suite and CI exercise so the harness cannot rot.
 
 Usage::
 
-    python -m repro.cli bench                # writes BENCH_<date>.json here
-    python -m repro.cli bench --repeats 7 --output-dir benchmarks/results
-    python -m repro.cli bench --quick --check --no-write   # smoke mode
-    python -m repro.cli bench --suite exploration-scale --budget 300
-    python benchmarks/run_bench.py           # same, as a standalone script
+    python -m repro.cli bench --quick --no-write          # smoke mode
+    python -m repro.cli bench --budget 300                # writes BENCH_<date>.json here
+    python -m repro.cli bench --suite fault-recovery --repeats 1
 
-The ``exploration-scale`` suite measures the frontier kernel at scale
-(star n=7/n=8, tree/ring depth targets, streaming truncation, the n=7
-property sweep); ``--budget`` is its wall-clock tripwire.
+The ``exploration-scale`` suite (the default) measures the frontier
+kernel at scale (star n=7/n=8, tree/ring depth targets, streaming
+truncation); ``--budget`` is its wall-clock tripwire.
 
 The ``fault-recovery`` suite measures the sharded engine's failover
 paths (worker kill, corrupt frame, heartbeat timeout, shard fold,
@@ -35,7 +23,6 @@ checkpoint resume): each entry injects one deterministic fault
 (:mod:`repro.universe.faults`), asserts the recovered universe is
 bit-identical to the fault-free baseline of the same run, and records
 the recovery overhead plus each worker's farewell-frame peak RSS.
-``--quick`` is the CI smoke mode.
 
 The exploration-scale suite also carries the memory axis: each
 ``explore_rss_*`` entry explores a protocol in a *fresh subprocess
@@ -51,42 +38,29 @@ from __future__ import annotations
 
 import argparse
 import datetime
-import itertools
 import json
 import os
 import platform
 import subprocess
 import sys
 import time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from pathlib import Path
 
-from repro.causality.order import CausalOrder
-from repro.isomorphism import reference
-from repro.isomorphism.algebra import check_all_properties
-from repro.isomorphism.relation import (
-    composed_class,
-    find_composition_witness,
-    isomorphic,
-)
-from repro.knowledge.evaluator import KnowledgeEvaluator
-from repro.knowledge.formula import Atom, CommonKnowledge, Knows
 from repro.protocols.broadcast import (
     BroadcastProtocol,
     ring_topology,
     star_topology,
     tree_topology,
 )
-from repro.protocols.leader_election import ChangRobertsProtocol
-from repro.protocols.pingpong import PingPongProtocol
-from repro.protocols.token_bus import TokenBusProtocol
-from repro.simulation.scheduler import RandomScheduler
-from repro.simulation.simulator import simulate
 from repro.universe.explorer import Universe
-
-class BenchCheckFailure(RuntimeError):
-    """Raised by ``--check`` when the mask engine disagrees with the
-    object-level reference oracles."""
+from repro.universe.options import (
+    CheckpointPolicy,
+    ExplorationOptions,
+    Limits,
+    ResourceBudget,
+    Sharding,
+)
 
 
 class BenchShardMismatch(RuntimeError):
@@ -134,6 +108,7 @@ _RSS_CHILD = (
 import json, sys, time
 from repro.protocols.broadcast import BroadcastProtocol, star_topology
 from repro.universe.explorer import Universe
+from repro.universe.options import ExplorationOptions, Limits, ResourceBudget
 
 """
     + _PEAK_RSS_SNIPPET
@@ -143,8 +118,10 @@ spill_dir = sys.argv[2] or None
 start = time.perf_counter()
 universe = Universe(
     BroadcastProtocol(star_topology("hub", receivers), "hub"),
-    spill_dir=spill_dir,
-    max_configurations=None,
+    options=ExplorationOptions(
+        limits=Limits(max_configurations=None),
+        budget=ResourceBudget(spill_dir=spill_dir),
+    ),
 )
 report = {
     "configurations": len(universe),
@@ -307,108 +284,12 @@ def _best_of(fn: Callable[[], object], repeats: int) -> float:
     return best
 
 
-def _timed_once(fn: Callable[[], object]) -> float:
-    start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
-
-
 def _star_protocol(receivers: tuple[str, ...]) -> BroadcastProtocol:
     return BroadcastProtocol(star_topology("hub", receivers), "hub")
 
 
-def _receiver_got_it() -> Atom:
-    return Atom(
-        "x_got_it",
-        lambda configuration: any(
-            event.is_receive for event in configuration.history("x")
-        ),
-    )
-
-
-def _composition_chains(universe: Universe) -> list[list[frozenset]]:
-    """Representative ``[P1 … Pn]`` chains over a universe's processes."""
-    processes = sorted(universe.processes)
-    first = frozenset({processes[0]})
-    last = frozenset({processes[-1]})
-    return [[first], [first, last], [first, last, first]]
-
-
-def _sample_configurations(universe: Universe, count: int = 64) -> list:
-    return list(universe)[:: max(1, len(universe) // count)]
-
-
-def _cross_check_universe(universe: Universe, label: str) -> None:
-    """Assert the mask engine is bit-identical to the reference oracles.
-
-    Compares ``composed_class``, ``find_composition_witness`` and the full
-    property sweep on the given (small) universe.  Raises
-    :class:`BenchCheckFailure` on the first disagreement.
-    """
-    sample = _sample_configurations(universe, 24)
-    endpoints = [sample[0], sample[-1]]
-    for sets in _composition_chains(universe):
-        for x in sample:
-            mask_class = composed_class(universe, x, sets)
-            object_class = reference.composed_class_reference(universe, x, sets)
-            if mask_class != object_class:
-                raise BenchCheckFailure(
-                    f"composed_class mismatch on {label} for {sets}: "
-                    f"{len(mask_class)} vs {len(object_class)} members"
-                )
-            for z in endpoints:
-                witness = find_composition_witness(universe, x, sets, z)
-                expected = reference.find_composition_witness_reference(
-                    universe, x, sets, z
-                )
-                if (witness is None) != (expected is None):
-                    raise BenchCheckFailure(
-                        f"witness existence mismatch on {label} for {sets}"
-                    )
-                if witness is not None:
-                    if witness[0] != x or witness[-1] != z:
-                        raise BenchCheckFailure(
-                            f"witness endpoints wrong on {label}"
-                        )
-                    for step, entry in enumerate(sets):
-                        if not isomorphic(witness[step], witness[step + 1], entry):
-                            raise BenchCheckFailure(
-                                f"witness step {step} not isomorphic on {label}"
-                            )
-    mask_props = check_all_properties(universe, max_sets=4)
-    object_props = reference.check_all_properties_reference(universe, max_sets=4)
-    if mask_props != object_props:
-        differing = sorted(
-            name
-            for name in mask_props
-            if mask_props[name] != object_props.get(name)
-        )
-        raise BenchCheckFailure(
-            f"property verdicts differ on {label}: {differing}"
-        )
-    if not all(mask_props.values()):
-        failed = sorted(name for name, ok in mask_props.items() if not ok)
-        raise BenchCheckFailure(f"properties fail on {label}: {failed}")
-
-
-def run_cross_checks() -> list[str]:
-    """The ``--check`` validation suite: mask engine vs reference oracles
-    on three protocols plus a truncated (incomplete) universe.  Returns
-    the labels checked; raises :class:`BenchCheckFailure` on mismatch."""
-    checked = []
-    for label, universe in (
-        ("pingpong", Universe(PingPongProtocol(rounds=2))),
-        ("star_broadcast_n3", Universe(_star_protocol(("x", "y")))),
-        ("token_bus_h4", Universe(TokenBusProtocol(max_hops=4))),
-        (
-            "star_broadcast_n4_truncated",
-            Universe(_star_protocol(("x", "y", "z")), max_events=4),
-        ),
-    ):
-        _cross_check_universe(universe, label)
-        checked.append(label)
-    return checked
-
+_UNBOUNDED = Limits(max_configurations=None)
+"""Limits of the scale targets larger than the default 10^6 cap."""
 
 _N9_BUDGET_FLOOR = 900.0
 """Star n=9 (~1.6e7 configurations, minutes of wall time and tens of GB)
@@ -427,22 +308,19 @@ machines without that much RAM should not pass the n=9 budget floor."""
 def run_benchmarks(
     repeats: int = 5,
     quick: bool = False,
-    check: bool = False,
-    suite: str = "core",
+    suite: str = "exploration-scale",
     budget: float | None = None,
     workers: int = 1,
 ) -> dict:
     """Run a benchmark suite; returns the result document (JSON-ready).
 
-    ``suite`` selects the workload: ``"core"`` is the PR-1/PR-2
-    trajectory set; ``"exploration-scale"`` is the frontier-kernel scale
-    suite (star n=7/n=8, tree/ring depth targets, streaming truncation,
-    and the n=7 property sweep).  ``quick`` restricts either suite
-    to small universes with ``repeats=1`` (the smoke mode); ``check``
-    runs the mask-vs-reference cross-validation first and raises
-    :class:`BenchCheckFailure` on any disagreement; ``budget`` is a
-    wall-clock allowance in seconds enforced between benchmarks
-    (:class:`BenchBudgetExceeded`).
+    ``suite`` selects the workload: ``"exploration-scale"`` is the
+    frontier-kernel scale suite (star n=7/n=8, tree/ring depth targets,
+    streaming truncation, the peak-RSS axis); ``"fault-recovery"`` is
+    the failover and checkpoint overhead suite.  ``quick`` restricts
+    either suite to small universes with ``repeats=1`` (the smoke mode);
+    ``budget`` is a wall-clock allowance in seconds enforced between
+    benchmarks (:class:`BenchBudgetExceeded`).
 
     ``workers > 1`` adds the multiprocess sharded-engine axis to the
     exploration-scale suite: each sharded entry re-explores a protocol
@@ -459,113 +337,20 @@ def run_benchmarks(
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if suite not in ("core", "exploration-scale", "fault-recovery"):
+    if suite not in ("exploration-scale", "fault-recovery"):
         raise ValueError(f"unknown suite {suite!r}")
     if quick:
         repeats = 1
     guard = _BudgetGuard(budget)
-    checked: list[str] = []
-    if check:
-        checked = run_cross_checks()
-        guard.check("cross-checks")
     results: dict[str, dict] = {}
 
     def record(name: str, seconds: float, **extra) -> None:
         results[name] = {"best_seconds": round(seconds, 6), **extra}
         guard.check(name)
 
-    def record_paired(
-        name: str, seconds: float, object_seconds: float, **extra
-    ) -> None:
-        """Record a benchmark alongside its object-level reference timing
-        (measured once, in this same run — a controlled pairing)."""
-        record(
-            name,
-            seconds,
-            object_seconds=round(object_seconds, 6),
-            speedup_vs_object=round(object_seconds / seconds, 2),
-            **extra,
-        )
-
-    # --- universe construction -----------------------------------------
-    # The first construction of each protocol runs against cold caches
-    # (cold compiled step tables, cold receive memos) and is recorded as
-    # first_seconds; best_seconds is the best over the remaining repeats.
-    # The compiled-table build time is reported separately
-    # (table_build_seconds) so the remaining cold-start gap is
-    # attributable to BFS work rather than interpreted protocol logic.
-    def timed_universe(protocol, **kwargs) -> tuple[Universe, float]:
-        start = time.perf_counter()
-        universe = Universe(protocol, **kwargs)
-        return universe, time.perf_counter() - start
-
-    def universe_benchmark(
-        name: str, protocol, explore_repeats: int, **kwargs
-    ) -> Universe:
-        universe, first = timed_universe(protocol, **kwargs)
-        # Round once, derive the split from the rounded values so the
-        # reported identity first == table_build + bfs_first is exact.
-        first_rounded = round(first, 6)
-        table_build = round(protocol.step_table.build_seconds, 6)
-        record(
-            name,
-            _best_of(lambda: Universe(protocol, **kwargs), explore_repeats),
-            configurations=len(universe),
-            first_seconds=first_rounded,
-            table_build_seconds=table_build,
-            bfs_first_seconds=round(first_rounded - table_build, 6),
-        )
-        return universe
-
-    def evaluate(universe: Universe) -> None:
-        evaluator = KnowledgeEvaluator(universe)
-        body = _receiver_got_it()
-        evaluator.extension(Knows(frozenset({"hub"}), body))
-        evaluator.extension(CommonKnowledge(frozenset({"hub", "x"}), body))
-
-    def composed_sweep_benchmark(name: str, universe: Universe) -> None:
-        chain = _composition_chains(universe)[-1]
-        sample = _sample_configurations(universe, 128)
-
-        def mask_sweep() -> None:
-            for x in sample:
-                composed_class(universe, x, chain)
-
-        def object_sweep() -> None:
-            for x in sample:
-                reference.composed_class_reference(universe, x, chain)
-
-        object_seconds = _timed_once(object_sweep)
-        mask_sweep()  # warm the adjacency and union memos
-        record_paired(
-            name,
-            _best_of(mask_sweep, repeats),
-            object_seconds,
-            configurations=len(universe),
-            sample=len(sample),
-            chain_length=len(chain),
-        )
-
-    def properties_benchmark(
-        name: str, universe: Universe, max_sets: int, sweep_repeats: int
-    ) -> None:
-        verdicts: dict[str, bool] = {}
-
-        def sweep() -> None:
-            verdicts.update(check_all_properties(universe, max_sets=max_sets))
-
-        record(
-            name,
-            _best_of(sweep, sweep_repeats),
-            configurations=len(universe),
-            max_sets=max_sets,
-            all_hold=all(verdicts.values()),
-            repeats_used=sweep_repeats,
-        )
-
     def scale_universe_benchmark(
-        name: str, protocol, steady_repeats: int, **kwargs
-    ) -> None:
+        name: str, protocol, steady_repeats: int, limits: Limits = Limits()
+    ) -> tuple[float, int]:
         """Cold-first measurement for the exploration-scale suite.
 
         Exploration is a build-once operation, so ``best_seconds`` is the
@@ -574,13 +359,16 @@ def run_benchmarks(
         released — holding two 10^6-configuration universes at once would
         measure memory pressure, not the kernel.
         """
-        universe, first = timed_universe(protocol, **kwargs)
+        options = ExplorationOptions(limits=limits)
+        start = time.perf_counter()
+        universe = Universe(protocol, options=options)
+        first = time.perf_counter() - start
         first_rounded = round(first, 6)
         table_build = round(protocol.step_table.build_seconds, 6)
         size = len(universe)
         del universe
         steady = _best_of(
-            lambda: Universe(protocol, **kwargs), steady_repeats
+            lambda: Universe(protocol, options=options), steady_repeats
         )
         record(
             name,
@@ -598,7 +386,7 @@ def run_benchmarks(
         protocol_factory,
         single_seconds: float,
         expected_size: int,
-        **kwargs,
+        limits: Limits = Limits(),
     ) -> None:
         """One sharded-engine entry, paired against the single-process
         cold time measured moments earlier in this same run.
@@ -609,7 +397,12 @@ def run_benchmarks(
         full bit-identity contract is enforced by the test suite).
         """
         start = time.perf_counter()
-        universe = Universe(protocol_factory(), workers=workers, **kwargs)
+        universe = Universe(
+            protocol_factory(),
+            options=ExplorationOptions(
+                limits=limits, sharding=Sharding(workers=workers)
+            ),
+        )
         seconds = time.perf_counter() - start
         size = len(universe)
         del universe
@@ -628,11 +421,14 @@ def run_benchmarks(
             repeats_used=1,
         )
 
-    def truncated_benchmark(name: str, protocol, cap: int, **kwargs) -> None:
+    def truncated_benchmark(name: str, protocol, cap: int) -> None:
         """Streaming mode at scale: a capped universe must stay usable."""
         start = time.perf_counter()
         universe = Universe(
-            protocol, max_configurations=cap, on_limit="truncate", **kwargs
+            protocol,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=cap, on_limit="truncate")
+            ),
         )
         seconds = time.perf_counter() - start
         assert not universe.is_complete and len(universe) == cap
@@ -710,69 +506,6 @@ def run_benchmarks(
             repeats_used=1,
         )
 
-    def frontier_memo_benchmark(
-        name: str, universe: Universe, max_sets: int
-    ) -> None:
-        """The per-universe frontier-class memo, paired against itself
-        switched off.
-
-        The inversion + concatenation sweep recomputes the same
-        ``[P1 … Pn]`` frontier decompositions across property checkers;
-        the memo shares them per (universe, set-sequence).  The "off"
-        half replaces the memo with a never-hit dict — exactly the
-        pre-memo behaviour — so the speedup is the memo's doing alone.
-        """
-        from repro.isomorphism.algebra import (
-            check_concatenation,
-            check_inversion,
-        )
-
-        processes = sorted(universe.processes)
-        subsets: list[frozenset] = []
-        for size in range(len(processes) + 1):
-            for combo in itertools.combinations(processes, size):
-                subsets.append(frozenset(combo))
-        subsets = subsets[:max_sets]
-
-        def sweep() -> bool:
-            inversion = all(
-                check_inversion(universe, [first, second])
-                for first in subsets
-                for second in subsets
-            )
-            concatenation = all(
-                check_concatenation(universe, [first], [second])
-                for first in subsets
-                for second in subsets
-            )
-            return inversion and concatenation
-
-        class _NoMemo(dict):
-            """Every lookup misses, every store is dropped."""
-
-            def get(self, key, default=None):
-                return None
-
-            def __setitem__(self, key, value):
-                return None
-
-        universe._frontier_class_memo = _NoMemo()
-        memo_off = _timed_once(sweep)
-        universe._frontier_class_memo = {}
-        cold = _timed_once(sweep)  # cold memo: populated during the run
-        warm = _best_of(sweep, repeats)  # memo fully shared across checkers
-        record(
-            name,
-            cold,
-            configurations=len(universe),
-            max_sets=max_sets,
-            subset_pairs=len(subsets) ** 2,
-            memo_off_seconds=round(memo_off, 6),
-            warm_seconds=round(warm, 6),
-            speedup_vs_no_memo=round(memo_off / cold, 2),
-            repeats_used=1,
-        )
-
     if suite == "exploration-scale":
         # The frontier-kernel scale suite: exploration is the benchmark.
         # Fresh protocol instances per entry keep first_seconds honest
@@ -809,16 +542,6 @@ def run_benchmarks(
                 _star_protocol(("w", "x", "y", "z")),
                 cap=200,
             )
-            universe_n4 = Universe(_star_protocol(("x", "y", "z")))
-            properties_benchmark(
-                "iso_properties_star_n4",
-                universe_n4,
-                max_sets=4,
-                sweep_repeats=repeats,
-            )
-            frontier_memo_benchmark(
-                "iso_frontier_memo_star_n4", universe_n4, max_sets=4
-            )
             # Memory axis smoke, spill path exercised.  At this size
             # RSS is interpreter baseline, so the numbers carry no
             # acceptance meaning.
@@ -836,13 +559,13 @@ def run_benchmarks(
                     lambda: _star_protocol(("u", "v", "w", "x", "y", "z")),
                     first_n7,
                     size_n7,
-                    max_configurations=None,
+                    _UNBOUNDED,
                 )
             first_n8, size_n8 = scale_universe_benchmark(
                 "universe_star_broadcast_n8",
                 _star_protocol(("t", "u", "v", "w", "x", "y", "z")),
                 1,
-                max_configurations=None,
+                _UNBOUNDED,
             )
             if workers > 1:
                 sharded_universe_benchmark(
@@ -850,7 +573,7 @@ def run_benchmarks(
                     lambda: _star_protocol(("t", "u", "v", "w", "x", "y", "z")),
                     first_n8,
                     size_n8,
-                    max_configurations=None,
+                    _UNBOUNDED,
                 )
             # The memory axis headline at star n=8 (~10^6
             # configurations): single-process and summed sharded
@@ -866,9 +589,15 @@ def run_benchmarks(
                 start = time.perf_counter()
                 n9 = Universe(
                     _star_protocol(("s", "t", "u", "v", "w", "x", "y", "z")),
-                    max_configurations=_N9_CONFIGURATION_CAP,
-                    on_limit="truncate",
-                    workers=workers if workers > 1 else None,
+                    options=ExplorationOptions(
+                        limits=Limits(
+                            max_configurations=_N9_CONFIGURATION_CAP,
+                            on_limit="truncate",
+                        ),
+                        sharding=Sharding(
+                            workers=workers if workers > 1 else None
+                        ),
+                    ),
                 )
                 seconds = time.perf_counter() - start
                 record(
@@ -887,7 +616,7 @@ def run_benchmarks(
                     tree_topology(tuple(f"t{i}" for i in range(15))), "t0"
                 ),
                 1,
-                max_configurations=None,
+                _UNBOUNDED,
             )
             scale_universe_benchmark(
                 "universe_ring_broadcast_n8",
@@ -901,24 +630,13 @@ def run_benchmarks(
                 _star_protocol(("t", "u", "v", "w", "x", "y", "z")),
                 cap=500_000,
             )
-            universe_n7 = Universe(_star_protocol(("u", "v", "w", "x", "y", "z")))
-            properties_benchmark(
-                "iso_properties_star_n7",
-                universe_n7,
-                max_sets=8,
-                sweep_repeats=1,
-            )
-            frontier_memo_benchmark(
-                "iso_frontier_memo_star_n7", universe_n7, max_sets=6
-            )
-    elif suite == "fault-recovery":
+    else:
         # Recovery-overhead axis: every entry re-explores the same
         # protocol the fault-free baseline just built in this run, with
         # one injected fault per scenario, asserts the recovered
         # universe is bit-identical, and records the overhead the
         # recovery path cost (respawn-and-replay, fold, heartbeat
         # timeout, checkpoint save+resume).
-        import os as _os
         import tempfile
 
         from repro.universe.faults import FaultPlan
@@ -931,10 +649,17 @@ def run_benchmarks(
         size_label = f"n{len(receivers) + 1}"
         fast = SupervisionPolicy(heartbeat_timeout=5.0, poll_interval=0.02)
 
-        def timed_sharded(**kwargs):
+        def timed_sharded(supervision, fault_plan=None):
             start = time.perf_counter()
             universe = Universe(
-                _star_protocol(receivers), workers=shards, **kwargs
+                _star_protocol(receivers),
+                options=ExplorationOptions(
+                    sharding=Sharding(
+                        workers=shards,
+                        supervision=supervision,
+                        fault_plan=fault_plan,
+                    )
+                ),
             )
             return universe, time.perf_counter() - start
 
@@ -950,7 +675,7 @@ def run_benchmarks(
                 for shard, mb in sorted(universe.worker_peak_rss_mb.items())
             }
 
-        baseline, base_seconds = timed_sharded(supervision=fast)
+        baseline, base_seconds = timed_sharded(fast)
         record(
             f"fault_free_star_{size_label}_workers{shards}",
             base_seconds,
@@ -984,9 +709,7 @@ def run_benchmarks(
             ),
         )
         for label, plan, policy in scenarios:
-            recovered, seconds = timed_sharded(
-                fault_plan=plan, supervision=policy
-            )
+            recovered, seconds = timed_sharded(policy, plan)
             _assert_recovered_identical(baseline, recovered, label)
             if not recovered.recovery_log:
                 raise BenchRecoveryMismatch(
@@ -1012,18 +735,22 @@ def run_benchmarks(
         # and require the finished universe to match the sharded
         # baseline bit for bit (also a cross-engine identity check).
         with tempfile.TemporaryDirectory() as tmpdir:
-            path = _os.path.join(tmpdir, "bench.ckpt")
+            path = os.path.join(tmpdir, "bench.ckpt")
             cap = 200 if quick else 2000
             start = time.perf_counter()
             partial = Universe(
                 _star_protocol(receivers),
-                max_configurations=cap,
-                on_limit="truncate",
-                checkpoint=path,
+                options=ExplorationOptions(
+                    limits=Limits(max_configurations=cap, on_limit="truncate"),
+                    checkpoint=CheckpointPolicy(path=path),
+                ),
             )
             truncate_seconds = time.perf_counter() - start
             start = time.perf_counter()
-            resumed = Universe(_star_protocol(receivers), checkpoint=path)
+            resumed = Universe(
+                _star_protocol(receivers),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
             resume_seconds = time.perf_counter() - start
             _assert_recovered_identical(
                 baseline, resumed, "checkpoint-resume"
@@ -1051,7 +778,11 @@ def run_benchmarks(
             start = time.perf_counter()
             universe = Universe(
                 _star_protocol(save_receivers),
-                checkpoint=_os.path.join(tmpdir, "save.ckpt"),
+                options=ExplorationOptions(
+                    checkpoint=CheckpointPolicy(
+                        path=os.path.join(tmpdir, "save.ckpt")
+                    )
+                ),
             )
             total = time.perf_counter() - start
             session = universe._checkpoint_session
@@ -1071,23 +802,25 @@ def run_benchmarks(
         # Corrupt-tail salvage: flip one byte in the newest committed
         # segment of a truncated run, then measure the resume that
         # detects it, truncates to the intact prefix, and re-explores.
-        from pathlib import Path as _Path
-
         with tempfile.TemporaryDirectory() as tmpdir:
-            path = _Path(tmpdir) / "salvage.ckpt"
+            path = Path(tmpdir) / "salvage.ckpt"
             cap = 200 if quick else 2000
             Universe(
                 _star_protocol(receivers),
-                max_configurations=cap,
-                on_limit="truncate",
-                checkpoint=path,
+                options=ExplorationOptions(
+                    limits=Limits(max_configurations=cap, on_limit="truncate"),
+                    checkpoint=CheckpointPolicy(path=path),
+                ),
             )
             newest = sorted(path.parent.glob(f"{path.name}.g*-*.seg"))[-1]
             damaged = bytearray(newest.read_bytes())
             damaged[-1] ^= 0xFF
             newest.write_bytes(bytes(damaged))
             start = time.perf_counter()
-            salvaged = Universe(_star_protocol(receivers), checkpoint=path)
+            salvaged = Universe(
+                _star_protocol(receivers),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
             salvage_seconds = time.perf_counter() - start
             _assert_recovered_identical(baseline, salvaged, "salvage-resume")
             recoveries = [
@@ -1126,7 +859,11 @@ def run_benchmarks(
             start = time.perf_counter()
             healthy = Universe(
                 _star_protocol(receivers),
-                checkpoint=_os.path.join(tmpdir, "healthy.ckpt"),
+                options=ExplorationOptions(
+                    checkpoint=CheckpointPolicy(
+                        path=os.path.join(tmpdir, "healthy.ckpt")
+                    )
+                ),
             )
             healthy_seconds = time.perf_counter() - start
             start = time.perf_counter()
@@ -1134,9 +871,15 @@ def run_benchmarks(
                 _warnings.simplefilter("ignore", RuntimeWarning)
                 degraded = Universe(
                     _star_protocol(receivers),
-                    checkpoint=_os.path.join(tmpdir, "degraded.ckpt"),
-                    fault_plan=FaultPlan.parse(
-                        [f"enospc@{1 if quick else 2}"]
+                    options=ExplorationOptions(
+                        checkpoint=CheckpointPolicy(
+                            path=os.path.join(tmpdir, "degraded.ckpt")
+                        ),
+                        sharding=Sharding(
+                            fault_plan=FaultPlan.parse(
+                                [f"enospc@{1 if quick else 2}"]
+                            )
+                        ),
                     ),
                 )
             degraded_seconds = time.perf_counter() - start
@@ -1159,151 +902,6 @@ def run_benchmarks(
                 ],
                 repeats_used=1,
             )
-    elif quick:
-        universe_small = universe_benchmark(
-            "universe_star_broadcast_n3", _star_protocol(("x", "y")), repeats
-        )
-        universe_benchmark(
-            "universe_token_bus_h4", TokenBusProtocol(max_hops=4), repeats
-        )
-        record(
-            "evaluator_star_broadcast_n3",
-            _best_of(lambda: evaluate(universe_small), repeats),
-            configurations=len(universe_small),
-        )
-        composed_sweep_benchmark("iso_composed_class_star_n3", universe_small)
-        object_seconds = _timed_once(
-            lambda: reference.check_all_properties_reference(
-                universe_small, max_sets=4
-            )
-        )
-        record_paired(
-            "iso_properties_star_n3",
-            _best_of(
-                lambda: check_all_properties(universe_small, max_sets=4), repeats
-            ),
-            object_seconds,
-            configurations=len(universe_small),
-            max_sets=4,
-        )
-    else:
-        universe_n6 = universe_benchmark(
-            "universe_star_broadcast_n6",
-            _star_protocol(("v", "w", "x", "y", "z")),
-            repeats,
-        )
-        universe_n5 = universe_benchmark(
-            "universe_star_broadcast_n5",
-            _star_protocol(("w", "x", "y", "z")),
-            repeats,
-        )
-        universe_benchmark(
-            "universe_token_bus_h6", TokenBusProtocol(max_hops=6), repeats
-        )
-
-        # --- knowledge evaluation --------------------------------------
-        record(
-            "evaluator_star_broadcast_n5",
-            _best_of(lambda: evaluate(universe_n5), repeats),
-            configurations=len(universe_n5),
-        )
-        record(
-            "evaluator_star_broadcast_n6",
-            _best_of(lambda: evaluate(universe_n6), repeats),
-            configurations=len(universe_n6),
-        )
-
-        # --- causality --------------------------------------------------
-        ring = tuple(f"n{i}" for i in range(10))
-        trace = simulate(ChangRobertsProtocol(ring), RandomScheduler(0))
-        order = CausalOrder(trace.computation)
-        events = order.events
-
-        def all_pairs() -> None:
-            happened_before = order.happened_before
-            for first in events:
-                for second in events:
-                    happened_before(first, second)
-
-        record(
-            "causality_happened_before_all_pairs",
-            _best_of(all_pairs, repeats),
-            events=len(events),
-            pairs=len(events) ** 2,
-        )
-
-        # --- isomorphism: composed-relation chains ----------------------
-        composed_sweep_benchmark("iso_composed_class_star_n6", universe_n6)
-
-        # --- isomorphism: property sweeps -------------------------------
-        # The object-level full sweep is cubic in class sizes: star n=4
-        # (80 configurations) is the largest size where it finishes in
-        # seconds, so that is where the controlled pairing is measured;
-        # at n=6 the reference implementation would need hours and only
-        # the mask engine is recorded.
-        universe_n4 = Universe(_star_protocol(("x", "y", "z")))
-        object_seconds = _timed_once(
-            lambda: reference.check_all_properties_reference(
-                universe_n4, max_sets=4
-            )
-        )
-        record_paired(
-            "iso_properties_star_n4",
-            _best_of(
-                lambda: check_all_properties(universe_n4, max_sets=4), repeats
-            ),
-            object_seconds,
-            configurations=len(universe_n4),
-            max_sets=4,
-        )
-        record(
-            "iso_properties_star_n6",
-            _best_of(
-                lambda: check_all_properties(universe_n6, max_sets=6),
-                min(repeats, 3),
-            ),
-            configurations=len(universe_n6),
-            max_sets=6,
-            note="object-level sweep infeasible at this size (hours)",
-        )
-
-        # --- scale targets: star n=7 and token bus max_hops=10 ----------
-        universe_n7 = universe_benchmark(
-            "universe_star_broadcast_n7",
-            _star_protocol(("u", "v", "w", "x", "y", "z")),
-            min(repeats, 2),
-        )
-        record(
-            "evaluator_star_broadcast_n7",
-            _best_of(lambda: evaluate(universe_n7), min(repeats, 3)),
-            configurations=len(universe_n7),
-        )
-        properties_n7: dict[str, bool] = {}
-
-        def properties_n7_sweep() -> None:
-            properties_n7.update(check_all_properties(universe_n7, max_sets=8))
-
-        record(
-            "iso_properties_star_n7",
-            _timed_once(properties_n7_sweep),
-            configurations=len(universe_n7),
-            max_sets=8,
-            all_hold=all(properties_n7.values()),
-            repeats_used=1,
-        )
-        universe_h10 = universe_benchmark(
-            "universe_token_bus_h10", TokenBusProtocol(max_hops=10), repeats
-        )
-        record(
-            "iso_properties_token_bus_h10",
-            _best_of(
-                lambda: check_all_properties(universe_h10, max_sets=8),
-                min(repeats, 3),
-            ),
-            configurations=len(universe_h10),
-            max_sets=8,
-        )
-
     document = {
         "date": datetime.date.today().isoformat(),
         "python": platform.python_version(),
@@ -1312,15 +910,10 @@ def run_benchmarks(
         "suite": suite,
         "mode": "quick" if quick else "full",
         "measurement": (
-            "best_seconds = min wall time over repeats (steady state: "
-            "protocol caches warm) — EXCEPT exploration-scale universe "
-            "entries, where best_seconds is the cold first exploration "
-            "(universes are build-once; steady_seconds is the best warm "
-            "re-exploration with the first universe released); "
-            "first_seconds = first construction in this process (cold "
-            "caches); object_seconds times the retained object-level reference "
-            "implementation once in the same run (speedup_vs_object is the "
-            "controlled mask-vs-object pairing); table_build_seconds is the "
+            "best_seconds of a universe_* entry is the cold first "
+            "exploration (universes are build-once; steady_seconds is the "
+            "best warm re-exploration with the first universe released), "
+            "of every other entry its one timed run; table_build_seconds is the "
             "wall time spent compiling protocol step tables during the first "
             "exploration (bfs_first_seconds = first_seconds minus it); "
             "*_workersK entries run the multiprocess sharded frontier engine "
@@ -1337,10 +930,7 @@ def run_benchmarks(
             "arena's compression and spill telemetry; sharded_rss_* "
             "entries run the sharded engine in a fresh subprocess tree and "
             "sum the coordinator's VmHWM with every worker's "
-            "farewell-frame peak; "
-            "iso_frontier_memo_* entries time the inversion+concatenation "
-            "sweep with the per-universe frontier-class memo disabled "
-            "(memo_off_seconds, the pre-memo behaviour), cold, and warm"
+            "farewell-frame peak"
         ),
         "benchmarks": results,
     }
@@ -1349,8 +939,6 @@ def run_benchmarks(
     if budget is not None:
         document["budget_seconds"] = budget
         document["elapsed_seconds"] = round(guard.elapsed(), 3)
-    if check:
-        document["cross_checked"] = checked
     return document
 
 
@@ -1372,16 +960,9 @@ def write_trajectory(document: dict, output_dir: str | Path = ".") -> Path:
 
 
 def print_summary(document: dict) -> None:
-    print(f"{'benchmark':>38} {'best (s)':>10} {'vs object':>10}")
+    print(f"{'benchmark':>44} {'best (s)':>10}")
     for name, entry in sorted(document["benchmarks"].items()):
-        object_speedup = entry.get("speedup_vs_object")
-        print(
-            f"{name:>38} {entry['best_seconds']:>10.4f} "
-            f"{f'{object_speedup}x' if object_speedup is not None else '-':>10}"
-        )
-    checked = document.get("cross_checked")
-    if checked is not None:
-        print(f"cross-checked vs reference oracles: {', '.join(checked)}")
+        print(f"{name:>44} {entry['best_seconds']:>10.4f}")
 
 
 def run_and_report(
@@ -1389,13 +970,12 @@ def run_and_report(
     output_dir: str | Path = ".",
     no_write: bool = False,
     quick: bool = False,
-    check: bool = False,
-    suite: str = "core",
+    suite: str = "exploration-scale",
     budget: float | None = None,
     workers: int = 1,
 ) -> int:
     """Run the benchmarks, print the summary, optionally write the
-    trajectory file.  Shared by ``repro bench`` and ``run_bench.py``."""
+    trajectory file: the body of ``repro bench``."""
     if repeats < 1:
         raise SystemExit(f"repro bench: --repeats must be >= 1, got {repeats}")
     if workers < 1:
@@ -1404,14 +984,10 @@ def run_and_report(
         document = run_benchmarks(
             repeats=repeats,
             quick=quick,
-            check=check,
             suite=suite,
             budget=budget,
             workers=workers,
         )
-    except BenchCheckFailure as failure:
-        print(f"repro bench --check FAILED: {failure}")
-        return 1
     except BenchShardMismatch as mismatch:
         print(f"repro bench --workers FAILED: {mismatch}")
         return 1
@@ -1426,8 +1002,7 @@ def run_and_report(
 
 
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Declare the benchmark options once — shared by ``repro bench``'s
-    subparser and the standalone entry point."""
+    """Declare ``repro bench``'s options on its subparser."""
     parser.add_argument(
         "--repeats", type=int, default=5, help="timing repeats per benchmark"
     )
@@ -1443,18 +1018,12 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         help="small-universe smoke subset, repeats forced to 1",
     )
     parser.add_argument(
-        "--check",
-        action="store_true",
-        help="cross-validate the mask engine against the object-level "
-        "reference oracles before timing; non-zero exit on mismatch",
-    )
-    parser.add_argument(
         "--suite",
-        choices=("core", "exploration-scale", "fault-recovery"),
-        default="core",
-        help="benchmark suite: 'core' (PR-1/PR-2 trajectory set), "
-        "'exploration-scale' (star n=7/n=8, tree/ring depth targets, "
-        "streaming truncation, n=7 property sweep), or 'fault-recovery' "
+        choices=("exploration-scale", "fault-recovery"),
+        default="exploration-scale",
+        help="benchmark suite: 'exploration-scale' (star n=7/n=8, "
+        "tree/ring depth targets, streaming truncation, peak RSS), or "
+        "'fault-recovery' "
         "(sharded-engine failover overhead: kill/corrupt/timeout/fold "
         "recovery and checkpoint resume, each asserted bit-identical to "
         "the fault-free baseline)",
@@ -1476,27 +1045,3 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
         "re-explores the scale targets with N multiprocess worker shards, "
         "paired against the single-process times of the same run",
     )
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="run the scaling benchmarks and write a BENCH_<date>.json "
-        "trajectory file",
-    )
-    add_bench_arguments(parser)
-    args = parser.parse_args(argv)
-    return run_and_report(
-        repeats=args.repeats,
-        output_dir=args.output_dir,
-        no_write=args.no_write,
-        quick=args.quick,
-        check=args.check,
-        suite=args.suite,
-        budget=args.budget,
-        workers=args.workers,
-    )
-
-
-if __name__ == "__main__":
-    sys.exit(main())

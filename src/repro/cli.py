@@ -12,8 +12,8 @@ Four subcommands, each wrapping the corresponding library layer:
   bench target regenerating each;
 * ``repro report`` — run every theorem checker and print a markdown
   verification report (exit status 1 on any failure);
-* ``repro bench`` — run the scaling benchmarks and write a
-  ``BENCH_<date>.json`` trajectory file (see :mod:`repro.bench`);
+* ``repro bench`` — run the scale and fault-recovery benchmarks and
+  write a ``BENCH_<date>.json`` trajectory file (see :mod:`repro.bench`);
 * ``repro checkpoint verify|inspect|compact PATH`` — report an
   exploration checkpoint's format version, compatibility token, layer
   count and per-segment integrity (``verify`` exits non-zero on any
@@ -183,8 +183,15 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from repro.core.errors import UniverseError
+    from repro.universe.options import options_from_args
+
     protocol = build_protocol(args.protocol, args)
-    universe = Universe(protocol, max_configurations=args.limit)
+    try:
+        universe = Universe(protocol, options=options_from_args(args))
+    except UniverseError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     print(f"universe: {len(universe)} configurations")
 
     properties = check_all_properties(universe, max_sets=args.max_sets)
@@ -243,7 +250,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         output_dir=args.output_dir,
         no_write=args.no_write,
         quick=args.quick,
-        check=args.check,
         suite=args.suite,
         budget=args.budget,
         workers=args.workers,

@@ -3,14 +3,16 @@
 These are the pre-mask-engine implementations of the composed relation
 ``[P1 … Pn]`` and of the ten algebraic property checkers: they walk
 :class:`~repro.core.configuration.Configuration` objects, ``projection()``
-keys and Python sets, quantifying by explicit loops.  They are kept —
-verbatim in behaviour — for two jobs:
+keys and Python sets, quantifying by explicit loops.  They are kept as
+**oracles**: the cross-check tests assert the mask pipelines in
+:mod:`repro.isomorphism.relation` and :mod:`repro.isomorphism.algebra`
+are bit-identical to these on complete and truncated universes.
 
-* **oracles**: the cross-check tests assert the mask pipelines in
-  :mod:`repro.isomorphism.relation` and :mod:`repro.isomorphism.algebra`
-  are bit-identical to these on complete and truncated universes;
-* **baselines**: ``repro bench`` times them against the mask engine so
-  the recorded speedups are controlled before/after pairs.
+To stay independent of the engine they check, the oracles never read the
+universe's partition tables or class masks.  Each universe is
+materialised once into a list, and its ``[P]`` classes are that list
+grouped by ``configuration.projection(P)`` — the paper's definition of
+``x [P] y`` — kept here, not on the universe.
 
 Nothing here should be called on hot paths; the public API lives in
 :mod:`repro.isomorphism.relation` / :mod:`repro.isomorphism.algebra`.
@@ -18,10 +20,48 @@ Nothing here should be called on hot paths; the public API lives in
 
 from __future__ import annotations
 
+import weakref
+
 from repro.core.configuration import Configuration
 from repro.core.process import ProcessSetLike, as_process_set
 from repro.isomorphism.relation import SetSequence, isomorphic
 from repro.universe.explorer import Universe
+
+
+class _Projections:
+    """One universe materialised once, grouped by ``projection(P)``."""
+
+    def __init__(self, universe: Universe) -> None:
+        self.configurations: list[Configuration] = list(universe)
+        self._classes: dict[frozenset, dict[object, frozenset]] = {}
+
+    def iso_class(
+        self, configuration: Configuration, p_set: frozenset
+    ) -> frozenset[Configuration]:
+        """All materialised ``y`` with ``configuration [P] y``."""
+        classes = self._classes.get(p_set)
+        if classes is None:
+            groups: dict[object, list[Configuration]] = {}
+            for member in self.configurations:
+                groups.setdefault(member.projection(p_set), []).append(member)
+            classes = {key: frozenset(group) for key, group in groups.items()}
+            self._classes[p_set] = classes
+        return classes[configuration.projection(p_set)]
+
+
+_PROJECTIONS: weakref.WeakKeyDictionary[Universe, _Projections] = (
+    weakref.WeakKeyDictionary()
+)
+"""Per-universe oracle state, keyed weakly: a universe never changes
+after construction, so its entry is a pure function of it and dies with
+it."""
+
+
+def _projections(universe: Universe) -> _Projections:
+    projections = _PROJECTIONS.get(universe)
+    if projections is None:
+        projections = _PROJECTIONS[universe] = _Projections(universe)
+    return projections
 
 
 def composed_class_reference(
@@ -31,6 +71,7 @@ def composed_class_reference(
 ) -> frozenset[Configuration]:
     """All ``z`` with ``x [P1 … Pn] z`` — iterated closure on object sets."""
     universe.require(x)
+    projections = _projections(universe)
     frontier: set[Configuration] = {x}
     for entry in sets:
         p_set = as_process_set(entry)
@@ -41,7 +82,7 @@ def composed_class_reference(
             if key in seen_keys:
                 continue
             seen_keys.add(key)
-            next_frontier.update(universe.iso_class(configuration, p_set))
+            next_frontier.update(projections.iso_class(configuration, p_set))
         frontier = next_frontier
     return frozenset(frontier)
 
@@ -71,12 +112,13 @@ def find_composition_witness_reference(
     if not sets:
         return [x] if x == z else None
 
+    projections = _projections(universe)
     layers: list[set[Configuration]] = [{x}]
     for entry in sets:
         p_set = as_process_set(entry)
         frontier: set[Configuration] = set()
         for configuration in layers[-1]:
-            frontier.update(universe.iso_class(configuration, p_set))
+            frontier.update(projections.iso_class(configuration, p_set))
         layers.append(frontier)
     if z not in layers[-1]:
         return None
@@ -100,7 +142,7 @@ def sequences_equal_reference(
     universe: Universe, left: SetSequence, right: SetSequence
 ) -> bool:
     """Extensional equality ``[left] = [right]`` by per-configuration sets."""
-    for configuration in universe:
+    for configuration in _projections(universe).configurations:
         if composed_class_reference(
             universe, configuration, left
         ) != composed_class_reference(universe, configuration, right):
@@ -116,15 +158,16 @@ def check_equivalence_reference(
 ) -> bool:
     """Property 1 by exhaustive transitivity scan over object classes."""
     p_set = as_process_set(processes)
-    configurations = list(universe)
+    projections = _projections(universe)
+    configurations = projections.configurations
     for x in configurations:
         if not isomorphic(x, x, p_set):
             return False
     for x in configurations:
-        for y in universe.iso_class(x, p_set):
+        for y in projections.iso_class(x, p_set):
             if not isomorphic(y, x, p_set):
                 return False
-            for z in universe.iso_class(y, p_set):
+            for z in projections.iso_class(y, p_set):
                 if not isomorphic(x, z, p_set):
                     return False
     return True
@@ -159,16 +202,17 @@ def check_reflexivity_reference(universe: Universe, sets: SetSequence) -> bool:
     """Property 4: ``x [P1 … Pn] x`` for every computation ``x``."""
     return all(
         composed_isomorphic_reference(universe, configuration, sets, configuration)
-        for configuration in universe
+        for configuration in _projections(universe).configurations
     )
 
 
 def check_inversion_reference(universe: Universe, sets: SetSequence) -> bool:
     """Property 5: ``x [P1 … Pn] y  =  y [Pn … P1] x``."""
     reversed_sets = list(reversed(list(sets)))
-    for x in universe:
+    configurations = _projections(universe).configurations
+    for x in configurations:
         forward = composed_class_reference(universe, x, sets)
-        for y in universe:
+        for y in configurations:
             backward = composed_isomorphic_reference(universe, y, reversed_sets, x)
             if (y in forward) != backward:
                 return False
@@ -180,7 +224,7 @@ def check_concatenation_reference(
 ) -> bool:
     """Property 6: ``∃y: x [P1…Pm] y and y [Pm+1…Pn] z  =  x [P1…Pn] z``."""
     combined = list(prefix_sets) + list(suffix_sets)
-    for x in universe:
+    for x in _projections(universe).configurations:
         via_definition: set[Configuration] = set()
         for y in composed_class_reference(universe, x, prefix_sets):
             via_definition.update(
@@ -198,8 +242,9 @@ def check_union_reference(
     p_set = as_process_set(first)
     q_set = as_process_set(second)
     union = p_set | q_set
-    for x in universe:
-        for y in universe:
+    configurations = _projections(universe).configurations
+    for x in configurations:
+        for y in configurations:
             combined = isomorphic(x, y, union)
             separate = isomorphic(x, y, p_set) and isomorphic(x, y, q_set)
             if combined != separate:
@@ -213,9 +258,10 @@ def check_containment_reference(
     """Property 8: ``Q ⊇ P  =  [Q] ⊆ [P]`` (with the activity caveat)."""
     q_set = as_process_set(larger)
     p_set = as_process_set(smaller)
+    projections = _projections(universe)
     relation_contained = True
-    for x in universe:
-        for y in universe.iso_class(x, q_set):
+    for x in projections.configurations:
+        for y in projections.iso_class(x, q_set):
             if not isomorphic(x, y, p_set):
                 relation_contained = False
                 break
@@ -259,7 +305,7 @@ def check_all_properties_reference(
     """Object-level mirror of
     :func:`repro.isomorphism.algebra.check_all_properties` — same subset
     sweep, reference checkers.  Cubic in class sizes; feasible only on
-    small universes (it is the "before" column of the bench pairing).
+    small universes.
     """
     import itertools
 

@@ -52,7 +52,7 @@ from repro.core.process import ProcessId, ProcessSetLike, as_process_set
 from repro.universe.arena import ArenaStore
 from repro.universe.fileops import DEFAULT_FILEOPS, FaultInjectingFileOps
 from repro.universe.frontier import PackedFrontier
-from repro.universe.options import UNSET, ExplorationOptions, resolve_options
+from repro.universe.options import ExplorationOptions
 from repro.universe.recovery import RecoveryLog
 from repro.universe.protocol import Protocol
 
@@ -408,123 +408,28 @@ _BOUND_MESSAGE = (
 class Universe:
     """All reachable configurations of a protocol, with isomorphism indexes.
 
-    Parameters
-    ----------
-    protocol:
-        The protocol to explore.
-    max_events:
-        Stop extending configurations that already have this many events
-        (``None`` = unbounded; the protocol must then be finite).
-    max_configurations:
-        Bound on the number of configurations (safety valve).
-    on_limit:
-        What to do when ``max_configurations`` is hit: ``"raise"``
-        (default) aborts with :class:`UniverseError`; ``"truncate"``
-        stops exploring and returns the partial universe with
-        :attr:`is_complete` ``False`` — the streaming mode that keeps
-        partial universes at n≥8 usable.
-    workers:
-        Number of exploration processes.  ``None``, ``0`` or ``1`` run
-        the in-process frontier kernel; ``K > 1`` runs the multiprocess
-        sharded engine (:mod:`repro.universe.sharded`): the frontier is
-        partitioned by configuration content hash into ``K`` forked
-        worker shards exchanging successor batches per BFS layer, and
-        the merged universe is bit-identical to single-process
-        exploration — same dense ids, successor arrays, class masks and
-        truncation behaviour.
-    checkpoint:
-        Optional path for layer-boundary checkpointing
-        (:mod:`repro.universe.checkpoint`): if the file exists, the
-        exploration *resumes* from its last completed BFS layer; the
-        finished universe is bit-identical to an uninterrupted run.
-        Saved every ``checkpoint_every`` layers and at the end, in the
-        one checkpoint format (version 2): a background writer appends
-        one delta segment, then atomically replaces the manifest.  A
-        file of any other format version (the retired version 1
-        included) raises
-        :class:`~repro.universe.checkpoint.CheckpointError`.  A corrupt
-        tail is salvaged to the last valid layer boundary (logged on
-        :attr:`recovery_log`) unless ``checkpoint_strict``.
-    checkpoint_strict:
-        Refuse to salvage a damaged checkpoint: raise
-        :class:`~repro.universe.checkpoint.CheckpointError` instead of
-        truncating to the valid prefix.
-    rss_budget_mb:
-        Optional resident-memory budget (MiB, coordinator plus live
-        workers).  When exploration crosses it at a layer boundary it
-        degrades to the ``on_limit="truncate"`` behaviour — partial
-        universe, :attr:`is_complete` ``False`` — instead of being
-        OOM-killed (pair with ``checkpoint`` to resume elsewhere).  On
-        hosts where RSS cannot be measured the watchdog deactivates
-        with a one-time warning (see :attr:`rss_watchdog_active`).
-    fault_plan:
-        Deterministic fault injection (:mod:`repro.universe.faults`).
-        Worker fault kinds require ``workers >= 2``; checkpoint fault
-        kinds (``torn_save``, ``corrupt_segment``) require a
-        ``checkpoint`` path and run on either engine.
-    supervision:
-        :class:`~repro.universe.sharded.SupervisionPolicy` overriding
-        the coordinator's heartbeat/respawn tunables; ``workers >= 2``
-        only.
-    store:
-        Configuration storage backend; ``"arena"`` is the only one.
-        Configurations are kept as packed ``(parent id, event, hash)``
-        columns (:class:`~repro.universe.arena.ArenaStore`) and
-        materialised lazily.  Any other value raises
-        :class:`UniverseError` (the object store was removed).
-    spill_dir:
-        Directory for the arena's on-disk cold tier: sealed cold chunks
-        stream to an mmap-backed spill file
-        there as layers retire, and the ``rss_budget_mb`` watchdog
-        force-spills before it ever truncates.
-    options:
-        The grouped form of everything above
-        (:class:`~repro.universe.options.ExplorationOptions`, bundling
-        :class:`~repro.universe.options.Limits`,
-        :class:`~repro.universe.options.CheckpointPolicy`,
-        :class:`~repro.universe.options.ResourceBudget` and
-        :class:`~repro.universe.options.Sharding`) — the preferred
-        calling style.  The flat keyword arguments remain as a
-        compatibility shim normalised into the same dataclasses; a
-        ``DeprecationWarning`` fires only when the same knob is set
-        through both paths with different values (the explicit kwarg
-        wins).
+    ``Universe(protocol, options=None)`` explores ``protocol``.
+    ``options`` is an :class:`~repro.universe.options.ExplorationOptions`
+    (``None`` = all defaults), the one way to configure an exploration;
+    its groups document each knob:
+    :class:`~repro.universe.options.Limits` (event and size bounds, what
+    happens at the cap),
+    :class:`~repro.universe.options.CheckpointPolicy` (layer-boundary
+    checkpoints, resume and salvage),
+    :class:`~repro.universe.options.ResourceBudget` (RSS watchdog, arena
+    spill directory) and :class:`~repro.universe.options.Sharding`
+    (multiprocess engine, supervision, fault injection).
     """
 
     def __init__(
-        self,
-        protocol: Protocol,
-        max_events=UNSET,
-        max_configurations=UNSET,
-        on_limit=UNSET,
-        workers=UNSET,
-        checkpoint=UNSET,
-        checkpoint_every=UNSET,
-        checkpoint_strict=UNSET,
-        rss_budget_mb=UNSET,
-        fault_plan=UNSET,
-        supervision=UNSET,
-        store=UNSET,
-        spill_dir=UNSET,
-        options: ExplorationOptions | None = None,
+        self, protocol: Protocol, options: ExplorationOptions | None = None
     ) -> None:
-        opts = resolve_options(
-            options,
-            {
-                "max_events": max_events,
-                "max_configurations": max_configurations,
-                "on_limit": on_limit,
-                "workers": workers,
-                "checkpoint": checkpoint,
-                "checkpoint_every": checkpoint_every,
-                "checkpoint_strict": checkpoint_strict,
-                "rss_budget_mb": rss_budget_mb,
-                "fault_plan": fault_plan,
-                "supervision": supervision,
-                "store": store,
-                "spill_dir": spill_dir,
-            },
-        )
+        opts = options if options is not None else ExplorationOptions()
+        if not isinstance(opts, ExplorationOptions):
+            raise TypeError(
+                "Universe(options=...) expects an ExplorationOptions "
+                f"instance, got {type(opts).__name__}"
+            )
         self._options = opts
         max_events = opts.limits.max_events
         max_configurations = opts.limits.max_configurations
@@ -1083,9 +988,8 @@ class Universe:
 
     @property
     def options(self) -> ExplorationOptions:
-        """The resolved exploration options this universe was built with
-        (legacy kwargs are normalised into the same dataclasses)."""
-        return getattr(self, "_options", None) or ExplorationOptions()
+        """The exploration options this universe was built with."""
+        return self._options
 
     @property
     def rss_watchdog_active(self) -> bool | None:

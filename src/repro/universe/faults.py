@@ -6,7 +6,7 @@ such a system — K worker processes exchanging batches over pipes.  This
 module gives its failure modes a deterministic, testable shape: a
 :class:`FaultPlan` is an explicit (or seeded) list of :class:`Fault`
 actions, each firing **at most once** at a specific (worker shard, BFS
-layer), threaded through ``Universe(..., workers=K, fault_plan=plan)``.
+layer), threaded through ``Sharding(workers=K, fault_plan=plan)``.
 
 Supported fault kinds, and the recovery path each exercises:
 

@@ -1,9 +1,8 @@
-"""Grouped exploration options for :class:`repro.universe.Universe`.
+"""Exploration options for :class:`repro.universe.Universe`.
 
-The ``Universe`` constructor grew thirteen keyword arguments across the
-scaling PRs (limits, checkpointing, resource budgets, sharding, store
-selection).  This module groups them into four frozen dataclasses plus a
-top-level :class:`ExplorationOptions` bundle:
+``Universe(protocol, options=None)`` takes everything beyond the
+protocol as one :class:`ExplorationOptions` bundle of four frozen
+dataclasses (limits, checkpointing, resource budgets, sharding):
 
 ``Universe(protocol, options=ExplorationOptions(
     limits=Limits(max_configurations=None),
@@ -11,15 +10,6 @@ top-level :class:`ExplorationOptions` bundle:
     budget=ResourceBudget(rss_budget_mb=8192),
     sharding=Sharding(workers=4),
 ))``
-
-Legacy keyword arguments keep working through :func:`resolve_options`,
-which normalises either calling style into one ``ExplorationOptions``
-instance — the explorer then has a single code path.  A
-``DeprecationWarning`` fires only on a *conflicting* double
-specification (the same knob set through both a legacy kwarg and the
-options object, with different values); in that case the explicit
-legacy kwarg wins, preserving the behaviour of call sites written
-before the options API existed.
 
 The dataclasses are frozen and contain only picklable leaves (the
 supervision policy and fault plan are themselves frozen dataclasses),
@@ -29,8 +19,7 @@ so an ``ExplorationOptions`` travels intact through both ``fork`` and
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
@@ -44,7 +33,6 @@ __all__ = [
     "ResourceBudget",
     "Sharding",
     "options_from_args",
-    "resolve_options",
 ]
 
 
@@ -52,10 +40,14 @@ __all__ = [
 class Limits:
     """Bounds on the explored universe.
 
-    ``max_events`` caps per-process history length (``None`` = the
-    protocol's own fixpoint); ``max_configurations`` caps the universe
-    size (``None`` = unbounded); ``on_limit`` picks what happens at the
-    cap: ``"raise"`` or ``"truncate"`` (streaming partial universe).
+    ``max_events`` stops extending configurations that already have
+    this many events (``None`` = unbounded; the protocol must then be
+    finite).  ``max_configurations`` caps the universe size (``None`` =
+    unbounded), a safety valve.  ``on_limit`` picks what happens at the
+    cap: ``"raise"`` aborts with :class:`~repro.core.errors.UniverseError`;
+    ``"truncate"`` stops exploring and returns the partial universe with
+    ``is_complete`` ``False`` — the streaming mode that keeps partial
+    universes at n≥8 usable.
     """
 
     max_events: int | None = None
@@ -67,8 +59,17 @@ class Limits:
 class CheckpointPolicy:
     """Layer-boundary checkpointing (``None`` path = disabled).
 
-    ``every`` saves each N layers, ``strict`` errors on damaged
-    checkpoints instead of salvage-truncating.
+    With a ``path`` (:mod:`repro.universe.checkpoint`), an existing file
+    is *resumed* from its last completed BFS layer, and the finished
+    universe is bit-identical to an uninterrupted run.  Saves happen
+    every ``every`` layers and at the end, in the one checkpoint format
+    (version 2): a background writer appends one delta segment, then
+    atomically replaces the manifest.  A file of any other format
+    version (the retired version 1 included) raises
+    :class:`~repro.universe.checkpoint.CheckpointError`.  A corrupt tail
+    is salvaged to the last valid layer boundary (logged on
+    ``Universe.recovery_log``) unless ``strict``, which raises
+    ``CheckpointError`` instead of truncating to the valid prefix.
     """
 
     path: Any = None
@@ -78,7 +79,19 @@ class CheckpointPolicy:
 
 @dataclass(frozen=True)
 class ResourceBudget:
-    """Memory ceilings: the RSS watchdog and the arena spill directory."""
+    """Memory ceilings: the RSS watchdog and the arena spill directory.
+
+    ``rss_budget_mb`` is a resident-memory budget (MiB, coordinator plus
+    live workers).  When exploration crosses it at a layer boundary it
+    degrades to the ``on_limit="truncate"`` behaviour — partial
+    universe, ``is_complete`` ``False`` — instead of being OOM-killed
+    (pair it with a checkpoint to resume elsewhere).  On hosts where RSS
+    cannot be measured the watchdog deactivates with a one-time warning
+    (see ``Universe.rss_watchdog_active``).  ``spill_dir`` is the
+    directory of the arena's on-disk cold tier: sealed cold chunks
+    stream to an mmap-backed spill file there as layers retire, and the
+    watchdog force-spills before it ever truncates.
+    """
 
     rss_budget_mb: float | None = None
     spill_dir: Any = None
@@ -86,7 +99,24 @@ class ResourceBudget:
 
 @dataclass(frozen=True)
 class Sharding:
-    """Multiprocess sharding: worker count, supervision, fault injection."""
+    """Multiprocess sharding: worker count, supervision, fault injection.
+
+    ``workers`` of ``None``, ``0`` or ``1`` run the in-process frontier
+    kernel; ``K > 1`` runs the sharded engine
+    (:mod:`repro.universe.sharded`): the frontier is partitioned by
+    configuration content hash into ``K`` forked worker shards that
+    exchange successor batches per BFS layer, and the merged universe is
+    bit-identical to single-process exploration — same dense ids,
+    successor arrays, class masks and truncation behaviour.
+    ``supervision`` (a :class:`~repro.universe.sharded.SupervisionPolicy`)
+    overrides the coordinator's heartbeat/respawn tunables and needs
+    ``workers >= 2``.  ``fault_plan`` is deterministic fault injection
+    (:mod:`repro.universe.faults`): worker fault kinds need
+    ``workers >= 2``; checkpoint fault kinds (``torn_save``,
+    ``corrupt_segment``) need a checkpoint path and run on either
+    engine; storage fault kinds need a checkpoint path or a spill
+    directory.
+    """
 
     workers: int | None = None
     supervision: "SupervisionPolicy | None" = None
@@ -97,8 +127,12 @@ class Sharding:
 class ExplorationOptions:
     """Everything ``Universe`` accepts beyond the protocol itself.
 
-    ``store`` accepts only ``"arena"`` (the one configuration store); it
-    stays a field so callers that name the store explicitly keep working.
+    ``store`` accepts only ``"arena"``: configurations are kept as
+    packed ``(parent id, event, hash)`` columns
+    (:class:`~repro.universe.arena.ArenaStore`) and materialised lazily.
+    Any other value raises :class:`~repro.core.errors.UniverseError`.
+    It stays a field so callers that name the store explicitly keep
+    working.
     """
 
     limits: Limits = Limits()
@@ -108,109 +142,16 @@ class ExplorationOptions:
     store: str = "arena"
 
 
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit ``None``."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<unset>"
-
-
-UNSET = _Unset()
-
-# legacy kwarg -> (options group field | None for top level, field name)
-_LEGACY_FIELDS = {
-    "max_events": ("limits", "max_events"),
-    "max_configurations": ("limits", "max_configurations"),
-    "on_limit": ("limits", "on_limit"),
-    "checkpoint": ("checkpoint", "path"),
-    "checkpoint_every": ("checkpoint", "every"),
-    "checkpoint_strict": ("checkpoint", "strict"),
-    "rss_budget_mb": ("budget", "rss_budget_mb"),
-    "spill_dir": ("budget", "spill_dir"),
-    "workers": ("sharding", "workers"),
-    "supervision": ("sharding", "supervision"),
-    "fault_plan": ("sharding", "fault_plan"),
-    "store": (None, "store"),
-}
-
-_GROUP_TYPES = {
-    "limits": Limits,
-    "checkpoint": CheckpointPolicy,
-    "budget": ResourceBudget,
-    "sharding": Sharding,
-}
-
-
-def resolve_options(
-    options: ExplorationOptions | None, legacy: dict[str, Any]
-) -> ExplorationOptions:
-    """Normalise one ``Universe`` call into an ``ExplorationOptions``.
-
-    ``legacy`` maps legacy kwarg names to their values, with
-    :data:`UNSET` marking kwargs the caller never passed.  Explicitly
-    passed legacy kwargs are folded into ``options`` (or a fresh
-    default instance when ``options is None``); a ``DeprecationWarning``
-    fires only when the same knob was set through *both* paths with
-    different values, in which case the legacy kwarg wins.
-    """
-    unknown = set(legacy) - set(_LEGACY_FIELDS)
-    if unknown:
-        raise TypeError(
-            f"unknown Universe keyword(s): {', '.join(sorted(unknown))}"
-        )
-    resolved = options if options is not None else ExplorationOptions()
-    if not isinstance(resolved, ExplorationOptions):
-        raise TypeError(
-            "Universe(options=...) expects an ExplorationOptions instance, "
-            f"got {type(resolved).__name__}"
-        )
-    # Collect per-group overrides from explicitly passed legacy kwargs.
-    overrides: dict[str | None, dict[str, Any]] = {}
-    for kwarg, value in legacy.items():
-        if value is UNSET:
-            continue
-        group, field_name = _LEGACY_FIELDS[kwarg]
-        overrides.setdefault(group, {})[field_name] = value
-        if options is not None:
-            current = (
-                getattr(options, field_name)
-                if group is None
-                else getattr(getattr(options, group), field_name)
-            )
-            default = _field_default(group, field_name)
-            if current != default and current != value:
-                warnings.warn(
-                    f"Universe(): legacy kwarg {kwarg}={value!r} conflicts "
-                    f"with options.{group + '.' if group else ''}"
-                    f"{field_name}={current!r}; the legacy kwarg wins — "
-                    "pass one or the other",
-                    DeprecationWarning,
-                    stacklevel=3,
-                )
-    if not overrides:
-        return resolved
-    replacements: dict[str, Any] = {}
-    for group, group_overrides in overrides.items():
-        if group is None:
-            replacements.update(group_overrides)
-        else:
-            replacements[group] = _replace(
-                getattr(resolved, group), group_overrides
-            )
-    return _replace(resolved, replacements)
-
-
 def options_from_args(args: Any) -> ExplorationOptions:
     """One CLI flag set -> one :class:`ExplorationOptions`.
 
     The single mapping between ``argparse`` namespaces and the options
-    dataclasses, shared by ``repro explore`` and ``repro bench`` so no
+    dataclasses, shared by ``repro explore`` and ``repro check`` so no
     surface hand-threads kwargs.  Flags map 1:1 onto dataclass fields
     (``--limit`` -> ``Limits.max_configurations``, ``--checkpoint`` ->
     ``CheckpointPolicy.path``, ...); absent attributes fall back to the
-    dataclass defaults, so partial namespaces (bench suites) work too.
+    dataclass defaults, so partial namespaces work too (``repro check``
+    has only ``--limit``).
     ``on_limit`` is derived, not a flag: an RSS budget implies
     ``"truncate"`` (degrade at a layer boundary rather than die).
     """
@@ -239,22 +180,3 @@ def options_from_args(args: Any) -> ExplorationOptions:
             ),
         ),
     )
-
-
-def _field_default(group: str | None, field_name: str) -> Any:
-    cls = ExplorationOptions if group is None else _GROUP_TYPES[group]
-    for entry in fields(cls):
-        if entry.name == field_name:
-            return entry.default
-    raise AssertionError(field_name)  # pragma: no cover
-
-
-def _replace(instance: Any, changes: dict[str, Any]) -> Any:
-    """``dataclasses.replace`` without re-running ``__post_init__``
-    surprises — all our dataclasses are plain field bags."""
-    current = {
-        entry.name: getattr(instance, entry.name)
-        for entry in fields(instance)
-    }
-    current.update(changes)
-    return type(instance)(**current)

@@ -12,7 +12,7 @@ content-hash id table with its collision buckets, completeness under
 ``max_events``, and the truncation point and partial successor rows of
 ``max_configurations`` under both ``on_limit`` modes.
 
-Slow by design; tests, the chaos harness and ``repro bench`` use it on
+Slow by design; the tests and the chaos harness use it on
 small universes only.
 """
 

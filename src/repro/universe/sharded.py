@@ -1,4 +1,4 @@
-"""Multiprocess sharded frontier exploration (``Universe(..., workers=K)``).
+"""Multiprocess sharded frontier exploration (``Sharding(workers=K)``).
 
 The single-process kernel (:meth:`repro.universe.explorer.Universe._explore`)
 walks the frontier one BFS layer at a time.  Because every edge extends a

@@ -375,9 +375,13 @@ def verify_bit_identical(path: pathlib.Path, size: int) -> int:
     engines that wrote the checkpoint; returns the universe size."""
     from repro.cli import broadcast_protocol
     from repro.universe.explorer import Universe
+    from repro.universe.options import CheckpointPolicy, ExplorationOptions
     from repro.universe.reference import reference_bfs
 
-    survivor = Universe(broadcast_protocol("star", size), checkpoint=path)
+    survivor = Universe(
+        broadcast_protocol("star", size),
+        options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+    )
     if not survivor.is_complete:
         raise AssertionError("surviving checkpoint is not complete")
     differences = reference_bfs(broadcast_protocol("star", size)).differences(

@@ -17,6 +17,7 @@ from repro.protocols.termination import (
 )
 from repro.simulation.scheduler import RandomScheduler
 from repro.universe.explorer import Universe
+from repro.universe.options import ExplorationOptions, Limits
 
 
 class TestDetectionRuns:
@@ -89,7 +90,10 @@ class TestPaperArgumentStep2:
             plans={"a": (Activation(("b",)),)},
         )
         protocol = PollingDetectorProtocol(workload, max_waves=1)
-        universe = Universe(protocol, max_configurations=2_000_000)
+        universe = Universe(
+            protocol,
+            options=ExplorationOptions(limits=Limits(max_configurations=2_000_000)),
+        )
         result = detector_ambiguity(universe)
         assert result["not_terminated"] > 0
         assert result["ambiguous"] == result["not_terminated"]

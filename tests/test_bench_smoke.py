@@ -1,8 +1,9 @@
-"""The bench harness smoke mode (``repro bench --quick --check``).
+"""The bench harness smoke mode (``repro bench --quick``).
 
 Tier-1 coverage so the benchmark harness cannot silently rot: the quick
-subset must run end to end, the cross-checks must pass against the
-reference oracles, and a rigged oracle disagreement must be caught.
+exploration-scale subset must run end to end through the CLI, with its
+cold-start split, streaming truncation, memory axis and budget guard;
+the trajectory writer must never clobber an earlier file.
 """
 
 import json
@@ -10,65 +11,11 @@ import json
 import pytest
 
 from repro.bench import (
-    BenchCheckFailure,
-    main,
+    BenchBudgetExceeded,
     run_benchmarks,
-    run_cross_checks,
     write_trajectory,
 )
-
-
-class TestQuickCheckSmoke:
-    def test_cli_quick_check_exits_zero(self, capsys):
-        assert main(["--quick", "--check", "--no-write"]) == 0
-        out = capsys.readouterr().out
-        assert "cross-checked vs reference oracles" in out
-        assert "iso_properties_star_n3" in out
-
-    def test_quick_document_shape(self):
-        document = run_benchmarks(repeats=3, quick=True, check=True)
-        assert document["mode"] == "quick"
-        assert document["repeats"] == 1  # quick forces single repeats
-        assert set(document["cross_checked"]) == {
-            "pingpong",
-            "star_broadcast_n3",
-            "token_bus_h4",
-            "star_broadcast_n4_truncated",
-        }
-        benchmarks = document["benchmarks"]
-        paired = benchmarks["iso_properties_star_n3"]
-        assert paired["object_seconds"] > 0
-        assert paired["speedup_vs_object"] > 0
-        assert json.loads(json.dumps(document)) == document  # JSON-ready
-
-    def test_trajectory_write(self, tmp_path):
-        document = run_benchmarks(repeats=1, quick=True)
-        path = write_trajectory(document, tmp_path)
-        assert path.exists() and path.name.startswith("BENCH_")
-        assert json.loads(path.read_text())["mode"] == "quick"
-
-    def test_cross_checks_cover_truncated_universe(self):
-        assert "star_broadcast_n4_truncated" in run_cross_checks()
-
-    def test_check_failure_is_reported(self, monkeypatch, capsys):
-        from repro import bench
-
-        def broken(universe, x, sets):
-            return frozenset()
-
-        monkeypatch.setattr(
-            bench.reference, "composed_class_reference", broken
-        )
-        with pytest.raises(BenchCheckFailure):
-            run_cross_checks()
-        assert main(["--quick", "--check", "--no-write"]) == 1
-        assert "FAILED" in capsys.readouterr().out
-
-    def test_repeats_validation(self):
-        with pytest.raises(ValueError):
-            run_benchmarks(repeats=0)
-        with pytest.raises(SystemExit):
-            main(["--quick", "--no-write", "--repeats", "0"])
+from repro.cli import main
 
 
 class TestExplorationScaleSmoke:
@@ -77,15 +24,9 @@ class TestExplorationScaleSmoke:
     guard) must not rot between full-size runs."""
 
     def test_quick_suite_exits_zero(self, capsys):
+        # exploration-scale is the default suite.
         assert main(
-            [
-                "--suite",
-                "exploration-scale",
-                "--quick",
-                "--no-write",
-                "--budget",
-                "600",
-            ]
+            ["bench", "--quick", "--no-write", "--budget", "600"]
         ) == 0
         out = capsys.readouterr().out
         assert "universe_star_broadcast_n5" in out
@@ -94,9 +35,11 @@ class TestExplorationScaleSmoke:
 
     def test_quick_suite_document_shape(self):
         document = run_benchmarks(
-            repeats=1, quick=True, suite="exploration-scale", budget=600
+            repeats=3, quick=True, suite="exploration-scale", budget=600
         )
         assert document["suite"] == "exploration-scale"
+        assert document["mode"] == "quick"
+        assert document["repeats"] == 1  # quick forces single repeats
         assert document["budget_seconds"] == 600
         benchmarks = document["benchmarks"]
         star = benchmarks["universe_star_broadcast_n5"]
@@ -117,13 +60,9 @@ class TestExplorationScaleSmoke:
         assert benchmarks["explore_rss_star_n5_arena"]["peak_rss_mb"] > 0
         assert benchmarks["sharded_rss_star_n5_workers2_packed"]["summed_rss_mb"] > 0
         assert not [name for name in benchmarks if name.endswith("_objects")]
-        import json
-
         assert json.loads(json.dumps(document)) == document
 
     def test_budget_overrun_fails(self, capsys):
-        from repro.bench import BenchBudgetExceeded
-
         with pytest.raises(BenchBudgetExceeded):
             run_benchmarks(
                 repeats=1, quick=True, suite="exploration-scale", budget=1e-9
@@ -131,6 +70,7 @@ class TestExplorationScaleSmoke:
         assert (
             main(
                 [
+                    "bench",
                     "--suite",
                     "exploration-scale",
                     "--quick",
@@ -147,10 +87,32 @@ class TestExplorationScaleSmoke:
         with pytest.raises(ValueError):
             run_benchmarks(repeats=1, suite="nope")
 
+    def test_core_suite_and_check_flag_are_gone(self):
+        with pytest.raises(ValueError):
+            run_benchmarks(repeats=1, suite="core")
+        with pytest.raises(SystemExit):
+            main(["bench", "--suite", "core", "--no-write"])
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick", "--check", "--no-write"])
+
+    def test_repeats_validation(self):
+        with pytest.raises(ValueError):
+            run_benchmarks(repeats=0)
+        with pytest.raises(SystemExit):
+            main(["bench", "--quick", "--no-write", "--repeats", "0"])
+
     def test_trajectory_files_never_clobber(self, tmp_path):
-        document = run_benchmarks(repeats=1, quick=True)
+        # A hand-built document: the writer needs no bench run.
+        document = {
+            "date": "2026-01-02",
+            "suite": "exploration-scale",
+            "benchmarks": {"universe_star_broadcast_n5": {"best_seconds": 0.01}},
+        }
         first = write_trajectory(document, tmp_path)
         second = write_trajectory(document, tmp_path)
-        assert first != second
-        assert first.exists() and second.exists()
-        assert second.name.endswith("-2.json")
+        third = write_trajectory(document, tmp_path / "nested")
+        assert first.name == "BENCH_2026-01-02.json"
+        assert second.name == "BENCH_2026-01-02-2.json"
+        assert third.name == "BENCH_2026-01-02.json"
+        for path in (first, second, third):
+            assert json.loads(path.read_text()) == document

@@ -41,6 +41,15 @@ class TestCommands:
         assert "all hold" in output
         assert "Theorem 1" in output
 
+    def test_check_limit_is_a_one_line_error(self, capsys):
+        # Exit 1 means "a property FAILED"; a blown bound is a usage
+        # error, reported like ``repro explore`` reports it.
+        assert main(["check", "broadcast", "--limit", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: exploration exceeded 5 ")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
     def test_check_pingpong(self, capsys):
         assert main(["check", "pingpong", "--rounds", "1"]) == 0
         assert "knowledge facts 1-12: all hold" in capsys.readouterr().out
@@ -55,7 +64,7 @@ class TestCommands:
         assert main(["simulate", "snapshot", "--size", "3"]) == 0
         assert "0 undelivered" in capsys.readouterr().out
 
-    def test_bench_writes_trajectory_file(self, capsys, tmp_path, monkeypatch):
+    def test_bench_writes_trajectory_file(self, capsys, tmp_path):
         import json
 
         # Shrink the workload: quick mode, output into a temp directory.
@@ -63,23 +72,24 @@ class TestCommands:
             ["bench", "--quick", "--output-dir", str(tmp_path)]
         ) == 0
         output = capsys.readouterr().out
-        assert "universe_star_broadcast_n3" in output
+        assert "universe_star_broadcast_n5" in output
         written = list(tmp_path.glob("BENCH_*.json"))
         assert len(written) == 1
         document = json.loads(written[0].read_text())
         assert document["repeats"] == 1
         assert document["mode"] == "quick"
+        assert document["suite"] == "exploration-scale"
         benchmarks = document["benchmarks"]
-        assert "evaluator_star_broadcast_n3" in benchmarks
-        assert "iso_composed_class_star_n3" in benchmarks
+        assert "universe_ring_broadcast_n5" in benchmarks
+        assert "explore_rss_star_n5_arena" in benchmarks
 
     def test_bench_no_write(self, capsys, tmp_path):
         import os
 
         before = set(os.listdir(tmp_path))
-        assert main(["bench", "--quick", "--check", "--no-write",
-                     "--output-dir", str(tmp_path)]) == 0
-        assert "benchmark" in capsys.readouterr().out
+        assert main(["bench", "--suite", "fault-recovery", "--quick",
+                     "--no-write", "--output-dir", str(tmp_path)]) == 0
+        assert "recovery_kill_star_n5_workers2" in capsys.readouterr().out
         assert set(os.listdir(tmp_path)) == before
 
     def test_simulate_toggle(self, capsys):

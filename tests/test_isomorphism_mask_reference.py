@@ -3,8 +3,9 @@
 The composed-relation pipelines and the ten property checkers now run on
 partition tables and bitmasks; the pre-mask implementations are retained
 in :mod:`repro.isomorphism.reference` as oracles.  These tests assert
-both agree on three protocols (star broadcast, token bus, ping-pong) and
-on a truncated — hence incomplete — universe.
+both agree on three protocols (star broadcast, token bus at two sizes,
+ping-pong) and on a truncated — hence incomplete — universe, and that
+the ten properties hold on every one of them.
 """
 
 import pytest
@@ -25,6 +26,7 @@ from repro.protocols.broadcast import BroadcastProtocol, star_topology
 from repro.protocols.pingpong import PingPongProtocol
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.explorer import Universe
+from repro.universe.options import ExplorationOptions, Limits
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +40,7 @@ def star_universe() -> Universe:
 def truncated_universe() -> Universe:
     universe = Universe(
         BroadcastProtocol(star_topology("hub", ("x", "y", "z")), "hub"),
-        max_events=4,
+        options=ExplorationOptions(limits=Limits(max_events=4)),
     )
     assert not universe.is_complete
     return universe
@@ -47,6 +49,11 @@ def truncated_universe() -> Universe:
 @pytest.fixture(scope="module")
 def token_universe() -> Universe:
     return Universe(TokenBusProtocol(max_hops=3))
+
+
+@pytest.fixture(scope="module")
+def token_bus_h4() -> Universe:
+    return Universe(TokenBusProtocol(max_hops=4))
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +74,13 @@ def chains_of(universe):
     ]
 
 
-ALL_UNIVERSES = ["star_universe", "token_universe", "pingpong", "truncated_universe"]
+ALL_UNIVERSES = [
+    "star_universe",
+    "token_universe",
+    "token_bus_h4",
+    "pingpong",
+    "truncated_universe",
+]
 
 
 @pytest.mark.parametrize("universe_name", ALL_UNIVERSES)
@@ -122,6 +135,7 @@ class TestPropertyCheckersOracle:
             universe, max_sets=4
         )
         assert mask_verdicts == object_verdicts
+        assert all(mask_verdicts.values())
 
     def test_individual_checkers_match(self, universe_name, request):
         universe = request.getfixturevalue(universe_name)

@@ -16,6 +16,7 @@ from repro.knowledge.formula import (
 from repro.knowledge.predicates import event_count_at_least, has_received, has_sent
 from repro.protocols.pingpong import PingPongProtocol
 from repro.universe.explorer import Universe
+from repro.universe.options import ExplorationOptions, Limits
 
 
 class TestDefinition:
@@ -78,13 +79,19 @@ class TestConnectives:
 
 class TestGuardrails:
     def test_incomplete_universe_rejected(self):
-        truncated = Universe(PingPongProtocol(rounds=5), max_events=3)
+        truncated = Universe(
+            PingPongProtocol(rounds=5),
+            options=ExplorationOptions(limits=Limits(max_events=3)),
+        )
         assert not truncated.is_complete
         with pytest.raises(FormulaError):
             KnowledgeEvaluator(truncated)
 
     def test_incomplete_universe_opt_in(self):
-        truncated = Universe(PingPongProtocol(rounds=5), max_events=3)
+        truncated = Universe(
+            PingPongProtocol(rounds=5),
+            options=ExplorationOptions(limits=Limits(max_events=3)),
+        )
         evaluator = KnowledgeEvaluator(truncated, allow_incomplete=True)
         assert evaluator.extension(TRUE)
 

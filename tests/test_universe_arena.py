@@ -39,7 +39,12 @@ from repro.universe import arena as arena_module
 from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
 from repro.universe.builder import packed_store_of
 from repro.universe.explorer import Universe, iter_bit_ids
-from repro.universe.options import ExplorationOptions
+from repro.universe.options import (
+    ExplorationOptions,
+    Limits,
+    ResourceBudget,
+    Sharding,
+)
 from repro.universe.reference import reference_bfs
 
 
@@ -127,7 +132,12 @@ class TestReferenceIdentity:
         ids=[entry[0] for entry in REFERENCE_CASES],
     )
     def test_engine_matches_reference(self, label, factory, bounds, workers):
-        universe = Universe(factory(), workers=workers, **bounds)
+        universe = Universe(
+            factory(),
+            options=ExplorationOptions(
+                limits=Limits(**bounds), sharding=Sharding(workers=workers)
+            ),
+        )
         assert_same_universe(universe, reference_bfs(factory(), **bounds))
         if "max_events" in bounds or "max_configurations" in bounds:
             assert not universe.is_complete
@@ -137,7 +147,13 @@ class TestReferenceIdentity:
         with pytest.raises(UniverseError):
             reference_bfs(star5(), max_configurations=150)
         with pytest.raises(UniverseError):
-            Universe(star5(), max_configurations=150, workers=workers)
+            Universe(
+                star5(),
+                options=ExplorationOptions(
+                    limits=Limits(max_configurations=150),
+                    sharding=Sharding(workers=workers),
+                ),
+            )
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_forced_hash_collisions(self, monkeypatch, workers):
@@ -150,17 +166,29 @@ class TestReferenceIdentity:
         reference = reference_bfs(star5())
         buckets = [b for b in reference.ids_by_hash.values() if type(b) is list]
         assert len(buckets) > 50
-        assert_same_universe(Universe(star5(), workers=workers), reference)
+        sharding = Sharding(workers=workers)
+        assert_same_universe(
+            Universe(star5(), options=ExplorationOptions(sharding=sharding)),
+            reference,
+        )
         bounds = {"max_configurations": 300, "on_limit": "truncate"}
         assert_same_universe(
-            Universe(star5(), workers=workers, **bounds),
+            Universe(
+                star5(),
+                options=ExplorationOptions(
+                    limits=Limits(**bounds), sharding=sharding
+                ),
+            ),
             reference_bfs(star5(), **bounds),
         )
 
     @pytest.mark.parametrize("store", ["objects", "parquet"])
     def test_other_stores_rejected(self, store):
         with pytest.raises(UniverseError, match="object store was removed"):
-            Universe(PingPongProtocol(rounds=1), store=store)
+            Universe(
+                PingPongProtocol(rounds=1),
+                options=ExplorationOptions(store=store),
+            )
         with pytest.raises(UniverseError, match="object store was removed"):
             Universe(
                 PingPongProtocol(rounds=1),
@@ -290,7 +318,10 @@ class TestPackedTiers:
 
     def test_spill_tier_round_trip(self, small_chunks, tmp_path):
         reference = reference_bfs(star5())
-        universe = Universe(star5(), spill_dir=tmp_path)
+        universe = Universe(
+            star5(),
+            options=ExplorationOptions(budget=ResourceBudget(spill_dir=tmp_path)),
+        )
         store = universe._configurations
         stats = store.stats()
         assert stats["spilled_chunks"] > 0

@@ -31,6 +31,13 @@ from repro.universe.checkpoint import (
     process_rss_mb,
 )
 from repro.universe.explorer import Universe
+from repro.universe.options import (
+    CheckpointPolicy,
+    ExplorationOptions,
+    Limits,
+    ResourceBudget,
+    Sharding,
+)
 from repro.universe.faults import FaultPlan
 from repro.universe.sharded import SupervisionPolicy
 
@@ -63,9 +70,10 @@ def partial_checkpoint(tmp_path, cap=300, name="u.ckpt", size=5):
     path = tmp_path / name
     Universe(
         star_protocol(size),
-        max_configurations=cap,
-        on_limit="truncate",
-        checkpoint=path,
+        options=ExplorationOptions(
+            limits=Limits(max_configurations=cap, on_limit="truncate"),
+            checkpoint=CheckpointPolicy(path=path),
+        ),
     )
     return path
 
@@ -79,14 +87,19 @@ def interrupt_then_resume(tmp_path, cap, workers=None, resume_workers=None):
     path = tmp_path / "universe.ckpt"
     partial = Universe(
         star_protocol(5),
-        max_configurations=cap,
-        on_limit="truncate",
-        checkpoint=path,
-        workers=workers,
+        options=ExplorationOptions(
+            limits=Limits(max_configurations=cap, on_limit="truncate"),
+            checkpoint=CheckpointPolicy(path=path),
+            sharding=Sharding(workers=workers),
+        ),
     )
     assert not partial.is_complete
     resumed = Universe(
-        star_protocol(5), checkpoint=path, workers=resume_workers
+        star_protocol(5),
+        options=ExplorationOptions(
+            checkpoint=CheckpointPolicy(path=path),
+            sharding=Sharding(workers=resume_workers),
+        ),
     )
     return partial, resumed
 
@@ -106,16 +119,23 @@ class TestKernelResume:
             path = tmp_path / f"cap{cap}.ckpt"
             Universe(
                 star_protocol(5),
-                max_configurations=cap,
-                on_limit="truncate",
-                checkpoint=path,
+                options=ExplorationOptions(
+                    limits=Limits(max_configurations=cap, on_limit="truncate"),
+                    checkpoint=CheckpointPolicy(path=path),
+                ),
             )
-            resumed = Universe(star_protocol(5), checkpoint=path)
+            resumed = Universe(
+                star_protocol(5),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
             assert_bit_identical(single, resumed)
 
     def test_fresh_run_with_checkpoint_writes_file(self, tmp_path):
         path = tmp_path / "fresh.ckpt"
-        universe = Universe(star_protocol(4), checkpoint=path)
+        universe = Universe(
+            star_protocol(4),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert path.exists()
         session = universe._checkpoint_session
         assert session.resumed_from is None
@@ -124,26 +144,39 @@ class TestKernelResume:
 
     def test_resume_of_complete_run_is_idempotent(self, tmp_path):
         path = tmp_path / "done.ckpt"
-        first = Universe(star_protocol(5), checkpoint=path)
-        again = Universe(star_protocol(5), checkpoint=path)
+        first = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
+        again = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert again._checkpoint_session.resumed_from == len(first)
         assert_bit_identical(first, again)
 
     def test_checkpoint_every_reduces_saves(self, tmp_path):
         dense = Universe(
-            star_protocol(5), checkpoint=tmp_path / "dense.ckpt"
+            star_protocol(5),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=tmp_path / "dense.ckpt"),
+            ),
         )
         sparse = Universe(
             star_protocol(5),
-            checkpoint=tmp_path / "sparse.ckpt",
-            checkpoint_every=4,
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=tmp_path / "sparse.ckpt", every=4),
+            ),
         )
         assert sparse._checkpoint_session.saves < (
             dense._checkpoint_session.saves
         )
         # The final state is always saved, so resume still completes.
         resumed = Universe(
-            star_protocol(5), checkpoint=tmp_path / "sparse.ckpt"
+            star_protocol(5),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=tmp_path / "sparse.ckpt"),
+            ),
         )
         assert_bit_identical(dense, resumed)
 
@@ -151,21 +184,35 @@ class TestKernelResume:
         with pytest.raises(UniverseError, match=">= 1"):
             Universe(
                 star_protocol(4),
-                checkpoint=tmp_path / "x.ckpt",
-                checkpoint_every=0,
+                options=ExplorationOptions(
+                    checkpoint=CheckpointPolicy(path=tmp_path / "x.ckpt", every=0),
+                ),
             )
 
     def test_max_events_round_trip(self, tmp_path):
-        single = Universe(star_protocol(5), max_events=6)
+        single = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(limits=Limits(max_events=6)),
+        )
         path = tmp_path / "capped.ckpt"
         Universe(
             star_protocol(5),
-            max_events=6,
-            max_configurations=100,
-            on_limit="truncate",
-            checkpoint=path,
+            options=ExplorationOptions(
+                limits=Limits(
+                    max_events=6,
+                    max_configurations=100,
+                    on_limit="truncate",
+                ),
+                checkpoint=CheckpointPolicy(path=path),
+            ),
         )
-        resumed = Universe(star_protocol(5), max_events=6, checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(
+                limits=Limits(max_events=6),
+                checkpoint=CheckpointPolicy(path=path),
+            ),
+        )
         assert not resumed.is_complete  # max_events truncation preserved
         assert_bit_identical(single, resumed)
 
@@ -199,20 +246,25 @@ class TestShardedResume:
         path = tmp_path / "both.ckpt"
         partial = Universe(
             star_protocol(5),
-            max_configurations=200,
-            on_limit="truncate",
-            checkpoint=path,
-            workers=2,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=200, on_limit="truncate"),
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(workers=2),
+            ),
         )
         # Fault layers are absolute BFS layer indices; a resumed run
         # starts at the checkpoint's layer, so target one past it.
         resume_layer = partial._checkpoint_session.layers + 1
         resumed = Universe(
             star_protocol(5),
-            checkpoint=path,
-            workers=2,
-            fault_plan=FaultPlan.kill(0, resume_layer),
-            supervision=FAST,
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=FaultPlan.kill(0, resume_layer),
+                    supervision=FAST,
+                ),
+            ),
         )
         assert resumed.recovery_log
         assert_bit_identical(single, resumed)
@@ -222,18 +274,26 @@ class TestStar7Acceptance:
     def test_interrupted_star7_resumes_exactly(self, tmp_path):
         """The acceptance case: a checkpointed star n=7 run interrupted
         mid-exploration resumes to the same ids/CSR/completeness."""
-        single = Universe(star_protocol(7), max_configurations=None)
+        single = Universe(
+            star_protocol(7),
+            options=ExplorationOptions(limits=Limits(max_configurations=None)),
+        )
         assert len(single) == 75_974
         path = tmp_path / "star7.ckpt"
         partial = Universe(
             star_protocol(7),
-            max_configurations=30_000,
-            on_limit="truncate",
-            checkpoint=path,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=30_000, on_limit="truncate"),
+                checkpoint=CheckpointPolicy(path=path),
+            ),
         )
         assert not partial.is_complete
         resumed = Universe(
-            star_protocol(7), max_configurations=None, checkpoint=path
+            star_protocol(7),
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=None),
+                checkpoint=CheckpointPolicy(path=path),
+            ),
         )
         assert resumed.is_complete
         assert len(resumed) == len(single)
@@ -249,36 +309,55 @@ class TestFileFormat:
         path = tmp_path / "u.ckpt"
         Universe(
             star_protocol(5),
-            max_configurations=100,
-            on_limit="truncate",
-            checkpoint=path,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=100, on_limit="truncate"),
+                checkpoint=CheckpointPolicy(path=path),
+            ),
         )
         return path
 
     def test_wrong_protocol_rejected(self, tmp_path):
         path = self.build_checkpoint(tmp_path)
         with pytest.raises(CheckpointError, match="incompatible"):
-            Universe(star_protocol(6), checkpoint=path)
+            Universe(
+                star_protocol(6),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
         with pytest.raises(CheckpointError, match="incompatible"):
-            Universe(TokenBusProtocol(max_hops=4), checkpoint=path)
+            Universe(
+                TokenBusProtocol(max_hops=4),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
 
     def test_wrong_max_events_rejected(self, tmp_path):
         path = self.build_checkpoint(tmp_path)
         with pytest.raises(CheckpointError, match="incompatible"):
-            Universe(star_protocol(5), max_events=4, checkpoint=path)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(
+                    limits=Limits(max_events=4),
+                    checkpoint=CheckpointPolicy(path=path),
+                ),
+            )
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointError, match="bad magic"):
-            Universe(star_protocol(5), checkpoint=path)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
 
     def test_truncated_file_rejected(self, tmp_path):
         path = self.build_checkpoint(tmp_path)
         raw = path.read_bytes()
         path.write_bytes(raw[: len(raw) // 2])
         with pytest.raises(CheckpointError, match="corrupt or truncated"):
-            Universe(star_protocol(5), checkpoint=path)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
 
     def test_corrupt_payload_rejected(self, tmp_path):
         path = self.build_checkpoint(tmp_path)
@@ -286,7 +365,10 @@ class TestFileFormat:
         raw[len(MANIFEST_MAGIC) + 4] ^= 0xFF
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError):
-            Universe(star_protocol(5), checkpoint=path)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
 
     def test_checkpoint_error_is_universe_error(self):
         assert issubclass(CheckpointError, UniverseError)
@@ -319,24 +401,39 @@ class TestRssWatchdog:
         with pytest.raises(UniverseError, match="positive"):
             RssWatchdog(0)
         with pytest.raises(UniverseError, match="positive"):
-            Universe(star_protocol(4), rss_budget_mb=-5)
+            Universe(
+                star_protocol(4),
+                options=ExplorationOptions(budget=ResourceBudget(rss_budget_mb=-5)),
+            )
 
     def test_tiny_budget_truncates_gracefully(self):
         """Crossing the budget degrades to truncate, not a crash."""
-        universe = Universe(star_protocol(5), rss_budget_mb=1)
+        universe = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(budget=ResourceBudget(rss_budget_mb=1)),
+        )
         assert not universe.is_complete
         assert len(universe) < 634
         # CSR padding: every configuration has a (possibly empty) row.
         assert len(universe._succ_offsets) == len(universe) + 1
 
     def test_tiny_budget_truncates_sharded(self):
-        universe = Universe(star_protocol(5), workers=2, rss_budget_mb=1)
+        universe = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(
+                budget=ResourceBudget(rss_budget_mb=1),
+                sharding=Sharding(workers=2),
+            ),
+        )
         assert not universe.is_complete
         assert len(universe._succ_offsets) == len(universe) + 1
 
     def test_generous_budget_changes_nothing(self):
         single = Universe(star_protocol(5))
-        budgeted = Universe(star_protocol(5), rss_budget_mb=100_000)
+        budgeted = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(budget=ResourceBudget(rss_budget_mb=100_000)),
+        )
         assert budgeted.is_complete
         assert_bit_identical(single, budgeted)
 
@@ -346,10 +443,17 @@ class TestRssWatchdog:
         single = Universe(star_protocol(5))
         path = tmp_path / "oom.ckpt"
         partial = Universe(
-            star_protocol(5), rss_budget_mb=1, checkpoint=path
+            star_protocol(5),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                budget=ResourceBudget(rss_budget_mb=1),
+            ),
         )
         assert not partial.is_complete
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert resumed.is_complete
         assert_bit_identical(single, resumed)
 
@@ -374,14 +478,20 @@ class TestRssWatchdogDegraded:
     def test_degraded_watchdog_never_truncates(self, monkeypatch):
         monkeypatch.setattr(checkpoint_module, "process_rss_mb", lambda pid=None: None)
         with pytest.warns(RuntimeWarning, match="RSS watchdog disabled"):
-            universe = Universe(star_protocol(5), rss_budget_mb=1)
+            universe = Universe(
+                star_protocol(5),
+                options=ExplorationOptions(budget=ResourceBudget(rss_budget_mb=1)),
+            )
         # A 1 MiB budget would normally truncate immediately; without a
         # measurement the run completes and the degradation is visible.
         assert universe.is_complete
         assert universe.rss_watchdog_active is False
 
     def test_healthy_watchdog_is_observable(self):
-        universe = Universe(star_protocol(4), rss_budget_mb=100_000)
+        universe = Universe(
+            star_protocol(4),
+            options=ExplorationOptions(budget=ResourceBudget(rss_budget_mb=100_000)),
+        )
         assert universe.rss_watchdog_active is True
         assert Universe(star_protocol(4)).rss_watchdog_active is None
 
@@ -407,12 +517,16 @@ class TestSegmentedLayout:
         path = tmp_path / "u.ckpt"
         Universe(
             star_protocol(5),
-            max_configurations=100,
-            on_limit="truncate",
-            checkpoint=path,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=100, on_limit="truncate"),
+                checkpoint=CheckpointPolicy(path=path),
+            ),
         )
         early = {seg.name: seg.read_bytes() for seg in segment_files(path)}
-        Universe(star_protocol(5), checkpoint=path)
+        Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         late = {seg.name: seg.read_bytes() for seg in segment_files(path)}
         assert set(early) < set(late)
         for name, blob in early.items():
@@ -422,12 +536,18 @@ class TestSegmentedLayout:
         monkeypatch.setattr(checkpoint_module, "DEFAULT_COMPACT_SEGMENTS", 3)
         single = Universe(star_protocol(5))
         path = tmp_path / "u.ckpt"
-        universe = Universe(star_protocol(5), checkpoint=path)
+        universe = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         session = universe._checkpoint_session
         assert session.saves >= 9  # ten layers, saved every layer
         assert len(segment_files(path)) <= 4  # folded, not accumulated
         assert session._generation >= 1
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert_bit_identical(single, resumed)
 
     def test_compaction_threshold_validation(self, tmp_path):
@@ -444,7 +564,10 @@ class TestCorruptionSalvage:
         single = Universe(star_protocol(5))
         path = partial_checkpoint(tmp_path)
         flip_last_byte(segment_files(path)[-1])
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert resumed.is_complete
         assert_bit_identical(single, resumed)
         session = resumed._checkpoint_session
@@ -462,7 +585,10 @@ class TestCorruptionSalvage:
         single = Universe(star_protocol(5))
         path = partial_checkpoint(tmp_path)
         segment_files(path)[-1].unlink()
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert resumed.is_complete
         assert_bit_identical(single, resumed)
         events = [
@@ -478,7 +604,10 @@ class TestCorruptionSalvage:
         single = Universe(star_protocol(5))
         path = partial_checkpoint(tmp_path)
         flip_last_byte(segment_files(path)[0])
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert resumed.is_complete
         assert_bit_identical(single, resumed)
         assert resumed._checkpoint_session.resumed_from is None
@@ -490,13 +619,21 @@ class TestCorruptionSalvage:
         path = partial_checkpoint(tmp_path)
         flip_last_byte(segment_files(path)[-1])
         with pytest.raises(CheckpointError, match="salvage"):
-            Universe(star_protocol(5), checkpoint=path, checkpoint_strict=True)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(
+                    checkpoint=CheckpointPolicy(path=path, strict=True),
+                ),
+            )
 
     def test_strict_on_intact_file_is_inert(self, tmp_path):
         single = Universe(star_protocol(5))
         path = partial_checkpoint(tmp_path)
         resumed = Universe(
-            star_protocol(5), checkpoint=path, checkpoint_strict=True
+            star_protocol(5),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path, strict=True),
+            ),
         )
         assert_bit_identical(single, resumed)
 
@@ -507,7 +644,10 @@ class TestCorruptionSalvage:
         path = partial_checkpoint(tmp_path)
         orphan = path.with_name(f"{path.name}.g0-000099.seg")
         orphan.write_bytes(SEGMENT_MAGIC + b"torn half-written segment")
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert not orphan.exists()
         assert_bit_identical(single, resumed)
         torn = [
@@ -522,10 +662,16 @@ class TestCorruptionSalvage:
         names; a later resume sees a fully healthy file again."""
         path = partial_checkpoint(tmp_path)
         flip_last_byte(segment_files(path)[-1])
-        Universe(star_protocol(5), checkpoint=path)
+        Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         report = inspect_checkpoint(path)
         assert report["valid"], report
-        again = Universe(star_protocol(5), checkpoint=path)
+        again = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert not again.recovery_log
 
 
@@ -546,14 +692,19 @@ class TestCheckpointFaultInjection:
         with pytest.raises(TornDeath):
             Universe(
                 star_protocol(5),
-                checkpoint=path,
-                fault_plan=FaultPlan.torn_save(3),
+                options=ExplorationOptions(
+                    checkpoint=CheckpointPolicy(path=path),
+                    sharding=Sharding(fault_plan=FaultPlan.torn_save(3)),
+                ),
             )
         # The segment append outran the manifest: that is the torn state.
         report = inspect_checkpoint(path)
         assert report["orphans"], report
         single = Universe(star_protocol(5))
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert_bit_identical(single, resumed)
         assert any(
             entry["action"] == "discard-orphan"
@@ -567,19 +718,29 @@ class TestCheckpointFaultInjection:
         path = tmp_path / "u.ckpt"
         Universe(
             star_protocol(5),
-            checkpoint=path,
-            fault_plan=FaultPlan.corrupt_segment(4),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(fault_plan=FaultPlan.corrupt_segment(4)),
+            ),
         )
         report = inspect_checkpoint(path)
         assert not report["valid"]
         assert any("corrupt" in row["status"] for row in report["segments"])
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert_bit_identical(single, resumed)
         assert resumed._checkpoint_session.salvaged
 
     def test_checkpoint_fault_requires_checkpoint_path(self):
         with pytest.raises(UniverseError, match="requires a checkpoint"):
-            Universe(star_protocol(4), fault_plan=FaultPlan.torn_save(2))
+            Universe(
+                star_protocol(4),
+                options=ExplorationOptions(
+                    sharding=Sharding(fault_plan=FaultPlan.torn_save(2)),
+                ),
+            )
 
     def test_fault_fires_at_most_once(self, tmp_path):
         """A corrupt_segment fault fires on one save only; the session
@@ -587,8 +748,10 @@ class TestCheckpointFaultInjection:
         path = tmp_path / "u.ckpt"
         Universe(
             star_protocol(5),
-            checkpoint=path,
-            fault_plan=FaultPlan.corrupt_segment(2),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(fault_plan=FaultPlan.corrupt_segment(2)),
+            ),
         )
         report = inspect_checkpoint(path)
         bad = [r for r in report["segments"] if r["status"] != "ok"]
@@ -607,7 +770,10 @@ class TestVersioning:
         files = snapshot_files(path)
         message = r"version 1 is not supported.*reads version 2"
         with pytest.raises(CheckpointError, match=message):
-            Universe(star_protocol(5), checkpoint=path)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
         report = inspect_checkpoint(path)
         assert report["format_version"] == 1
         assert not report["valid"]
@@ -624,7 +790,10 @@ class TestVersioning:
             CheckpointError,
             match=r"version 99 is not supported.*reads version 2\)",
         ):
-            Universe(star_protocol(5), checkpoint=path)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
         report = inspect_checkpoint(path)
         assert report["format_version"] == 99
         assert not report["valid"]
@@ -633,11 +802,23 @@ class TestVersioning:
     def test_token_mismatch_messages_name_the_field(self, tmp_path):
         path = partial_checkpoint(tmp_path)
         with pytest.raises(CheckpointError, match="protocol"):
-            Universe(TokenBusProtocol(max_hops=4), checkpoint=path)
+            Universe(
+                TokenBusProtocol(max_hops=4),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
         with pytest.raises(CheckpointError, match="process set"):
-            Universe(star_protocol(6), checkpoint=path)
+            Universe(
+                star_protocol(6),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
         with pytest.raises(CheckpointError, match="max_events="):
-            Universe(star_protocol(5), max_events=4, checkpoint=path)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(
+                    limits=Limits(max_events=4),
+                    checkpoint=CheckpointPolicy(path=path),
+                ),
+            )
 
 
 class TestInspectCheckpoint:
@@ -710,7 +891,10 @@ class TestOfflineCompaction:
         assert after["orphans"] == []
         for field in ("layers", "count", "complete", "frontier_start"):
             assert after[field] == before[field]
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert_bit_identical(single, resumed)
         assert not resumed.recovery_log
 
@@ -776,7 +960,10 @@ class TestFormatStability:
     def test_fixture_resumes_bit_identical(self, tmp_path):
         single = Universe(star_protocol(4))
         path = self.copy_fixture(tmp_path)
-        resumed = Universe(star_protocol(4), checkpoint=path)
+        resumed = Universe(
+            star_protocol(4),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert resumed._checkpoint_session.resumed_from is not None
         assert not resumed.recovery_log
         assert_bit_identical(single, resumed)
@@ -796,16 +983,23 @@ class TestOrphanNameMatching:
     ):
         single = Universe(star_protocol(4))
         victim_path = tmp_path / victim
-        Universe(star_protocol(4), checkpoint=victim_path)
+        Universe(
+            star_protocol(4),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=victim_path)),
+        )
         victim_files = snapshot_files(victim_path)
         path = tmp_path / resumed_name
         Universe(
             star_protocol(4),
-            max_configurations=40,
-            on_limit="truncate",
-            checkpoint=path,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=40, on_limit="truncate"),
+                checkpoint=CheckpointPolicy(path=path),
+            ),
         )
-        resumed = Universe(star_protocol(4), checkpoint=path)
+        resumed = Universe(
+            star_protocol(4),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert_bit_identical(single, resumed)
         assert not any(
             entry["action"] == "discard-orphan"
@@ -821,16 +1015,27 @@ class TestOrphanNameMatching:
     def test_inspect_lists_only_its_own_orphans(
         self, tmp_path, victim, inspected_name
     ):
-        Universe(star_protocol(4), checkpoint=tmp_path / victim)
+        Universe(
+            star_protocol(4),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=tmp_path / victim),
+            ),
+        )
         path = tmp_path / inspected_name
-        Universe(star_protocol(4), checkpoint=path)
+        Universe(
+            star_protocol(4),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert inspect_checkpoint(path)["orphans"] == []
         orphan = tmp_path / f"{inspected_name}.g0-000099.seg"
         orphan.write_bytes(SEGMENT_MAGIC + b"torn half-written segment")
         report = inspect_checkpoint(path)
         assert report["valid"], report
         assert report["orphans"] == [orphan.name]
-        resumed = Universe(star_protocol(4), checkpoint=path)
+        resumed = Universe(
+            star_protocol(4),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert [
             entry["detail"]
             for entry in resumed.recovery_log

@@ -8,6 +8,7 @@ from repro.core.validation import is_valid_configuration
 from repro.protocols.pingpong import PingPongProtocol
 from repro.universe.builder import figure_3_1_universe
 from repro.universe.explorer import Universe
+from repro.universe.options import ExplorationOptions, Limits, Sharding
 
 
 class TestExploration:
@@ -42,12 +43,18 @@ class TestExploration:
                 assert configuration.is_sub_configuration_of(successor)
 
     def test_truncation_detected(self):
-        truncated = Universe(PingPongProtocol(rounds=10), max_events=4)
+        truncated = Universe(
+            PingPongProtocol(rounds=10),
+            options=ExplorationOptions(limits=Limits(max_events=4)),
+        )
         assert not truncated.is_complete
 
     def test_configuration_budget_enforced(self):
         with pytest.raises(UniverseError):
-            Universe(PingPongProtocol(rounds=4), max_configurations=3)
+            Universe(
+                PingPongProtocol(rounds=4),
+                options=ExplorationOptions(limits=Limits(max_configurations=3)),
+            )
 
     def test_require_rejects_foreigners(self, pingpong_universe):
         from repro.core.configuration import Configuration
@@ -61,7 +68,10 @@ class TestExploration:
     def test_configuration_of_id_rejects_out_of_range(self, workers):
         """Ids outside ``[0, len)`` raise instead of wrapping: ``-1``
         must not silently return the last configuration."""
-        universe = Universe(PingPongProtocol(rounds=1), workers=workers)
+        universe = Universe(
+            PingPongProtocol(rounds=1),
+            options=ExplorationOptions(sharding=Sharding(workers=workers)),
+        )
         last = len(universe) - 1
         assert universe.config_id(universe.configuration_of_id(last)) == last
         for bad in (-1, len(universe)):

@@ -24,6 +24,12 @@ from repro.protocols.failure_monitor import SyncFailureMonitorProtocol
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.checkpoint import inspect_checkpoint
 from repro.universe.explorer import Universe
+from repro.universe.options import (
+    CheckpointPolicy,
+    ExplorationOptions,
+    Limits,
+    Sharding,
+)
 from repro.universe.faults import FAULT_KINDS, Fault, FaultPlan
 from repro.universe.reference import reference_bfs
 from repro.universe.sharded import (
@@ -71,9 +77,13 @@ class TestKillMatrix:
                 for shard in range(workers):
                     recovered = Universe(
                         star_protocol(5),
-                        workers=workers,
-                        fault_plan=FaultPlan.kill(shard, layer),
-                        supervision=FAST,
+                        options=ExplorationOptions(
+                            sharding=Sharding(
+                                workers=workers,
+                                fault_plan=FaultPlan.kill(shard, layer),
+                                supervision=FAST,
+                            ),
+                        ),
                     )
                     assert_bit_identical(single, recovered)
                     assert recovered.recovery_log, (
@@ -98,9 +108,13 @@ class TestKillMatrix:
             shard = layer % workers
             recovered = Universe(
                 star_protocol(6),
-                workers=workers,
-                fault_plan=FaultPlan.kill(shard, layer),
-                supervision=FAST,
+                options=ExplorationOptions(
+                    sharding=Sharding(
+                        workers=workers,
+                        fault_plan=FaultPlan.kill(shard, layer),
+                        supervision=FAST,
+                    ),
+                ),
             )
             assert_bit_identical(single, recovered)
             assert recovered.recovery_log
@@ -126,9 +140,13 @@ class TestKillMatrix:
         for workers, layer in ((2, 2), (3, 1)):
             recovered = Universe(
                 factory(),
-                workers=workers,
-                fault_plan=FaultPlan.kill(layer % workers, layer),
-                supervision=FAST,
+                options=ExplorationOptions(
+                    sharding=Sharding(
+                        workers=workers,
+                        fault_plan=FaultPlan.kill(layer % workers, layer),
+                        supervision=FAST,
+                    ),
+                ),
             )
             assert_bit_identical(single, recovered)
             assert recovered.recovery_log
@@ -139,9 +157,13 @@ class TestOtherFaultKinds:
         single = Universe(star_protocol(5))
         recovered = Universe(
             star_protocol(5),
-            workers=2,
-            fault_plan=FaultPlan.corrupt_batch(1, 4),
-            supervision=FAST,
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=FaultPlan.corrupt_batch(1, 4),
+                    supervision=FAST,
+                ),
+            ),
         )
         assert_bit_identical(single, recovered)
         assert recovered.recovery_log[0]["kind"] == "corrupt"
@@ -152,9 +174,13 @@ class TestOtherFaultKinds:
         start = time.monotonic()
         recovered = Universe(
             star_protocol(5),
-            workers=2,
-            fault_plan=FaultPlan.drop_batch(0, 3),
-            supervision=policy,
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=FaultPlan.drop_batch(0, 3),
+                    supervision=policy,
+                ),
+            ),
         )
         elapsed = time.monotonic() - start
         assert_bit_identical(single, recovered)
@@ -167,10 +193,12 @@ class TestOtherFaultKinds:
         single = Universe(star_protocol(5))
         recovered = Universe(
             star_protocol(5),
-            workers=2,
-            fault_plan=FaultPlan.delay_batch(0, 2, 0.1),
-            supervision=SupervisionPolicy(
-                heartbeat_timeout=5.0, poll_interval=0.02
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=FaultPlan.delay_batch(0, 2, 0.1),
+                    supervision=FAST,
+                ),
             ),
         )
         assert_bit_identical(single, recovered)
@@ -178,12 +206,15 @@ class TestOtherFaultKinds:
 
     def test_long_delay_is_a_timeout(self):
         single = Universe(star_protocol(5))
+        policy = SupervisionPolicy(heartbeat_timeout=0.4, poll_interval=0.02)
         recovered = Universe(
             star_protocol(5),
-            workers=2,
-            fault_plan=FaultPlan.delay_batch(1, 3, 1.5),
-            supervision=SupervisionPolicy(
-                heartbeat_timeout=0.4, poll_interval=0.02
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=FaultPlan.delay_batch(1, 3, 1.5),
+                    supervision=policy,
+                ),
             ),
         )
         assert_bit_identical(single, recovered)
@@ -198,7 +229,10 @@ class TestOtherFaultKinds:
             )
         )
         recovered = Universe(
-            star_protocol(5), workers=2, fault_plan=plan, supervision=FAST
+            star_protocol(5),
+            options=ExplorationOptions(
+                sharding=Sharding(workers=2, fault_plan=plan, supervision=FAST),
+            ),
         )
         assert_bit_identical(single, recovered)
         assert len(recovered.recovery_log) == 2
@@ -244,10 +278,14 @@ class TestFoldPath:
         and truncation)."""
         universe = Universe(
             factory(),
-            workers=2,
-            fault_plan=kill_every_worker(2, layer),
-            supervision=NO_RESPAWN,
-            **bounds,
+            options=ExplorationOptions(
+                limits=Limits(**bounds),
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=kill_every_worker(2, layer),
+                    supervision=NO_RESPAWN,
+                ),
+            ),
         )
         assert reference_bfs(factory(), **bounds).differences(universe) == []
         assert len(folds(universe)) == 2
@@ -262,9 +300,13 @@ class TestFoldPath:
         assert len(buckets) > 50
         universe = Universe(
             star_protocol(5),
-            workers=2,
-            fault_plan=kill_every_worker(2, layer),
-            supervision=NO_RESPAWN,
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=kill_every_worker(2, layer),
+                    supervision=NO_RESPAWN,
+                ),
+            ),
         )
         assert reference.differences(universe) == []
         assert len(folds(universe)) == 2
@@ -277,19 +319,24 @@ class TestFoldPath:
         path = tmp_path / "partial.ckpt"
         partial = Universe(
             star_protocol(5),
-            max_configurations=200,
-            on_limit="truncate",
-            checkpoint=path,
-            workers=writer_workers,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=200, on_limit="truncate"),
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(workers=writer_workers),
+            ),
         )
         assert len(partial) == 200
         first_layer = inspect_checkpoint(path)["layers"]
         resumed = Universe(
             star_protocol(5),
-            checkpoint=path,
-            workers=2,
-            fault_plan=kill_every_worker(2, first_layer),
-            supervision=NO_RESPAWN,
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=kill_every_worker(2, first_layer),
+                    supervision=NO_RESPAWN,
+                ),
+            ),
         )
         assert resumed._checkpoint_session.resumed_from is not None
         assert reference_bfs(star_protocol(5)).differences(resumed) == []
@@ -299,10 +346,10 @@ class TestFoldPath:
         single = Universe(star_protocol(5))
         recovered = Universe(
             star_protocol(5),
-            workers=2,
-            fault_plan=FaultPlan.kill(1, 3),
-            supervision=SupervisionPolicy(
-                heartbeat_timeout=5.0, poll_interval=0.02, max_respawns=0
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=2, fault_plan=FaultPlan.kill(1, 3), supervision=NO_RESPAWN
+                ),
             ),
         )
         assert_bit_identical(single, recovered)
@@ -312,10 +359,10 @@ class TestFoldPath:
         single = Universe(star_protocol(5))
         recovered = Universe(
             star_protocol(5),
-            workers=3,
-            fault_plan=FaultPlan.kill(0, 0),
-            supervision=SupervisionPolicy(
-                heartbeat_timeout=5.0, poll_interval=0.02, max_respawns=0
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=3, fault_plan=FaultPlan.kill(0, 0), supervision=NO_RESPAWN
+                ),
             ),
         )
         assert_bit_identical(single, recovered)
@@ -326,10 +373,10 @@ class TestFoldPath:
         plan = FaultPlan((Fault("kill", 0, 1), Fault("kill", 1, 2)))
         recovered = Universe(
             star_protocol(5),
-            workers=2,
-            fault_plan=plan,
-            supervision=SupervisionPolicy(
-                heartbeat_timeout=5.0, poll_interval=0.02, max_respawns=0
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=2, fault_plan=plan, supervision=NO_RESPAWN
+                ),
             ),
         )
         assert_bit_identical(single, recovered)
@@ -343,27 +390,40 @@ class TestFaultsWithBounds:
     def test_truncation_survives_a_kill(self):
         """Recovery composes with on_limit="truncate": same cut point."""
         single = Universe(
-            star_protocol(6), max_configurations=500, on_limit="truncate"
+            star_protocol(6),
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=500, on_limit="truncate"),
+            ),
         )
         recovered = Universe(
             star_protocol(6),
-            max_configurations=500,
-            on_limit="truncate",
-            workers=2,
-            fault_plan=FaultPlan.kill(0, 4),
-            supervision=FAST,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=500, on_limit="truncate"),
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=FaultPlan.kill(0, 4),
+                    supervision=FAST,
+                ),
+            ),
         )
         assert not recovered.is_complete
         assert_bit_identical(single, recovered)
 
     def test_max_events_survives_a_kill(self):
-        single = Universe(star_protocol(5), max_events=6)
+        single = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(limits=Limits(max_events=6)),
+        )
         recovered = Universe(
             star_protocol(5),
-            max_events=6,
-            workers=2,
-            fault_plan=FaultPlan.kill(1, 2),
-            supervision=FAST,
+            options=ExplorationOptions(
+                limits=Limits(max_events=6),
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=FaultPlan.kill(1, 2),
+                    supervision=FAST,
+                ),
+            ),
         )
         assert_bit_identical(single, recovered)
 
@@ -377,7 +437,10 @@ class TestWorkerErrorPropagation:
                 return super().enabled_events(configuration)
 
         with pytest.raises(WorkerError) as excinfo:
-            Universe(Boom(rounds=2), workers=2)
+            Universe(
+                Boom(rounds=2),
+                options=ExplorationOptions(sharding=Sharding(workers=2)),
+            )
         error = excinfo.value
         assert error.worker_type == "RuntimeError"
         assert "intentional worker explosion" in error.worker_traceback
@@ -395,7 +458,10 @@ class TestWorkerErrorPropagation:
                 return super().enabled_events(configuration)
 
         try:
-            Universe(Boom(rounds=1), workers=2)
+            Universe(
+                Boom(rounds=1),
+                options=ExplorationOptions(sharding=Sharding(workers=2)),
+            )
         except WorkerError:
             pass
         # No respawn was attempted for an application error: spawning a
@@ -404,7 +470,10 @@ class TestWorkerErrorPropagation:
 
 class TestTeardownHygiene:
     def test_no_orphan_processes_after_success(self):
-        Universe(star_protocol(5), workers=3)
+        Universe(
+            star_protocol(5),
+            options=ExplorationOptions(sharding=Sharding(workers=3)),
+        )
         for _ in range(50):
             if not multiprocessing.active_children():
                 break
@@ -414,9 +483,13 @@ class TestTeardownHygiene:
     def test_no_orphans_after_recovery(self):
         Universe(
             star_protocol(5),
-            workers=2,
-            fault_plan=FaultPlan.kill(0, 3),
-            supervision=FAST,
+            options=ExplorationOptions(
+                sharding=Sharding(
+                    workers=2,
+                    fault_plan=FaultPlan.kill(0, 3),
+                    supervision=FAST,
+                ),
+            ),
         )
         for _ in range(50):
             if not multiprocessing.active_children():
@@ -432,7 +505,10 @@ class TestTeardownHygiene:
                 return super().enabled_events(configuration)
 
         with pytest.raises(WorkerError):
-            Universe(Boom(rounds=2), workers=3)
+            Universe(
+                Boom(rounds=2),
+                options=ExplorationOptions(sharding=Sharding(workers=3)),
+            )
         for _ in range(50):
             if not multiprocessing.active_children():
                 break
@@ -443,15 +519,25 @@ class TestTeardownHygiene:
         def open_fds() -> int:
             return len(os.listdir("/proc/self/fd"))
 
-        Universe(star_protocol(4), workers=2)  # warm imports / allocators
+        Universe(
+            star_protocol(4),
+            options=ExplorationOptions(sharding=Sharding(workers=2)),
+        )  # warm imports / allocators
         before = open_fds()
         for _ in range(3):
-            Universe(star_protocol(4), workers=2)
             Universe(
                 star_protocol(4),
-                workers=2,
-                fault_plan=FaultPlan.kill(0, 1),
-                supervision=FAST,
+                options=ExplorationOptions(sharding=Sharding(workers=2)),
+            )
+            Universe(
+                star_protocol(4),
+                options=ExplorationOptions(
+                    sharding=Sharding(
+                        workers=2,
+                        fault_plan=FaultPlan.kill(0, 1),
+                        supervision=FAST,
+                    ),
+                ),
             )
         assert open_fds() <= before
 
@@ -470,7 +556,10 @@ class TestTeardownHygiene:
 
         monkeypatch.setattr(ShardedExplorer, "_exchange_layer", explode)
         with pytest.raises(KeyboardInterrupt):
-            Universe(star_protocol(5), workers=2)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(sharding=Sharding(workers=2)),
+            )
         for _ in range(50):
             if not multiprocessing.active_children():
                 break
@@ -495,15 +584,24 @@ class TestFaultPlanApi:
         with pytest.raises(UniverseError, match="only 2 workers"):
             Universe(
                 star_protocol(4),
-                workers=2,
-                fault_plan=FaultPlan.kill(5, 0),
+                options=ExplorationOptions(
+                    sharding=Sharding(workers=2, fault_plan=FaultPlan.kill(5, 0)),
+                ),
             )
 
     def test_plan_requires_sharded_engine(self):
         with pytest.raises(UniverseError, match="workers >= 2"):
-            Universe(star_protocol(4), fault_plan=FaultPlan.kill(0, 0))
+            Universe(
+                star_protocol(4),
+                options=ExplorationOptions(
+                    sharding=Sharding(fault_plan=FaultPlan.kill(0, 0)),
+                ),
+            )
         with pytest.raises(UniverseError, match="workers >= 2"):
-            Universe(star_protocol(4), supervision=FAST)
+            Universe(
+                star_protocol(4),
+                options=ExplorationOptions(sharding=Sharding(supervision=FAST)),
+            )
 
     def test_faults_delivered_once(self):
         plan = FaultPlan.kill(0, 2)
@@ -707,7 +805,10 @@ class TestSpawnRetry:
         )
         single = Universe(star_protocol(5))
         universe = Universe(
-            star_protocol(5), workers=2, supervision=self.RETRY_POLICY
+            star_protocol(5),
+            options=ExplorationOptions(
+                sharding=Sharding(workers=2, supervision=self.RETRY_POLICY),
+            ),
         )
         assert_bit_identical(single, universe)
         retries = [
@@ -728,7 +829,10 @@ class TestSpawnRetry:
         )
         with pytest.raises(OSError):
             Universe(
-                star_protocol(4), workers=2, supervision=self.RETRY_POLICY
+                star_protocol(4),
+                options=ExplorationOptions(
+                    sharding=Sharding(workers=2, supervision=self.RETRY_POLICY),
+                ),
             )
         assert calls["n"] == self.RETRY_POLICY.spawn_attempts
 
@@ -740,7 +844,10 @@ class TestSpawnRetry:
         )
         with pytest.raises(OSError):
             Universe(
-                star_protocol(4), workers=2, supervision=self.RETRY_POLICY
+                star_protocol(4),
+                options=ExplorationOptions(
+                    sharding=Sharding(workers=2, supervision=self.RETRY_POLICY),
+                ),
             )
         assert calls["n"] == 1
 

@@ -1,18 +1,17 @@
-"""The grouped ExplorationOptions API and its legacy-kwarg shim.
+"""The ExplorationOptions API: the one way to configure a Universe.
 
-Contract (ISSUE 9): both calling styles run through one code path
-inside the explorer, so a ``Universe`` built from legacy kwargs and one
-built from the equivalent ``ExplorationOptions`` are the same universe
-— same dense ids, same CSR arrays, same ``recovery_log`` under fault
-injection.  A ``DeprecationWarning`` fires only on a *conflicting*
-double specification (and the legacy kwarg wins); the dataclasses are
-picklable leaves so an options object travels intact through both
-``fork`` and ``spawn`` worker starts.
+Contract: ``Universe(protocol, options=None)`` is the whole signature,
+so a former flat keyword (``workers=2``, ``max_configurations=...``) is
+a ``TypeError``; options built the same way build the same universe —
+same dense ids, same CSR arrays, same ``recovery_log`` under fault
+injection; and the dataclasses are picklable leaves so an options
+object travels intact through both ``fork`` and ``spawn`` worker
+starts.
 """
 
+import inspect
 import multiprocessing
 import pickle
-import warnings
 
 import pytest
 
@@ -33,152 +32,105 @@ from test_universe_sharded import assert_bit_identical, star_protocol
 FAST = SupervisionPolicy(heartbeat_timeout=5.0, poll_interval=0.02)
 
 
-def no_warnings():
-    """Error on any DeprecationWarning inside the block."""
-    ctx = warnings.catch_warnings()
-    warnings.simplefilter("error", DeprecationWarning)
-    return ctx
+class TestOptionsStyle:
+    """Explorations configured through every options group."""
 
-
-class TestCallStyleMatrix:
-    """One protocol through every calling style: identical universes."""
-
-    def build(self, style):
-        protocol = star_protocol(5)
-        if style == "legacy":
-            return Universe(
-                protocol, max_configurations=2_000, on_limit="raise"
-            )
-        if style == "options":
-            return Universe(
-                protocol,
-                options=ExplorationOptions(
-                    limits=Limits(max_configurations=2_000, on_limit="raise")
-                ),
-            )
-        if style == "mixed":
-            # Options object plus a legacy kwarg filling a field the
-            # options left at its default: no conflict, no warning.
-            return Universe(
-                protocol,
-                max_configurations=2_000,
-                options=ExplorationOptions(limits=Limits(on_limit="raise")),
-            )
-        raise AssertionError(style)
-
-    @pytest.mark.parametrize("style", ["options", "mixed"])
-    def test_styles_build_the_same_universe(self, style):
-        with no_warnings():
-            reference = self.build("legacy")
-            other = self.build(style)
-        assert_bit_identical(reference, other)
-
-    def test_options_property_reflects_resolution(self):
-        universe = Universe(star_protocol(4), max_configurations=500)
-        assert universe.options.limits.max_configurations == 500
+    def test_options_property_reflects_construction(self):
+        options = ExplorationOptions(limits=Limits(max_configurations=500))
+        universe = Universe(star_protocol(4), options=options)
+        assert universe.options is options
         assert universe.options.store == "arena"
+        assert Universe(star_protocol(4)).options == ExplorationOptions()
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_sharded_options_style(self, workers):
-        with no_warnings():
-            single = Universe(star_protocol(5))
-            sharded = Universe(
-                star_protocol(5),
-                options=ExplorationOptions(
-                    sharding=Sharding(workers=workers, supervision=FAST)
-                ),
-            )
+        single = Universe(star_protocol(5))
+        sharded = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(
+                sharding=Sharding(workers=workers, supervision=FAST)
+            ),
+        )
         assert_bit_identical(single, sharded)
 
     def test_arena_store_options_style(self, tmp_path):
-        with no_warnings():
-            default = Universe(star_protocol(5))
-            arena = Universe(
-                star_protocol(5),
-                options=ExplorationOptions(
-                    store="arena",
-                    budget=ResourceBudget(spill_dir=tmp_path),
-                ),
-            )
+        default = Universe(star_protocol(5))
+        arena = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(
+                store="arena",
+                budget=ResourceBudget(spill_dir=tmp_path),
+            ),
+        )
         assert len(default) == len(arena)
         assert default._succ_ids == arena._succ_ids
         assert default._ids_by_hash == arena._ids_by_hash
 
 
 class TestRecoveryEquivalence:
-    """Fault-injected runs agree across call styles, recovery_log and
-    all."""
+    """Fault-injected runs built from equal options agree, recovery_log
+    and all."""
 
     def test_same_recovery_log_under_kill(self):
-        plan_a = FaultPlan.kill(0, 1)
-        plan_b = FaultPlan.kill(0, 1)
-        with no_warnings():
-            legacy = Universe(
-                star_protocol(5),
-                workers=2,
-                supervision=FAST,
-                fault_plan=plan_a,
+        options = ExplorationOptions(
+            sharding=Sharding(
+                workers=2, supervision=FAST, fault_plan=FaultPlan.kill(0, 1)
             )
-            styled = Universe(
-                star_protocol(5),
-                options=ExplorationOptions(
-                    sharding=Sharding(
-                        workers=2, supervision=FAST, fault_plan=plan_b
-                    )
-                ),
-            )
-        assert_bit_identical(legacy, styled)
+        )
+        # A fault plan is consumed as it fires: pickle a fresh copy first.
+        copy = pickle.loads(pickle.dumps(options))
+        first = Universe(star_protocol(5), options=options)
+        again = Universe(star_protocol(5), options=copy)
+        assert_bit_identical(first, again)
         strip = lambda log: [  # noqa: E731 - local comparator
             {k: e[k] for k in ("kind", "shard", "layer", "action")}
             for e in log
         ]
-        assert strip(legacy.recovery_log) == strip(styled.recovery_log)
-        assert legacy.recovery_log  # the fault actually fired
+        assert strip(first.recovery_log) == strip(again.recovery_log)
+        assert first.recovery_log  # the fault actually fired
 
     def test_checkpoint_policy_round_trip(self, tmp_path):
         path = tmp_path / "u.ckpt"
-        with no_warnings():
-            first = Universe(
-                star_protocol(5),
-                options=ExplorationOptions(
-                    checkpoint=CheckpointPolicy(path=path, every=2)
-                ),
-            )
-            resumed = Universe(
-                star_protocol(5),
-                options=ExplorationOptions(
-                    checkpoint=CheckpointPolicy(path=path)
-                ),
-            )
+        first = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path, every=2)
+            ),
+        )
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert path.exists()
         assert resumed._checkpoint_session.resumed_from is not None
         assert_bit_identical(first, resumed)
 
 
-class TestShim:
-    """Conflict detection and rejection semantics of resolve_options."""
+class TestSignature:
+    """``Universe(protocol, options=None)`` and nothing else."""
 
-    def test_conflicting_double_spec_warns_and_legacy_wins(self):
-        with pytest.warns(DeprecationWarning, match="legacy kwarg wins"):
-            universe = Universe(
-                star_protocol(4),
-                max_configurations=700,
-                options=ExplorationOptions(
-                    limits=Limits(max_configurations=9)
-                ),
-            )
-        assert universe.options.limits.max_configurations == 700
-        assert len(universe) > 9  # the tighter options value did not apply
-
-    def test_equal_double_spec_does_not_warn(self):
-        with no_warnings():
-            Universe(
-                star_protocol(4),
-                max_configurations=5_000,
-                options=ExplorationOptions(
-                    limits=Limits(max_configurations=5_000)
-                ),
-            )
+    @pytest.mark.parametrize(
+        "kwarg,value",
+        [
+            ("max_events", 4),
+            ("max_configurations", 700),
+            ("on_limit", "truncate"),
+            ("workers", 2),
+            ("checkpoint", "u.ckpt"),
+            ("checkpoint_every", 2),
+            ("checkpoint_strict", True),
+            ("rss_budget_mb", 4096.0),
+            ("fault_plan", None),
+            ("supervision", None),
+            ("store", "arena"),
+            ("spill_dir", None),
+        ],
+    )
+    def test_flat_keywords_rejected(self, kwarg, value):
+        signature = inspect.signature(Universe)
+        assert list(signature.parameters) == ["protocol", "options"]
+        with pytest.raises(TypeError, match=kwarg):
+            signature.bind(star_protocol(4), **{kwarg: value})
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="max_configs"):

@@ -8,6 +8,7 @@ import pytest
 from repro.protocols.broadcast import BroadcastProtocol, star_topology, tree_topology
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.explorer import PartitionTable, Universe, iter_bit_ids
+from repro.universe.options import ExplorationOptions, Limits
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +289,7 @@ ORACLE_UNIVERSES = {
     "token_bus_h4": lambda: Universe(TokenBusProtocol(max_hops=4)),
     "star5_truncated": lambda: Universe(
         BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub"),
-        max_events=4,
+        options=ExplorationOptions(limits=Limits(max_events=4)),
     ),
 }
 

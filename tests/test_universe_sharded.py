@@ -1,6 +1,6 @@
 """Multiprocess sharded exploration: bit-identity with the kernel.
 
-The contract of ``Universe(protocol, workers=K)`` is that the merged
+The contract of ``Sharding(workers=K)`` is that the merged
 universe is *bit-identical* to single-process exploration: same dense
 ids, same configuration objects (by value), same CSR successor arrays,
 same content-hash table (including collision-bucket layout), same class
@@ -30,6 +30,7 @@ from repro.protocols.snapshot import SnapshotTokenRingProtocol
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.simulation.network import FifoProtocol
 from repro.universe.explorer import Universe, iter_bit_ids
+from repro.universe.options import ExplorationOptions, Limits, Sharding
 from repro.universe.sharded import resolve_workers
 
 
@@ -102,20 +103,35 @@ class TestShardedBitIdentity:
     @pytest.mark.parametrize("factory, workers", PROTOCOLS)
     def test_matches_single_process(self, factory, workers):
         single = Universe(factory())
-        sharded = Universe(factory(), workers=workers)
+        sharded = Universe(
+            factory(),
+            options=ExplorationOptions(sharding=Sharding(workers=workers)),
+        )
         assert_bit_identical(single, sharded)
 
     def test_star7_with_four_workers(self):
         """The n<=7 scale point of the acceptance contract."""
-        single = Universe(star_protocol(7), max_configurations=None)
-        sharded = Universe(star_protocol(7), max_configurations=None, workers=4)
+        single = Universe(
+            star_protocol(7),
+            options=ExplorationOptions(limits=Limits(max_configurations=None)),
+        )
+        sharded = Universe(
+            star_protocol(7),
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=None),
+                sharding=Sharding(workers=4),
+            ),
+        )
         assert len(single) == 75_974
         assert_bit_identical(single, sharded)
 
     def test_more_workers_than_frontier(self):
         """K larger than any frontier layer: shards may sit idle."""
         single = Universe(PingPongProtocol(rounds=1))
-        sharded = Universe(PingPongProtocol(rounds=1), workers=7)
+        sharded = Universe(
+            PingPongProtocol(rounds=1),
+            options=ExplorationOptions(sharding=Sharding(workers=7)),
+        )
         assert_bit_identical(single, sharded)
 
 
@@ -123,13 +139,17 @@ class TestShardedBounds:
     def test_truncation_is_deterministic(self):
         """``on_limit="truncate"`` stops at the same configuration."""
         single = Universe(
-            star_protocol(6), max_configurations=500, on_limit="truncate"
+            star_protocol(6),
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=500, on_limit="truncate"),
+            ),
         )
         sharded = Universe(
             star_protocol(6),
-            max_configurations=500,
-            on_limit="truncate",
-            workers=3,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=500, on_limit="truncate"),
+                sharding=Sharding(workers=3),
+            ),
         )
         assert len(single) == 500
         assert not sharded.is_complete
@@ -139,9 +159,10 @@ class TestShardedBounds:
         universes = [
             Universe(
                 star_protocol(5),
-                max_configurations=123,
-                on_limit="truncate",
-                workers=workers,
+                options=ExplorationOptions(
+                    limits=Limits(max_configurations=123, on_limit="truncate"),
+                    sharding=Sharding(workers=workers),
+                ),
             )
             for workers in (None, 2, 4)
         ]
@@ -150,16 +171,34 @@ class TestShardedBounds:
 
     def test_limit_raises_like_kernel(self):
         with pytest.raises(UniverseError, match="exceeded 50"):
-            Universe(star_protocol(5), max_configurations=50, workers=2)
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(
+                    limits=Limits(max_configurations=50),
+                    sharding=Sharding(workers=2),
+                ),
+            )
 
     def test_max_events_bound(self):
-        single = Universe(star_protocol(5), max_events=6)
-        sharded = Universe(star_protocol(5), max_events=6, workers=2)
+        single = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(limits=Limits(max_events=6)),
+        )
+        sharded = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(
+                limits=Limits(max_events=6),
+                sharding=Sharding(workers=2),
+            ),
+        )
         assert not single.is_complete
         assert_bit_identical(single, sharded)
 
     def test_queries_work_on_sharded_universe(self):
-        sharded = Universe(star_protocol(5), workers=2)
+        sharded = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(sharding=Sharding(workers=2)),
+        )
         root = sharded.configuration_of_id(0)
         assert sharded.config_id(root) == 0
         assert root in sharded

@@ -26,6 +26,7 @@ from repro.protocols.pingpong import PingPongProtocol
 from repro.protocols.termination import generate_workload
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.explorer import Universe
+from repro.universe.options import ExplorationOptions, Limits, Sharding
 from repro.universe.reference import reference_bfs
 
 
@@ -79,7 +80,10 @@ class TestCompiledStepTableOracle:
         ],
     )
     def test_bit_identical_on_truncated_universes(self, label, protocol):
-        universe = Universe(protocol, max_events=4)
+        universe = Universe(
+            protocol,
+            options=ExplorationOptions(limits=Limits(max_events=4)),
+        )
         assert not universe.is_complete
         for configuration in universe:
             assert protocol.compiled_enabled_events(configuration) == tuple(
@@ -150,7 +154,10 @@ class TestCompiledStepTableOracle:
 
         reference = reference_bfs(SyncFailureMonitorProtocol(rounds=2))
         for workers in (1, 2):
-            other = Universe(SyncFailureMonitorProtocol(rounds=2), workers=workers)
+            other = Universe(
+                SyncFailureMonitorProtocol(rounds=2),
+                options=ExplorationOptions(sharding=Sharding(workers=workers)),
+            )
             assert len(other) == len(reference)
             assert other._succ_offsets == reference.succ_offsets
             assert other._succ_ids == reference.succ_ids
@@ -192,13 +199,17 @@ class TestStreamingMode:
         from repro.core.errors import UniverseError
 
         with pytest.raises(UniverseError):
-            Universe(PingPongProtocol(rounds=4), max_configurations=3)
+            Universe(
+                PingPongProtocol(rounds=4),
+                options=ExplorationOptions(limits=Limits(max_configurations=3)),
+            )
 
     def test_truncate_returns_partial_universe(self):
         universe = Universe(
             PingPongProtocol(rounds=4),
-            max_configurations=3,
-            on_limit="truncate",
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=3, on_limit="truncate"),
+            ),
         )
         assert len(universe) == 3
         assert not universe.is_complete
@@ -216,8 +227,9 @@ class TestStreamingMode:
         full = Universe(PingPongProtocol(rounds=4))
         partial = Universe(
             PingPongProtocol(rounds=4),
-            max_configurations=5,
-            on_limit="truncate",
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=5, on_limit="truncate"),
+            ),
         )
         assert list(partial.configurations) == list(full.configurations)[:5]
 
@@ -225,7 +237,10 @@ class TestStreamingMode:
         from repro.core.errors import UniverseError
 
         with pytest.raises(UniverseError):
-            Universe(PingPongProtocol(rounds=1), on_limit="explode")
+            Universe(
+                PingPongProtocol(rounds=1),
+                options=ExplorationOptions(limits=Limits(on_limit="explode")),
+            )
 
     def test_non_positive_bound_still_fires(self):
         """max_configurations=0 must bound on the first discovered child
@@ -233,11 +248,15 @@ class TestStreamingMode:
         from repro.core.errors import UniverseError
 
         with pytest.raises(UniverseError):
-            Universe(PingPongProtocol(rounds=2), max_configurations=0)
+            Universe(
+                PingPongProtocol(rounds=2),
+                options=ExplorationOptions(limits=Limits(max_configurations=0)),
+            )
         truncated = Universe(
             PingPongProtocol(rounds=2),
-            max_configurations=0,
-            on_limit="truncate",
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=0, on_limit="truncate"),
+            ),
         )
         assert len(truncated) == 1  # just the empty configuration
         assert not truncated.is_complete

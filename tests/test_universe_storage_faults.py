@@ -24,6 +24,13 @@ from repro.core.errors import UniverseError
 from repro.universe.arena import ArenaStore, _Chunk
 from repro.universe.checkpoint import CheckpointSession, inspect_checkpoint
 from repro.universe.explorer import Universe
+from repro.universe.options import (
+    CheckpointPolicy,
+    ExplorationOptions,
+    Limits,
+    ResourceBudget,
+    Sharding,
+)
 from repro.universe.faults import (
     CHECKPOINT_FAULT_KINDS,
     STORAGE_FAULT_KINDS,
@@ -235,7 +242,10 @@ class TestStorageFaultPlanDelivery:
     def test_storage_faults_need_a_filesystem_target(self):
         with pytest.raises(UniverseError, match="checkpoint path or a spill"):
             Universe(
-                star_protocol(4), fault_plan=FaultPlan.parse(["enospc@1"])
+                star_protocol(4),
+                options=ExplorationOptions(
+                    sharding=Sharding(fault_plan=FaultPlan.parse(["enospc@1"])),
+                ),
             )
 
     def test_storage_helper_rejects_worker_kinds(self):
@@ -261,8 +271,10 @@ class TestCheckpointDegradation:
             warnings.simplefilter("always")
             universe = Universe(
                 star_protocol(5),
-                checkpoint=path,
-                fault_plan=FaultPlan.parse([spec]),
+                options=ExplorationOptions(
+                    checkpoint=CheckpointPolicy(path=path),
+                    sharding=Sharding(fault_plan=FaultPlan.parse([spec])),
+                ),
             )
         loud = [w for w in caught if issubclass(w.category, RuntimeWarning)]
         return universe, path, loud
@@ -285,7 +297,10 @@ class TestCheckpointDegradation:
         report = inspect_checkpoint(path)
         assert report["valid"], report
         # The committed prefix resumes and completes bit-identically.
-        resumed = Universe(star_protocol(5), checkpoint=path)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
         assert_bit_identical(universe, resumed)
         assert not resumed.checkpoint_degraded
 
@@ -293,8 +308,10 @@ class TestCheckpointDegradation:
         path = tmp_path / "flaky.ckpt"
         universe = Universe(
             star_protocol(5),
-            checkpoint=path,
-            fault_plan=FaultPlan.parse(["eio_write@1"]),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(fault_plan=FaultPlan.parse(["eio_write@1"])),
+            ),
         )
         assert not universe.checkpoint_degraded
         retries = [e for e in universe.recovery_log if e.kind == "storage_retry"]
@@ -306,8 +323,10 @@ class TestCheckpointDegradation:
         path = tmp_path / "fsync.ckpt"
         universe = Universe(
             star_protocol(5),
-            checkpoint=path,
-            fault_plan=FaultPlan.parse(["fsync_fail@1"]),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(fault_plan=FaultPlan.parse(["fsync_fail@1"])),
+            ),
         )
         assert not universe.checkpoint_degraded
         assert any(e.kind == "storage_retry" for e in universe.recovery_log)
@@ -317,14 +336,17 @@ class TestCheckpointDegradation:
         path = tmp_path / "resume.ckpt"
         Universe(
             star_protocol(5),
-            max_configurations=200,
-            on_limit="truncate",
-            checkpoint=path,
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=200, on_limit="truncate"),
+                checkpoint=CheckpointPolicy(path=path),
+            ),
         )
         resumed = Universe(
             star_protocol(5),
-            checkpoint=path,
-            fault_plan=FaultPlan.parse(["eio_read@0"]),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=Sharding(fault_plan=FaultPlan.parse(["eio_read@0"])),
+            ),
         )
         assert any(e.kind == "storage_retry" for e in resumed.recovery_log)
         assert_bit_identical(Universe(star_protocol(5)), resumed)
@@ -335,9 +357,13 @@ class TestCheckpointDegradation:
             warnings.simplefilter("ignore", RuntimeWarning)
             universe = Universe(
                 star_protocol(5),
-                workers=2,
-                checkpoint=path,
-                fault_plan=FaultPlan.parse(["enospc@2"]),
+                options=ExplorationOptions(
+                    checkpoint=CheckpointPolicy(path=path),
+                    sharding=Sharding(
+                        workers=2,
+                        fault_plan=FaultPlan.parse(["enospc@2"]),
+                    ),
+                ),
             )
         assert universe.checkpoint_degraded
         assert_bit_identical(Universe(star_protocol(5)), universe)
@@ -496,9 +522,11 @@ class TestOrphanSpillCleanup:
         path = tmp_path / "arena.ckpt"
         universe = Universe(
             star_protocol(4),
-            checkpoint=path,
-            store="arena",
-            spill_dir=spill_dir,
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path),
+                budget=ResourceBudget(spill_dir=spill_dir),
+                store="arena",
+            ),
         )
         assert not orphan.exists()
         assert unrelated.exists()
