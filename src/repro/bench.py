@@ -58,7 +58,6 @@ from repro.universe.options import (
     CheckpointPolicy,
     ExplorationOptions,
     Limits,
-    ResourceBudget,
     Sharding,
 )
 
@@ -83,7 +82,15 @@ class BenchRecoveryMismatch(RuntimeError):
 
 _SRC_DIR = str(Path(__file__).resolve().parents[1])
 
-_PEAK_RSS_SNIPPET = '''\
+_RSS_CHILD = """\
+import json, sys, time
+from repro.protocols.broadcast import BroadcastProtocol, star_topology
+from repro.universe.explorer import Universe
+from repro.universe.options import (
+    ExplorationOptions, Limits, ResourceBudget, Sharding,
+)
+
+
 def _peak_rss_mb():
     # VmHWM, not ru_maxrss: Linux carries ru_maxrss across fork+exec,
     # so an exec'd child spawned after its parent peaked reports the
@@ -99,85 +106,43 @@ def _peak_rss_mb():
     import resource
 
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-'''
-"""Peak-RSS probe shared by both measurement child scripts."""
 
 
-_RSS_CHILD = (
-    """\
-import json, sys, time
-from repro.protocols.broadcast import BroadcastProtocol, star_topology
-from repro.universe.explorer import Universe
-from repro.universe.options import ExplorationOptions, Limits, ResourceBudget
-
-"""
-    + _PEAK_RSS_SNIPPET
-    + """
 receivers = tuple(sys.argv[1].split(","))
-spill_dir = sys.argv[2] or None
+workers = int(sys.argv[2])
+spill_dir = sys.argv[3] or None
 start = time.perf_counter()
 universe = Universe(
     BroadcastProtocol(star_topology("hub", receivers), "hub"),
     options=ExplorationOptions(
         limits=Limits(max_configurations=None),
         budget=ResourceBudget(spill_dir=spill_dir),
+        sharding=Sharding(workers=workers),
     ),
 )
-report = {
+print(json.dumps({
     "configurations": len(universe),
     "explore_seconds": time.perf_counter() - start,
     "peak_rss_mb": _peak_rss_mb(),
     "arena": universe._configurations.stats(),
-}
-print(json.dumps(report))
-"""
-)
-"""Child script of the memory axis: explores one star protocol in a
-fresh interpreter and prints its own peak RSS as JSON.  A fresh
-``subprocess`` (never ``fork`` — a forked child inherits the parent's
-high-water mark) is the only way peak RSS is attributable to the
-exploration being measured."""
-
-
-_SHARDED_RSS_CHILD = (
-    """\
-import json, sys, time
-from repro.protocols.broadcast import BroadcastProtocol, star_topology
-from repro.universe.explorer import Universe
-from repro.universe.options import ExplorationOptions, Limits, Sharding
-
-"""
-    + _PEAK_RSS_SNIPPET
-    + """
-receivers = tuple(sys.argv[1].split(","))
-workers = int(sys.argv[2])
-start = time.perf_counter()
-universe = Universe(
-    BroadcastProtocol(star_topology("hub", receivers), "hub"),
-    options=ExplorationOptions(
-        limits=Limits(max_configurations=None),
-        sharding=Sharding(workers=workers),
-    ),
-)
-report = {
-    "configurations": len(universe),
-    "explore_seconds": time.perf_counter() - start,
-    "coordinator_rss_mb": _peak_rss_mb(),
     "worker_rss_mb": universe.worker_peak_rss_mb,
-}
-print(json.dumps(report))
+}))
 """
-)
-"""Child script of the sharded-memory axis: explores one star protocol
-with the sharded engine in a fresh interpreter and prints the
-coordinator's own ``VmHWM`` plus every worker's farewell-frame peak
-as JSON."""
+"""Child script of the memory axis: explores one star protocol in a
+fresh interpreter (``workers > 1`` on the sharded engine) and prints its
+own peak RSS, the arena's telemetry and every worker's farewell-frame
+peak as JSON.  A fresh ``subprocess`` (never ``fork`` — a forked child
+inherits the parent's high-water mark) is the only way peak RSS is
+attributable to the exploration being measured."""
 
 
 def _explore_in_subprocess(
-    receivers: tuple[str, ...], spill_dir: str | None = None
+    receivers: tuple[str, ...], workers: int = 1, spill_dir: str | None = None
 ) -> dict:
-    """Explore a star protocol in a fresh interpreter; return its report."""
+    """Explore a star protocol in a fresh interpreter; return its report.
+
+    A sharded child (``workers > 1``) that fails, or whose workers did
+    not all send farewell frames, raises :class:`BenchShardMismatch`."""
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
     completed = subprocess.run(
@@ -186,47 +151,22 @@ def _explore_in_subprocess(
             "-c",
             _RSS_CHILD,
             ",".join(receivers),
+            str(workers),
             spill_dir or "",
         ],
         capture_output=True,
         text=True,
         env=env,
     )
+    failure = BenchShardMismatch if workers > 1 else RuntimeError
     if completed.returncode != 0:
-        raise RuntimeError(
-            f"memory-axis child (n={len(receivers) + 1}) failed: "
-            f"{completed.stderr.strip().splitlines()[-1:]}"
-        )
-    return json.loads(completed.stdout.strip().splitlines()[-1])
-
-
-def _sharded_explore_in_subprocess(
-    receivers: tuple[str, ...], workers: int
-) -> dict:
-    """Explore a star protocol with the sharded engine in a fresh
-    interpreter; return its report (coordinator + per-worker peaks)."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
-    completed = subprocess.run(
-        [
-            sys.executable,
-            "-c",
-            _SHARDED_RSS_CHILD,
-            ",".join(receivers),
-            str(workers),
-        ],
-        capture_output=True,
-        text=True,
-        env=env,
-    )
-    if completed.returncode != 0:
-        raise BenchShardMismatch(
-            f"sharded-rss child (n={len(receivers) + 1}) failed: "
-            f"{completed.stderr.strip().splitlines()[-1:]}"
+        raise failure(
+            f"memory-axis child (n={len(receivers) + 1}, workers={workers}) "
+            f"failed: {completed.stderr.strip().splitlines()[-1:]}"
         )
     report = json.loads(completed.stdout.strip().splitlines()[-1])
-    if len(report["worker_rss_mb"]) != workers:
-        raise BenchShardMismatch(
+    if workers > 1 and len(report["worker_rss_mb"]) != workers:
+        raise failure(
             f"sharded-rss child: only "
             f"{len(report['worker_rss_mb'])} of {workers} workers sent "
             f"farewell frames — summed RSS would undercount"
@@ -455,7 +395,7 @@ def run_benchmarks(
 
         with tempfile.TemporaryDirectory() as tmpdir:
             report = _explore_in_subprocess(
-                receivers, tmpdir if spill else None
+                receivers, spill_dir=tmpdir if spill else None
             )
         extra = {
             "configurations": report["configurations"],
@@ -487,8 +427,8 @@ def run_benchmarks(
         worker's farewell-frame peak (``coordinator_rss_mb`` /
         ``worker_rss_mb`` attribute it per side)."""
         pair_workers = workers if workers > 1 else 2
-        report = _sharded_explore_in_subprocess(receivers, pair_workers)
-        total = report["coordinator_rss_mb"] + sum(
+        report = _explore_in_subprocess(receivers, pair_workers)
+        total = report["peak_rss_mb"] + sum(
             report["worker_rss_mb"].values()
         )
         record(
@@ -496,7 +436,7 @@ def run_benchmarks(
             report["explore_seconds"],
             configurations=report["configurations"],
             workers=pair_workers,
-            coordinator_rss_mb=round(report["coordinator_rss_mb"], 1),
+            coordinator_rss_mb=round(report["peak_rss_mb"], 1),
             worker_rss_mb=[
                 round(mb, 1)
                 for _, mb in sorted(report["worker_rss_mb"].items())
@@ -993,6 +933,9 @@ def run_and_report(
         return 1
     except BenchBudgetExceeded as overrun:
         print(f"repro bench --budget FAILED: {overrun}")
+        return 1
+    except BenchRecoveryMismatch as mismatch:
+        print(f"repro bench FAILED: {mismatch}")
         return 1
     print_summary(document)
     if not no_write:

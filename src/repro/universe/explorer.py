@@ -37,6 +37,7 @@ from math import inf
 from array import array
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Sequence
+from functools import partial
 from itertools import repeat
 
 from repro.core.configuration import (
@@ -405,6 +406,40 @@ _BOUND_MESSAGE = (
 """The ``max_configurations`` error of every engine (``%s`` is the bound)."""
 
 
+def _resolve_collision(
+    ids_by_hash: dict,
+    child_hash: int,
+    bucket: int | list[int],
+    row_matches,
+    row: tuple,
+    position: int,
+    new_history: tuple,
+    count: int,
+    limit: float,
+) -> int | None:
+    """The content-hash collision path of both engines' layer bodies.
+
+    ``bucket`` is ``ids_by_hash[child_hash]``: either one id whose row
+    already failed ``row_matches`` against the child, or a list of
+    colliding ids.  Returns the matching candidate's id; else, when
+    ``count`` is under ``limit``, registers the new child as id
+    ``count`` (opening a list bucket for a lone int) and returns
+    ``count``; else ``None`` (the ``max_configurations`` bound hit).
+    """
+    if type(bucket) is int:
+        if count >= limit:
+            return None
+        ids_by_hash[child_hash] = [bucket, count]
+        return count
+    for candidate_id in bucket:
+        if row_matches(candidate_id, row, position, new_history):
+            return candidate_id
+    if count >= limit:
+        return None
+    bucket.append(count)
+    return count
+
+
 class Universe:
     """All reachable configurations of a protocol, with isomorphism indexes.
 
@@ -432,13 +467,11 @@ class Universe:
             )
         self._options = opts
         max_events = opts.limits.max_events
-        max_configurations = opts.limits.max_configurations
         on_limit = opts.limits.on_limit
         workers = opts.sharding.workers
         supervision = opts.sharding.supervision
         fault_plan = opts.sharding.fault_plan
         checkpoint = opts.checkpoint.path
-        rss_budget_mb = opts.budget.rss_budget_mb
         spill_dir = opts.budget.spill_dir
         store = opts.store
         if on_limit not in ("raise", "truncate"):
@@ -555,20 +588,9 @@ class Universe:
                     worker_count,
                     supervision=supervision,
                     fault_plan=fault_plan,
-                ).explore_into(
-                    self,
-                    max_configurations,
-                    on_limit,
-                    checkpoint=session,
-                    rss_budget_mb=rss_budget_mb,
-                )
+                ).explore_into(self)
             else:
-                self._explore(
-                    max_configurations,
-                    on_limit,
-                    session=session,
-                    rss_budget_mb=rss_budget_mb,
-                )
+                self._explore()
         finally:
             if session is not None:
                 # Exploration may exit early (truncation, bound errors)
@@ -603,277 +625,281 @@ class Universe:
             tuple[frozenset[ProcessId], ...], tuple
         ] = {}
 
-    def _explore(
-        self,
-        max_configurations: int | None,
-        on_limit: str,
-        session=None,
-        rss_budget_mb: float | None = None,
-    ) -> None:
-        """The exploration kernel: frontier BFS over *packed window rows*.
+    def _explore(self, engine=None) -> None:
+        """The one BFS layer driver of both engines.
 
-        Configurations go straight into the arena as packed ``(parent
-        id, event, hash)`` columns; the kernel never builds child
-        objects.  Its only live state is a
-        :class:`~repro.universe.frontier.PackedFrontier` — a window over
-        the frontier and the layer under construction, one entry
-        ``(row, content_hash, received, in_flight)`` per configuration —
-        which supplies the set-up, the per-parent enabled events, the
-        slow-path transient objects, the collision-aware row comparison
-        and the resume rebuild.  Each window entry is popped the moment
-        its expansion completes, so a consumed frontier prefix stops
-        counting toward peak RSS mid-layer instead of at the next
-        boundary.  The per-edge work stays inline because this loop is
-        the hot path: the child's content hash is O(1) from the parent's
-        (rolling entry hashes), dedup compares rows elementwise — shared
-        history tuples make those identity hits, and the rare
-        cross-layer content-hash collision falls back to the arena's
-        chain-walk materialisation — and a first discovery appends its
-        packed columns and window entry here, with the same row and
-        message-set derivation as :meth:`PackedFrontier.child
-        <repro.universe.frontier.PackedFrontier.child>`.  Partition
-        indexes are built lazily after exploration, never inside this
-        loop.
+        It seeds the root or resumes from the checkpoint session (the
+        replay already refilled the packed columns, so only the frontier
+        window is rebuilt and the replay's objects retired), builds the
+        one :class:`~repro.universe.frontier.PackedFrontier` and the RSS
+        watchdog, and runs one layer body per BFS layer with the
+        collector off.  At every layer boundary it runs the one
+        epilogue: arm due storage faults, commit the layer to the
+        checkpoint, retire the consumed frontier into the arena's cold
+        tier, rotate the frontier's memo generation, then the RSS ladder
+        (spill the cold tier; truncate only if that is not enough).  At
+        the end it raises the ``max_configurations`` error or truncates
+        and pads the CSR rows.
+
+        ``engine`` is ``None`` for the in-process kernel, whose layer
+        body is :meth:`_expand_layer`, or a
+        :class:`~repro.universe.sharded.ShardedExplorer`, which supplies
+        its worker pids to the watchdog and its own layer body.  A layer
+        body ``(layer_start, layer_end, layer)`` expands the parents
+        ``[layer_start, layer_end)`` of BFS layer ``layer`` and returns
+        ``(records, bound_hit)``: the layer's discovery records
+        ``[(parent_id, event), ...]`` for the checkpoint, and whether
+        the ``max_configurations`` bound stopped it mid-layer.
 
         :func:`repro.universe.reference.reference_bfs` is the oracle:
-        ``tests/test_universe_arena.py`` holds this kernel and the
-        sharded engine bit-identical to it (ids, CSR arrays, hash
-        buckets, completeness, truncation point).
+        ``tests/test_universe_arena.py`` holds both engines
+        bit-identical to it (ids, CSR arrays, hash buckets,
+        completeness, truncation point).
         """
         arena: ArenaStore = self._configurations
-        ids_by_hash = self._ids_by_hash
         succ_ids = self._succ_ids
         succ_offsets = self._succ_offsets
-        protocol = self._protocol
-        max_events = self._max_events
-        bound_error: str | None = None
-
-        frontier = PackedFrontier(protocol, max_events, arena)
-        window = frontier.window
-        enabled_at = frontier.enabled
-        transient = frontier.transient
-        row_matches = frontier.row_matches
-        index_of = frontier.index_of
-        seed_of = frontier.seed_of
-        compiled_enabled = protocol.compiled_enabled_events
-        # math.inf compares greater than every count, so `count >= limit`
-        # is the single bound test; non-positive bounds fire on the first
-        # discovered child.
-        limit = max_configurations if max_configurations is not None else inf
-        modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
-
+        session = self._checkpoint_session
+        limits = self._options.limits
+        rss_budget_mb = self._options.budget.rss_budget_mb
+        frontier = PackedFrontier(self._protocol, self._max_events, arena)
         watchdog = None
         if rss_budget_mb is not None:
             from repro.universe.checkpoint import RssWatchdog
 
-            watchdog = RssWatchdog(rss_budget_mb)
+            watchdog = RssWatchdog(
+                rss_budget_mb, engine.worker_pids if engine is not None else None
+            )
         self._rss_watchdog = watchdog
         resumed = session.try_resume(self) if session is not None else None
         if resumed is not None:
             # try_resume replayed the stream into the packed columns;
             # rebuild the frontier window and continue from the first
             # unexpanded layer.
-            count = len(arena)
-            edges = len(succ_ids)
-            cursor = resumed.frontier_start
-            frontier.load(arena, cursor, count)
-            # Every BFS edge appends one event, so the layer depth is any
-            # frontier member's event count.
-            depth = sum(map(len, window[cursor][0])) if cursor < count else 0
+            layer_start = resumed.frontier_start
+            layer = resumed.layers
+            frontier.load(arena, layer_start, len(arena))
             # The replay's materialised objects are now redundant: the
             # window rows carry the frontier from here on.
-            arena.retire(count)
+            arena.retire(len(arena))
         else:
             arena.append(EMPTY_CONFIGURATION)
-            ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
-            count = 1
-            edges = 0
-            cursor = 0
-            depth = 0
-        entry_hash_of = frontier.entry_hash_of
-        entry_memo_get = entry_hash_of.get
-        entry_prev_get = frontier.entry_prev_get
-        intern = frontier.interned.setdefault
-        track = session is not None
-        layers_done = resumed.layers if resumed is not None else 0
-        self._arm_storage_faults(layers_done)
-        rss_truncated = False
-        # The kernel allocates millions of acyclic, long-lived objects and
-        # creates no reference cycles of its own; CPython's generational
+            self._ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
+            layer_start = 0
+            layer = 0
+        # math.inf compares greater than every count, so `count >= limit`
+        # is the single bound test; non-positive bounds fire on the first
+        # discovered child.
+        max_configurations = limits.max_configurations
+        limit = max_configurations if max_configurations is not None else inf
+        if engine is None:
+            expand_layer = partial(self._expand_layer, frontier, limit)
+        else:
+            # Fresh workers rebuild from the root: on resume their first
+            # replay is the full restored stream, not one layer's.
+            expand_layer = engine.layer_body(
+                self, frontier, limit, resumed.stream if resumed else []
+            )
+        self._arm_storage_faults(layer)
+        bound_hit = rss_truncated = False
+        # The engines allocate millions of acyclic, long-lived objects and
+        # create no reference cycles of their own; CPython's generational
         # collector would rescan the growing universe on every threshold
         # crossing — a superlinear tax at n=8.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            while cursor < count:
-                batch_end = count  # one BFS frontier batch
-                layer_records = [] if track else None
-                while cursor < batch_end:
-                    entry = window.pop(cursor)
-                    parent_id = cursor
-                    cursor += 1
-                    if max_events is not None and depth >= max_events:
-                        if compiled_enabled(transient(entry)):
-                            self._complete = False
-                        succ_offsets.append(edges)
-                        continue
-                    row = entry[0]
-                    parent_hash = entry[1]
-                    for event in enabled_at(entry):
-                        process = event.process
-                        position = index_of[process]
-                        try:
-                            event_hash = event._hash_cache
-                        except AttributeError:
-                            event_hash = hash(event)
-                        old_history = row[position]
-                        if not old_history:
-                            new_history = (event,)
-                            new_entry = (
-                                seed_of[process] * multiplier + event_hash
-                            ) % modulus
-                            child_hash = (parent_hash + new_entry) % modulus
-                        else:
-                            key = id(old_history)
-                            old_entry = entry_memo_get(key)
-                            if old_entry is None:
-                                old_entry = entry_prev_get(key)
-                                if old_entry is None:
-                                    old_entry = _entry_hash(
-                                        process, old_history
-                                    )
-                                entry_hash_of[key] = old_entry
-                            new_history = old_history + (event,)
-                            new_entry = (
-                                old_entry * multiplier + event_hash
-                            ) % modulus
-                            child_hash = (
-                                parent_hash - old_entry + new_entry
-                            ) % modulus
-                        existing = ids_by_hash.get(child_hash)
-                        if existing is None:
-                            if count >= limit:
-                                bound_error = _BOUND_MESSAGE % max_configurations
-                                break
-                            child_id = count
-                        elif type(existing) is int:
-                            if row_matches(
-                                existing, row, position, new_history
-                            ):
-                                succ_ids.append(existing)
-                                edges += 1
-                                continue
-                            # content-hash collision: open the bucket
-                            if count >= limit:
-                                bound_error = _BOUND_MESSAGE % max_configurations
-                                break
-                            child_id = count
-                            ids_by_hash[child_hash] = [existing, child_id]
-                        else:
-                            for candidate_id in existing:
-                                if row_matches(
-                                    candidate_id, row, position, new_history
-                                ):
-                                    child_id = candidate_id
-                                    break
-                            else:
-                                if count >= limit:
-                                    bound_error = (
-                                        _BOUND_MESSAGE % max_configurations
-                                    )
-                                    break
-                                child_id = count
-                                existing.append(child_id)
-                            if child_id != count:
-                                succ_ids.append(child_id)
-                                edges += 1
-                                continue
-                        # First discovery: pack the columns, keep only the
-                        # row + message sets hot — no child object.  The
-                        # window entry is PackedFrontier.child inlined
-                        # (memo write, interned message sets, child row).
-                        if existing is None:
-                            ids_by_hash[child_hash] = child_id
-                        count += 1
-                        entry_hash_of[id(new_history)] = new_entry
-                        received = entry[2]
-                        in_flight = entry[3]
-                        if isinstance(event, SendEvent):
-                            message = event.message
-                            if message not in received:
-                                in_flight = in_flight | {message}
-                                in_flight = intern(in_flight, in_flight)
-                        elif isinstance(event, ReceiveEvent):
-                            message = event.message
-                            received = received | {message}
-                            received = intern(received, received)
-                            in_flight = in_flight - {message}
-                            in_flight = intern(in_flight, in_flight)
-                        window[child_id] = (
-                            row[:position] + (new_history,) + row[position + 1:],
-                            child_hash,
-                            received,
-                            in_flight,
-                        )
-                        arena.append_child(parent_id, event, child_hash, None)
-                        succ_ids.append(child_id)
-                        edges += 1
-                        if track:
-                            layer_records.append((parent_id, event))
-                    succ_offsets.append(edges)
-                    if bound_error is not None:
-                        break
-                if bound_error is not None:
+            while layer_start < len(arena):
+                layer_end = len(arena)
+                records, bound_hit = expand_layer(layer_start, layer_end, layer)
+                if bound_hit:
                     # Mid-layer stop: the checkpoint keeps the previous
                     # (complete) layer boundary, never a torn layer.
                     break
-                layers_done += 1
-                self._arm_storage_faults(layers_done)
-                if track:
-                    session.commit_layer(
-                        layer_records,
-                        batch_end,
-                        self,
-                        final=cursor >= count,
-                    )
+                layer += 1
+                done = len(arena) == layer_end  # no new configurations
+                self._arm_storage_faults(layer)
+                if session is not None:
+                    session.commit_layer(records, layer_end, self, final=done)
                 # Advance the arena floor (seals + compresses full cold
                 # chunks) and rotate the generation-scoped memos.
-                arena.retire(batch_end)
+                arena.retire(layer_end)
                 frontier.rotate()
-                entry_hash_of = frontier.entry_hash_of
-                entry_memo_get = entry_hash_of.get
-                entry_prev_get = frontier.entry_prev_get
-                intern = frontier.interned.setdefault
-                depth += 1
-                if watchdog is not None and cursor < count and watchdog.exceeded():
-                    # Graceful degradation ladder: spill the cold tier to
-                    # disk first; only truncate if that doesn't bring RSS
-                    # back under budget.
-                    if arena.spill_cold() and not watchdog.exceeded():
-                        self._recovery_log.record(
-                            "rss_budget",
-                            "spill",
-                            detail=f"{count} configurations",
-                        )
-                        continue
+                layer_start = layer_end
+                if done or watchdog is None or not watchdog.exceeded():
+                    continue
+                # Graceful degradation ladder: spill the cold tier to
+                # disk first; only truncate if that doesn't bring RSS
+                # back under budget.
+                detail = f"{len(arena)} configurations"
+                if arena.spill_cold() and not watchdog.exceeded():
                     self._recovery_log.record(
-                        "rss_budget",
-                        "truncate",
-                        detail=f"{count} configurations",
+                        "rss_budget", "spill", layer=layer, detail=detail
                     )
-                    rss_truncated = True
-                    break
+                    continue
+                self._recovery_log.record(
+                    "rss_budget", "truncate", layer=layer, detail=detail
+                )
+                rss_truncated = True
+                break
         finally:
             if gc_was_enabled:
                 gc.enable()
-        if bound_error is not None and on_limit == "raise":
-            raise UniverseError(bound_error)
-        if bound_error is not None or rss_truncated:
+        if bound_hit and limits.on_limit == "raise":
+            raise UniverseError(_BOUND_MESSAGE % max_configurations)
+        if bound_hit or rss_truncated:
             self._complete = False
             # Unexpanded frontier configurations keep empty successor rows.
             while len(succ_offsets) < len(arena) + 1:
                 succ_offsets.append(len(succ_ids))
+
+    def _expand_layer(
+        self,
+        frontier: PackedFrontier,
+        limit: float,
+        layer_start: int,
+        layer_end: int,
+        layer: int,
+    ) -> tuple[list | None, bool]:
+        """The kernel's layer body (see :meth:`_explore`): expand BFS
+        layer ``layer`` over *packed window rows*.
+
+        Configurations go straight into the arena as packed ``(parent
+        id, event, hash)`` columns; the kernel never builds child
+        objects.  ``frontier`` supplies the per-parent enabled events,
+        the slow-path transient objects and the collision-aware row
+        comparison.  Each window entry is popped the moment its
+        expansion completes, so a consumed frontier prefix stops
+        counting toward peak RSS mid-layer instead of at the next
+        boundary.  The per-edge work stays inline because this loop is
+        the hot path: the child's content hash is O(1) from the parent's
+        (rolling entry hashes), dedup compares rows elementwise — shared
+        history tuples make those identity hits, and the rare content-hash
+        collision goes through :func:`_resolve_collision` — and a first
+        discovery appends its packed columns and window entry here, with
+        the same row and message-set derivation as
+        :meth:`PackedFrontier.child
+        <repro.universe.frontier.PackedFrontier.child>`.  The discovery
+        records are only kept when a checkpoint session will commit
+        them (``None`` otherwise).
+        """
+        arena: ArenaStore = self._configurations
+        ids_by_hash = self._ids_by_hash
+        succ_ids = self._succ_ids
+        succ_offsets = self._succ_offsets
+        window = frontier.window
+        records = [] if self._checkpoint_session is not None else None
+        count = len(arena)
+        edges = len(succ_ids)
+        max_events = self._max_events
+        if max_events is not None and layer >= max_events:
+            # Every BFS edge appends one event, so layer L's parents hold
+            # L events: the whole layer is capped, and the universe is
+            # incomplete iff one of them still has an enabled event.
+            compiled_enabled = self._protocol.compiled_enabled_events
+            transient = frontier.transient
+            for parent_id in range(layer_start, layer_end):
+                if compiled_enabled(transient(window.pop(parent_id))):
+                    self._complete = False
+                succ_offsets.append(edges)
+            return records, False
+        enabled_at = frontier.enabled
+        row_matches = frontier.row_matches
+        index_of = frontier.index_of
+        seed_of = frontier.seed_of
+        entry_hash_of = frontier.entry_hash_of
+        entry_memo_get = entry_hash_of.get
+        entry_prev_get = frontier.entry_prev_get
+        intern = frontier.interned.setdefault
+        modulus = _HASH_MODULUS
+        multiplier = _ROLL_MULTIPLIER
+        for parent_id in range(layer_start, layer_end):
+            entry = window.pop(parent_id)
+            row = entry[0]
+            parent_hash = entry[1]
+            for event in enabled_at(entry):
+                process = event.process
+                position = index_of[process]
+                try:
+                    event_hash = event._hash_cache
+                except AttributeError:
+                    event_hash = hash(event)
+                old_history = row[position]
+                if not old_history:
+                    new_history = (event,)
+                    new_entry = (
+                        seed_of[process] * multiplier + event_hash
+                    ) % modulus
+                    child_hash = (parent_hash + new_entry) % modulus
+                else:
+                    key = id(old_history)
+                    old_entry = entry_memo_get(key)
+                    if old_entry is None:
+                        old_entry = entry_prev_get(key)
+                        if old_entry is None:
+                            old_entry = _entry_hash(process, old_history)
+                        entry_hash_of[key] = old_entry
+                    new_history = old_history + (event,)
+                    new_entry = (old_entry * multiplier + event_hash) % modulus
+                    child_hash = (parent_hash - old_entry + new_entry) % modulus
+                existing = ids_by_hash.get(child_hash)
+                if existing is None:
+                    if count >= limit:
+                        succ_offsets.append(edges)
+                        return records, True
+                elif type(existing) is int and row_matches(
+                    existing, row, position, new_history
+                ):
+                    succ_ids.append(existing)
+                    edges += 1
+                    continue
+                else:
+                    child_id = _resolve_collision(
+                        ids_by_hash, child_hash, existing, row_matches,
+                        row, position, new_history, count, limit,
+                    )
+                    if child_id is None:
+                        succ_offsets.append(edges)
+                        return records, True
+                    if child_id != count:
+                        succ_ids.append(child_id)
+                        edges += 1
+                        continue
+                # First discovery: pack the columns, keep only the row +
+                # message sets hot — no child object.  The window entry
+                # is PackedFrontier.child inlined (memo write, interned
+                # message sets, child row).
+                child_id = count
+                if existing is None:
+                    ids_by_hash[child_hash] = child_id
+                count += 1
+                entry_hash_of[id(new_history)] = new_entry
+                received = entry[2]
+                in_flight = entry[3]
+                if isinstance(event, SendEvent):
+                    message = event.message
+                    if message not in received:
+                        in_flight = in_flight | {message}
+                        in_flight = intern(in_flight, in_flight)
+                elif isinstance(event, ReceiveEvent):
+                    message = event.message
+                    received = received | {message}
+                    received = intern(received, received)
+                    in_flight = in_flight - {message}
+                    in_flight = intern(in_flight, in_flight)
+                window[child_id] = (
+                    row[:position] + (new_history,) + row[position + 1:],
+                    child_hash,
+                    received,
+                    in_flight,
+                )
+                arena.append_child(parent_id, event, child_hash, None)
+                succ_ids.append(child_id)
+                edges += 1
+                if records is not None:
+                    records.append((parent_id, event))
+            succ_offsets.append(edges)
+        return records, False
 
     def _id_of(self, configuration: Configuration) -> int | None:
         """Dense id of ``configuration``, or ``None`` if not a member."""

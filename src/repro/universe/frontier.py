@@ -1,9 +1,12 @@
 """The packed frontier: the one hot representation every engine expands.
 
-The in-process kernel (:meth:`repro.universe.explorer.Universe._explore`),
-the sharded engine's workers and its coordinator
-(:mod:`repro.universe.sharded`) all hold the configurations they are
-about to expand in a :class:`PackedFrontier` — a window of packed entries
+The one BFS layer driver (:meth:`repro.universe.explorer.Universe._explore`)
+builds one :class:`PackedFrontier` per exploration and hands it to the
+layer body of either engine: the in-process kernel's
+(:meth:`~repro.universe.explorer.Universe._expand_layer`) or the sharded
+coordinator's (:mod:`repro.universe.sharded`), whose workers each hold
+their own.  Every one of them keeps the configurations it is about to
+expand in a window of packed entries
 
     ``id -> (row, content_hash, received, in_flight)``
 
@@ -22,8 +25,9 @@ row and interned message sets (:meth:`~PackedFrontier.child`), the
 collision-aware row comparison (:meth:`~PackedFrontier.row_matches`),
 the resume rebuild (:meth:`~PackedFrontier.load`), replay of a merged
 discovery stream (:meth:`~PackedFrontier.apply`) and shard expansion
-(:meth:`~PackedFrontier.expand`).  The kernel keeps only its per-edge
-hash, dedup and append inline, because that loop is the hot path.
+(:meth:`~PackedFrontier.expand`).  The driver rotates the memo at every
+layer boundary.  The kernel's layer body keeps only its per-edge hash,
+dedup and append inline, because that loop is the hot path.
 
 Rolling entry hashes are memoised by history-tuple *identity*, and the
 memo rotates generations at BFS layer boundaries (:meth:`rotate`).

@@ -1,11 +1,17 @@
 """Multiprocess sharded frontier exploration (``Sharding(workers=K)``).
 
-The single-process kernel (:meth:`repro.universe.explorer.Universe._explore`)
-walks the frontier one BFS layer at a time.  Because every edge extends a
-configuration by exactly one event, each layer holds configurations of one
-uniform event count — so duplicate discoveries can only collide *within*
-the layer being expanded, never against earlier layers.  That invariant is
-what makes the frontier partitionable:
+The layer loop is the universe's: :meth:`repro.universe.explorer.Universe._explore`
+is the one BFS driver of both engines (seeding or checkpoint resume, the
+RSS watchdog, the layer-boundary epilogue, truncation).  This module
+supplies only the sharded *layer body* — one broadcast/expand/gather/merge
+round per layer — plus worker spawn, supervision and teardown around the
+driver.
+
+The driver walks the frontier one BFS layer at a time.  Because every
+edge extends a configuration by exactly one event, each layer holds
+configurations of one uniform event count — so duplicate discoveries can
+only collide *within* the layer being expanded, never against earlier
+layers.  That invariant is what makes the frontier partitionable:
 
 * the frontier of layer ``L`` is split into ``K`` shards by the parent's
   *content hash* (``hash % K`` — shard-stable because the rolling content
@@ -24,7 +30,8 @@ what makes the frontier partitionable:
 * the coordinator merges the batches *in global BFS order* (ascending
   parent id, original enabled-event order within a parent), resolving
   cross-worker duplicates against its authoritative id table with the
-  kernel's own dedup logic and appending each first-discovered child as
+  kernel's own dedup logic (and its one collision helper,
+  ``_resolve_collision``) and appending each first-discovered child as
   packed arena columns, plus the CSR successor rows;
 * the merged discovery stream ``[(parent_id, event), ...]`` is broadcast
   back (batch-compressed once, sent ``K`` times) and every worker replays
@@ -45,11 +52,12 @@ frontier holds exactly the rows the workers hold, so folding a dead
 worker's shard is a call to that frontier's ``expand``: no second
 expander, and no replay at fold time.
 
-Determinism: the coordinator replay *is* the kernel's inner loop fed by a
-pre-computed enabled-event stream, so the resulting universe — dense ids,
-CSR successor arrays, hash table (including collision buckets),
-completeness flag, truncation point under ``on_limit="truncate"`` — is
-bit-identical to single-process exploration.  The test suite asserts this
+Determinism: under the same driver, the coordinator merge *is* the
+kernel's layer body fed by a pre-computed enabled-event stream, so the
+resulting universe — dense ids, CSR successor arrays, hash table
+(including collision buckets), completeness flag, truncation point under
+``on_limit="truncate"`` — is bit-identical to single-process
+exploration.  The test suite asserts this
 against :func:`repro.universe.reference.reference_bfs` on star/tree/ring
 broadcast, token bus, ping-pong, selective-receive, enabling-filter and
 custom-enabling protocols, with and without folded shards.
@@ -83,9 +91,11 @@ retried, because a replacement would fail identically.
 
 Deterministic fault injection (:mod:`repro.universe.faults`) threads
 through ``_worker_main`` so every one of these recovery paths is
-exercised by tests and by ``repro bench --suite fault-recovery``;
-layer-boundary checkpointing and the RSS watchdog
-(:mod:`repro.universe.checkpoint`) hook into the layer loop.
+exercised by tests and by ``repro bench --suite fault-recovery``.
+Layer-boundary checkpointing, storage-fault arming and the RSS watchdog
+(:mod:`repro.universe.checkpoint`; the watchdog also sums the live
+workers' RSS through :meth:`ShardedExplorer.worker_pids`) run in the
+universe's driver, identically for both engines.
 
 Workers are forked (``multiprocessing`` ``"fork"`` context): the protocol
 object and its :class:`~repro.universe.protocol.CompiledStepTable` are
@@ -107,13 +117,13 @@ import time
 import traceback
 import zlib
 from dataclasses import dataclass
-from math import inf
+from functools import partial
 from multiprocessing.connection import wait as _connection_wait
 
-from repro.core.configuration import EMPTY_CONFIGURATION, hash_domain_token
+from repro.core.configuration import hash_domain_token
 from repro.core.errors import UniverseError
 from repro.universe.arena import compress_batch, decompress_batch
-from repro.universe.explorer import _BOUND_MESSAGE
+from repro.universe.explorer import _resolve_collision
 from repro.universe.frontier import PackedFrontier
 from repro.universe.retry import is_storage_error, transient_spawn_error
 
@@ -426,6 +436,7 @@ class ShardedExplorer:
         self._alive: list[bool] = [False] * workers
         self._respawns_left = self._policy.resolve_respawns(workers)
         self._frontier: PackedFrontier | None = None
+        self._replay: list = []
         self._stream_blob: tuple[int, bytes] | None = None
         self._context = None
         self._token = None
@@ -530,7 +541,8 @@ class ShardedExplorer:
         for shard in range(self._workers):
             self._discard_worker(shard)
 
-    def _worker_pids(self) -> list[int]:
+    def worker_pids(self) -> list[int]:
+        """Pids of the live workers, for the RSS watchdog."""
         return [
             process.pid
             for process in self._processes
@@ -775,23 +787,12 @@ class ShardedExplorer:
         return state
 
     # -- exploration ----------------------------------------------------
-    def explore_into(
-        self,
-        universe,
-        max_configurations,
-        on_limit,
-        checkpoint=None,
-        rss_budget_mb=None,
-    ) -> None:
-        """Run the sharded exploration, filling ``universe``'s stores.
-
-        ``checkpoint`` is an optional
-        :class:`~repro.universe.checkpoint.CheckpointSession` (resume +
-        layer-boundary saves); ``rss_budget_mb`` arms the RSS watchdog
-        (coordinator + live workers), degrading to the
-        ``on_limit="truncate"`` behaviour at the next layer boundary
-        instead of being OOM-killed.
-        """
+    def explore_into(self, universe) -> None:
+        """Build ``universe`` with this engine: spawn every worker, run
+        the universe's one BFS layer driver
+        (:meth:`~repro.universe.explorer.Universe._explore`) with the
+        sharded layer body, collect the workers' farewell frames, and
+        tear every process down on every exit path."""
         try:
             self._context = multiprocessing.get_context("fork")
         except ValueError as error:  # pragma: no cover - non-POSIX only
@@ -805,24 +806,10 @@ class ShardedExplorer:
         # checkpoint salvage events and storage degradations interleave
         # on one monotonic sequence.
         self.recovery_log = universe._recovery_log
-        watchdog = None
-        if rss_budget_mb is not None:
-            from repro.universe.checkpoint import RssWatchdog
-
-            watchdog = RssWatchdog(rss_budget_mb, self._worker_pids)
-        universe._rss_watchdog = watchdog
-        resumed = checkpoint.try_resume(universe) if checkpoint else None
         try:
             for shard in range(self._workers):
                 self._spawn(shard)
-            self._explore_loop(
-                universe,
-                max_configurations,
-                on_limit,
-                checkpoint,
-                watchdog,
-                resumed,
-            )
+            universe._explore(self)
             for shard in range(self._workers):
                 if self._alive[shard]:
                     try:
@@ -860,207 +847,120 @@ class ShardedExplorer:
             except (EOFError, BrokenPipeError, OSError):
                 continue
 
-    def _explore_loop(
-        self,
-        universe,
-        max_configurations,
-        on_limit,
-        checkpoint,
-        watchdog,
-        resumed,
-    ) -> None:
-        """The coordinator side: broadcast, gather, merge, repeat.
+    def layer_body(self, universe, frontier, limit, replay):
+        """The driver's hook: bind the coordinator to ``universe``, its
+        ``frontier`` and the configuration ``limit``, and return the
+        sharded layer body.  ``replay`` is the workers' first replay
+        stream (the full restored stream on resume, else empty)."""
+        self._frontier = frontier
+        self._replay = replay
+        return partial(self._expand_layer, universe, limit)
 
-        The coordinator holds the frontier in its own
-        :class:`~repro.universe.frontier.PackedFrontier`, the same
-        structure the workers replay into: the merge reads parent rows
-        and hashes from it, resolves cross-worker duplicates with its
-        :meth:`~repro.universe.frontier.PackedFrontier.row_matches`, and
-        adds each first-discovered child as packed columns plus one
-        window entry — never a ``Configuration``.  A folded shard is
-        that frontier's ``expand``.
+    def _expand_layer(self, universe, limit, layer_start, layer_end, layer):
+        """The sharded layer body: broadcast, gather, merge.
+
+        The workers replay the previous layer's discovery stream and
+        expand their shards of ``[layer_start, layer_end)``; the merge
+        walks the layer in global BFS order, reading parent rows and
+        hashes from the coordinator's frontier — the same structure the
+        workers replay into — and resolving cross-worker duplicates with
+        its :meth:`~repro.universe.frontier.PackedFrontier.row_matches`.
+        Each first-discovered child becomes packed columns plus one
+        window entry, never a ``Configuration``.  Returns the layer's
+        discovery records (next layer's replay) and whether the
+        ``max_configurations`` bound stopped the merge.
         """
         workers = self._workers
         arena = universe._configurations
         ids_by_hash = universe._ids_by_hash
         succ_ids = universe._succ_ids
         succ_offsets = universe._succ_offsets
-        limit = max_configurations if max_configurations is not None else inf
-        frontier = self._frontier = PackedFrontier(
-            self._protocol, self._max_events, arena
-        )
+        frontier = self._frontier
         window = frontier.window
         step = frontier.step
         child_entry = frontier.child
         row_matches = frontier.row_matches
-
-        if resumed is not None:
-            count = len(arena)
-            edges = len(succ_ids)
-            layer_start = resumed.frontier_start
-            layer = resumed.layers
-            frontier.load(arena, layer_start, count)
-            arena.retire(count)
-            # Fresh workers rebuild from the root: the first replay blob
-            # is the full restored stream, not one layer's.
-            replay: list = resumed.stream
-        else:
-            arena.append(EMPTY_CONFIGURATION)
-            ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
-            count = 1
-            edges = 0
-            layer_start = 0
-            layer = 0
-            replay = []  # previous layer's merged discovery stream
-        universe._arm_storage_faults(layer)
-        bound_error: str | None = None
-        rss_truncated = False
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            while True:
-                layer_end = count
-                state = self._exchange_layer(
-                    universe, replay, layer_start, layer_end, layer
+        state = self._exchange_layer(
+            universe, self._replay, layer_start, layer_end, layer
+        )
+        if state.incomplete:
+            universe._complete = False
+        batches = state.batches
+        replay = self._replay = []
+        count = len(arena)
+        edges = len(succ_ids)
+        cursors = [0] * workers
+        # Per worker, candidate index -> resolved global id, filled in
+        # batch order as the merge walks the layer.
+        candidate_ids: list[list[int]] = [[] for _ in range(workers)]
+        for parent_id in range(layer_start, layer_end):
+            entry = window.pop(parent_id)
+            row, parent_hash = entry[0], entry[1]
+            shard = parent_hash % workers
+            record = batches[shard][cursors[shard]]
+            cursors[shard] += 1
+            if record[0] != parent_id:
+                raise UniverseError(
+                    f"sharded merge desync: worker {shard} sent "
+                    f"parent {record[0]}, expected {parent_id}"
                 )
-                if state.incomplete:
-                    universe._complete = False
-                batches = state.batches
-                replay = []
-                cursors = [0] * workers
-                # Per worker, candidate index -> resolved global id, filled
-                # in batch order as the merge walks the layer.
-                candidate_ids: list[list[int]] = [[] for _ in range(workers)]
-                for parent_id in range(layer_start, layer_end):
-                    entry = window.pop(parent_id)
-                    row, parent_hash = entry[0], entry[1]
-                    shard = parent_hash % workers
-                    record = batches[shard][cursors[shard]]
-                    cursors[shard] += 1
-                    if record[0] != parent_id:
-                        raise UniverseError(
-                            f"sharded merge desync: worker {shard} sent "
-                            f"parent {record[0]}, expected {parent_id}"
-                        )
-                    edge_list = record[1]
-                    if edge_list is None:  # max_events-capped parent
+            edge_list = record[1]
+            if edge_list is None:  # max_events-capped parent
+                succ_offsets.append(edges)
+                continue
+            resolved = candidate_ids[shard]
+            for edge in edge_list:
+                if type(edge) is int:
+                    succ_ids.append(resolved[edge])
+                    edges += 1
+                    continue
+                event, child_hash = edge
+                position, new_history, new_entry, _ = step(
+                    row, parent_hash, event
+                )
+                existing = ids_by_hash.get(child_hash)
+                if existing is None:
+                    if count >= limit:
                         succ_offsets.append(edges)
-                        continue
-                    resolved = candidate_ids[shard]
-                    for edge in edge_list:
-                        if type(edge) is int:
-                            succ_ids.append(resolved[edge])
-                            edges += 1
-                            continue
-                        event, child_hash = edge
-                        position, new_history, new_entry, _ = step(
-                            row, parent_hash, event
-                        )
-                        existing = ids_by_hash.get(child_hash)
-                        if existing is None:
-                            if count >= limit:
-                                bound_error = (
-                                    _BOUND_MESSAGE % max_configurations
-                                )
-                                break
-                            child_id = count
-                        elif type(existing) is int:
-                            if row_matches(
-                                existing, row, position, new_history
-                            ):
-                                resolved.append(existing)
-                                succ_ids.append(existing)
-                                edges += 1
-                                continue
-                            # content-hash collision: open the bucket
-                            if count >= limit:
-                                bound_error = (
-                                    _BOUND_MESSAGE % max_configurations
-                                )
-                                break
-                            child_id = count
-                            ids_by_hash[child_hash] = [existing, child_id]
-                        else:
-                            for candidate_id in existing:
-                                if row_matches(
-                                    candidate_id, row, position, new_history
-                                ):
-                                    child_id = candidate_id
-                                    break
-                            else:
-                                if count >= limit:
-                                    bound_error = (
-                                        _BOUND_MESSAGE % max_configurations
-                                    )
-                                    break
-                                child_id = count
-                                existing.append(child_id)
-                            if child_id != count:
-                                resolved.append(child_id)
-                                succ_ids.append(child_id)
-                                edges += 1
-                                continue
-                        # First discovery.
-                        if existing is None:
-                            ids_by_hash[child_hash] = child_id
-                        count += 1
-                        window[child_id] = child_entry(
-                            entry, event, position, new_history, new_entry,
-                            child_hash,
-                        )
-                        arena.append_child(parent_id, event, child_hash, None)
-                        replay.append((parent_id, event))
+                        return replay, True
+                elif type(existing) is int and row_matches(
+                    existing, row, position, new_history
+                ):
+                    resolved.append(existing)
+                    succ_ids.append(existing)
+                    edges += 1
+                    continue
+                else:
+                    child_id = _resolve_collision(
+                        ids_by_hash, child_hash, existing, row_matches,
+                        row, position, new_history, count, limit,
+                    )
+                    if child_id is None:
+                        succ_offsets.append(edges)
+                        return replay, True
+                    if child_id != count:
                         resolved.append(child_id)
                         succ_ids.append(child_id)
                         edges += 1
-                    succ_offsets.append(edges)
-                    if bound_error is not None:
-                        break
-                if bound_error is not None:
-                    break
-                done = count == layer_end  # no new configurations
-                universe._arm_storage_faults(layer + 1)
-                if checkpoint is not None:
-                    checkpoint.commit_layer(
-                        replay, layer_end, universe, final=done
-                    )
-                # The consumed frontier is cold now: seal/compress whole
-                # arena chunks below it, and start the frontier's next
-                # memo generation.
-                arena.retire(layer_end)
-                frontier.floor = layer_end
-                frontier.rotate()
-                layer_start = layer_end
-                layer += 1
-                if done:
-                    break
-                if watchdog is not None and watchdog.exceeded():
-                    if arena.spill_cold() and not watchdog.exceeded():
-                        # Graceful spill bought headroom; keep exploring.
-                        self.recovery_log.record(
-                            "rss_budget",
-                            "spill",
-                            layer=layer,
-                            detail=f"{count} configurations",
-                        )
                         continue
-                    self.recovery_log.record(
-                        "rss_budget",
-                        "truncate",
-                        layer=layer,
-                        detail=f"{count} configurations",
-                    )
-                    rss_truncated = True
-                    break
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-        if bound_error is not None and on_limit == "raise":
-            raise UniverseError(bound_error)
-        if bound_error is not None or rss_truncated:
-            universe._complete = False
-            while len(succ_offsets) < len(arena) + 1:
-                succ_offsets.append(len(succ_ids))
+                # First discovery.
+                child_id = count
+                if existing is None:
+                    ids_by_hash[child_hash] = child_id
+                count += 1
+                window[child_id] = child_entry(
+                    entry, event, position, new_history, new_entry, child_hash
+                )
+                arena.append_child(parent_id, event, child_hash, None)
+                replay.append((parent_id, event))
+                resolved.append(child_id)
+                succ_ids.append(child_id)
+                edges += 1
+            succ_offsets.append(edges)
+        # Every parent of the layer is popped: a folded shard's expand
+        # starts at the next layer.
+        frontier.floor = layer_end
+        return replay, False
 
 
 __all__ = [

@@ -10,8 +10,10 @@ import json
 
 import pytest
 
+import repro.bench
 from repro.bench import (
     BenchBudgetExceeded,
+    BenchRecoveryMismatch,
     run_benchmarks,
     write_trajectory,
 )
@@ -116,3 +118,20 @@ class TestExplorationScaleSmoke:
         assert third.name == "BENCH_2026-01-02.json"
         for path in (first, second, third):
             assert json.loads(path.read_text()) == document
+
+
+class TestFaultRecoveryFailure:
+    def test_recovery_mismatch_fails_with_one_line(self, monkeypatch, capsys):
+        """A failed bit-identity check exits 1 with one summary line,
+        like a shard mismatch or a budget overrun — no traceback."""
+
+        def mismatch(baseline, recovered, label):
+            raise BenchRecoveryMismatch(f"{label}: injected mismatch")
+
+        monkeypatch.setattr(repro.bench, "_assert_recovered_identical", mismatch)
+        assert (
+            main(["bench", "--suite", "fault-recovery", "--quick", "--no-write"])
+            == 1
+        )
+        lines = capsys.readouterr().out.splitlines()
+        assert lines == ["repro bench FAILED: kill: injected mismatch"]

@@ -19,6 +19,7 @@ import pytest
 import repro.universe.checkpoint as checkpoint_module
 from repro.core.errors import UniverseError
 from repro.protocols.token_bus import TokenBusProtocol
+from repro.universe.arena import decompress_batch
 from repro.universe.checkpoint import (
     MANIFEST_MAGIC,
     SEGMENT_MAGIC,
@@ -215,6 +216,61 @@ class TestKernelResume:
         )
         assert not resumed.is_complete  # max_events truncation preserved
         assert_bit_identical(single, resumed)
+
+
+def decoded_segments(path):
+    """Every committed segment of checkpoint ``path``, decoded: the
+    header without its payload framing fields, plus the delta."""
+    segments = []
+    for item in segment_files(path):
+        header, payload = checkpoint_module._decode_segment(item.read_bytes())
+        decoded = {
+            key: value
+            for key, value in header.items()
+            if key not in ("payload_len", "payload_crc")
+        }
+        delta = decompress_batch(payload)
+        for key in ("records", "succ_ids", "succ_offsets"):
+            decoded[f"delta_{key}"] = delta[key]
+        segments.append(decoded)
+    return segments
+
+
+class TestEnginesCommitTheSameStream:
+    """The layer driver commits for both engines: the kernel and the
+    sharded engine write the same decoded segment stream (raw bytes may
+    differ — only the decoded contents are the contract)."""
+
+    @pytest.mark.parametrize(
+        "every, limits",
+        [
+            (1, Limits()),
+            (2, Limits()),
+            (1, Limits(max_configurations=300, on_limit="truncate")),
+        ],
+        ids=["every1", "every2", "mid-layer-cap"],
+    )
+    def test_kernel_and_sharded_segments_match(self, tmp_path, every, limits):
+        streams = []
+        for workers in (None, 2):
+            path = tmp_path / f"workers{workers}.ckpt"
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(
+                    limits=limits,
+                    checkpoint=CheckpointPolicy(path=path, every=every),
+                    sharding=Sharding(workers=workers),
+                ),
+            )
+            streams.append(decoded_segments(path))
+        kernel, sharded = streams
+        assert kernel == sharded
+        assert len(kernel) >= 2
+        if limits.on_limit == "truncate":
+            # The cap stops a layer midway: the last commit is the
+            # previous boundary, short of the cap.
+            assert kernel[-1]["count"] < limits.max_configurations
+        assert sum(segment["records"] for segment in kernel) > 0
 
 
 class TestShardedResume:
@@ -418,15 +474,31 @@ class TestRssWatchdog:
         assert len(universe._succ_offsets) == len(universe) + 1
 
     def test_tiny_budget_truncates_sharded(self):
-        universe = Universe(
-            star_protocol(5),
-            options=ExplorationOptions(
-                budget=ResourceBudget(rss_budget_mb=1),
-                sharding=Sharding(workers=2),
-            ),
+        """Both engines run the one RSS ladder: the same truncation
+        point, and the same ``(kind, rung, layer)`` recovery events."""
+        kernel, sharded = (
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(
+                    budget=ResourceBudget(rss_budget_mb=1),
+                    sharding=Sharding(workers=workers),
+                ),
+            )
+            for workers in (None, 2)
         )
-        assert not universe.is_complete
-        assert len(universe._succ_offsets) == len(universe) + 1
+        for universe in (kernel, sharded):
+            assert not universe.is_complete
+            assert len(universe._succ_offsets) == len(universe) + 1
+        assert_bit_identical(kernel, sharded)
+
+        def rungs(universe):
+            return [
+                (event["kind"], event["action"], event["layer"])
+                for event in universe.recovery_log
+            ]
+
+        assert rungs(kernel) == rungs(sharded)
+        assert rungs(kernel) and all(layer is not None for *_, layer in rungs(kernel))
 
     def test_generous_budget_changes_nothing(self):
         single = Universe(star_protocol(5))
