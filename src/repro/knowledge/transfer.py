@@ -18,6 +18,12 @@
 Each theorem gets an exhaustive checker returning the number of
 *non-vacuous* instances verified (instances whose antecedent held), so
 tests can assert the theorems were actually exercised.
+
+Theorem 4 and Lemma 4 run on dense ids: Theorem 4 folds the antecedent
+one ``[P1]``-class at a time through the class-adjacency graph, and
+Lemma 4 scans the universe's CSR successor arrays once against a
+``[p]``-class column.  The object-level checkers they replaced are kept
+as oracles in :mod:`repro.knowledge.reference`.
 """
 
 from __future__ import annotations
@@ -27,20 +33,23 @@ from dataclasses import dataclass
 
 from repro.causality.chains import chain_in_suffix
 from repro.core.configuration import Configuration
-from repro.core.process import ProcessSetLike, as_process_set
-from repro.isomorphism.extension import extension_event
-from repro.isomorphism.relation import composed_class
+from repro.core.process import ProcessId, ProcessSetLike, as_process_set
+from repro.isomorphism.relation import fold_classes
 from repro.knowledge.evaluator import KnowledgeEvaluator
-from repro.knowledge.formula import Formula, Knows, Not, Sure, knows
+from repro.knowledge.formula import Formula, Knows, Not, Sure
 from repro.knowledge.predicates import is_local_to
+from repro.universe.explorer import Universe, iter_bit_ids
 
 
 @dataclass(frozen=True)
 class TransferReport:
     """Result of an exhaustive theorem check.
 
-    ``checked`` counts non-vacuous instances; ``holds`` is False only if a
-    counterexample was found (recorded in ``counterexample``).
+    ``checked`` counts every non-vacuous instance, failing or not; a check
+    never stops at its first failure.  ``holds`` is False iff some
+    instance fails, and ``counterexample`` is then the failing ``(x, y)``
+    with the lowest ``(x id, y id)`` in the universe's dense ids, so a
+    report does not depend on the hash seed.
     """
 
     checked: int
@@ -59,6 +68,60 @@ def nested_knowledge(
     return result
 
 
+def _check_composed_transfer(
+    universe: Universe,
+    antecedent: int,
+    target: int,
+    sets: Sequence[frozenset[ProcessId]],
+) -> TransferReport:
+    """Every ``x`` in ``antecedent`` and ``x [P1 … Pn] y`` imply ``y`` in
+    ``target`` (both masks over dense ids).
+
+    ``x``'s composed image depends only on its ``[P1]``-class, so the
+    antecedent is grouped by class and each class is folded once along
+    the class-adjacency graph (:func:`fold_classes`) and materialised
+    once as a mask: a class contributes ``|class ∩ antecedent| ×
+    |image|`` instances, and fails iff ``image & ~target`` is nonzero.
+    """
+    class_of = universe.partition_table(sets[0]).class_of
+    final = universe.partition_table(sets[-1])
+    lowest: dict[int, int] = {}
+    members: dict[int, int] = {}
+    for x_id in iter_bit_ids(antecedent):
+        index = class_of[x_id]
+        if index in members:
+            members[index] += 1
+        else:
+            members[index] = 1
+            lowest[index] = x_id
+    checked = 0
+    failure: tuple[int, int] | None = None
+    for index, count in members.items():
+        image = final.classes_mask(
+            fold_classes(universe, {index}, sets[0], sets[1:])
+        )
+        checked += count * image.bit_count()
+        escaped = image & ~target
+        if escaped:
+            pair = (lowest[index], (escaped & -escaped).bit_length() - 1)
+            if failure is None or pair < failure:
+                failure = pair
+    return _report(universe, checked, failure)
+
+
+def _report(
+    universe: Universe, checked: int, failure: tuple[int, int] | None
+) -> TransferReport:
+    if failure is None:
+        return TransferReport(checked, True)
+    x_id, y_id = failure
+    return TransferReport(
+        checked,
+        False,
+        (universe.configuration_of_id(x_id), universe.configuration_of_id(y_id)),
+    )
+
+
 def check_theorem_4(
     evaluator: KnowledgeEvaluator,
     sets: Sequence[ProcessSetLike],
@@ -66,21 +129,17 @@ def check_theorem_4(
     sure: bool = False,
 ) -> TransferReport:
     """Theorem 4 (and its ``sure`` variant, per the paper's corollary)."""
-    universe = evaluator.universe
     normalised = [as_process_set(entry) for entry in sets]
     nested = nested_knowledge(normalised, formula, sure=sure)
     target = (
         Sure(normalised[-1], formula) if sure else Knows(normalised[-1], formula)
     )
-    nested_extension = evaluator.extension(nested)
-    target_extension = evaluator.extension(target)
-    checked = 0
-    for x in nested_extension:
-        for y in composed_class(universe, x, normalised):
-            checked += 1
-            if y not in target_extension:
-                return TransferReport(checked, False, (x, y))
-    return TransferReport(checked, True)
+    return _check_composed_transfer(
+        evaluator.universe,
+        evaluator.extension_mask(nested),
+        evaluator.extension_mask(target),
+        normalised,
+    )
 
 
 def check_theorem_4_negative_corollary(
@@ -93,22 +152,28 @@ def check_theorem_4_negative_corollary(
 
     For ``n = 1`` the antecedent is just ``¬(Pn knows b) at x``.
     """
-    universe = evaluator.universe
     normalised = [as_process_set(entry) for entry in sets]
     not_knows = Not(Knows(normalised[-1], formula))
     if len(normalised) == 1:
         antecedent: Formula = not_knows
     else:
         antecedent = nested_knowledge(normalised[:-1], not_knows)
-    antecedent_extension = evaluator.extension(antecedent)
-    target_extension = evaluator.extension(not_knows)
-    checked = 0
-    for x in antecedent_extension:
-        for y in composed_class(universe, x, normalised):
-            checked += 1
-            if y not in target_extension:
-                return TransferReport(checked, False, (x, y))
-    return TransferReport(checked, True)
+    return _check_composed_transfer(
+        evaluator.universe,
+        evaluator.extension_mask(antecedent),
+        evaluator.extension_mask(not_knows),
+        normalised,
+    )
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+_LEMMA_4_VIOLATIONS = {
+    # (knows before, knows after) pairs that refute the lemma, per kind.
+    "receive": {(1, 0)},
+    "send": {(0, 1)},
+    "internal": {(1, 0), (0, 1)},
+}
 
 
 def check_lemma_4(
@@ -123,48 +188,51 @@ def check_lemma_4(
     are checked on every one-event transition of the universe whose event
     is on ``P``; the lemma is vacuous (0 instances) unless ``formula`` is
     local to ``P̄`` in this universe.
+
+    One scan of the CSR successor arrays, on dense ids: an edge
+    ``x → y`` appends one event to one process, so it is on ``p`` iff
+    ``x`` and ``y`` lie in different ``[p]``-classes, and that event —
+    the last of ``y``'s ``p``-history — has a kind fixed by ``y``'s
+    ``[p]``-class, read from one materialised member per class.
     """
     universe = evaluator.universe
     p_set = as_process_set(processes)
     complement = universe.complement(p_set)
-    reports = {
-        "receive": TransferReport(0, True),
-        "send": TransferReport(0, True),
-        "internal": TransferReport(0, True),
-    }
+    counts = dict.fromkeys(_LEMMA_4_VIOLATIONS, 0)
     if not is_local_to(evaluator, formula, complement):
-        return reports
-    knows_extension = evaluator.extension(Knows(p_set, formula))
-    counts = {"receive": 0, "send": 0, "internal": 0}
-    for x in universe:
-        for extended in universe.successors(x):
-            event = extension_event(x, extended)
-            if event is None or event.process not in p_set:
-                continue
-            before = x in knows_extension
-            after = extended in knows_extension
-            if event.is_receive:
-                counts["receive"] += 1
-                if before and not after:
-                    reports["receive"] = TransferReport(
-                        counts["receive"], False, (x, extended)
-                    )
-            elif event.is_send:
-                counts["send"] += 1
-                if after and not before:
-                    reports["send"] = TransferReport(
-                        counts["send"], False, (x, extended)
-                    )
-            else:
-                counts["internal"] += 1
-                if before != after:
-                    reports["internal"] = TransferReport(
-                        counts["internal"], False, (x, extended)
-                    )
-    for kind in reports:
-        if reports[kind].holds:
-            reports[kind] = TransferReport(counts[kind], True)
-    return reports
+        return {kind: TransferReport(0, True) for kind in counts}
+    size = len(universe)
+    knowing = (
+        format(evaluator.extension_mask(Knows(p_set, formula)), f"0{size}b")[::-1]
+        .encode("ascii")
+        .translate(_BIT_BYTES)
+    )
+    offsets = universe._succ_offsets
+    succ_ids = universe._succ_ids
+    failures: dict[str, tuple[int, int]] = {}
+    for process in sorted(p_set):
+        class_of = universe.partition_table(frozenset((process,))).class_of
+        kind_of: dict[int, str] = {}
+        for x_id in range(size):
+            x_class = class_of[x_id]
+            before = knowing[x_id]
+            for y_id in succ_ids[offsets[x_id] : offsets[x_id + 1]]:
+                y_class = class_of[y_id]
+                if y_class == x_class:
+                    continue
+                kind = kind_of.get(y_class)
+                if kind is None:
+                    last = universe.configuration_of_id(y_id).history(process)[-1]
+                    kind = kind_of[y_class] = last.kind.value
+                counts[kind] += 1
+                if (before, knowing[y_id]) in _LEMMA_4_VIOLATIONS[kind]:
+                    pair = (x_id, y_id)
+                    if kind not in failures or pair < failures[kind]:
+                        failures[kind] = pair
+    return {
+        kind: _report(universe, counts[kind], failures.get(kind))
+        for kind in counts
+    }
 
 
 def check_theorem_5_gain(

@@ -1,5 +1,6 @@
 """Theorems 4, 5, 6 and Lemma 4: how knowledge is transferred (§4.3)."""
 
+from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import Knows
 from repro.knowledge.predicates import did_internal, has_received, has_sent
 from repro.knowledge.transfer import (
@@ -11,6 +12,8 @@ from repro.knowledge.transfer import (
     check_theorem_6_loss,
     nested_knowledge,
 )
+from repro.protocols.broadcast import BroadcastProtocol, fact_known_atom, star_topology
+from repro.universe.explorer import Universe
 
 P = frozenset("p")
 Q = frozenset("q")
@@ -142,3 +145,35 @@ class TestNestedKnowledgeBuilder:
         b = has_received("q", "ping")
         nested = nested_knowledge([P], b, sure=True)
         assert isinstance(nested, Sure)
+
+
+class TestStarInstanceCounts:
+    """The transfer checks run on dense ids, so whole stars fit in tier-1:
+    Theorem 4 ``[{r0},{hub}]`` for the root's fact and Lemma 4 per leaf."""
+
+    @staticmethod
+    def _evaluator(size: int):
+        leaves = tuple(f"r{index}" for index in range(size - 1))
+        protocol = BroadcastProtocol(star_topology("hub", leaves), "hub")
+        evaluator = KnowledgeEvaluator(Universe(protocol))
+        return evaluator, fact_known_atom(protocol, "hub"), leaves
+
+    def test_star6(self):
+        evaluator, fact, leaves = self._evaluator(6)
+        assert len(evaluator.universe) == 6_332
+        report = check_theorem_4(evaluator, ["r0", "hub"], fact)
+        assert report.holds and report.checked == 16_233_602
+        for leaf in leaves:
+            reports = check_lemma_4(evaluator, fact, leaf)
+            assert all(report.holds for report in reports.values()), leaf
+            assert reports["receive"].checked == 2_849, leaf
+            assert reports["send"].checked == reports["internal"].checked == 0
+
+    def test_star7(self):
+        evaluator, fact, leaves = self._evaluator(7)
+        assert len(evaluator.universe) == 75_974
+        report = check_theorem_4(evaluator, ["r0", "hub"], fact)
+        assert report.holds and report.checked == 2_425_004_082
+        reports = check_lemma_4(evaluator, fact, leaves[-1])
+        assert all(report.holds for report in reports.values())
+        assert reports["receive"].checked == 34_821

@@ -19,6 +19,7 @@ from repro.knowledge.formula import Atom, Knows, Not
 from repro.knowledge.hierarchy import (
     check_hierarchy_converges_to_common_knowledge,
 )
+from repro.knowledge.reference import check_theorem_4_reference
 from repro.knowledge.transfer import (
     check_theorem_4,
     check_theorem_5_gain,
@@ -107,8 +108,10 @@ class TestTransferForRandomPredicates:
     @settings(max_examples=25, deadline=None)
     def test_theorem_4(self, subset):
         evaluator = KnowledgeEvaluator(UNIVERSE)
-        report = check_theorem_4(evaluator, [P, Q], atom_of(subset))
+        formula = atom_of(subset)
+        report = check_theorem_4(evaluator, [P, Q], formula)
         assert report.holds, report
+        assert report == check_theorem_4_reference(evaluator, [P, Q], formula)
 
     @given(subsets)
     @settings(max_examples=25, deadline=None)
