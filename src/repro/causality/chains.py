@@ -11,8 +11,8 @@ Two implementations are provided:
   DAG, ``O(n * (V + E))`` for a chain of ``n`` sets; this is the
   production implementation.
 * :func:`has_process_chain_naive` — direct search over event tuples,
-  exponential in the chain length; kept as an oracle for the E13 ablation
-  and for differential testing.
+  exponential in the chain length; kept as an oracle for differential
+  testing.
 """
 
 from __future__ import annotations
@@ -103,8 +103,7 @@ def has_process_chain_naive(
 ) -> bool:
     """Oracle implementation by direct search over event tuples.
 
-    Exponential in the chain length; use only on small segments (tests and
-    the E13 ablation benchmark).
+    Exponential in the chain length; use only on small segments (tests).
     """
     order = source if isinstance(source, CausalOrder) else CausalOrder(source)
     sets = _normalise_chain(chain)

@@ -1,6 +1,6 @@
 """Command-line interface: explore, check and demonstrate from a shell.
 
-Four subcommands, each wrapping the corresponding library layer:
+Six subcommands, each wrapping the corresponding library layer:
 
 * ``repro explore <protocol>`` — explore a named protocol's universe and
   print its size and isomorphism diagram (small universes only);
@@ -8,10 +8,9 @@ Four subcommands, each wrapping the corresponding library layer:
   universe (properties 1–10, Theorem 1, knowledge facts) and report;
 * ``repro simulate <protocol>`` — one seeded simulator run with a
   space-time diagram;
-* ``repro experiments`` — list the experiment index (E1–E14) with the
-  bench target regenerating each;
 * ``repro report`` — run every theorem checker and print a markdown
-  verification report (exit status 1 on any failure);
+  verification report, one row per claim of experiments E1–E12 and E14
+  (exit status 1 on any failure);
 * ``repro bench`` — run the scale and fault-recovery benchmarks and
   write a ``BENCH_<date>.json`` trajectory file (see :mod:`repro.bench`);
 * ``repro checkpoint verify|inspect|compact PATH`` — report an
@@ -26,7 +25,7 @@ Usage::
     python -m repro.cli explore pingpong --rounds 2
     python -m repro.cli check tokenbus
     python -m repro.cli simulate election --seed 7
-    python -m repro.cli experiments
+    python -m repro.cli report
 """
 
 from __future__ import annotations
@@ -59,23 +58,6 @@ from repro.simulation.simulator import simulate
 from repro.universe.explorer import Universe
 from repro.universe.protocol import Protocol
 from repro.viz.render import space_time_diagram
-
-EXPERIMENTS = [
-    ("E1", "Figure 3-1 isomorphism diagram", "benchmarks/test_bench_fig31.py"),
-    ("E2", "isomorphism properties 1-10", "benchmarks/test_bench_properties.py"),
-    ("E3", "Theorem 1 (process chains)", "benchmarks/test_bench_theorem1.py"),
-    ("E4", "fusion (Lemma 1 / Theorem 2)", "benchmarks/test_bench_fusion.py"),
-    ("E5", "Theorem 3 (event semantics)", "benchmarks/test_bench_event_semantics.py"),
-    ("E6", "knowledge facts 1-12", "benchmarks/test_bench_axioms.py"),
-    ("E7", "token-bus nested knowledge", "benchmarks/test_bench_token_bus.py"),
-    ("E8", "local predicates / common knowledge", "benchmarks/test_bench_local_common.py"),
-    ("E9", "knowledge transfer theorems", "benchmarks/test_bench_transfer.py"),
-    ("E10", "tracking impossibility (5a)", "benchmarks/test_bench_tracking.py"),
-    ("E11", "failure detection (5b)", "benchmarks/test_bench_failure.py"),
-    ("E12", "termination lower bound (5c)", "benchmarks/test_bench_termination.py"),
-    ("E13", "machinery ablations", "benchmarks/test_bench_scaling.py"),
-    ("E14", "§6 generalisations (state / belief)", "benchmarks/test_bench_generalisations.py"),
-]
 
 
 def broadcast_protocol(topology: str, size: int) -> BroadcastProtocol:
@@ -350,14 +332,6 @@ def cmd_checkpoint(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_experiments(_args: argparse.Namespace) -> int:
-    print(f"{'id':>4}  {'artefact':40}  bench target")
-    for exp_id, description, target in EXPERIMENTS:
-        print(f"{exp_id:>4}  {description:40}  {target}")
-    print("\nRegenerate everything:  pytest benchmarks/ --benchmark-only -s")
-    return 0
-
-
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -497,11 +471,6 @@ def make_parser() -> argparse.ArgumentParser:
     sim.add_argument("--max-steps", type=int, default=100_000)
     sim.add_argument("--columns", type=int, default=100)
     sim.set_defaults(handler=cmd_simulate)
-
-    experiments = subparsers.add_parser(
-        "experiments", help="list the experiment index"
-    )
-    experiments.set_defaults(handler=cmd_experiments)
 
     report = subparsers.add_parser(
         "report", help="run every checker and print a verification report"

@@ -10,7 +10,7 @@ that tuple, giving one canonical object per ``[D]``-equivalence class.
 Working with configurations instead of linear computations shrinks
 exhaustively explored universes by the number of interleavings per class
 (often exponential) without changing any answer — this is the design
-decision ablated by experiment E13 (see DESIGN.md).
+decision ablated in ``tests/test_universe_explorer.py``.
 
 Because every quantifier of the theory ranges over explored universes,
 constructing and deduplicating configurations is *the* hot path of the

@@ -14,8 +14,8 @@ coarser, and state-based knowledge is *weaker* — a process may know a
 fact by history yet not by state (its state has forgotten how it got
 there).
 
-Executable consequences (verified by the test-suite and the E13 ablation
-bench):
+Executable consequences (verified by the test-suite and the E14 rows of
+``repro report``):
 
 * ``[P]_s`` is an equivalence relation, and properties 1, 3, 4, 5, 6, 7
   of §3 carry over verbatim (they use only relation algebra);

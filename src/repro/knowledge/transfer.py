@@ -23,7 +23,8 @@ Theorem 4 and Lemma 4 run on dense ids: Theorem 4 folds the antecedent
 one ``[P1]``-class at a time through the class-adjacency graph, and
 Lemma 4 scans the universe's CSR successor arrays once against a
 ``[p]``-class column.  The object-level checkers they replaced are kept
-as oracles in :mod:`repro.knowledge.reference`.
+as oracles in :mod:`repro.knowledge.reference`.  Theorems 5 and 6 and
+Lemma 4's corollaries share one walk of the ``x <= y`` pairs.
 """
 
 from __future__ import annotations
@@ -168,6 +169,12 @@ def check_theorem_4_negative_corollary(
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
+
+def _bit_bytes(mask: int, size: int) -> bytes:
+    """``mask`` over ``size`` ids as one byte (0 or 1) per id."""
+    return format(mask, f"0{size}b")[::-1].encode("ascii").translate(_BIT_BYTES)
+
+
 _LEMMA_4_VIOLATIONS = {
     # (knows before, knows after) pairs that refute the lemma, per kind.
     "receive": {(1, 0)},
@@ -202,11 +209,7 @@ def check_lemma_4(
     if not is_local_to(evaluator, formula, complement):
         return {kind: TransferReport(0, True) for kind in counts}
     size = len(universe)
-    knowing = (
-        format(evaluator.extension_mask(Knows(p_set, formula)), f"0{size}b")[::-1]
-        .encode("ascii")
-        .translate(_BIT_BYTES)
-    )
+    knowing = _bit_bytes(evaluator.extension_mask(Knows(p_set, formula)), size)
     offsets = universe._succ_offsets
     succ_ids = universe._succ_ids
     failures: dict[str, tuple[int, int]] = {}
@@ -235,6 +238,68 @@ def check_lemma_4(
     }
 
 
+def _check_chains(
+    universe: Universe, processes: frozenset[ProcessId], checks: Sequence[tuple]
+) -> list[TransferReport]:
+    """One walk of the ``x <= y`` pairs for checks ``(before, after, chain,
+    kind)``: each pair with ``x`` in ``before`` and ``y`` in ``after``
+    (masks over dense ids) needs ``chain`` in ``(x, y)`` unless it is
+    empty, and an event on ``processes`` there whose kind has the value
+    ``kind`` (``"receive"``/``"send"``) unless it is ``None``.  Returns
+    one report per check."""
+    size = len(universe)
+    columns = [
+        (_bit_bytes(before, size), _bit_bytes(after, size), chain, kind)
+        for before, after, chain, kind in checks
+    ]
+    id_of = {configuration: index for index, configuration in enumerate(universe)}
+    checked = [0] * len(checks)
+    failures: list[tuple[int, int] | None] = [None] * len(checks)
+    for x, y in universe.sub_configuration_pairs():
+        pair = (id_of[x], id_of[y])
+        kinds = None
+        for index, (before, after, chain, kind) in enumerate(columns):
+            if not (before[pair[0]] and after[pair[1]]):
+                continue
+            checked[index] += 1
+            failed = bool(chain) and chain_in_suffix(y, x, chain) is None
+            if not failed and kind is not None:
+                if kinds is None:
+                    kinds = {
+                        event.kind.value
+                        for process, history in y.suffix_after(x).items()
+                        if process in processes
+                        for event in history
+                    }
+                failed = kind not in kinds
+            if failed:
+                failures[index] = min(failures[index] or pair, pair)
+    return [_report(universe, *result) for result in zip(checked, failures)]
+
+
+def _check_knowledge_change(
+    evaluator: KnowledgeEvaluator,
+    sets: Sequence[ProcessSetLike],
+    formula: Formula,
+    gain: bool,
+    check_event: bool,
+) -> TransferReport:
+    """Theorem 5 (``gain``) or Theorem 6 on :func:`_check_chains`."""
+    universe = evaluator.universe
+    normalised = [as_process_set(entry) for entry in sets]
+    last = normalised[-1]
+    nested = evaluator.extension_mask(nested_knowledge(normalised, formula))
+    not_knows = evaluator.extension_mask(Not(Knows(last, formula)))
+    kind = None
+    if check_event and is_local_to(evaluator, formula, universe.complement(last)):
+        kind = "receive" if gain else "send"
+    if gain:
+        check = (not_knows, nested, normalised[::-1], kind)
+    else:
+        check = (nested, not_knows, normalised, kind)
+    return _check_chains(universe, last, [check])[0]
+
+
 def check_theorem_5_gain(
     evaluator: KnowledgeEvaluator,
     sets: Sequence[ProcessSetLike],
@@ -248,33 +313,7 @@ def check_theorem_5_gain(
     ``b`` is local to ``P̄n`` (and ``check_receive``), additionally assert
     ``Pn`` has a receive event in the suffix.
     """
-    universe = evaluator.universe
-    normalised = [as_process_set(entry) for entry in sets]
-    last = normalised[-1]
-    nested_extension = evaluator.extension(nested_knowledge(normalised, formula))
-    not_knows_extension = evaluator.extension(Not(Knows(last, formula)))
-    local = is_local_to(
-        evaluator, formula, universe.complement(last)
-    )
-    reversed_chain = list(reversed(normalised))
-    checked = 0
-    for x, y in universe.sub_configuration_pairs():
-        if x not in not_knows_extension or y not in nested_extension:
-            continue
-        checked += 1
-        if chain_in_suffix(y, x, reversed_chain) is None:
-            return TransferReport(checked, False, (x, y))
-        if check_receive and local:
-            suffix = y.suffix_after(x)
-            has_receive = any(
-                event.is_receive
-                for process, history in suffix.items()
-                if process in last
-                for event in history
-            )
-            if not has_receive:
-                return TransferReport(checked, False, (x, y))
-    return TransferReport(checked, True)
+    return _check_knowledge_change(evaluator, sets, formula, True, check_receive)
 
 
 def check_theorem_6_loss(
@@ -290,30 +329,7 @@ def check_theorem_6_loss(
     local to ``P̄n`` (and ``check_send``), additionally assert ``Pn`` has a
     send event in the suffix.
     """
-    universe = evaluator.universe
-    normalised = [as_process_set(entry) for entry in sets]
-    last = normalised[-1]
-    nested_extension = evaluator.extension(nested_knowledge(normalised, formula))
-    not_knows_extension = evaluator.extension(Not(Knows(last, formula)))
-    local = is_local_to(evaluator, formula, universe.complement(last))
-    checked = 0
-    for x, y in universe.sub_configuration_pairs():
-        if x not in nested_extension or y not in not_knows_extension:
-            continue
-        checked += 1
-        if chain_in_suffix(y, x, normalised) is None:
-            return TransferReport(checked, False, (x, y))
-        if check_send and local:
-            suffix = y.suffix_after(x)
-            has_send = any(
-                event.is_send
-                for process, history in suffix.items()
-                if process in last
-                for event in history
-            )
-            if not has_send:
-                return TransferReport(checked, False, (x, y))
-    return TransferReport(checked, True)
+    return _check_knowledge_change(evaluator, sets, formula, False, check_send)
 
 
 def check_lemma_4_corollaries(
@@ -328,34 +344,12 @@ def check_lemma_4_corollaries(
     """
     universe = evaluator.universe
     p_set = as_process_set(processes)
-    complement = universe.complement(p_set)
-    gain = TransferReport(0, True)
-    loss = TransferReport(0, True)
-    if not is_local_to(evaluator, formula, complement):
-        return {"gain-receive": gain, "loss-send": loss}
-    knows_extension = evaluator.extension(Knows(p_set, formula))
-    gain_checked = 0
-    loss_checked = 0
-    for x, y in universe.sub_configuration_pairs():
-        x_knows = x in knows_extension
-        y_knows = y in knows_extension
-        suffix = y.suffix_after(x)
-        p_events = [
-            event
-            for process, history in suffix.items()
-            if process in p_set
-            for event in history
-        ]
-        if not x_knows and y_knows:
-            gain_checked += 1
-            if not any(event.is_receive for event in p_events):
-                gain = TransferReport(gain_checked, False, (x, y))
-        if x_knows and not y_knows:
-            loss_checked += 1
-            if not any(event.is_send for event in p_events):
-                loss = TransferReport(loss_checked, False, (x, y))
-    if gain.holds:
-        gain = TransferReport(gain_checked, True)
-    if loss.holds:
-        loss = TransferReport(loss_checked, True)
+    if not is_local_to(evaluator, formula, universe.complement(p_set)):
+        vacuous = TransferReport(0, True)
+        return {"gain-receive": vacuous, "loss-send": vacuous}
+    knows = evaluator.extension_mask(Knows(p_set, formula))
+    ignorant = universe.full_mask & ~knows
+    gain = (ignorant, knows, (), "receive")
+    loss = (knows, ignorant, (), "send")
+    gain, loss = _check_chains(universe, p_set, [gain, loss])
     return {"gain-receive": gain, "loss-send": loss}

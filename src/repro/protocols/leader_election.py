@@ -9,7 +9,7 @@ The announcement is a textbook knowledge-gain event — the winner *knows*
 it has the maximum id precisely because a process chain visited every
 station (its candidature circulated the whole ring), making this protocol
 a natural workload for the knowledge-flow measurements (experiment E9 at
-scale) and for simulator throughput benchmarks (E13).
+scale) and for simulator tests at O(n^2) message counts.
 """
 
 from __future__ import annotations

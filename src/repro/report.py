@@ -1,12 +1,13 @@
 """One-shot verification report: every theorem checker, one document.
 
-:func:`verification_report` runs the complete battery — isomorphism
-properties, Theorem 1, fusion, event semantics, knowledge facts, local
-predicates, common knowledge, transfer theorems, the token-bus example,
-the §5 applications and the §6 generalisations — on freshly explored
-universes and renders a markdown summary.  It is the library's
-self-check: a downstream user (or CI job) can regenerate the entire
-reproduction verdict with
+:func:`verification_report` runs the complete battery — the Figure 3-1
+relations, isomorphism properties, Theorem 1, fusion, event semantics,
+knowledge facts, local predicates, common knowledge, transfer theorems,
+the token-bus example, the §5 applications and the §6 generalisations —
+on freshly explored universes and renders a markdown summary, one row
+per claim of the paper's experiments E1–E12 and E14.  It is the index of
+the reproduction and the library's self-check: a downstream user (or CI
+job) can regenerate the entire verdict with
 
     python -m repro.cli report
 
@@ -25,9 +26,13 @@ from repro.applications.termination_bounds import (
     spontaneous_overhead_after_termination,
 )
 from repro.applications.tracking import analyse_tracking
+from repro.core.errors import FusionError
 from repro.isomorphism.algebra import check_all_properties
+from repro.isomorphism.diagram import IsomorphismDiagram
 from repro.isomorphism.extension import check_theorem_3
 from repro.isomorphism.fundamental import check_theorem_1
+from repro.isomorphism.fusion import fusion_census
+from repro.isomorphism.relation import isomorphic
 from repro.isomorphism.state_based import (
     StateAbstraction,
     check_state_knowledge_facts,
@@ -48,6 +53,7 @@ from repro.knowledge.transfer import (
     check_theorem_5_gain,
     check_theorem_6_loss,
 )
+from repro.protocols.broadcast import BroadcastProtocol, line_topology
 from repro.protocols.commit import TwoPhaseCommitProtocol
 from repro.protocols.failure_monitor import (
     AsyncFailureMonitorProtocol,
@@ -58,6 +64,7 @@ from repro.protocols.pingpong import PingPongProtocol
 from repro.protocols.toggle import ToggleProtocol
 from repro.protocols.token_bus import TokenBusProtocol, check_paper_example
 from repro.simulation.scheduler import RandomScheduler
+from repro.universe.builder import figure_3_1_computations
 from repro.universe.explorer import Universe
 
 
@@ -113,6 +120,24 @@ def verification_report() -> VerificationReport:
     p_set, q_set = frozenset("p"), frozenset("q")
 
     # --- Section 3 -----------------------------------------------------
+    figure = figure_3_1_computations()
+    x, y, z, w = (figure[name] for name in "xyzw")
+    diagram = IsomorphismDiagram(figure.values(), {"p", "q"})
+    relations = [
+        isomorphic(x, y, "p"),
+        not isomorphic(x, y, "q"),
+        x.is_permutation_of(z),
+        isomorphic(z, w, "q"),
+        not isomorphic(y, w, "p"),
+        not isomorphic(y, w, "q"),
+        diagram.label(x, y) == {"p"},
+        diagram.label(x, z) == {"p", "q"},
+        diagram.label(z, w) == {"q"},
+        diagram.label(y, w) is None,
+        diagram.has_labelled_path(y, ["p", "q"], w),
+    ]
+    report.add("E1", "Figure 3-1 relations (Example 1)", all(relations),
+               f"{sum(relations)}/{len(relations)} relations")
     properties = check_all_properties(pingpong)
     report.add(
         "E2",
@@ -120,11 +145,22 @@ def verification_report() -> VerificationReport:
         all(properties.values()),
         f"{sum(properties.values())}/10 over {len(pingpong)} computations",
     )
-    instances = check_theorem_1(
-        pingpong, [[p_set], [q_set], [p_set, q_set], [q_set, p_set]]
-    )
-    report.add("E3", "Theorem 1 (chains vs isomorphism)", True,
-               f"{instances} instances")
+    try:
+        instances = check_theorem_1(
+            pingpong, [[p_set], [q_set], [p_set, q_set], [q_set, p_set]]
+        )
+        verdict, detail = True, f"{instances} instances"
+    except AssertionError as error:
+        verdict, detail = False, str(error)
+    report.add("E3", "Theorem 1 (chains vs isomorphism)", verdict, detail)
+    line = Universe(BroadcastProtocol(line_topology(("a", "b", "c")), root="a"))
+    try:
+        censuses = [fusion_census(pingpong, p_set), fusion_census(line, "a")]
+        verdict = all(c["licensed"] > 0 and c["escaped"] == 0 for c in censuses)
+        detail = "+".join(str(c["licensed"]) for c in censuses) + " licensed fusions"
+    except FusionError as error:
+        verdict, detail = False, str(error)
+    report.add("E4", "fusion (Lemma 1 / Theorem 2)", verdict, detail)
     semantics = check_theorem_3(pingpong)
     report.add(
         "E5",

@@ -1353,28 +1353,6 @@ class Universe:
         return cached
 
 
-def _consistent_cuts_exhaustive(
-    configuration: Configuration,
-) -> Iterator[Configuration]:
-    """Reference enumeration over the full prefix-length product.
-
-    Kept as the fallback for segments whose causal order is cyclic (no
-    linearization), where the pruned forward search below is incomplete.
-    """
-    import itertools
-
-    processes = sorted(configuration.processes)
-    ranges = [range(len(configuration.history(process)) + 1) for process in processes]
-    for cut_lengths in itertools.product(*ranges):
-        histories = {
-            process: configuration.history(process)[:length]
-            for process, length in zip(processes, cut_lengths)
-        }
-        candidate = Configuration(histories)
-        if candidate.received_messages <= candidate.sent_messages:
-            yield candidate
-
-
 def _consistent_cuts(configuration: Configuration) -> Iterator[Configuration]:
     """All message-consistent combinations of per-process history prefixes.
 
@@ -1388,17 +1366,19 @@ def _consistent_cuts(configuration: Configuration) -> Iterator[Configuration]:
     with an acyclic causal order this reaches exactly the cuts whose
     received messages are a subset of their sent messages, while never
     materialising the (exponentially larger) full product of prefix
-    lengths.  Cyclic inputs fall back to the exhaustive reference.
+    lengths.  Cyclic inputs fall back to the exhaustive enumeration,
+    :func:`repro.causality.cuts.consistent_cuts`.
     """
     processes = sorted(configuration.processes)
     if not processes:
         yield configuration
         return
 
+    from repro.causality.cuts import consistent_cuts
     from repro.causality.order import CausalOrder
 
     if not CausalOrder(configuration).is_acyclic():
-        yield from _consistent_cuts_exhaustive(configuration)
+        yield from consistent_cuts(configuration)
         return
 
     histories = [configuration.history(process) for process in processes]

@@ -32,11 +32,11 @@ class TestAsyncImpossibility:
         report = analyse_async(async_universe)
         assert report.crash_local_to_worker
 
-    def test_more_heartbeats_do_not_help(self):
-        for heartbeats in (0, 1, 3):
-            universe = Universe(AsyncFailureMonitorProtocol(heartbeats=heartbeats))
-            report = analyse_async(universe)
-            assert report.monitor_never_sure
+    @pytest.mark.parametrize("heartbeats", [0, 1, 3, 4])
+    def test_more_heartbeats_do_not_help(self, heartbeats):
+        universe = Universe(AsyncFailureMonitorProtocol(heartbeats=heartbeats))
+        report = analyse_async(universe)
+        assert report.impossibility_holds
 
     def test_wrong_universe_rejected(self, pingpong_universe):
         with pytest.raises(TypeError):
@@ -50,10 +50,13 @@ class TestSyncDetection:
         assert report.detection_sound
         assert 0 < report.detection_configurations < report.universe_size
 
-    def test_one_round_suffices(self):
-        universe = Universe(SyncFailureMonitorProtocol(rounds=1))
+    @pytest.mark.parametrize("rounds", [1, 3])
+    def test_other_round_budgets_detect_soundly(self, rounds):
+        """One round suffices, and more rounds stay sound."""
+        universe = Universe(SyncFailureMonitorProtocol(rounds=rounds))
         report = analyse_sync(universe)
         assert report.detection_possible
+        assert report.detection_sound
 
     def test_wrong_universe_rejected(self, pingpong_universe):
         with pytest.raises(TypeError):

@@ -1,5 +1,7 @@
 """Knowledge-flow measurements at scale (E9's simulator side)."""
 
+import pytest
+
 from repro.applications.knowledge_flow import (
     broadcast_knowledge_latency,
     latency_series,
@@ -19,15 +21,16 @@ class TestLatency:
         steps = [row.learned_at_step for row in rows]
         assert steps == sorted(steps)
 
-    def test_chain_gating(self):
-        rows, trace = broadcast_knowledge_latency(line_length=6, seed=3)
+    @pytest.mark.parametrize("line_length", [6, 16, 32])
+    def test_chain_gating(self, line_length):
+        rows, trace = broadcast_knowledge_latency(line_length=line_length, seed=3)
         assert verify_chain_gating(rows, trace, root="n0")
 
     def test_series_grows_with_line_length(self):
-        series = latency_series(line_lengths=(4, 8, 16), seed=0)
+        series = latency_series(line_lengths=(4, 8, 16, 32), seed=0)
         lengths = [length for length, _ in series]
         steps = [step for _, step in series]
-        assert lengths == [4, 8, 16]
+        assert lengths == [4, 8, 16, 32]
         assert steps == sorted(steps)
         assert steps[0] >= 4  # at least one event per hop
 

@@ -104,9 +104,13 @@ class TestPaperArgumentStep2:
 
 
 class TestOverheadTable:
-    def test_table_shape_and_bound(self):
-        rows = overhead_table(process_counts=(3, 4), seeds=(0, 1))
-        assert len(rows) == 4
+    @pytest.mark.parametrize("processes", [3, 4, 5, 6])
+    def test_table_shape_and_bound(self, processes):
+        rows = overhead_table(process_counts=(processes,), seeds=(0, 1))
+        assert [(row.processes, row.seed) for row in rows] == [
+            (processes, 0),
+            (processes, 1),
+        ]
         for row in rows:
             assert row.ds_overhead == row.underlying
             assert row.ds_meets_bound

@@ -8,9 +8,13 @@ from repro.causality.chains import (
     has_process_chain,
     has_process_chain_naive,
 )
+from repro.causality.order import CausalOrder
 from repro.core.computation import computation_of
 from repro.core.configuration import Configuration
 from repro.core.events import internal, message_pair
+from repro.protocols.leader_election import ChangRobertsProtocol
+from repro.simulation.scheduler import RandomScheduler
+from repro.simulation.simulator import simulate
 
 
 def relay():
@@ -85,6 +89,15 @@ class TestNaiveAgreement:
         ]
         for spec in specs:
             assert has_process_chain(z, spec) == has_process_chain_naive(z, spec)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_agreement_on_an_election_trace(self, seed):
+        """A simulated Chang–Roberts run on an eight-node ring."""
+        ring = tuple(f"n{i}" for i in range(8))
+        trace = simulate(ChangRobertsProtocol(ring), RandomScheduler(seed))
+        order = CausalOrder(trace.computation)
+        chain = [frozenset({name}) for name in ring[:4]]
+        assert has_process_chain(order, chain) == has_process_chain_naive(order, chain)
 
     def test_agreement_over_universe(self, broadcast_universe):
         specs = [["a", "b"], ["b", "a"], ["a", "b", "c"], ["c", "a"]]

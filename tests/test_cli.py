@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_protocol, main, make_parser
+from repro.cli import build_protocol, main, make_parser
 
 
 class TestParser:
@@ -16,12 +16,10 @@ class TestParser:
 
 
 class TestCommands:
-    def test_experiments_lists_all_ids(self, capsys):
-        assert main(["experiments"]) == 0
-        output = capsys.readouterr().out
-        for exp_id, _, _ in EXPERIMENTS:
-            assert exp_id in output
-        assert len(EXPERIMENTS) == 14
+    def test_experiments_is_not_a_command(self):
+        """``repro report`` is the experiment index."""
+        with pytest.raises(SystemExit):
+            main(["experiments"])
 
     def test_explore_pingpong(self, capsys):
         assert main(["explore", "pingpong", "--rounds", "1"]) == 0

@@ -5,7 +5,12 @@ import pytest
 from repro.core.configuration import Configuration
 from repro.core.errors import FusionError
 from repro.core.validation import is_valid_configuration
-from repro.isomorphism.fusion import fuse, fuse_disjoint, fusion_side_conditions
+from repro.isomorphism.fusion import (
+    fuse,
+    fuse_disjoint,
+    fusion_census,
+    fusion_side_conditions,
+)
 from repro.isomorphism.relation import isomorphic
 from repro.core.computation import computation_of
 from repro.core.events import internal, message_pair
@@ -43,44 +48,40 @@ class TestLemma1:
 
 
 class TestTheorem2:
-    def test_fusion_over_universe(self, pingpong_universe):
+    @pytest.mark.parametrize(
+        "universe_name, p_set",
+        [
+            ("pingpong_universe", frozenset("p")),
+            ("pingpong_universe", frozenset("q")),
+            ("broadcast_universe", frozenset("a")),
+            ("broadcast_universe", frozenset("bc")),
+        ],
+    )
+    def test_fusion_over_universe(self, universe_name, p_set, request):
         """Whenever the side conditions hold, the fused computation is a
-        valid member of the computation space."""
-        universe = pingpong_universe
-        fused_count = 0
-        for x, y in universe.sub_configuration_pairs():
-            for z in universe:
-                if not x.is_sub_configuration_of(z):
-                    continue
-                problems = fusion_side_conditions(x, y, z, {"p"}, universe.processes)
-                if problems:
-                    continue
-                w = fuse(x, y, z, {"p"}, universe.processes)
-                fused_count += 1
-                assert isomorphic(y, w, {"p"})
-                assert isomorphic(z, w, {"q"})
-                assert x.is_sub_configuration_of(w)
-                assert is_valid_configuration(w)
-                # Closure: the fused computation is itself reachable.
-                assert w in universe
-        assert fused_count > 0
-
-    def test_fusion_over_broadcast_universe(self, broadcast_universe):
-        universe = broadcast_universe
-        p_set = frozenset({"a"})
+        valid member of the computation space; :func:`fusion_census`
+        counts the same fusions on partition tables."""
+        universe = request.getfixturevalue(universe_name)
         complement = universe.complement(p_set)
-        fused_count = 0
+        licensed = blocked = 0
         for x, y in universe.sub_configuration_pairs():
             for z in universe:
                 if not x.is_sub_configuration_of(z):
                     continue
                 if fusion_side_conditions(x, y, z, p_set, universe.processes):
+                    blocked += 1
                     continue
                 w = fuse(x, y, z, p_set, universe.processes)
-                fused_count += 1
+                licensed += 1
                 assert isomorphic(y, w, p_set)
                 assert isomorphic(z, w, complement)
-        assert fused_count > 0
+                assert x.is_sub_configuration_of(w)
+                assert is_valid_configuration(w)
+                # Closure: the fused computation is itself reachable.
+                assert w in universe
+        assert licensed > 0
+        census = fusion_census(universe, p_set)
+        assert census == {"licensed": licensed, "blocked": blocked, "escaped": 0}
 
     def test_violated_conditions_reported(self):
         """A chain <P̄ P> in (x, y) blocks the fusion."""

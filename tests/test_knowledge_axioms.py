@@ -1,5 +1,7 @@
 """The twelve knowledge facts of §4.1 over several universes."""
 
+import pytest
+
 from repro.knowledge.axioms import (
     check_all_facts,
     check_fact_3,
@@ -30,13 +32,16 @@ class TestAllFactsPerUniverse:
         )
         assert all(results.values()), results
 
-    def test_broadcast(self, broadcast_universe, broadcast_evaluator):
+    @pytest.mark.parametrize(
+        "receiver, p2", [("b", frozenset({"c"})), ("c", frozenset({"a", "c"}))]
+    )
+    def test_broadcast(self, broadcast_universe, broadcast_evaluator, receiver, p2):
         results = check_all_facts(
             broadcast_universe,
             did_internal("a", "learn"),
-            has_received("b", "fact"),
+            has_received(receiver, "fact"),
             frozenset({"b"}),
-            frozenset({"c"}),
+            p2,
             evaluator=broadcast_evaluator,
         )
         assert all(results.values()), results

@@ -7,11 +7,13 @@ from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import (
     FALSE,
     TRUE,
+    CommonKnowledge,
     Iff,
     Implies,
     Knows,
     Not,
     Sure,
+    knows,
 )
 from repro.knowledge.predicates import event_count_at_least, has_received, has_sent
 from repro.protocols.pingpong import PingPongProtocol
@@ -136,3 +138,40 @@ class TestPartitions:
         atom = event_count_at_least({"p", "q"}, 1)
         extension = pingpong_evaluator.extension(atom)
         assert len(extension) == len(pingpong_universe) - 1  # all but null
+
+
+class TestStarBroadcast:
+    """A hub broadcasting to three and to five leaves (6 332
+    configurations)."""
+
+    @pytest.fixture(
+        scope="class", params=[("w", "x", "y"), ("v", "w", "x", "y", "z")]
+    )
+    def evaluator(self, request):
+        from repro.protocols.broadcast import BroadcastProtocol, star_topology
+
+        leaves = request.param
+        return KnowledgeEvaluator(
+            Universe(BroadcastProtocol(star_topology("hub", leaves), "hub"))
+        )
+
+    def test_no_knowledge_of_a_delivery_without_acks(self, evaluator):
+        """Deliveries are indistinguishable to the hub, so neither its
+        knowledge nor common knowledge of x's receipt ever holds."""
+        x_got_it = has_received("x", "fact")
+        assert evaluator.extension(Knows("hub", x_got_it)) == frozenset()
+        assert evaluator.extension(CommonKnowledge({"hub", "x"}, x_got_it)) == (
+            frozenset()
+        )
+
+    def test_nested_knowledge_implies_its_body(self, evaluator):
+        hub_sent = has_sent("hub", "fact")
+        nested = evaluator.extension(knows("x", "hub", hub_sent))
+        assert nested <= evaluator.extension(hub_sent)
+
+    def test_extension_view_is_the_mask(self, evaluator):
+        formula = Knows("x", has_received("x", "fact"))
+        mask = evaluator.extension_mask(formula)
+        view = evaluator.extension(formula)
+        assert view == frozenset(evaluator.universe.configurations_in_mask(mask))
+        assert len(view) == mask.bit_count()

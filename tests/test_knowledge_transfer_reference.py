@@ -8,21 +8,24 @@ counterexample, on complete universes, a truncated one, multi-process
 ``P`` and the ``sure`` variant.
 
 The counterexample contract (lowest ``(x id, y id)``, full count) is
-exercised with an evaluator stub that clears one bit of a target mask,
-so the theorems fail at many pairs; CI runs this module under two hash
-seeds.
+exercised with an evaluator stub that flips one bit of a formula's mask,
+so the theorems fail at many pairs; Theorems 5 and 6 and Lemma 4's
+corollaries, which have no oracle module yet, are held to it against a
+brute-force walk.  CI runs this module under two hash seeds.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from typing import Callable
 
 import pytest
 
-from repro.isomorphism.reference import composed_class_reference
+from repro.causality.chains import chain_in_suffix
 from repro.core.process import as_process_set
+from repro.isomorphism.reference import composed_class_reference
 from repro.knowledge.evaluator import KnowledgeEvaluator
-from repro.knowledge.formula import Knows, Not
+from repro.knowledge.formula import Knows, Not, Sure
 from repro.knowledge.predicates import (
     did_internal,
     event_count_at_least,
@@ -35,9 +38,13 @@ from repro.knowledge.reference import (
     check_theorem_4_reference,
 )
 from repro.knowledge.transfer import (
+    TransferReport,
     check_lemma_4,
+    check_lemma_4_corollaries,
     check_theorem_4,
     check_theorem_4_negative_corollary,
+    check_theorem_5_gain,
+    check_theorem_6_loss,
     nested_knowledge,
 )
 from repro.protocols.broadcast import (
@@ -193,12 +200,13 @@ class TestEqualsOracle:
                 ), processes
 
 
-class ClearedBitEvaluator:
-    """An evaluator whose ``formula`` extension has lost one id.
+class FlippedBitEvaluator:
+    """An evaluator whose ``formula`` extension has one id flipped: lost
+    if it was a member, gained if not.
 
     Every other formula, including the ones ``formula`` is nested in,
     keeps the real extension, so a theorem whose target is ``formula``
-    fails at every instance reaching ``config_id``.
+    fails at every instance reaching a lost ``config_id``.
     """
 
     def __init__(self, evaluator, formula, config_id: int) -> None:
@@ -213,7 +221,7 @@ class ClearedBitEvaluator:
     def extension_mask(self, formula) -> int:
         mask = self._evaluator.extension_mask(formula)
         if formula == self._formula:
-            mask &= ~(1 << self._config_id)
+            mask ^= 1 << self._config_id
         return mask
 
     def extension(self, formula):
@@ -238,7 +246,7 @@ def test_theorem_4_reports_lowest_counterexample(name):
     # x [P1 … Pn] x, so clearing an antecedent id from the target fails
     # at least (x, x); every x whose image reaches it fails too.
     cleared = antecedent.bit_length() - 1
-    stub = ClearedBitEvaluator(evaluator, target, cleared)
+    stub = FlippedBitEvaluator(evaluator, target, cleared)
     report = check_theorem_4(stub, sets, formula)
     assert not report.holds
     assert report == check_theorem_4_reference(stub, sets, formula)
@@ -265,7 +273,7 @@ def test_lemma_4_reports_lowest_counterexample(name):
             target = Knows(processes, formula)
             real = check_lemma_4(evaluator, formula, processes)
             for cleared in iter_bit_ids(evaluator.extension_mask(target)):
-                stub = ClearedBitEvaluator(evaluator, target, cleared)
+                stub = FlippedBitEvaluator(evaluator, target, cleared)
                 reports = check_lemma_4(stub, formula, processes)
                 assert reports == check_lemma_4_reference(stub, formula, processes)
                 for kind, report in reports.items():
@@ -276,3 +284,93 @@ def test_lemma_4_reports_lowest_counterexample(name):
                         ids = universe.config_id(x), universe.config_id(y)
                         assert cleared in ids
     assert refuted > 0
+
+
+def _brute_force(universe, before, after, holds: Callable):
+    """Every ``x <= y`` with ``x`` in ``before`` and ``y`` in ``after`` is
+    an instance.  Returns the report naming the lowest failing ``(x id,
+    y id)``, and the number of failing instances."""
+    checked, failing = 0, []
+    for x, y in universe.sub_configuration_pairs():
+        if x in before and y in after:
+            checked += 1
+            if not holds(x, y):
+                failing.append((universe.config_id(x), universe.config_id(y)))
+    if not failing:
+        return TransferReport(checked, True), 0
+    pair = tuple(map(universe.configuration_of_id, min(failing)))
+    return TransferReport(checked, False, pair), len(failing)
+
+
+def _has_event(x, y, processes, kind: str) -> bool:
+    return any(
+        getattr(event, kind)
+        for process, history in y.suffix_after(x).items()
+        if process in processes
+        for event in history
+    )
+
+
+def _expected_theorems_5_6(stub, formula, sets):
+    universe = stub.universe
+    last = sets[-1]
+    nested = stub.extension(nested_knowledge(sets, formula))
+    not_knows = stub.extension(Not(Knows(last, formula)))
+    local = stub.is_valid(Sure(universe.complement(last), formula))
+
+    def chain(order, kind):
+        return lambda x, y: chain_in_suffix(y, x, order) is not None and (
+            not local or _has_event(x, y, last, kind)
+        )
+
+    return {
+        "theorem-5": _brute_force(
+            universe, not_knows, nested, chain(sets[::-1], "is_receive")
+        ),
+        "theorem-6": _brute_force(universe, nested, not_knows, chain(sets, "is_send")),
+    }
+
+
+def _expected_corollaries(stub, formula, processes):
+    universe = stub.universe
+    if not stub.is_valid(Sure(universe.complement(processes), formula)):
+        vacuous = (TransferReport(0, True), 0)
+        return {"gain-receive": vacuous, "loss-send": vacuous}
+    knows = stub.extension(Knows(processes, formula))
+    ignorant = frozenset(universe) - knows
+
+    def event(kind):
+        return lambda x, y: _has_event(x, y, processes, kind)
+
+    return {
+        "gain-receive": _brute_force(universe, ignorant, knows, event("is_receive")),
+        "loss-send": _brute_force(universe, knows, ignorant, event("is_send")),
+    }
+
+
+@pytest.mark.parametrize("name", ["pingpong", "mutex"])
+def test_chain_checkers_report_lowest_counterexample(name):
+    """Flip each id of ``¬(Pn knows b)`` (Theorems 5 and 6) and of ``Pn
+    knows b`` (Lemma 4's corollaries, ``P = Pn``) in turn.  Every report
+    must carry the full instance count and the lowest failing pair, and
+    each checker must meet a flip that refutes it at two or more pairs."""
+    evaluator = _evaluator(name)
+    most: dict[str, int] = {}
+    for formula in _atoms(name):
+        for sequence in CASES[name][2]:
+            sets = [as_process_set(entry) for entry in sequence]
+            knows = Knows(sets[-1], formula)
+            for flipped in range(len(evaluator.universe)):
+                stub = FlippedBitEvaluator(evaluator, Not(knows), flipped)
+                expected = _expected_theorems_5_6(stub, formula, sets)
+                actual = {
+                    "theorem-5": check_theorem_5_gain(stub, sets, formula),
+                    "theorem-6": check_theorem_6_loss(stub, sets, formula),
+                }
+                stub = FlippedBitEvaluator(evaluator, knows, flipped)
+                expected.update(_expected_corollaries(stub, formula, sets[-1]))
+                actual.update(check_lemma_4_corollaries(stub, formula, sets[-1]))
+                for key, (report, failures) in expected.items():
+                    assert actual[key] == report, (key, sequence, flipped)
+                    most[key] = max(most.get(key, 0), failures)
+    assert len(most) == 4 and min(most.values()) >= 2, most

@@ -89,13 +89,16 @@ class TestChangRoberts:
         count = protocol.message_count(trace.final_configuration)
         assert len(ring) <= count <= len(ring) ** 2
 
-    def test_worst_case_descending_ranks(self):
-        ring = ("a", "b", "c", "d")
-        ranks = {"a": 4, "b": 3, "c": 2, "d": 1}
+    @pytest.mark.parametrize("size", [4, 8, 24])
+    def test_worst_case_descending_ranks(self, size):
+        ring = tuple(f"n{i}" for i in range(size))
+        ranks = {name: size - index for index, name in enumerate(ring)}
         protocol = ChangRobertsProtocol(ring, ranks=ranks)
-        trace = simulate(protocol, RandomScheduler(1))
+        trace = simulate(protocol, RandomScheduler(1), max_steps=500_000)
         # Descending order: i-th candidate travels i hops -> n(n+1)/2.
-        assert protocol.message_count(trace.final_configuration) == 4 + 3 + 2 + 1
+        assert protocol.message_count(trace.final_configuration) == (
+            size * (size + 1) // 2
+        )
 
     def test_ring_validation(self):
         with pytest.raises(ValueError):

@@ -61,11 +61,14 @@ class TestPaperExample:
         assert result["valid"]
         assert result["r_holds_count"] > 0  # non-vacuous
 
-    def test_formula_valid_on_four_hops(self):
-        universe = Universe(TokenBusProtocol(max_hops=4))
+    @pytest.mark.parametrize("hops, r_holds", [(2, 1), (4, 2), (5, 4), (6, 13)])
+    def test_formula_valid_on_other_depths(self, hops, r_holds):
+        """Two hops first hand the token to r; from four hops on, r is
+        reachable more than one way."""
+        universe = Universe(TokenBusProtocol(max_hops=hops))
         result = check_paper_example(universe)
         assert result["valid"]
-        assert result["r_holds_count"] > 1  # r reachable two ways now
+        assert result["r_holds_count"] >= r_holds
 
     def test_nested_knowledge_unpacked(self, token_bus_universe):
         """Check the two conjuncts separately at every r-holding config."""

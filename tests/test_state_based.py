@@ -99,6 +99,30 @@ class TestStateKnowledge:
         assert gap["impossible"] == 0
         assert gap["forgotten"] > 0
 
+    def test_retained_knowledge_falls_with_fidelity(self):
+        """Over 2PC, each coarser abstraction retains at most the
+        knowledge of the finer one, never invents any, and keeps the
+        surviving §4.1 facts."""
+        from repro.protocols.commit import TwoPhaseCommitProtocol
+
+        protocol = TwoPhaseCommitProtocol(("p1", "p2"))
+        universe = Universe(protocol)
+        unanimous = protocol.all_voted_yes()
+        retained = []
+        for abstraction in (
+            StateAbstraction(),
+            StateAbstraction(default=counting_abstraction()),
+            StateAbstraction(default=length_abstraction()),
+        ):
+            gap = knowledge_gap(universe, abstraction, {"p1"}, unanimous)
+            assert gap["impossible"] == 0
+            retained.append(gap["retained"])
+            facts = check_state_knowledge_facts(
+                universe, abstraction, unanimous, {"p1"}
+            )
+            assert all(facts.values()), facts
+        assert retained == sorted(retained, reverse=True)
+
     def test_gap_is_zero_for_identity(self, toggle):
         protocol, universe = toggle
         gap = knowledge_gap(

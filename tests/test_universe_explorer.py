@@ -5,10 +5,24 @@ import pytest
 from repro.core.configuration import EMPTY_CONFIGURATION
 from repro.core.errors import UniverseError
 from repro.core.validation import is_valid_configuration
+from repro.protocols.broadcast import BroadcastProtocol, star_topology
 from repro.protocols.pingpong import PingPongProtocol
+from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.builder import figure_3_1_universe
 from repro.universe.explorer import Universe
 from repro.universe.options import ExplorationOptions, Limits, Sharding
+
+
+def linear_per_configuration(protocol) -> float:
+    """Linear prefixes per configuration: a configuration stands for
+    every interleaving of its events, counted as root paths in the
+    successor graph."""
+    universe = Universe(protocol)
+    paths = [1] + [0] * (len(universe) - 1)
+    for x_id, configuration in enumerate(universe):  # parents first
+        for successor in universe.successors(configuration):
+            paths[universe.config_id(successor)] += paths[x_id]
+    return sum(paths) / len(universe)
 
 
 class TestExploration:
@@ -41,6 +55,31 @@ class TestExploration:
             for successor in pingpong_universe.successors(configuration):
                 assert len(successor) == len(configuration) + 1
                 assert configuration.is_sub_configuration_of(successor)
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            PingPongProtocol(rounds=1),
+            PingPongProtocol(rounds=2),
+            PingPongProtocol(rounds=3),
+            TokenBusProtocol(max_hops=4),
+        ],
+        ids=["pingpong-1", "pingpong-2", "pingpong-3", "token-bus-4"],
+    )
+    def test_sequential_protocol_has_one_interleaving(self, protocol):
+        """One event enabled at a time leaves nothing to collapse."""
+        assert linear_per_configuration(protocol) == 1.0
+
+    def test_configurations_collapse_interleavings(self):
+        """Each concurrent leaf of a star widens the gap between linear
+        prefixes and configurations."""
+        ratios = [
+            linear_per_configuration(
+                BroadcastProtocol(star_topology("hub", leaves), "hub")
+            )
+            for leaves in (("x", "y"), ("x", "y", "z"), ("w", "x", "y", "z"))
+        ]
+        assert 1.0 < ratios[0] < ratios[1] < ratios[2]
 
     def test_truncation_detected(self):
         truncated = Universe(
