@@ -17,6 +17,10 @@ The library makes every definition and theorem of the paper executable:
 * :mod:`repro.applications` — the §5 impossibility and lower-bound
   results, measured.
 
+Every package but :mod:`repro.core` exports its names lazily: a name is
+imported on first use, so importing one module loads only what that
+module needs, and the library needs nothing beyond the standard library.
+
 Quickstart::
 
     from repro import Universe, KnowledgeEvaluator, Knows
@@ -30,98 +34,81 @@ Quickstart::
     print(evaluator.extension(Knows("p", b)))
 """
 
-from repro.core import (
-    NULL,
-    Computation,
-    Configuration,
-    Event,
-    InternalEvent,
-    Message,
-    ReceiveEvent,
-    ReproError,
-    SendEvent,
-    as_process_set,
-    complement,
-    computation_of,
-    internal,
-    message_pair,
-    receive,
-    send,
-)
-from repro.causality import (
-    CausalOrder,
-    VectorClock,
-    find_process_chain,
-    happened_before,
-    has_process_chain,
-    vector_timestamps,
-)
-from repro.isomorphism import (
-    IsomorphismDiagram,
-    agreement_set,
-    composed_isomorphic,
-    fuse,
-    isomorphic,
-    normalise_sequence,
-    theorem_1_holds,
-)
-from repro.knowledge import (
-    Atom,
-    CommonKnowledge,
-    Knows,
-    KnowledgeEvaluator,
-    Not,
-    Sure,
-    knows,
-    unsure,
-)
-from repro.simulation import RandomScheduler, Simulator, simulate
-from repro.universe import Protocol, Universe
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "NULL",
-    "Atom",
-    "CausalOrder",
-    "CommonKnowledge",
-    "Computation",
-    "Configuration",
-    "Event",
-    "InternalEvent",
-    "IsomorphismDiagram",
-    "Knows",
-    "KnowledgeEvaluator",
-    "Message",
-    "Not",
-    "Protocol",
-    "RandomScheduler",
-    "ReceiveEvent",
-    "ReproError",
-    "SendEvent",
-    "Simulator",
-    "Sure",
-    "Universe",
-    "VectorClock",
-    "agreement_set",
-    "as_process_set",
-    "complement",
-    "composed_isomorphic",
-    "computation_of",
-    "find_process_chain",
-    "fuse",
-    "happened_before",
-    "has_process_chain",
-    "internal",
-    "isomorphic",
-    "knows",
-    "message_pair",
-    "normalise_sequence",
-    "receive",
-    "send",
-    "simulate",
-    "theorem_1_holds",
-    "unsure",
-    "vector_timestamps",
-    "__version__",
-]
+
+def _lazy_exports(package: str, namespace: dict, exports: dict[str, str]):
+    """Wire a package's public names to load on first access (PEP 562).
+
+    ``exports`` maps each public name, in ``__all__`` order, to the
+    module that defines it, relative to ``package``.  Returns the
+    package's ``__all__`` and the module-level ``__getattr__`` and
+    ``__dir__`` it assigns.  A name is imported the first time it is
+    read (``from package import *`` included) and then cached in
+    ``namespace``, so importing one module of the library loads only
+    that module's own dependencies.  It lives in the root package, which
+    Python has always loaded before any subpackage's ``__init__`` runs.
+    """
+    from importlib import import_module
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = namespace[name] = getattr(import_module(module, package), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | exports.keys())
+
+    return list(exports), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "NULL": ".core",
+    "Atom": ".knowledge.formula",
+    "CausalOrder": ".causality.order",
+    "CommonKnowledge": ".knowledge.formula",
+    "Computation": ".core",
+    "Configuration": ".core",
+    "Event": ".core",
+    "InternalEvent": ".core",
+    "IsomorphismDiagram": ".isomorphism.diagram",
+    "Knows": ".knowledge.formula",
+    "KnowledgeEvaluator": ".knowledge.evaluator",
+    "Message": ".core",
+    "Not": ".knowledge.formula",
+    "Protocol": ".universe.protocol",
+    "RandomScheduler": ".simulation.scheduler",
+    "ReceiveEvent": ".core",
+    "ReproError": ".core",
+    "SendEvent": ".core",
+    "Simulator": ".simulation.simulator",
+    "Sure": ".knowledge.formula",
+    "Universe": ".universe.explorer",
+    "VectorClock": ".causality.clocks",
+    "agreement_set": ".isomorphism.relation",
+    "as_process_set": ".core",
+    "complement": ".core",
+    "composed_isomorphic": ".isomorphism.relation",
+    "computation_of": ".core",
+    "find_process_chain": ".causality.chains",
+    "fuse": ".isomorphism.fusion",
+    "happened_before": ".causality.order",
+    "has_process_chain": ".causality.chains",
+    "internal": ".core",
+    "isomorphic": ".isomorphism.relation",
+    "knows": ".knowledge.formula",
+    "message_pair": ".core",
+    "normalise_sequence": ".isomorphism.algebra",
+    "receive": ".core",
+    "send": ".core",
+    "simulate": ".simulation.simulator",
+    "theorem_1_holds": ".isomorphism.fundamental",
+    "unsure": ".knowledge.formula",
+    "vector_timestamps": ".causality.clocks",
+})
+__all__.append("__version__")

@@ -1,49 +1,24 @@
 """Applications of the theory (paper, section 5)."""
 
-from repro.applications.failure_detection import (
-    AsyncFailureReport,
-    SyncFailureReport,
-    analyse_async,
-    analyse_sync,
-)
-from repro.applications.knowledge_flow import (
-    LatencyRow,
-    broadcast_knowledge_latency,
-    latency_series,
-    verify_chain_gating,
-)
-from repro.applications.termination_bounds import (
-    DetectionRun,
-    OverheadRow,
-    detector_ambiguity,
-    overhead_table,
-    run_dijkstra_scholten,
-    run_polling_detector,
-    spontaneous_overhead_after_termination,
-)
-from repro.applications.tracking import (
-    TrackingReport,
-    analyse_tracking,
-    tracking_error_window,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "AsyncFailureReport",
-    "DetectionRun",
-    "LatencyRow",
-    "OverheadRow",
-    "SyncFailureReport",
-    "TrackingReport",
-    "analyse_async",
-    "analyse_sync",
-    "analyse_tracking",
-    "broadcast_knowledge_latency",
-    "detector_ambiguity",
-    "latency_series",
-    "overhead_table",
-    "run_dijkstra_scholten",
-    "run_polling_detector",
-    "spontaneous_overhead_after_termination",
-    "tracking_error_window",
-    "verify_chain_gating",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "AsyncFailureReport": ".failure_detection",
+    "DetectionRun": ".termination_bounds",
+    "LatencyRow": ".knowledge_flow",
+    "OverheadRow": ".termination_bounds",
+    "SyncFailureReport": ".failure_detection",
+    "TrackingReport": ".tracking",
+    "analyse_async": ".failure_detection",
+    "analyse_sync": ".failure_detection",
+    "analyse_tracking": ".tracking",
+    "broadcast_knowledge_latency": ".knowledge_flow",
+    "detector_ambiguity": ".termination_bounds",
+    "latency_series": ".knowledge_flow",
+    "overhead_table": ".termination_bounds",
+    "run_dijkstra_scholten": ".termination_bounds",
+    "run_polling_detector": ".termination_bounds",
+    "spontaneous_overhead_after_termination": ".termination_bounds",
+    "tracking_error_window": ".tracking",
+    "verify_chain_gating": ".knowledge_flow",
+})

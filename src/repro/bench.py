@@ -36,7 +36,6 @@ coordinator's ``VmHWM`` with every worker's farewell-frame peak.
 
 from __future__ import annotations
 
-import argparse
 import datetime
 import json
 import os
@@ -942,49 +941,3 @@ def run_and_report(
         path = write_trajectory(document, output_dir)
         print(f"\nwrote {path}")
     return 0
-
-
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Declare ``repro bench``'s options on its subparser."""
-    parser.add_argument(
-        "--repeats", type=int, default=5, help="timing repeats per benchmark"
-    )
-    parser.add_argument(
-        "--output-dir", default=".", help="where to write BENCH_<date>.json"
-    )
-    parser.add_argument(
-        "--no-write", action="store_true", help="print the summary only"
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="small-universe smoke subset, repeats forced to 1",
-    )
-    parser.add_argument(
-        "--suite",
-        choices=("exploration-scale", "fault-recovery"),
-        default="exploration-scale",
-        help="benchmark suite: 'exploration-scale' (star n=7/n=8, "
-        "tree/ring depth targets, streaming truncation, peak RSS), or "
-        "'fault-recovery' "
-        "(sharded-engine failover overhead: kill/corrupt/timeout/fold "
-        "recovery and checkpoint resume, each asserted bit-identical to "
-        "the fault-free baseline)",
-    )
-    parser.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock allowance for the whole run, checked between "
-        "benchmarks; non-zero exit on overrun (the star n=9 target of the "
-        "exploration-scale suite only runs when this is >= 900)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sharded-engine axis for the exploration-scale suite: N>1 "
-        "re-explores the scale targets with N multiprocess worker shards, "
-        "paired against the single-process times of the same run",
-    )

@@ -1,53 +1,28 @@
 """Causality substrate: happened-before, process chains, logical clocks."""
 
-from repro.causality.chains import (
-    ChainSpec,
-    chain_in_suffix,
-    find_process_chain,
-    has_process_chain,
-    has_process_chain_naive,
-)
-from repro.causality.cuts import (
-    consistent_cuts,
-    count_consistent_cuts,
-    cut_join,
-    cut_meet,
-    cut_of_vector,
-    cut_vector,
-    cuts_of_computation,
-    is_consistent_cut,
-    is_lattice_closed,
-)
-from repro.causality.clocks import (
-    MatrixClock,
-    VectorClock,
-    lamport_timestamps,
-    vector_timestamps,
-    verify_vector_characterisation,
-)
-from repro.causality.order import CausalOrder, happened_before, segment_of
+from repro import _lazy_exports
 
-__all__ = [
-    "consistent_cuts",
-    "count_consistent_cuts",
-    "cut_join",
-    "cut_meet",
-    "cut_of_vector",
-    "cut_vector",
-    "cuts_of_computation",
-    "is_consistent_cut",
-    "is_lattice_closed",
-    "CausalOrder",
-    "ChainSpec",
-    "MatrixClock",
-    "VectorClock",
-    "chain_in_suffix",
-    "find_process_chain",
-    "happened_before",
-    "has_process_chain",
-    "has_process_chain_naive",
-    "lamport_timestamps",
-    "segment_of",
-    "vector_timestamps",
-    "verify_vector_characterisation",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "consistent_cuts": ".cuts",
+    "count_consistent_cuts": ".cuts",
+    "cut_join": ".cuts",
+    "cut_meet": ".cuts",
+    "cut_of_vector": ".cuts",
+    "cut_vector": ".cuts",
+    "cuts_of_computation": ".cuts",
+    "is_consistent_cut": ".cuts",
+    "is_lattice_closed": ".cuts",
+    "CausalOrder": ".order",
+    "ChainSpec": ".chains",
+    "MatrixClock": ".clocks",
+    "VectorClock": ".clocks",
+    "chain_in_suffix": ".chains",
+    "find_process_chain": ".chains",
+    "happened_before": ".order",
+    "has_process_chain": ".chains",
+    "has_process_chain_naive": ".chains",
+    "lamport_timestamps": ".clocks",
+    "segment_of": ".order",
+    "vector_timestamps": ".clocks",
+    "verify_vector_characterisation": ".clocks",
+})

@@ -34,30 +34,14 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
-from repro.isomorphism.algebra import check_all_properties
-from repro.isomorphism.diagram import IsomorphismDiagram
-from repro.isomorphism.fundamental import check_theorem_1
-from repro.knowledge.axioms import check_all_facts
-from repro.knowledge.predicates import event_count_at_least, has_received
-from repro.protocols.broadcast import (
-    BroadcastProtocol,
-    line_topology,
-    ring_topology,
-    star_topology,
-    tree_topology,
-)
-from repro.protocols.leader_election import ChangRobertsProtocol
-from repro.protocols.pingpong import PingPongProtocol
-from repro.protocols.snapshot import SnapshotTokenRingProtocol
-from repro.protocols.toggle import ToggleProtocol
-from repro.protocols.token_bus import TokenBusProtocol
-from repro.simulation.network import FifoProtocol
-from repro.simulation.scheduler import RandomScheduler
-from repro.simulation.simulator import simulate
-from repro.universe.explorer import Universe
-from repro.universe.protocol import Protocol
-from repro.viz.render import space_time_diagram
+# Each subcommand imports the layers it runs inside its handler, so a
+# short `repro explore` or `repro checkpoint verify` loads only the
+# explorer, the checkpoint code and the protocol it builds.
+if TYPE_CHECKING:
+    from repro.protocols.broadcast import BroadcastProtocol
+    from repro.universe.protocol import Protocol
 
 
 def broadcast_protocol(topology: str, size: int) -> BroadcastProtocol:
@@ -65,6 +49,14 @@ def broadcast_protocol(topology: str, size: int) -> BroadcastProtocol:
     ``size`` processes, rooted at ``n0``.  Shared with the chaos harness
     (``tests/chaos.py``) so subprocess runs and in-process reference
     runs build the identical protocol."""
+    from repro.protocols.broadcast import (
+        BroadcastProtocol,
+        line_topology,
+        ring_topology,
+        star_topology,
+        tree_topology,
+    )
+
     names = tuple(f"n{i}" for i in range(size))
     if topology == "line":
         adjacency = line_topology(names)
@@ -82,17 +74,28 @@ def broadcast_protocol(topology: str, size: int) -> BroadcastProtocol:
 def build_protocol(name: str, args: argparse.Namespace) -> Protocol:
     """Instantiate one of the named example protocols."""
     if name == "pingpong":
+        from repro.protocols.pingpong import PingPongProtocol
+
         return PingPongProtocol(rounds=args.rounds)
     if name == "tokenbus":
+        from repro.protocols.token_bus import TokenBusProtocol
+
         return TokenBusProtocol(max_hops=args.hops)
     if name == "broadcast":
         return broadcast_protocol(getattr(args, "topology", "line"), args.size)
     if name == "toggle":
+        from repro.protocols.toggle import ToggleProtocol
+
         return ToggleProtocol(max_flips=args.flips)
     if name == "election":
+        from repro.protocols.leader_election import ChangRobertsProtocol
+
         ring = tuple(f"n{i}" for i in range(args.size))
         return ChangRobertsProtocol(ring)
     if name == "snapshot":
+        from repro.protocols.snapshot import SnapshotTokenRingProtocol
+        from repro.simulation.network import FifoProtocol
+
         ring = tuple(f"n{i}" for i in range(min(args.size, 5)))
         return FifoProtocol(SnapshotTokenRingProtocol(ring, max_hops=args.hops))
     raise SystemExit(f"unknown protocol {name!r}")
@@ -101,6 +104,7 @@ def build_protocol(name: str, args: argparse.Namespace) -> Protocol:
 def cmd_explore(args: argparse.Namespace) -> int:
     from repro.core.errors import UniverseError
     from repro.universe.checkpoint import CheckpointError
+    from repro.universe.explorer import Universe
     from repro.universe.options import options_from_args
 
     protocol = build_protocol(args.protocol, args)
@@ -157,6 +161,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
                 f"({event['kind']} -> {event['action']})"
             )
     if len(universe) <= args.diagram_limit:
+        from repro.isomorphism.diagram import IsomorphismDiagram
+
         diagram = IsomorphismDiagram.of_universe(universe)
         print(diagram.render())
     else:
@@ -166,6 +172,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     from repro.core.errors import UniverseError
+    from repro.isomorphism.algebra import check_all_properties
+    from repro.isomorphism.fundamental import check_theorem_1
+    from repro.knowledge.axioms import check_all_facts
+    from repro.knowledge.predicates import event_count_at_least, has_received
+    from repro.universe.explorer import Universe
     from repro.universe.options import options_from_args
 
     protocol = build_protocol(args.protocol, args)
@@ -204,6 +215,10 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from repro.simulation.scheduler import RandomScheduler
+    from repro.simulation.simulator import simulate
+    from repro.viz.render import space_time_diagram
+
     protocol = build_protocol(args.protocol, args)
     trace = simulate(protocol, RandomScheduler(args.seed), max_steps=args.max_steps)
     summary = trace.summary()
@@ -482,9 +497,48 @@ def make_parser() -> argparse.ArgumentParser:
         help="run the scaling benchmarks and write a BENCH_<date>.json "
         "trajectory file",
     )
-    from repro.bench import add_bench_arguments
-
-    add_bench_arguments(bench)
+    bench.add_argument(
+        "--repeats", type=int, default=5, help="timing repeats per benchmark"
+    )
+    bench.add_argument(
+        "--output-dir", default=".", help="where to write BENCH_<date>.json"
+    )
+    bench.add_argument(
+        "--no-write", action="store_true", help="print the summary only"
+    )
+    bench.add_argument(
+        "--quick",
+        action="store_true",
+        help="small-universe smoke subset, repeats forced to 1",
+    )
+    bench.add_argument(
+        "--suite",
+        choices=("exploration-scale", "fault-recovery"),
+        default="exploration-scale",
+        help="benchmark suite: 'exploration-scale' (star n=7/n=8, "
+        "tree/ring depth targets, streaming truncation, peak RSS), or "
+        "'fault-recovery' "
+        "(sharded-engine failover overhead: kill/corrupt/timeout/fold "
+        "recovery and checkpoint resume, each asserted bit-identical to "
+        "the fault-free baseline)",
+    )
+    bench.add_argument(
+        "--budget",
+        type=float,
+        default=None,
+        metavar="SECONDS",
+        help="wall-clock allowance for the whole run, checked between "
+        "benchmarks; non-zero exit on overrun (the star n=9 target of the "
+        "exploration-scale suite only runs when this is >= 900)",
+    )
+    bench.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="sharded-engine axis for the exploration-scale suite: N>1 "
+        "re-explores the scale targets with N multiprocess worker shards, "
+        "paired against the single-process times of the same run",
+    )
     bench.set_defaults(handler=cmd_bench)
     return parser
 

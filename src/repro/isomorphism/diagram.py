@@ -10,17 +10,15 @@ Vertices may be linear :class:`~repro.core.computation.Computation` objects
 (as in the paper's Figure 3-1, where the permutations ``x`` and ``z`` are
 distinct vertices joined by a ``[D]`` edge) or canonical
 :class:`~repro.core.configuration.Configuration` objects (one vertex per
-``[D]``-class).  The diagram is backed by :mod:`networkx`, so standard
-graph algorithms (paths, components) apply directly; composed relations
-``x [P1 … Pn] z`` correspond to labelled paths, as the paper notes.
+``[D]``-class).  Composed relations ``x [P1 … Pn] z`` correspond to
+labelled paths, as the paper notes
+(:meth:`IsomorphismDiagram.has_labelled_path`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from typing import Union
-
-import networkx as nx
 
 from repro.core.computation import Computation
 from repro.core.configuration import Configuration
@@ -85,7 +83,9 @@ class IsomorphismDiagram:
                 ids[vertex] = index
             self._class_ids[process] = ids
             self._class_keys[process] = classes
-        self._graph = nx.Graph()
+        # Edge labels keyed by vertex pair in insertion order (self-loops
+        # first per vertex); `label` looks a pair up in both orders.
+        self._edges: dict[tuple[Vertex, Vertex], frozenset[ProcessId]] = {}
         self._build()
 
     @staticmethod
@@ -94,24 +94,17 @@ class IsomorphismDiagram:
         return IsomorphismDiagram(universe, universe.processes)
 
     def _build(self) -> None:
-        for vertex in self._vertices:
-            self._graph.add_node(vertex)
-            # Self loop labelled [D], as the paper observes.
-            self._graph.add_edge(vertex, vertex, label=self._all_processes)
         for index, first in enumerate(self._vertices):
+            # Self loop labelled [D], as the paper observes.
+            self._edges[first, first] = self._all_processes
             for second in self._vertices[index + 1 :]:
                 label = self.largest_label(first, second)
                 if label:
-                    self._graph.add_edge(first, second, label=label)
+                    self._edges[first, second] = label
 
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (labels in edge data ``label``)."""
-        return self._graph
-
     @property
     def vertices(self) -> Sequence[Vertex]:
         return tuple(self._vertices)
@@ -143,9 +136,10 @@ class IsomorphismDiagram:
 
     def label(self, first: Vertex, second: Vertex) -> frozenset[ProcessId] | None:
         """The edge label between two vertices, or ``None`` if no edge."""
-        if not self._graph.has_edge(first, second):
-            return None
-        return self._graph.edges[first, second]["label"]
+        label = self._edges.get((first, second))
+        if label is None:
+            label = self._edges.get((second, first))
+        return label
 
     def related(
         self, first: Vertex, second: Vertex, processes: ProcessSetLike
@@ -199,9 +193,9 @@ class IsomorphismDiagram:
         """All edges as ``(name, name, label)`` triples, self-loops
         included, deterministically ordered."""
         edges = []
-        for first, second, data in self._graph.edges(data=True):
+        for (first, second), label in self._edges.items():
             name_a, name_b = sorted((self.name_of(first), self.name_of(second)))
-            edges.append((name_a, name_b, data["label"]))
+            edges.append((name_a, name_b, label))
         edges.sort(key=lambda item: (item[0], item[1]))
         return edges
 

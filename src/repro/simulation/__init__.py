@@ -1,39 +1,22 @@
 """Discrete-event simulation substrate: run protocols at scale."""
 
-from repro.simulation.failures import (
-    CRASH_TAG,
-    CrashableProtocol,
-    crash_event,
-    crashed_atom,
-    has_crashed,
-)
-from repro.simulation.network import FifoProtocol, fifo_frontier
-from repro.simulation.scheduler import (
-    BiasedScheduler,
-    EagerReceiveScheduler,
-    FifoScheduler,
-    LazyReceiveScheduler,
-    RandomScheduler,
-    Scheduler,
-)
-from repro.simulation.simulator import Simulator, simulate
-from repro.simulation.trace import SimulationTrace
+from repro import _lazy_exports
 
-__all__ = [
-    "CRASH_TAG",
-    "BiasedScheduler",
-    "CrashableProtocol",
-    "EagerReceiveScheduler",
-    "FifoProtocol",
-    "FifoScheduler",
-    "LazyReceiveScheduler",
-    "RandomScheduler",
-    "Scheduler",
-    "SimulationTrace",
-    "Simulator",
-    "crash_event",
-    "crashed_atom",
-    "fifo_frontier",
-    "has_crashed",
-    "simulate",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, globals(), {
+    "CRASH_TAG": ".failures",
+    "BiasedScheduler": ".scheduler",
+    "CrashableProtocol": ".failures",
+    "EagerReceiveScheduler": ".scheduler",
+    "FifoProtocol": ".network",
+    "FifoScheduler": ".scheduler",
+    "LazyReceiveScheduler": ".scheduler",
+    "RandomScheduler": ".scheduler",
+    "Scheduler": ".scheduler",
+    "SimulationTrace": ".trace",
+    "Simulator": ".simulator",
+    "crash_event": ".failures",
+    "crashed_atom": ".failures",
+    "fifo_frontier": ".network",
+    "has_crashed": ".failures",
+    "simulate": ".simulator",
+})

@@ -5,6 +5,34 @@ from repro.isomorphism.diagram import IsomorphismDiagram
 from repro.universe.builder import figure_3_1_computations, figure_3_1_universe
 
 
+# Figure 3-1's diagram, byte for byte: the edge set, the labels and the
+# line order are all part of the rendering contract.
+FIGURE_3_1_RENDER = """\
+w --[{p,q}]-- w  (self loop)
+w --[{q}]-- x
+w --[{q}]-- z
+x --[{p,q}]-- x  (self loop)
+x --[{p}]-- y
+x --[{p,q}]-- z
+y --[{p,q}]-- y  (self loop)
+y --[{p}]-- z
+z --[{p,q}]-- z  (self loop)"""
+
+FIGURE_3_1_DOT = """\
+graph isomorphism {
+  node [shape=circle];
+  "w" -- "w" [label="{p,q}"];
+  "w" -- "x" [label="{q}"];
+  "w" -- "z" [label="{q}"];
+  "x" -- "x" [label="{p,q}"];
+  "x" -- "y" [label="{p}"];
+  "x" -- "z" [label="{p,q}"];
+  "y" -- "y" [label="{p,q}"];
+  "y" -- "z" [label="{p}"];
+  "z" -- "z" [label="{p,q}"];
+}"""
+
+
 def figure_diagram() -> tuple[IsomorphismDiagram, dict]:
     comps = figure_3_1_computations()
     diagram = IsomorphismDiagram(
@@ -60,11 +88,50 @@ class TestFigure31:
         diagram, comps = figure_diagram()
         assert diagram.name_of(comps["x"]) == "x"
 
+    def test_render_golden(self):
+        diagram, comps = figure_diagram()
+        assert diagram.render() == FIGURE_3_1_RENDER
+
+    def test_dot_golden(self):
+        diagram, comps = figure_diagram()
+        assert diagram.to_dot(include_self_loops=True) == FIGURE_3_1_DOT
+        assert diagram.to_dot() == "\n".join(
+            line for line in FIGURE_3_1_DOT.splitlines()
+            if not line.startswith(('  "w" -- "w"', '  "x" -- "x"',
+                                    '  "y" -- "y"', '  "z" -- "z"'))
+        )
+
+    def test_label_is_symmetric(self):
+        """Queried in both orders, including against insertion order."""
+        diagram, comps = figure_diagram()
+        for first in comps.values():
+            for second in comps.values():
+                assert diagram.label(first, second) == diagram.label(second, first)
+        assert diagram.label(comps["y"], comps["x"]) == {"p"}
+        assert diagram.label(comps["w"], comps["z"]) == {"q"}
+        assert diagram.label(comps["w"], comps["y"]) is None
+
 
 class TestUniverseDiagram:
     def test_of_universe(self, pingpong_universe):
         diagram = IsomorphismDiagram.of_universe(pingpong_universe)
         assert len(diagram.vertices) == len(pingpong_universe)
+
+    def test_edges_are_the_nonempty_largest_labels(self, pingpong_universe):
+        diagram = IsomorphismDiagram.of_universe(pingpong_universe)
+        vertices = diagram.vertices
+        for first in vertices:
+            for second in vertices:
+                label = diagram.label(first, second)
+                assert label == diagram.label(second, first)
+                largest = diagram.largest_label(first, second)
+                assert label == (largest or None)
+        assert len(diagram.edge_list()) == sum(
+            1
+            for index, first in enumerate(vertices)
+            for second in vertices[index:]
+            if diagram.label(first, second) is not None
+        )
 
     def test_labels_agree_with_iso_classes(self, pingpong_universe):
         diagram = IsomorphismDiagram.of_universe(pingpong_universe)
