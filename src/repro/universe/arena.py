@@ -7,16 +7,17 @@ content hash; 20 bytes per configuration) — and materialises
 :class:`~repro.core.configuration.Configuration` objects lazily, behind
 a read-only list-like sequence interface:
 
-* a **hot window** keeps the objects a checkpoint replay
-  (:meth:`ArenaStore.replay`) is still extending — the layer being
-  replayed and the one under construction — as real objects; the
-  exploration engines keep their frontier as packed rows instead
-  (:class:`~repro.universe.frontier.PackedFrontier`);
-* everything colder is reached by a **chain walk** up the parent column
+* neither the exploration engines nor a checkpoint replay
+  (:meth:`ArenaStore.replay`) build objects: the engines keep their
+  frontier as packed rows
+  (:class:`~repro.universe.frontier.PackedFrontier`) and the replay
+  recomputes each child's hash from rolling entry hashes
+  (:func:`~repro.universe.frontier.stream_hashes`);
+* every read is a **chain walk** up the parent column
   to the nearest materialised ancestor, rebuilding descendants through a
   bounded LRU — property sweeps and spot lookups never pay for objects
   they don't touch;
-* sealed **cold chunks** (whole column slices below the hot window)
+* sealed **cold chunks** (whole column slices below the retired floor)
   compress with zlib at batch level and, when a ``spill_dir`` is given,
   stream to an mmap-backed on-disk arena so resident memory stays
   O(frontier), not O(universe).
@@ -37,10 +38,13 @@ import zlib
 from array import array
 from collections import OrderedDict
 from collections.abc import Iterator
+from itertools import islice
+from operator import itemgetter
 
-from repro.core.configuration import Configuration
+from repro.core.configuration import EMPTY_CONFIGURATION, Configuration
 from repro.core.events import Event
 from repro.universe.fileops import DEFAULT_FILEOPS
+from repro.universe.frontier import stream_hashes
 from repro.universe.retry import classify_storage_error, retry_io
 
 
@@ -154,10 +158,9 @@ class ArenaStore:
         self._tail_parent = array("q")
         self._tail_event = array("i")
         self._tail_hash = array("q")
-        # Hot window: materialised objects a checkpoint replay still
-        # extends (the layer being replayed + the one it builds).
-        self._window: dict[int, Configuration] = {}
-        self._window_floor = 0
+        # Ids below the floor belong to expanded layers: whole chunks
+        # under it seal into the cold tier.
+        self._floor = 0
         # Roots appended directly (no parent) stay pinned forever.
         self._pinned: dict[int, Configuration] = {}
         self._lru: OrderedDict[int, Configuration] = OrderedDict()
@@ -254,20 +257,9 @@ class ArenaStore:
         self._pinned[index] = configuration
         return index
 
-    def append_child(
-        self,
-        parent_id: int,
-        event: Event,
-        content_hash: int,
-        child: Configuration | None,
-    ) -> int:
-        """Record a first discovery: pack the columns, keep the object hot.
-
-        ``child`` is ``None`` from the exploration engines, which keep
-        their frontier as packed rows and never build child objects: only
-        the columns are written and any later read materialises through
-        the cold tiers.
-        """
+    def append_child(self, parent_id: int, event: Event, content_hash: int) -> int:
+        """Record a first discovery: pack the columns.  No object is kept;
+        any later read materialises through the cold tiers."""
         event_index = self._event_index.get(event)
         if event_index is None:
             event_index = len(self._events)
@@ -278,8 +270,6 @@ class ArenaStore:
         self._tail_event.append(event_index)
         self._tail_hash.append(content_hash)
         self._count += 1
-        if child is not None:
-            self._window[index] = child
         return index
 
     def extend(self, configurations) -> None:
@@ -293,21 +283,17 @@ class ArenaStore:
             self.append(configuration)
 
     def retire(self, new_floor: int) -> None:
-        """Evict the consumed layer(s) below ``new_floor`` and seal cold
-        chunks.  Called at BFS layer boundaries with the id where the
+        """Raise the floor to ``new_floor`` and seal the whole chunks
+        below it.  Called at BFS layer boundaries with the id where the
         next frontier starts."""
-        window = self._window
-        stop = min(new_floor, self._count)
-        for index in range(self._window_floor, stop):
-            window.pop(index, None)
-        if new_floor > self._window_floor:
-            self._window_floor = new_floor
+        if new_floor > self._floor:
+            self._floor = new_floor
         self._seal_cold()
 
     def _seal_cold(self) -> None:
         while True:
             base = len(self._chunks) << _CHUNK_BITS
-            if base + _CHUNK_SIZE > self._window_floor:
+            if base + _CHUNK_SIZE > self._floor:
                 break
             if base + _CHUNK_SIZE > self._count:
                 break
@@ -461,9 +447,6 @@ class ArenaStore:
             index += self._count
         if not 0 <= index < self._count:
             raise IndexError("arena index out of range")
-        configuration = self._window.get(index)
-        if configuration is not None:
-            return configuration
         configuration = self._pinned.get(index)
         if configuration is not None:
             return configuration
@@ -478,7 +461,6 @@ class ArenaStore:
         """Chain-walk up the parent column to the nearest live ancestor,
         then rebuild downwards through the LRU."""
         self.chain_walks += 1
-        window = self._window
         pinned = self._pinned
         lru = self._lru
         chain: list[tuple[int, int, int]] = []
@@ -490,9 +472,7 @@ class ArenaStore:
                 break
             chain.append((cursor, event_index, content_hash))
             cursor = parent
-            current = window.get(cursor)
-            if current is None:
-                current = pinned.get(cursor)
+            current = pinned.get(cursor)
             if current is None:
                 current = lru.get(cursor)
                 if current is not None:
@@ -560,35 +540,39 @@ class ArenaStore:
     # ------------------------------------------------------------------
     # Checkpoint replay
     # ------------------------------------------------------------------
-    def replay(self, stream) -> dict[int, int | list[int]]:
+    def replay(self, stream, processes) -> dict[int, int | list[int]]:
         """Rebuild the arena from checkpoint discovery records.
 
         ``stream`` is the saved ``(parent_id, event)`` record list in
-        discovery order.  Parents arrive in non-decreasing order, so the
-        hot window advances exactly as it did during live exploration —
-        resident objects stay bounded by two BFS layers.  Returns the
-        content-hash -> dense id dedup table (with collision buckets),
-        ready to install on the universe.
+        discovery order and ``processes`` the protocol's
+        ``ordered_processes``.  No configuration is built: each child's
+        content hash is recomputed under this interpreter's hash seed
+        from rolling entry hashes
+        (:func:`~repro.universe.frontier.stream_hashes`), and the three
+        columns are appended in bulk.  Returns the content-hash -> dense
+        id dedup table (collision buckets in id order), ready to install
+        on the universe.
         """
         if self._count:
             self.clear()
-        from repro.core.configuration import EMPTY_CONFIGURATION
-
         self.append(EMPTY_CONFIGURATION)
-        ids_by_hash: dict[int, int | list[int]] = {
-            hash(EMPTY_CONFIGURATION): 0
-        }
-        window = self._window
-        for parent_id, event in stream:
-            while self._window_floor < parent_id:
-                window.pop(self._window_floor, None)
-                self._window_floor += 1
-            parent = window.get(parent_id)
-            if parent is None:
-                parent = self[parent_id]
-            child = parent.extend_unregistered(event)
-            child_hash = hash(child)
-            child_id = self.append_child(parent_id, event, child_hash, child)
+        hashes = stream_hashes(processes, stream)
+        events = list(map(itemgetter(1), stream))
+        # Unpickled events are not the vocabulary's own objects, so
+        # resolve each distinct object once by equality (first
+        # appearance order, as live exploration interned them); the
+        # stream keeps every event alive, so ids stay unique.
+        index_of_id: dict[int, int] = {}
+        event_index = self._event_index
+        vocabulary = self._events
+        for key, event in dict(zip(map(id, events), events)).items():
+            index = event_index.get(event)
+            if index is None:
+                index = event_index[event] = len(vocabulary)
+                vocabulary.append(event)
+            index_of_id[key] = index
+        ids_by_hash: dict[int, int | list[int]] = {hash(EMPTY_CONFIGURATION): 0}
+        for child_id, child_hash in enumerate(hashes, 1):
             entry = ids_by_hash.get(child_hash)
             if entry is None:
                 ids_by_hash[child_hash] = child_id
@@ -596,7 +580,18 @@ class ArenaStore:
                 ids_by_hash[child_hash] = [entry, child_id]
             else:
                 entry.append(child_id)
-        self._seal_cold()
+        # Parents below the last record's are fully expanded.  Appending
+        # a chunk at a time keeps the tail short while it seals.
+        self._floor = stream[-1][0] if stream else 0
+        parent_column = map(itemgetter(0), stream)
+        event_column = map(index_of_id.__getitem__, map(id, events))
+        for start in range(0, len(stream), _CHUNK_SIZE):
+            stop = min(start + _CHUNK_SIZE, len(stream))
+            self._tail_parent.extend(islice(parent_column, _CHUNK_SIZE))
+            self._tail_event.extend(islice(event_column, _CHUNK_SIZE))
+            self._tail_hash.extend(hashes[start:stop])
+            self._count = 1 + stop  # the root, then one id per record
+            self._seal_cold()
         return ids_by_hash
 
     # ------------------------------------------------------------------
@@ -610,8 +605,7 @@ class ArenaStore:
         del self._tail_parent[:]
         del self._tail_event[:]
         del self._tail_hash[:]
-        self._window.clear()
-        self._window_floor = 0
+        self._floor = 0
         self._pinned.clear()
         self._lru.clear()
         self._chunk_cache.clear()
@@ -645,7 +639,6 @@ class ArenaStore:
             "resident_blob_bytes": resident_blob_bytes,
             "spilled_bytes": self.spilled_bytes,
             "spill_disabled": self._spill_disabled,
-            "window": len(self._window),
             "lru": len(self._lru),
             "materialisations": self.materialisations,
             "chain_walks": self.chain_walks,

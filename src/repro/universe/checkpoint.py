@@ -765,9 +765,10 @@ class CheckpointSession:
         concatenated stream + CSR) whose totals ``last`` records.
 
         The replay goes straight into the packed columns
-        (:meth:`~repro.universe.arena.ArenaStore.replay`), so the rebuilt
-        state is bit-identical; the hot window advances with the stream,
-        so resume memory stays O(two layers).
+        (:meth:`~repro.universe.arena.ArenaStore.replay`) and builds no
+        configuration: content hashes are recomputed under this
+        interpreter's hash seed from rolling entry hashes, so the rebuilt
+        state is bit-identical and the file stays portable across seeds.
         """
         frontier_start = last["frontier_start"]
         offsets = array("q", (0,))
@@ -779,7 +780,12 @@ class CheckpointSession:
             )
         stream = delta["records"]
         arena = universe._configurations
-        ids_by_hash = arena.replay(stream)
+        try:
+            ids_by_hash = arena.replay(stream, universe.protocol.ordered_processes)
+        except ValueError as error:
+            raise CheckpointError(
+                f"checkpoint {self.path} replay desync: {error}"
+            ) from None
         if len(arena) != last["count"]:
             raise CheckpointError(
                 f"checkpoint {self.path} replay desync: rebuilt "

@@ -628,12 +628,13 @@ class Universe:
     def _explore(self, engine=None) -> None:
         """The one BFS layer driver of both engines.
 
-        It seeds the root or resumes from the checkpoint session (the
-        replay already refilled the packed columns, so only the frontier
-        window is rebuilt and the replay's objects retired), builds the
-        one :class:`~repro.universe.frontier.PackedFrontier` and the RSS
-        watchdog, and runs one layer body per BFS layer with the
-        collector off.  At every layer boundary it runs the one
+        It builds the one
+        :class:`~repro.universe.frontier.PackedFrontier` and the RSS
+        watchdog, then, with the collector off, seeds the root or resumes
+        from the checkpoint session (the replay already refilled the
+        packed columns without building objects, so only the frontier
+        window is rebuilt, from the arena's cold tiers) and runs one
+        layer body per BFS layer.  At every layer boundary it runs the one
         epilogue: arm due storage faults, commit the layer to the
         checkpoint, retire the consumed frontier into the arena's cold
         tier, rotate the frontier's memo generation, then the RSS ladder
@@ -671,44 +672,43 @@ class Universe:
                 rss_budget_mb, engine.worker_pids if engine is not None else None
             )
         self._rss_watchdog = watchdog
-        resumed = session.try_resume(self) if session is not None else None
-        if resumed is not None:
-            # try_resume replayed the stream into the packed columns;
-            # rebuild the frontier window and continue from the first
-            # unexpanded layer.
-            layer_start = resumed.frontier_start
-            layer = resumed.layers
-            frontier.load(arena, layer_start, len(arena))
-            # The replay's materialised objects are now redundant: the
-            # window rows carry the frontier from here on.
-            arena.retire(len(arena))
-        else:
-            arena.append(EMPTY_CONFIGURATION)
-            self._ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
-            layer_start = 0
-            layer = 0
         # math.inf compares greater than every count, so `count >= limit`
         # is the single bound test; non-positive bounds fire on the first
         # discovered child.
         max_configurations = limits.max_configurations
         limit = max_configurations if max_configurations is not None else inf
-        if engine is None:
-            expand_layer = partial(self._expand_layer, frontier, limit)
-        else:
-            # Fresh workers rebuild from the root: on resume their first
-            # replay is the full restored stream, not one layer's.
-            expand_layer = engine.layer_body(
-                self, frontier, limit, resumed.stream if resumed else []
-            )
-        self._arm_storage_faults(layer)
         bound_hit = rss_truncated = False
-        # The engines allocate millions of acyclic, long-lived objects and
-        # create no reference cycles of their own; CPython's generational
-        # collector would rescan the growing universe on every threshold
-        # crossing — a superlinear tax at n=8.
+        # The engines and the resume replay allocate millions of acyclic,
+        # long-lived objects and create no reference cycles of their own;
+        # CPython's generational collector would rescan the growing
+        # universe on every threshold crossing — a superlinear tax at n=8.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
+            resumed = session.try_resume(self) if session is not None else None
+            if resumed is not None:
+                # try_resume replayed the stream into the packed columns;
+                # rebuild the frontier window and continue from the first
+                # unexpanded layer.
+                layer_start = resumed.frontier_start
+                layer = resumed.layers
+                frontier.load(arena, layer_start, len(arena))
+                arena.retire(layer_start)
+            else:
+                arena.append(EMPTY_CONFIGURATION)
+                self._ids_by_hash[hash(EMPTY_CONFIGURATION)] = 0
+                layer_start = 0
+                layer = 0
+            if engine is None:
+                expand_layer = partial(self._expand_layer, frontier, limit)
+            else:
+                # Fresh workers rebuild from the root: on resume their
+                # first replay is the full restored stream, not one
+                # layer's.
+                expand_layer = engine.layer_body(
+                    self, frontier, limit, resumed.stream if resumed else []
+                )
+            self._arm_storage_faults(layer)
             while layer_start < len(arena):
                 layer_end = len(arena)
                 records, bound_hit = expand_layer(layer_start, layer_end, layer)
@@ -893,7 +893,7 @@ class Universe:
                     received,
                     in_flight,
                 )
-                arena.append_child(parent_id, event, child_hash, None)
+                arena.append_child(parent_id, event, child_hash)
                 succ_ids.append(child_id)
                 edges += 1
                 if records is not None:

@@ -23,6 +23,7 @@ constants, the enabled-event enumeration (:attr:`PackedFrontier.enabled`),
 the rolling child-hash step (:meth:`~PackedFrontier.step`), the child's
 row and interned message sets (:meth:`~PackedFrontier.child`), the
 collision-aware row comparison (:meth:`~PackedFrontier.row_matches`),
+the checkpoint replay's object-free child hashes (:func:`stream_hashes`),
 the resume rebuild (:meth:`~PackedFrontier.load`), replay of a merged
 discovery stream (:meth:`~PackedFrontier.apply`) and shard expansion
 (:meth:`~PackedFrontier.expand`).  The driver rotates the memo at every
@@ -40,6 +41,8 @@ frontier, whose memo is empty.
 """
 
 from __future__ import annotations
+
+from array import array
 
 from repro.core.configuration import (
     _HASH_MODULUS,
@@ -77,6 +80,61 @@ def _rows_match(
             if theirs is not ours and theirs != ours:
                 return False
     return True
+
+
+def stream_hashes(ordered, stream) -> array:
+    """The content hash of every child a discovery stream discovers.
+
+    ``stream`` is ``[(parent_id, event), ...]`` in discovery order over
+    the root at id 0, so record ``k`` discovers id ``k + 1``.  Each live
+    configuration is one row ``(entries, content_hash)``: ``entries``
+    holds the rolling entry hash of each process in ``ordered`` (``None``
+    before its first event), so a child costs :meth:`PackedFrontier.step`'s
+    multiply-add and no history tuple or ``Configuration``.  Parent ids
+    are non-decreasing and every edge adds one event, so only two BFS
+    layers of rows are live: the parents' and the one they build.
+    """
+    index_of = {process: i for i, process in enumerate(ordered)}
+    modulus = _HASH_MODULUS
+    multiplier = _ROLL_MULTIPLIER
+    # One (position, process seed, event hash) per distinct event object;
+    # the stream keeps every event alive, so ids stay unique.
+    by_event: dict[int, tuple[int, int, int]] = {}
+    hashes = array("q")
+    append = hashes.append
+    parents = [((None,) * len(ordered), hash(EMPTY_CONFIGURATION))]
+    parents_start = 0
+    children: list[tuple[tuple, int]] = []
+    children_start = 1
+    for parent_id, event in stream:
+        if parent_id >= children_start:
+            parents, parents_start = children, children_start
+            children, children_start = [], children_start + len(children)
+        elif parent_id < parents_start:
+            raise ValueError(
+                f"discovery stream is not in BFS order: parent {parent_id} "
+                f"after parents from {parents_start}"
+            )
+        entries, parent_hash = parents[parent_id - parents_start]
+        step = by_event.get(id(event))
+        if step is None:
+            process = event.process
+            step = by_event[id(event)] = (
+                index_of[process], hash(process) % modulus, hash(event)
+            )
+        position, seed, event_hash = step
+        old_entry = entries[position]
+        if old_entry is None:
+            new_entry = (seed * multiplier + event_hash) % modulus
+            child_hash = (parent_hash + new_entry) % modulus
+        else:
+            new_entry = (old_entry * multiplier + event_hash) % modulus
+            child_hash = (parent_hash - old_entry + new_entry) % modulus
+        children.append(
+            (entries[:position] + (new_entry,) + entries[position + 1:], child_hash)
+        )
+        append(child_hash)
+    return hashes
 
 
 class PackedFrontier:
@@ -203,13 +261,19 @@ class PackedFrontier:
 
     def load(self, arena, start: int, end: int) -> None:
         """Rebuild the window over ids ``[start, end)`` from ``arena``
-        after a checkpoint resume (the replay left exactly those
-        configurations hot).  Call on a fresh frontier: its memo is
-        empty, so it holds nothing the loaded tuples could alias."""
+        after a checkpoint resume.  The replay builds no objects, so
+        each configuration is read through the arena's cold tiers.  Call
+        on a fresh frontier: its memo is empty, so it holds nothing the
+        loaded tuples could alias."""
         window = self.window
         window.clear()
         ordered = self.ordered
         intern = self.interned.setdefault
+        # Once the root caches its message sets (in_flight_messages
+        # caches received_messages too), every chain-walk rebuild derives
+        # its child's sets from its parent's instead of rescanning the
+        # histories.
+        arena[0].in_flight_messages
         for index in range(start, end):
             configuration = arena[index]
             history_of = configuration._histories.get

@@ -951,7 +951,7 @@ class ShardedExplorer:
                 window[child_id] = child_entry(
                     entry, event, position, new_history, new_entry, child_hash
                 )
-                arena.append_child(parent_id, event, child_hash, None)
+                arena.append_child(parent_id, event, child_hash)
                 replay.append((parent_id, event))
                 resolved.append(child_id)
                 succ_ids.append(child_id)

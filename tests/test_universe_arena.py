@@ -348,9 +348,9 @@ class TestPackedTiers:
         universe = Universe(star5())
         records = universe._configurations.records(1, len(universe))
         tiny = ArenaStore(lru_size=4, chunk_cache_size=2)
-        ids_by_hash = tiny.replay(records)
+        ids_by_hash = tiny.replay(records, universe.protocol.ordered_processes)
         assert ids_by_hash == reference.ids_by_hash
-        tiny.retire(len(tiny))  # evict the replay window: cold reads only
+        tiny.retire(len(tiny))  # seal every chunk: cold reads only
         configurations = reference.configurations
         assert len(tiny) == len(configurations)
         rng = random.Random(29)
@@ -367,3 +367,94 @@ class TestPackedTiers:
         records = store.records(0, len(store))
         assert len(records) == len(store) - 1  # the root has no record
         assert all(parent >= 0 for parent, _ in records)
+
+
+def tree7() -> BroadcastProtocol:
+    return BroadcastProtocol(tree_topology(tuple(f"t{i}" for i in range(7))), "t0")
+
+
+REPLAY_CASES = [
+    ("star_n5", star5, {}),
+    ("tree_7", tree7, {}),
+    ("token_bus_h4", lambda: TokenBusProtocol(max_hops=4), {}),
+    ("mutex_h3", lambda: TokenRingMutexProtocol(max_hops=3), {}),
+    # Selective receives (can_receive override).
+    ("snapshot_ring", lambda: SnapshotTokenRingProtocol(max_hops=3), {}),
+    ("star_n4_max_events", lambda: star(("x", "y", "z")), {"max_events": 4}),
+    (
+        "star_n5_truncated",
+        star5,
+        {"max_configurations": 150, "on_limit": "truncate"},
+    ),
+]
+
+
+def pickle_each_record(stream: list) -> list:
+    """Round-trip every record through its own pickle, so each event is
+    a distinct object, equal to but not the same as any other (checkpoint
+    segments do this per segment)."""
+    return [pickle.loads(pickle.dumps(record)) for record in stream]
+
+
+def columns(store: ArenaStore) -> list[tuple[int, int, int]]:
+    return [store._entry(index) for index in range(len(store))]
+
+
+class TestObjectFreeReplay:
+    """:meth:`ArenaStore.replay` rebuilds the kernel's packed columns,
+    event vocabulary and hash buckets from the discovery stream alone."""
+
+    @pytest.mark.parametrize("pickled", [False, True], ids=["live", "pickled"])
+    @pytest.mark.parametrize(
+        "label,factory,bounds",
+        REPLAY_CASES,
+        ids=[entry[0] for entry in REPLAY_CASES],
+    )
+    def test_replay_matches_kernel(self, label, factory, bounds, pickled):
+        universe = Universe(
+            factory(), options=ExplorationOptions(limits=Limits(**bounds))
+        )
+        arena = universe._configurations
+        stream = arena.records(1, len(arena))
+        if pickled:
+            stream = pickle_each_record(stream)
+            distinct = {id(event) for _, event in stream}
+            assert len(distinct) == len(stream)
+            assert not distinct & {id(event) for event in arena._events}
+        rebuilt = ArenaStore()
+        ids_by_hash = rebuilt.replay(stream, universe.protocol.ordered_processes)
+        assert ids_by_hash == universe._ids_by_hash
+        assert columns(rebuilt) == columns(arena)
+        assert rebuilt._events == arena._events
+        assert rebuilt.materialisations == 0
+        for index in random.Random(31).sample(range(len(arena)), min(40, len(arena))):
+            assert rebuilt[index]._histories == arena[index]._histories
+
+    def test_replay_keeps_collision_buckets(self, monkeypatch):
+        force_hash_collisions(monkeypatch)
+        universe = Universe(star5())
+        assert any(type(b) is list for b in universe._ids_by_hash.values())
+        arena = universe._configurations
+        stream = pickle_each_record(arena.records(1, len(arena)))
+        rebuilt = ArenaStore()
+        ids_by_hash = rebuilt.replay(stream, universe.protocol.ordered_processes)
+        assert ids_by_hash == universe._ids_by_hash
+        assert columns(rebuilt) == columns(arena)
+
+    def test_replay_seals_whole_chunks(self, small_chunks):
+        universe = Universe(star5())
+        arena = universe._configurations
+        rebuilt = ArenaStore()
+        rebuilt.replay(
+            arena.records(1, len(arena)), universe.protocol.ordered_processes
+        )
+        assert rebuilt.stats()["sealed_chunks"] > 1
+        assert columns(rebuilt) == columns(arena)
+
+    def test_out_of_order_stream_rejected(self):
+        universe = Universe(star5())
+        arena = universe._configurations
+        stream = arena.records(1, len(arena))
+        stream.append((1, stream[-1][1]))
+        with pytest.raises(ValueError, match="not in BFS order"):
+            ArenaStore().replay(stream, universe.protocol.ordered_processes)

@@ -12,11 +12,15 @@ the merged discovery stream rather than engine-specific state.
 import os
 import pathlib
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import pytest
 
 import repro.universe.checkpoint as checkpoint_module
+from repro.core.configuration import Configuration
 from repro.core.errors import UniverseError
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.arena import decompress_batch
@@ -45,6 +49,7 @@ from repro.universe.sharded import SupervisionPolicy
 from test_universe_sharded import assert_bit_identical, star_protocol
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 def segment_files(path):
@@ -271,6 +276,83 @@ class TestEnginesCommitTheSameStream:
             # previous boundary, short of the cap.
             assert kernel[-1]["count"] < limits.max_configurations
         assert sum(segment["records"] for segment in kernel) > 0
+
+
+def tree_protocol():
+    from repro.protocols.broadcast import BroadcastProtocol, tree_topology
+
+    names = tuple(f"t{index}" for index in range(7))
+    return BroadcastProtocol(tree_topology(names), names[0])
+
+
+class TestObjectFreeResume:
+    """Resume replays the discovery stream as rolling hashes: it builds
+    no configuration and leaves nothing for a later read to finish."""
+
+    def test_complete_resume_builds_no_configuration(self, tmp_path, monkeypatch):
+        path = tmp_path / "done.ckpt"
+        options = ExplorationOptions(checkpoint=CheckpointPolicy(path=path))
+        first = Universe(tree_protocol(), options=options)
+        built = []
+        trusted = Configuration._from_trusted.__func__
+
+        def counting(cls, *args):
+            built.append(args)
+            return trusted(cls, *args)
+
+        monkeypatch.setattr(Configuration, "_from_trusted", classmethod(counting))
+        again = Universe(tree_protocol(), options=options)
+        assert built == []
+        arena = again._configurations
+        assert (arena.materialisations, arena.chain_walks) == (0, 0)
+        arena[len(arena) - 1]  # the counter is live: a read builds objects
+        assert built
+        monkeypatch.undo()
+        # Every hash column and the whole dedup table are already built.
+        assert again._ids_by_hash == first._ids_by_hash
+        assert [arena.content_hash(i) for i in range(len(arena))] == [
+            first._configurations.content_hash(i) for i in range(len(first))
+        ]
+        assert_bit_identical(first, again)
+
+    @pytest.mark.parametrize("cap", [None, 150], ids=["complete", "mid-run"])
+    def test_resume_under_another_hash_seed(self, tmp_path, cap):
+        """A checkpoint written under one ``PYTHONHASHSEED`` resumes
+        bit-identically under another: hashes are recomputed at load."""
+        path = tmp_path / "seeded.ckpt"
+        preamble = f"""
+            from repro.protocols.broadcast import BroadcastProtocol, tree_topology
+            from repro.universe.explorer import Universe
+            from repro.universe.options import (
+                CheckpointPolicy, ExplorationOptions, Limits,
+            )
+            from repro.universe.reference import reference_bfs
+
+            def tree_protocol():
+                names = tuple(f"t{{index}}" for index in range(7))
+                return BroadcastProtocol(tree_topology(names), names[0])
+
+            checkpoint = CheckpointPolicy(path={str(path)!r})
+        """
+        write = preamble + f"""
+            limits = Limits(max_configurations={cap!r}, on_limit="truncate")
+            Universe(tree_protocol(), options=ExplorationOptions(
+                limits=limits, checkpoint=checkpoint))
+        """
+        resume = preamble + """
+            resumed = Universe(tree_protocol(), options=ExplorationOptions(
+                checkpoint=checkpoint))
+            assert resumed._checkpoint_session.resumed_from is not None
+            assert reference_bfs(tree_protocol()).differences(resumed) == []
+        """
+        for seed, script in (("0", write), ("1", resume)):
+            env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+            subprocess.run(
+                [sys.executable, "-c", textwrap.dedent(script)],
+                env=env,
+                check=True,
+                timeout=120,
+            )
 
 
 class TestShardedResume:

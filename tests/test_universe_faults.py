@@ -657,7 +657,8 @@ class TestDiscoveryStreamReconstruction:
         stream = arena.records(1, len(arena))
         assert len(stream) == len(universe) - 1  # one record per discovery
         rebuilt = ArenaStore()
-        assert rebuilt.replay(stream) == universe._ids_by_hash
+        processes = universe.protocol.ordered_processes
+        assert rebuilt.replay(stream, processes) == universe._ids_by_hash
         assert len(rebuilt) == len(universe)
         for ours, theirs in zip(rebuilt, arena):
             assert ours == theirs
