@@ -594,6 +594,17 @@ class ArenaStore:
             self._seal_cold()
         return ids_by_hash
 
+    def intern_events(self, canonical) -> None:
+        """Swap each vocabulary event for ``canonical(event)``, an equal
+        object, so configurations materialised after a resume hold the
+        resuming interpreter's canonical events instead of a stream's
+        unpickled ones."""
+        vocabulary = self._events
+        vocabulary[:] = map(canonical, vocabulary)
+        event_index = self._event_index
+        event_index.clear()
+        event_index.update(zip(vocabulary, range(len(vocabulary))))
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------

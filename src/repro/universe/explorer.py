@@ -411,9 +411,7 @@ def _resolve_collision(
     child_hash: int,
     bucket: int | list[int],
     row_matches,
-    row: tuple,
-    position: int,
-    new_history: tuple,
+    child_row: tuple,
     count: int,
     limit: float,
 ) -> int | None:
@@ -432,7 +430,7 @@ def _resolve_collision(
         ids_by_hash[child_hash] = [bucket, count]
         return count
     for candidate_id in bucket:
-        if row_matches(candidate_id, row, position, new_history):
+        if row_matches(candidate_id, child_row):
             return candidate_id
     if count >= limit:
         return None
@@ -773,11 +771,12 @@ class Universe:
         counting toward peak RSS mid-layer instead of at the next
         boundary.  The per-edge work stays inline because this loop is
         the hot path: the child's content hash is O(1) from the parent's
-        (rolling entry hashes), dedup compares rows elementwise — shared
-        history tuples make those identity hits, and the rare content-hash
-        collision goes through :func:`_resolve_collision` — and a first
-        discovery appends its packed columns and window entry here, with
-        the same row and message-set derivation as
+        (rolling entry hashes), dedup is one C tuple compare of the
+        child's row against the candidate's — shared history tuples and
+        interned events make its elements identity hits, and the rare
+        content-hash collision goes through :func:`_resolve_collision` —
+        and a first discovery appends its packed columns and window entry
+        here, with the same message-set and step-row derivation as
         :meth:`PackedFrontier.child
         <repro.universe.frontier.PackedFrontier.child>`.  The discovery
         records are only kept when a checkpoint session will commit
@@ -811,6 +810,9 @@ class Universe:
         entry_memo_get = entry_hash_of.get
         entry_prev_get = frontier.entry_prev_get
         intern = frontier.interned.setdefault
+        table = self._protocol.step_table
+        by_history = table._by_history
+        steps_for = table.steps
         modulus = _HASH_MODULUS
         multiplier = _ROLL_MULTIPLIER
         for parent_id in range(layer_start, layer_end):
@@ -842,21 +844,20 @@ class Universe:
                     new_history = old_history + (event,)
                     new_entry = (old_entry * multiplier + event_hash) % modulus
                     child_hash = (parent_hash - old_entry + new_entry) % modulus
+                child_row = row[:position] + (new_history,) + row[position + 1:]
                 existing = ids_by_hash.get(child_hash)
                 if existing is None:
                     if count >= limit:
                         succ_offsets.append(edges)
                         return records, True
-                elif type(existing) is int and row_matches(
-                    existing, row, position, new_history
-                ):
+                elif type(existing) is int and row_matches(existing, child_row):
                     succ_ids.append(existing)
                     edges += 1
                     continue
                 else:
                     child_id = _resolve_collision(
                         ids_by_hash, child_hash, existing, row_matches,
-                        row, position, new_history, count, limit,
+                        child_row, count, limit,
                     )
                     if child_id is None:
                         succ_offsets.append(edges)
@@ -865,10 +866,11 @@ class Universe:
                         succ_ids.append(child_id)
                         edges += 1
                         continue
-                # First discovery: pack the columns, keep only the row +
-                # message sets hot — no child object.  The window entry
-                # is PackedFrontier.child inlined (memo write, interned
-                # message sets, child row).
+                # First discovery: pack the columns, keep only the row,
+                # message sets and step row hot — no child object.  The
+                # window entry is PackedFrontier.child inlined (memo
+                # write, interned message sets, one step-table lookup for
+                # the new history).
                 child_id = count
                 if existing is None:
                     ids_by_hash[child_hash] = child_id
@@ -887,11 +889,14 @@ class Universe:
                     received = intern(received, received)
                     in_flight = in_flight - {message}
                     in_flight = intern(in_flight, in_flight)
+                steps = entry[4]
+                if steps is not None:
+                    new_steps = by_history[process].get(new_history)
+                    if new_steps is None:
+                        new_steps = steps_for(process, new_history)
+                    steps = steps[:position] + (new_steps,) + steps[position + 1:]
                 window[child_id] = (
-                    row[:position] + (new_history,) + row[position + 1:],
-                    child_hash,
-                    received,
-                    in_flight,
+                    child_row, child_hash, received, in_flight, steps
                 )
                 arena.append_child(parent_id, event, child_hash)
                 succ_ids.append(child_id)

@@ -8,21 +8,34 @@ coordinator's (:mod:`repro.universe.sharded`), whose workers each hold
 their own.  Every one of them keeps the configurations it is about to
 expand in a window of packed entries
 
-    ``id -> (row, content_hash, received, in_flight)``
+    ``id -> (row, content_hash, received, in_flight, steps)``
 
 where ``row`` is a fixed-width tuple of per-process histories in
-``ordered_processes`` order (``()`` for absent processes) and the two
+``ordered_processes`` order (``()`` for absent processes), the two
 message frozensets are interned per layer, so siblings with equal
-channel contents share one set object.  No ``Configuration`` is built on
-the hot path: :meth:`PackedFrontier.transient` materialises a throwaway
-one only for the slow-path hooks (custom enabling, enabling filters,
-``max_events`` probes).
+channel contents share one set object, and ``steps`` is the row's
+compiled local steps: one step tuple per process, in the same order
+(``None`` for a custom-enabling protocol, which never reads the step
+table).  A first-discovered child copies its parent's ``steps`` and
+replaces the one slot its event changed, so the step table is asked
+once per *new history*, and enumerating a parent's events hashes no
+history.  The step table interns its events, so rows, histories and
+step tuples hold one object per distinct event and row comparisons are
+tuple compares in C that hit identity on every element.  Identity is
+only ever a shortcut: an equal but non-identical event (unpickled after
+a resume, or sent by a shard worker) still compares equal, and such
+events pass through the step table's intern once per distinct object
+(:meth:`~PackedFrontier.canonicaliser`).  No
+``Configuration`` is built on the hot path:
+:meth:`PackedFrontier.transient` materialises a throwaway one only for
+the slow-path hooks (custom enabling, enabling filters, ``max_events``
+probes).
 
 The frontier is the one place that knows this format: the per-protocol
 constants, the enabled-event enumeration (:attr:`PackedFrontier.enabled`),
 the rolling child-hash step (:meth:`~PackedFrontier.step`), the child's
-row and interned message sets (:meth:`~PackedFrontier.child`), the
-collision-aware row comparison (:meth:`~PackedFrontier.row_matches`),
+entry (:meth:`~PackedFrontier.child`), the collision-aware row
+comparison (:meth:`~PackedFrontier.row_matches`),
 the checkpoint replay's object-free child hashes (:func:`stream_hashes`),
 the resume rebuild (:meth:`~PackedFrontier.load`), replay of a merged
 discovery stream (:meth:`~PackedFrontier.apply`) and shard expansion
@@ -43,6 +56,7 @@ frontier, whose memo is empty.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
 
 from repro.core.configuration import (
     _HASH_MODULUS,
@@ -56,30 +70,13 @@ from repro.core.events import ReceiveEvent, SendEvent
 
 def _transient(ordered, entry: tuple) -> Configuration:
     """A throwaway ``Configuration`` of one window entry."""
-    row, content_hash, received, in_flight = entry
+    row, content_hash, received, in_flight, _ = entry
     items = {process: history for process, history in zip(ordered, row) if history}
     configuration = Configuration._from_trusted(items, content_hash, None)
     cache = configuration.__dict__
     cache["received_messages"] = received
     cache["in_flight_messages"] = in_flight
     return configuration
-
-
-def _rows_match(
-    candidate_row: tuple, row: tuple, position: int, new_history: tuple
-) -> bool:
-    """``candidate_row == row`` with ``row[position]`` replaced by
-    ``new_history``.  Rows share history tuples, so most elements are
-    identity hits."""
-    theirs = candidate_row[position]
-    if theirs is not new_history and theirs != new_history:
-        return False
-    for index, theirs in enumerate(candidate_row):
-        if index != position:
-            ours = row[index]
-            if theirs is not ours and theirs != ours:
-                return False
-    return True
 
 
 def stream_hashes(ordered, stream) -> array:
@@ -178,13 +175,24 @@ class PackedFrontier:
         self.seed_of = {
             process: hash(process) % _HASH_MODULUS for process in ordered
         }
-        steps_for = protocol.step_table.steps
-        self.initial_steps = {
-            process: steps_for(process, ()) for process in ordered
-        }
+        # A custom-enabling protocol enumerates through its own override
+        # and compiles no step-table entry.
+        if protocol.has_custom_enabling:
+            self.initial_steps = None
+        else:
+            steps_for = protocol.step_table.steps
+            self.initial_steps = tuple(
+                steps_for(process, ()) for process in ordered
+            )
         empty: frozenset = frozenset()
         self.window: dict[int, tuple] = {
-            0: (((),) * len(ordered), hash(EMPTY_CONFIGURATION), empty, empty)
+            0: (
+                ((),) * len(ordered),
+                hash(EMPTY_CONFIGURATION),
+                empty,
+                empty,
+                self.initial_steps,
+            )
         }
         self.floor = 0
         self.count = 1
@@ -198,16 +206,12 @@ class PackedFrontier:
 
         A closure over the protocol's tables, so the per-parent call
         reads cells instead of attributes.  Order: each process's local
-        steps (compiled table) in ``ordered_processes`` order, then the
-        receives; the protocol's enabling filter applies last, and a
+        steps (the entry's step row) in ``ordered_processes`` order, then
+        the receives; the protocol's enabling filter applies last, and a
         custom ``enabled_events`` override is authoritative.
         """
         protocol = self.protocol
         ordered = self.ordered
-        initial_steps = self.initial_steps
-        table = protocol.step_table
-        steps_for = table.steps
-        by_history = table._by_history
         selective = protocol.is_selective
         custom_enabling = protocol.has_custom_enabling
         enabling_filter = (
@@ -215,20 +219,12 @@ class PackedFrontier:
         )
         receive_sets = protocol.receive_events_for
         selective_receives = protocol.selective_receive_events
+        concatenated = chain.from_iterable
 
         def enabled(entry: tuple) -> list:
             if custom_enabling:
                 return list(protocol.enabled_events(_transient(ordered, entry)))
-            row = entry[0]
-            events: list = []
-            for process, history in zip(ordered, row):
-                if not history:
-                    events += initial_steps[process]
-                else:
-                    steps = by_history[process].get(history)
-                    events += (
-                        steps if steps is not None else steps_for(process, history)
-                    )
+            events = list(concatenated(entry[4]))
             in_flight = entry[3]
             if in_flight:
                 if not selective:
@@ -236,7 +232,7 @@ class PackedFrontier:
                 else:
                     items = {
                         process: history
-                        for process, history in zip(ordered, row)
+                        for process, history in zip(ordered, entry[0])
                         if history
                     }
                     events += selective_receives(items.get, in_flight)
@@ -259,12 +255,35 @@ class PackedFrontier:
         self.entry_hash_of = {}
         self.interned = {}
 
+    def canonicaliser(self):
+        """A fresh ``event -> canonical event`` map for events another
+        interpreter built (a shard worker's batch, the coordinator's
+        merged stream, a checkpoint's vocabulary).  Each distinct object
+        goes through :meth:`CompiledStepTable.intern
+        <repro.universe.protocol.CompiledStepTable.intern>` once, so the
+        rows, step-table lookups and arena vocabulary built from it hit
+        identity.  The memo is keyed by object id: the caller keeps the
+        events alive while it uses the map."""
+        memo: dict[int, object] = {}
+        memo_get = memo.get
+        intern = self.protocol.step_table.intern
+
+        def canonical(event):
+            found = memo_get(id(event))
+            if found is None:
+                found = memo[id(event)] = intern(event)
+            return found
+
+        return canonical
+
     def load(self, arena, start: int, end: int) -> None:
         """Rebuild the window over ids ``[start, end)`` from ``arena``
         after a checkpoint resume.  The replay builds no objects, so
-        each configuration is read through the arena's cold tiers.  Call
-        on a fresh frontier: its memo is empty, so it holds nothing the
-        loaded tuples could alias."""
+        each configuration is read through the arena's cold tiers, after
+        the arena's vocabulary is swapped for this interpreter's
+        canonical events.  Call on a fresh frontier: its memo is empty,
+        so it holds nothing the loaded tuples could alias."""
+        arena.intern_events(self.canonicaliser())
         window = self.window
         window.clear()
         ordered = self.ordered
@@ -274,25 +293,30 @@ class PackedFrontier:
         # its child's sets from its parent's instead of rescanning the
         # histories.
         arena[0].in_flight_messages
+        custom_enabling = self.initial_steps is None
+        steps_for = self.protocol.step_table.steps
         for index in range(start, end):
             configuration = arena[index]
             history_of = configuration._histories.get
             received = configuration.received_messages
             in_flight = configuration.in_flight_messages
+            row = tuple(history_of(process, ()) for process in ordered)
             window[index] = (
-                tuple(history_of(process, ()) for process in ordered),
+                row,
                 hash(configuration),
                 intern(received, received),
                 intern(in_flight, in_flight),
+                None if custom_enabling else tuple(map(steps_for, ordered, row)),
             )
         self.floor = start
         self.count = end
 
     # -- one edge ----------------------------------------------------------
     def step(self, row: tuple, parent_hash: int, event):
-        """The edge ``row --event-->`` as ``(position, new_history,
+        """The edge ``row --event-->`` as ``(position, child_row,
         new_entry, child_hash)``: the child's content hash is O(1) from
-        the parent's through the rolling entry hashes."""
+        the parent's through the rolling entry hashes, and ``child_row``
+        is ``row`` with ``row[position]`` extended by ``event``."""
         process = event.process
         position = self.index_of[process]
         try:
@@ -305,38 +329,43 @@ class PackedFrontier:
                 self.seed_of[process] * _ROLL_MULTIPLIER + event_hash
             ) % _HASH_MODULUS
             child_hash = (parent_hash + new_entry) % _HASH_MODULUS
-            return position, (event,), new_entry, child_hash
-        key = id(old_history)
-        memo = self.entry_hash_of
-        old_entry = memo.get(key)
-        if old_entry is None:
-            old_entry = self.entry_prev_get(key)
+            new_history = (event,)
+        else:
+            key = id(old_history)
+            memo = self.entry_hash_of
+            old_entry = memo.get(key)
             if old_entry is None:
-                old_entry = _entry_hash(process, old_history)
-            memo[key] = old_entry
-        new_entry = (old_entry * _ROLL_MULTIPLIER + event_hash) % _HASH_MODULUS
-        child_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
-        return position, old_history + (event,), new_entry, child_hash
+                old_entry = self.entry_prev_get(key)
+                if old_entry is None:
+                    old_entry = _entry_hash(process, old_history)
+                memo[key] = old_entry
+            new_entry = (old_entry * _ROLL_MULTIPLIER + event_hash) % _HASH_MODULUS
+            child_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
+            new_history = old_history + (event,)
+        child_row = row[:position] + (new_history,) + row[position + 1 :]
+        return position, child_row, new_entry, child_hash
 
     def child(
         self,
         entry: tuple,
         event,
         position: int,
-        new_history: tuple,
+        child_row: tuple,
         new_entry: int,
         child_hash: int,
     ) -> tuple:
         """The window entry of a first-discovered child of ``entry``.
 
-        Records ``new_history``'s entry hash (the write that keeps the
-        identity-keyed memo alias-free) and derives the child's message
+        Records the new history's entry hash (the write that keeps the
+        identity-keyed memo alias-free), derives the child's message
         sets from the parent's interned ones — exactly the lazy
         ``Configuration`` definitions, including the degenerate re-send
-        of an already-received message.
+        of an already-received message — and replaces the one slot of
+        the parent's step row that ``event`` changed.
         """
+        new_history = child_row[position]
         self.entry_hash_of[id(new_history)] = new_entry
-        row, _, received, in_flight = entry
+        _, _, received, in_flight, steps = entry
         if isinstance(event, SendEvent):
             message = event.message
             if message not in received:
@@ -349,32 +378,27 @@ class PackedFrontier:
             received = intern(received, received)
             in_flight = in_flight - {message}
             in_flight = intern(in_flight, in_flight)
-        return (
-            row[:position] + (new_history,) + row[position + 1 :],
-            child_hash,
-            received,
-            in_flight,
-        )
+        if steps is not None:
+            steps = (
+                steps[:position]
+                + (self.protocol.step_table.steps(event.process, new_history),)
+                + steps[position + 1 :]
+            )
+        return child_row, child_hash, received, in_flight, steps
 
-    def row_matches(
-        self, candidate_id: int, row: tuple, position: int, new_history: tuple
-    ) -> bool:
-        """Whether configuration ``candidate_id`` equals ``row`` with
-        ``row[position]`` replaced by ``new_history``.
+    def row_matches(self, candidate_id: int, child_row: tuple) -> bool:
+        """Whether configuration ``candidate_id`` has the row ``child_row``.
 
         Same-depth duplicates always live in the window; a candidate
         outside it is a rare cross-layer content-hash collision, read by
-        chain-walking the arena's packed columns.
+        chain-walking the arena's packed columns.  Either way it is one
+        tuple compare in C, whose elements are mostly identity hits.
         """
         entry = self.window.get(candidate_id)
         if entry is not None:
-            candidate_row = entry[0]
-        else:
-            history_of = self.arena[candidate_id]._histories.get
-            candidate_row = tuple(
-                history_of(process, ()) for process in self.ordered
-            )
-        return _rows_match(candidate_row, row, position, new_history)
+            return entry[0] == child_row
+        history_of = self.arena[candidate_id]._histories.get
+        return tuple(history_of(process, ()) for process in self.ordered) == child_row
 
     # -- engines' bulk operations -------------------------------------------
     def apply(self, records, progress=None, progress_every: int = 0) -> None:
@@ -394,9 +418,11 @@ class PackedFrontier:
         floor = self.floor
         count = self.count
         since_progress = 0
+        canonical = self.canonicaliser()
         self.rotate()
         boundary = count
         for parent_id, event in records:
+            event = canonical(event)
             if parent_id >= boundary:
                 boundary = count
                 self.rotate()
@@ -404,11 +430,8 @@ class PackedFrontier:
                 window.pop(floor, None)
                 floor += 1
             entry = window[parent_id]
-            position, new_history, new_entry, child_hash = step(
-                entry[0], entry[1], event
-            )
             window[count] = child(
-                entry, event, position, new_history, new_entry, child_hash
+                entry, event, *step(entry[0], entry[1], event)
             )
             count += 1
             if progress is not None:
@@ -440,8 +463,8 @@ class PackedFrontier:
         still had enabled events (the kernel's completeness rule).
 
         Dedup is layer-local — every edge adds one event, so duplicates
-        collide within a layer — and compares candidate rows
-        elementwise, never by hash alone.  ``progress`` (if given) is
+        collide within a layer — and compares candidate rows, never
+        hashes alone.  ``progress`` (if given) is
         invoked every ``progress_every`` *owned* parents: the worker-side
         heartbeat hook.
         """
@@ -486,23 +509,20 @@ class PackedFrontier:
                 continue
             edges: list = []
             for event in enabled(entry):
-                position, new_history, _, child_hash = step(
-                    row, parent_hash, event
-                )
+                _, child_row, _, child_hash = step(row, parent_hash, event)
                 bucket = layer_candidates.get(child_hash)
                 if bucket is None:
                     bucket = layer_candidates[child_hash] = []
                 else:
                     for candidate_index, candidate_row in bucket:
-                        if _rows_match(candidate_row, row, position, new_history):
+                        if candidate_row == child_row:
                             break
                     else:
                         candidate_index = None
                     if candidate_index is not None:
                         edges.append(candidate_index)
                         continue
-                candidate_row = row[:position] + (new_history,) + row[position + 1 :]
-                bucket.append((candidates, candidate_row))
+                bucket.append((candidates, child_row))
                 edges.append((event, child_hash))
                 candidates += 1
             records.append((parent_id, edges))

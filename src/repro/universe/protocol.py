@@ -70,6 +70,15 @@ class CompiledStepTable:
     histories of a process have equal shapes, ``local_steps`` yields
     equal value-object event tuples for both.
 
+    Every compiled event is interned through one per-table dict, so
+    equal events from different shapes or histories are one object.  A
+    send's value fixes its ``Message``, so messages are canonical too,
+    and :func:`~repro.core.events.receive` caches one receive per message
+    object, so receives follow.  The kernel's tuple and set comparisons
+    then hit identity; value equality stays the semantics, and an equal
+    but non-identical event (unpickled, or built by another process)
+    still compares equal.
+
     ``build_seconds`` accumulates the wall time spent inside the
     interpreted compile path, so benchmark cold starts can attribute
     table build time separately from BFS time (see PERFORMANCE.md).
@@ -80,6 +89,7 @@ class CompiledStepTable:
         "_by_history",
         "_by_shape",
         "_shaped",
+        "_events",
         "build_seconds",
         "compiled_entries",
         "shape_hits",
@@ -94,6 +104,7 @@ class CompiledStepTable:
             process: {} for process in protocol._ordered_processes
         }
         self._shaped = type(protocol).step_shape is not Protocol.step_shape
+        self._events: dict[Event, Event] = {}
         self.build_seconds = 0.0
         self.compiled_entries = 0
         self.shape_hits = 0
@@ -120,6 +131,20 @@ class CompiledStepTable:
         per_history[history] = steps
         return steps
 
+    def intern(self, event: Event) -> Event:
+        """This table's one object for ``event``'s value.
+
+        For events another interpreter built (an unpickled checkpoint
+        stream, a shard worker's batch): a send or internal event goes
+        through the compile-time intern dict, a receive through the
+        protocol's per-message receive memo, which is where the
+        enumeration reads its receives.  The first object seen for a
+        value becomes canonical.
+        """
+        if isinstance(event, ReceiveEvent):
+            return self._protocol._receive_cache.setdefault(event.message, event)
+        return self._events.setdefault(event, event)
+
     def __getstate__(self) -> dict:
         """Pickled handoff of a (possibly warm) compiled table.
 
@@ -138,7 +163,8 @@ class CompiledStepTable:
             setattr(self, slot, value)
 
     def _compile(self, process: ProcessId, history: History) -> tuple[Event, ...]:
-        """Run the interpreted ``local_steps`` once, validated and timed."""
+        """Run the interpreted ``local_steps`` once, validated, interned
+        and timed."""
         start = time.perf_counter()
         steps = tuple(self._protocol.local_steps(process, history))
         for event in steps:
@@ -151,6 +177,8 @@ class CompiledStepTable:
                     f"local_steps of {process!r} yielded an event on "
                     f"{event.process!r}"
                 )
+        intern = self._events.setdefault
+        steps = tuple([intern(event, event) for event in steps])
         self.build_seconds += time.perf_counter() - start
         self.compiled_entries += 1
         return steps

@@ -19,7 +19,7 @@ layers.  That invariant is what makes the frontier partitionable:
   :mod:`repro.core.configuration`);
 * worker ``w`` expands the parents of its shard: compiled-table enabled
   events, rolling child hashes, and *local* duplicate resolution by
-  elementwise row comparison (hash collisions are detected exactly, not
+  row comparison (hash collisions are detected exactly, not
   probabilistically);
 * workers ship per-parent **edge batches** — a duplicate edge is one
   ``int`` (the index of the worker-local candidate it collapsed into), a
@@ -41,8 +41,14 @@ layers.  That invariant is what makes the frontier partitionable:
 hold their frontier in the same
 :class:`~repro.universe.frontier.PackedFrontier`: a window of packed
 history rows (fixed-width tuples in ``ordered_processes`` order) plus
-per-layer-interned received/in-flight message frozensets, with no
-``Configuration`` objects and, on the workers, no id table.  Shard
+per-layer-interned received/in-flight message frozensets and each row's
+compiled step row, with no ``Configuration`` objects and, on the
+workers, no id table.  Events arrive unpickled (a worker's batch at the
+coordinator, the merged stream at a worker), so each distinct object is
+swapped for the receiving interpreter's canonical one once
+(:meth:`~repro.universe.frontier.PackedFrontier.canonicaliser`), and
+the rows, step-table lookups and arena vocabulary built from them hit
+identity as the kernel's do.  Shard
 expansion only ever reads the *current* layer — batch dedup is
 layer-local by the uniform-event-count argument above, and cross-layer
 collisions are resolved coordinator-side — and replaying the stream
@@ -880,6 +886,7 @@ class ShardedExplorer:
         step = frontier.step
         child_entry = frontier.child
         row_matches = frontier.row_matches
+        canonical = frontier.canonicaliser()
         state = self._exchange_layer(
             universe, self._replay, layer_start, layer_end, layer
         )
@@ -915,7 +922,8 @@ class ShardedExplorer:
                     edges += 1
                     continue
                 event, child_hash = edge
-                position, new_history, new_entry, _ = step(
+                event = canonical(event)
+                position, child_row, new_entry, _ = step(
                     row, parent_hash, event
                 )
                 existing = ids_by_hash.get(child_hash)
@@ -923,9 +931,7 @@ class ShardedExplorer:
                     if count >= limit:
                         succ_offsets.append(edges)
                         return replay, True
-                elif type(existing) is int and row_matches(
-                    existing, row, position, new_history
-                ):
+                elif type(existing) is int and row_matches(existing, child_row):
                     resolved.append(existing)
                     succ_ids.append(existing)
                     edges += 1
@@ -933,7 +939,7 @@ class ShardedExplorer:
                 else:
                     child_id = _resolve_collision(
                         ids_by_hash, child_hash, existing, row_matches,
-                        row, position, new_history, count, limit,
+                        child_row, count, limit,
                     )
                     if child_id is None:
                         succ_offsets.append(edges)
@@ -949,7 +955,7 @@ class ShardedExplorer:
                     ids_by_hash[child_hash] = child_id
                 count += 1
                 window[child_id] = child_entry(
-                    entry, event, position, new_history, new_entry, child_hash
+                    entry, event, position, child_row, new_entry, child_hash
                 )
                 arena.append_child(parent_id, event, child_hash)
                 replay.append((parent_id, event))

@@ -40,11 +40,13 @@ from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
 from repro.universe.builder import packed_store_of
 from repro.universe.explorer import Universe, iter_bit_ids
 from repro.universe.options import (
+    CheckpointPolicy,
     ExplorationOptions,
     Limits,
     ResourceBudget,
     Sharding,
 )
+from repro.universe.protocol import Protocol
 from repro.universe.reference import reference_bfs
 
 
@@ -54,6 +56,23 @@ def star(receivers: tuple[str, ...]) -> BroadcastProtocol:
 
 def star5() -> BroadcastProtocol:
     return star(("w", "x", "y", "z"))
+
+
+class FreshEventsProtocol(Protocol):
+    """Star n=5 flooding whose ``local_steps`` returns freshly built
+    events on every call and declares no ``step_shape``: no two calls
+    share an event object, so identity hits come only from the step
+    table's interning, and value equality must carry everything else."""
+
+    def __init__(self) -> None:
+        self.inner = star5()
+        super().__init__(self.inner.processes)
+
+    def local_steps(self, process, history):
+        return [
+            pickle.loads(pickle.dumps(event))
+            for event in self.inner.local_steps(process, history)
+        ]
 
 
 REFERENCE_CASES = [
@@ -94,6 +113,8 @@ REFERENCE_CASES = [
         star5,
         {"max_configurations": 150, "on_limit": "truncate"},
     ),
+    # Equal events are never the same object until the table interns them.
+    ("fresh_events", FreshEventsProtocol, {}),
 ]
 
 
@@ -122,6 +143,19 @@ def star_pair():
     """One medium universe (star n=5, 634 configurations) and its
     reference BFS."""
     return reference_bfs(star5()), Universe(star5())
+
+
+def tree13() -> BroadcastProtocol:
+    return BroadcastProtocol(
+        tree_topology(tuple(f"t{i}" for i in range(13))), "t0"
+    )
+
+
+@pytest.fixture(scope="module")
+def tree13_reference():
+    """The reference BFS of the binary tree of 13 processes (62 954
+    configurations)."""
+    return reference_bfs(tree13())
 
 
 class TestReferenceIdentity:
@@ -181,6 +215,32 @@ class TestReferenceIdentity:
             ),
             reference_bfs(star5(), **bounds),
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mid_run_resume_matches_reference(self, tmp_path, workers, tree13_reference):
+        """Cap tree 13 mid-run, then resume: the resumed frontier rows are
+        rebuilt from the checkpoint's unpickled events, which are equal
+        to but not the objects a fresh step table compiles."""
+        path = tmp_path / "tree13.ckpt"
+        sharding = Sharding(workers=workers)
+        partial = Universe(
+            tree13(),
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=30_000, on_limit="truncate"),
+                checkpoint=CheckpointPolicy(path=path),
+                sharding=sharding,
+            ),
+        )
+        assert not partial.is_complete
+        del partial
+        resumed = Universe(
+            tree13(),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=path), sharding=sharding
+            ),
+        )
+        assert resumed._checkpoint_session.resumed_from is not None
+        assert_same_universe(resumed, tree13_reference)
 
     @pytest.mark.parametrize("store", ["objects", "parquet"])
     def test_other_stores_rejected(self, store):

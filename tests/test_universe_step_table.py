@@ -11,8 +11,11 @@ against a from-scratch reference BFS.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
+from repro.core.events import InternalEvent, Message, ReceiveEvent, SendEvent
 from repro.protocols.broadcast import (
     BroadcastProtocol,
     line_topology,
@@ -23,8 +26,10 @@ from repro.protocols.broadcast import (
 from repro.protocols.dijkstra_scholten import DijkstraScholtenProtocol
 from repro.protocols.mutex import TokenRingMutexProtocol
 from repro.protocols.pingpong import PingPongProtocol
+from repro.protocols.snapshot import SnapshotTokenRingProtocol
 from repro.protocols.termination import generate_workload
 from repro.protocols.token_bus import TokenBusProtocol
+from repro.simulation.network import FifoProtocol
 from repro.universe.explorer import Universe
 from repro.universe.options import ExplorationOptions, Limits, Sharding
 from repro.universe.reference import reference_bfs
@@ -260,3 +265,73 @@ class TestStreamingMode:
         )
         assert len(truncated) == 1  # just the empty configuration
         assert not truncated.is_complete
+
+
+def identity_cases():
+    return [
+        (
+            "star5",
+            BroadcastProtocol(
+                star_topology("hub", ("w", "x", "y", "z")), "hub"
+            ),
+        ),
+        (
+            "tree7",
+            BroadcastProtocol(
+                tree_topology(tuple(f"t{i}" for i in range(7))), "t0"
+            ),
+        ),
+    ]
+
+
+class TestKernelIdentityHits:
+    """The step table interns its events, so the kernel's row, set and
+    vocabulary comparisons are identity hits, never value ``__eq__``."""
+
+    @pytest.mark.parametrize(
+        "label,protocol", identity_cases(), ids=[c[0] for c in identity_cases()]
+    )
+    def test_warm_rebuild_calls_no_value_eq(self, label, protocol, monkeypatch):
+        first = Universe(protocol)
+        calls: Counter = Counter()
+        for cls in (SendEvent, ReceiveEvent, InternalEvent, Message):
+            original = cls.__eq__
+
+            def counting(self, other, _original=original, _name=cls.__name__):
+                calls[_name] += 1
+                return _original(self, other)
+
+            monkeypatch.setattr(cls, "__eq__", counting)
+        second = Universe(protocol)
+        assert calls == Counter()
+        monkeypatch.undo()
+        assert len(second) == len(first)
+        assert second._succ_ids == first._succ_ids
+
+    @pytest.mark.parametrize(
+        "label,protocol", identity_cases(), ids=[c[0] for c in identity_cases()]
+    )
+    def test_arena_vocabulary_is_canonical(self, label, protocol):
+        universe = Universe(protocol)
+        table = protocol.step_table
+        vocabulary = universe._configurations._events
+        assert any(isinstance(event, ReceiveEvent) for event in vocabulary)
+        for event in vocabulary:
+            if isinstance(event, ReceiveEvent):
+                canonical = protocol._receive_cache.get(event.message)
+            else:
+                canonical = table._events.get(event)
+            assert canonical is event
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_custom_enabling_compiles_no_entries(self, workers):
+        protocol = FifoProtocol(
+            SnapshotTokenRingProtocol(("a", "b", "c"), max_hops=3)
+        )
+        assert protocol.has_custom_enabling
+        universe = Universe(
+            protocol,
+            options=ExplorationOptions(sharding=Sharding(workers=workers)),
+        )
+        assert len(universe) > 1
+        assert protocol.step_table.compiled_entries == 0
