@@ -46,7 +46,7 @@ def _cached_value_hash(self) -> int:
 
 
 def _value_object_getstate(self) -> dict:
-    """Pickle events/messages WITHOUT the cached hash.
+    """Pickle events/messages WITHOUT their caches.
 
     ``hash()`` values are process-local (string hashing is salted per
     interpreter, and some singleton hashes are address-derived), so a
@@ -56,9 +56,14 @@ def _value_object_getstate(self) -> dict:
     falls apart.  Stripping the cache forces every process to recompute
     under its own salt — this is what makes checkpoints genuinely
     portable across interpreter hash seeds.
+
+    A message's ``_receive_event`` (cached by :func:`receive`) goes too:
+    ``receive`` rebuilds it on demand, and shipping it would make a
+    message's bytes depend on whether its receive was built yet.
     """
     state = dict(self.__dict__)
     state.pop("_hash_cache", None)
+    state.pop("_receive_event", None)
     return state
 
 

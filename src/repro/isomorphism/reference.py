@@ -269,7 +269,11 @@ def check_containment_reference(
             break
     if q_set >= p_set:
         return relation_contained
-    active = {event.process for event in universe.events()}
+    active = {
+        process
+        for configuration in projections.configurations
+        for process in configuration.processes
+    }
     if not (p_set - q_set) & active:
         return True
     return not relation_contained

@@ -36,7 +36,7 @@ from repro.knowledge.formula import (
     Or,
     Sure,
 )
-from repro.universe.explorer import Universe
+from repro.universe.explorer import Universe, mask_of_ids
 
 
 class KnowledgeEvaluator:
@@ -139,11 +139,13 @@ class KnowledgeEvaluator:
             return everything if formula.value else 0
         if isinstance(formula, Atom):
             fn = formula.fn
-            mask = 0
-            for config_id, configuration in enumerate(self._universe):
-                if fn(configuration):
-                    mask |= 1 << config_id
-            return mask
+            return mask_of_ids(
+                [
+                    config_id
+                    for config_id, configuration in enumerate(self._universe)
+                    if fn(configuration)
+                ]
+            )
         if isinstance(formula, Not):
             return everything & ~self.extension_mask(formula.operand)
         if isinstance(formula, And):

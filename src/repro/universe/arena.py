@@ -187,6 +187,13 @@ class ArenaStore:
         if cached is not None:
             cache.move_to_end(chunk_index)
             return cached
+        columns = self._decode_chunk(chunk_index)
+        cache[chunk_index] = columns
+        while len(cache) > self._chunk_cache_size:
+            cache.popitem(last=False)
+        return columns
+
+    def _decode_chunk(self, chunk_index: int) -> tuple[array, array, array]:
         chunk = self._chunks[chunk_index]
         if chunk.state == "zlib":
             raw = zlib.decompress(chunk.blob)
@@ -200,11 +207,31 @@ class ArenaStore:
         events.frombytes(raw[_PARENT_BYTES : _PARENT_BYTES + _EVENT_BYTES])
         hashes = array("q")
         hashes.frombytes(raw[_PARENT_BYTES + _EVENT_BYTES :])
-        columns = (parents, events, hashes)
-        cache[chunk_index] = columns
-        while len(cache) > self._chunk_cache_size:
-            cache.popitem(last=False)
-        return columns
+        return parents, events, hashes
+
+    @property
+    def packed(self) -> bool:
+        """True when every id past a root at id 0 lives only in the packed
+        columns; false once :meth:`extend` or unpickling has pinned more
+        roots."""
+        return self._pinned.keys() <= {0}
+
+    @property
+    def vocabulary(self) -> tuple[Event, ...]:
+        """The interned events, by event index.  Each was appended
+        together with a configuration that holds it, so these are the
+        events of every stored configuration but the roots'."""
+        return tuple(self._events)
+
+    def parent_event_columns(self) -> Iterator[tuple[int, array, array]]:
+        """``(first id, parent ids, event indices)`` of each sealed chunk,
+        then of the tail, in id order.  A sealed chunk is decoded for the
+        caller only, bypassing the chunk cache, so a full scan holds one
+        decompressed chunk at a time and evicts nothing."""
+        for chunk_index in range(len(self._chunks)):
+            parents, events, _ = self._decode_chunk(chunk_index)
+            yield chunk_index << _CHUNK_BITS, parents, events
+        yield len(self._chunks) << _CHUNK_BITS, self._tail_parent, self._tail_event
 
     def _entry(self, index: int) -> tuple[int, int, int]:
         """``(parent_id, event_index, content_hash)`` of one id."""

@@ -42,7 +42,10 @@ writes O(new layers), not O(stream):
   (``PATH.g<generation>-<index>.seg``): segment magic, a CRC-guarded
   header (layer range, frontier, cumulative count/completeness), and a
   CRC-guarded compressed payload holding that save's **delta** — the new
-  discovery records plus the CSR slice appended since the previous save;
+  discovery records plus the CSR slice appended since the previous save.
+  The records are pickled from value-canonical copies
+  (:func:`_canonical_records`), so a segment's bytes are a function of
+  its decoded content, whichever engine or interpreter wrote it;
 * resume concatenates the segment deltas (CSR arrays are rebuilt by
   concatenation, configurations by replaying the concatenated stream)
   and verifies every CRC on the way;
@@ -110,9 +113,11 @@ import warnings
 import zlib
 from array import array
 from collections import deque
+from operator import is_, itemgetter
 from pathlib import Path
 
 from repro.core.errors import UniverseError
+from repro.core.events import Event, Message
 from repro.universe.arena import compress_batch, decompress_batch
 from repro.universe.fileops import DEFAULT_FILEOPS
 from repro.universe.recovery import RecoveryLog
@@ -361,6 +366,68 @@ _ENTRY_FIELDS = (
 each segment against the manifest that committed it."""
 
 
+def _part_key(part) -> object:
+    """Dedup key of one part of a canonical copy: its id for the kinds
+    :func:`_canonical_records` makes unique per value, else its value."""
+    if type(part) in (str, bytes, tuple) or isinstance(part, (Event, Message)):
+        return id(part)
+    return type(part), part
+
+
+def _canonical_records(records: list) -> list:
+    """``records`` with each event swapped for an equal object in which
+    equal strings, tuples, messages and events are one object.
+
+    Pickle memoises by object identity, so pickling the live events would
+    make a segment's bytes depend on which equal objects the writer held.
+    The sharded coordinator holds events unpickled from its workers'
+    frames, and which worker expands a parent is ``content_hash %
+    workers``, where content hashes mix in address-derived hashes
+    (``hash(None)`` before CPython 3.12): two runs under one
+    ``PYTHONHASHSEED`` shared different strings and messages and wrote
+    different bytes.  After this pass the bytes are a function of the
+    decoded records.  The first object seen for a value is kept when its
+    parts already are the kept ones, so a kernel's records usually come
+    back as they are.  Ints, floats, bools and ``None`` are never
+    memoised, so they pass through, as do other payload types.
+    """
+    kept: dict[int, object] = {}  # id of an original -> the object kept
+    by_key: dict[tuple, object] = {}
+
+    def canonical(value):
+        found = kept.get(id(value))
+        if found is not None:
+            return found
+        kind = type(value)
+        if kind is str or kind is bytes:
+            found, key = value, (kind, value)
+        elif kind is tuple:
+            parts = tuple(map(canonical, value))
+            found = value if all(map(is_, parts, value)) else parts
+            key = (kind, *map(_part_key, parts))
+        elif isinstance(value, (Event, Message)):
+            state = value.__getstate__()
+            parts = {name: canonical(part) for name, part in state.items()}
+            if all(map(is_, parts.values(), state.values())):
+                found = value
+            else:
+                found = object.__new__(kind)
+                found.__dict__.update(parts)
+            key = (kind, *((name, _part_key(part)) for name, part in parts.items()))
+        else:
+            return value
+        found = kept[id(value)] = by_key.setdefault(key, found)
+        return found
+
+    events = list(map(itemgetter(1), records))
+    distinct = dict(zip(map(id, events), events)).values()
+    if all([canonical(event) is event for event in distinct]):
+        return records
+    return list(
+        zip(map(itemgetter(0), records), map(kept.__getitem__, map(id, events)))
+    )
+
+
 def _write_segment(
     path: Path,
     segment: dict,
@@ -379,7 +446,7 @@ def _write_segment(
     ``count``, ``complete``); other keys are ignored."""
     payload = compress_batch(
         {
-            "records": segment["records"],
+            "records": _canonical_records(segment["records"]),
             "succ_ids": segment["succ_ids"],
             "succ_offsets": segment["succ_offsets"],
         }

@@ -35,6 +35,7 @@ import sys
 import zlib
 from math import inf
 from array import array
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from functools import partial
@@ -128,6 +129,18 @@ evaluation) that would otherwise re-materialise the same mask per call,
 while the full dense cache stays quadratic and out of reach."""
 
 
+def mask_of_ids(ids: Sequence[int]) -> int:
+    """The bitmask with the bits of ``ids`` (ascending) set, in O(n): one
+    ``bytearray`` bit set and one ``int.from_bytes``.  ``mask |= 1 << id``
+    per id would copy the growing int on every set bit."""
+    if len(ids) == 1:
+        return 1 << ids[0]
+    bits = bytearray(((ids[-1] if ids else 0) >> 3) + 1)
+    for config_id in ids:
+        bits[config_id >> 3] |= 1 << (config_id & 7)
+    return int.from_bytes(bits, "little")
+
+
 def first_occurrence_labels(keys: Iterable[Hashable]) -> tuple[array, dict]:
     """``(labels, label_of)``: ``labels[i]`` is ``label_of[key]`` of the
     ``i``-th key, labels counting up in order of first occurrence — the
@@ -137,6 +150,82 @@ def first_occurrence_labels(keys: Iterable[Hashable]) -> tuple[array, dict]:
     setdefault = label_of.setdefault
     labels = array("i", [setdefault(key, len(label_of)) for key in keys])
     return labels, label_of
+
+
+def streamed_history_labels(
+    configurations: Iterable[Configuration], processes: Sequence[ProcessId]
+) -> list[tuple[array, int]]:
+    """``(labels, count)`` per process ``p`` of ``processes``: the
+    first-occurrence labels of each configuration's ``p``-history, in one
+    pass over materialised configurations, hashing every history tuple.
+
+    The path of a configuration list (an :class:`EnumeratedUniverse`)
+    and of an unpickled arena, and the oracle of
+    :func:`packed_history_labels`.
+    """
+    lanes = [(process, {}, array("i")) for process in processes]
+    for configuration in configurations:
+        histories = configuration._histories
+        for process, label_of, column in lanes:
+            column.append(
+                label_of.setdefault(histories.get(process, ()), len(label_of))
+            )
+    return [(column, len(label_of)) for _, label_of, column in lanes]
+
+
+def packed_history_labels(
+    store: ArenaStore, processes: Sequence[ProcessId]
+) -> list[tuple[array, int]]:
+    """The labels of :func:`streamed_history_labels`, read from the
+    arena's parent and event columns with no configuration built.
+
+    A child's ``p``-history is its parent's, except on the process of its
+    event ``e``, where it is the parent's plus ``e``.  So, in id order, a
+    child copies its parent's label in every column, and the column of
+    ``e``'s process gets ``intern[(parent label, e)]``, a new label the
+    first time that pair occurs; the root's histories are label 0.
+    Labels are thus handed out in order of first occurrence: the
+    canonical labelling, equal to the streamed pass's.
+
+    A parent precedes its child and parent ids never decrease, so the
+    ids ``[lo, hi)`` whose parents all lie below ``lo`` (one BFS layer,
+    cut at chunk ends) copy their inherited labels with one C-level
+    ``extend`` per column, leaving one dict probe per id in Python.  The
+    columns are read one sealed chunk at a time.
+    """
+    lane_of = {process: lane for lane, process in enumerate(processes)}
+    columns = [array("i") for _ in processes]
+    interns: list[dict[tuple[int, int], int]] = [{} for _ in processes]
+    targets = []  # per event index: its process's (column, intern), if built
+    for event in store.vocabulary:
+        lane = lane_of.get(event.process)
+        targets.append(None if lane is None else (columns[lane], interns[lane]))
+    for start, parents, events in store.parent_event_columns():
+        lo = start
+        end = start + len(parents)
+        if lo == 0 < end:  # the root
+            for column in columns:
+                column.append(0)
+            lo = 1
+        while lo < end:
+            hi = max(bisect_left(parents, lo, lo - start) + start, lo + 1)
+            inherited = parents[lo - start : hi - start]
+            for column in columns:
+                column.extend(map(column.__getitem__, inherited))
+            for config_id, event_index in zip(
+                range(lo, hi), events[lo - start : hi - start]
+            ):
+                target = targets[event_index]
+                if target is not None:
+                    column, intern = target
+                    column[config_id] = intern.setdefault(
+                        (column[config_id], event_index), len(intern) + 1
+                    )
+            lo = hi
+    return [
+        (column, len(intern) + 1 if column else 0)
+        for column, intern in zip(columns, interns)
+    ]
 
 
 class PartitionTable:
@@ -223,18 +312,10 @@ class PartitionTable:
         return members
 
     # -- mask materialisation ------------------------------------------
-    def _mask_of_ids(self, ids: Sequence[int]) -> int:
-        if len(ids) == 1:
-            return 1 << ids[0]
-        bits = bytearray(((ids[-1] if ids else 0) >> 3) + 1)
-        for config_id in ids:
-            bits[config_id >> 3] |= 1 << (config_id & 7)
-        return int.from_bytes(bits, "little")
-
     def _dense_masks(self) -> list[int]:
         masks = self._masks
         if masks is None:
-            masks = [self._mask_of_ids(ids) for ids in self.members]
+            masks = [mask_of_ids(ids) for ids in self.members]
             self._masks = masks
         return masks
 
@@ -250,7 +331,7 @@ class PartitionTable:
             memo = self._sparse_memo
             mask = memo.get(index)
             if mask is None:
-                mask = self._mask_of_ids(self.members[index])
+                mask = mask_of_ids(self.members[index])
                 words = ((mask.bit_length() + 63) >> 6) or 1
                 if self._sparse_memo_words + words <= _SPARSE_MASK_MEMO_WORDS:
                     memo[index] = mask
@@ -1117,10 +1198,11 @@ class Universe:
         ``x [P] y`` iff every process of ``P`` has the same history in
         ``x`` and ``y``, so per-process history labels fix every table.
         The singleton tables' ``class_of`` arrays *are* those labels, all
-        built in one streaming pass (:meth:`_build_history_labels`);
-        ``[P]`` for ``|P| > 1`` relabels the rows of its processes' label
-        columns in first-occurrence order, over ints only, and ``[∅]`` is
-        one class.
+        built together on the first call (:meth:`_build_history_labels`),
+        from the arena's packed columns, not during exploration, so a
+        universe that is only explored never pays for them.  ``[P]`` for
+        ``|P| > 1`` relabels the rows of its processes' label columns in
+        first-occurrence order, over ints only, and ``[∅]`` is one class.
         """
         p_set = as_process_set(processes)
         table = self._partition_tables.get(p_set)
@@ -1142,26 +1224,32 @@ class Universe:
         """Label every configuration's ``p``-history, for every process
         ``p`` of ``D ∪ requested`` not labelled yet, in one pass.
 
-        Each process keeps an intern dict (one entry per distinct history)
-        and an ``array('i')`` column of first-occurrence labels — the
-        canonical labelling — which becomes its singleton table's
-        ``class_of``.  The pass reads only ``self._configurations``, so
-        the arena materialises each configuration once for all tables.
+        Each process gets an ``array('i')`` column of first-occurrence
+        labels, the canonical labelling, which becomes its singleton
+        table's ``class_of``.  A packed arena is read as parent and event
+        columns (:func:`packed_history_labels`), materialising nothing;
+        a configuration list or an unpickled arena is streamed
+        (:func:`streamed_history_labels`).
         """
         tables = self._partition_tables
-        lanes = [
-            (process, {}, array("i"))
+        processes = [
+            process
             for process in sorted(self.processes | requested)
             if frozenset((process,)) not in tables
         ]
-        for configuration in self._configurations:
-            histories = configuration._histories
-            for process, label_of, column in lanes:
-                column.append(
-                    label_of.setdefault(histories.get(process, ()), len(label_of))
-                )
-        for process, label_of, column in lanes:
-            tables[frozenset((process,))] = PartitionTable(column, len(label_of))
+        store = self._packed_arena()
+        if store is not None:
+            labels = packed_history_labels(store, processes)
+        else:
+            labels = streamed_history_labels(self._configurations, processes)
+        for process, (column, count) in zip(processes, labels):
+            tables[frozenset((process,))] = PartitionTable(column, count)
+
+    def _packed_arena(self) -> ArenaStore | None:
+        """The arena, when every id past its root lives only in packed
+        columns; ``None`` for a configuration list or an unpickled arena."""
+        store = self._configurations
+        return store if isinstance(store, ArenaStore) and store.packed else None
 
     def class_masks(self, processes: ProcessSetLike) -> tuple[int, ...]:
         """One bitmask per ``[P]``-class of the universe.
@@ -1339,21 +1427,26 @@ class Universe:
                         yield smaller, larger
 
     def events(self) -> frozenset[Event]:
-        """Every event occurring anywhere in the universe."""
-        found: set[Event] = set()
+        """Every event occurring anywhere in the universe.
+
+        A packed arena answers from its event vocabulary and its root,
+        materialising nothing; otherwise every configuration is scanned.
+        """
+        store = self._packed_arena()
+        if store is not None:
+            return frozenset(store.vocabulary).union(store[0].events())
+        found = set()
         for configuration in self._configurations:
             found.update(configuration.events())
         return frozenset(found)
 
     @property
     def active_processes(self) -> frozenset[ProcessId]:
-        """Processes with at least one event somewhere in the universe."""
+        """Processes with at least one event somewhere in the universe:
+        the processes of :meth:`events`."""
         cached = getattr(self, "_active_processes", None)
         if cached is None:
-            active: set[ProcessId] = set()
-            for configuration in self._configurations:
-                active.update(configuration._histories)
-            cached = frozenset(active)
+            cached = frozenset(event.process for event in self.events())
             self._active_processes = cached
         return cached
 

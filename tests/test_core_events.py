@@ -132,3 +132,19 @@ class TestPicklePortability:
         hash(snd.message)
         back = pickle.loads(pickle.dumps(snd))
         assert "_hash_cache" not in back.message.__dict__
+
+    def test_pickled_message_drops_its_cached_receive(self):
+        """``receive`` caches its event on the message; the cache must not
+        travel, or a message's bytes would depend on whether its receive
+        was built before it was pickled."""
+        import pickle
+
+        message = Message("p", "q", "hello", seq=3)
+        event = send(message)
+        before = pickle.dumps(message), pickle.dumps(event)
+        received = receive(message)
+        assert "_receive_event" in message.__dict__
+        assert (pickle.dumps(message), pickle.dumps(event)) == before
+        back = pickle.loads(pickle.dumps(message))
+        assert "_receive_event" not in back.__dict__
+        assert receive(back) == received

@@ -175,3 +175,50 @@ class TestStarBroadcast:
         view = evaluator.extension(formula)
         assert view == frozenset(evaluator.universe.configurations_in_mask(mask))
         assert len(view) == mask.bit_count()
+
+
+def _atom_universes():
+    from repro.protocols.broadcast import BroadcastProtocol, star_topology
+    from repro.protocols.token_bus import TokenBusProtocol
+
+    def star5():
+        return BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub")
+
+    return {
+        "star5": lambda: Universe(star5()),
+        "token_bus_h4": lambda: Universe(TokenBusProtocol(max_hops=4)),
+        "star5_truncated": lambda: Universe(
+            star5(), options=ExplorationOptions(limits=Limits(max_events=4))
+        ),
+    }
+
+
+class TestAtomMask:
+    """An atom's extension mask is set bit by bit in a byte array; it
+    must equal the per-id brute force, down to the last byte."""
+
+    @pytest.mark.parametrize("name", sorted(_atom_universes()))
+    def test_masks_equal_per_id_brute_force(self, name):
+        from repro.knowledge.formula import Atom
+
+        universe = _atom_universes()[name]()
+        evaluator = KnowledgeEvaluator(universe, allow_incomplete=True)
+        first = min(universe.processes)
+        last = universe.configuration_of_id(len(universe) - 1)
+        atoms = [
+            Atom("always", lambda configuration: True),
+            Atom("never", lambda configuration: False),
+            Atom("odd", lambda configuration: len(configuration) % 2 == 1),
+            Atom("first active", lambda configuration: first in configuration.processes),
+            Atom("last id", lambda configuration: configuration == last),
+            event_count_at_least(universe.processes, 3),
+        ]
+        for atom in atoms:
+            expected = 0
+            for config_id, configuration in enumerate(universe):
+                if atom.fn(configuration):
+                    expected |= 1 << config_id
+            assert evaluator.extension_mask(atom) == expected, atom.name
+        assert evaluator.extension_mask(atoms[0]) == universe.full_mask
+        assert evaluator.extension_mask(atoms[1]) == 0
+        assert evaluator.extension_mask(atoms[4]) == 1 << len(universe) - 1

@@ -243,8 +243,8 @@ def decoded_segments(path):
 
 class TestEnginesCommitTheSameStream:
     """The layer driver commits for both engines: the kernel and the
-    sharded engine write the same decoded segment stream (raw bytes may
-    differ — only the decoded contents are the contract)."""
+    sharded engine write the same decoded segment stream (and the same
+    bytes: see :class:`TestReproducibleSegmentBytes`)."""
 
     @pytest.mark.parametrize(
         "every, limits",
@@ -276,6 +276,83 @@ class TestEnginesCommitTheSameStream:
             # previous boundary, short of the cap.
             assert kernel[-1]["count"] < limits.max_configurations
         assert sum(segment["records"] for segment in kernel) > 0
+
+
+class TestReproducibleSegmentBytes:
+    def test_equal_records_pickle_to_equal_bytes(self):
+        """However equal strings, messages and events are shared, equal
+        records pickle to the same bytes, and nothing changes value or
+        type (``1`` and ``True`` stay apart)."""
+        import pickle
+
+        from repro.core.events import Message, internal, receive, send
+
+        def records(fresh):
+            def copy(value):
+                return pickle.loads(pickle.dumps(value)) if fresh else value
+
+            message = Message("hub", "x", "fact", payload=("hub", 1))
+            return [
+                (0, copy(send(message))),
+                (1, copy(receive(message))),
+                (1, copy(internal("hub", "step", payload=1))),
+                (2, copy(internal("hub", "step", payload=True))),
+                (2, copy(send(message))),
+            ]
+
+        shared, fresh = records(False), records(True)
+        assert shared == fresh
+        assert pickle.dumps(shared) != pickle.dumps(fresh)
+        canonical = checkpoint_module._canonical_records
+        assert pickle.dumps(canonical(shared)) == pickle.dumps(canonical(fresh))
+        decoded = pickle.loads(pickle.dumps(canonical(fresh)))
+        assert decoded == shared
+        assert [type(event.payload) for _, event in decoded[2:4]] == [int, bool]
+        assert decoded[0][1] is decoded[4][1]
+        assert decoded[0][1].message is decoded[1][1].message
+
+    def test_bytes_are_a_function_of_the_records(self, tmp_path):
+        """Fresh interpreters, both engines, two hash seeds: every run
+        writes byte-identical segments.  The sharded coordinator holds
+        events unpickled from whichever worker expanded each parent, and
+        that split follows address-derived hashes, so pickling its live
+        objects used to share different strings and messages per run."""
+        runs = {}
+        for workers in (1, 2):
+            for seed in ("0", "1"):
+                path = tmp_path / f"w{workers}-s{seed}" / "star5.ckpt"
+                path.parent.mkdir()
+                script = f"""
+                    from repro.protocols.broadcast import BroadcastProtocol, star_topology
+                    from repro.universe.explorer import Universe
+                    from repro.universe.options import (
+                        CheckpointPolicy, ExplorationOptions, Sharding,
+                    )
+
+                    Universe(
+                        BroadcastProtocol(
+                            star_topology("hub", ("w", "x", "y", "z")), "hub"
+                        ),
+                        options=ExplorationOptions(
+                            checkpoint=CheckpointPolicy(path={str(path)!r}, every=1),
+                            sharding=Sharding(workers={workers}),
+                        ),
+                    )
+                """
+                env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONHASHSEED=seed)
+                subprocess.run(
+                    [sys.executable, "-c", textwrap.dedent(script)],
+                    env=env,
+                    check=True,
+                    timeout=120,
+                )
+                runs[workers, seed] = {
+                    item.name: item.read_bytes() for item in segment_files(path)
+                }
+        first = runs[1, "0"]
+        assert len(first) >= 8
+        for key, segments in runs.items():
+            assert segments == first, key
 
 
 def tree_protocol():

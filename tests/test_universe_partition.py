@@ -1,5 +1,6 @@
 """Partition tables: dense/sparse representations and mask algebra."""
 
+import pickle
 from array import array
 from itertools import combinations
 
@@ -7,8 +8,26 @@ import pytest
 
 from repro.protocols.broadcast import BroadcastProtocol, star_topology, tree_topology
 from repro.protocols.token_bus import TokenBusProtocol
-from repro.universe.explorer import PartitionTable, Universe, iter_bit_ids
-from repro.universe.options import ExplorationOptions, Limits
+from repro.universe.explorer import (
+    PartitionTable,
+    Universe,
+    iter_bit_ids,
+    streamed_history_labels,
+)
+from repro.universe.options import (
+    CheckpointPolicy,
+    ExplorationOptions,
+    Limits,
+    ResourceBudget,
+    Sharding,
+)
+
+from test_universe_arena import (
+    REFERENCE_CASES,
+    force_hash_collisions,
+    small_chunks,  # noqa: F401  (fixture)
+    star5,
+)
 
 
 @pytest.fixture(scope="module")
@@ -322,10 +341,110 @@ class TestHistoryLabelOracle:
             assert universe.iso_class_mask(configuration, p_set) == oracle
 
 
+def assert_labels_match_oracle(universe: Universe) -> None:
+    """Every singleton table, ``active_processes`` and ``events()`` equal
+    what materialising every configuration gives."""
+    configurations = list(universe._configurations)
+    processes = sorted(universe.processes)
+    expected = streamed_history_labels(configurations, processes)
+    for process, (column, count) in zip(processes, expected):
+        table = universe.partition_table({process})
+        assert table.class_of == column, process
+        assert table.num_classes == count, process
+    assert universe.events() == frozenset(
+        event for configuration in configurations for event in configuration.events()
+    )
+    assert universe.active_processes == frozenset(
+        process for configuration in configurations for process in configuration.processes
+    )
+
+
+class TestPackedHistoryLabels:
+    """Labels read from the arena's packed columns equal the streamed
+    pass over materialised configurations, whatever built the arena."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "label,factory,bounds",
+        REFERENCE_CASES,
+        ids=[entry[0] for entry in REFERENCE_CASES],
+    )
+    def test_reference_cases(self, label, factory, bounds, workers):
+        universe = Universe(
+            factory(),
+            options=ExplorationOptions(
+                limits=Limits(**bounds), sharding=Sharding(workers=workers)
+            ),
+        )
+        assert universe._packed_arena() is not None
+        assert_labels_match_oracle(universe)
+
+    @pytest.mark.parametrize("cap", [None, 300], ids=["complete", "mid-run"])
+    def test_resumed_checkpoint(self, tmp_path, cap):
+        """A resumed arena is refilled by the checkpoint replay, with the
+        stream's unpickled events in its vocabulary."""
+        checkpoint = CheckpointPolicy(path=tmp_path / "u.ckpt")
+        Universe(
+            star5(),
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=cap, on_limit="truncate"),
+                checkpoint=checkpoint,
+            ),
+        )
+        resumed = Universe(star5(), options=ExplorationOptions(checkpoint=checkpoint))
+        assert resumed._checkpoint_session.resumed_from is not None
+        assert resumed.is_complete
+        assert_labels_match_oracle(resumed)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_forced_hash_collisions(self, monkeypatch, workers):
+        force_hash_collisions(monkeypatch)
+        universe = Universe(
+            star5(), options=ExplorationOptions(sharding=Sharding(workers=workers))
+        )
+        assert any(type(bucket) is list for bucket in universe._ids_by_hash.values())
+        assert_labels_match_oracle(universe)
+
+    def test_sealed_and_spilled_chunks(self, small_chunks, tmp_path):
+        universe = Universe(
+            star5(),
+            options=ExplorationOptions(budget=ResourceBudget(spill_dir=tmp_path)),
+        )
+        store = universe._configurations
+        stats = store.stats()
+        assert stats["sealed_chunks"] > 1
+        assert stats["spilled_chunks"] > 0
+        assert_labels_match_oracle(universe)
+        store.close()
+
+    def test_sealed_scan_leaves_the_chunk_cache(self, small_chunks):
+        universe = Universe(star5())
+        store = universe._configurations
+        assert store.stats()["sealed_chunks"] > 1
+        cached = list(store._chunk_cache)
+        universe.partition_table({"hub"})
+        assert list(store._chunk_cache) == cached
+
+    def test_unpickled_arena_streams(self):
+        """An unpickled arena pins every configuration, so its labels
+        come from the streamed pass, and equal the packed ones."""
+        universe = Universe(star5())
+        copy = Universe(star5())
+        copy._configurations = pickle.loads(pickle.dumps(copy._configurations))
+        assert copy._packed_arena() is None
+        assert_labels_match_oracle(copy)
+        for process in sorted(universe.processes):
+            assert (
+                copy.partition_table({process}).class_of
+                == universe.partition_table({process}).class_of
+            )
+
+
 class TestArenaMaterialisationGuard:
-    def test_singleton_and_pair_tables_take_one_pass(self):
-        """Every singleton and 2-process table of a universe costs one
-        materialising pass in total, not one per table."""
+    def test_tables_and_vocabulary_materialise_nothing(self):
+        """Every singleton and 2-process table, ``active_processes`` and
+        ``events()`` are answered from the packed columns and the event
+        vocabulary, with no configuration rebuilt."""
         universe = ORACLE_UNIVERSES["star5"]()
         store = universe._configurations
         before = store.materialisations
@@ -334,7 +453,10 @@ class TestArenaMaterialisationGuard:
             universe.partition_table(frozenset({process}))
         for pair in combinations(processes, 2):
             universe.partition_table(frozenset(pair))
-        assert store.materialisations - before <= len(universe)
+        assert universe.active_processes == universe.processes
+        assert len(universe.events()) > 0
+        assert store.materialisations == before
+        assert store.chain_walks == 0
         # Streamed rebuilds count: one full pass rebuilds every id but
         # the pinned root.
         before = store.materialisations
