@@ -1,6 +1,6 @@
 """Command-line interface: explore, check and demonstrate from a shell.
 
-Six subcommands, each wrapping the corresponding library layer:
+Five subcommands, each wrapping the corresponding library layer:
 
 * ``repro explore <protocol>`` — explore a named protocol's universe and
   print its size and isomorphism diagram (small universes only);
@@ -11,8 +11,6 @@ Six subcommands, each wrapping the corresponding library layer:
 * ``repro report`` — run every theorem checker and print a markdown
   verification report, one row per claim of experiments E1–E12 and E14
   (exit status 1 on any failure);
-* ``repro bench`` — run the scale and fault-recovery benchmarks and
-  write a ``BENCH_<date>.json`` trajectory file (see :mod:`repro.bench`);
 * ``repro checkpoint verify|inspect|compact PATH`` — report an
   exploration checkpoint's format version, compatibility token, layer
   count and per-segment integrity (``verify`` exits non-zero on any
@@ -239,20 +237,6 @@ def cmd_report(_args: argparse.Namespace) -> int:
     return 0 if report.all_hold else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import run_and_report
-
-    return run_and_report(
-        repeats=args.repeats,
-        output_dir=args.output_dir,
-        no_write=args.no_write,
-        quick=args.quick,
-        suite=args.suite,
-        budget=args.budget,
-        workers=args.workers,
-    )
-
-
 def cmd_checkpoint(args: argparse.Namespace) -> int:
     from repro.universe.checkpoint import (
         CheckpointError,
@@ -370,7 +354,7 @@ def make_parser() -> argparse.ArgumentParser:
             choices=["line", "star", "ring", "tree"],
             default="line",
             help="adjacency of the broadcast protocol (ignored by the "
-            "other protocols); star is the scale family of the benchmarks",
+            "other protocols); star is the scale family of the benchmark",
         )
 
     explore = subparsers.add_parser("explore", help="explore a universe")
@@ -492,54 +476,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     report.set_defaults(handler=cmd_report)
 
-    bench = subparsers.add_parser(
-        "bench",
-        help="run the scaling benchmarks and write a BENCH_<date>.json "
-        "trajectory file",
-    )
-    bench.add_argument(
-        "--repeats", type=int, default=5, help="timing repeats per benchmark"
-    )
-    bench.add_argument(
-        "--output-dir", default=".", help="where to write BENCH_<date>.json"
-    )
-    bench.add_argument(
-        "--no-write", action="store_true", help="print the summary only"
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="small-universe smoke subset, repeats forced to 1",
-    )
-    bench.add_argument(
-        "--suite",
-        choices=("exploration-scale", "fault-recovery"),
-        default="exploration-scale",
-        help="benchmark suite: 'exploration-scale' (star n=7/n=8, "
-        "tree/ring depth targets, streaming truncation, peak RSS), or "
-        "'fault-recovery' "
-        "(sharded-engine failover overhead: kill/corrupt/timeout/fold "
-        "recovery and checkpoint resume, each asserted bit-identical to "
-        "the fault-free baseline)",
-    )
-    bench.add_argument(
-        "--budget",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock allowance for the whole run, checked between "
-        "benchmarks; non-zero exit on overrun (the star n=9 target of the "
-        "exploration-scale suite only runs when this is >= 900)",
-    )
-    bench.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="sharded-engine axis for the exploration-scale suite: N>1 "
-        "re-explores the scale targets with N multiprocess worker shards, "
-        "paired against the single-process times of the same run",
-    )
-    bench.set_defaults(handler=cmd_bench)
     return parser
 
 

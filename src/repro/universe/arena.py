@@ -171,7 +171,7 @@ class ArenaStore:
         self._spill_path: str | None = None
         self._spill_mmap = None
         self._spill_offset = 0
-        # Telemetry for bench/PERFORMANCE.md.
+        # Telemetry for perfbench and PERFORMANCE.md.
         self.raw_bytes = 0
         self.compressed_bytes = 0
         self.spilled_bytes = 0
@@ -655,7 +655,7 @@ class ArenaStore:
             self._fileops.truncate(self._spill_file, 0)
 
     def stats(self) -> dict:
-        """Layout/compression/spill telemetry for bench and docs."""
+        """Layout/compression/spill telemetry for perfbench and docs."""
         tail_bytes = (
             len(self._tail_parent) * 8
             + len(self._tail_event) * 4

@@ -649,8 +649,6 @@ class CheckpointSession:
         self.resumed_from: int | None = None
         self.salvaged = False
         self.saves = 0
-        self.save_seconds: list[float] = []
-        self.writer_seconds: list[float] = []
         self._segment_index = 0
         self._writer_thread: threading.Thread | None = None
         self._writer_cv = threading.Condition()
@@ -905,7 +903,6 @@ class CheckpointSession:
         """
         if self.degraded:
             return
-        start = time.perf_counter()
         try:
             self._save_delta(frontier_start, universe)
             if final:
@@ -916,7 +913,6 @@ class CheckpointSession:
             self._degrade(error)
             return
         self.saves += 1
-        self.save_seconds.append(time.perf_counter() - start)
 
     # -- writer ---------------------------------------------------------
     def _save_delta(self, frontier_start: int, universe) -> None:
@@ -1061,7 +1057,6 @@ class CheckpointSession:
             for kind, seconds in arm:
                 self._fileops.arm(kind, seconds)
             return
-        start = time.perf_counter()
         actions = job["actions"]
         entry = _write_segment(
             self.path,
@@ -1095,7 +1090,6 @@ class CheckpointSession:
             damaged = bytearray(seg_path.read_bytes())
             damaged[-1] ^= 0xFF
             seg_path.write_bytes(bytes(damaged))
-        self.writer_seconds.append(time.perf_counter() - start)
 
     def _manifest(self) -> dict:
         """The manifest describing the committed segments.

@@ -97,7 +97,7 @@ retried, because a replacement would fail identically.
 
 Deterministic fault injection (:mod:`repro.universe.faults`) threads
 through ``_worker_main`` so every one of these recovery paths is
-exercised by tests and by ``repro bench --suite fault-recovery``.
+exercised by tests (``tests/test_universe_faults.py``).
 Layer-boundary checkpointing, storage-fault arming and the RSS watchdog
 (:mod:`repro.universe.checkpoint`; the watchdog also sums the live
 workers' RSS through :meth:`ShardedExplorer.worker_pids`) run in the
@@ -332,8 +332,7 @@ def _worker_main(
             if kind == "stop":
                 # Farewell frame: this worker's peak RSS, so the
                 # coordinator can attribute sharded memory per process
-                # (the `sharded_rss_*` bench pair and the fault-recovery
-                # suite's per-worker axis).
+                # (perfbench's `sharded.worker_rss_mb`).
                 try:
                     connection.send(("stopped", shard, _worker_peak_rss_mb()))
                 except (BrokenPipeError, OSError):
@@ -830,7 +829,7 @@ class ShardedExplorer:
     def _collect_farewells(self) -> None:
         """Drain each live worker's ``("stopped", shard, peak_rss_mb)``
         farewell, bounded by ``join_timeout`` — per-process peak memory
-        attribution for the bench suites.  Best-effort: a worker that
+        attribution for perfbench's sharded layer.  Best-effort: a worker that
         dies instead of answering is simply missing from the map."""
         deadline = time.monotonic() + self._policy.join_timeout
         for shard in range(self._workers):

@@ -1,8 +1,12 @@
 """The command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_protocol, main, make_parser
+
+from test_universe_arena import small_chunks  # noqa: F401  (fixture)
 
 
 class TestParser:
@@ -21,6 +25,12 @@ class TestCommands:
         with pytest.raises(SystemExit):
             main(["experiments"])
 
+    def test_bench_is_not_a_command(self):
+        """perfbench is the one benchmark; argparse rejects ``bench``."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--quick"])
+        assert excinfo.value.code == 2
+
     def test_explore_pingpong(self, capsys):
         assert main(["explore", "pingpong", "--rounds", "1"]) == 0
         output = capsys.readouterr().out
@@ -32,6 +42,30 @@ class TestCommands:
             ["explore", "tokenbus", "--hops", "4", "--diagram-limit", "3"]
         ) == 0
         assert "suppressed" in capsys.readouterr().out
+
+    def test_explore_workers_matches_single_process(self, capsys):
+        command = ["explore", "broadcast", "--topology", "star", "--size", "5"]
+        assert main(command) == 0
+        single = capsys.readouterr().out
+        assert main([*command, "--workers", "2"]) == 0
+        sharded = capsys.readouterr().out
+        assert "634 configurations (complete: True)" in single
+        assert "634 configurations (complete: True, workers: 2)" in sharded
+
+    def test_explore_reports_spilled_arena(self, small_chunks, capsys, tmp_path):
+        assert main(
+            ["explore", "broadcast", "--topology", "star", "--size", "5",
+             "--spill-dir", str(tmp_path)]
+        ) == 0
+        arena_line = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("arena: ")
+        )
+        sealed, raw, compressed, spilled, on_disk = map(
+            int, re.findall(r"\d+", arena_line)
+        )
+        assert sealed > 0 and 0 < compressed < raw
+        assert spilled > 0 and on_disk > 0
 
     def test_check_broadcast(self, capsys):
         assert main(["check", "broadcast", "--size", "3"]) == 0
@@ -62,34 +96,6 @@ class TestCommands:
         assert main(["simulate", "snapshot", "--size", "3"]) == 0
         assert "0 undelivered" in capsys.readouterr().out
 
-    def test_bench_writes_trajectory_file(self, capsys, tmp_path):
-        import json
-
-        # Shrink the workload: quick mode, output into a temp directory.
-        assert main(
-            ["bench", "--quick", "--output-dir", str(tmp_path)]
-        ) == 0
-        output = capsys.readouterr().out
-        assert "universe_star_broadcast_n5" in output
-        written = list(tmp_path.glob("BENCH_*.json"))
-        assert len(written) == 1
-        document = json.loads(written[0].read_text())
-        assert document["repeats"] == 1
-        assert document["mode"] == "quick"
-        assert document["suite"] == "exploration-scale"
-        benchmarks = document["benchmarks"]
-        assert "universe_ring_broadcast_n5" in benchmarks
-        assert "explore_rss_star_n5_arena" in benchmarks
-
-    def test_bench_no_write(self, capsys, tmp_path):
-        import os
-
-        before = set(os.listdir(tmp_path))
-        assert main(["bench", "--suite", "fault-recovery", "--quick",
-                     "--no-write", "--output-dir", str(tmp_path)]) == 0
-        assert "recovery_kill_star_n5_workers2" in capsys.readouterr().out
-        assert set(os.listdir(tmp_path)) == before
-
     def test_simulate_toggle(self, capsys):
         assert main(["simulate", "toggle", "--flips", "2"]) == 0
 
@@ -108,6 +114,13 @@ class TestBuildProtocol:
                 ["explore", "broadcast", "--topology", topology, "--size", "3"]
             ) == 0
             assert f"{count} configurations" in capsys.readouterr().out
+
+    def test_broadcast_tree_topology(self, capsys):
+        # A binary tree over seven processes, as the library builds it.
+        assert main(
+            ["explore", "broadcast", "--topology", "tree", "--size", "7"]
+        ) == 0
+        assert "422 configurations (complete: True)" in capsys.readouterr().out
 
 
 def build_checkpoint(tmp_path, *extra):

@@ -205,7 +205,7 @@ class TestPicklePortability:
 
 
 class TestOptionsFromArgs:
-    """The CLI->options mapping shared by explore and bench."""
+    """The CLI->options mapping shared by explore and check."""
 
     def test_full_namespace_maps_one_to_one(self, tmp_path):
         import argparse

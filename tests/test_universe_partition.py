@@ -6,7 +6,12 @@ from itertools import combinations
 
 import pytest
 
-from repro.protocols.broadcast import BroadcastProtocol, star_topology, tree_topology
+from repro.protocols.broadcast import (
+    BroadcastProtocol,
+    ring_topology,
+    star_topology,
+    tree_topology,
+)
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.explorer import (
     PartitionTable,
@@ -305,10 +310,22 @@ ORACLE_UNIVERSES = {
     "tree6": lambda: Universe(
         BroadcastProtocol(tree_topology([f"t{i}" for i in range(6)], 2), "t0"),
     ),
+    "tree7": lambda: Universe(
+        BroadcastProtocol(tree_topology([f"t{i}" for i in range(7)]), "t0"),
+    ),
+    "ring5": lambda: Universe(
+        BroadcastProtocol(ring_topology([f"r{i}" for i in range(5)]), "r0"),
+    ),
     "token_bus_h4": lambda: Universe(TokenBusProtocol(max_hops=4)),
     "star5_truncated": lambda: Universe(
         BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub"),
         options=ExplorationOptions(limits=Limits(max_events=4)),
+    ),
+    "star5_capped": lambda: Universe(
+        BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub"),
+        options=ExplorationOptions(
+            limits=Limits(max_configurations=200, on_limit="truncate")
+        ),
     ),
 }
 
@@ -322,6 +339,8 @@ class TestHistoryLabelOracle:
         universe = ORACLE_UNIVERSES[name]()
         if name == "star5_truncated":
             assert not universe.is_complete
+        if name == "star5_capped":
+            assert not universe.is_complete and len(universe) == 200
         subsets = list(all_subsets(universe.processes))
         assert frozenset() in subsets and universe.processes in subsets
         for p_set in subsets:

@@ -34,6 +34,8 @@ from repro.universe.explorer import Universe
 from repro.universe.options import ExplorationOptions, Limits, Sharding
 from repro.universe.reference import reference_bfs
 
+from test_universe_sharded import assert_bit_identical
+
 
 def bundled_protocols():
     return [
@@ -265,6 +267,61 @@ class TestStreamingMode:
         )
         assert len(truncated) == 1  # just the empty configuration
         assert not truncated.is_complete
+
+
+def warm_cases():
+    """The exploration-scale broadcast family: star, tree and ring, plus a
+    star capped mid-layer."""
+    return [
+        pytest.param(
+            lambda: BroadcastProtocol(
+                star_topology("hub", ("w", "x", "y", "z")), "hub"
+            ),
+            Limits(),
+            id="star5",
+        ),
+        pytest.param(
+            lambda: BroadcastProtocol(
+                tree_topology(tuple(f"t{i}" for i in range(7))), "t0"
+            ),
+            Limits(),
+            id="tree7",
+        ),
+        pytest.param(
+            lambda: BroadcastProtocol(
+                ring_topology(tuple(f"r{i}" for i in range(5))), "r0"
+            ),
+            Limits(),
+            id="ring5",
+        ),
+        pytest.param(
+            lambda: BroadcastProtocol(
+                star_topology("hub", ("w", "x", "y", "z")), "hub"
+            ),
+            Limits(max_configurations=200, on_limit="truncate"),
+            id="star5_capped",
+        ),
+    ]
+
+
+class TestWarmTables:
+    """A second exploration with the same protocol instance runs on warm
+    compiled tables: it compiles no entry, adds no build time, and builds
+    the universe a cold instance builds, bit for bit."""
+
+    @pytest.mark.parametrize("factory,limits", warm_cases())
+    def test_warm_exploration_compiles_nothing(self, factory, limits):
+        options = ExplorationOptions(limits=limits)
+        cold = Universe(factory(), options=options)
+        protocol = factory()
+        Universe(protocol, options=options)
+        table = protocol.step_table
+        entries, seconds = table.compiled_entries, table.build_seconds
+        assert entries > 0
+        warm = Universe(protocol, options=options)
+        assert table.compiled_entries == entries
+        assert table.build_seconds == seconds
+        assert_bit_identical(cold, warm)
 
 
 def identity_cases():
