@@ -14,21 +14,23 @@ decision ablated in ``tests/test_universe_explorer.py``.
 
 Because every quantifier of the theory ranges over explored universes,
 constructing and deduplicating configurations is *the* hot path of the
-whole system.  Three invariants make it fast (see PERFORMANCE.md):
+whole system.  Two invariants make it fast (see PERFORMANCE.md):
 
 * ``_histories`` always keeps its keys in sorted order, so projections,
   canonical keys and iteration never re-sort;
 * the content hash is an order-independent sum of per-entry hashes,
   maintained *incrementally* by :meth:`extend` (one entry re-hashed per
-  event instead of the whole configuration);
-* configurations produced by :meth:`extend` are interned in a weak
-  registry, so on the exploration hot path equal configurations are the
-  *same object* and set/dict membership is effectively by identity.
+  event instead of the whole configuration).
+
+Equal configurations are interchangeable: nothing depends on object
+identity, and every construction path (the public constructor,
+:meth:`extend`, :func:`iter_prefix_configurations`, arena
+materialisation) gives equal configurations equal hashes, so sets and
+dicts deduplicate by value.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Iterable, Iterator, Mapping
 from functools import cached_property
 from types import MappingProxyType
@@ -66,45 +68,39 @@ def _entry_hash(process: ProcessId, history: tuple[Event, ...]) -> int:
     return acc
 
 
-_REGISTRY: dict[int, list] = {}
-"""Weak intern registry: content hash -> weakrefs of live configurations.
-
-Collisions are resolved by full structural comparison at lookup time (see
-``Configuration.extend``), so a hash bucket may in principle hold several
-distinct configurations.  Dead references are pruned by the single shared
-:func:`_registry_cleanup` callback via the ref -> hash side table, so
-insertion never allocates a per-configuration closure — exploration
-inserts thousands of configurations back to back and the closure
-allocation was a measurable slice of cold-start time.
-"""
-
-_REF_HASHES: dict["weakref.ref", int] = {}
-"""Reverse map ref -> content hash for the shared cleanup callback."""
+def _roll(entry: Optional[int], process: ProcessId, event: Event) -> int:
+    """The entry hash of ``process`` after appending ``event``, from its
+    entry hash before (``None`` while the process has no history)."""
+    if entry is None:
+        entry = hash(process) % _HASH_MODULUS
+    try:
+        event_hash = event._hash_cache
+    except AttributeError:
+        event_hash = hash(event)
+    return (entry * _ROLL_MULTIPLIER + event_hash) % _HASH_MODULUS
 
 
-def _registry_cleanup(reference: "weakref.ref") -> None:
-    content_hash = _REF_HASHES.pop(reference, None)
-    if content_hash is None:
-        return
-    bucket = _REGISTRY.get(content_hash)
-    if bucket is not None:
-        try:
-            bucket.remove(reference)
-        except ValueError:
-            pass
-        if not bucket:
-            _REGISTRY.pop(content_hash, None)
-
-
-def _registry_insert(content_hash: int, configuration: "Configuration") -> None:
-    reference = weakref.ref(configuration, _registry_cleanup)
-    _REF_HASHES[reference] = content_hash
-    _REGISTRY.setdefault(content_hash, []).append(reference)
-
-
-def registry_size() -> int:
-    """Number of live interned configurations (tests and diagnostics)."""
-    return sum(len(bucket) for bucket in _REGISTRY.values())
+def _with_event(
+    histories: dict[ProcessId, tuple[Event, ...]], event: Event
+) -> dict[ProcessId, tuple[Event, ...]]:
+    """A copy of ``histories`` with ``event`` appended to its process's
+    history, keys kept in sorted order."""
+    process = event.process
+    history = histories.get(process)
+    if history is not None:
+        items = dict(histories)
+        items[process] = history + (event,)  # same key: position preserved
+        return items
+    items = {}
+    placed = False
+    for existing, existing_history in histories.items():
+        if not placed and process < existing:
+            items[process] = (event,)
+            placed = True
+        items[existing] = existing_history
+    if not placed:
+        items[process] = (event,)
+    return items
 
 
 def hash_domain_token() -> int:
@@ -138,7 +134,6 @@ class Configuration:
         "_hash",
         "_entry_hashes",
         "_length",
-        "__weakref__",
         "__dict__",
     )
 
@@ -182,34 +177,6 @@ class Configuration:
         configuration._hash = content_hash
         configuration._entry_hashes = entry_hashes
         configuration._length = None
-        return configuration
-
-    @classmethod
-    def _intern_from_histories(
-        cls, items: dict[ProcessId, tuple[Event, ...]]
-    ) -> "Configuration":
-        """Interned no-validate constructor from normalised histories.
-
-        ``items`` must satisfy the ``_from_trusted`` contract (sorted
-        keys, nonempty tuple histories, events filed under their own
-        process).  Resolves against the intern registry first, so equal
-        configurations built elsewhere are returned as the same object —
-        one registry lookup and at most one insertion, never the
-        per-event churn of rebuilding through repeated ``extend``.
-        """
-        entry_hashes = {
-            process: _entry_hash(process, history)
-            for process, history in items.items()
-        }
-        content_hash = sum(entry_hashes.values()) % _HASH_MODULUS
-        bucket = _REGISTRY.get(content_hash)
-        if bucket is not None:
-            for reference in bucket:
-                candidate = reference()
-                if candidate is not None and candidate._histories == items:
-                    return candidate
-        configuration = cls._from_trusted(items, content_hash, entry_hashes)
-        _registry_insert(content_hash, configuration)
         return configuration
 
     def _entry_hash_map(self) -> dict[ProcessId, int]:
@@ -258,9 +225,7 @@ class Configuration:
 
         The view is a pure cache over ``_histories`` and mapping proxies
         cannot be pickled; it rebuilds lazily on first access after a
-        round-trip.  (The shared ``EMPTY_CONFIGURATION`` singleton sits
-        pinned at id 0 of every arena store, so a polluted cache on it
-        would otherwise make whole stores unpicklable.)
+        round-trip.
         """
         cache = {
             key: value
@@ -376,140 +341,30 @@ class Configuration:
                 return False
         return True
 
-    def _extension_parts(self, event: Event) -> tuple[tuple[Event, ...], int, int]:
-        """``(new_history, content_hash, new_entry)`` of ``extend(event)``.
+    def extend(self, event: Event) -> "Configuration":
+        """The configuration with ``event`` appended to its process.
 
-        Derives the child's content hash from this configuration's cached
-        hash with one modular multiply-add — O(1), no child construction.
-        Exploration kernels use the hash to dedup against their own id
-        tables before deciding whether to build anything; ``new_history``
-        has the parent history as a prefix, so ``len(new_history) == 1``
-        tells builders the process is new to the configuration.
+        Trusted path: no validation and no re-sorting.  The child's hash
+        is derived from this configuration's with one modular
+        multiply-add, and its message-set caches from this
+        configuration's (:meth:`_propagate_caches`).  Equal results are
+        equal values, not one object: callers deduplicate by value.
         """
         process = event.process
-        entry_hashes = self._entry_hashes
-        if entry_hashes is None:
-            entry_hashes = self._entry_hash_map()
-        parent_hash = self._hash
-        if parent_hash is None:
-            parent_hash = self.__hash__()
-        try:
-            event_hash = event._hash_cache
-        except AttributeError:
-            event_hash = hash(event)
+        entry_hashes = self._entry_hash_map()
         old_entry = entry_hashes.get(process)
-        if old_entry is None:
-            new_history: tuple[Event, ...] = (event,)
-            new_entry = (
-                (hash(process) % _HASH_MODULUS) * _ROLL_MULTIPLIER + event_hash
-            ) % _HASH_MODULUS
-            content_hash = (parent_hash + new_entry) % _HASH_MODULUS
-        else:
-            new_history = self._histories[process] + (event,)
-            new_entry = (old_entry * _ROLL_MULTIPLIER + event_hash) % _HASH_MODULUS
-            content_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
-        return new_history, content_hash, new_entry
-
-    def _matches_extension(
-        self,
-        candidate: "Configuration",
-        process: ProcessId,
-        new_history: tuple[Event, ...],
-    ) -> bool:
-        """True iff ``candidate == self.extend(event)``, without building
-        the child — O(|P|) pointer comparisons against the parent."""
-        candidate_histories = candidate._histories
-        if candidate_histories.get(process) != new_history:
-            return False
-        parent_histories = self._histories
-        if len(candidate_histories) != len(parent_histories) + (
-            1 if len(new_history) == 1 else 0
-        ):
-            return False
-        for existing, history in parent_histories.items():
-            if existing != process:
-                other = candidate_histories.get(existing)
-                if other is not history and other != history:
-                    return False
-        return True
-
-    def _build_extension(
-        self,
-        event: Event,
-        new_history: tuple[Event, ...],
-        content_hash: int,
-        new_entry: int,
-    ) -> "Configuration":
-        """Construct the child described by :meth:`_extension_parts`.
-
-        Trusted path: no validation, no re-sorting, no registry.  Must be
-        called with the values ``_extension_parts(event)`` returned (which
-        also guarantees ``_entry_hashes`` is populated).
-        """
-        process = event.process
-        parent_histories = self._histories
-        if len(new_history) > 1:
-            items = dict(parent_histories)
-            items[process] = new_history  # same key: position preserved
-        else:
-            # Insert the new process at its sorted position.
-            items = {}
-            placed = False
-            for existing, history in parent_histories.items():
-                if not placed and process < existing:
-                    items[process] = new_history
-                    placed = True
-                items[existing] = history
-            if not placed:
-                items[process] = new_history
-
-        child_entry_hashes = dict(self._entry_hashes)
+        new_entry = _roll(old_entry, process, event)
+        child_entry_hashes = dict(entry_hashes)
         child_entry_hashes[process] = new_entry
-        child = Configuration._from_trusted(items, content_hash, child_entry_hashes)
+        child = Configuration._from_trusted(
+            _with_event(self._histories, event),
+            (hash(self) - (old_entry or 0) + new_entry) % _HASH_MODULUS,
+            child_entry_hashes,
+        )
         if self._length is not None:
             child._length = self._length + 1
         self._propagate_caches(child, event)
         return child
-
-    def extend(self, event: Event) -> "Configuration":
-        """The configuration with ``event`` appended to its process.
-
-        The result is built without re-validation or re-sorting, its hash
-        is derived incrementally from this configuration's hash, and
-        structurally equal results are interned so repeated discoveries
-        return the same object.  (The exhaustive-exploration kernel no
-        longer routes through here — it dedups against its own dense id
-        table via :meth:`_extension_parts`; see
-        :mod:`repro.universe.explorer`.)
-        """
-        new_history, content_hash, new_entry = self._extension_parts(event)
-        process = event.process
-        # Duplicate discovery resolves against the registry with O(|P|)
-        # pointer comparisons and no allocation.
-        bucket = _REGISTRY.get(content_hash)
-        if bucket is not None:
-            for reference in bucket:
-                candidate = reference()
-                if candidate is not None and self._matches_extension(
-                    candidate, process, new_history
-                ):
-                    return candidate
-        child = self._build_extension(event, new_history, content_hash, new_entry)
-        _registry_insert(content_hash, child)
-        return child
-
-    def extend_unregistered(self, event: Event) -> "Configuration":
-        """Like :meth:`extend`, but never touches the intern registry.
-
-        For driver loops that extend along one path and discard (or
-        privately index) the intermediates — the simulator's step loop and
-        the exploration kernel — where interning each child would cycle
-        the weak registry once per step for no dedup benefit.  The result
-        hashes and compares exactly like an interned configuration, it is
-        just never the canonical instance.
-        """
-        new_history, content_hash, new_entry = self._extension_parts(event)
-        return self._build_extension(event, new_history, content_hash, new_entry)
 
     def _propagate_caches(self, child: "Configuration", event: Event) -> None:
         """Derive the child's message-set caches from this configuration's.
@@ -620,51 +475,23 @@ def iter_prefix_configurations(
 
     Maintains the histories, per-entry rolling hashes and content hash
     incrementally — O(|P|) per step — and snapshots each prefix through
-    ``_from_trusted`` **without touching the intern registry**: a
-    10^5-step simulation trace yields 10^5 throwaway configurations, and
-    interning each one would churn the registry with weakrefs that die on
-    the next step.  The yielded objects hash and compare exactly like
-    publicly constructed configurations.
+    ``_from_trusted``: about three times faster than an
+    :meth:`Configuration.extend` chain, which pays for its per-child
+    cache bookkeeping.  The yielded objects hash and compare exactly
+    like publicly constructed configurations.
     """
     items: dict[ProcessId, tuple[Event, ...]] = {}
     entry_hashes: dict[ProcessId, int] = {}
     content_hash = 0
-    count = 0
     yield EMPTY_CONFIGURATION
-    for event in events:
+    for count, event in enumerate(events, 1):
         process = event.process
-        old_history = items.get(process)
-        try:
-            event_hash = event._hash_cache
-        except AttributeError:
-            event_hash = hash(event)
-        if old_history is None:
-            new_entry = (
-                (hash(process) % _HASH_MODULUS) * _ROLL_MULTIPLIER + event_hash
-            ) % _HASH_MODULUS
-            content_hash = (content_hash + new_entry) % _HASH_MODULUS
-            # Insert the new process at its sorted position.
-            rebuilt: dict[ProcessId, tuple[Event, ...]] = {}
-            placed = False
-            for existing, history in items.items():
-                if not placed and process < existing:
-                    rebuilt[process] = (event,)
-                    placed = True
-                rebuilt[existing] = history
-            if not placed:
-                rebuilt[process] = (event,)
-            items = rebuilt
-        else:
-            old_entry = entry_hashes[process]
-            new_entry = (
-                old_entry * _ROLL_MULTIPLIER + event_hash
-            ) % _HASH_MODULUS
-            content_hash = (content_hash - old_entry + new_entry) % _HASH_MODULUS
-            items = dict(items)
-            items[process] = old_history + (event,)
+        old_entry = entry_hashes.get(process)
+        new_entry = _roll(old_entry, process, event)
+        content_hash = (content_hash - (old_entry or 0) + new_entry) % _HASH_MODULUS
+        items = _with_event(items, event)
         entry_hashes = dict(entry_hashes)
         entry_hashes[process] = new_entry
-        count += 1
         snapshot = Configuration._from_trusted(items, content_hash, entry_hashes)
         snapshot._length = count
         yield snapshot

@@ -63,20 +63,16 @@ class Simulator:
     # Execution
     # ------------------------------------------------------------------
     def enabled(self) -> Sequence[Event]:
-        """Events currently enabled (read-only: may be a shared memoised
-        tuple from the protocol)."""
+        """Events currently enabled, as the protocol's oracle
+        :meth:`~repro.universe.protocol.Protocol.enabled_events` gives them."""
         return self._protocol.enabled_events(self._configuration)
 
     def step(self) -> Event | None:
         """Execute one event; ``None`` when quiescent.
 
-        The new configuration is built through the *non-interning*
-        extension path: a simulation walks one linear computation, so
-        every intermediate configuration is discarded on the next step —
-        interning each one would cycle the weak registry once per step
-        over a 10^6-step run for zero dedup benefit.  The configurations
-        hash and compare exactly like interned ones (pinned by the trace
-        regression tests).
+        The new configuration is ``Configuration.extend(event)`` of the
+        current one: O(processes) per step, with the hash derived
+        incrementally.
         """
         enabled = self.enabled()
         if not enabled:
@@ -86,7 +82,7 @@ class Simulator:
             raise SimulationError(
                 f"scheduler chose {event}, which is not enabled"
             )
-        self._configuration = self._configuration.extend_unregistered(event)
+        self._configuration = self._configuration.extend(event)
         self._events.append(event)
         return event
 

@@ -36,27 +36,18 @@ class SimulationTrace:
 
     @cached_property
     def final_configuration(self) -> Configuration:
-        """The ``[D]``-class of the full run.
-
-        Built through the interned ``_from_trusted`` fast path: the
-        histories are grouped in one pass over the trace and resolved
-        against the intern registry directly, instead of re-validating
-        (or re-interning) every intermediate prefix.
-        """
+        """The ``[D]``-class of the full run, built from the histories
+        grouped in one pass over the trace."""
         grouped: dict[ProcessId, list[Event]] = {}
         for event in self._computation:
             grouped.setdefault(event.process, []).append(event)
-        items = {
-            process: tuple(grouped[process]) for process in sorted(grouped)
-        }
-        return Configuration._intern_from_histories(items)
+        return Configuration(grouped)
 
     def configurations(self) -> Iterator[Configuration]:
         """Configurations after every prefix, shortest first.
 
-        Incremental: O(processes) per step and no intern-registry churn,
-        where rebuilding each prefix from scratch would be quadratic in
-        the trace length.
+        Incremental: O(processes) per step, where rebuilding each prefix
+        from scratch would be quadratic in the trace length.
         """
         return iter_prefix_configurations(self._computation)
 

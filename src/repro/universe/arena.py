@@ -41,7 +41,11 @@ from collections.abc import Iterator
 from itertools import islice
 from operator import itemgetter
 
-from repro.core.configuration import EMPTY_CONFIGURATION, Configuration
+from repro.core.configuration import (
+    EMPTY_CONFIGURATION,
+    Configuration,
+    _with_event,
+)
 from repro.core.events import Event
 from repro.universe.fileops import DEFAULT_FILEOPS
 from repro.universe.frontier import stream_hashes
@@ -78,27 +82,13 @@ def _materialise_child(
 ) -> Configuration:
     """Rebuild the child ``parent + event`` with its recorded hash.
 
-    Sorted-insert items layout, the trusted constructor and cache
-    propagation, so a lazily rematerialised configuration is
-    structurally identical to ``parent.extend(event)``.
+    The same sorted items layout and cache propagation as
+    ``parent.extend(event)``, but with the recorded hash instead of the
+    parent's entry-hash map, which a materialised parent lacks.
     """
-    process = event.process
-    parent_histories = parent._histories
-    old_history = parent_histories.get(process)
-    if old_history is not None:
-        items = dict(parent_histories)
-        items[process] = old_history + (event,)
-    else:
-        items = {}
-        placed = False
-        for existing_process, history in parent_histories.items():
-            if not placed and process < existing_process:
-                items[process] = (event,)
-                placed = True
-            items[existing_process] = history
-        if not placed:
-            items[process] = (event,)
-    child = Configuration._from_trusted(items, content_hash, None)
+    child = Configuration._from_trusted(
+        _with_event(parent._histories, event), content_hash, None
+    )
     if parent._length is not None:
         child._length = parent._length + 1
     parent._propagate_caches(child, event)
@@ -117,21 +107,14 @@ class _Chunk:
         self.length = len(blob)
 
 
-def _rebuild_pinned(configurations: list[Configuration]) -> "ArenaStore":
-    store = ArenaStore()
-    for configuration in configurations:
-        store.append(configuration)
-    return store
-
-
 class ArenaStore:
     """Packed ``(parent_id, event, hash)`` store behind a sequence API.
 
     Drop-in for the explorer's ``_configurations`` list: supports
     ``len``, indexing (lazy materialisation), iteration (streaming, two
-    layers of transient objects), equality against any configuration
-    sequence, and ``append``/``clear``/``extend`` for the seeding and
-    checkpoint-install paths.
+    layers of transient objects) and equality against any configuration
+    sequence.  It grows by one root (:meth:`append`) and then only by
+    children (:meth:`append_child`, :meth:`replay`).
     """
 
     def __init__(
@@ -210,13 +193,6 @@ class ArenaStore:
         return parents, events, hashes
 
     @property
-    def packed(self) -> bool:
-        """True when every id past a root at id 0 lives only in the packed
-        columns; false once :meth:`extend` or unpickling has pinned more
-        roots."""
-        return self._pinned.keys() <= {0}
-
-    @property
     def vocabulary(self) -> tuple[Event, ...]:
         """The interned events, by event index.  Each was appended
         together with a configuration that holds it, so these are the
@@ -275,7 +251,11 @@ class ArenaStore:
     # Growth (exploration hot path)
     # ------------------------------------------------------------------
     def append(self, configuration: Configuration) -> int:
-        """Append a root configuration (no parent); pinned permanently."""
+        """Append the root configuration (no parent), pinned permanently.
+
+        An arena has one root, at id 0: every later id is a child, which
+        the packed history-label pass relies on.
+        """
         index = self._count
         self._tail_parent.append(-1)
         self._tail_event.append(-1)
@@ -298,16 +278,6 @@ class ArenaStore:
         self._tail_hash.append(content_hash)
         self._count += 1
         return index
-
-    def extend(self, configurations) -> None:
-        """Append arbitrary configurations as pinned roots.
-
-        Compatibility fallback (generic install paths); the engines and
-        checkpoint replay use :meth:`append_child`/:meth:`replay`, which
-        keep the store packed.
-        """
-        for configuration in configurations:
-            self.append(configuration)
 
     def retire(self, new_floor: int) -> None:
         """Raise the floor to ``new_floor`` and seal the whole chunks
@@ -558,11 +528,6 @@ class ArenaStore:
         return NotImplemented
 
     __hash__ = None  # mutable container semantics, like list
-
-    def __reduce__(self):
-        # Pickling materialises: arenas hold OS resources (spill file)
-        # and pickle only for small diagnostic universes.
-        return (_rebuild_pinned, (list(self),))
 
     # ------------------------------------------------------------------
     # Checkpoint replay

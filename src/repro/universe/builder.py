@@ -54,19 +54,3 @@ def configuration_from_events(*events) -> Configuration:
     """Configuration of the computation consisting of ``events`` in order."""
     return Configuration.from_computation(computation_of(*events))
 
-
-def packed_store_of(configurations, spill_dir=None):
-    """An :class:`~repro.universe.arena.ArenaStore` holding the given
-    configurations (in order) as pinned roots.
-
-    The diagnostic counterpart of exploration's packed growth path: hand
-    -built families (Figure 3-1, test fixtures) get the same sequence
-    interface the explorer's arena exposes, so store-equivalence tests
-    and tooling can exercise indexing, iteration, equality and pickling
-    without running an exploration first.
-    """
-    from repro.universe.arena import ArenaStore
-
-    store = ArenaStore(spill_dir=spill_dir)
-    store.extend(configurations)
-    return store

@@ -159,9 +159,8 @@ def streamed_history_labels(
     first-occurrence labels of each configuration's ``p``-history, in one
     pass over materialised configurations, hashing every history tuple.
 
-    The path of a configuration list (an :class:`EnumeratedUniverse`)
-    and of an unpickled arena, and the oracle of
-    :func:`packed_history_labels`.
+    The path of a configuration list (an :class:`EnumeratedUniverse`),
+    and the oracle of :func:`packed_history_labels`.
     """
     lanes = [(process, {}, array("i")) for process in processes]
     for configuration in configurations:
@@ -592,7 +591,7 @@ class Universe:
         # Content hash -> dense id (or list of ids on hash collision).
         # This is both the BFS dedup table and, after exploration, the
         # public configuration -> id index: one table, no second
-        # content-keyed dict and no weak-registry round-trips.
+        # content-keyed dict.
         self._ids_by_hash: dict[int, int | list[int]] = {}
         # CSR successor store: the successor ids of configuration i are
         # _succ_ids[_succ_offsets[i]:_succ_offsets[i+1]].  BFS emits each
@@ -1228,8 +1227,7 @@ class Universe:
         labels, the canonical labelling, which becomes its singleton
         table's ``class_of``.  A packed arena is read as parent and event
         columns (:func:`packed_history_labels`), materialising nothing;
-        a configuration list or an unpickled arena is streamed
-        (:func:`streamed_history_labels`).
+        a configuration list is streamed (:func:`streamed_history_labels`).
         """
         tables = self._partition_tables
         processes = [
@@ -1246,10 +1244,9 @@ class Universe:
             tables[frozenset((process,))] = PartitionTable(column, count)
 
     def _packed_arena(self) -> ArenaStore | None:
-        """The arena, when every id past its root lives only in packed
-        columns; ``None`` for a configuration list or an unpickled arena."""
+        """The arena, or ``None`` for a configuration list."""
         store = self._configurations
-        return store if isinstance(store, ArenaStore) and store.packed else None
+        return store if isinstance(store, ArenaStore) else None
 
     def class_masks(self, processes: ProcessSetLike) -> tuple[int, ...]:
         """One bitmask per ``[P]``-class of the universe.

@@ -41,12 +41,9 @@ from repro.core.process import ProcessId, ProcessSetLike, as_process_set
 History = tuple[Event, ...]
 """A local history: one process's event sequence."""
 
-_ENABLED_CACHE_MAX_EVENTS = 64
-"""Only configurations at most this large are memoised — exhaustive
-universes stay under it by construction; simulation traces exceed it."""
-
-_ENABLED_CACHE_MAX_ENTRIES = 1 << 17
-"""Hard cap on memoised configurations per protocol instance."""
+_RECEIVE_SET_CACHE_MAX_ENTRIES = 1 << 17
+"""Hard cap on memoised in-flight sets per protocol instance
+(:meth:`Protocol.receive_events_for`)."""
 
 
 class CompiledStepTable:
@@ -204,14 +201,12 @@ class Protocol(abc.ABC):
     def _prepare_step_tables(self) -> None:
         """Set up the memo tables *before* exploration starts.
 
-        The enabling relation, per-history local steps and per-message
-        receive events are all memoised; creating the tables (and
-        resolving whether :meth:`can_receive` is overridden) eagerly in
-        ``__init__`` keeps the first BFS free of lazy-initialisation
-        branches.  Also called defensively from :meth:`enabled_events`
-        for subclasses that skip ``Protocol.__init__``.
+        Per-history local steps, per-message receive events and
+        per-in-flight-set receive tuples are memoised; creating the
+        tables (and resolving whether :meth:`can_receive` is overridden)
+        eagerly in ``__init__`` keeps the first BFS free of
+        lazy-initialisation branches.
         """
-        self._enabled_cache: dict[Configuration, tuple[Event, ...]] = {}
         self._local_step_cache: dict[ProcessId, dict] = {
             process: {} for process in self._ordered_processes
         }
@@ -233,22 +228,12 @@ class Protocol(abc.ABC):
     @property
     def is_selective(self) -> bool:
         """Whether this protocol overrides :meth:`can_receive`."""
-        try:
-            return self._selective
-        except AttributeError:
-            self._ordered_processes = tuple(sorted(self._processes))
-            self._prepare_step_tables()
-            return self._selective
+        return self._selective
 
     @property
     def step_table(self) -> CompiledStepTable:
         """The compiled step table (created eagerly in ``__init__``)."""
-        try:
-            return self._step_table
-        except AttributeError:  # subclass that skipped Protocol.__init__
-            self._ordered_processes = tuple(sorted(self._processes))
-            self._prepare_step_tables()
-            return self._step_table
+        return self._step_table
 
     @property
     def has_custom_enabling(self) -> bool:
@@ -361,7 +346,7 @@ class Protocol(abc.ABC):
                     receive_cache[message] = event
                 collected.append(event)
             events = tuple(collected)
-            if len(cache) < _ENABLED_CACHE_MAX_ENTRIES:
+            if len(cache) < _RECEIVE_SET_CACHE_MAX_ENTRIES:
                 cache[in_flight] = events
         return events
 
@@ -420,29 +405,12 @@ class Protocol(abc.ABC):
 
         Local steps come from :meth:`local_steps`; receive events are
         offered for every in-flight message whose receiver is willing.
-        The result is deterministically ordered so exploration is
-        reproducible, and must be treated as read-only (small
-        configurations share one memoised tuple).
+        The result is a tuple, deterministically ordered so exploration
+        is reproducible.  This is the interpreted oracle: it memoises
+        local steps per history (independently of the compiled step
+        table) but nothing per configuration: its callers visit each
+        configuration once.
         """
-        # The whole enabling relation is a pure function of the
-        # configuration for a fixed protocol, so it is memoised per
-        # configuration (configurations are interned value objects) and
-        # returned as an immutable tuple.  Caching is gated to small
-        # configurations and a bounded entry count: exhaustively explored
-        # configurations are small by construction, while long simulation
-        # traces grow without bound and would pin O(steps^2) event
-        # references in a strong cache.
-        cacheable = len(configuration) <= _ENABLED_CACHE_MAX_EVENTS
-        try:
-            enabled_cache = self._enabled_cache
-        except AttributeError:  # subclass that skipped Protocol.__init__
-            self._ordered_processes = tuple(sorted(self._processes))
-            self._prepare_step_tables()
-            enabled_cache = self._enabled_cache
-        if cacheable:
-            cached = enabled_cache.get(configuration)
-            if cached is not None:
-                return cached
         enabled: list[Event] = []
         in_flight = configuration.in_flight_messages
         ordered = self._ordered_processes
@@ -478,7 +446,6 @@ class Protocol(abc.ABC):
             # along every interleaving it is pending in).
             selective = self._selective
             processes = self._processes
-            receive_cache = self._receive_cache
             for message in pending:
                 receiver = message.receiver
                 if receiver not in processes:
@@ -486,20 +453,12 @@ class Protocol(abc.ABC):
                 if not selective or self.can_receive(
                     receiver, history_of(receiver, ()), message
                 ):
-                    event = receive_cache.get(message)
-                    if event is None:
-                        event = receive(message)
-                        receive_cache[message] = event
-                    enabled.append(event)
+                    enabled.append(self.receive_event(message))
         if self.has_enabling_filter:
             # The filter is part of the enabling semantics, so the oracle
-            # applies (and memoises) it exactly like the kernel does.
-            result = tuple(self.filter_enabled_events(configuration, enabled))
-        else:
-            result = tuple(enabled)
-        if cacheable and len(enabled_cache) < _ENABLED_CACHE_MAX_ENTRIES:
-            enabled_cache[configuration] = result
-        return result
+            # applies it exactly like the kernel does.
+            return tuple(self.filter_enabled_events(configuration, enabled))
+        return tuple(enabled)
 
     def compiled_enabled_events(
         self, configuration: Configuration
@@ -509,8 +468,7 @@ class Protocol(abc.ABC):
         Bit-identical to the oracle — same events, same deterministic
         order — but local steps come from :class:`CompiledStepTable`
         (shape-keyed, never re-entering interpreted protocol logic for a
-        known shape) and no per-configuration memo is consulted or
-        written.  This is the path the exploration kernel takes; the
+        known shape).  This is the path the exploration kernel takes; the
         step-table tests assert the bit-identity on every bundled
         protocol, complete and truncated.  Protocols that override
         :meth:`enabled_events` (custom system-level enabling, e.g.

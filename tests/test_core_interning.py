@@ -1,17 +1,22 @@
-"""Interning, hashing and caching invariants of the Configuration fast path.
+"""Value semantics, hashing and caching invariants of the Configuration
+fast path.
 
 ``extend()`` builds configurations through a no-validate constructor with
-an incrementally maintained content hash and interns the result, so the
-exploration hot path works with canonical instances.  Publicly
-constructed configurations are separate objects but must agree with the
-interned ones on equality and hash — these tests pin that contract.
+an incrementally maintained content hash.  Nothing depends on object
+identity: equal configurations built along different paths must be equal
+with equal hashes, so sets and dicts deduplicate them by value — these
+tests pin that contract.
 """
 
 from types import MappingProxyType
 
 import pytest
 
-from repro.core.configuration import EMPTY_CONFIGURATION, Configuration
+from repro.core.configuration import (
+    EMPTY_CONFIGURATION,
+    Configuration,
+    iter_prefix_configurations,
+)
 from repro.core.errors import InvalidConfigurationError
 from repro.core.events import internal, message_pair
 from repro.protocols.pingpong import PingPongProtocol
@@ -25,28 +30,39 @@ def events_pq():
     return snd, rcv, a, b
 
 
-class TestInterning:
-    def test_diamond_extensions_are_identical(self):
-        """Reaching the same configuration along two interleavings must
-        produce the same object, not merely an equal one."""
+def assert_one_value(first: Configuration, second: Configuration) -> None:
+    """Equal value, equal hash, and one key when both go into a dict."""
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first: 0, second: 1}) == 1
+
+
+class TestValueSemantics:
+    def test_diamond_extensions_are_one_value(self):
+        """Reaching the same configuration along two interleavings gives
+        equal values with equal hashes."""
         a = internal("p", tag="a")
         b = internal("q", tag="b")
         via_ab = EMPTY_CONFIGURATION.extend(a).extend(b)
         via_ba = EMPTY_CONFIGURATION.extend(b).extend(a)
-        assert via_ab is via_ba
+        assert_one_value(via_ab, via_ba)
+        assert list(via_ab.histories) == list(via_ba.histories) == ["p", "q"]
 
-    def test_extension_chain_is_deterministic(self):
+    def test_extension_chain_is_order_independent(self):
         snd, rcv, a, b = events_pq()
         first = EMPTY_CONFIGURATION.extend(snd).extend(rcv).extend(a).extend(b)
         second = EMPTY_CONFIGURATION.extend(snd).extend(a).extend(rcv).extend(b)
-        assert first is second
+        third = EMPTY_CONFIGURATION.extend(snd).extend(rcv).extend(b).extend(a)
+        assert_one_value(first, second)
+        assert_one_value(first, third)
+        assert_one_value(first, Configuration(first.histories))
 
     def test_universe_configurations_are_canonical(self):
-        """Universes dedup against their own dense-id table (not the
-        global registry): one object per [D]-class within the universe,
-        and rebuilding any member through interned ``extend`` resolves to
-        the same dense id."""
+        """Universes dedup against their own dense-id table: one member
+        per [D]-class, and rebuilding any member through ``extend``
+        resolves to the same dense id."""
         universe = Universe(PingPongProtocol(rounds=2))
+        assert len(universe) == 9
         assert len(set(universe.configurations)) == len(universe)
         for configuration in universe:
             if len(configuration) == 0:
@@ -59,27 +75,58 @@ class TestInterning:
                 configuration
             )
 
-    def test_exploration_skips_the_intern_registry(self):
-        """The kernel's batched child construction must not cycle the
-        weak registry: exploring a universe leaves it unchanged."""
-        from repro.core.configuration import registry_size
 
-        before = registry_size()
+    def test_arena_members_hash_like_public_ones(self):
+        """Configurations materialised from the arena equal, with an
+        equal hash, the same histories through the public constructor
+        and through an ``extend`` chain."""
         universe = Universe(PingPongProtocol(rounds=2))
-        assert registry_size() == before
-        assert len(universe) == 9
+        assert universe._packed_arena() is not None
+        for configuration in universe:
+            assert_one_value(configuration, Configuration(configuration.histories))
+            chained = EMPTY_CONFIGURATION
+            for event in configuration.linearize():
+                chained = chained.extend(event)
+            assert_one_value(configuration, chained)
+
+    def test_prefix_iteration_agrees_with_extend_chain(self):
+        """``iter_prefix_configurations`` keeps its own loop; every prefix
+        it yields is one value with the ``extend`` chain's."""
+        snd, rcv, a, b = events_pq()
+        chained = EMPTY_CONFIGURATION
+        prefixes = list(iter_prefix_configurations([snd, a, rcv, b]))
+        assert len(prefixes) == 5
+        assert_one_value(prefixes[0], chained)
+        for event, prefix in zip([snd, a, rcv, b], prefixes[1:]):
+            chained = chained.extend(event)
+            assert_one_value(prefix, chained)
+            assert len(prefix) == len(chained)
+
+    def test_extend_leaves_the_parent_unchanged(self):
+        """Two children of one parent share nothing mutable with it: the
+        parent keeps its value and hash, and equal children are one key."""
+        snd, rcv, a, b = events_pq()
+        parent = EMPTY_CONFIGURATION.extend(snd)
+        before = (dict(parent.histories), hash(parent), len(parent))
+        first = parent.extend(rcv)
+        second = parent.extend(rcv)
+        other = parent.extend(a)
+        assert (dict(parent.histories), hash(parent), len(parent)) == before
+        assert_one_value(first, second)
+        assert first != other
+        assert parent.history("q") == ()
 
 
 class TestEqualityAndHash:
     def test_public_constructor_round_trip(self):
         snd, rcv, a, b = events_pq()
-        interned = EMPTY_CONFIGURATION.extend(snd).extend(rcv).extend(a)
-        rebuilt = Configuration(interned.histories)
-        assert rebuilt == interned
-        assert interned == rebuilt
-        assert hash(rebuilt) == hash(interned)
-        assert rebuilt in {interned}
-        assert interned in {rebuilt}
+        extended = EMPTY_CONFIGURATION.extend(snd).extend(rcv).extend(a)
+        rebuilt = Configuration(extended.histories)
+        assert rebuilt == extended
+        assert extended == rebuilt
+        assert hash(rebuilt) == hash(extended)
+        assert rebuilt in {extended}
+        assert extended in {rebuilt}
 
     def test_extend_agrees_with_public_constructor(self):
         snd, rcv, a, b = events_pq()

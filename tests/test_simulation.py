@@ -171,12 +171,11 @@ class TestFifo:
         assert len(receives) <= 1
 
 
-class TestNonInterningStep:
-    """`Simulator.step` builds configurations outside the intern registry
-    (a 10^6-step run must not cycle the weak registry once per step);
-    trace semantics have to be bit-identical to the interned path."""
+class TestStepValues:
+    """`Simulator.step` extends one configuration per step; the result
+    must equal, with an equal hash, the same events replayed by value."""
 
-    def test_trace_identical_to_interned_replay(self):
+    def test_trace_identical_to_replay(self):
         from repro.core.configuration import EMPTY_CONFIGURATION
         from repro.protocols.token_bus import TokenBusProtocol
 
@@ -184,40 +183,31 @@ class TestNonInterningStep:
         trace = simulate(protocol, RandomScheduler(7))
         replayed = EMPTY_CONFIGURATION
         for event in trace.computation.events:
-            replayed = replayed.extend(event)  # interned reference path
+            replayed = replayed.extend(event)
         final = Simulator(protocol, RandomScheduler(7))
         result = final.run()
         assert result.computation.events == trace.computation.events
         assert final.configuration == replayed
         assert hash(final.configuration) == hash(replayed)
 
-    def test_step_leaves_the_registry_alone(self):
-        import gc
-
-        from repro.core.configuration import registry_size
+    def test_enabled_matches_the_rebuilt_configuration(self):
+        """At every step the simulator offers exactly what the protocol
+        enables on a publicly rebuilt copy of its configuration."""
         from repro.protocols.token_bus import TokenBusProtocol
 
-        simulator = Simulator(TokenBusProtocol(max_hops=8), RandomScheduler(3))
-        # The registry is weak: a generational collection landing inside
-        # the loop can expire members interned by *earlier tests* and
-        # shrink the count for reasons unrelated to step().  Collect
-        # first and pause GC so the equality below measures only what
-        # step() does (unregistered construction allocates no cycles).
-        gc.collect()
-        before = registry_size()
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            steps = 0
-            while simulator.step() is not None:
-                steps += 1
-        finally:
-            if gc_was_enabled:
-                gc.enable()
+        protocol = TokenBusProtocol(max_hops=6)
+        simulator = Simulator(protocol, RandomScheduler(3))
+        steps = 0
+        while True:
+            rebuilt = Configuration(dict(simulator.configuration.histories))
+            assert simulator.enabled() == protocol.enabled_events(rebuilt)
+            if simulator.step() is None:
+                break
+            steps += 1
         assert steps > 0
-        assert registry_size() == before
+        assert simulator.enabled() == ()
 
-    def test_stepwise_configurations_compare_like_interned_ones(self):
+    def test_stepwise_configurations_compare_like_rebuilt_ones(self):
         from repro.core.configuration import Configuration
         from repro.protocols.pingpong import PingPongProtocol
 

@@ -72,43 +72,21 @@ class TestSearching:
         )
 
 
-class TestRegistryChurn:
-    def long_trace(self, hops=400):
+class TestPrefixValues:
+    def test_long_trace_prefixes_and_final_equal_the_rebuilt(self):
+        """Over a 400-hop token-bus trace, the last prefix and the final
+        configuration equal the computation's configuration, with an
+        equal hash, so a dict keeps one key for them."""
         from repro.protocols.token_bus import TokenBusProtocol
 
-        return simulate(TokenBusProtocol(max_hops=hops), RandomScheduler(0))
-
-    def test_configurations_do_not_churn_the_registry(self):
-        """Iterating a long trace's per-step configurations must not
-        intern the throwaway prefixes (10^5-step traces would flood the
-        weak registry with dying entries)."""
-        from repro.core.configuration import registry_size
-
-        trace = self.long_trace()
-        before = registry_size()
-        tail = None
-        for configuration in trace.configurations():
-            tail = configuration
-        assert registry_size() == before
-        assert tail == Configuration.from_computation(trace.computation)
-
-    def test_final_configuration_interns_once(self):
-        from repro.core.configuration import registry_size
-
-        trace = self.long_trace()
-        before = registry_size()
-        final = trace.final_configuration
-        assert registry_size() <= before + 1
-        # The fast-path hash must agree exactly with the lazy public one.
+        trace = simulate(TokenBusProtocol(max_hops=400), RandomScheduler(0))
         rebuilt = Configuration.from_computation(trace.computation)
-        assert final == rebuilt and hash(final) == hash(rebuilt)
-        # And a second build resolves to the same interned object.
-        histories = {
-            process: rebuilt.history(process) for process in rebuilt.processes
-        }
-        assert Configuration._intern_from_histories(
-            dict(sorted(histories.items()))
-        ) is final
+        *_, tail = trace.configurations()
+        final = trace.final_configuration
+        for configuration in (tail, final):
+            assert configuration == rebuilt
+            assert hash(configuration) == hash(rebuilt)
+        assert len({tail: 0, final: 1, rebuilt: 2}) == 1
 
     def test_prefix_configurations_hash_like_public_ones(self):
         trace = pingpong_trace(rounds=2)

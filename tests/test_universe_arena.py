@@ -37,7 +37,6 @@ from repro.protocols.token_bus import TokenBusProtocol
 from repro.simulation.network import FifoProtocol
 from repro.universe import arena as arena_module
 from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
-from repro.universe.builder import packed_store_of
 from repro.universe.explorer import Universe, iter_bit_ids
 from repro.universe.options import (
     CheckpointPolicy,
@@ -324,23 +323,7 @@ class TestRandomizedAccess:
             assert universe.config_id(reference.configurations[index]) == index
 
 
-class TestPickleAndSeeding:
-    def test_store_pickle_round_trip(self, star_pair):
-        _, universe = star_pair
-        store = universe._configurations
-        loaded = pickle.loads(pickle.dumps(store))
-        assert isinstance(loaded, ArenaStore)
-        assert loaded == store
-        assert list(loaded) == list(store)
-
-    def test_packed_store_of_round_trip(self, star_pair):
-        reference, _ = star_pair
-        configurations = reference.configurations[:100]
-        store = packed_store_of(configurations)
-        assert len(store) == len(configurations)
-        assert store == configurations
-        assert pickle.loads(pickle.dumps(store)) == configurations
-
+class TestBatchCodec:
     def test_batch_codec_round_trip(self):
         payload = {"layer": 3, "records": [(0, "a"), (1, "b")], "n": 634}
         assert decompress_batch(compress_batch(payload)) == payload
@@ -369,6 +352,7 @@ class TestPackedTiers:
         assert stats["sealed_chunks"] > 0
         assert 0 < stats["compressed_bytes"] < stats["raw_bytes"]
         assert_same_universe(universe, reference)
+        assert store == reference.configurations
         # Random access through the cold tier chain-walks and caches.
         configurations = reference.configurations
         rng = random.Random(19)

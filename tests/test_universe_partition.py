@@ -1,6 +1,5 @@
 """Partition tables: dense/sparse representations and mask algebra."""
 
-import pickle
 from array import array
 from itertools import combinations
 
@@ -14,6 +13,7 @@ from repro.protocols.broadcast import (
 )
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.explorer import (
+    EnumeratedUniverse,
     PartitionTable,
     Universe,
     iter_bit_ids,
@@ -436,6 +436,20 @@ class TestPackedHistoryLabels:
         assert_labels_match_oracle(universe)
         store.close()
 
+    def test_configuration_list_streams(self):
+        """A universe over a configuration list has no arena, so its
+        labels come from the streamed pass, and equal the packed ones."""
+        universe = Universe(star5())
+        listed = EnumeratedUniverse(universe.configurations)
+        assert listed._packed_arena() is None
+        assert list(listed) == list(universe)
+        assert_labels_match_oracle(listed)
+        for process in sorted(universe.processes):
+            assert (
+                listed.partition_table({process}).class_of
+                == universe.partition_table({process}).class_of
+            )
+
     def test_sealed_scan_leaves_the_chunk_cache(self, small_chunks):
         universe = Universe(star5())
         store = universe._configurations
@@ -443,20 +457,6 @@ class TestPackedHistoryLabels:
         cached = list(store._chunk_cache)
         universe.partition_table({"hub"})
         assert list(store._chunk_cache) == cached
-
-    def test_unpickled_arena_streams(self):
-        """An unpickled arena pins every configuration, so its labels
-        come from the streamed pass, and equal the packed ones."""
-        universe = Universe(star5())
-        copy = Universe(star5())
-        copy._configurations = pickle.loads(pickle.dumps(copy._configurations))
-        assert copy._packed_arena() is None
-        assert_labels_match_oracle(copy)
-        for process in sorted(universe.processes):
-            assert (
-                copy.partition_table({process}).class_of
-                == universe.partition_table({process}).class_of
-            )
 
 
 class TestArenaMaterialisationGuard:

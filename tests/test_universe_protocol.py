@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.core.configuration import EMPTY_CONFIGURATION
+from repro.core.configuration import EMPTY_CONFIGURATION, Configuration
 from repro.core.errors import ProtocolError
-from repro.core.events import internal, receive
+from repro.core.events import Message, internal, receive
 from repro.protocols.pingpong import PingPongProtocol
+from repro.universe import protocol as protocol_module
+from repro.universe.explorer import Universe
 from repro.universe.protocol import Protocol
 
 
@@ -69,6 +71,39 @@ class TestEnabling:
     def test_quiescence_after_rounds(self):
         protocol = PingPongProtocol(rounds=0)
         assert list(protocol.enabled_events(EMPTY_CONFIGURATION)) == []
+
+    def test_equal_configurations_enable_equal_events(self):
+        """Nothing is memoised per configuration object: a publicly
+        rebuilt copy of every reachable configuration enables the same
+        events, in the same order, as the explored member."""
+        protocol = PingPongProtocol(rounds=2)
+        universe = Universe(protocol)
+        for configuration in universe:
+            rebuilt = Configuration(dict(configuration.histories))
+            assert protocol.enabled_events(rebuilt) == protocol.enabled_events(
+                configuration
+            )
+            assert protocol.enabled_events(rebuilt) == (
+                protocol.compiled_enabled_events(configuration)
+            )
+
+
+class TestReceiveSetCache:
+    def test_sets_past_the_cap_are_answered_but_not_memoised(self, monkeypatch):
+        monkeypatch.setattr(protocol_module, "_RECEIVE_SET_CACHE_MAX_ENTRIES", 1)
+        protocol = PingPongProtocol(rounds=2)
+        first = frozenset({Message("p", "q", "ping"), Message("q", "p", "pong")})
+        second = frozenset({Message("p", "q", "ping")})
+        expected_first = tuple(receive(message) for message in sorted(first))
+        assert protocol.receive_events_for(first) == expected_first
+        assert protocol.receive_events_for(second) == (
+            receive(Message("p", "q", "ping")),
+        )
+        assert list(protocol._receive_set_cache) == [first]
+        assert protocol.receive_events_for(second) == (
+            receive(Message("p", "q", "ping")),
+        )
+        assert protocol.receive_events_for(first) is protocol._receive_set_cache[first]
 
 
 class TestMembership:
