@@ -29,18 +29,30 @@ class EventKind(enum.Enum):
     INTERNAL = "internal"
 
 
+_NONE_HASH = 0x6E6F6E65
+"""What a ``None`` field contributes to a value object's hash.
+
+``hash(None)`` is derived from the object's address before CPython 3.12,
+so it differs between interpreters even under one ``PYTHONHASHSEED``;
+this constant keeps content hashes, and what depends on them, equal
+across runs.
+"""
+
+
 def _cached_value_hash(self) -> int:
     """Shared ``__hash__`` for event/message value objects.
 
     Events and messages are hashed constantly on the exploration hot path
     (as members of history tuples and set elements); the generated
     dataclass hash re-hashes every field on every call.  Computing it once
-    and stashing it on the instance makes repeated hashing O(1).
+    and stashing it on the instance makes repeated hashing O(1).  A
+    ``None`` field hashes as :data:`_NONE_HASH`.
     """
     try:
         return self._hash_cache
     except AttributeError:
-        value = hash(tuple(getattr(self, name) for name in self.__match_args__))
+        fields = [getattr(self, name) for name in self.__match_args__]
+        value = hash(tuple(_NONE_HASH if item is None else item for item in fields))
         object.__setattr__(self, "_hash_cache", value)
         return value
 

@@ -14,6 +14,15 @@ containment with ``class_mask & body == class_mask``, and the
 common-knowledge fixpoint iterates over class masks instead of
 rebuilding membership lists.  The public API still speaks frozensets of
 :class:`Configuration`; those views are materialised lazily per formula.
+
+Atoms are the only formulas that read configurations.  A plain
+:class:`Atom` is called once per configuration.  A :class:`HistoryAtom`
+on ``P`` is constant on ``[P]``-classes, so its predicate is called once
+per class of ``partition_table(P)``, on the histories of the class's
+lowest member (read from ``Universe.class_histories``, so no
+configuration is built), and the true classes are OR-ed into one mask;
+the per-configuration pass stays in :mod:`repro.knowledge.reference` as
+the oracle.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from repro.knowledge.formula import (
     CommonKnowledge,
     Constant,
     Formula,
+    HistoryAtom,
     Iff,
     Implies,
     Knows,
@@ -137,6 +147,8 @@ class KnowledgeEvaluator:
         everything = self._universe.full_mask
         if isinstance(formula, Constant):
             return everything if formula.value else 0
+        if isinstance(formula, HistoryAtom):
+            return self._history_atom_mask(formula)
         if isinstance(formula, Atom):
             fn = formula.fn
             return mask_of_ids(
@@ -173,6 +185,30 @@ class KnowledgeEvaluator:
         if isinstance(formula, CommonKnowledge):
             return self._common_knowledge_mask(formula.processes, formula.operand)
         raise FormulaError(f"unknown formula type: {formula!r}")
+
+    def _history_atom_mask(self, atom: HistoryAtom) -> int:
+        """One predicate call per ``[P]``-class, on the histories of its
+        lowest member, read from the per-process class histories."""
+        universe = self._universe
+        columns = [
+            (
+                universe.partition_table(frozenset((process,))).class_of,
+                universe.class_histories(process),
+            )
+            for process in sorted(atom.processes)
+        ]
+        table = universe.partition_table(atom.processes)
+        predicate = atom.predicate
+        true_classes: list[int] = []
+        false_classes: list[int] = []
+        for index, first in enumerate(table.representatives):
+            arguments = [histories[class_of[first]] for class_of, histories in columns]
+            (true_classes if predicate(*arguments) else false_classes).append(index)
+        # OR the smaller side: a sparse table's union costs one step per
+        # member id.
+        if len(true_classes) > len(false_classes):
+            return universe.full_mask & ~table.classes_mask(false_classes)
+        return table.classes_mask(true_classes)
 
     def _knows_mask(
         self, processes: frozenset[ProcessId], operand: Formula

@@ -6,7 +6,12 @@ assumption that ``x [D] y`` implies ``b at x = b at y``.
 
 The AST mirrors the paper's predicate language:
 
-* :class:`Atom` — a base predicate given by a Python function;
+* :class:`Atom` — a base predicate given by a Python function of the
+  configuration;
+* :class:`HistoryAtom` (built by :meth:`Atom.of_history`) — a base
+  predicate given by a function of the histories of a process set ``P``
+  only, so it is local to ``P`` (constant on ``[P]``-classes) by
+  construction, and the evaluator computes it once per class;
 * boolean connectives :class:`Not`, :class:`And`, :class:`Or`,
   :class:`Implies`, :class:`Iff`;
 * :class:`Knows` — ``P knows b``, defined by
@@ -30,6 +35,10 @@ from repro.core.process import ProcessSetLike, as_process_set, format_process_se
 
 PredicateFn = Callable[[Configuration], bool]
 """A base predicate: any boolean function of the configuration."""
+
+HistoryPredicate = Callable[..., bool]
+"""A predicate on histories: called with one history tuple per process of
+its set, in sorted process order."""
 
 
 class Formula:
@@ -93,6 +102,48 @@ class Atom(Formula):
 
     def __str__(self) -> str:
         return self.name
+
+    @staticmethod
+    def of_history(
+        name: str, processes: ProcessSetLike, predicate: HistoryPredicate
+    ) -> "HistoryAtom":
+        """A base predicate that reads only the histories of ``processes``:
+        ``predicate`` is called with one history tuple per process, in
+        sorted process order (for one process, its history alone)."""
+        return HistoryAtom(name, processes, predicate)
+
+
+@dataclass(frozen=True, init=False)
+class HistoryAtom(Atom):
+    """An atom on the histories of ``processes`` only.
+
+    ``x [P] y`` means every process of ``P`` has the same history in ``x``
+    and ``y``, so the atom is constant on ``[P]``-classes: local to ``P``,
+    and to every superset of ``P``, by construction.  ``fn`` is derived
+    from ``predicate``, so every caller of an :class:`Atom` keeps working;
+    the evaluator instead calls ``predicate`` once per ``[P]``-class.
+
+    Two history atoms are equal iff they have the same name, process set
+    and predicate object.
+    """
+
+    fn: PredicateFn = field(compare=False, repr=False)
+    processes: frozenset[str]
+    predicate: HistoryPredicate
+
+    def __init__(
+        self, name: str, processes: ProcessSetLike, predicate: HistoryPredicate
+    ) -> None:
+        p_set = as_process_set(processes)
+        ordered = tuple(sorted(p_set))
+
+        def fn(configuration: Configuration) -> bool:
+            return predicate(*map(configuration.history, ordered))
+
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "processes", p_set)
+        object.__setattr__(self, "predicate", predicate)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,8 @@ paper's key to understanding knowledge transfer (Theorems 5 and 6 hinge on
 
 This module provides:
 
-* ready-made atom builders over configurations (event counts, message
-  receipt, token position, …);
+* ready-made atom builders over histories (event counts, message
+  receipt, internal steps), each local to its processes by construction;
 * :func:`is_local_to` — the locality check over a universe;
 * executable checkers for the eight local-predicate facts of §4.2,
   including Lemma 3 (a predicate local to two disjoint sets is constant).
@@ -20,8 +20,17 @@ from repro.core.configuration import Configuration
 from repro.core.events import ReceiveEvent, SendEvent
 from repro.core.process import ProcessSetLike, as_process_set, format_process_set
 from repro.knowledge.evaluator import KnowledgeEvaluator
-from repro.knowledge.formula import Atom, Formula, Iff, Knows, Not, Sure
+from repro.knowledge.formula import (
+    Atom,
+    Formula,
+    HistoryAtom,
+    Iff,
+    Knows,
+    Not,
+    Sure,
+)
 from repro.universe.explorer import Universe
+from repro.universe.protocol import History
 
 
 # ----------------------------------------------------------------------
@@ -36,46 +45,48 @@ def event_count_at_least(processes: ProcessSetLike, count: int) -> Atom:
     """True when the given processes have at least ``count`` events."""
     p_set = as_process_set(processes)
 
-    def fn(configuration: Configuration) -> bool:
-        return configuration.count_on(p_set) >= count
+    def predicate(*histories: History) -> bool:
+        return sum(map(len, histories)) >= count
 
-    return Atom(f"|events on {format_process_set(p_set)}| >= {count}", fn)
+    return Atom.of_history(
+        f"|events on {format_process_set(p_set)}| >= {count}", p_set, predicate
+    )
 
 
 def has_sent(process: str, tag: str) -> Atom:
     """True when ``process`` has sent a message tagged ``tag``."""
 
-    def fn(configuration: Configuration) -> bool:
+    def predicate(history: History) -> bool:
         return any(
             isinstance(event, SendEvent) and event.message.tag == tag
-            for event in configuration.history(process)
+            for event in history
         )
 
-    return Atom(f"{process} has sent '{tag}'", fn)
+    return Atom.of_history(f"{process} has sent '{tag}'", process, predicate)
 
 
 def has_received(process: str, tag: str) -> Atom:
     """True when ``process`` has received a message tagged ``tag``."""
 
-    def fn(configuration: Configuration) -> bool:
+    def predicate(history: History) -> bool:
         return any(
             isinstance(event, ReceiveEvent) and event.message.tag == tag
-            for event in configuration.history(process)
+            for event in history
         )
 
-    return Atom(f"{process} has received '{tag}'", fn)
+    return Atom.of_history(f"{process} has received '{tag}'", process, predicate)
 
 
 def did_internal(process: str, tag: str) -> Atom:
     """True when ``process`` has performed an internal event tagged ``tag``."""
 
-    def fn(configuration: Configuration) -> bool:
+    def predicate(history: History) -> bool:
         return any(
             event.is_internal and getattr(event, "tag", None) == tag
-            for event in configuration.history(process)
+            for event in history
         )
 
-    return Atom(f"{process} did '{tag}'", fn)
+    return Atom.of_history(f"{process} did '{tag}'", process, predicate)
 
 
 # ----------------------------------------------------------------------
@@ -84,8 +95,18 @@ def did_internal(process: str, tag: str) -> Atom:
 def is_local_to(
     evaluator: KnowledgeEvaluator, formula: Formula, processes: ProcessSetLike
 ) -> bool:
-    """``b is local to P  ≡  ∀x: (P sure b) at x`` over the universe."""
-    return evaluator.is_valid(Sure(processes, formula))
+    """``b is local to P  ≡  ∀x: (P sure b) at x`` over the universe.
+
+    A :class:`HistoryAtom` on ``Q`` is local to every ``P ⊇ Q`` by
+    construction, so that case answers ``True`` without evaluating
+    anything; every other case checks ``P sure b`` on every
+    configuration (:func:`repro.knowledge.reference.is_local_to_reference`
+    always does).
+    """
+    p_set = as_process_set(processes)
+    if isinstance(formula, HistoryAtom) and formula.processes <= p_set:
+        return True
+    return evaluator.is_valid(Sure(p_set, formula))
 
 
 def locality_violations(

@@ -1,7 +1,15 @@
-"""Object-level reference implementations of the §4.3 transfer checks.
+"""Object-level reference implementations: atoms, locality and the §4.3
+transfer checks.
 
-These are the checkers :mod:`repro.knowledge.transfer` used before it
-moved Theorem 4 and Lemma 4 onto dense ids: they walk
+:func:`atom_mask_reference` evaluates an atom's function on every
+configuration, the oracle of the evaluator's one call per ``[P]``-class
+for a :class:`~repro.knowledge.formula.HistoryAtom`, and
+:func:`is_local_to_reference` checks ``P sure b`` everywhere, the oracle
+of :func:`~repro.knowledge.predicates.is_local_to`, which answers a
+history atom's locality by construction.  Neither takes those shortcuts.
+
+The transfer checkers here are the ones :mod:`repro.knowledge.transfer`
+used before it moved Theorem 4 and Lemma 4 onto dense ids: they walk
 :class:`~repro.core.configuration.Configuration` objects one instance at
 a time.  They are kept as **oracles**: the cross-check tests assert the
 production checkers report the same verdict, instance count and
@@ -18,7 +26,7 @@ Knowledge extensions come from
 ``tests/test_knowledge_bitset_reference.py`` holds to its own frozenset
 oracle.
 
-Both follow the :class:`~repro.knowledge.transfer.TransferReport`
+The transfer checkers follow the :class:`~repro.knowledge.transfer.TransferReport`
 contract: ``checked`` is the full non-vacuous count and the
 counterexample is the failing pair with the lowest ``(x id, y id)``.
 Nothing here should be called on hot paths.
@@ -33,10 +41,30 @@ from repro.core.process import ProcessSetLike, as_process_set
 from repro.isomorphism.extension import extension_event
 from repro.isomorphism.reference import composed_class_reference
 from repro.knowledge.evaluator import KnowledgeEvaluator
-from repro.knowledge.formula import Formula, Knows, Not, Sure
-from repro.knowledge.predicates import is_local_to
+from repro.knowledge.formula import Atom, Formula, Knows, Not, Sure
 from repro.knowledge.transfer import TransferReport, nested_knowledge
-from repro.universe.explorer import Universe
+from repro.universe.explorer import Universe, mask_of_ids
+
+
+def atom_mask_reference(universe: Universe, atom: Atom) -> int:
+    """The extension of ``atom`` as a mask over dense ids: its function
+    called on every configuration of the universe."""
+    fn = atom.fn
+    return mask_of_ids(
+        [
+            config_id
+            for config_id, configuration in enumerate(universe)
+            if fn(configuration)
+        ]
+    )
+
+
+def is_local_to_reference(
+    evaluator: KnowledgeEvaluator, formula: Formula, processes: ProcessSetLike
+) -> bool:
+    """``b is local to P  ≡  ∀x: (P sure b) at x``, checked at every
+    configuration for every formula, history atoms included."""
+    return evaluator.is_valid(Sure(processes, formula))
 
 
 def _lowest(
@@ -122,7 +150,7 @@ def check_lemma_4_reference(
     counts = {"receive": 0, "send": 0, "internal": 0}
     failures: dict[str, tuple[Configuration, Configuration] | None]
     failures = dict.fromkeys(counts)
-    if not is_local_to(evaluator, formula, complement):
+    if not is_local_to_reference(evaluator, formula, complement):
         return {kind: TransferReport(0, True) for kind in counts}
     knows_extension = evaluator.extension(Knows(p_set, formula))
     for x in universe:

@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.causality.chains import chain_in_suffix
 from repro.core.configuration import Configuration
 from repro.core.process import ProcessId, ProcessSetLike, as_process_set
 from repro.isomorphism.relation import fold_classes
@@ -247,6 +246,10 @@ def _check_chains(
     empty, and an event on ``processes`` there whose kind has the value
     ``kind`` (``"receive"``/``"send"``) unless it is ``None``.  Returns
     one report per check."""
+    # Only Theorems 5 and 6 need the causality layer: Theorem 4 and
+    # Lemma 4 callers do not load it.
+    from repro.causality.chains import chain_in_suffix
+
     size = len(universe)
     columns = [
         (_bit_bytes(before, size), _bit_bytes(after, size), chain, kind)

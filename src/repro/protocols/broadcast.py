@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from repro.core.configuration import Configuration
 from repro.core.events import Event, InternalEvent, ReceiveEvent, SendEvent
 from repro.core.process import ProcessId
 from repro.knowledge.formula import Atom
@@ -169,10 +168,10 @@ def fact_known_atom(protocol: BroadcastProtocol, process: ProcessId) -> Atom:
     """``process has learnt the fact`` as a knowledge atom (local to the
     process)."""
 
-    def fn(configuration: Configuration) -> bool:
-        return protocol.knows_fact(process, configuration.history(process))
+    def predicate(history: History) -> bool:
+        return protocol.knows_fact(process, history)
 
-    return Atom(f"{process} knows fact", fn)
+    return Atom.of_history(f"{process} knows fact", process, predicate)
 
 
 def fact_established_atom(protocol: BroadcastProtocol) -> Atom:

@@ -161,18 +161,20 @@ class TwoPhaseCommitProtocol(Protocol):
     def voted_atom(self, participant: ProcessId, value: bool) -> Atom:
         """``participant`` has cast the given vote."""
 
-        def fn(configuration: Configuration) -> bool:
-            return self.vote_of(configuration.history(participant)) is value
+        def predicate(history: History) -> bool:
+            return self.vote_of(history) is value
 
-        return Atom(f"{participant} voted {'yes' if value else 'no'}", fn)
+        return Atom.of_history(
+            f"{participant} voted {'yes' if value else 'no'}", participant, predicate
+        )
 
     def committed_atom(self, participant: ProcessId) -> Atom:
         """``participant`` has applied a commit decision."""
 
-        def fn(configuration: Configuration) -> bool:
-            return self.applied(configuration.history(participant)) is True
+        def predicate(history: History) -> bool:
+            return self.applied(history) is True
 
-        return Atom(f"{participant} committed", fn)
+        return Atom.of_history(f"{participant} committed", participant, predicate)
 
     def any_committed(self) -> Formula:
         """Some participant has applied a commit."""

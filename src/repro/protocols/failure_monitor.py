@@ -84,10 +84,7 @@ class AsyncFailureMonitorProtocol(Protocol):
         """``the worker has crashed`` — local to the worker."""
         from repro.knowledge.formula import Atom
 
-        def fn(configuration: Configuration) -> bool:
-            return self.crashed(configuration.history(self.worker))
-
-        return Atom(f"{self.worker} crashed", fn)
+        return Atom.of_history(f"{self.worker} crashed", self.worker, self.crashed)
 
 
 class SyncFailureMonitorProtocol(Protocol):
@@ -201,7 +198,4 @@ class SyncFailureMonitorProtocol(Protocol):
         """``the worker has crashed`` — local to the worker."""
         from repro.knowledge.formula import Atom
 
-        def fn(configuration: Configuration) -> bool:
-            return self.crashed(configuration.history(self.worker))
-
-        return Atom(f"{self.worker} crashed", fn)
+        return Atom.of_history(f"{self.worker} crashed", self.worker, self.crashed)

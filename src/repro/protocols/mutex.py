@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.configuration import Configuration
 from repro.core.events import Event, InternalEvent, ReceiveEvent, SendEvent
 from repro.core.process import ProcessId
 from repro.knowledge.evaluator import KnowledgeEvaluator
@@ -156,12 +155,10 @@ class TokenRingMutexProtocol(Protocol):
     def in_cs_atom(self, process: ProcessId) -> Atom:
         """``process`` is inside its critical section."""
 
-        def fn(configuration: Configuration) -> bool:
-            return self.in_critical_section(
-                process, configuration.history(process)
-            )
+        def predicate(history: History) -> bool:
+            return self.in_critical_section(process, history)
 
-        return Atom(f"{process} in CS", fn)
+        return Atom.of_history(f"{process} in CS", process, predicate)
 
 
 def check_mutual_exclusion(universe: Universe) -> dict[str, bool | int]:

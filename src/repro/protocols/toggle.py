@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.configuration import Configuration
 from repro.core.events import Event, InternalEvent, SendEvent
 from repro.core.process import ProcessId
 from repro.knowledge.formula import Atom
@@ -94,7 +93,6 @@ class ToggleProtocol(Protocol):
 def bit_atom(protocol: ToggleProtocol) -> Atom:
     """The owner's bit as a knowledge atom (local to the owner)."""
 
-    def fn(configuration: Configuration) -> bool:
-        return protocol.bit_value(configuration.history(protocol.owner))
-
-    return Atom(f"bit({protocol.owner})", fn)
+    return Atom.of_history(
+        f"bit({protocol.owner})", protocol.owner, protocol.bit_value
+    )

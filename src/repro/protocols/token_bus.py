@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.configuration import Configuration
 from repro.core.events import Event, ReceiveEvent, SendEvent
 from repro.core.process import ProcessId
 from repro.knowledge.evaluator import KnowledgeEvaluator
@@ -133,10 +132,10 @@ class TokenBusProtocol(Protocol):
 def holds_token_atom(protocol: TokenBusProtocol, process: ProcessId) -> Atom:
     """``process holds the token`` as a knowledge atom."""
 
-    def fn(configuration: Configuration) -> bool:
-        return protocol.holds_token(process, configuration.history(process))
+    def predicate(history: History) -> bool:
+        return protocol.holds_token(process, history)
 
-    return Atom(f"{process} holds token", fn)
+    return Atom.of_history(f"{process} holds token", process, predicate)
 
 
 def paper_example_formula(protocol: TokenBusProtocol) -> Formula:

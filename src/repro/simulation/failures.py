@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from repro.core.configuration import Configuration
 from repro.core.events import Event, InternalEvent, Message
 from repro.core.process import ProcessId, ProcessSetLike, as_process_set
 from repro.knowledge.formula import Atom
@@ -83,7 +82,4 @@ class CrashableProtocol(Protocol):
 def crashed_atom(process: ProcessId) -> Atom:
     """``process has crashed`` as a knowledge atom (local to the process)."""
 
-    def fn(configuration: Configuration) -> bool:
-        return has_crashed(configuration.history(process))
-
-    return Atom(f"{process} crashed", fn)
+    return Atom.of_history(f"{process} crashed", process, has_crashed)

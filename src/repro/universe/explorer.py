@@ -56,7 +56,7 @@ from repro.universe.fileops import DEFAULT_FILEOPS, FaultInjectingFileOps
 from repro.universe.frontier import PackedFrontier
 from repro.universe.options import ExplorationOptions
 from repro.universe.recovery import RecoveryLog
-from repro.universe.protocol import Protocol
+from repro.universe.protocol import History, Protocol
 
 _BYTE_BITS = tuple(
     tuple(bit for bit in range(8) if byte >> bit & 1) for byte in range(256)
@@ -235,6 +235,7 @@ class PartitionTable:
 
     * ``class_of[config_id]`` — the class index of a configuration;
     * ``members[k]`` — the ids of class ``k``, ascending;
+    * ``representatives[k]`` — the lowest id of class ``k``;
     * ``class_mask(k)`` / ``masks()`` — classes as int bitmasks;
     * ``compose(mask)`` — the closure of a mask under ``[P]`` in one
       pass (the primitive behind ``[P1 … Pn]`` composition);
@@ -254,6 +255,7 @@ class PartitionTable:
         "class_of",
         "sparse",
         "_members",
+        "_representatives",
         "_masks",
         "_compose_memo",
         "_sparse_memo",
@@ -276,6 +278,7 @@ class PartitionTable:
             sparse = num_classes * words > _DENSE_MASK_WORD_BUDGET
         self.sparse = sparse
         self._members: tuple[array, ...] | None = None
+        self._representatives: array | None = None
         self._masks: list[int] | None = None
         self._compose_memo: dict[tuple[int, ...], int] = {}
         self._sparse_memo: dict[int, int] = {}
@@ -309,6 +312,27 @@ class PartitionTable:
                 appends[index](config_id)
             members = self._members = tuple(rows)
         return members
+
+    @property
+    def representatives(self) -> array:
+        """``representatives[k]`` — the lowest id of class ``k``, i.e.
+        ``members[k][0]``, without bucketing the members.
+
+        Classes are labelled in first-occurrence order, so class ``k``
+        first occurs after class ``k - 1`` does: one C-level
+        ``array.index`` scan per class, resuming where the last stopped,
+        reads them all in one pass over :attr:`class_of`.
+        """
+        representatives = self._representatives
+        if representatives is None:
+            find = self.class_of.index
+            representatives = array("i")
+            start = 0
+            for index in range(self.num_classes):
+                start = find(index, start)
+                representatives.append(start)
+            self._representatives = representatives
+        return representatives
 
     # -- mask materialisation ------------------------------------------
     def _dense_masks(self) -> list[int]:
@@ -679,6 +703,7 @@ class Universe:
 
     def _init_relation_caches(self) -> None:
         self._partition_tables: dict[frozenset[ProcessId], PartitionTable] = {}
+        self._class_histories: dict[ProcessId, tuple[History, ...]] = {}
         self._adjacency: dict[
             tuple[frozenset[ProcessId], frozenset[ProcessId]],
             tuple[tuple[int, ...], ...],
@@ -1242,6 +1267,36 @@ class Universe:
             labels = streamed_history_labels(self._configurations, processes)
         for process, (column, count) in zip(processes, labels):
             tables[frozenset((process,))] = PartitionTable(column, count)
+
+    def class_histories(self, process: ProcessId) -> tuple[History, ...]:
+        """``class_histories(p)[k]`` — the ``p``-history shared by the
+        configurations of class ``k`` of ``partition_table({p})``.
+
+        Built once per process from each class's lowest member.  On a
+        packed arena no configuration is built: the lowest member of a
+        class ``k > 0`` is where its label was handed out, so its event is
+        on ``p`` and its history is its parent's class history plus that
+        event (:func:`packed_history_labels`); class 0 is the root's.
+        """
+        histories = self._class_histories.get(process)
+        if histories is None:
+            table = self.partition_table(frozenset((process,)))
+            firsts = table.representatives
+            configurations = self._configurations
+            store = self._packed_arena()
+            if store is None:
+                histories = tuple(
+                    configurations[first].history(process) for first in firsts
+                )
+            else:
+                class_of = table.class_of
+                built = [configurations[0].history(process)]
+                for first in firsts[1:]:
+                    ((parent, event),) = store.records(first, first + 1)
+                    built.append(built[class_of[parent]] + (event,))
+                histories = tuple(built)
+            self._class_histories[process] = histories
+        return histories
 
     def _packed_arena(self) -> ArenaStore | None:
         """The arena, or ``None`` for a configuration list."""

@@ -410,12 +410,19 @@ class Protocol(abc.ABC):
         local steps per history (independently of the compiled step
         table) but nothing per configuration: its callers visit each
         configuration once.
+
+        The memo is keyed by the configuration's rolling entry hash of
+        each history, not by the history tuple, whose hash is not cached
+        and would cost one call per event: a simulator step then hashes
+        no history, and its cost does not grow with the trace.  A hit is
+        confirmed by comparing the stored history (identity first).
         """
         enabled: list[Event] = []
         in_flight = configuration.in_flight_messages
         ordered = self._ordered_processes
         step_cache = self._local_step_cache
         history_of = configuration.histories.get
+        entry_hash_of = configuration._entry_hash_map().get
         for process in ordered:
             history = history_of(process, ())
             # local_steps is a pure function of (process, history) — the
@@ -423,8 +430,13 @@ class Protocol(abc.ABC):
             # results are memoised: exploration asks about the same local
             # history once per interleaving otherwise.
             per_process = step_cache[process]
-            steps = per_process.get(history)
-            if steps is None:
+            key = entry_hash_of(process)  # None for the empty history
+            cached = per_process.get(key)
+            if cached is not None and (
+                cached[0] is history or cached[0] == history
+            ):
+                steps = cached[1]
+            else:
                 steps = tuple(self.local_steps(process, history))
                 for event in steps:
                     if event.is_receive:
@@ -436,7 +448,7 @@ class Protocol(abc.ABC):
                             f"local_steps of {process!r} yielded an event on "
                             f"{event.process!r}"
                         )
-                per_process[history] = steps
+                per_process[key] = (history, steps)
             enabled.extend(steps)
         if in_flight:
             pending = sorted(in_flight) if len(in_flight) > 1 else in_flight

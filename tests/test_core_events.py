@@ -148,3 +148,34 @@ class TestPicklePortability:
         back = pickle.loads(pickle.dumps(message))
         assert "_receive_event" not in back.__dict__
         assert receive(back) == received
+
+
+class TestHashAcrossInterpreters:
+    def test_none_field_hashes_alike_in_two_fresh_interpreters(self):
+        """``hash(None)`` is address-derived before CPython 3.12; a value
+        object's hash must not be, or content hashes differ between two
+        runs under one ``PYTHONHASHSEED``."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        code = (
+            "from repro.core.events import InternalEvent, Message, send\n"
+            "message = Message('p', 'q', 'ping')\n"
+            "assert message.payload is None\n"
+            "print(hash(InternalEvent('p')), hash(message), hash(send(message)))"
+        )
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED="0",
+            PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=env, capture_output=True, text=True, timeout=60, check=True,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outputs[0] and outputs[0] == outputs[1]

@@ -5,10 +5,15 @@ bitmasks over dense configuration ids.  :class:`ReferenceEvaluator` below
 re-implements the original frozenset algebra (the seed algorithm, kept
 deliberately independent of the bitmask machinery) and the tests compare
 the two on every shipped protocol universe and an enumerated universe.
+The suite mixes history atoms (one predicate call per ``[P]``-class in
+the evaluator) with a plain atom of the same function (one call per
+configuration), and the reference calls ``fn`` on every configuration
+for both.
 """
 
 import pytest
 
+from repro.core.errors import UniverseError
 from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import (
     FALSE,
@@ -24,11 +29,21 @@ from repro.knowledge.formula import (
     Sure,
     knows,
 )
-from repro.knowledge.predicates import event_count_at_least
-from repro.protocols.broadcast import BroadcastProtocol, line_topology
+from repro.knowledge.predicates import (
+    atom,
+    did_internal,
+    event_count_at_least,
+    has_received,
+    has_sent,
+)
+from repro.protocols.broadcast import (
+    BroadcastProtocol,
+    fact_known_atom,
+    line_topology,
+)
 from repro.protocols.pingpong import PingPongProtocol
-from repro.protocols.toggle import ToggleProtocol
-from repro.protocols.token_bus import TokenBusProtocol
+from repro.protocols.toggle import ToggleProtocol, bit_atom
+from repro.protocols.token_bus import TokenBusProtocol, holds_token_atom
 from repro.universe.builder import figure_3_1_universe
 from repro.universe.explorer import Universe
 
@@ -115,12 +130,43 @@ def universes():
     yield "fig31", figure_3_1_universe()
 
 
+def protocol_atom(universe):
+    """A history atom of the universe's own protocol, if it ships one."""
+    try:
+        protocol = universe.protocol
+    except UniverseError:  # an enumerated universe has no protocol
+        return None
+    first = sorted(universe.processes)[0]
+    if isinstance(protocol, BroadcastProtocol):
+        return fact_known_atom(protocol, protocol.root)
+    if isinstance(protocol, TokenBusProtocol):
+        return holds_token_atom(protocol, first)
+    if isinstance(protocol, ToggleProtocol):
+        return bit_atom(protocol)
+    return has_received(first, "pong")
+
+
 def formula_suite(universe):
     processes = sorted(universe.processes)
     first, last = processes[0], processes[-1]
     busy_first = event_count_at_least({first}, 1)
     busy_last = event_count_at_least({last}, 1)
-    return [
+    busy_both = event_count_at_least({first, last}, 3)
+    plain_busy_last = atom("busy last (per configuration)", busy_last.fn)
+    history_atoms = [
+        busy_both,
+        has_sent(last, "ping"),
+        has_received(first, "token"),
+        did_internal(first, "learn"),
+    ]
+    own = protocol_atom(universe)
+    if own is not None:
+        history_atoms += [own, Knows(last, own), CommonKnowledge(processes, own)]
+    return history_atoms + [
+        plain_busy_last,
+        Knows(first, plain_busy_last),
+        Sure(first, plain_busy_last),
+        Iff(busy_last, plain_busy_last),
         TRUE,
         FALSE,
         busy_first,

@@ -2,7 +2,7 @@
 
 from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import Knows
-from repro.knowledge.predicates import did_internal, has_received, has_sent
+from repro.knowledge.predicates import atom, did_internal, has_received, has_sent
 from repro.knowledge.transfer import (
     check_lemma_4,
     check_lemma_4_corollaries,
@@ -57,6 +57,18 @@ class TestLemma4:
         assert all(report.holds for report in reports.values()), reports
         assert reports["receive"].checked > 0
         assert reports["send"].checked > 0
+
+    def test_plain_atom_goes_through_sure(self, pingpong_evaluator):
+        """A plain atom's locality to P̄ is checked with ``Sure``, not by
+        construction, and gives the same reports."""
+        b = has_received("q", "ping")
+        plain = atom("q has received 'ping' (per configuration)", b.fn)
+        reports = check_lemma_4(pingpong_evaluator, plain, P)
+        assert reports == check_lemma_4(pingpong_evaluator, b, P)
+        assert reports["receive"].checked > 0
+        # q's receipt is not local to {p}, the complement of Q: vacuous.
+        vacuous = check_lemma_4(pingpong_evaluator, plain, Q)
+        assert all(report.checked == 0 for report in vacuous.values())
 
     def test_broadcast_events(self, broadcast_evaluator):
         b = did_internal("a", "learn")  # local to a

@@ -27,6 +27,7 @@ from repro.isomorphism.reference import composed_class_reference
 from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import Knows, Not, Sure
 from repro.knowledge.predicates import (
+    atom,
     did_internal,
     event_count_at_least,
     has_received,
@@ -85,11 +86,21 @@ def _root_fact(universe: Universe):
     return fact_known_atom(universe.protocol, universe.protocol.root)
 
 
+def _plain(history_atom):
+    """The same function as a plain atom, evaluated per configuration and
+    checked for locality with ``Sure``, not by construction."""
+    return atom(f"{history_atom.name} (per configuration)", history_atom.fn)
+
+
 # name -> (universe, atoms, Theorem 4 set sequences, Lemma 4 process sets)
 CASES = {
     "pingpong": (
         lambda: _explore(PingPongProtocol(rounds=2)),
-        lambda universe: [has_received("q", "ping"), Not(has_sent("q", "pong"))],
+        lambda universe: [
+            has_received("q", "ping"),
+            Not(has_sent("q", "pong")),
+            _plain(has_sent("q", "pong")),
+        ],
         [["p"], ["p", "q"], ["q", "p"], ["p", "q", "p"]],
         [{"p"}, {"q"}],
     ),
@@ -131,6 +142,7 @@ CASES = {
         lambda universe: [
             _root_fact(universe),
             fact_known_atom(universe.protocol, "r0"),
+            _plain(_root_fact(universe)),
         ],
         [["r0", "hub"], ["r1", "r0", "hub"], ["hub"]],
         [{"r0"}, {"r1", "r2"}],

@@ -217,3 +217,36 @@ class TestStepValues:
             rebuilt = Configuration(dict(configuration.histories))
             assert configuration == rebuilt
             assert hash(configuration) == hash(rebuilt)
+
+
+class TestStepCost:
+    def test_hash_calls_per_step_do_not_grow_with_the_trace(self):
+        """A step re-hashes no history: ``enabled_events`` memoises local
+        steps by the configuration's rolling entry hashes, so the calls
+        of the value objects' ``__hash__`` per step stay flat from a
+        200-step to an 800-step token-bus trace."""
+        import sys
+
+        from repro.core.events import _cached_value_hash
+        from repro.protocols.token_bus import TokenBusProtocol
+
+        code = _cached_value_hash.__code__
+
+        def hash_calls_per_step(hops: int) -> float:
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                if event == "call" and frame.f_code is code:
+                    calls += 1
+
+            sys.setprofile(profile)
+            try:
+                trace = simulate(TokenBusProtocol(max_hops=hops), RandomScheduler(0))
+            finally:
+                sys.setprofile(None)
+            return calls / trace.steps
+
+        short, long = hash_calls_per_step(100), hash_calls_per_step(400)
+        assert long <= short * 1.1 + 1, (short, long)
+        assert long < 10, long

@@ -358,11 +358,15 @@ class TestHistoryLabelOracle:
             )
             configuration = universe.configuration_of_id(config_id)
             assert universe.iso_class_mask(configuration, p_set) == oracle
+            # The lowest member of each class.
+            firsts = [expected.index(label) for label in range(table.num_classes)]
+            assert list(table.representatives) == firsts
+            assert [ids[0] for ids in table.members] == firsts
 
 
 def assert_labels_match_oracle(universe: Universe) -> None:
-    """Every singleton table, ``active_processes`` and ``events()`` equal
-    what materialising every configuration gives."""
+    """Every singleton table and its class histories, ``active_processes``
+    and ``events()`` equal what materialising every configuration gives."""
     configurations = list(universe._configurations)
     processes = sorted(universe.processes)
     expected = streamed_history_labels(configurations, processes)
@@ -370,6 +374,10 @@ def assert_labels_match_oracle(universe: Universe) -> None:
         table = universe.partition_table({process})
         assert table.class_of == column, process
         assert table.num_classes == count, process
+        histories = universe.class_histories(process)
+        assert len(histories) == count, process
+        for configuration, label in zip(configurations, column):
+            assert histories[label] == configuration.history(process), process
     assert universe.events() == frozenset(
         event for configuration in configurations for event in configuration.events()
     )
@@ -474,6 +482,8 @@ class TestArenaMaterialisationGuard:
             universe.partition_table(frozenset(pair))
         assert universe.active_processes == universe.processes
         assert len(universe.events()) > 0
+        for process in processes:
+            assert universe.class_histories(process)
         assert store.materialisations == before
         assert store.chain_walks == 0
         # Streamed rebuilds count: one full pass rebuilds every id but
