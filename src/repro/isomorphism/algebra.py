@@ -79,9 +79,7 @@ def _frontier_classes(
     dominant repeated work of the n=7 sweep residue.
     """
     key = tuple(sets)
-    memo = getattr(universe, "_frontier_class_memo", None)
-    if memo is None:
-        memo = universe._frontier_class_memo = {}
+    memo = universe._frontier_class_memo
     cached = memo.get(key)
     if cached is not None:
         return cached
@@ -137,8 +135,8 @@ def sequences_equal(
 ) -> bool:
     """Extensional equality ``[left] = [right]`` over the universe.
 
-    Single-set sides compare as partitions (fingerprint + one C-level
-    array compare).  Composed sides compare their per-class images,
+    Single-set sides compare as partitions (one C-level array
+    compare).  Composed sides compare their per-class images,
     deduplicated by the realised (left class, right class) pairs — which
     are exactly the rows of the cached
     :meth:`~repro.universe.explorer.Universe.class_adjacency` graph, so
@@ -337,7 +335,7 @@ def check_union(
     label columns of ``P ∪ Q``, while ``[P] ∩ [Q]`` is the refinement
     product of the two tables' ``class_of`` arrays.  Both labellings are
     canonical (first occurrence), so the property holds iff the arrays
-    are equal — fingerprint fast-path, then one C-level comparison.  The
+    are equal, one C-level comparison.  The
     object-level oracle ``check_union_reference`` in
     :mod:`repro.isomorphism.reference` stays the independent check.
     """

@@ -144,8 +144,8 @@ class ArenaStore:
         # Ids below the floor belong to expanded layers: whole chunks
         # under it seal into the cold tier.
         self._floor = 0
-        # Roots appended directly (no parent) stay pinned forever.
-        self._pinned: dict[int, Configuration] = {}
+        # The root (id 0, no parent) stays resident forever.
+        self._root: Configuration | None = None
         self._lru: OrderedDict[int, Configuration] = OrderedDict()
         self._chunk_cache: OrderedDict[int, tuple[array, array, array]] = (
             OrderedDict()
@@ -251,18 +251,17 @@ class ArenaStore:
     # Growth (exploration hot path)
     # ------------------------------------------------------------------
     def append(self, configuration: Configuration) -> int:
-        """Append the root configuration (no parent), pinned permanently.
+        """Append the root configuration (no parent), resident forever.
 
         An arena has one root, at id 0: every later id is a child, which
         the packed history-label pass relies on.
         """
-        index = self._count
         self._tail_parent.append(-1)
         self._tail_event.append(-1)
         self._tail_hash.append(hash(configuration))
-        self._count += 1
-        self._pinned[index] = configuration
-        return index
+        self._count = 1
+        self._root = configuration
+        return 0
 
     def append_child(self, parent_id: int, event: Event, content_hash: int) -> int:
         """Record a first discovery: pack the columns.  No object is kept;
@@ -444,9 +443,8 @@ class ArenaStore:
             index += self._count
         if not 0 <= index < self._count:
             raise IndexError("arena index out of range")
-        configuration = self._pinned.get(index)
-        if configuration is not None:
-            return configuration
+        if index == 0:
+            return self._root
         lru = self._lru
         configuration = lru.get(index)
         if configuration is not None:
@@ -455,26 +453,23 @@ class ArenaStore:
         return self._materialise(index)
 
     def _materialise(self, index: int) -> Configuration:
-        """Chain-walk up the parent column to the nearest live ancestor,
-        then rebuild downwards through the LRU."""
+        """Chain-walk up the parent column from a child ``index`` to the
+        nearest live ancestor (the root at worst), then rebuild downwards
+        through the LRU."""
         self.chain_walks += 1
-        pinned = self._pinned
         lru = self._lru
         chain: list[tuple[int, int, int]] = []
         cursor = index
         while True:
             parent, event_index, content_hash = self._entry(cursor)
-            if parent < 0:
-                current = pinned[cursor]
-                break
             chain.append((cursor, event_index, content_hash))
             cursor = parent
-            current = pinned.get(cursor)
-            if current is None:
-                current = lru.get(cursor)
-                if current is not None:
-                    lru.move_to_end(cursor)
+            if cursor == 0:
+                current = self._root
+                break
+            current = lru.get(cursor)
             if current is not None:
+                lru.move_to_end(cursor)
                 break
         events = self._events
         lru_size = self._lru_size
@@ -503,7 +498,7 @@ class ArenaStore:
         for index in range(self._count):
             parent_id, event_index, content_hash = self._entry(index)
             if parent_id < 0:
-                current = self._pinned[index]
+                current = self._root
             else:
                 while floor < parent_id:
                     cache.pop(floor, None)
@@ -609,7 +604,7 @@ class ArenaStore:
         del self._tail_event[:]
         del self._tail_hash[:]
         self._floor = 0
-        self._pinned.clear()
+        self._root = None
         self._lru.clear()
         self._chunk_cache.clear()
         if self._spill_mmap is not None:

@@ -25,6 +25,13 @@ map each ``[P]``-class to an **int bitmask** over ids, so set
 algebra over the universe (knowledge extensions, class containment,
 fixpoints) runs as single bitwise operations on Python ints — see
 PERFORMANCE.md for the architecture.
+
+Every universe, an :class:`EnumeratedUniverse` included, keeps its
+configurations in one packed :class:`~repro.universe.arena.ArenaStore`
+with its root, the empty configuration, at id 0.  History labels, class
+histories and the event set are read from the arena's parent and event
+columns; a :class:`Configuration` is materialised only when a caller
+asks for one.
 """
 
 from __future__ import annotations
@@ -32,7 +39,6 @@ from __future__ import annotations
 import gc
 import os
 import sys
-import zlib
 from math import inf
 from array import array
 from bisect import bisect_left
@@ -152,31 +158,13 @@ def first_occurrence_labels(keys: Iterable[Hashable]) -> tuple[array, dict]:
     return labels, label_of
 
 
-def streamed_history_labels(
-    configurations: Iterable[Configuration], processes: Sequence[ProcessId]
-) -> list[tuple[array, int]]:
-    """``(labels, count)`` per process ``p`` of ``processes``: the
-    first-occurrence labels of each configuration's ``p``-history, in one
-    pass over materialised configurations, hashing every history tuple.
-
-    The path of a configuration list (an :class:`EnumeratedUniverse`),
-    and the oracle of :func:`packed_history_labels`.
-    """
-    lanes = [(process, {}, array("i")) for process in processes]
-    for configuration in configurations:
-        histories = configuration._histories
-        for process, label_of, column in lanes:
-            column.append(
-                label_of.setdefault(histories.get(process, ()), len(label_of))
-            )
-    return [(column, len(label_of)) for _, label_of, column in lanes]
-
-
 def packed_history_labels(
     store: ArenaStore, processes: Sequence[ProcessId]
 ) -> list[tuple[array, int]]:
-    """The labels of :func:`streamed_history_labels`, read from the
-    arena's parent and event columns with no configuration built.
+    """``(labels, count)`` per process ``p`` of ``processes``: the
+    first-occurrence labels of each configuration's ``p``-history, read
+    from the arena's parent and event columns with no configuration
+    built (oracle: :func:`repro.universe.reference.streamed_history_labels`).
 
     A child's ``p``-history is its parent's, except on the process of its
     event ``e``, where it is the parent's plus ``e``.  So, in id order, a
@@ -260,7 +248,6 @@ class PartitionTable:
         "_compose_memo",
         "_sparse_memo",
         "_sparse_memo_words",
-        "_fingerprint",
         "_consistent",
     )
 
@@ -283,7 +270,6 @@ class PartitionTable:
         self._compose_memo: dict[tuple[int, ...], int] = {}
         self._sparse_memo: dict[int, int] = {}
         self._sparse_memo_words = 0
-        self._fingerprint: tuple[int, int, int] | None = None
         self._consistent: bool | None = None
 
     @classmethod
@@ -291,7 +277,7 @@ class PartitionTable:
         """The partition of ids ``0, 1, …`` by equal ``keys[id]``.
 
         Classes are labelled in first-occurrence order, the canonical
-        labelling every table uses (see :attr:`fingerprint`).
+        labelling every table uses (see :meth:`same_partition_as`).
         """
         class_of, label_of = first_occurrence_labels(keys)
         return cls(class_of, len(label_of))
@@ -301,8 +287,8 @@ class PartitionTable:
         """``members[k]`` — the ids of class ``k``, ascending.
 
         Bucketed from :attr:`class_of` in one pass on first use: tables
-        that are only compared (fingerprints, refinement products) never
-        pay for it.
+        that are only compared (:meth:`same_partition_as`, refinement
+        products) never pay for it.
         """
         members = self._members
         if members is None:
@@ -375,34 +361,15 @@ class PartitionTable:
         return tuple(self._dense_masks())
 
     # -- identity ------------------------------------------------------
-    @property
-    def fingerprint(self) -> tuple[int, int, int]:
-        """Stable identity of the partition: ``(size, classes, crc)``.
+    def same_partition_as(self, other: "PartitionTable") -> bool:
+        """Exact partition equality over the same universe.
 
         Class indices are assigned in first-occurrence order over the
-        dense configuration ids, so the ``class_of`` array is a
-        *canonical* labelling: two tables over the same universe describe
-        the same partition iff their arrays are equal, and the
-        fingerprint — a CRC of the array bytes, independent of hash
-        randomisation — is equal whenever the partitions are.  Callers
-        that need exactness confirm with :meth:`same_partition_as`
-        (fingerprint first, then a C-level array compare).
+        dense configuration ids, so ``class_of`` is a *canonical*
+        labelling: two tables describe the same partition iff their
+        arrays are equal, one C-level compare.
         """
-        fingerprint = self._fingerprint
-        if fingerprint is None:
-            fingerprint = (
-                self.size,
-                self.num_classes,
-                zlib.crc32(self.class_of.tobytes()),
-            )
-            self._fingerprint = fingerprint
-        return fingerprint
-
-    def same_partition_as(self, other: "PartitionTable") -> bool:
-        """Exact partition equality (fingerprint fast-path, then arrays)."""
-        if self is other:
-            return True
-        return self.fingerprint == other.fingerprint and self.class_of == other.class_of
+        return self is other or self.class_of == other.class_of
 
     def verify_consistency(self) -> bool:
         """Cross-check mask materialisation against the id arrays.
@@ -585,9 +552,6 @@ class Universe:
                 f"store must be 'arena' (the object store was removed), "
                 f"got {store!r}"
             )
-        self._protocol = protocol
-        self._max_events = max_events
-        self._recovery_log = RecoveryLog()
         # Storage fault delivery: every checkpoint/spill filesystem call
         # routes through one shared file-ops shim; write-targeting kinds
         # arm at the BFS layer boundary covering their layer, eio_read
@@ -595,11 +559,11 @@ class Universe:
         storage_actions = (
             fault_plan.take_storage_faults() if fault_plan is not None else []
         )
-        if storage_actions:
-            self._fileops = FaultInjectingFileOps()
-        else:
-            self._fileops = DEFAULT_FILEOPS
-        self._storage_faults: dict[int, list[tuple[str, float]]] = {}
+        self._init_store(
+            protocol,
+            opts,
+            FaultInjectingFileOps() if storage_actions else DEFAULT_FILEOPS,
+        )
         for kind, layer, seconds in storage_actions:
             if kind == "eio_read":
                 self._fileops.arm(kind, seconds)
@@ -607,24 +571,6 @@ class Universe:
                 self._storage_faults.setdefault(layer, []).append(
                     (kind, seconds)
                 )
-        self._configurations: Sequence[Configuration] = ArenaStore(
-            spill_dir=spill_dir,
-            fileops=self._fileops,
-            recovery_log=self._recovery_log,
-        )
-        # Content hash -> dense id (or list of ids on hash collision).
-        # This is both the BFS dedup table and, after exploration, the
-        # public configuration -> id index: one table, no second
-        # content-keyed dict.
-        self._ids_by_hash: dict[int, int | list[int]] = {}
-        # CSR successor store: the successor ids of configuration i are
-        # _succ_ids[_succ_offsets[i]:_succ_offsets[i+1]].  BFS emits each
-        # configuration's successors contiguously, so the flat layout is
-        # append-only — no per-configuration list objects.
-        self._succ_offsets = array("q", (0,))
-        self._succ_ids = array("q")
-        self._complete = True
-        self._init_relation_caches()
         from repro.universe.sharded import ShardedExplorer, resolve_workers
 
         worker_count = resolve_workers(workers)
@@ -681,7 +627,6 @@ class Universe:
                 recovery_log=self._recovery_log,
             )
         self._checkpoint_session = session
-        self._rss_watchdog = None
         try:
             if worker_count > 1:
                 ShardedExplorer(
@@ -701,6 +646,39 @@ class Universe:
                 # failure surfaces — before the universe is usable.
                 session.flush()
 
+    def _init_store(
+        self, protocol: Protocol | None, options: ExplorationOptions, fileops
+    ) -> None:
+        """Set every attribute the base class reads, over an empty arena;
+        both constructors call it."""
+        self._protocol = protocol
+        self._options = options
+        self._max_events = options.limits.max_events
+        self._fileops = fileops
+        self._recovery_log = RecoveryLog()
+        self._storage_faults: dict[int, list[tuple[str, float]]] = {}
+        self._checkpoint_session = None
+        self._rss_watchdog = None
+        self._worker_peak_rss_mb: dict[int, float] = {}
+        self._configurations = ArenaStore(
+            spill_dir=options.budget.spill_dir,
+            fileops=fileops,
+            recovery_log=self._recovery_log,
+        )
+        # Content hash -> dense id (or list of ids on hash collision).
+        # This is both the BFS dedup table and, after exploration, the
+        # public configuration -> id index: one table, no second
+        # content-keyed dict.
+        self._ids_by_hash: dict[int, int | list[int]] = {}
+        # CSR successor store: the successor ids of configuration i are
+        # _succ_ids[_succ_offsets[i]:_succ_offsets[i+1]].  BFS emits each
+        # configuration's successors contiguously, so the flat layout is
+        # append-only — no per-configuration list objects.
+        self._succ_offsets = array("q", (0,))
+        self._succ_ids = array("q")
+        self._complete = True
+        self._init_relation_caches()
+
     def _init_relation_caches(self) -> None:
         self._partition_tables: dict[frozenset[ProcessId], PartitionTable] = {}
         self._class_histories: dict[ProcessId, tuple[History, ...]] = {}
@@ -708,16 +686,10 @@ class Universe:
             tuple[frozenset[ProcessId], frozenset[ProcessId]],
             tuple[tuple[int, ...], ...],
         ] = {}
-        # Refinement products: frozenset-pair -> (first_set, table, pairs);
-        # fingerprint-keyed layer shares products across subset pairs
-        # whose partitions coincide extensionally.
+        # Refinement products: frozenset-pair -> (first_set, table, pairs).
         self._refinement_products: dict[
             frozenset[frozenset[ProcessId]],
             tuple[frozenset[ProcessId], PartitionTable, list[tuple[int, int]]],
-        ] = {}
-        self._refinement_by_fp: dict[
-            tuple[tuple[int, int, int], tuple[int, int, int]],
-            tuple[array, array, PartitionTable, list[tuple[int, int]]],
         ] = {}
         # Composed-relation frontier memo, shared across the property
         # checkers (inversion, concatenation, reflexivity, equality all
@@ -727,6 +699,7 @@ class Universe:
         self._frontier_class_memo: dict[
             tuple[frozenset[ProcessId], ...], tuple
         ] = {}
+        self._active_processes: frozenset[ProcessId] | None = None
 
     def _explore(self, engine=None) -> None:
         """The one BFS layer driver of both engines.
@@ -1058,7 +1031,7 @@ class Universe:
         ``"sealed-in-ram"``, ``"orphan_spill"``/``"discard-orphan"``),
         and per RSS-watchdog rung (``"rss_budget"``/``"spill"`` or
         ``"truncate"``)."""
-        return tuple(getattr(self, "_recovery_log", ()))
+        return tuple(self._recovery_log)
 
     @property
     def checkpoint_degraded(self) -> bool:
@@ -1067,7 +1040,7 @@ class Universe:
         still valid, but no further saves happened after the failure
         (the ``checkpoint_degraded`` rung on :attr:`recovery_log` has
         the detail)."""
-        session = getattr(self, "_checkpoint_session", None)
+        session = self._checkpoint_session
         return bool(session is not None and session.degraded)
 
     def _clean_orphan_spills(self, spill_dir) -> None:
@@ -1101,7 +1074,7 @@ class Universe:
         L can never land retroactively on a still-inflight save of an
         earlier layer: the manifest through L stays committed and
         clean, which is what the degradation ladder promises."""
-        pending = getattr(self, "_storage_faults", None)
+        pending = self._storage_faults
         if not pending:
             return
         due: list[tuple[str, float]] = []
@@ -1120,7 +1093,7 @@ class Universe:
         """Per-shard peak RSS (MiB) of the sharded engine's workers,
         collected from their farewell frames; empty for single-process
         exploration or workers that died before answering."""
-        return dict(getattr(self, "_worker_peak_rss_mb", {}))
+        return dict(self._worker_peak_rss_mb)
 
     @property
     def options(self) -> ExplorationOptions:
@@ -1133,7 +1106,7 @@ class Universe:
         RSS on this host: ``None`` when no budget was set, ``False``
         when the host exposes no measurement (the watchdog warned once
         and will never truncate), ``True`` otherwise."""
-        watchdog = getattr(self, "_rss_watchdog", None)
+        watchdog = self._rss_watchdog
         if watchdog is None:
             return None
         return watchdog.active
@@ -1250,9 +1223,8 @@ class Universe:
 
         Each process gets an ``array('i')`` column of first-occurrence
         labels, the canonical labelling, which becomes its singleton
-        table's ``class_of``.  A packed arena is read as parent and event
-        columns (:func:`packed_history_labels`), materialising nothing;
-        a configuration list is streamed (:func:`streamed_history_labels`).
+        table's ``class_of``.  The arena is read as parent and event
+        columns (:func:`packed_history_labels`), materialising nothing.
         """
         tables = self._partition_tables
         processes = [
@@ -1260,11 +1232,7 @@ class Universe:
             for process in sorted(self.processes | requested)
             if frozenset((process,)) not in tables
         ]
-        store = self._packed_arena()
-        if store is not None:
-            labels = packed_history_labels(store, processes)
-        else:
-            labels = streamed_history_labels(self._configurations, processes)
+        labels = packed_history_labels(self._configurations, processes)
         for process, (column, count) in zip(processes, labels):
             tables[frozenset((process,))] = PartitionTable(column, count)
 
@@ -1272,36 +1240,23 @@ class Universe:
         """``class_histories(p)[k]`` — the ``p``-history shared by the
         configurations of class ``k`` of ``partition_table({p})``.
 
-        Built once per process from each class's lowest member.  On a
-        packed arena no configuration is built: the lowest member of a
-        class ``k > 0`` is where its label was handed out, so its event is
-        on ``p`` and its history is its parent's class history plus that
-        event (:func:`packed_history_labels`); class 0 is the root's.
+        Built once per process from each class's lowest member, with no
+        configuration built: the lowest member of a class ``k > 0`` is
+        where its label was handed out, so its event is on ``p`` and its
+        history is its parent's class history plus that event
+        (:func:`packed_history_labels`); class 0 is the root's, empty.
         """
         histories = self._class_histories.get(process)
         if histories is None:
             table = self.partition_table(frozenset((process,)))
-            firsts = table.representatives
-            configurations = self._configurations
-            store = self._packed_arena()
-            if store is None:
-                histories = tuple(
-                    configurations[first].history(process) for first in firsts
-                )
-            else:
-                class_of = table.class_of
-                built = [configurations[0].history(process)]
-                for first in firsts[1:]:
-                    ((parent, event),) = store.records(first, first + 1)
-                    built.append(built[class_of[parent]] + (event,))
-                histories = tuple(built)
-            self._class_histories[process] = histories
+            class_of = table.class_of
+            records = self._configurations.records
+            built: list[History] = [()]
+            for first in table.representatives[1:]:
+                ((parent, event),) = records(first, first + 1)
+                built.append(built[class_of[parent]] + (event,))
+            histories = self._class_histories[process] = tuple(built)
         return histories
-
-    def _packed_arena(self) -> ArenaStore | None:
-        """The arena, or ``None`` for a configuration list."""
-        store = self._configurations
-        return store if isinstance(store, ArenaStore) else None
 
     def class_masks(self, processes: ProcessSetLike) -> tuple[int, ...]:
         """One bitmask per ``[P]``-class of the universe.
@@ -1335,10 +1290,7 @@ class Universe:
 
         Built from the two ``class_of`` index arrays in one O(n) pass (the
         first-occurrence relabelling of their rows) and
-        memoised per unordered pair of process sets; a fingerprint-keyed
-        layer additionally shares the product across subset pairs whose
-        partitions coincide extensionally (verified exactly, arrays
-        compared, before reuse).
+        memoised per unordered pair of process sets.
         """
         key = frozenset((p_set, q_set))
         cached = self._refinement_products.get(key)
@@ -1347,29 +1299,15 @@ class Universe:
             if first_set == p_set:
                 return table, pairs
             return table, [(b, a) for a, b in pairs]
-        p_table = self.partition_table(p_set)
-        q_table = self.partition_table(q_set)
-        fp_key = (p_table.fingerprint, q_table.fingerprint)
-        shared = self._refinement_by_fp.get(fp_key)
-        if shared is not None:
-            p_of, q_of, table, pairs = shared
-            if p_of == p_table.class_of and q_of == q_table.class_of:
-                self._refinement_products[key] = (p_set, table, pairs)
-                return table, pairs
-        shared = self._refinement_by_fp.get((fp_key[1], fp_key[0]))
-        if shared is not None:
-            q_of, p_of, table, transposed = shared
-            if p_of == p_table.class_of and q_of == q_table.class_of:
-                pairs = [(a, b) for b, a in transposed]
-                self._refinement_products[key] = (p_set, table, pairs)
-                return table, pairs
-        p_of = p_table.class_of
-        q_of = q_table.class_of
-        class_of, label_of = first_occurrence_labels(zip(p_of, q_of))
+        class_of, label_of = first_occurrence_labels(
+            zip(
+                self.partition_table(p_set).class_of,
+                self.partition_table(q_set).class_of,
+            )
+        )
         pairs = list(label_of)
         table = PartitionTable(class_of, len(pairs))
         self._refinement_products[key] = (p_set, table, pairs)
-        self._refinement_by_fp[fp_key] = (p_of, q_of, table, pairs)
         return table, pairs
 
     def refinement_product(
@@ -1381,7 +1319,7 @@ class Universe:
         arrays* — independently of the ``[P ∪ Q]`` table, which relabels
         the history label columns of ``P ∪ Q`` directly; that is what
         lets :func:`repro.isomorphism.algebra.check_union` compare the
-        two.  Canonically labelled, memoised, fingerprint-shared; see
+        two.  Canonically labelled and memoised; see
         :meth:`_refinement_entry`.
         """
         p_set = as_process_set(first)
@@ -1481,22 +1419,17 @@ class Universe:
     def events(self) -> frozenset[Event]:
         """Every event occurring anywhere in the universe.
 
-        A packed arena answers from its event vocabulary and its root,
-        materialising nothing; otherwise every configuration is scanned.
+        Answered from the arena's event vocabulary, materialising
+        nothing: each configuration but the empty root is its parent
+        plus one vocabulary event, so the vocabulary holds them all.
         """
-        store = self._packed_arena()
-        if store is not None:
-            return frozenset(store.vocabulary).union(store[0].events())
-        found = set()
-        for configuration in self._configurations:
-            found.update(configuration.events())
-        return frozenset(found)
+        return frozenset(self._configurations.vocabulary)
 
     @property
     def active_processes(self) -> frozenset[ProcessId]:
         """Processes with at least one event somewhere in the universe:
         the processes of :meth:`events`."""
-        cached = getattr(self, "_active_processes", None)
+        cached = self._active_processes
         if cached is None:
             cached = frozenset(event.process for event in self.events())
             self._active_processes = cached
@@ -1568,52 +1501,55 @@ class EnumeratedUniverse(Universe):
     """A universe given by an explicit set of computations.
 
     Used for hand-built examples (e.g. Figure 3-1) where no protocol
-    exists: the given configurations are prefix-closed along the supplied
-    linearizations and indexed exactly like an explored universe.
+    exists: the given configurations are closed under consistent cuts
+    and indexed exactly like an explored universe, on the same arena.
+    Ids are BFS discovery order from the empty configuration over
+    one-event extensions within the closure, each successor row is
+    ascending, and the arena is filled by replaying the discovery
+    records (:meth:`~repro.universe.arena.ArenaStore.replay`), so hashes
+    and the hash -> id table come from the same rolling entry hashes as
+    a checkpoint resume's.  The processes ``D`` are those the given
+    configurations hold; default :class:`ExplorationOptions` apply.
     """
 
     def __init__(self, configurations: Iterable[Configuration]) -> None:
         # Deliberately does not call super().__init__: there is no protocol.
-        closure: list[Configuration] = []
-        seen: set[Configuration] = set()
+        self._init_store(None, ExplorationOptions(), DEFAULT_FILEOPS)
+        closure: set[Configuration] = set()
+        by_count: dict[int, list[Configuration]] = {}
         processes: set[ProcessId] = set()
         for configuration in configurations:
             for cut in _consistent_cuts(configuration):
-                if cut not in seen:
-                    seen.add(cut)
-                    closure.append(cut)
+                if cut not in closure:
+                    closure.add(cut)
+                    by_count.setdefault(len(cut), []).append(cut)
             processes.update(configuration.processes)
-        closure.sort(key=len)
-        self._protocol = None  # type: ignore[assignment]
-        self._max_events = None
-        self._configurations = closure
-        self._ids_by_hash = {}
-        for index, configuration in enumerate(closure):
-            content_hash = hash(configuration)
-            entry = self._ids_by_hash.get(content_hash)
-            if entry is None:
-                self._ids_by_hash[content_hash] = index
-            elif type(entry) is int:
-                self._ids_by_hash[content_hash] = [entry, index]
-            else:
-                entry.append(index)
-        self._complete = True
-        self._init_relation_caches()
         self._processes = frozenset(processes)
-        # Successors: one-event extensions within the closure, stored in
-        # the same CSR layout as explored universes.  Bucket the
-        # candidates by event count so each configuration is only
-        # compared against the next layer.
-        by_count: dict[int, list[int]] = {}
-        for index, configuration in enumerate(closure):
-            by_count.setdefault(len(configuration), []).append(index)
-        self._succ_offsets = array("q", (0,))
-        self._succ_ids = array("q")
-        for configuration in closure:
-            for candidate in by_count.get(len(configuration) + 1, ()):
-                if configuration.is_sub_configuration_of(closure[candidate]):
-                    self._succ_ids.append(candidate)
-            self._succ_offsets.append(len(self._succ_ids))
+        # Each configuration is compared only against the next layer.
+        ids = {EMPTY_CONFIGURATION: 0}
+        order = [EMPTY_CONFIGURATION]
+        stream: list[tuple[int, Event]] = []
+        succ_ids = self._succ_ids
+        for parent_id, parent in enumerate(order):  # grows while walked
+            row = []
+            for candidate in by_count.get(len(parent) + 1, ()):
+                if not parent.is_sub_configuration_of(candidate):
+                    continue
+                child_id = ids.get(candidate)
+                if child_id is None:
+                    child_id = ids[candidate] = len(order)
+                    order.append(candidate)
+                    ((event,),) = candidate.suffix_after(parent).values()
+                    stream.append((parent_id, event))
+                row.append(child_id)
+            succ_ids.extend(sorted(row))
+            self._succ_offsets.append(len(succ_ids))
+        if len(order) < len(closure):
+            raise UniverseError(
+                "a given configuration has consistent cuts that no one-event "
+                "extension reaches (cyclic causality: no linearization)"
+            )
+        self._ids_by_hash = self._configurations.replay(stream, sorted(processes))
 
     @property
     def protocol(self) -> Protocol:  # type: ignore[override]

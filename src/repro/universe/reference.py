@@ -12,6 +12,11 @@ content-hash id table with its collision buckets, completeness under
 ``max_events``, and the truncation point and partial successor rows of
 ``max_configurations`` under both ``on_limit`` modes.
 
+:func:`streamed_history_labels` is the oracle of the packed
+history-label pass
+(:func:`~repro.universe.explorer.packed_history_labels`): it labels
+materialised configurations' histories directly.
+
 Slow by design; the tests and the chaos harness use it on
 small universes only.
 """
@@ -19,11 +24,13 @@ small universes only.
 from __future__ import annotations
 
 from array import array
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from math import inf
 
 from repro.core.configuration import EMPTY_CONFIGURATION, Configuration
 from repro.core.errors import UniverseError
+from repro.core.process import ProcessId
 from repro.universe.protocol import Protocol
 
 
@@ -114,4 +121,20 @@ def reference_bfs(
     )
 
 
-__all__ = ["ReferenceExploration", "reference_bfs"]
+def streamed_history_labels(
+    configurations: Iterable[Configuration], processes: Sequence[ProcessId]
+) -> list[tuple[array, int]]:
+    """``(labels, count)`` per process ``p`` of ``processes``: the
+    first-occurrence labels of each configuration's ``p``-history, in one
+    pass over materialised configurations, hashing every history tuple."""
+    lanes = [(process, {}, array("i")) for process in processes]
+    for configuration in configurations:
+        histories = configuration._histories
+        for process, label_of, column in lanes:
+            column.append(
+                label_of.setdefault(histories.get(process, ()), len(label_of))
+            )
+    return [(column, len(label_of)) for _, label_of, column in lanes]
+
+
+__all__ = ["ReferenceExploration", "reference_bfs", "streamed_history_labels"]

@@ -20,6 +20,7 @@ from repro.core.configuration import (
 from repro.core.errors import InvalidConfigurationError
 from repro.core.events import internal, message_pair
 from repro.protocols.pingpong import PingPongProtocol
+from repro.universe.arena import ArenaStore
 from repro.universe.explorer import Universe
 
 
@@ -81,7 +82,7 @@ class TestValueSemantics:
         equal hash, the same histories through the public constructor
         and through an ``extend`` chain."""
         universe = Universe(PingPongProtocol(rounds=2))
-        assert universe._packed_arena() is not None
+        assert isinstance(universe._configurations, ArenaStore)
         for configuration in universe:
             assert_one_value(configuration, Configuration(configuration.histories))
             chained = EMPTY_CONFIGURATION

@@ -2,14 +2,16 @@
 
 import pytest
 
-from repro.core.configuration import EMPTY_CONFIGURATION
+from repro.core.configuration import EMPTY_CONFIGURATION, Configuration
 from repro.core.errors import UniverseError
+from repro.core.events import message_pair
 from repro.core.validation import is_valid_configuration
 from repro.protocols.broadcast import BroadcastProtocol, star_topology
 from repro.protocols.pingpong import PingPongProtocol
 from repro.protocols.token_bus import TokenBusProtocol
+from repro.universe.arena import ArenaStore
 from repro.universe.builder import figure_3_1_universe
-from repro.universe.explorer import Universe
+from repro.universe.explorer import EnumeratedUniverse, Universe
 from repro.universe.options import ExplorationOptions, Limits, Sharding
 
 
@@ -171,3 +173,27 @@ class TestEnumeratedUniverse:
         universe = figure_3_1_universe()
         empty = EMPTY_CONFIGURATION
         assert len(universe.successors(empty)) == 4  # a_p, d_p, b_q, c_q
+
+    def test_figure_3_1_on_the_arena(self):
+        """Figure 3-1 lives on the same arena as an explored universe,
+        numbered in BFS order, with every base-class view answering."""
+        universe = figure_3_1_universe()
+        assert type(universe._configurations) is ArenaStore
+        assert list(universe._succ_offsets) == [0, 4, 6, 8, 9, 10, 10, 10, 10]
+        assert list(universe._succ_ids) == [1, 2, 3, 4, 5, 6, 5, 7, 6, 7]
+        assert universe.options == ExplorationOptions()
+        assert universe.recovery_log == ()
+        assert not universe.checkpoint_degraded
+        assert universe.worker_peak_rss_mb == {}
+        assert universe.rss_watchdog_active is None
+        assert universe.active_processes == {"p", "q"}
+        assert len(universe.events()) == 4
+
+    def test_cyclic_configuration_is_refused(self):
+        """A message-consistent but cyclic configuration has cuts that no
+        one-event extension reaches."""
+        snd1, rcv1 = message_pair("p", "q", "m1")
+        snd2, rcv2 = message_pair("q", "p", "m2")
+        cyclic = Configuration({"p": (rcv2, snd1), "q": (rcv1, snd2)})
+        with pytest.raises(UniverseError, match="no linearization"):
+            EnumeratedUniverse([cyclic])

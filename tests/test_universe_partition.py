@@ -1,5 +1,6 @@
 """Partition tables: dense/sparse representations and mask algebra."""
 
+import random
 from array import array
 from itertools import combinations
 
@@ -12,12 +13,12 @@ from repro.protocols.broadcast import (
     tree_topology,
 )
 from repro.protocols.token_bus import TokenBusProtocol
+from repro.universe.arena import ArenaStore
 from repro.universe.explorer import (
     EnumeratedUniverse,
     PartitionTable,
     Universe,
     iter_bit_ids,
-    streamed_history_labels,
 )
 from repro.universe.options import (
     CheckpointPolicy,
@@ -26,6 +27,7 @@ from repro.universe.options import (
     ResourceBudget,
     Sharding,
 )
+from repro.universe.reference import streamed_history_labels
 
 from test_universe_arena import (
     REFERENCE_CASES,
@@ -192,28 +194,27 @@ class TestSparseMaskMemo:
         assert sparse.masks() == dense.masks()
 
 
-class TestFingerprints:
-    def test_equal_partitions_share_a_fingerprint(self, star_universe):
+class TestSamePartition:
+    def test_equal_partitions_compare_equal(self, star_universe):
         table = star_universe.partition_table(frozenset({"hub"}))
         rebuilt = PartitionTable.from_keys(list(table.class_of))
-        assert rebuilt.fingerprint == table.fingerprint
         assert rebuilt.same_partition_as(table)
         assert table.same_partition_as(rebuilt)
 
     def test_distinct_partitions_differ(self, star_universe):
         hub = star_universe.partition_table(frozenset({"hub"}))
         x = star_universe.partition_table(frozenset({"x"}))
-        assert hub.fingerprint != x.fingerprint
         assert not hub.same_partition_as(x)
 
-    def test_fingerprint_is_stable_across_rebuilds(self, star_universe):
-        """First-occurrence labelling makes class_of canonical, so the
-        fingerprint is a pure function of the partition."""
+    def test_labels_are_stable_across_rebuilds(self, star_universe):
+        """First-occurrence labelling makes class_of canonical, so a
+        rebuilt universe's table is the same partition."""
         table = star_universe.partition_table(frozenset({"x"}))
         twin = Universe(
             BroadcastProtocol(star_topology("hub", ("x", "y", "z")), "hub")
         ).partition_table(frozenset({"x"}))
-        assert twin.fingerprint == table.fingerprint
+        assert twin is not table
+        assert twin.same_partition_as(table)
 
     def test_verify_consistency_is_memoised(self, star_universe):
         table = star_universe.partition_table(frozenset({"hub"}))
@@ -403,7 +404,7 @@ class TestPackedHistoryLabels:
                 limits=Limits(**bounds), sharding=Sharding(workers=workers)
             ),
         )
-        assert universe._packed_arena() is not None
+        assert isinstance(universe._configurations, ArenaStore)
         assert_labels_match_oracle(universe)
 
     @pytest.mark.parametrize("cap", [None, 300], ids=["complete", "mid-run"])
@@ -444,19 +445,39 @@ class TestPackedHistoryLabels:
         assert_labels_match_oracle(universe)
         store.close()
 
-    def test_configuration_list_streams(self):
-        """A universe over a configuration list has no arena, so its
-        labels come from the streamed pass, and equal the packed ones."""
+    def test_configuration_list_replays(self):
+        """A universe over an explored universe's configuration list
+        replays into an arena identical to the explored one: ids, CSR
+        arrays and the hash -> id table."""
         universe = Universe(star5())
         listed = EnumeratedUniverse(universe.configurations)
-        assert listed._packed_arena() is None
+        assert type(listed._configurations) is ArenaStore
         assert list(listed) == list(universe)
+        assert listed._succ_offsets == universe._succ_offsets
+        assert listed._succ_ids == universe._succ_ids
+        assert listed._ids_by_hash == universe._ids_by_hash
         assert_labels_match_oracle(listed)
         for process in sorted(universe.processes):
             assert (
                 listed.partition_table({process}).class_of
                 == universe.partition_table({process}).class_of
             )
+
+    def test_shuffled_configuration_list(self):
+        """Shuffled input still numbers the closure in BFS order (parent
+        ids never decrease) and labels it like the streamed oracle."""
+        configurations = list(Universe(star5()).configurations)
+        random.Random(5).shuffle(configurations)
+        listed = EnumeratedUniverse(configurations)
+        assert set(listed) == set(configurations)
+        store = listed._configurations
+        parents = [store.parent_id(index) for index in range(1, len(store))]
+        assert parents == sorted(parents)
+        offsets = listed._succ_offsets
+        for index in range(len(listed)):
+            row = list(listed._succ_ids[offsets[index] : offsets[index + 1]])
+            assert row == sorted(row)
+        assert_labels_match_oracle(listed)
 
     def test_sealed_scan_leaves_the_chunk_cache(self, small_chunks):
         universe = Universe(star5())
