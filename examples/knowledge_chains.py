@@ -51,16 +51,21 @@ def main() -> None:
     )
     fused = 0
     example = None
-    for x, y in universe.sub_configuration_pairs():
-        for z in universe:
-            if not x.is_sub_configuration_of(z) or y == z:
-                continue
-            if fusion_side_conditions(x, y, z, {"a"}, universe.processes):
-                continue
-            w = fuse(x, y, z, {"a"}, universe.processes)
-            fused += 1
-            if example is None and len(y) > len(x) and len(z) > len(x):
-                example = (x, y, z, w)
+    # x <= y and x <= z: the supersets of x are its descendant mask.
+    supersets = dict(universe.descendant_masks(universe.full_mask))
+    for x_id in sorted(supersets):
+        x = universe.configuration_of_id(x_id)
+        candidates = universe.configurations_in_mask(supersets[x_id])
+        for y in candidates:
+            for z in candidates:
+                if y == z or fusion_side_conditions(
+                    x, y, z, {"a"}, universe.processes
+                ):
+                    continue
+                w = fuse(x, y, z, {"a"}, universe.processes)
+                fused += 1
+                if example is None and len(y) > len(x) and len(z) > len(x):
+                    example = (x, y, z, w)
     print(f"  {fused} licensed fusions, all valid computations.")
     if example:
         x, y, z, w = example

@@ -107,7 +107,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, globals(), {
     "receive": ".core",
     "send": ".core",
     "simulate": ".simulation.simulator",
-    "theorem_1_holds": ".isomorphism.fundamental",
+    "theorem_1_holds": ".isomorphism.reference",
     "unsure": ".knowledge.formula",
     "vector_timestamps": ".causality.clocks",
 })

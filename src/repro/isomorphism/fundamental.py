@@ -12,7 +12,9 @@ if no information flowed along a ``P1 → P2 → … → Pn`` chain in the
 suffix, the suffix can be rearranged into intermediate computations
 witnessing the composed isomorphism.
 
-Beside the exhaustive checker, :func:`composition_witness_by_chains`
+Its per-instance oracle is
+:func:`repro.isomorphism.reference.theorem_1_holds`.  Beside the
+exhaustive checker, :func:`composition_witness_by_chains`
 *constructs* the intermediate computations directly from the causal
 structure — the constructive content of the theorem's proof — via the
 *chain rank* of each suffix event: the length of the longest prefix of
@@ -28,8 +30,8 @@ from repro.causality.order import CausalOrder
 from repro.core.configuration import Configuration
 from repro.core.events import Event
 from repro.core.process import ProcessSetLike, as_process_set
-from repro.isomorphism.relation import composed_isomorphic
-from repro.universe.explorer import Universe
+from repro.isomorphism.relation import composed_class_mask
+from repro.universe.explorer import Universe, iter_bit_ids
 
 
 def chain_ranks(
@@ -60,23 +62,6 @@ def chain_ranks(
     return ranks
 
 
-def theorem_1_holds(
-    universe: Universe,
-    x: Configuration,
-    z: Configuration,
-    sets: Sequence[ProcessSetLike],
-) -> bool:
-    """Decide the disjunction of Theorem 1 for one instance.
-
-    ``x`` must be a sub-configuration of ``z`` and both must belong to the
-    universe.
-    """
-    chain = find_process_chain(z.suffix_after(x), sets)
-    if chain is not None:
-        return True
-    return composed_isomorphic(universe, x, sets, z)
-
-
 def check_theorem_1(
     universe: Universe,
     set_sequences: Sequence[Sequence[ProcessSetLike]],
@@ -84,18 +69,35 @@ def check_theorem_1(
     """Verify Theorem 1 for every prefix pair and every given sequence.
 
     Returns the number of instances checked; raises
-    :class:`AssertionError` with a counterexample on failure.
+    :class:`AssertionError` naming the failing ``(x, z)`` with the lowest
+    ``(x id, z id)``.  ``x <= z`` is read off
+    :meth:`~repro.universe.explorer.Universe.descendant_masks`, and a chain
+    is searched for only at the ``z`` outside ``x``'s composed image.  On
+    a truncated universe both are taken within the bound: sound
+    under-approximations, as in
+    :func:`~repro.isomorphism.relation.composed_isomorphic`.
     """
     checked = 0
-    for x, z in universe.sub_configuration_pairs():
-        for sets in set_sequences:
-            if not theorem_1_holds(universe, x, z, sets):
-                raise AssertionError(
-                    "Theorem 1 fails: no chain "
-                    f"{[sorted(as_process_set(s)) for s in sets]} in suffix and "
-                    f"no composed isomorphism, for x={x!r}, z={z!r}"
-                )
-            checked += 1
+    failures = []
+    for x_id, descendants in universe.descendant_masks(universe.full_mask):
+        checked += descendants.bit_count() * len(set_sequences)
+        x = universe.configuration_of_id(x_id)
+        for index, sets in enumerate(set_sequences):
+            image = composed_class_mask(universe, 1 << x_id, sets)
+            for z_id in iter_bit_ids(descendants & ~image):
+                z = universe.configuration_of_id(z_id)
+                if find_process_chain(z.suffix_after(x), sets) is None:
+                    failures.append((x_id, z_id, index))
+                    break
+    if failures:
+        x_id, z_id, index = min(failures)
+        x, z = map(universe.configuration_of_id, (x_id, z_id))
+        raise AssertionError(
+            "Theorem 1 fails: no chain "
+            f"{[sorted(as_process_set(s)) for s in set_sequences[index]]} in "
+            f"suffix and no composed isomorphism, for x={x!r} (id {x_id}), "
+            f"z={z!r} (id {z_id})"
+        )
     return checked
 
 

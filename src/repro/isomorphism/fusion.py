@@ -114,25 +114,26 @@ def fuse(
 def fusion_census(universe: "Universe", processes: ProcessSetLike) -> dict[str, int]:
     """Exhaustive Theorem-2 sweep over a universe, on partition tables.
 
-    For every ``x <= y``, ``x <= z`` (supersets collected in one
-    :meth:`~repro.universe.explorer.Universe.sub_configuration_pairs`
-    pass), attempts the fusion and verifies the conclusion ``y [P] w``
-    and ``z [P̄] w`` by comparing class indices in the universe's
+    For every ``x <= y``, ``x <= z`` (the supersets of ``x`` are its
+    :meth:`~repro.universe.explorer.Universe.descendant_masks` entry),
+    attempts the fusion and verifies the conclusion ``y [P] w`` and
+    ``z [P̄] w`` by comparing class indices in the universe's
     ``[P]``/``[P̄]`` partition tables — no projection comparisons.
 
     Returns ``{"licensed", "blocked", "escaped"}`` counts; ``escaped``
     (fusions leaving a *truncated* universe) is always 0 on complete
-    universes, where an escape would falsify the theorem and raises.
+    universes, where an escape would falsify the theorem and raises.  On
+    a truncated universe the supersets are stored reachability, a sound
+    under-approximation of ``x <= y``.
     """
     p_set = as_process_set(processes)
     complement = universe.complement(p_set)
     p_of = universe.partition_table(p_set).class_of
     c_of = universe.partition_table(complement).class_of
-    supersets: dict[Configuration, list[Configuration]] = {}
-    for smaller, larger in universe.sub_configuration_pairs():
-        supersets.setdefault(smaller, []).append(larger)
     licensed = blocked = escaped = 0
-    for x, candidates in supersets.items():
+    for x_id, descendants in universe.descendant_masks(universe.full_mask):
+        x = universe.configuration_of_id(x_id)
+        candidates = universe.configurations_in_mask(descendants)
         for y in candidates:
             for z in candidates:
                 problems = fusion_side_conditions(

@@ -14,6 +14,10 @@ materialised once into a list, and its ``[P]`` classes are that list
 grouped by ``configuration.projection(P)`` — the paper's definition of
 ``x [P] y`` — kept here, not on the universe.
 
+:func:`theorem_1_holds` decides Theorem 1 for one instance from the
+chain search and the object-level composed relation: the per-instance
+oracle of :func:`repro.isomorphism.fundamental.check_theorem_1`.
+
 Nothing here should be called on hot paths; the public API lives in
 :mod:`repro.isomorphism.relation` / :mod:`repro.isomorphism.algebra`.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import weakref
 
+from repro.causality.chains import find_process_chain
 from repro.core.configuration import Configuration
 from repro.core.process import ProcessSetLike, as_process_set
 from repro.isomorphism.relation import SetSequence, isomorphic
@@ -98,6 +103,23 @@ def composed_isomorphic_reference(
     if not sets:
         return x == z
     return z in composed_class_reference(universe, x, sets)
+
+
+def theorem_1_holds(
+    universe: Universe,
+    x: Configuration,
+    z: Configuration,
+    sets: SetSequence,
+) -> bool:
+    """Decide the disjunction of Theorem 1 for one instance: a chain
+    ``<P1 … Pn>`` in ``(x, z)``, or ``x [P1 … Pn] z``.
+
+    ``x`` must be a sub-configuration of ``z`` and both must belong to the
+    universe.
+    """
+    if find_process_chain(z.suffix_after(x), sets) is not None:
+        return True
+    return composed_isomorphic_reference(universe, x, sets, z)
 
 
 def find_composition_witness_reference(

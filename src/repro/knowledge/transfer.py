@@ -24,7 +24,8 @@ one ``[P1]``-class at a time through the class-adjacency graph, and
 Lemma 4 scans the universe's CSR successor arrays once against a
 ``[p]``-class column.  The object-level checkers they replaced are kept
 as oracles in :mod:`repro.knowledge.reference`.  Theorems 5 and 6 and
-Lemma 4's corollaries share one walk of the ``x <= y`` pairs.
+Lemma 4's corollaries read ``x <= y`` off ``Universe.descendant_masks``;
+their oracle is a brute-force walk of :mod:`repro.universe.reference`.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ class TransferReport:
     instance fails, and ``counterexample`` is then the failing ``(x, y)``
     with the lowest ``(x id, y id)`` in the universe's dense ids, so a
     report does not depend on the hash seed.
+
+    On a truncated universe ``x [P1 … Pn] y`` and ``x <= y`` (stored
+    reachability) are sound under-approximations: every failure is real.
     """
 
     checked: int
@@ -238,46 +242,45 @@ def check_lemma_4(
 
 
 def _check_chains(
-    universe: Universe, processes: frozenset[ProcessId], checks: Sequence[tuple]
-) -> list[TransferReport]:
-    """One walk of the ``x <= y`` pairs for checks ``(before, after, chain,
-    kind)``: each pair with ``x`` in ``before`` and ``y`` in ``after``
+    universe: Universe,
+    processes: frozenset[ProcessId],
+    before: int,
+    after: int,
+    chain: Sequence[frozenset[ProcessId]],
+    kind: str | None,
+) -> TransferReport:
+    """Every ``x <= y`` with ``x`` in ``before`` and ``y`` in ``after``
     (masks over dense ids) needs ``chain`` in ``(x, y)`` unless it is
     empty, and an event on ``processes`` there whose kind has the value
-    ``kind`` (``"receive"``/``"send"``) unless it is ``None``.  Returns
-    one report per check."""
+    ``kind`` (``"receive"``/``"send"``) unless it is ``None``.
+
+    The instances at ``x`` are its descendant mask ``& after``; ``y`` is
+    materialised ascending up to the first failure, and ``x`` comes
+    highest first, so the last failure found is the lowest pair."""
     # Only Theorems 5 and 6 need the causality layer: Theorem 4 and
     # Lemma 4 callers do not load it.
     from repro.causality.chains import chain_in_suffix
 
-    size = len(universe)
-    columns = [
-        (_bit_bytes(before, size), _bit_bytes(after, size), chain, kind)
-        for before, after, chain, kind in checks
-    ]
-    id_of = {configuration: index for index, configuration in enumerate(universe)}
-    checked = [0] * len(checks)
-    failures: list[tuple[int, int] | None] = [None] * len(checks)
-    for x, y in universe.sub_configuration_pairs():
-        pair = (id_of[x], id_of[y])
-        kinds = None
-        for index, (before, after, chain, kind) in enumerate(columns):
-            if not (before[pair[0]] and after[pair[1]]):
-                continue
-            checked[index] += 1
+    checked = 0
+    failure: tuple[int, int] | None = None
+    for x_id, descendants in universe.descendant_masks(before):
+        instances = descendants & after
+        checked += instances.bit_count()
+        x = universe.configuration_of_id(x_id) if instances else None
+        for y_id in iter_bit_ids(instances):
+            y = universe.configuration_of_id(y_id)
             failed = bool(chain) and chain_in_suffix(y, x, chain) is None
             if not failed and kind is not None:
-                if kinds is None:
-                    kinds = {
-                        event.kind.value
-                        for process, history in y.suffix_after(x).items()
-                        if process in processes
-                        for event in history
-                    }
-                failed = kind not in kinds
+                suffix = y.suffix_after(x)
+                failed = all(
+                    event.kind.value != kind
+                    for process in processes
+                    for event in suffix.get(process, ())
+                )
             if failed:
-                failures[index] = min(failures[index] or pair, pair)
-    return [_report(universe, *result) for result in zip(checked, failures)]
+                failure = (x_id, y_id)
+                break
+    return _report(universe, checked, failure)
 
 
 def _check_knowledge_change(
@@ -297,10 +300,8 @@ def _check_knowledge_change(
     if check_event and is_local_to(evaluator, formula, universe.complement(last)):
         kind = "receive" if gain else "send"
     if gain:
-        check = (not_knows, nested, normalised[::-1], kind)
-    else:
-        check = (nested, not_knows, normalised, kind)
-    return _check_chains(universe, last, [check])[0]
+        return _check_chains(universe, last, not_knows, nested, normalised[::-1], kind)
+    return _check_chains(universe, last, nested, not_knows, normalised, kind)
 
 
 def check_theorem_5_gain(
@@ -352,7 +353,7 @@ def check_lemma_4_corollaries(
         return {"gain-receive": vacuous, "loss-send": vacuous}
     knows = evaluator.extension_mask(Knows(p_set, formula))
     ignorant = universe.full_mask & ~knows
-    gain = (ignorant, knows, (), "receive")
-    loss = (knows, ignorant, (), "send")
-    gain, loss = _check_chains(universe, p_set, [gain, loss])
-    return {"gain-receive": gain, "loss-send": loss}
+    return {
+        "gain-receive": _check_chains(universe, p_set, ignorant, knows, (), "receive"),
+        "loss-send": _check_chains(universe, p_set, knows, ignorant, (), "send"),
+    }

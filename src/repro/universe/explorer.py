@@ -1392,29 +1392,36 @@ class Universe:
         """Size of the ``[P]``-class of ``configuration``."""
         return self.iso_class_mask(configuration, processes).bit_count()
 
-    def sub_configuration_pairs(
-        self,
-    ) -> Iterator[tuple[Configuration, Configuration]]:
-        """All ordered pairs ``(x, z)`` with ``x`` a sub-configuration of
-        ``z`` — the configuration-level analogue of the paper's ``x <= z``.
+    def descendant_masks(self, ids: int) -> Iterator[tuple[int, int]]:
+        """``(x, descendants)`` for each id ``x`` set in ``ids``, highest
+        first: ``descendants`` masks the ids reachable from ``x`` along
+        stored successor edges, ``x`` included.  On a complete universe
+        that is every ``z`` with ``x <= z``; on a truncated one it is a
+        sound under-approximation, missing the pairs whose every path
+        crosses a configuration the bound left unexpanded.
 
-        Quadratic in the universe size; intended for exhaustive theorem
-        checking on small universes.  Candidates are bucketed by event
-        count so ``x`` is only ever compared against configurations with
-        at least as many events.
+        ``desc[x] = bit(x) | OR desc[child]``, from the highest id down (a
+        child's id exceeds its parents').  A child's mask is dropped once
+        its discovery parent, its lowest-id predecessor, is visited, so
+        the live masks stay about one BFS layer wide.
         """
-        by_count: dict[int, list[Configuration]] = {}
-        for configuration in self._configurations:
-            by_count.setdefault(len(configuration), []).append(configuration)
-        counts = sorted(by_count)
-        for smaller in self._configurations:
-            threshold = len(smaller)
-            for count in counts:
-                if count < threshold:
-                    continue
-                for larger in by_count[count]:
-                    if smaller.is_sub_configuration_of(larger):
-                        yield smaller, larger
+        wanted = list(iter_bit_ids(ids))
+        if not wanted:
+            return
+        parents = array("q")
+        for _, column, _ in self._configurations.parent_event_columns():
+            parents.extend(column)
+        offsets = self._succ_offsets
+        succ_ids = self._succ_ids
+        live: dict[int, int] = {}
+        for x in range(len(parents) - 1, wanted[0] - 1, -1):
+            mask = 1 << x
+            for child in succ_ids[offsets[x] : offsets[x + 1]]:
+                mask |= live.pop(child) if parents[child] == x else live[child]
+            live[x] = mask
+            if x == wanted[-1]:
+                wanted.pop()
+                yield x, mask
 
     def events(self) -> frozenset[Event]:
         """Every event occurring anywhere in the universe.
@@ -1445,25 +1452,12 @@ def _consistent_cuts(configuration: Configuration) -> Iterator[Configuration]:
 
     Implemented as a prefix-pruned forward search: starting from the
     empty cut, a cut is extended one event at a time, receives only when
-    their message is already sent within the cut.  For configurations
-    with an acyclic causal order this reaches exactly the cuts whose
-    received messages are a subset of their sent messages, while never
-    materialising the (exponentially larger) full product of prefix
-    lengths.  Cyclic inputs fall back to the exhaustive enumeration,
-    :func:`repro.causality.cuts.consistent_cuts`.
+    their message is already sent within the cut, so the (exponentially
+    larger) full product of prefix lengths is never built.  A
+    configuration the search does not reach has no linearization and
+    raises :class:`UniverseError`.
     """
     processes = sorted(configuration.processes)
-    if not processes:
-        yield configuration
-        return
-
-    from repro.causality.cuts import consistent_cuts
-    from repro.causality.order import CausalOrder
-
-    if not CausalOrder(configuration).is_acyclic():
-        yield from consistent_cuts(configuration)
-        return
-
     histories = [configuration.history(process) for process in processes]
     start = (0,) * len(processes)
     sent_at: dict[tuple[int, ...], frozenset] = {start: frozenset()}
@@ -1487,6 +1481,11 @@ def _consistent_cuts(configuration: Configuration) -> Iterator[Configuration]:
             )
             queue.append(extended)
             cuts.append(extended)
+    if cuts[-1] != tuple(map(len, histories)):
+        raise UniverseError(
+            "a given configuration has no linearization (cyclic causality "
+            "or a receive without its send)"
+        )
     for cut in cuts:
         yield Configuration(
             {
@@ -1515,40 +1514,36 @@ class EnumeratedUniverse(Universe):
     def __init__(self, configurations: Iterable[Configuration]) -> None:
         # Deliberately does not call super().__init__: there is no protocol.
         self._init_store(None, ExplorationOptions(), DEFAULT_FILEOPS)
-        closure: set[Configuration] = set()
-        by_count: dict[int, list[Configuration]] = {}
+        closure: dict[Configuration, None] = {}  # in first-seen order
         processes: set[ProcessId] = set()
         for configuration in configurations:
-            for cut in _consistent_cuts(configuration):
-                if cut not in closure:
-                    closure.add(cut)
-                    by_count.setdefault(len(cut), []).append(cut)
+            closure.update(dict.fromkeys(_consistent_cuts(configuration)))
             processes.update(configuration.processes)
         self._processes = frozenset(processes)
-        # Each configuration is compared only against the next layer.
+        # A child's parents are its cuts one event short: drop each
+        # process's last event and probe the closure.
+        children: dict[Configuration, list[tuple[Configuration, Event]]] = {}
+        for child in closure:
+            histories = child._histories
+            for process, history in histories.items():
+                parent = Configuration({**histories, process: history[:-1]})
+                if parent in closure:
+                    children.setdefault(parent, []).append((child, history[-1]))
         ids = {EMPTY_CONFIGURATION: 0}
         order = [EMPTY_CONFIGURATION]
         stream: list[tuple[int, Event]] = []
         succ_ids = self._succ_ids
         for parent_id, parent in enumerate(order):  # grows while walked
             row = []
-            for candidate in by_count.get(len(parent) + 1, ()):
-                if not parent.is_sub_configuration_of(candidate):
-                    continue
-                child_id = ids.get(candidate)
+            for child, event in children.get(parent, ()):
+                child_id = ids.get(child)
                 if child_id is None:
-                    child_id = ids[candidate] = len(order)
-                    order.append(candidate)
-                    ((event,),) = candidate.suffix_after(parent).values()
+                    child_id = ids[child] = len(order)
+                    order.append(child)
                     stream.append((parent_id, event))
                 row.append(child_id)
             succ_ids.extend(sorted(row))
             self._succ_offsets.append(len(succ_ids))
-        if len(order) < len(closure):
-            raise UniverseError(
-                "a given configuration has consistent cuts that no one-event "
-                "extension reaches (cyclic causality: no linearization)"
-            )
         self._ids_by_hash = self._configurations.replay(stream, sorted(processes))
 
     @property

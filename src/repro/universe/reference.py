@@ -17,6 +17,10 @@ history-label pass
 (:func:`~repro.universe.explorer.packed_history_labels`): it labels
 materialised configurations' histories directly.
 
+:func:`sub_configuration_pairs` is the oracle of
+:meth:`~repro.universe.explorer.Universe.descendant_masks`: it compares
+configurations' histories instead of walking successor edges.
+
 Slow by design; the tests and the chaos harness use it on
 small universes only.
 """
@@ -24,7 +28,7 @@ small universes only.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from math import inf
 
@@ -137,4 +141,34 @@ def streamed_history_labels(
     return [(column, len(label_of)) for _, label_of, column in lanes]
 
 
-__all__ = ["ReferenceExploration", "reference_bfs", "streamed_history_labels"]
+def sub_configuration_pairs(
+    universe,
+) -> Iterator[tuple[Configuration, Configuration]]:
+    """All ordered pairs ``(x, z)`` with ``x`` a sub-configuration of
+    ``z`` — the configuration-level analogue of the paper's ``x <= z``.
+
+    Quadratic in the universe size; intended for exhaustive theorem
+    checking on small universes.  Candidates are bucketed by event
+    count so ``x`` is only ever compared against configurations with
+    at least as many events.
+    """
+    by_count: dict[int, list[Configuration]] = {}
+    for configuration in universe:
+        by_count.setdefault(len(configuration), []).append(configuration)
+    counts = sorted(by_count)
+    for smaller in universe:
+        threshold = len(smaller)
+        for count in counts:
+            if count < threshold:
+                continue
+            for larger in by_count[count]:
+                if smaller.is_sub_configuration_of(larger):
+                    yield smaller, larger
+
+
+__all__ = [
+    "ReferenceExploration",
+    "reference_bfs",
+    "streamed_history_labels",
+    "sub_configuration_pairs",
+]

@@ -26,6 +26,7 @@ from repro.protocols.token_bus import TokenBusProtocol, holds_token_atom
 from repro.simulation.scheduler import RandomScheduler
 from repro.simulation.simulator import simulate
 from repro.universe.explorer import Universe
+from repro.universe.reference import sub_configuration_pairs
 
 
 class TestFullPipelineOnTokenBus:
@@ -47,7 +48,7 @@ class TestFullPipelineOnTokenBus:
 
     def test_section_3_3_fusion(self, universe):
         count = 0
-        for x, y in universe.sub_configuration_pairs():
+        for x, y in sub_configuration_pairs(universe):
             for z in universe:
                 if not x.is_sub_configuration_of(z):
                     continue

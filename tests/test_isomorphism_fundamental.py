@@ -1,14 +1,18 @@
 """Theorem 1 — the Fundamental Theorem of Process Chains (§3.2)."""
 
+import pytest
+
 from repro.causality.chains import chain_in_suffix
 from repro.causality.order import CausalOrder
+from repro.isomorphism import fundamental
 from repro.isomorphism.fundamental import (
     chain_ranks,
     check_theorem_1,
     composition_witness_by_chains,
-    theorem_1_holds,
 )
+from repro.isomorphism.reference import composed_class_reference, theorem_1_holds
 from repro.isomorphism.relation import isomorphic
+from repro.universe.reference import sub_configuration_pairs
 
 P = frozenset("p")
 Q = frozenset("q")
@@ -20,7 +24,7 @@ C = frozenset("c")
 class TestChainRanks:
     def test_ranks_detect_chains(self, broadcast_universe):
         sets = [A, B, C]
-        for x, z in broadcast_universe.sub_configuration_pairs():
+        for x, z in sub_configuration_pairs(broadcast_universe):
             suffix = z.suffix_after(x)
             order = CausalOrder(suffix)
             ranks = chain_ranks(order, sets)
@@ -43,7 +47,36 @@ class TestTheorem1:
 
     def test_exhaustive_on_broadcast(self, broadcast_universe):
         sequences = [[A], [B], [A, B], [B, A], [A, B, C], [C, B, A]]
-        assert check_theorem_1(broadcast_universe, sequences) > 0
+        pairs = list(sub_configuration_pairs(broadcast_universe))
+        assert all(
+            theorem_1_holds(broadcast_universe, x, z, sets)
+            for x, z in pairs
+            for sets in sequences
+        )
+        assert check_theorem_1(broadcast_universe, sequences) == len(pairs) * len(
+            sequences
+        )
+
+    def test_failure_names_lowest_pair(self, broadcast_universe, monkeypatch):
+        """With no chain ever found, Theorem 1 fails at every ``x <= z``
+        with ``z`` outside ``x``'s composed image.  The error names the
+        lowest ``(x id, z id)``, with the first sequence failing there."""
+        universe = broadcast_universe
+        sequences = [[A, B], [B], [C, A]]
+        failing = sorted(
+            (universe.config_id(x), universe.config_id(z), index)
+            for x, z in sub_configuration_pairs(universe)
+            for index, sets in enumerate(sequences)
+            if z not in composed_class_reference(universe, x, sets)
+        )
+        assert len({x_id for x_id, _, _ in failing}) > 1
+        x_id, z_id, index = failing[0]
+        monkeypatch.setattr(fundamental, "find_process_chain", lambda *_: None)
+        with pytest.raises(AssertionError) as raised:
+            check_theorem_1(universe, sequences)
+        message = str(raised.value)
+        assert f"(id {x_id})" in message and f"(id {z_id})" in message
+        assert f"no chain {[sorted(s) for s in sequences[index]]}" in message
 
     def test_exhaustive_on_token_bus(self, token_bus_universe):
         stations = sorted(token_bus_universe.processes)
@@ -67,7 +100,7 @@ class TestConstructiveWitness:
     def test_witnesses_are_valid_and_linked(self, broadcast_universe):
         sets = [A, B]
         seen = 0
-        for x, z in broadcast_universe.sub_configuration_pairs():
+        for x, z in sub_configuration_pairs(broadcast_universe):
             witness = composition_witness_by_chains(x, z, sets)
             if witness is None:
                 # Theorem 1 promises nothing; the chain must exist.
@@ -84,7 +117,7 @@ class TestConstructiveWitness:
 
     def test_three_set_witnesses(self, broadcast_universe):
         sets = [B, A, C]
-        for x, z in broadcast_universe.sub_configuration_pairs():
+        for x, z in sub_configuration_pairs(broadcast_universe):
             witness = composition_witness_by_chains(x, z, sets)
             if witness is None:
                 continue

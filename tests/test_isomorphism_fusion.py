@@ -12,6 +12,7 @@ from repro.isomorphism.fusion import (
     fusion_side_conditions,
 )
 from repro.isomorphism.relation import isomorphic
+from repro.universe.reference import sub_configuration_pairs
 from repro.core.computation import computation_of
 from repro.core.events import internal, message_pair
 
@@ -64,7 +65,7 @@ class TestTheorem2:
         universe = request.getfixturevalue(universe_name)
         complement = universe.complement(p_set)
         licensed = blocked = 0
-        for x, y in universe.sub_configuration_pairs():
+        for x, y in sub_configuration_pairs(universe):
             for z in universe:
                 if not x.is_sub_configuration_of(z):
                     continue

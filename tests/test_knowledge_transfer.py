@@ -4,6 +4,7 @@ from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import Knows
 from repro.knowledge.predicates import atom, did_internal, has_received, has_sent
 from repro.knowledge.transfer import (
+    TransferReport,
     check_lemma_4,
     check_lemma_4_corollaries,
     check_theorem_4,
@@ -161,7 +162,9 @@ class TestNestedKnowledgeBuilder:
 
 class TestStarInstanceCounts:
     """The transfer checks run on dense ids, so whole stars fit in tier-1:
-    Theorem 4 ``[{r0},{hub}]`` for the root's fact and Lemma 4 per leaf."""
+    Theorem 4 ``[{r0},{hub}]`` for the root's fact, Lemma 4 per leaf, and
+    at n=6 Theorems 5 and 6 and Lemma 4's corollaries on descendant
+    masks."""
 
     @staticmethod
     def _evaluator(size: int):
@@ -180,6 +183,14 @@ class TestStarInstanceCounts:
             assert all(report.holds for report in reports.values()), leaf
             assert reports["receive"].checked == 2_849, leaf
             assert reports["send"].checked == reports["internal"].checked == 0
+        gain = check_theorem_5_gain(evaluator, ["r0"], fact)
+        assert gain == TransferReport(42_007, True)
+        loss = check_theorem_6_loss(evaluator, ["r0", "hub"], fact)
+        assert loss == TransferReport(0, True)
+        assert check_lemma_4_corollaries(evaluator, fact, "r0") == {
+            "gain-receive": TransferReport(42_007, True),
+            "loss-send": TransferReport(0, True),
+        }
 
     def test_star7(self):
         evaluator, fact, leaves = self._evaluator(7)

@@ -7,11 +7,19 @@ time.  Every report must be equal: verdict, instance count and
 counterexample, on complete universes, a truncated one, multi-process
 ``P`` and the ``sure`` variant.
 
+Theorems 5 and 6 and Lemma 4's corollaries walk ``x <= y`` as
+descendant masks over the stored successor graph
+(:meth:`~repro.universe.explorer.Universe.descendant_masks`).  Their
+independent oracle is a brute-force walk of the pair enumerator
+:func:`repro.universe.reference.sub_configuration_pairs`, which compares
+histories and never reads the successor arrays.  Stored reachability
+must equal that enumerator on every complete universe here and on
+further protocols; on the capped universes the missing pairs are pinned.
+
 The counterexample contract (lowest ``(x id, y id)``, full count) is
 exercised with an evaluator stub that flips one bit of a formula's mask,
-so the theorems fail at many pairs; Theorems 5 and 6 and Lemma 4's
-corollaries, which have no oracle module yet, are held to it against a
-brute-force walk.  CI runs this module under two hash seeds.
+so the theorems fail at many pairs.  CI runs this module under two hash
+seeds.
 """
 
 from __future__ import annotations
@@ -55,13 +63,20 @@ from repro.protocols.broadcast import (
     star_topology,
     tree_topology,
 )
+from repro.protocols.commit import TwoPhaseCommitProtocol
+from repro.protocols.failure_monitor import SyncFailureMonitorProtocol
+from repro.protocols.leader_election import ChangRobertsProtocol
 from repro.protocols.mutex import ENTER_TAG, TOKEN_TAG, TokenRingMutexProtocol
 from repro.protocols.pingpong import PingPongProtocol
+from repro.protocols.snapshot import SnapshotTokenRingProtocol
 from repro.protocols.toggle import ToggleProtocol, bit_atom
 from repro.protocols.token_bus import TokenBusProtocol, holds_token_atom
+from repro.simulation.network import FifoProtocol
 from repro.universe.builder import figure_3_1_universe
 from repro.universe.explorer import Universe, iter_bit_ids
 from repro.universe.options import ExplorationOptions, Limits
+from repro.universe.reference import sub_configuration_pairs
+from test_universe_partition import ORACLE_UNIVERSES
 
 
 def _explore(protocol, cap: int | None = None) -> Universe:
@@ -166,6 +181,54 @@ CASES = {
         [{"r0"}, {"r1", "r2"}],
     ),
 }
+
+
+REACHABILITY_UNIVERSES = {
+    **ORACLE_UNIVERSES,
+    **{f"case-{name}": entry[0] for name, entry in CASES.items()},
+    "sync-monitor": lambda: Universe(SyncFailureMonitorProtocol(rounds=2)),
+    "fifo-snapshot": lambda: Universe(FifoProtocol(SnapshotTokenRingProtocol())),
+    "commit": lambda: Universe(TwoPhaseCommitProtocol(("p1", "p2"))),
+    "election": lambda: Universe(ChangRobertsProtocol(("a", "b", "c"))),
+}
+
+# Capped universes: the ``x <= y`` pairs whose every stored path runs
+# through a configuration the cap left unexpanded.
+UNREACHED_PAIRS = {
+    "star5_capped": {(9, 199), (28, 199), (84, 199), (87, 197)},
+    "case-star5-truncated": {(17, 299), (56, 299), (147, 298), (148, 299), (150, 296)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REACHABILITY_UNIVERSES))
+def test_descendant_masks_are_the_prefix_order(name):
+    """Stored reachability equals ``x <= y`` on every universe that is
+    complete or bounded by ``max_events``, and under-approximates it by
+    the pinned pairs on the capped ones."""
+    universe = REACHABILITY_UNIVERSES[name]()
+    reached = {
+        (x_id, y_id)
+        for x_id, descendants in universe.descendant_masks(universe.full_mask)
+        for y_id in iter_bit_ids(descendants)
+    }
+    pairs = {
+        (universe.config_id(x), universe.config_id(y))
+        for x, y in sub_configuration_pairs(universe)
+    }
+    assert reached <= pairs
+    assert pairs - reached == UNREACHED_PAIRS.get(name, set())
+    if name == "star5_capped":
+        assert (len(pairs), len(reached)) == (1_280, 1_276)
+
+
+def test_descendant_masks_visit_requested_ids_highest_first():
+    universe = _explore(PingPongProtocol(rounds=2))
+    every = dict(universe.descendant_masks(universe.full_mask))
+    requested = 0b10_0110
+    visited = list(universe.descendant_masks(requested))
+    assert [x_id for x_id, _ in visited] == [5, 2, 1]
+    assert all(every[x_id] == mask for x_id, mask in visited)
+    assert list(universe.descendant_masks(0)) == []
 
 
 @cache
@@ -303,7 +366,7 @@ def _brute_force(universe, before, after, holds: Callable):
     an instance.  Returns the report naming the lowest failing ``(x id,
     y id)``, and the number of failing instances."""
     checked, failing = 0, []
-    for x, y in universe.sub_configuration_pairs():
+    for x, y in sub_configuration_pairs(universe):
         if x in before and y in after:
             checked += 1
             if not holds(x, y):
@@ -358,6 +421,27 @@ def _expected_corollaries(stub, formula, processes):
         "gain-receive": _brute_force(universe, ignorant, knows, event("is_receive")),
         "loss-send": _brute_force(universe, knows, ignorant, event("is_send")),
     }
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in CASES if not name.endswith("-truncated"))
+)
+def test_chain_checkers_equal_brute_force(name):
+    """Theorems 5 and 6 and Lemma 4's corollaries on the descendant masks
+    report what the brute-force walk of every ``x <= y`` pair reports.
+    (On the truncated case the masks miss the pinned unreached pairs.)"""
+    evaluator = _evaluator(name)
+    for formula in _atoms(name):
+        for sequence in CASES[name][2]:
+            sets = [as_process_set(entry) for entry in sequence]
+            expected = _expected_theorems_5_6(evaluator, formula, sets)
+            expected.update(_expected_corollaries(evaluator, formula, sets[-1]))
+            actual = {
+                "theorem-5": check_theorem_5_gain(evaluator, sets, formula),
+                "theorem-6": check_theorem_6_loss(evaluator, sets, formula),
+                **check_lemma_4_corollaries(evaluator, formula, sets[-1]),
+            }
+            assert actual == {key: report for key, (report, _) in expected.items()}
 
 
 @pytest.mark.parametrize("name", ["pingpong", "mutex"])

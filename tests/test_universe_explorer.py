@@ -13,6 +13,7 @@ from repro.universe.arena import ArenaStore
 from repro.universe.builder import figure_3_1_universe
 from repro.universe.explorer import EnumeratedUniverse, Universe
 from repro.universe.options import ExplorationOptions, Limits, Sharding
+from repro.universe.reference import sub_configuration_pairs
 
 
 def linear_per_configuration(protocol) -> float:
@@ -49,7 +50,7 @@ class TestExploration:
     def test_closed_under_consistent_cuts(self, broadcast_universe):
         """Every sub-configuration of a member is a member (the closure
         property the composed-relation machinery relies on)."""
-        for x, z in broadcast_universe.sub_configuration_pairs():
+        for x, z in sub_configuration_pairs(broadcast_universe):
             assert x in broadcast_universe
 
     def test_successors_extend_by_one_event(self, pingpong_universe):
@@ -190,10 +191,15 @@ class TestEnumeratedUniverse:
         assert len(universe.events()) == 4
 
     def test_cyclic_configuration_is_refused(self):
-        """A message-consistent but cyclic configuration has cuts that no
-        one-event extension reaches."""
+        """A message-consistent but cyclic configuration has no
+        linearization, so its consistent cuts are never computed."""
         snd1, rcv1 = message_pair("p", "q", "m1")
         snd2, rcv2 = message_pair("q", "p", "m2")
         cyclic = Configuration({"p": (rcv2, snd1), "q": (rcv1, snd2)})
         with pytest.raises(UniverseError, match="no linearization"):
             EnumeratedUniverse([cyclic])
+
+    def test_receive_without_send_is_refused(self):
+        _, rcv = message_pair("p", "q", "m")
+        with pytest.raises(UniverseError, match="no linearization"):
+            EnumeratedUniverse([Configuration({"q": (rcv,)})])
