@@ -20,8 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.causality.chains import has_process_chain
-from repro.causality.order import segment_of
-from repro.core.computation import Computation
 from repro.core.process import ProcessId
 from repro.protocols.broadcast import BroadcastProtocol, line_topology
 from repro.simulation.scheduler import RandomScheduler, Scheduler
@@ -36,13 +34,6 @@ class LatencyRow:
     process: ProcessId
     distance: int
     learned_at_step: int | None
-
-
-def _segment(computation: Computation) -> dict:
-    histories: dict[ProcessId, list] = {}
-    for event in computation:
-        histories.setdefault(event.process, []).append(event)
-    return segment_of(histories)
 
 
 def broadcast_knowledge_latency(
@@ -86,7 +77,7 @@ def verify_chain_gating(
             continue
         prefix = trace.computation[: row.learned_at_step + 1]
         chain = [frozenset((root,)), frozenset((row.process,))]
-        if not has_process_chain(_segment(prefix), chain):
+        if not has_process_chain(prefix, chain):
             return False
     return True
 

@@ -17,6 +17,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(__name__, globals(), {
     "MatrixClock": ".clocks",
     "VectorClock": ".clocks",
     "chain_in_suffix": ".chains",
+    "chain_ranks": ".chains",
     "find_process_chain": ".chains",
     "happened_before": ".order",
     "has_process_chain": ".chains",

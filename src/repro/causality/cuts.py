@@ -9,16 +9,20 @@ paper's prefix order on computations embeds into it, and global-state
 algorithms (the snapshot of :mod:`repro.protocols.snapshot`) compute
 elements of it.
 
-This module provides enumeration, membership, meet/join, and the
-frontier ("cut vector") representation used by the analysis code.
+This module provides enumeration (one forward search, which also closes
+every :class:`~repro.universe.explorer.EnumeratedUniverse` under cuts),
+membership, meet/join, and the frontier ("cut vector") representation
+used by the analysis code.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator, Mapping
 
 from repro.core.computation import Computation
 from repro.core.configuration import Configuration
+from repro.core.events import Message, ReceiveEvent, SendEvent
 from repro.core.process import ProcessId
 
 CutVector = Mapping[ProcessId, int]
@@ -56,25 +60,43 @@ def is_consistent_cut(base: Configuration, candidate: Configuration) -> bool:
 
 
 def consistent_cuts(base: Configuration) -> Iterator[Configuration]:
-    """Enumerate every consistent cut of ``base``.
+    """Every consistent cut of ``base``, in breadth-first order from the
+    empty cut over one-event extensions (a receive only once its message
+    is sent in the cut), so the product of prefix lengths is never built.
 
-    Exponential in general (it is the state lattice); intended for the
-    analysis of small computations.  Cuts are produced in non-decreasing
-    size order per process iteration, not globally sorted.
+    The search never enters a causal cycle (``p: recv m2, send m1`` beside
+    ``q: recv m1, send m2`` has only the empty cut), so ``base`` is the
+    last cut exactly when it has a linearization.
     """
-    import itertools
-
     processes = sorted(base.processes)
-    ranges = [range(len(base.history(process)) + 1) for process in processes]
-    for lengths in itertools.product(*ranges):
-        candidate = Configuration(
+    histories = [base.history(process) for process in processes]
+    start = (0,) * len(processes)
+    sent_at: dict[tuple[int, ...], frozenset[Message]] = {start: frozenset()}
+    queue: deque[tuple[int, ...]] = deque([start])
+    while queue:
+        cut = queue.popleft()
+        yield Configuration(
             {
-                process: base.history(process)[:length]
-                for process, length in zip(processes, lengths)
+                process: histories[position][: cut[position]]
+                for position, process in enumerate(processes)
+                if cut[position]
             }
         )
-        if candidate.received_messages <= candidate.sent_messages:
-            yield candidate
+        sent = sent_at[cut]
+        for position, history in enumerate(histories):
+            length = cut[position]
+            if length >= len(history):
+                continue
+            event = history[length]
+            if isinstance(event, ReceiveEvent) and event.message not in sent:
+                continue
+            extended = cut[:position] + (length + 1,) + cut[position + 1 :]
+            if extended in sent_at:
+                continue
+            sent_at[extended] = (
+                sent | {event.message} if isinstance(event, SendEvent) else sent
+            )
+            queue.append(extended)
 
 
 def count_consistent_cuts(base: Configuration) -> int:

@@ -25,10 +25,13 @@ SegmentLike = Mapping[ProcessId, Sequence[Event]]
 """Any per-process map of event sequences."""
 
 
-def segment_of(source: Computation | Configuration | SegmentLike) -> dict[
-    ProcessId, tuple[Event, ...]
-]:
-    """Normalise a computation, configuration or raw map into a segment."""
+def segment_of(
+    source: Computation | Configuration | SegmentLike | CausalOrder,
+) -> dict[ProcessId, tuple[Event, ...]]:
+    """Normalise a computation, configuration, raw map or causal order
+    into a segment."""
+    if isinstance(source, CausalOrder):
+        return dict(source._segment)
     if isinstance(source, Computation):
         return {
             process: source.projection(process) for process in source.processes
@@ -105,10 +108,6 @@ class CausalOrder:
         """Direct causal successors (next on process, or the receive of a
         message this event sends)."""
         return tuple(self._successors[event])
-
-    def immediate_predecessors(self, event: Event) -> tuple[Event, ...]:
-        """Direct causal predecessors."""
-        return tuple(self._predecessors[event])
 
     # ------------------------------------------------------------------
     # Reachability

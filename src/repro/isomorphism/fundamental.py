@@ -13,53 +13,23 @@ suffix, the suffix can be rearranged into intermediate computations
 witnessing the composed isomorphism.
 
 Its per-instance oracle is
-:func:`repro.isomorphism.reference.theorem_1_holds`.  Beside the
-exhaustive checker, :func:`composition_witness_by_chains`
-*constructs* the intermediate computations directly from the causal
-structure — the constructive content of the theorem's proof — via the
-*chain rank* of each suffix event: the length of the longest prefix of
-``<P1 … Pn>`` matched by a chain ending at that event.
+:func:`repro.isomorphism.reference.theorem_1_holds`.  The exhaustive
+checker and :func:`composition_witness_by_chains`, which *constructs* the
+intermediate computations (the constructive content of the proof), both
+read :func:`repro.causality.chains.chain_ranks`, computed from the suffix
+segment alone: the *chain rank* of a suffix event is the length of the
+longest prefix of ``<P1 … Pn>`` matched by a chain ending at it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.causality.chains import find_process_chain
-from repro.causality.order import CausalOrder
+from repro.causality.chains import chain_ranks, has_process_chain
 from repro.core.configuration import Configuration
-from repro.core.events import Event
 from repro.core.process import ProcessSetLike, as_process_set
 from repro.isomorphism.relation import composed_class_mask
 from repro.universe.explorer import Universe, iter_bit_ids
-
-
-def chain_ranks(
-    order: CausalOrder, sets: Sequence[ProcessSetLike]
-) -> dict[Event, int]:
-    """The chain rank ``g(e)`` of every event of the segment.
-
-    ``g(e)`` is the largest ``i`` such that some chain of events
-    ``e1 -> … -> e`` (ending at ``e``, events not necessarily distinct)
-    matches the set-sequence prefix ``<P1 … Pi>``.  Computed by dynamic
-    programming over a topological order: take the maximum rank of the
-    immediate predecessors, then repeatedly "consume" further sets while
-    the event's process belongs to the next one (an event may play several
-    chain roles because ``->`` is reflexive).
-
-    A chain ``<P1 … Pn>`` exists in the segment iff some event has rank
-    ``n``.
-    """
-    normalised = [as_process_set(entry) for entry in sets]
-    ranks: dict[Event, int] = {}
-    for event in order.topological_order:
-        best = 0
-        for predecessor in order.immediate_predecessors(event):
-            best = max(best, ranks[predecessor])
-        while best < len(normalised) and event.process in normalised[best]:
-            best += 1
-        ranks[event] = best
-    return ranks
 
 
 def check_theorem_1(
@@ -86,7 +56,7 @@ def check_theorem_1(
             image = composed_class_mask(universe, 1 << x_id, sets)
             for z_id in iter_bit_ids(descendants & ~image):
                 z = universe.configuration_of_id(z_id)
-                if find_process_chain(z.suffix_after(x), sets) is None:
+                if not has_process_chain(z.suffix_after(x), sets):
                     failures.append((x_id, z_id, index))
                     break
     if failures:
@@ -120,8 +90,7 @@ def composition_witness_by_chains(
     events, none of which are on ``Pn``.
     """
     suffix = z.suffix_after(x)
-    order = CausalOrder(suffix)
-    ranks = chain_ranks(order, sets)
+    ranks = chain_ranks(suffix, sets)
     count = len(sets)
     if any(rank >= count for rank in ranks.values()):
         return None

@@ -28,16 +28,12 @@ itself a proof instance of the theorem.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
-from repro.causality.chains import chain_in_suffix
+from repro.causality.chains import chain_in_suffix, has_process_chain
 from repro.core.configuration import Configuration
 from repro.core.errors import FusionError
 from repro.core.process import ProcessSetLike, as_process_set
 from repro.core.validation import find_configuration_defect
-
-if TYPE_CHECKING:
-    from repro.universe.explorer import Universe
+from repro.universe.explorer import Universe, iter_bit_ids
 
 
 def fusion_side_conditions(
@@ -94,31 +90,47 @@ def fuse(
     problems = fusion_side_conditions(x, y, z, processes, all_processes)
     if problems:
         raise FusionError("; ".join(problems))
-    p_set = as_process_set(processes)
-    d_set = as_process_set(all_processes)
+    return _assemble(
+        y, z, as_process_set(processes), as_process_set(all_processes), "fusion"
+    )
+
+
+def _assemble(
+    on_p: Configuration,
+    off_p: Configuration,
+    p_set: frozenset[str],
+    d_set: frozenset[str],
+    hypotheses: str,
+) -> Configuration:
+    """The configuration taking ``P``'s histories from ``on_p`` and
+    ``P̄``'s from ``off_p``; raises :class:`FusionError` naming the
+    ``hypotheses`` that held when it is not a valid computation."""
     histories = {}
     for process in d_set:
-        source = y if process in p_set else z
-        history = source.history(process)
+        history = (on_p if process in p_set else off_p).history(process)
         if history:
             histories[process] = history
     fused = Configuration(histories)
     defect = find_configuration_defect(fused)
     if defect is not None:
         raise FusionError(
-            f"fusion hypotheses held but the fused computation is invalid: {defect}"
+            f"{hypotheses} hypotheses held but the fused computation is "
+            f"invalid: {defect}"
         )
     return fused
 
 
-def fusion_census(universe: "Universe", processes: ProcessSetLike) -> dict[str, int]:
+def fusion_census(universe: Universe, processes: ProcessSetLike) -> dict[str, int]:
     """Exhaustive Theorem-2 sweep over a universe, on partition tables.
 
     For every ``x <= y``, ``x <= z`` (the supersets of ``x`` are its
     :meth:`~repro.universe.explorer.Universe.descendant_masks` entry),
-    attempts the fusion and verifies the conclusion ``y [P] w`` and
-    ``z [P̄] w`` by comparing class indices in the universe's
-    ``[P]``/``[P̄]`` partition tables — no projection comparisons.
+    decides ``<P̄ P>`` in ``(x, y)`` once per ``(x, y)`` and ``<P P̄>`` in
+    ``(x, z)`` once per ``(x, z)``; every triple passing both is licensed
+    and assembled with :func:`fuse`'s body (the side conditions are not
+    re-run).  The conclusion ``y [P] w`` and ``z [P̄] w`` is verified by
+    comparing class indices in the universe's ``[P]``/``[P̄]`` partition
+    tables — no projection comparisons.
 
     Returns ``{"licensed", "blocked", "escaped"}`` counts; ``escaped``
     (fusions leaving a *truncated* universe) is always 0 on complete
@@ -127,22 +139,32 @@ def fusion_census(universe: "Universe", processes: ProcessSetLike) -> dict[str, 
     under-approximation of ``x <= y``.
     """
     p_set = as_process_set(processes)
+    d_set = universe.processes
     complement = universe.complement(p_set)
     p_of = universe.partition_table(p_set).class_of
     c_of = universe.partition_table(complement).class_of
     licensed = blocked = escaped = 0
     for x_id, descendants in universe.descendant_masks(universe.full_mask):
         x = universe.configuration_of_id(x_id)
-        candidates = universe.configurations_in_mask(descendants)
-        for y in candidates:
-            for z in candidates:
-                problems = fusion_side_conditions(
-                    x, y, z, p_set, universe.processes
-                )
-                if problems:
-                    blocked += 1
-                    continue
-                w = fuse(x, y, z, p_set, universe.processes)
+        candidates = [
+            (y_id, universe.configuration_of_id(y_id))
+            for y_id in iter_bit_ids(descendants)
+        ]
+        # No <P̄ P> in (x, y) and no <P P̄> in (x, z): each side decided once.
+        ys = [
+            (y_id, y)
+            for y_id, y in candidates
+            if not has_process_chain(y.suffix_after(x), (complement, p_set))
+        ]
+        zs = [
+            (z_id, z)
+            for z_id, z in candidates
+            if not has_process_chain(z.suffix_after(x), (p_set, complement))
+        ]
+        blocked += len(candidates) ** 2 - len(ys) * len(zs)
+        for y_id, y in ys:
+            for z_id, z in zs:
+                w = _assemble(y, z, p_set, d_set, "fusion")
                 if w not in universe:
                     if universe.is_complete:
                         raise FusionError(
@@ -152,9 +174,9 @@ def fusion_census(universe: "Universe", processes: ProcessSetLike) -> dict[str, 
                     escaped += 1
                     continue
                 w_id = universe.config_id(w)
-                if p_of[w_id] != p_of[universe.config_id(y)]:
+                if p_of[w_id] != p_of[y_id]:
                     raise FusionError(f"fused w not [P]-isomorphic to y={y!r}")
-                if c_of[w_id] != c_of[universe.config_id(z)]:
+                if c_of[w_id] != c_of[z_id]:
                     raise FusionError(f"fused w not [P̄]-isomorphic to z={z!r}")
                 licensed += 1
     return {"licensed": licensed, "blocked": blocked, "escaped": escaped}
@@ -191,16 +213,4 @@ def fuse_disjoint(
     # (x,y) has events only on P̄ and (x,z) only on Q̄, and P̄ ∩ Q̄ = {}:
     # take P̄'s processes from y and the rest from z (processes in P ∩ Q
     # changed in neither suffix, so either source agrees there).
-    histories = {}
-    for process in d_set:
-        source = y if process not in p_set else z
-        history = source.history(process)
-        if history:
-            histories[process] = history
-    fused = Configuration(histories)
-    defect = find_configuration_defect(fused)
-    if defect is not None:
-        raise FusionError(
-            f"Lemma 1 hypotheses held but the fused computation is invalid: {defect}"
-        )
-    return fused
+    return _assemble(z, y, p_set, d_set, "Lemma 1")

@@ -259,7 +259,7 @@ def _check_chains(
     highest first, so the last failure found is the lowest pair."""
     # Only Theorems 5 and 6 need the causality layer: Theorem 4 and
     # Lemma 4 callers do not load it.
-    from repro.causality.chains import chain_in_suffix
+    from repro.causality.chains import has_process_chain
 
     checked = 0
     failure: tuple[int, int] | None = None
@@ -268,10 +268,9 @@ def _check_chains(
         checked += instances.bit_count()
         x = universe.configuration_of_id(x_id) if instances else None
         for y_id in iter_bit_ids(instances):
-            y = universe.configuration_of_id(y_id)
-            failed = bool(chain) and chain_in_suffix(y, x, chain) is None
+            suffix = universe.configuration_of_id(y_id).suffix_after(x)
+            failed = bool(chain) and not has_process_chain(suffix, chain)
             if not failed and kind is not None:
-                suffix = y.suffix_after(x)
                 failed = all(
                     event.kind.value != kind
                     for process in processes

@@ -42,7 +42,6 @@ import sys
 from math import inf
 from array import array
 from bisect import bisect_left
-from collections import deque
 from collections.abc import Hashable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import repeat
@@ -1443,59 +1442,6 @@ class Universe:
         return cached
 
 
-def _consistent_cuts(configuration: Configuration) -> Iterator[Configuration]:
-    """All message-consistent combinations of per-process history prefixes.
-
-    System computations are prefix closed and closed under removing
-    causally-maximal events, so every consistent cut of a computation is
-    itself a computation of the same system.
-
-    Implemented as a prefix-pruned forward search: starting from the
-    empty cut, a cut is extended one event at a time, receives only when
-    their message is already sent within the cut, so the (exponentially
-    larger) full product of prefix lengths is never built.  A
-    configuration the search does not reach has no linearization and
-    raises :class:`UniverseError`.
-    """
-    processes = sorted(configuration.processes)
-    histories = [configuration.history(process) for process in processes]
-    start = (0,) * len(processes)
-    sent_at: dict[tuple[int, ...], frozenset] = {start: frozenset()}
-    queue: deque[tuple[int, ...]] = deque([start])
-    cuts: list[tuple[int, ...]] = [start]
-    while queue:
-        cut = queue.popleft()
-        sent = sent_at[cut]
-        for position, history in enumerate(histories):
-            length = cut[position]
-            if length >= len(history):
-                continue
-            event = history[length]
-            if isinstance(event, ReceiveEvent) and event.message not in sent:
-                continue
-            extended = cut[:position] + (length + 1,) + cut[position + 1 :]
-            if extended in sent_at:
-                continue
-            sent_at[extended] = (
-                sent | {event.message} if isinstance(event, SendEvent) else sent
-            )
-            queue.append(extended)
-            cuts.append(extended)
-    if cuts[-1] != tuple(map(len, histories)):
-        raise UniverseError(
-            "a given configuration has no linearization (cyclic causality "
-            "or a receive without its send)"
-        )
-    for cut in cuts:
-        yield Configuration(
-            {
-                process: histories[position][: cut[position]]
-                for position, process in enumerate(processes)
-                if cut[position]
-            }
-        )
-
-
 class EnumeratedUniverse(Universe):
     """A universe given by an explicit set of computations.
 
@@ -1513,11 +1459,19 @@ class EnumeratedUniverse(Universe):
 
     def __init__(self, configurations: Iterable[Configuration]) -> None:
         # Deliberately does not call super().__init__: there is no protocol.
+        from repro.causality.cuts import consistent_cuts
+
         self._init_store(None, ExplorationOptions(), DEFAULT_FILEOPS)
         closure: dict[Configuration, None] = {}  # in first-seen order
         processes: set[ProcessId] = set()
         for configuration in configurations:
-            closure.update(dict.fromkeys(_consistent_cuts(configuration)))
+            cuts = dict.fromkeys(consistent_cuts(configuration))
+            if next(reversed(cuts)) != configuration:
+                raise UniverseError(
+                    "a given configuration has no linearization (cyclic "
+                    "causality or a receive without its send)"
+                )
+            closure.update(cuts)
             processes.update(configuration.processes)
         self._processes = frozenset(processes)
         # A child's parents are its cuts one event short: drop each

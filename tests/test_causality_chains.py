@@ -61,6 +61,14 @@ class TestChains:
         with pytest.raises(ValueError):
             has_process_chain(relay(), [])
 
+    def test_cyclic_segment_rejected(self):
+        """Chain ranks need a linearization; a causal cycle has none."""
+        snd1, rcv1 = message_pair("p", "q", "m1")
+        snd2, rcv2 = message_pair("q", "p", "m2")
+        cyclic = Configuration({"p": (rcv2, snd1), "q": (rcv1, snd2)})
+        with pytest.raises(ValueError, match="no linearization"):
+            has_process_chain(cyclic, ["p"])
+
 
 class TestWitnesses:
     def test_witness_is_a_causal_chain(self):

@@ -52,6 +52,19 @@ class TestEnumeration:
         assert not is_consistent_cut(base, foreign)
 
 
+class TestCyclicConfiguration:
+    def test_cyclic_configuration_has_only_the_empty_cut(self):
+        """Each receive waits for a send that comes after the other
+        receive, so no event can be the first: the message-closed product
+        of prefixes would hold the whole configuration, but the only
+        downward-closed cut is the empty one."""
+        snd1, rcv1 = message_pair("p", "q", "m1")
+        snd2, rcv2 = message_pair("q", "p", "m2")
+        cyclic = Configuration({"p": (rcv2, snd1), "q": (rcv1, snd2)})
+        assert list(consistent_cuts(cyclic)) == [Configuration({})]
+        assert count_consistent_cuts(cyclic) == 1
+
+
 class TestLattice:
     def test_meet_and_join(self):
         base = base_config()

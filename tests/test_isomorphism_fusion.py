@@ -12,6 +12,8 @@ from repro.isomorphism.fusion import (
     fusion_side_conditions,
 )
 from repro.isomorphism.relation import isomorphic
+from repro.protocols.broadcast import BroadcastProtocol, star_topology
+from repro.universe.explorer import Universe
 from repro.universe.reference import sub_configuration_pairs
 from repro.core.computation import computation_of
 from repro.core.events import internal, message_pair
@@ -83,6 +85,16 @@ class TestTheorem2:
         assert licensed > 0
         census = fusion_census(universe, p_set)
         assert census == {"licensed": licensed, "blocked": blocked, "escaped": 0}
+
+    def test_census_of_star4_hub(self):
+        """Side conditions decided once per (x, y) and per (x, z) count the
+        same triples as deciding both per (x, y, z)."""
+        protocol = BroadcastProtocol(star_topology("hub", ("r0", "r1", "r2")), "hub")
+        assert fusion_census(Universe(protocol), {"hub"}) == {
+            "licensed": 5249,
+            "blocked": 12027,
+            "escaped": 0,
+        }
 
     def test_violated_conditions_reported(self):
         """A chain <P̄ P> in (x, y) blocks the fusion."""

@@ -8,10 +8,17 @@ properties are the model-level invariants everything else rests on.
 
 from __future__ import annotations
 
+import itertools
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.causality.chains import has_process_chain, has_process_chain_naive
+from repro.causality.chains import (
+    find_process_chain,
+    has_process_chain,
+    has_process_chain_naive,
+)
+from repro.causality.cuts import consistent_cuts
 from repro.causality.clocks import vector_timestamps
 from repro.causality.order import CausalOrder
 from repro.core.computation import Computation
@@ -54,6 +61,13 @@ def computations(draw, max_blocks: int = 6) -> Computation:
             events.append(pending.pop(0))
     events.extend(pending)
     return Computation(events)
+
+
+@st.composite
+def prefixed_computations(draw) -> tuple[Computation, Computation]:
+    """A random computation ``z`` and a random prefix ``x`` of it."""
+    z = draw(computations())
+    return z[: draw(st.integers(min_value=0, max_value=len(z)))], z
 
 
 process_sets = st.sets(st.sampled_from(PROCESSES), max_size=3).map(frozenset)
@@ -166,6 +180,56 @@ class TestCausalityLaws:
         """Observation 1: <... P ...> iff <... P P ...>."""
         padded = list(sets[:1]) + list(sets)
         assert has_process_chain(z, sets) == has_process_chain(z, padded)
+
+
+    @given(prefixed_computations(), set_sequences)
+    @settings(max_examples=60, deadline=None)
+    def test_chain_witnesses_in_suffixes(self, pair, sets):
+        """On the suffix ``(x, z)``, as a computation and as a per-process
+        segment, a witness is ``len(sets)`` events, each on its set,
+        linked by the BFS oracle; it exists iff the naive search finds a
+        chain."""
+        x, z = pair
+        suffix = Computation(z.suffix_after(x))
+        order = CausalOrder(suffix)
+        expected = has_process_chain_naive(order, sets)
+        whole = Configuration.from_computation(z)
+        segment = whole.suffix_after(Configuration.from_computation(x))
+        for source in (suffix, segment):
+            witness = find_process_chain(source, sets)
+            assert (witness is not None) == expected
+            if witness is None:
+                continue
+            assert len(witness) == len(sets)
+            assert all(event.process in p_set for event, p_set in zip(witness, sets))
+            assert all(
+                order.happened_before_bfs(earlier, later)
+                for earlier, later in zip(witness, witness[1:])
+            )
+
+    @given(computations())
+    @settings(max_examples=60, deadline=None)
+    def test_consistent_cuts_match_the_prefix_product(self, z):
+        """The forward search yields, smallest first and each once, exactly
+        the message-closed combinations of per-process prefixes."""
+        base = Configuration.from_computation(z)
+        processes = sorted(base.processes)
+        expected = set()
+        for lengths in itertools.product(
+            *(range(len(base.history(process)) + 1) for process in processes)
+        ):
+            cut = Configuration(
+                {
+                    process: base.history(process)[:length]
+                    for process, length in zip(processes, lengths)
+                }
+            )
+            if cut.received_messages <= cut.sent_messages:
+                expected.add(cut)
+        cuts = list(consistent_cuts(base))
+        assert len(cuts) == len(expected) and set(cuts) == expected
+        assert [len(cut) for cut in cuts] == sorted(len(cut) for cut in cuts)
+        assert cuts[-1] == base
 
 
 class TestTheorem1Property:
