@@ -22,6 +22,7 @@ from collections.abc import Iterator, Mapping
 
 from repro.core.computation import Computation
 from repro.core.configuration import Configuration
+from repro.core.errors import InvalidConfigurationError
 from repro.core.events import Message, ReceiveEvent, SendEvent
 from repro.core.process import ProcessId
 
@@ -51,12 +52,18 @@ def cut_of_vector(
 def is_consistent_cut(base: Configuration, candidate: Configuration) -> bool:
     """Is ``candidate`` a consistent cut of ``base``?
 
-    Requires per-process prefixes and message closure (every receive in
-    the cut has its send in the cut).
+    Requires per-process prefixes and a linearization, which gives
+    message closure (every receive in the cut has its send in the cut)
+    and rules out a causal cycle, which closure alone would admit.
+    Agrees with :func:`consistent_cuts` on every sub-configuration.
     """
     if not candidate.is_sub_configuration_of(base):
         return False
-    return candidate.received_messages <= candidate.sent_messages
+    try:
+        candidate.linearize()
+    except InvalidConfigurationError:
+        return False
+    return True
 
 
 def consistent_cuts(base: Configuration) -> Iterator[Configuration]:

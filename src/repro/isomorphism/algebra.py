@@ -14,7 +14,8 @@ Two kinds of machinery live here:
 
 The checkers run on the universe's partition tables: a ``[P]``-relation
 is a partition of the dense configuration ids, a composed relation
-``[P1 … Pn]`` propagates along the cached class-adjacency graph, and each
+``[P1 … Pn]`` is read off the per-class frontiers of
+:func:`~repro.isomorphism.relation.composed_frontiers`, and each
 universally quantified property collapses to bitwise subset/equality
 tests over class masks and O(n) passes over class-index arrays — never a
 nested loop over ``Configuration`` objects.  The original object-level
@@ -27,8 +28,13 @@ from __future__ import annotations
 import itertools
 
 from repro.core.process import ProcessSetLike, as_process_set
-from repro.isomorphism.relation import SetSequence, fold_classes
-from repro.universe.explorer import PartitionTable, Universe
+from repro.isomorphism.relation import (
+    SetSequence,
+    composed_frontiers,
+    composed_images,
+    fold_classes,
+)
+from repro.universe.explorer import Universe
 
 
 def normalise_sequence(sets: SetSequence) -> tuple[frozenset, ...]:
@@ -56,78 +62,14 @@ def normalise_sequence(sets: SetSequence) -> tuple[frozenset, ...]:
     return tuple(current)
 
 
-# ----------------------------------------------------------------------
-# Class-graph pipeline: composed relations at class granularity.
-# ----------------------------------------------------------------------
-def _frontier_classes(
-    universe: Universe, sets: list[frozenset]
-) -> tuple[PartitionTable, PartitionTable, list[frozenset[int]]]:
-    """Propagate every ``[P1]``-class through ``[P2 … Pn]`` at class level.
-
-    Returns ``(base, final, frontiers)`` where ``frontiers[k]`` is the set
-    of ``final``-partition class indices reachable from class ``k`` of the
-    ``base`` (``[P1]``) partition.  Because every intermediate step unions
-    whole classes, the composed image of a configuration ``x`` is exactly
-    the union of the ``final`` classes in ``frontiers[class_of(x)]`` — no
-    masks are materialised until a caller asks for them.
-
-    Results are memoised per universe keyed by the frozen-set sequence:
-    the property sweep asks for the same composed relations from several
-    checkers (inversion folds ``[P Q]`` and ``[Q P]``, concatenation
-    folds the full chain again, both quantified over all subset pairs),
-    so sharing the class-graph folds across checkers removes the
-    dominant repeated work of the n=7 sweep residue.
-    """
-    key = tuple(sets)
-    memo = universe._frontier_class_memo
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    base = universe.partition_table(sets[0])
-    frontiers = [
-        frozenset(fold_classes(universe, {index}, sets[0], sets[1:]))
-        for index in range(base.num_classes)
-    ]
-    result = (base, universe.partition_table(sets[-1]), frontiers)
-    memo[key] = result
-    return result
-
-
-def _materialise_frontiers(
-    final: PartitionTable, frontiers: list[frozenset[int]]
-) -> list[int]:
-    """One composed-image mask per base class, shared between equal
-    frontiers (distinct frontier sets are typically few)."""
-    memo: dict[frozenset[int], int] = {}
-    results: list[int] = []
-    for frontier in frontiers:
-        mask = memo.get(frontier)
-        if mask is None:
-            mask = final.classes_mask(frontier)
-            memo[frontier] = mask
-        results.append(mask)
-    return results
-
-
 def _composed_is_identity(universe: Universe, sets: list[frozenset]) -> bool:
-    """``[P1 … Pn]`` equals the identity relation over the universe.
-
-    The composed image of ``x`` always contains the whole base class of
-    ``x``, so the relation is the identity iff every base class is a
-    singleton whose frontier is a single singleton final class holding
-    the same configuration — checked per class, no masks, no O(n) pass.
-    """
-    base, final, frontiers = _frontier_classes(universe, sets)
-    final_members = final.members
-    for index, frontier in enumerate(frontiers):
-        members = base.members[index]
-        if len(members) != 1 or len(frontier) != 1:
-            return False
-        (final_class,) = frontier
-        reached = final_members[final_class]
-        if len(reached) != 1 or reached[0] != members[0]:
-            return False
-    return True
+    """``[P1 … Pn]`` equals the identity relation over the universe: every
+    ``[P1]``-class is a singleton whose composed image is itself."""
+    base = universe.partition_table(sets[0])
+    if base.num_classes != base.size:
+        return False
+    images = composed_images(universe, sets)
+    return all(image == 1 << x_id for x_id, image in zip(base.representatives, images))
 
 
 def sequences_equal(
@@ -157,22 +99,15 @@ def sequences_equal(
         return universe.partition_table(left_n[0]).same_partition_as(
             universe.partition_table(right_n[0])
         )
-    left_base, left_final, left_frontiers = _frontier_classes(universe, left_n)
-    right_base, right_final, right_frontiers = _frontier_classes(
-        universe, right_n
-    )
-    pair_rows = universe.class_adjacency(left_n[0], right_n[0])
-    if left_final is right_final:
+    if left_n[-1] == right_n[-1]:
         # Images are unions of final classes; with one shared final
         # partition the unions are equal iff the class sets are.
-        for left_class, row in enumerate(pair_rows):
-            left_frontier = left_frontiers[left_class]
-            for right_class in row:
-                if left_frontier != right_frontiers[right_class]:
-                    return False
-        return True
-    left_results = _materialise_frontiers(left_final, left_frontiers)
-    right_results = _materialise_frontiers(right_final, right_frontiers)
+        left_results = composed_frontiers(universe, left_n)
+        right_results = composed_frontiers(universe, right_n)
+    else:
+        left_results = composed_images(universe, left_n)
+        right_results = composed_images(universe, right_n)
+    pair_rows = universe.class_adjacency(left_n[0], right_n[0])
     for left_class, row in enumerate(pair_rows):
         left_image = left_results[left_class]
         for right_class in row:
@@ -243,7 +178,7 @@ def check_reflexivity(universe: Universe, sets: SetSequence) -> bool:
     normalised = [as_process_set(entry) for entry in sets]
     if not normalised:
         return True
-    base, final, frontiers = _frontier_classes(universe, normalised)
+    frontiers = composed_frontiers(universe, normalised)
     pair_rows = universe.class_adjacency(normalised[0], normalised[-1])
     return all(
         final_class in frontiers[base_class]
@@ -263,16 +198,13 @@ def check_inversion(universe: Universe, sets: SetSequence) -> bool:
     normalised = [as_process_set(entry) for entry in sets]
     if not normalised:
         return True  # the identity relation is symmetric
-    _, forward_final, forward = _frontier_classes(universe, normalised)
-    _, _, backward = _frontier_classes(universe, list(reversed(normalised)))
-    transpose: list[set[int]] = [set() for _ in range(forward_final.num_classes)]
+    forward = composed_frontiers(universe, normalised)
+    backward = composed_frontiers(universe, normalised[::-1])
+    transpose: list[set[int]] = [set() for _ in backward]
     for source, frontier in enumerate(forward):
         for target in frontier:
             transpose[target].add(source)
-    return all(
-        backward[target] == transpose[target]
-        for target in range(forward_final.num_classes)
-    )
+    return list(backward) == transpose
 
 
 def check_concatenation(
@@ -282,44 +214,26 @@ def check_concatenation(
 
     The definitional side quantifies over the intermediates ``y``: the
     prefix image's mask↔index consistency is verified once per
-    prefix-final table (memoised ``verify_consistency`` — previously this
-    bit-by-bit re-derivation ran per subset pair and dominated the
-    sweep), then the suffix is applied to each whole prefix frontier and
-    compared against an independent stepwise fold of the full chain.
-    Distinct prefix frontiers are processed once.
+    prefix-final table (memoised ``verify_consistency``), then the whole
+    prefix frontier of each base class is folded through the suffix sets
+    in one batch and compared against the full chain's own frontier
+    (:func:`~repro.isomorphism.relation.composed_frontiers`, a per-class
+    fold of the combined sequence).
     """
     prefix_n = [as_process_set(entry) for entry in prefix_sets]
     suffix_n = [as_process_set(entry) for entry in suffix_sets]
-    combined = prefix_n + suffix_n
     if not prefix_n or not suffix_n:
         # One side is the identity: the definitional union over {x} (or
         # over the image itself) is the composed image verbatim.
         return True
-    base, prefix_final, prefix_frontiers = _frontier_classes(universe, prefix_n)
-    # The definitional side materialises the intermediate image ``{y}``
-    # as a mask and re-derives its classes from the class-index arrays.
-    # That mask↔index re-derivation is a property of the prefix-final
-    # table alone, so it is verified once per table (memoised in
-    # ``verify_consistency``) instead of once per (pair, class) — the
-    # O(n·pairs) bit re-derivation this sweep used to pay.
-    if not prefix_final.verify_consistency():
+    if not universe.partition_table(prefix_n[-1]).verify_consistency():
         return False
-    # The direct side is the full-chain class fold per base class —
-    # exactly the combined sequence's frontiers, shared with inversion
-    # and the other checkers through the per-universe frontier memo.
-    _, _, combined_frontiers = _frontier_classes(universe, combined)
-    via_memo: dict[frozenset[int], frozenset[int]] = {}
-    for index in range(base.num_classes):
-        frontier = prefix_frontiers[index]
-        via_definition = via_memo.get(frontier)
-        if via_definition is None:
-            # Quantify over the intermediates as one batch: fold the
-            # whole frontier through the suffix sets.
-            via_definition = frozenset(
-                fold_classes(universe, set(frontier), prefix_n[-1], suffix_n)
-            )
-            via_memo[frontier] = via_definition
-        if via_definition != combined_frontiers[index]:
+    combined = composed_frontiers(universe, prefix_n + suffix_n)
+    for index, frontier in enumerate(composed_frontiers(universe, prefix_n)):
+        via_definition = fold_classes(
+            universe, set(frontier), prefix_n[-1], suffix_n
+        )
+        if via_definition != combined[index]:
             return False
     return True
 

@@ -22,12 +22,12 @@ assert non-vacuity.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 from repro.core.configuration import Configuration
 from repro.core.events import Event
-from repro.core.process import ProcessSetLike, as_process_set
-from repro.isomorphism.relation import composed_class, isomorphic
+from repro.core.process import ProcessId, ProcessSetLike, as_process_set
+from repro.isomorphism.relation import composed_class, composed_images, isomorphic
 from repro.universe.explorer import Universe
 
 
@@ -43,6 +43,39 @@ def extension_event(
         if len(history) == len(smaller.history(process)) + 1:
             return history[-1]
     return None
+
+
+def edges_on(
+    universe: Universe, process: ProcessId
+) -> list[tuple[Event, list[tuple[int, int]]]]:
+    """Every stored transition ``x -> (x;e)`` with ``e`` on ``process``,
+    grouped by ``e``: ``(e, [(x id, (x;e) id), …])`` pairs, each list
+    ascending by ``x`` id.
+
+    One scan of the CSR successor arrays on dense ids: a transition
+    appends one event to one process, so it is on ``p`` iff its ends lie
+    in different ``[p]``-classes, and ``e`` is the last event of the
+    history shared by the larger end's class
+    (:meth:`~repro.universe.explorer.Universe.class_histories`).
+    """
+    class_of = universe.partition_table(frozenset((process,))).class_of
+    offsets = universe._succ_offsets
+    succ_ids = universe._succ_ids
+    edges_into: dict[int, list[tuple[int, int]]] = {}
+    for x_id in range(len(universe)):
+        x_class = class_of[x_id]
+        for y_id in succ_ids[offsets[x_id] : offsets[x_id + 1]]:
+            y_class = class_of[y_id]
+            if y_class != x_class:
+                edges = edges_into.get(y_class)
+                if edges is None:
+                    edges = edges_into[y_class] = []
+                edges.append((x_id, y_id))
+    histories = universe.class_histories(process)
+    return [
+        (histories[y_class][-1], edges)
+        for y_class, edges in sorted(edges_into.items())
+    ]
 
 
 def check_extension_principle_part1(universe: Universe) -> int:
@@ -152,31 +185,6 @@ def related_set(
     return frozenset(composed_class(universe, configuration, [p_set, complement]))
 
 
-def _related_mask_for(
-    universe: Universe, processes: frozenset
-) -> Callable[[int], int]:
-    """Per-configuration ``[P P̄]`` image masks, memoised per ``[P]``-class.
-
-    The image of ``x`` depends only on the ``[P]``-class of ``x``, so
-    Theorem 3's quantifier over transitions needs one composed mask per
-    class, not per configuration.
-    """
-    complement = universe.complement(processes)
-    table = universe.partition_table(processes)
-    class_of = table.class_of
-    results: dict[int, int] = {}
-
-    def mask_of(config_id: int) -> int:
-        index = class_of[config_id]
-        mask = results.get(index)
-        if mask is None:
-            mask = universe.compose_masks(table.class_mask(index), complement)
-            results[index] = mask
-        return mask
-
-    return mask_of
-
-
 def check_theorem_3(
     universe: Universe, process_sets: Iterable[ProcessSetLike] | None = None
 ) -> dict[str, int]:
@@ -189,6 +197,8 @@ def check_theorem_3(
     * send:    ``{z : x [P P̄] z}  ⊆  {z : (x;e) [P P̄] z}`` (grows);
     * internal: the two sets are equal.
 
+    On dense ids: one image mask per ``[P]``-class (:func:`composed_images`),
+    and the transitions from :func:`edges_on`.
     Returns counts per case.  Raises :class:`AssertionError` with a
     counterexample on failure.
     """
@@ -196,39 +206,32 @@ def check_theorem_3(
         candidate_sets = [frozenset((process,)) for process in sorted(universe.processes)]
     else:
         candidate_sets = [as_process_set(entry) for entry in process_sets]
-    related_masks = {
-        p_set: _related_mask_for(universe, p_set) for p_set in candidate_sets
+    images = {
+        p_set: (
+            universe.partition_table(p_set).class_of,
+            composed_images(universe, [p_set, universe.complement(p_set)]),
+        )
+        for p_set in candidate_sets
     }
     counts = {"receive": 0, "send": 0, "internal": 0}
-    for x in universe:
-        x_id = universe.config_id(x)
-        for extended in universe.successors(x):
-            event = extension_event(x, extended)
-            if event is None:
-                continue
-            extended_id = universe.config_id(extended)
-            for p_set in candidate_sets:
-                if event.process not in p_set:
-                    continue
-                mask_of = related_masks[p_set]
-                before = mask_of(x_id)
-                after = mask_of(extended_id)
-                if event.is_receive:
-                    if after & before != after:
+    for process in sorted(set().union(*candidate_sets)):
+        pipelines = [images[p_set] for p_set in candidate_sets if process in p_set]
+        for event, edges in edges_on(universe, process):
+            kind = event.kind.value
+            for x_id, y_id in edges:
+                for class_of, masks in pipelines:
+                    before = masks[class_of[x_id]]
+                    after = masks[class_of[y_id]]
+                    if kind == "receive":
+                        holds = after & before == after
+                    elif kind == "send":
+                        holds = before & after == before
+                    else:
+                        holds = before == after
+                    if not holds:
+                        x = universe.configuration_of_id(x_id)
                         raise AssertionError(
-                            f"Theorem 3 (receive) fails at x={x!r}, e={event}"
+                            f"Theorem 3 ({kind}) fails at x={x!r}, e={event}"
                         )
-                    counts["receive"] += 1
-                elif event.is_send:
-                    if before & after != before:
-                        raise AssertionError(
-                            f"Theorem 3 (send) fails at x={x!r}, e={event}"
-                        )
-                    counts["send"] += 1
-                else:
-                    if before != after:
-                        raise AssertionError(
-                            f"Theorem 3 (internal) fails at x={x!r}, e={event}"
-                        )
-                    counts["internal"] += 1
+            counts[kind] += len(edges) * len(pipelines)
     return counts

@@ -28,7 +28,7 @@ from collections.abc import Sequence
 from repro.causality.chains import chain_ranks, has_process_chain
 from repro.core.configuration import Configuration
 from repro.core.process import ProcessSetLike, as_process_set
-from repro.isomorphism.relation import composed_class_mask
+from repro.isomorphism.relation import composed_images
 from repro.universe.explorer import Universe, iter_bit_ids
 
 
@@ -47,16 +47,19 @@ def check_theorem_1(
     under-approximations, as in
     :func:`~repro.isomorphism.relation.composed_isomorphic`.
     """
+    pipelines = [
+        (universe.partition_table(sets[0]).class_of, composed_images(universe, sets))
+        for sets in set_sequences
+    ]
     checked = 0
     failures = []
     for x_id, descendants in universe.descendant_masks(universe.full_mask):
         checked += descendants.bit_count() * len(set_sequences)
         x = universe.configuration_of_id(x_id)
-        for index, sets in enumerate(set_sequences):
-            image = composed_class_mask(universe, 1 << x_id, sets)
-            for z_id in iter_bit_ids(descendants & ~image):
+        for index, (class_of, images) in enumerate(pipelines):
+            for z_id in iter_bit_ids(descendants & ~images[class_of[x_id]]):
                 z = universe.configuration_of_id(z_id)
-                if not has_process_chain(z.suffix_after(x), sets):
+                if not has_process_chain(z.suffix_after(x), set_sequences[index]):
                     failures.append((x_id, z_id, index))
                     break
     if failures:

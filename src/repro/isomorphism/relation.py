@@ -6,18 +6,21 @@
 The composed relation ``[P1 … Pn] = [P1] ∘ … ∘ [Pn]`` existentially
 quantifies over intermediate computations ("for some computation y"), so
 deciding it needs a quantification domain: a :class:`repro.universe.Universe`.
-:func:`composed_isomorphic` answers it as a **mask pipeline**: the frontier
-is an int bitmask over dense configuration ids, and each ``[Pi]`` step is
-one :meth:`~repro.universe.explorer.Universe.compose_masks` closure (each
-touched class unioned exactly once).  Witness extraction walks the layer
-masks backwards with bit arithmetic.  The pre-mask object-level
-implementations survive in :mod:`repro.isomorphism.reference` as the
-oracles the cross-check tests compare against.
+The image of ``x`` depends only on ``x``'s ``[P1]``-class and is a union
+of ``[Pn]``-classes, so every composed question reads one function,
+:func:`composed_frontier`: the ``[Pn]``-class indices a ``[P1]``-class
+reaches, folded once per (sequence, class) along the cached
+class-adjacency graph and memoised per universe.  Masks are materialised
+only at the end; witness extraction walks the per-prefix frontiers
+backwards with bit arithmetic.  The object-level implementations survive
+in :mod:`repro.isomorphism.reference` as the oracles the cross-check
+tests compare against.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+from weakref import WeakKeyDictionary
 
 from repro.core.computation import Computation
 from repro.core.configuration import Configuration
@@ -96,28 +99,70 @@ def fold_classes(
     return classes
 
 
-def _frontier_class_sets(
-    universe: Universe,
-    mask: int,
-    sets: SetSequence,
-) -> list[set[int]]:
-    """Per-layer frontier class sets of the pipeline ``mask [P1] … [Pn]``.
+_FRONTIERS: WeakKeyDictionary = WeakKeyDictionary()
+"""Per universe, per sequence of process sets: one frontier per
+``[P1]``-class — a list holding ``None`` for classes not folded yet, a
+tuple once every class is."""
 
-    Entry ``i`` (``i >= 1``) holds the ``[Pi]``-partition class indices
-    reachable after ``i`` steps; entry 0 is ``None`` (the raw mask).  Only
-    the first step touches configuration bits — afterwards the frontier
-    propagates along the cached class-adjacency graph, so a step costs
-    set operations on class indices rather than bit scans of ever-growing
-    masks.
+
+def _frontier_row(
+    universe: Universe, key: tuple[frozenset, ...]
+) -> tuple[dict, list | tuple]:
+    memo = _FRONTIERS.get(universe)
+    if memo is None:
+        memo = _FRONTIERS[universe] = {}
+    row = memo.get(key)
+    if row is None:
+        row = memo[key] = [None] * universe.partition_table(key[0]).num_classes
+    return memo, row
+
+
+def _fold(universe: Universe, key: tuple[frozenset, ...], index: int) -> frozenset[int]:
+    return frozenset(fold_classes(universe, {index}, key[0], key[1:]))
+
+
+def composed_frontier(
+    universe: Universe, sets: SetSequence, index: int
+) -> frozenset[int]:
+    """The ``[Pn]``-class indices that class ``index`` of ``[P1]``
+    reaches under ``[P1 … Pn]`` (``n >= 1``).
+
+    ``x [P1 … Pn] z`` iff ``z``'s ``[Pn]``-class is in the frontier of
+    ``x``'s ``[P1]``-class.  Each (sequence, class) is folded along the
+    class-adjacency graph (:func:`fold_classes`) once, on first request,
+    and memoised per universe.
     """
-    first = universe.partition_table(sets[0])
-    class_of = first.class_of
-    frontier = {class_of[config_id] for config_id in iter_bit_ids(mask)}
-    layers: list[set[int]] = [None, frontier]  # type: ignore[list-item]
-    for previous, entry in zip(sets, sets[1:]):
-        frontier = fold_classes(universe, frontier, previous, [entry])
-        layers.append(frontier)
-    return layers
+    key = tuple(map(as_process_set, sets))
+    _, row = _frontier_row(universe, key)
+    frontier = row[index]
+    if frontier is None:
+        frontier = row[index] = _fold(universe, key, index)
+    return frontier
+
+
+def composed_frontiers(
+    universe: Universe, sets: SetSequence
+) -> tuple[frozenset[int], ...]:
+    """:func:`composed_frontier` of every ``[P1]``-class, by class index.
+
+    Once complete, a sequence's row is returned from one memo lookup: the
+    property sweep asks for the same sequences from several checkers.
+    """
+    key = tuple(map(as_process_set, sets))
+    memo, row = _frontier_row(universe, key)
+    if type(row) is list:
+        row = memo[key] = tuple(
+            _fold(universe, key, index) if frontier is None else frontier
+            for index, frontier in enumerate(row)
+        )
+    return row
+
+
+def composed_images(universe: Universe, sets: SetSequence) -> list[int]:
+    """The composed image of every ``[P1]``-class, as a bitmask, by class
+    index: each :func:`composed_frontier` materialised once."""
+    classes_mask = universe.partition_table(sets[-1]).classes_mask
+    return [classes_mask(entry) for entry in composed_frontiers(universe, sets)]
 
 
 def composed_class_mask(
@@ -127,14 +172,18 @@ def composed_class_mask(
 ) -> int:
     """The composed image of ``mask`` under ``[P1 … Pn]``, as a bitmask.
 
-    The frontier is propagated at class granularity (see
-    :func:`_frontier_class_sets`) and materialised once at the end via the
-    final partition's memoised class-union masks.
+    The union of the :func:`composed_frontier` of each ``[P1]``-class
+    ``mask`` touches, materialised once via the final partition's
+    memoised class-union masks.
     """
     if not sets:
         return mask
-    layers = _frontier_class_sets(universe, mask, sets)
-    return universe.partition_table(sets[-1]).classes_mask(layers[-1])
+    key = tuple(map(as_process_set, sets))
+    class_of = universe.partition_table(key[0]).class_of
+    frontier: set[int] = set()
+    for index in {class_of[config_id] for config_id in iter_bit_ids(mask)}:
+        frontier |= composed_frontier(universe, key, index)
+    return universe.partition_table(key[-1]).classes_mask(frontier)
 
 
 def composed_class(
@@ -183,29 +232,19 @@ def find_composition_witness(
     """
     x_id = universe.config_id(x)
     z_id = universe.config_id(z)
-    if not sets:
-        return [x] if x == z else None
-
-    # Forward pass recording each layer's reachable classes; then walk
-    # backwards intersecting each layer's mask with the [Pi]-class of the
-    # current configuration and taking its lowest id (ids are in BFS
-    # order, so the lowest set bit is a shortest candidate).
-    layers = _frontier_class_sets(universe, 1 << x_id, sets)
-    if not universe.partition_table(sets[-1]).classes_mask(
-        layers[-1]
-    ) >> z_id & 1:
+    # Layer ``i`` holds the configurations reachable from ``x`` after
+    # ``i`` steps: the image of ``x`` under ``sets[:i]``.  Walk backwards
+    # intersecting each layer with the [Pi]-class of the current
+    # configuration and taking its lowest id (ids are in BFS order, so
+    # the lowest set bit is a shortest candidate).
+    key = tuple(map(as_process_set, sets))
+    if not composed_class_mask(universe, 1 << x_id, key) >> z_id & 1:
         return None
-
     witness = [z]
     current = z
-    for index in range(len(sets) - 1, -1, -1):
-        if index == 0:
-            layer_mask = 1 << x_id
-        else:
-            layer_mask = universe.partition_table(sets[index - 1]).classes_mask(
-                layers[index]
-            )
-        candidates = layer_mask & universe.iso_class_mask(current, sets[index])
+    for index in range(len(key) - 1, -1, -1):
+        layer = composed_class_mask(universe, 1 << x_id, key[:index])
+        candidates = layer & universe.iso_class_mask(current, key[index])
         if not candidates:
             raise AssertionError("composition layers inconsistent with membership")
         low = candidates & -candidates

@@ -32,10 +32,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 
 from repro.core.configuration import Configuration
-from repro.core.process import ProcessSetLike, as_process_set
+from repro.core.process import ProcessSetLike
 from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import Formula, Knows
-from repro.universe.explorer import Universe
+from repro.universe.explorer import Universe, mask_of_ids
 
 PlausibilityFn = Callable[[Configuration], bool]
 
@@ -59,8 +59,10 @@ class BeliefEvaluator:
             )
         else:
             self._plausible = frozenset(plausible)
-            for configuration in self._plausible:
-                universe.require(configuration)
+        # config_id rejects a configuration outside the universe.
+        self._plausible_mask = mask_of_ids(
+            sorted(map(universe.config_id, self._plausible))
+        )
 
     @property
     def universe(self) -> Universe:
@@ -73,20 +75,23 @@ class BeliefEvaluator:
     # ------------------------------------------------------------------
     # Belief
     # ------------------------------------------------------------------
+    def _believes_mask(self, processes: ProcessSetLike, formula: Formula) -> int:
+        """``P believes b`` is ``P knows (plausible → b)``: the classes of
+        ``partition_table(P)`` wholly inside ``b ∪ ¬plausible``."""
+        universe = self._universe
+        implication = self._base.extension_mask(formula) | (
+            universe.full_mask & ~self._plausible_mask
+        )
+        return universe.partition_table(processes).contained_classes_mask(
+            implication
+        )
+
     def believes_extension(
         self, processes: ProcessSetLike, formula: Formula
     ) -> frozenset[Configuration]:
         """All configurations at which ``P believes formula``."""
-        body = self._base.extension(formula)
-        p_set = as_process_set(processes)
-        satisfied: set[Configuration] = set()
-        for iso_class in self._base.partition(p_set):
-            plausible_members = [
-                member for member in iso_class if member in self._plausible
-            ]
-            if all(member in body for member in plausible_members):
-                satisfied.update(iso_class)
-        return frozenset(satisfied)
+        mask = self._believes_mask(processes, formula)
+        return frozenset(self._universe.configurations_in_mask(mask))
 
     def believes(
         self,
@@ -95,19 +100,16 @@ class BeliefEvaluator:
         configuration: Configuration,
     ) -> bool:
         """``(P believes formula) at configuration``."""
-        self._universe.require(configuration)
-        return configuration in self.believes_extension(processes, formula)
+        config_id = self._universe.config_id(configuration)
+        return bool(self._believes_mask(processes, formula) >> config_id & 1)
 
     def is_consistent_at(
         self, processes: ProcessSetLike, configuration: Configuration
     ) -> bool:
         """Does the agent's plausibility class at this configuration
         contain anything?  (If not, it vacuously believes everything.)"""
-        p_set = as_process_set(processes)
-        for member in self._universe.iso_class(configuration, p_set):
-            if member in self._plausible:
-                return True
-        return False
+        iso_class = self._universe.iso_class_mask(configuration, processes)
+        return bool(iso_class & self._plausible_mask)
 
     # ------------------------------------------------------------------
     # Relationship to knowledge
@@ -117,19 +119,17 @@ class BeliefEvaluator:
     ) -> bool:
         """``P knows b ⇒ P believes b`` — holds for every plausibility
         set (the belief quantifier ranges over a subset)."""
-        p_set = as_process_set(processes)
-        knows = self._base.extension(Knows(p_set, formula))
-        believes = self.believes_extension(p_set, formula)
-        return knows <= believes
+        knows = self._base.extension_mask(Knows(processes, formula))
+        return not knows & ~self._believes_mask(processes, formula)
 
     def false_beliefs(
         self, processes: ProcessSetLike, formula: Formula
     ) -> frozenset[Configuration]:
         """Configurations where ``P believes formula`` but it is false —
         the failure of veridicality (empty for knowledge, by fact 4)."""
-        body = self._base.extension(formula)
-        believes = self.believes_extension(processes, formula)
-        return believes - body
+        believes = self._believes_mask(processes, formula)
+        false = believes & ~self._base.extension_mask(formula)
+        return frozenset(self._universe.configurations_in_mask(false))
 
 
 def false_belief_census(

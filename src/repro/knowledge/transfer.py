@@ -19,23 +19,27 @@ Each theorem gets an exhaustive checker returning the number of
 *non-vacuous* instances verified (instances whose antecedent held), so
 tests can assert the theorems were actually exercised.
 
-Theorem 4 and Lemma 4 run on dense ids: Theorem 4 folds the antecedent
-one ``[P1]``-class at a time through the class-adjacency graph, and
-Lemma 4 scans the universe's CSR successor arrays once against a
-``[p]``-class column.  The object-level checkers they replaced are kept
-as oracles in :mod:`repro.knowledge.reference`.  Theorems 5 and 6 and
-Lemma 4's corollaries read ``x <= y`` off ``Universe.descendant_masks``;
-their oracle is a brute-force walk of :mod:`repro.universe.reference`.
+Theorem 4 and Lemma 4 run on dense ids: Theorem 4 reads the image of
+each ``[P1]``-class of the antecedent off its memoised composed
+frontier, and Lemma 4 reads its transitions from
+:func:`~repro.isomorphism.extension.edges_on`, one scan of the
+universe's CSR successor arrays per process.  The object-level checkers
+they replaced are kept as oracles in :mod:`repro.knowledge.reference`.
+Theorems 5 and 6 and Lemma 4's corollaries read ``x <= y`` off
+``Universe.descendant_masks``; their oracle is a brute-force walk of
+:mod:`repro.universe.reference`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.core.configuration import Configuration
 from repro.core.process import ProcessId, ProcessSetLike, as_process_set
-from repro.isomorphism.relation import fold_classes
+from repro.isomorphism.extension import edges_on
+from repro.isomorphism.relation import composed_frontier
 from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import Formula, Knows, Not, Sure
 from repro.knowledge.predicates import is_local_to
@@ -82,28 +86,23 @@ def _check_composed_transfer(
     ``target`` (both masks over dense ids).
 
     ``x``'s composed image depends only on its ``[P1]``-class, so the
-    antecedent is grouped by class and each class is folded once along
-    the class-adjacency graph (:func:`fold_classes`) and materialised
+    antecedent is grouped by class and each class's
+    :func:`~repro.isomorphism.relation.composed_frontier` is materialised
     once as a mask: a class contributes ``|class ∩ antecedent| ×
     |image|`` instances, and fails iff ``image & ~target`` is nonzero.
     """
     class_of = universe.partition_table(sets[0]).class_of
     final = universe.partition_table(sets[-1])
-    lowest: dict[int, int] = {}
-    members: dict[int, int] = {}
+    lowest: dict[int, int] = {}  # class -> its lowest antecedent id
+    members: Counter[int] = Counter()
     for x_id in iter_bit_ids(antecedent):
         index = class_of[x_id]
-        if index in members:
-            members[index] += 1
-        else:
-            members[index] = 1
-            lowest[index] = x_id
+        members[index] += 1
+        lowest.setdefault(index, x_id)
     checked = 0
     failure: tuple[int, int] | None = None
     for index, count in members.items():
-        image = final.classes_mask(
-            fold_classes(universe, {index}, sets[0], sets[1:])
-        )
+        image = final.classes_mask(composed_frontier(universe, sets, index))
         checked += count * image.bit_count()
         escaped = image & ~target
         if escaped:
@@ -199,11 +198,8 @@ def check_lemma_4(
     is on ``P``; the lemma is vacuous (0 instances) unless ``formula`` is
     local to ``P̄`` in this universe.
 
-    One scan of the CSR successor arrays, on dense ids: an edge
-    ``x → y`` appends one event to one process, so it is on ``p`` iff
-    ``x`` and ``y`` lie in different ``[p]``-classes, and that event —
-    the last of ``y``'s ``p``-history — has a kind fixed by ``y``'s
-    ``[p]``-class, read from one materialised member per class.
+    The transitions on each ``p`` of ``P`` and their events come from
+    :func:`~repro.isomorphism.extension.edges_on`, on dense ids.
     """
     universe = evaluator.universe
     p_set = as_process_set(processes)
@@ -211,30 +207,21 @@ def check_lemma_4(
     counts = dict.fromkeys(_LEMMA_4_VIOLATIONS, 0)
     if not is_local_to(evaluator, formula, complement):
         return {kind: TransferReport(0, True) for kind in counts}
-    size = len(universe)
-    knowing = _bit_bytes(evaluator.extension_mask(Knows(p_set, formula)), size)
-    offsets = universe._succ_offsets
-    succ_ids = universe._succ_ids
+    knowing = _bit_bytes(
+        evaluator.extension_mask(Knows(p_set, formula)), len(universe)
+    )
     failures: dict[str, tuple[int, int]] = {}
     for process in sorted(p_set):
-        class_of = universe.partition_table(frozenset((process,))).class_of
-        kind_of: dict[int, str] = {}
-        for x_id in range(size):
-            x_class = class_of[x_id]
-            before = knowing[x_id]
-            for y_id in succ_ids[offsets[x_id] : offsets[x_id + 1]]:
-                y_class = class_of[y_id]
-                if y_class == x_class:
-                    continue
-                kind = kind_of.get(y_class)
-                if kind is None:
-                    last = universe.configuration_of_id(y_id).history(process)[-1]
-                    kind = kind_of[y_class] = last.kind.value
-                counts[kind] += 1
-                if (before, knowing[y_id]) in _LEMMA_4_VIOLATIONS[kind]:
-                    pair = (x_id, y_id)
+        for event, edges in edges_on(universe, process):
+            kind = event.kind.value
+            violations = _LEMMA_4_VIOLATIONS[kind]
+            counts[kind] += len(edges)
+            for pair in edges:
+                x_id, y_id = pair
+                if (knowing[x_id], knowing[y_id]) in violations:
                     if kind not in failures or pair < failures[kind]:
                         failures[kind] = pair
+                    break
     return {
         kind: _report(universe, counts[kind], failures.get(kind))
         for kind in counts

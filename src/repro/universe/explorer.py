@@ -690,14 +690,6 @@ class Universe:
             frozenset[frozenset[ProcessId]],
             tuple[frozenset[ProcessId], PartitionTable, list[tuple[int, int]]],
         ] = {}
-        # Composed-relation frontier memo, shared across the property
-        # checkers (inversion, concatenation, reflexivity, equality all
-        # fold the same class graphs): sequence of process sets ->
-        # (base table, final table, per-base-class final-class frontiers).
-        # Owned by the universe so one sweep's folds serve the next.
-        self._frontier_class_memo: dict[
-            tuple[frozenset[ProcessId], ...], tuple
-        ] = {}
         self._active_processes: frozenset[ProcessId] | None = None
 
     def _explore(self, engine=None) -> None:

@@ -58,3 +58,20 @@ def toggle_universe() -> Universe:
 @pytest.fixture(scope="session")
 def toggle_evaluator(toggle_universe: Universe) -> KnowledgeEvaluator:
     return KnowledgeEvaluator(toggle_universe)
+
+
+@pytest.fixture
+def fold_calls(monkeypatch) -> list[int]:
+    """``[n]``: the class folds behind the composed-frontier memo, counted
+    from the test's start."""
+    from repro.isomorphism import relation
+
+    calls = [0]
+    fold = relation.fold_classes
+
+    def counted(*args):
+        calls[0] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(relation, "fold_classes", counted)
+    return calls

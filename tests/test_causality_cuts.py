@@ -1,5 +1,10 @@
 """Consistent cuts and the cut lattice."""
 
+import itertools
+
+import hypothesis.strategies as st
+from hypothesis import given, settings
+
 from repro.causality.cuts import (
     consistent_cuts,
     count_consistent_cuts,
@@ -63,6 +68,61 @@ class TestCyclicConfiguration:
         cyclic = Configuration({"p": (rcv2, snd1), "q": (rcv1, snd2)})
         assert list(consistent_cuts(cyclic)) == [Configuration({})]
         assert count_consistent_cuts(cyclic) == 1
+
+    def test_cyclic_configuration_is_not_its_own_cut(self):
+        """Message closure alone would accept the cycle as a cut of
+        itself; membership agrees with the enumeration instead."""
+        snd1, rcv1 = message_pair("p", "q", "m1")
+        snd2, rcv2 = message_pair("q", "p", "m2")
+        cyclic = Configuration({"p": (rcv2, snd1), "q": (rcv1, snd2)})
+        assert cyclic.received_messages <= cyclic.sent_messages
+        assert not is_consistent_cut(cyclic, cyclic)
+        assert is_consistent_cut(cyclic, Configuration({}))
+
+
+PROCESSES = ("p", "q", "r")
+
+
+@st.composite
+def configurations(draw) -> Configuration:
+    """Random configurations, cyclic ones included: each event goes to a
+    random position of its process's history, so a receive may wait on a
+    send that waits on it in turn."""
+    histories: dict[str, list] = {process: [] for process in PROCESSES}
+
+    def place(event) -> None:
+        history = histories[event.process]
+        history.insert(draw(st.integers(0, len(history))), event)
+
+    for index in range(draw(st.integers(0, 5))):
+        sender = draw(st.sampled_from(PROCESSES))
+        if draw(st.booleans()):
+            place(internal(sender, tag="t", seq=index))
+            continue
+        receiver = draw(st.sampled_from([p for p in PROCESSES if p != sender]))
+        for event in message_pair(sender, receiver, "m", seq=index):
+            place(event)
+    return Configuration(
+        {process: tuple(history) for process, history in histories.items() if history}
+    )
+
+
+class TestMembershipMatchesEnumeration:
+    @given(configurations())
+    @settings(max_examples=80, deadline=None)
+    def test_every_sub_configuration(self, base):
+        cuts = set(consistent_cuts(base))
+        processes = sorted(base.processes)
+        for lengths in itertools.product(
+            *(range(len(base.history(process)) + 1) for process in processes)
+        ):
+            candidate = Configuration(
+                {
+                    process: base.history(process)[:length]
+                    for process, length in zip(processes, lengths)
+                }
+            )
+            assert is_consistent_cut(base, candidate) == (candidate in cuts)
 
 
 class TestLattice:

@@ -1,13 +1,43 @@
 """The Principle of Computation Extension and Theorem 3 (§3.4)."""
 
+import pytest
+
 from repro.isomorphism.extension import (
     check_extension_corollary,
     check_extension_principle_part1,
     check_extension_principle_part2,
     check_theorem_3,
+    edges_on,
     extension_event,
     related_set,
 )
+from repro.isomorphism.reference import composed_class_reference
+from repro.protocols.broadcast import BroadcastProtocol, star_topology
+from repro.universe.explorer import Universe
+
+
+def theorem_3_by_definition(universe, process_sets) -> dict[str, int]:
+    """Theorem 3 on configurations: every transition, its event from the
+    two ends, and both ``[P P̄]`` images from the object-level oracle."""
+    counts = {"receive": 0, "send": 0, "internal": 0}
+    for x in universe:
+        for extended in universe.successors(x):
+            event = extension_event(x, extended)
+            for p_set in process_sets:
+                if event.process not in p_set:
+                    continue
+                sets = [p_set, universe.complement(p_set)]
+                before = composed_class_reference(universe, x, sets)
+                after = composed_class_reference(universe, extended, sets)
+                kind = event.kind.value
+                if kind == "receive":
+                    assert after <= before
+                elif kind == "send":
+                    assert before <= after
+                else:
+                    assert before == after
+                counts[kind] += 1
+    return counts
 
 
 class TestExtensionEvent:
@@ -23,6 +53,28 @@ class TestExtensionEvent:
         same_size = [c for c in configs if len(c) == 2]
         if len(same_size) >= 2:
             assert extension_event(same_size[0], same_size[1]) is None
+
+
+class TestEdgesOn:
+    @pytest.mark.parametrize(
+        "name", ["pingpong_universe", "broadcast_universe", "token_bus_universe"]
+    )
+    def test_matches_the_object_level_edges(self, name, request):
+        """Each stored transition appears once, under its event's process,
+        with the event the two configurations differ by."""
+        universe = request.getfixturevalue(name)
+        expected = {
+            (universe.config_id(x), universe.config_id(y), extension_event(x, y))
+            for x in universe
+            for y in universe.successors(x)
+        }
+        found = []
+        for process in sorted(universe.processes):
+            for event, edges in edges_on(universe, process):
+                assert event.process == process
+                assert edges == sorted(edges)
+                found.extend((x_id, y_id, event) for x_id, y_id in edges)
+        assert len(found) == len(set(found)) and set(found) == expected
 
 
 class TestExtensionPrinciple:
@@ -71,6 +123,27 @@ class TestTheorem3:
                 if len(after) < len(before):
                     shrank = True
         assert shrank
+
+    @pytest.mark.parametrize(
+        "name", ["pingpong_universe", "broadcast_universe", "token_bus_universe"]
+    )
+    def test_counts_match_the_definition(self, name, request):
+        universe = request.getfixturevalue(name)
+        processes = sorted(universe.processes)
+        process_sets = [frozenset((process,)) for process in processes]
+        process_sets.append(frozenset(processes[:2]))
+        assert check_theorem_3(universe, process_sets) == theorem_3_by_definition(
+            universe, process_sets
+        )
+
+    def test_star6_counts(self):
+        leaves = tuple(f"r{index}" for index in range(5))
+        universe = Universe(BroadcastProtocol(star_topology("hub", leaves), "hub"))
+        assert check_theorem_3(universe) == {
+            "receive": 14_245,
+            "send": 3_165,
+            "internal": 1,
+        }
 
     def test_larger_sets_also_respect_theorem_3(self, pingpong_universe):
         counts = check_theorem_3(

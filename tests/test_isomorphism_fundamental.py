@@ -12,6 +12,8 @@ from repro.isomorphism.fundamental import (
 )
 from repro.isomorphism.reference import composed_class_reference, theorem_1_holds
 from repro.isomorphism.relation import isomorphic
+from repro.protocols.broadcast import BroadcastProtocol, star_topology
+from repro.universe.explorer import Universe
 from repro.universe.reference import sub_configuration_pairs
 
 P = frozenset("p")
@@ -92,6 +94,21 @@ class TestTheorem1:
         empty = configs[0]
         full = max(pingpong_universe, key=len)
         assert theorem_1_holds(pingpong_universe, empty, full, [P, Q])
+
+
+class TestTheorem1Folds:
+    def test_star6_folds_each_base_class_once(self, fold_calls):
+        """Theorem 1 reads every ``x``'s image from the frontier of its
+        ``[P1]``-class, so each class of each sequence is folded once:
+        333 folds where a fold per ``x`` made 25 328."""
+        leaves = tuple(f"r{index}" for index in range(5))
+        universe = Universe(BroadcastProtocol(star_topology("hub", leaves), "hub"))
+        hub, r0, r1 = frozenset({"hub"}), frozenset({"r0"}), frozenset({"r1"})
+        sequences = [[hub, r0], [r0, hub, r1], [r0 | r1, hub]]
+        assert check_theorem_1(universe, sequences) == 347_274
+        assert fold_calls[0] == 333 == sum(
+            universe.partition_table(sets[0]).num_classes for sets in sequences
+        )
 
 
 class TestConstructiveWitness:

@@ -1,14 +1,19 @@
 """Unit tests for [P] and composed relations (§3), incl. Example 1."""
 
 from repro.core.configuration import Configuration
+from repro.isomorphism.reference import composed_class_reference
 from repro.isomorphism.relation import (
     agreement_set,
     composed_class,
+    composed_frontier,
+    composed_frontiers,
     composed_isomorphic,
     find_composition_witness,
     isomorphic,
 )
+from repro.protocols.token_bus import TokenBusProtocol
 from repro.universe.builder import figure_3_1_computations, figure_3_1_universe
+from repro.universe.explorer import Universe
 
 
 class TestDirectRelation:
@@ -86,3 +91,36 @@ class TestComposedRelation:
         y = Configuration.from_computation(comps["y"])
         w = Configuration.from_computation(comps["w"])
         assert find_composition_witness(universe, y, ["q"], w) is None
+
+
+class TestComposedFrontier:
+    def test_one_query_folds_one_class(self, fold_calls):
+        """A query folds the frontier of ``x``'s ``[P1]``-class alone, once:
+        a second query from the same class folds nothing."""
+        universe = Universe(TokenBusProtocol(max_hops=3))
+        stations = sorted(universe.processes)
+        sets = [{stations[0]}, {stations[1]}, {stations[2]}]
+        x = max(universe, key=len)
+        composed_isomorphic(universe, x, sets, x)
+        assert fold_calls[0] == 1
+        for y in universe.iso_class(x, sets[0]):
+            composed_isomorphic(universe, y, sets, x)
+        assert fold_calls[0] == 1
+
+    def test_frontiers_are_the_per_class_images(self, toggle_universe):
+        """Each class's frontier, as configurations, is the composed class
+        of any member, recomputed by the object-level oracle."""
+        universe = toggle_universe
+        stations = sorted(universe.processes)
+        sets = [{stations[0]}, {stations[1]}, {stations[0]}]
+        base = universe.partition_table(sets[0])
+        final = universe.partition_table(sets[-1])
+        frontiers = composed_frontiers(universe, sets)
+        assert len(frontiers) == base.num_classes
+        for index, members in enumerate(base.members):
+            assert composed_frontier(universe, sets, index) == frontiers[index]
+            image = final.classes_mask(frontiers[index])
+            x = universe.configuration_of_id(members[-1])
+            assert set(universe.configurations_in_mask(image)) == set(
+                composed_class_reference(universe, x, sets)
+            )

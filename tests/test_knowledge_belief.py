@@ -102,3 +102,47 @@ class TestIntrospection:
         for iso_class in base.partition({"m"}):
             values = {member in believes for member in iso_class}
             assert len(values) == 1
+
+
+class TestBeliefOracle:
+    """The class-mask evaluation against belief's definition, read per
+    configuration: ``x`` believes ``b`` iff ``b`` holds at every
+    plausible ``y`` with ``x [P] y``."""
+
+    @staticmethod
+    def believed_by_definition(universe, evaluator, processes, body):
+        return frozenset(
+            x
+            for x in universe
+            if all(
+                y in body
+                for y in universe.iso_class(x, processes)
+                if y in evaluator.plausible
+            )
+        )
+
+    def test_failure_monitor(self, failure_setup):
+        protocol, universe, crashed, evaluator = failure_setup
+        base = KnowledgeEvaluator(universe)
+        for processes in ({"m"}, {"w"}, {"m", "w"}):
+            for formula in (crashed, Not(crashed)):
+                expected = self.believed_by_definition(
+                    universe, evaluator, processes, base.extension(formula)
+                )
+                assert evaluator.believes_extension(processes, formula) == expected
+                for configuration in universe:
+                    assert evaluator.believes(
+                        processes, formula, configuration
+                    ) == (configuration in expected)
+
+    def test_explicit_plausible_subset(self, pingpong_universe):
+        b = has_received("q", "ping")
+        plausible = [c for index, c in enumerate(pingpong_universe) if index % 3]
+        evaluator = BeliefEvaluator(pingpong_universe, plausible)
+        base = KnowledgeEvaluator(pingpong_universe)
+        for processes in ({"p"}, {"q"}, {"p", "q"}):
+            expected = self.believed_by_definition(
+                pingpong_universe, evaluator, processes, base.extension(b)
+            )
+            assert evaluator.believes_extension(processes, b) == expected
+            assert evaluator.false_beliefs(processes, b) == expected - base.extension(b)
