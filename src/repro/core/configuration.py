@@ -410,6 +410,14 @@ class Configuration:
             raise InvalidConfigurationError(
                 "suffix_after requires a sub-configuration"
             )
+        return self._suffix_after(prefix)
+
+    def _suffix_after(
+        self, prefix: "Configuration"
+    ) -> dict[ProcessId, tuple[Event, ...]]:
+        """:meth:`suffix_after` for a caller that already knows
+        ``prefix <= self`` (a descendant mask, say): the slicing without
+        the sub-configuration check."""
         suffixes: dict[ProcessId, tuple[Event, ...]] = {}
         for process, history in self._histories.items():
             cut = len(prefix.history(process))

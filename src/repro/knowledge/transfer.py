@@ -255,7 +255,8 @@ def _check_chains(
         checked += instances.bit_count()
         x = universe.configuration_of_id(x_id) if instances else None
         for y_id in iter_bit_ids(instances):
-            suffix = universe.configuration_of_id(y_id).suffix_after(x)
+            # descendant_masks guarantees x <= y: slice without re-checking.
+            suffix = universe.configuration_of_id(y_id)._suffix_after(x)
             failed = bool(chain) and not has_process_chain(suffix, chain)
             if not failed and kind is not None:
                 failed = all(

@@ -13,6 +13,10 @@ a read-only list-like sequence interface:
   (:class:`~repro.universe.frontier.PackedFrontier`) and the replay
   recomputes each child's hash from rolling entry hashes
   (:func:`~repro.universe.frontier.stream_hashes`);
+* children arrive in batches through one path,
+  :meth:`ArenaStore.extend_children`: an engine hands over each BFS
+  layer's discoveries as three columns at the layer boundary, and the
+  replay its stream a chunk at a time;
 * every read is a **chain walk** up the parent column
   to the nearest materialised ancestor, rebuilding descendants through a
   bounded LRU — property sweeps and spot lookups never pay for objects
@@ -114,7 +118,8 @@ class ArenaStore:
     ``len``, indexing (lazy materialisation), iteration (streaming, two
     layers of transient objects) and equality against any configuration
     sequence.  It grows by one root (:meth:`append`) and then only by
-    children (:meth:`append_child`, :meth:`replay`).
+    batches of children (:meth:`extend_children`: a BFS layer from an
+    engine, a chunk of the stream from :meth:`replay`).
     """
 
     def __init__(
@@ -263,20 +268,33 @@ class ArenaStore:
         self._root = configuration
         return 0
 
-    def append_child(self, parent_id: int, event: Event, content_hash: int) -> int:
-        """Record a first discovery: pack the columns.  No object is kept;
-        any later read materialises through the cold tiers."""
-        event_index = self._event_index.get(event)
-        if event_index is None:
-            event_index = len(self._events)
-            self._event_index[event] = event_index
-            self._events.append(event)
-        index = self._count
-        self._tail_parent.append(parent_id)
-        self._tail_event.append(event_index)
-        self._tail_hash.append(content_hash)
-        self._count += 1
-        return index
+    def extend_children(self, parents, events, hashes) -> None:
+        """Record a batch of first discoveries — a BFS layer, or one
+        chunk of a replayed stream — as the three packed columns: child
+        ``k`` of the batch is ``events[k]`` on ``parents[k]``, with
+        content hash ``hashes[k]``.  No object is kept; any later read
+        materialises through the cold tiers.
+
+        Each distinct event *object* is resolved once, by equality, so
+        an equal but non-identical event (unpickled, or sent by a shard
+        worker) maps to its existing index, and new events take indices
+        in first-appearance order — the columns are the same as one
+        append per child.  ``events`` keeps every object alive during
+        the call, so object ids stay unique.
+        """
+        event_index = self._event_index
+        vocabulary = self._events
+        index_of_id: dict[int, int] = {}
+        for key, event in dict(zip(map(id, events), events)).items():
+            index = event_index.get(event)
+            if index is None:
+                index = event_index[event] = len(vocabulary)
+                vocabulary.append(event)
+            index_of_id[key] = index
+        self._tail_parent.extend(parents)
+        self._tail_event.extend(map(index_of_id.__getitem__, map(id, events)))
+        self._tail_hash.extend(hashes)
+        self._count += len(hashes)
 
     def retire(self, new_floor: int) -> None:
         """Raise the floor to ``new_floor`` and seal the whole chunks
@@ -544,20 +562,6 @@ class ArenaStore:
             self.clear()
         self.append(EMPTY_CONFIGURATION)
         hashes = stream_hashes(processes, stream)
-        events = list(map(itemgetter(1), stream))
-        # Unpickled events are not the vocabulary's own objects, so
-        # resolve each distinct object once by equality (first
-        # appearance order, as live exploration interned them); the
-        # stream keeps every event alive, so ids stay unique.
-        index_of_id: dict[int, int] = {}
-        event_index = self._event_index
-        vocabulary = self._events
-        for key, event in dict(zip(map(id, events), events)).items():
-            index = event_index.get(event)
-            if index is None:
-                index = event_index[event] = len(vocabulary)
-                vocabulary.append(event)
-            index_of_id[key] = index
         ids_by_hash: dict[int, int | list[int]] = {hash(EMPTY_CONFIGURATION): 0}
         for child_id, child_hash in enumerate(hashes, 1):
             entry = ids_by_hash.get(child_hash)
@@ -571,13 +575,13 @@ class ArenaStore:
         # a chunk at a time keeps the tail short while it seals.
         self._floor = stream[-1][0] if stream else 0
         parent_column = map(itemgetter(0), stream)
-        event_column = map(index_of_id.__getitem__, map(id, events))
+        event_column = map(itemgetter(1), stream)
         for start in range(0, len(stream), _CHUNK_SIZE):
-            stop = min(start + _CHUNK_SIZE, len(stream))
-            self._tail_parent.extend(islice(parent_column, _CHUNK_SIZE))
-            self._tail_event.extend(islice(event_column, _CHUNK_SIZE))
-            self._tail_hash.extend(hashes[start:stop])
-            self._count = 1 + stop  # the root, then one id per record
+            self.extend_children(
+                islice(parent_column, _CHUNK_SIZE),
+                list(islice(event_column, _CHUNK_SIZE)),
+                hashes[start:start + _CHUNK_SIZE],
+            )
             self._seal_cold()
         return ids_by_hash
 

@@ -714,10 +714,12 @@ class Universe:
         :class:`~repro.universe.sharded.ShardedExplorer`, which supplies
         its worker pids to the watchdog and its own layer body.  A layer
         body ``(layer_start, layer_end, layer)`` expands the parents
-        ``[layer_start, layer_end)`` of BFS layer ``layer`` and returns
-        ``(records, bound_hit)``: the layer's discovery records
-        ``[(parent_id, event), ...]`` for the checkpoint, and whether
-        the ``max_configurations`` bound stopped it mid-layer.
+        ``[layer_start, layer_end)`` of BFS layer ``layer``, hands its
+        first discoveries to the arena in one
+        :meth:`~repro.universe.arena.ArenaStore.extend_children`, and
+        returns ``(records, bound_hit)``: the layer's discovery records,
+        an iterable of ``(parent_id, event)`` for the checkpoint, and
+        whether the ``max_configurations`` bound stopped it mid-layer.
 
         :func:`repro.universe.reference.reference_bfs` is the oracle:
         ``tests/test_universe_arena.py`` holds both engines
@@ -827,38 +829,46 @@ class Universe:
         layer_start: int,
         layer_end: int,
         layer: int,
-    ) -> tuple[list | None, bool]:
+    ) -> tuple[Iterable | None, bool]:
         """The kernel's layer body (see :meth:`_explore`): expand BFS
         layer ``layer`` over *packed window rows*.
 
-        Configurations go straight into the arena as packed ``(parent
-        id, event, hash)`` columns; the kernel never builds child
-        objects.  ``frontier`` supplies the per-parent enabled events,
-        the slow-path transient objects and the collision-aware row
-        comparison.  Each window entry is popped the moment its
-        expansion completes, so a consumed frontier prefix stops
-        counting toward peak RSS mid-layer instead of at the next
-        boundary.  The per-edge work stays inline because this loop is
-        the hot path: the child's content hash is O(1) from the parent's
-        (rolling entry hashes), dedup is one C tuple compare of the
-        child's row against the candidate's — shared history tuples and
-        interned events make its elements identity hits, and the rare
-        content-hash collision goes through :func:`_resolve_collision` —
-        and a first discovery appends its packed columns and window entry
-        here, with the same message-set and step-row derivation as
+        Configurations go into the arena as packed ``(parent id, event,
+        hash)`` columns; the kernel never builds child objects.
+        ``frontier`` supplies the per-parent enabled events, the
+        slow-path transient objects and the cross-layer row comparison.
+        Each window entry is popped the moment its expansion completes,
+        so a consumed frontier prefix stops counting toward peak RSS
+        mid-layer instead of at the next boundary.
+
+        The per-edge work stays inline and makes no Python-level call on
+        the duplicate and first-discovery paths, because this loop is the
+        hot path: the child's content hash is O(1) from the parent's
+        (rolling entry hashes); the child row is the parent's with one
+        cell replaced; dedup reads the candidate's window entry and makes
+        one C tuple compare of the two rows — shared history tuples and
+        interned events make its elements identity hits — and only a
+        candidate outside the window (a cross-layer content-hash
+        collision) or a collision bucket calls out, to
+        :meth:`PackedFrontier.row_matches
+        <repro.universe.frontier.PackedFrontier.row_matches>` and
+        :func:`_resolve_collision`.  A first discovery writes its window
+        entry here, with the same message-set and step-row derivation as
         :meth:`PackedFrontier.child
-        <repro.universe.frontier.PackedFrontier.child>`.  The discovery
-        records are only kept when a checkpoint session will commit
-        them (``None`` otherwise).
+        <repro.universe.frontier.PackedFrontier.child>`, and appends its
+        parent id, event and hash to three per-layer columns, which go to
+        the arena in one :meth:`ArenaStore.extend_children
+        <repro.universe.arena.ArenaStore.extend_children>` when the layer
+        ends or the ``max_configurations`` bound stops it.  The discovery
+        records, zipped from the same columns, are only returned when a
+        checkpoint session will commit them (``None`` otherwise).
         """
         arena: ArenaStore = self._configurations
         ids_by_hash = self._ids_by_hash
         succ_ids = self._succ_ids
         succ_offsets = self._succ_offsets
         window = frontier.window
-        records = [] if self._checkpoint_session is not None else None
         count = len(arena)
-        edges = len(succ_ids)
         max_events = self._max_events
         if max_events is not None and layer >= max_events:
             # Every BFS edge appends one event, so layer L's parents hold
@@ -866,13 +876,15 @@ class Universe:
             # incomplete iff one of them still has an enabled event.
             compiled_enabled = self._protocol.compiled_enabled_events
             transient = frontier.transient
+            edges = len(succ_ids)
             for parent_id in range(layer_start, layer_end):
                 if compiled_enabled(transient(window.pop(parent_id))):
                     self._complete = False
                 succ_offsets.append(edges)
-            return records, False
+            return None, False
         enabled_at = frontier.enabled
         row_matches = frontier.row_matches
+        window_get = window.get
         index_of = frontier.index_of
         seed_of = frontier.seed_of
         entry_hash_of = frontier.entry_hash_of
@@ -884,6 +896,15 @@ class Universe:
         steps_for = table.steps
         modulus = _HASH_MODULUS
         multiplier = _ROLL_MULTIPLIER
+        succ_append = succ_ids.append
+        # The layer's first discoveries, as the arena's three columns.
+        parents: list[int] = []
+        events: list = []
+        hashes: list[int] = []
+        parents_append = parents.append
+        events_append = events.append
+        hashes_append = hashes.append
+        bound_hit = False
         for parent_id in range(layer_start, layer_end):
             entry = window.pop(parent_id)
             row = entry[0]
@@ -913,33 +934,42 @@ class Universe:
                     new_history = old_history + (event,)
                     new_entry = (old_entry * multiplier + event_hash) % modulus
                     child_hash = (parent_hash - old_entry + new_entry) % modulus
-                child_row = row[:position] + (new_history,) + row[position + 1:]
+                cells = list(row)
+                cells[position] = new_history
+                child_row = tuple(cells)
                 existing = ids_by_hash.get(child_hash)
                 if existing is None:
                     if count >= limit:
-                        succ_offsets.append(edges)
-                        return records, True
-                elif type(existing) is int and row_matches(existing, child_row):
-                    succ_ids.append(existing)
-                    edges += 1
-                    continue
+                        bound_hit = True
+                        break
                 else:
+                    if type(existing) is int:
+                        # Same-depth duplicates live in the window; only
+                        # a cross-layer collision chain-walks the arena.
+                        candidate = window_get(existing)
+                        if (
+                            candidate[0] == child_row
+                            if candidate is not None
+                            else row_matches(existing, child_row)
+                        ):
+                            succ_append(existing)
+                            continue
                     child_id = _resolve_collision(
                         ids_by_hash, child_hash, existing, row_matches,
                         child_row, count, limit,
                     )
                     if child_id is None:
-                        succ_offsets.append(edges)
-                        return records, True
+                        bound_hit = True
+                        break
                     if child_id != count:
-                        succ_ids.append(child_id)
-                        edges += 1
+                        succ_append(child_id)
                         continue
-                # First discovery: pack the columns, keep only the row,
-                # message sets and step row hot — no child object.  The
-                # window entry is PackedFrontier.child inlined (memo
-                # write, interned message sets, one step-table lookup for
-                # the new history).
+                # First discovery: keep its packed columns for the
+                # layer's bulk extend and only the row, message sets and
+                # step row hot — no child object.  The window entry is
+                # PackedFrontier.child inlined (memo write, interned
+                # message sets, one step-table lookup for the new
+                # history).
                 child_id = count
                 if existing is None:
                     ids_by_hash[child_hash] = child_id
@@ -963,17 +993,23 @@ class Universe:
                     new_steps = by_history[process].get(new_history)
                     if new_steps is None:
                         new_steps = steps_for(process, new_history)
-                    steps = steps[:position] + (new_steps,) + steps[position + 1:]
+                    cells = list(steps)
+                    cells[position] = new_steps
+                    steps = tuple(cells)
                 window[child_id] = (
                     child_row, child_hash, received, in_flight, steps
                 )
-                arena.append_child(parent_id, event, child_hash)
-                succ_ids.append(child_id)
-                edges += 1
-                if records is not None:
-                    records.append((parent_id, event))
-            succ_offsets.append(edges)
-        return records, False
+                parents_append(parent_id)
+                events_append(event)
+                hashes_append(child_hash)
+                succ_append(child_id)
+            succ_offsets.append(len(succ_ids))
+            if bound_hit:
+                break
+        arena.extend_children(parents, events, hashes)
+        if self._checkpoint_session is None:
+            return None, bound_hit
+        return zip(parents, events), bound_hit
 
     def _id_of(self, configuration: Configuration) -> int | None:
         """Dense id of ``configuration``, or ``None`` if not a member."""

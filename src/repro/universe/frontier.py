@@ -40,8 +40,16 @@ the checkpoint replay's object-free child hashes (:func:`stream_hashes`),
 the resume rebuild (:meth:`~PackedFrontier.load`), replay of a merged
 discovery stream (:meth:`~PackedFrontier.apply`) and shard expansion
 (:meth:`~PackedFrontier.expand`).  The driver rotates the memo at every
-layer boundary.  The kernel's layer body keeps only its per-edge hash,
-dedup and append inline, because that loop is the hot path.
+layer boundary.  The kernel's layer body inlines the per-edge work that
+these methods also do — the rolling hash step, the child row, the
+window-entry dedup compare and the child's window entry — because that
+loop is the hot path and makes no Python-level call per edge; it calls
+:meth:`~PackedFrontier.row_matches` only for a candidate outside the
+window (a cross-layer content-hash collision), and hands each layer's
+first discoveries to the arena in one bulk
+:meth:`~repro.universe.arena.ArenaStore.extend_children`.  Every child
+row or step row is a one-cell replacement, ``cells = list(row);
+cells[position] = new; tuple(cells)``: one list and one tuple per row.
 
 Rolling entry hashes are memoised by history-tuple *identity*, and the
 memo rotates generations at BFS layer boundaries (:meth:`rotate`).
@@ -127,9 +135,9 @@ def stream_hashes(ordered, stream) -> array:
         else:
             new_entry = (old_entry * multiplier + event_hash) % modulus
             child_hash = (parent_hash - old_entry + new_entry) % modulus
-        children.append(
-            (entries[:position] + (new_entry,) + entries[position + 1:], child_hash)
-        )
+        cells = list(entries)
+        cells[position] = new_entry
+        children.append((tuple(cells), child_hash))
         append(child_hash)
     return hashes
 
@@ -342,8 +350,9 @@ class PackedFrontier:
             new_entry = (old_entry * _ROLL_MULTIPLIER + event_hash) % _HASH_MODULUS
             child_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
             new_history = old_history + (event,)
-        child_row = row[:position] + (new_history,) + row[position + 1 :]
-        return position, child_row, new_entry, child_hash
+        cells = list(row)
+        cells[position] = new_history
+        return position, tuple(cells), new_entry, child_hash
 
     def child(
         self,
@@ -379,11 +388,11 @@ class PackedFrontier:
             in_flight = in_flight - {message}
             in_flight = intern(in_flight, in_flight)
         if steps is not None:
-            steps = (
-                steps[:position]
-                + (self.protocol.step_table.steps(event.process, new_history),)
-                + steps[position + 1 :]
+            cells = list(steps)
+            cells[position] = self.protocol.step_table.steps(
+                event.process, new_history
             )
+            steps = tuple(cells)
         return child_row, child_hash, received, in_flight, steps
 
     def row_matches(self, candidate_id: int, child_row: tuple) -> bool:

@@ -870,9 +870,12 @@ class ShardedExplorer:
         hashes from the coordinator's frontier — the same structure the
         workers replay into — and resolving cross-worker duplicates with
         its :meth:`~repro.universe.frontier.PackedFrontier.row_matches`.
-        Each first-discovered child becomes packed columns plus one
-        window entry, never a ``Configuration``.  Returns the layer's
-        discovery records (next layer's replay) and whether the
+        Each first-discovered child becomes one window entry and one row
+        of three per-layer columns, never a ``Configuration``; the
+        columns go to the arena in one
+        :meth:`~repro.universe.arena.ArenaStore.extend_children` when the
+        merge ends or the bound stops it.  Returns the layer's discovery
+        records (next layer's replay) and whether the
         ``max_configurations`` bound stopped the merge.
         """
         workers = self._workers
@@ -892,9 +895,13 @@ class ShardedExplorer:
         if state.incomplete:
             universe._complete = False
         batches = state.batches
-        replay = self._replay = []
         count = len(arena)
         edges = len(succ_ids)
+        # The layer's first discoveries, as the arena's three columns.
+        parents: list[int] = []
+        events: list = []
+        hashes: list[int] = []
+        bound_hit = False
         cursors = [0] * workers
         # Per worker, candidate index -> resolved global id, filled in
         # batch order as the merge walks the layer.
@@ -928,8 +935,8 @@ class ShardedExplorer:
                 existing = ids_by_hash.get(child_hash)
                 if existing is None:
                     if count >= limit:
-                        succ_offsets.append(edges)
-                        return replay, True
+                        bound_hit = True
+                        break
                 elif type(existing) is int and row_matches(existing, child_row):
                     resolved.append(existing)
                     succ_ids.append(existing)
@@ -941,8 +948,8 @@ class ShardedExplorer:
                         child_row, count, limit,
                     )
                     if child_id is None:
-                        succ_offsets.append(edges)
-                        return replay, True
+                        bound_hit = True
+                        break
                     if child_id != count:
                         resolved.append(child_id)
                         succ_ids.append(child_id)
@@ -956,12 +963,19 @@ class ShardedExplorer:
                 window[child_id] = child_entry(
                     entry, event, position, child_row, new_entry, child_hash
                 )
-                arena.append_child(parent_id, event, child_hash)
-                replay.append((parent_id, event))
+                parents.append(parent_id)
+                events.append(event)
+                hashes.append(child_hash)
                 resolved.append(child_id)
                 succ_ids.append(child_id)
                 edges += 1
             succ_offsets.append(edges)
+            if bound_hit:
+                break
+        arena.extend_children(parents, events, hashes)
+        replay = self._replay = list(zip(parents, events))
+        if bound_hit:
+            return replay, True
         # Every parent of the layer is popped: a folded shard's expand
         # starts at the next layer.
         frontier.floor = layer_end

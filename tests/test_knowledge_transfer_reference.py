@@ -444,6 +444,30 @@ def test_chain_checkers_equal_brute_force(name):
             assert actual == {key: report for key, (report, _) in expected.items()}
 
 
+def test_theorem_5_trusts_the_descendant_masks(monkeypatch):
+    """``x <= y`` comes from the descendant masks, so Theorem 5 slices
+    each suffix without re-checking it (no ``is_sub_configuration_of``
+    call) and still reports what the brute-force walk reports."""
+    from repro.core.configuration import Configuration
+
+    evaluator = _evaluator("star4")
+    formula = _root_fact(evaluator.universe)
+    sets = [as_process_set(entry) for entry in ["r0", "hub"]]
+    expected, _ = _expected_theorems_5_6(evaluator, formula, sets)["theorem-5"]
+    calls = []
+    original = Configuration.is_sub_configuration_of
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(Configuration, "is_sub_configuration_of", counted)
+    report = check_theorem_5_gain(evaluator, sets, formula)
+    assert calls == []
+    assert report == expected
+    assert report.checked > 0
+
+
 @pytest.mark.parametrize("name", ["pingpong", "mutex"])
 def test_chain_checkers_report_lowest_counterexample(name):
     """Flip each id of ``¬(Pn knows b)`` (Theorems 5 and 6) and of ``Pn

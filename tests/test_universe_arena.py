@@ -19,7 +19,9 @@ import sys
 
 import pytest
 
+from repro.core.configuration import EMPTY_CONFIGURATION
 from repro.core.errors import UniverseError
+from repro.core.events import internal
 from repro.protocols.broadcast import (
     BroadcastProtocol,
     ring_topology,
@@ -502,3 +504,109 @@ class TestObjectFreeReplay:
         stream.append((1, stream[-1][1]))
         with pytest.raises(ValueError, match="not in BFS order"):
             ArenaStore().replay(stream, universe.protocol.ordered_processes)
+
+
+def fresh_store() -> ArenaStore:
+    store = ArenaStore()
+    store.append(EMPTY_CONFIGURATION)
+    return store
+
+
+def steps_on_p(count: int) -> list:
+    return [internal("p", "step", payload=k) for k in range(count)]
+
+
+class TestExtendChildren:
+    """:meth:`ArenaStore.extend_children`, the arena's one path for
+    children: the engines hand it each BFS layer's discoveries, and
+    :meth:`ArenaStore.replay` its stream a chunk at a time."""
+
+    def test_new_events_take_indices_in_first_appearance_order(self):
+        a, b, c, d = steps_on_p(4)
+        store = fresh_store()
+        store.extend_children([0, 0, 0], [c, a, c], [11, 12, 13])
+        assert store._events == [c, a]
+        store.extend_children([1, 2, 2], [b, a, d], [14, 15, 16])
+        assert store._events == [c, a, b, d]
+        assert columns(store)[1:] == [
+            (0, 0, 11), (0, 1, 12), (0, 0, 13),
+            (1, 2, 14), (2, 1, 15), (2, 3, 16),
+        ]
+
+    def test_unpickled_event_maps_to_the_existing_index(self):
+        a, b = steps_on_p(2)
+        store = fresh_store()
+        store.extend_children([0, 0], [a, b], [11, 12])
+        copy = pickle.loads(pickle.dumps(b))
+        assert copy == b and copy is not b
+        store.extend_children([1, 2], [copy, a], [13, 14])
+        assert store._events == [a, b]
+        assert store._events[1] is b
+        assert [event for _, event, _ in columns(store)[1:]] == [0, 1, 1, 0]
+
+    def test_length_is_the_id_count_after_every_extend(self):
+        events = steps_on_p(3)
+        store = fresh_store()
+        count = 1
+        for size in (3, 0, 1, 7, 2):
+            parent = count - 1
+            batch = [events[k % 3] for k in range(size)]
+            hashes = list(range(100 * count, 100 * count + size))
+            store.extend_children([parent] * size, batch, hashes)
+            count += size
+            assert len(store) == count
+            if size:
+                assert store._entry(count - 1) == (
+                    parent, store._events.index(batch[-1]), hashes[-1]
+                )
+
+    def test_a_layer_across_chunk_boundaries_seals(self, small_chunks):
+        """One batch of 150 children crosses two 64-id chunk boundaries;
+        retiring it seals both whole chunks, and reads through the cold
+        tier rebuild the same configurations as the kernel's arena."""
+        universe = Universe(star5())
+        arena = universe._configurations
+        stream = arena.records(1, len(arena))
+        hashes = [arena.content_hash(index) for index in range(1, len(arena))]
+        store = fresh_store()
+        for start, stop in ((0, 150), (150, len(stream))):
+            store.extend_children(
+                [parent for parent, _ in stream[start:stop]],
+                [event for _, event in stream[start:stop]],
+                hashes[start:stop],
+            )
+            store.retire(1 + stop)
+            assert len(store) == 1 + stop
+        assert store.stats()["sealed_chunks"] == len(arena) // 64
+        assert columns(store) == columns(arena)
+        for index in random.Random(37).sample(range(len(arena)), 60):
+            assert store[index]._histories == arena[index]._histories
+
+    def test_kernel_extends_once_per_layer_without_row_calls(self, monkeypatch):
+        """The kernel hands each BFS layer to the arena in one extend (the
+        last, empty, layer included), and without content-hash
+        collisions its duplicate probe never calls out to
+        ``row_matches``."""
+        from collections import Counter
+
+        from repro.universe.frontier import PackedFrontier
+
+        sizes = []
+        extend = ArenaStore.extend_children
+
+        def recorded(store, parents, events, hashes):
+            sizes.append(len(hashes))
+            return extend(store, parents, events, hashes)
+
+        def forbidden(frontier, candidate_id, child_row):
+            raise AssertionError("row_matches called without a collision")
+
+        monkeypatch.setattr(ArenaStore, "extend_children", recorded)
+        monkeypatch.setattr(PackedFrontier, "row_matches", forbidden)
+        reference = reference_bfs(star5())
+        assert_same_universe(Universe(star5()), reference)
+        depths = Counter(
+            sum(map(len, configuration._histories.values()))
+            for configuration in reference.configurations
+        )
+        assert sizes == [depths[depth] for depth in range(1, len(depths) + 1)]

@@ -1200,6 +1200,63 @@ class TestFormatStability:
         assert_bit_identical(single, resumed)
 
 
+class TestWriterBytes:
+    """The writer's output is pinned by digest: a fresh interpreter
+    writes these exact bytes for star n=4 (``hub`` plus ``p0..p2``)
+    truncated at 40 configurations, under any hash seed.  The committed
+    ``star4_v2`` fixture pins the reader; an older build wrote it, so
+    its bytes differ from these."""
+
+    DIGESTS = {
+        "star4.ckpt": (
+            "497eb867a4510e43b6d6ca3207d8b7826e44e72d213bb730ddf24ee2218a584b"
+        ),
+        "star4.ckpt.g0-000000.seg": (
+            "8443deb9368ad50e588509c3679179734d0335c6886f5f458822750adf398e27"
+        ),
+        "star4.ckpt.g0-000001.seg": (
+            "2ab6e4a782ac5698253cb653b885d8c878398648dea5c51062f9f0010c03194c"
+        ),
+        "star4.ckpt.g0-000002.seg": (
+            "7fc32f6e1c09820eb79781fe9f28ea3effa8680e09129005d61ffa954a474915"
+        ),
+        "star4.ckpt.g0-000003.seg": (
+            "7bcc4d40f7cdb97f02bdac0ae2d9f6f3f49fcd4e0c2c7aebdf4bdf7dea0fa96e"
+        ),
+    }
+
+    def test_fresh_interpreter_writes_the_pinned_bytes(self, tmp_path):
+        import hashlib
+
+        path = tmp_path / "star4.ckpt"
+        script = f"""
+            from repro.protocols.broadcast import BroadcastProtocol, star_topology
+            from repro.universe.explorer import Universe
+            from repro.universe.options import (
+                CheckpointPolicy, ExplorationOptions, Limits,
+            )
+
+            Universe(
+                BroadcastProtocol(star_topology("hub", ("p0", "p1", "p2")), "hub"),
+                options=ExplorationOptions(
+                    limits=Limits(max_configurations=40, on_limit="truncate"),
+                    checkpoint=CheckpointPolicy(path={str(path)!r}),
+                ),
+            )
+        """
+        subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            check=True,
+            timeout=120,
+        )
+        written = {
+            item.name: hashlib.sha256(item.read_bytes()).hexdigest()
+            for item in tmp_path.iterdir()
+        }
+        assert written == self.DIGESTS
+
+
 class TestOrphanNameMatching:
     """Orphan segments are matched by literal file name: a checkpoint
     whose name holds glob metacharacters never claims (or deletes)
