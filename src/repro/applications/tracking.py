@@ -9,15 +9,17 @@ The paper shows that for a predicate ``b`` local to ``P̄``:
 
 Both are verified exhaustively over the toggle universe
 (:class:`repro.protocols.toggle.ToggleProtocol`): every transition that
-flips the bit is inspected for the observer's unsureness and for the
-owner's knowledge of that unsureness.
+flips the bit (read from
+:func:`~repro.isomorphism.extension.edges_on` on dense ids) is inspected
+for the observer's unsureness and for the owner's knowledge of that
+unsureness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isomorphism.extension import extension_event
+from repro.isomorphism.extension import edges_on
 from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import Knows, Sure, unsure
 from repro.protocols.toggle import ToggleProtocol, bit_atom
@@ -54,35 +56,31 @@ def analyse_tracking(
     observer = frozenset((protocol.observer,))
     owner = frozenset((protocol.owner,))
 
-    bit_extension = evaluator.extension(bit)
-    observer_sure = evaluator.extension(Sure(observer, bit))
-    owner_knows_unsure = evaluator.extension(
+    bit_mask = evaluator.extension_mask(bit)
+    observer_sure = evaluator.extension_mask(Sure(observer, bit))
+    owner_knows_unsure = evaluator.extension_mask(
         Knows(owner, unsure(observer, bit))
     )
 
     flips = 0
     unsure_at_flip = True
     owner_knows = True
-    for x in universe:
-        for extended in universe.successors(x):
-            event = extension_event(x, extended)
-            if event is None:
-                continue
-            before = x in bit_extension
-            after = extended in bit_extension
-            if before == after:
-                continue
-            flips += 1
-            if x in observer_sure:
-                unsure_at_flip = False
-            if x not in owner_knows_unsure:
-                owner_knows = False
+    for process in sorted(universe.processes):
+        for _, edges in edges_on(universe, process):
+            for x_id, y_id in edges:
+                if (bit_mask >> x_id ^ bit_mask >> y_id) & 1 == 0:
+                    continue
+                flips += 1
+                if observer_sure >> x_id & 1:
+                    unsure_at_flip = False
+                if not owner_knows_unsure >> x_id & 1:
+                    owner_knows = False
     return TrackingReport(
         flip_transitions=flips,
         observer_unsure_at_every_flip=unsure_at_flip,
         owner_knows_observer_unsure=owner_knows,
-        observer_ever_sure=len(observer_sure) > 0,
-        observer_always_sure=len(observer_sure) == len(universe),
+        observer_ever_sure=observer_sure != 0,
+        observer_always_sure=observer_sure == universe.full_mask,
     )
 
 

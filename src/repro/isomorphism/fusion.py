@@ -28,11 +28,14 @@ itself a proof instance of the theorem.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from repro.causality.chains import chain_in_suffix, has_process_chain
 from repro.core.configuration import Configuration
 from repro.core.errors import FusionError
 from repro.core.process import ProcessSetLike, as_process_set
 from repro.core.validation import find_configuration_defect
+from repro.isomorphism.extension import class_pairs
 from repro.universe.explorer import Universe, iter_bit_ids
 
 
@@ -126,11 +129,13 @@ def fusion_census(universe: Universe, processes: ProcessSetLike) -> dict[str, in
     For every ``x <= y``, ``x <= z`` (the supersets of ``x`` are its
     :meth:`~repro.universe.explorer.Universe.descendant_masks` entry),
     decides ``<P̄ P>`` in ``(x, y)`` once per ``(x, y)`` and ``<P P̄>`` in
-    ``(x, z)`` once per ``(x, z)``; every triple passing both is licensed
-    and assembled with :func:`fuse`'s body (the side conditions are not
-    re-run).  The conclusion ``y [P] w`` and ``z [P̄] w`` is verified by
-    comparing class indices in the universe's ``[P]``/``[P̄]`` partition
-    tables — no projection comparisons.
+    ``(x, z)`` once per ``(x, z)``; every triple passing both is licensed.
+    Its ``w`` is fixed by ``y``'s ``[P]``-class and ``z``'s ``[P̄]``-class,
+    so triples are counted by class multiplicity, ``w`` is in the universe
+    iff its pair occurs (:func:`class_pairs`), and ``y [P] w``, ``z [P̄] w``
+    hold by construction.  Only a pair that misses is assembled
+    (:func:`fuse`'s body), to name it and to raise :class:`FusionError`
+    if ``w`` is not a valid computation.
 
     Returns ``{"licensed", "blocked", "escaped"}`` counts; ``escaped``
     (fusions leaving a *truncated* universe) is always 0 on complete
@@ -143,6 +148,7 @@ def fusion_census(universe: Universe, processes: ProcessSetLike) -> dict[str, in
     complement = universe.complement(p_set)
     p_of = universe.partition_table(p_set).class_of
     c_of = universe.partition_table(complement).class_of
+    pairs = class_pairs(universe, p_set)
     licensed = blocked = escaped = 0
     for x_id, descendants in universe.descendant_masks(universe.full_mask):
         x = universe.configuration_of_id(x_id)
@@ -162,23 +168,20 @@ def fusion_census(universe: Universe, processes: ProcessSetLike) -> dict[str, in
             if not has_process_chain(z.suffix_after(x), (p_set, complement))
         ]
         blocked += len(candidates) ** 2 - len(ys) * len(zs)
-        for y_id, y in ys:
-            for z_id, z in zs:
-                w = _assemble(y, z, p_set, d_set, "fusion")
-                if w not in universe:
-                    if universe.is_complete:
-                        raise FusionError(
-                            f"fusion of y={y!r}, z={z!r} escaped a complete "
-                            "universe"
-                        )
-                    escaped += 1
+        z_classes = Counter(c_of[z_id] for z_id, _ in zs)
+        for y_class, y_count in Counter(p_of[y_id] for y_id, _ in ys).items():
+            for z_class, z_count in z_classes.items():
+                if (y_class, z_class) in pairs:
+                    licensed += y_count * z_count
                     continue
-                w_id = universe.config_id(w)
-                if p_of[w_id] != p_of[y_id]:
-                    raise FusionError(f"fused w not [P]-isomorphic to y={y!r}")
-                if c_of[w_id] != c_of[z_id]:
-                    raise FusionError(f"fused w not [P̄]-isomorphic to z={z!r}")
-                licensed += 1
+                y = next(y for y_id, y in ys if p_of[y_id] == y_class)
+                z = next(z for z_id, z in zs if c_of[z_id] == z_class)
+                _assemble(y, z, p_set, d_set, "fusion")
+                if universe.is_complete:
+                    raise FusionError(
+                        f"fusion of y={y!r}, z={z!r} escaped a complete universe"
+                    )
+                escaped += y_count * z_count
     return {"licensed": licensed, "blocked": blocked, "escaped": escaped}
 
 

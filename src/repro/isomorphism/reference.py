@@ -18,6 +18,14 @@ grouped by ``configuration.projection(P)`` — the paper's definition of
 chain search and the object-level composed relation: the per-instance
 oracle of :func:`repro.isomorphism.fundamental.check_theorem_1`.
 
+The extension-principle checkers and the fusion census here walk every
+instance as objects: :func:`extension_event` names each stored
+successor's event, ``(y;e)`` and ``(y - e)`` are built and looked up,
+and each licensed fusion is assembled and probed.  They are the oracles
+of :mod:`repro.isomorphism.extension` and
+:func:`repro.isomorphism.fusion.fusion_census`, which answer the same
+questions on ``edges_on`` and class ids.
+
 Nothing here should be called on hot paths; the public API lives in
 :mod:`repro.isomorphism.relation` / :mod:`repro.isomorphism.algebra`.
 """
@@ -26,11 +34,14 @@ from __future__ import annotations
 
 import weakref
 
-from repro.causality.chains import find_process_chain
+from repro.causality.chains import find_process_chain, has_process_chain
 from repro.core.configuration import Configuration
+from repro.core.errors import FusionError
+from repro.core.events import Event
 from repro.core.process import ProcessSetLike, as_process_set
+from repro.isomorphism.fusion import _assemble
 from repro.isomorphism.relation import SetSequence, isomorphic
-from repro.universe.explorer import Universe
+from repro.universe.explorer import Universe, iter_bit_ids
 
 
 class _Projections:
@@ -38,18 +49,20 @@ class _Projections:
 
     def __init__(self, universe: Universe) -> None:
         self.configurations: list[Configuration] = list(universe)
-        self._classes: dict[frozenset, dict[object, frozenset]] = {}
+        self._classes: dict[frozenset, dict[object, tuple]] = {}
 
     def iso_class(
         self, configuration: Configuration, p_set: frozenset
-    ) -> frozenset[Configuration]:
-        """All materialised ``y`` with ``configuration [P] y``."""
+    ) -> tuple[Configuration, ...]:
+        """All materialised ``y`` with ``configuration [P] y``, in universe
+        order, so a walk over them meets its first failure whatever the
+        hash seed."""
         classes = self._classes.get(p_set)
         if classes is None:
             groups: dict[object, list[Configuration]] = {}
             for member in self.configurations:
                 groups.setdefault(member.projection(p_set), []).append(member)
-            classes = {key: frozenset(group) for key, group in groups.items()}
+            classes = {key: tuple(group) for key, group in groups.items()}
             self._classes[p_set] = classes
         return classes[configuration.projection(p_set)]
 
@@ -405,3 +418,151 @@ PROPERTY_CHECKERS_REFERENCE = {
     "10-absorption": check_absorption_reference,
 }
 """Property name → object-level checker, for oracle-driven test sweeps."""
+
+
+# ----------------------------------------------------------------------
+# The extension principle and the fusion census, object-level.
+# ----------------------------------------------------------------------
+def extension_event(
+    smaller: Configuration, larger: Configuration
+) -> Event | None:
+    """The single event ``e`` with ``larger = (smaller; e)``, if any."""
+    if len(larger) != len(smaller) + 1:
+        return None
+    if not smaller.is_sub_configuration_of(larger):
+        return None
+    for process, history in larger.histories.items():
+        if len(history) == len(smaller.history(process)) + 1:
+            return history[-1]
+    return None
+
+
+def check_extension_principle_part1_reference(universe: Universe) -> int:
+    """Part 1 of the Principle of Computation Extension, walking every
+    configuration, successor and ``[p]``-class member as objects."""
+    projections = _projections(universe)
+    checked = 0
+    for x in universe:
+        for extended in universe.successors(x):
+            event = extension_event(x, extended)
+            if event is None or event.is_receive:
+                continue
+            process = event.process
+            for y in projections.iso_class(x, frozenset((process,))):
+                y_extended = y.extend(event)
+                if y_extended not in universe:
+                    raise AssertionError(
+                        "extension principle part 1 fails: "
+                        f"(y;e) missing for x={x!r}, y={y!r}, e={event}"
+                    )
+                if not isomorphic(extended, y_extended, {process}):
+                    raise AssertionError(
+                        "extension principle part 1 fails: (x;e) not [P] (y;e)"
+                    )
+                checked += 1
+    return checked
+
+
+def check_extension_principle_part2_reference(universe: Universe) -> int:
+    """Part 2, building ``(y - e)`` for every instance."""
+    projections = _projections(universe)
+    checked = 0
+    for x in universe:
+        for extended in universe.successors(x):
+            event = extension_event(x, extended)
+            if event is None or event.is_send:
+                continue
+            process = event.process
+            for y in projections.iso_class(extended, frozenset((process,))):
+                reduced = _delete_last_event(y, event)
+                if reduced not in universe:
+                    raise AssertionError(
+                        "extension principle part 2 fails: "
+                        f"(y - e) missing for y={y!r}, e={event}"
+                    )
+                if not isomorphic(x, reduced, {process}):
+                    raise AssertionError(
+                        "extension principle part 2 fails: x not [P] (y - e)"
+                    )
+                checked += 1
+    return checked
+
+
+def _delete_last_event(configuration: Configuration, event: Event) -> Configuration:
+    """``(y - e)`` where ``e`` is the last event of its process in ``y``."""
+    histories = dict(configuration.histories)
+    history = histories[event.process]
+    if history[-1] != event:
+        raise ValueError(f"{event} is not the last event of its process")
+    histories[event.process] = history[:-1]
+    return Configuration(histories)
+
+
+def check_extension_corollary_reference(universe: Universe) -> int:
+    """The corollary for receives, over ``[{receiver, sender}]``-classes of
+    objects."""
+    projections = _projections(universe)
+    checked = 0
+    for x in universe:
+        for extended in universe.successors(x):
+            event = extension_event(x, extended)
+            if event is None or not event.is_receive:
+                continue
+            receiver = event.process
+            sender = event.message.sender  # type: ignore[attr-defined]
+            both = frozenset((receiver, sender))
+            for y in projections.iso_class(x, both):
+                y_extended = y.extend(event)
+                if y_extended not in universe:
+                    raise AssertionError(
+                        "extension corollary fails: (y;e) missing for "
+                        f"y={y!r}, e={event}"
+                    )
+                checked += 1
+    return checked
+
+
+def fusion_census_reference(
+    universe: Universe, processes: ProcessSetLike
+) -> dict[str, int]:
+    """Theorem 2's census assembling and probing ``w`` for every licensed
+    triple, its conclusion checked on projections.  ``x <= y`` is the same
+    stored reachability as the production census reads."""
+    p_set = as_process_set(processes)
+    d_set = universe.processes
+    complement = universe.complement(p_set)
+    licensed = blocked = escaped = 0
+    for x_id, descendants in universe.descendant_masks(universe.full_mask):
+        x = universe.configuration_of_id(x_id)
+        candidates = [
+            (y_id, universe.configuration_of_id(y_id))
+            for y_id in iter_bit_ids(descendants)
+        ]
+        ys = [
+            (y_id, y)
+            for y_id, y in candidates
+            if not has_process_chain(y.suffix_after(x), (complement, p_set))
+        ]
+        zs = [
+            (z_id, z)
+            for z_id, z in candidates
+            if not has_process_chain(z.suffix_after(x), (p_set, complement))
+        ]
+        blocked += len(candidates) ** 2 - len(ys) * len(zs)
+        for y_id, y in ys:
+            for z_id, z in zs:
+                w = _assemble(y, z, p_set, d_set, "fusion")
+                if w not in universe:
+                    if universe.is_complete:
+                        raise FusionError(
+                            f"fusion of y={y!r}, z={z!r} escaped a complete "
+                            "universe"
+                        )
+                    escaped += 1
+                    continue
+                if not isomorphic(w, y, p_set):
+                    raise FusionError(f"fused w not [P]-isomorphic to y={y!r}")
+                if not isomorphic(w, z, complement):
+                    raise FusionError(f"fused w not [P̄]-isomorphic to z={z!r}")
+                licensed += 1
+    return {"licensed": licensed, "blocked": blocked, "escaped": escaped}

@@ -20,7 +20,9 @@ partition tables, class adjacency or the CSR successor arrays.  Theorem 4
 quantifies over :func:`repro.isomorphism.reference.composed_class_reference`
 (the ``[P]`` classes grouped by ``projection(P)``), and Lemma 4 walks
 :meth:`~repro.universe.explorer.Universe.successors` and names each
-edge's event with :func:`~repro.isomorphism.extension.extension_event`.
+edge's event with :func:`~repro.isomorphism.reference.extension_event`,
+the object oracle that no production checker calls any more: they read
+their transitions from :func:`~repro.isomorphism.extension.edges_on`.
 Knowledge extensions come from
 :class:`~repro.knowledge.evaluator.KnowledgeEvaluator`, which
 ``tests/test_knowledge_bitset_reference.py`` holds to its own frozenset
@@ -38,8 +40,7 @@ from collections.abc import Sequence
 
 from repro.core.configuration import Configuration
 from repro.core.process import ProcessSetLike, as_process_set
-from repro.isomorphism.extension import extension_event
-from repro.isomorphism.reference import composed_class_reference
+from repro.isomorphism.reference import composed_class_reference, extension_event
 from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import Atom, Formula, Knows, Not, Sure
 from repro.knowledge.transfer import TransferReport, nested_knowledge

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from repro.core.events import Event, ReceiveEvent, SendEvent
+from repro.core.events import Event, Message
 from repro.core.process import ProcessId
 from repro.knowledge.evaluator import KnowledgeEvaluator
 from repro.knowledge.formula import And, Atom, Formula, Implies, Knows, Not
@@ -63,67 +63,50 @@ class TokenBusProtocol(Protocol):
         """Token possession derived from the local history alone.
 
         The leftmost station starts with the token; thereafter a station
-        holds it iff it has received the token one more time than it has
-        sent it (or, for the initial holder, equally often).
+        holds it iff its last event received it.
         """
-        received = sum(
-            1
-            for event in history
-            if isinstance(event, ReceiveEvent) and event.message.tag == TOKEN_TAG
-        )
-        sent = sum(
-            1
-            for event in history
-            if isinstance(event, SendEvent) and event.message.tag == TOKEN_TAG
-        )
-        if process == self.stations[0]:
-            return received == sent
-        return received == sent + 1
+        return self._held_hop(process, history) is not None
 
-    def _current_hop(self, history: History) -> int:
-        """Hop count of the token currently held (payload of the last
-        token receive, or 0 for the initial holder)."""
-        for event in reversed(history):
-            if isinstance(event, ReceiveEvent) and event.message.tag == TOKEN_TAG:
-                return int(event.message.payload)
-        return 0
+    def _held_hop(self, process: ProcessId, history: History) -> int | None:
+        """Hop count of the token ``process`` holds (payload of its last
+        receive, or 0 for the initial holder), or ``None`` if it holds none.
+
+        Every event is a token send or receive, and a station's receives
+        and sends alternate, so the last event decides: one read,
+        whatever the history's length.
+        """
+        if not history:
+            return 0 if process == self.stations[0] else None
+        last = history[-1]
+        return int(last.message.payload) if last.is_receive else None
 
     # ------------------------------------------------------------------
     # Behaviour
     # ------------------------------------------------------------------
     def local_steps(self, process: ProcessId, history: History) -> Iterable[Event]:
-        if not self.holds_token(process, history):
-            return
-        hop = self._current_hop(history)
-        if hop >= self.max_hops:
+        """Forward the held token to either neighbour.  A token message is
+        numbered by its hop (``seq`` and ``payload - 1``), which is
+        distinct along any computation, so no earlier send is counted."""
+        hop = self._held_hop(process, history)
+        if hop is None or hop >= self.max_hops:
             return
         for neighbour in self._neighbours(process):
-            message = self.next_message(
-                history, process, neighbour, TOKEN_TAG, payload=hop + 1
+            message = Message(
+                sender=process,
+                receiver=neighbour,
+                tag=TOKEN_TAG,
+                seq=hop,
+                payload=hop + 1,
             )
             yield self.send_of(message)
 
     def step_shape(self, process: ProcessId, history: History) -> object:
-        """Steps depend on (holding, current hop, per-neighbour send
-        counts) only — idle stations collapse to one shape."""
-        received = sent = 0
-        hop = 0
-        sent_to: dict[ProcessId, int] = {}
-        for event in history:
-            if isinstance(event, ReceiveEvent):
-                if event.message.tag == TOKEN_TAG:
-                    received += 1
-                    hop = int(event.message.payload)
-            elif isinstance(event, SendEvent) and event.message.tag == TOKEN_TAG:
-                sent += 1
-                receiver = event.message.receiver
-                sent_to[receiver] = sent_to.get(receiver, 0) + 1
-        holds = received == sent if process == self.stations[0] else (
-            received == sent + 1
-        )
-        if not holds or hop >= self.max_hops:
+        """Steps depend on the held hop only — idle stations collapse to
+        one shape."""
+        hop = self._held_hop(process, history)
+        if hop is None or hop >= self.max_hops:
             return False
-        return (hop, tuple(sorted(sent_to.items())))
+        return (hop,)
 
 
 # ----------------------------------------------------------------------

@@ -131,6 +131,20 @@ class TestLazyExports:
         assert missing.strip() == "[]"
 
 
+def test_extension_event_is_an_oracle_export():
+    """``extension_event`` names an edge's event from two configurations:
+    the object oracles use it, and it is exported from their module."""
+    import repro.isomorphism.extension
+    import repro.isomorphism.reference
+
+    assert export_table(repro.isomorphism)["extension_event"] == ".reference"
+    assert (
+        repro.isomorphism.extension_event
+        is repro.isomorphism.reference.extension_event
+    )
+    assert not hasattr(repro.isomorphism.extension, "extension_event")
+
+
 def test_quickstart_in_package_docstring_runs():
     """The top-level docstring's Quickstart, run in a fresh interpreter:
     p knows q got the ping in exactly the one configuration where the

@@ -1,5 +1,7 @@
 """The Principle of Computation Extension and Theorem 3 (§3.4)."""
 
+from functools import cache
+
 import pytest
 
 from repro.isomorphism.extension import (
@@ -8,12 +10,44 @@ from repro.isomorphism.extension import (
     check_extension_principle_part2,
     check_theorem_3,
     edges_on,
-    extension_event,
     related_set,
 )
-from repro.isomorphism.reference import composed_class_reference
+from repro.isomorphism.reference import (
+    check_extension_corollary_reference,
+    check_extension_principle_part1_reference,
+    check_extension_principle_part2_reference,
+    composed_class_reference,
+    extension_event,
+)
 from repro.protocols.broadcast import BroadcastProtocol, star_topology
 from repro.universe.explorer import Universe
+from repro.universe.options import ExplorationOptions, Limits
+from test_universe_partition import ORACLE_UNIVERSES
+
+RULES = {
+    "part1": (
+        check_extension_principle_part1,
+        check_extension_principle_part1_reference,
+    ),
+    "part2": (
+        check_extension_principle_part2,
+        check_extension_principle_part2_reference,
+    ),
+    "corollary": (check_extension_corollary, check_extension_corollary_reference),
+}
+
+
+@cache
+def oracle_universe(name: str) -> Universe:
+    return ORACLE_UNIVERSES[name]()
+
+
+def outcome(check, universe) -> int | str:
+    """A checker's instance count, or the counterexample it raised."""
+    try:
+        return check(universe)
+    except AssertionError as error:
+        return str(error)
 
 
 def theorem_3_by_definition(universe, process_sets) -> dict[str, int]:
@@ -93,6 +127,64 @@ class TestExtensionPrinciple:
     def test_part2_on_broadcast(self, broadcast_universe):
         assert check_extension_principle_part2(broadcast_universe) > 0
 
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("name", sorted(ORACLE_UNIVERSES))
+    def test_matches_the_object_oracle(self, name, rule):
+        """Class ids and edges_on give the object walk's count, or raise
+        its counterexample, truncated universes included."""
+        check, oracle = RULES[rule]
+        universe = oracle_universe(name)
+        assert outcome(check, universe) == outcome(oracle, universe)
+
+    def test_star5_counts(self):
+        universe = oracle_universe("star5")
+        assert [check(universe) for check, _ in RULES.values()] == [
+            1_973,
+            306_917,
+            7_396,
+        ]
+
+    def test_truncation_breaks_part1_at_the_oracles_instance(self):
+        """Under a max_events bound, a (y;e) past the bound is missing: the
+        first failure in the object walk's order is reported, with its
+        configurations."""
+        universe = oracle_universe("star5_truncated")
+        with pytest.raises(AssertionError) as failure:
+            check_extension_principle_part1(universe)
+        message = str(failure.value)
+        assert message.startswith(
+            "extension principle part 1 fails: (y;e) missing for "
+            "x=Configuration(hub: "
+        )
+        assert ", y=Configuration(hub: " in message and ", e=snd[" in message
+        assert message == outcome(check_extension_principle_part1_reference, universe)
+
+    def test_unstored_edges_are_not_failures(self):
+        """A capped universe leaves some (y - e) unexpanded, so the edge into
+        y is not stored; y is still an instance that holds."""
+        universe = Universe(
+            BroadcastProtocol(star_topology("hub", ("w", "x", "y", "z")), "hub"),
+            options=ExplorationOptions(
+                limits=Limits(max_configurations=400, on_limit="truncate")
+            ),
+        )
+        stored = {
+            (x_id, y_id)
+            for process in universe.processes
+            for _, edges in edges_on(universe, process)
+            for x_id, y_id in edges
+        }
+        unstored = [
+            (x, y)
+            for x in universe
+            for y in universe
+            if extension_event(x, y) is not None
+            and (universe.config_id(x), universe.config_id(y)) not in stored
+        ]
+        assert unstored
+        assert check_extension_principle_part2(universe) == 57_128
+        assert check_extension_principle_part2_reference(universe) == 57_128
+
 
 class TestTheorem3:
     def test_pingpong_semantics(self, pingpong_universe):
@@ -110,8 +202,6 @@ class TestTheorem3:
         """Theorem 3's intuition: receives rule out computations that lack
         the corresponding send.  At least one receive must *strictly*
         shrink the related set."""
-        from repro.isomorphism.extension import extension_event
-
         shrank = False
         for x in pingpong_universe:
             for extended in pingpong_universe.successors(x):

@@ -1,22 +1,51 @@
 """Fusion of computations — Lemma 1 and Theorem 2 (§3.3)."""
 
+from functools import cache
+
 import pytest
 
 from repro.core.configuration import Configuration
 from repro.core.errors import FusionError
 from repro.core.validation import is_valid_configuration
+from repro.isomorphism import fusion
 from repro.isomorphism.fusion import (
     fuse,
     fuse_disjoint,
     fusion_census,
     fusion_side_conditions,
 )
+from repro.isomorphism.reference import fusion_census_reference
 from repro.isomorphism.relation import isomorphic
 from repro.protocols.broadcast import BroadcastProtocol, star_topology
 from repro.universe.explorer import Universe
 from repro.universe.reference import sub_configuration_pairs
 from repro.core.computation import computation_of
 from repro.core.events import internal, message_pair
+from test_universe_partition import ORACLE_UNIVERSES
+
+
+@cache
+def oracle_universe(name: str) -> Universe:
+    return ORACLE_UNIVERSES[name]()
+
+
+def census(licensed: int, blocked: int, escaped: int = 0) -> dict[str, int]:
+    return {"licensed": licensed, "blocked": blocked, "escaped": escaped}
+
+
+# The object oracle's censuses of the two largest ORACLE_UNIVERSES entries
+# (about 18 s per leaf each); the smaller entries run it live.
+ORACLE_CENSUSES = {
+    "star5": {
+        "hub": census(160_769, 859_396),
+        **{leaf: census(618_101, 402_064) for leaf in "wxyz"},
+    },
+    "tree7": {
+        "t0": census(544_987, 547_638),
+        **{f"t{index}": census(343_801, 748_824) for index in (1, 2)},
+        **{f"t{index}": census(747_265, 345_360) for index in (3, 4, 5, 6)},
+    },
+}
 
 
 def config(*events) -> Configuration:
@@ -95,6 +124,64 @@ class TestTheorem2:
             "blocked": 12027,
             "escaped": 0,
         }
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_UNIVERSES))
+    def test_census_matches_the_object_oracle(self, name):
+        """Counting by class multiplicity gives the census that assembles
+        and probes every licensed w, for every singleton P, escapes on
+        truncated universes included."""
+        universe = oracle_universe(name)
+        for process in sorted(universe.processes):
+            expected = ORACLE_CENSUSES.get(name, {}).get(process)
+            if expected is None:
+                expected = fusion_census_reference(universe, {process})
+            assert fusion_census(universe, {process}) == expected, process
+
+    def test_truncated_escapes_are_assembled_only_on_a_miss(self, monkeypatch):
+        """Under a max_events bound some w lie past the bound: each missing
+        (P-class, P̄-class) pair is assembled once and its triples counted
+        as escaped, as many as the oracle counts."""
+        universe = oracle_universe("star5_truncated")
+        expected = fusion_census_reference(universe, {"hub"})
+        assembled = []
+        assemble = fusion._assemble
+        monkeypatch.setattr(
+            fusion,
+            "_assemble",
+            lambda *args: assembled.append(args) or assemble(*args),
+        )
+        result = fusion_census(universe, {"hub"})
+        assert result == expected == census(6_989, 4_096, 144)
+        assert 0 < len(assembled) < result["escaped"]
+
+    def test_complete_census_builds_nothing_per_triple(self, monkeypatch):
+        """On a complete universe no w is assembled, hashed or looked up."""
+        universe = oracle_universe("token_bus_h4")
+        calls = []
+        monkeypatch.setattr(fusion, "_assemble", lambda *args: calls.append(args))
+        monkeypatch.setattr(
+            Universe, "config_id", lambda self, c: calls.append(c)
+        )
+        monkeypatch.setattr(
+            Universe, "__contains__", lambda self, c: calls.append(c)
+        )
+        assert fusion_census(universe, {"p"}) == census(1_170, 1_251)
+        assert calls == []
+
+    def test_seeded_escape_names_the_oracles_triple(self, monkeypatch):
+        """A w hidden from a complete universe is reported with the y and z
+        of the first licensed triple, as the object census reports it."""
+        universe = oracle_universe("token_bus_h4")
+        monkeypatch.setattr(fusion, "class_pairs", lambda universe, p_set: set())
+        with pytest.raises(FusionError) as production:
+            fusion_census(universe, {"q"})
+        monkeypatch.setattr(Universe, "__contains__", lambda self, c: False)
+        with pytest.raises(FusionError) as oracle:
+            fusion_census_reference(universe, {"q"})
+        message = str(production.value)
+        assert message.startswith("fusion of y=Configuration(")
+        assert message.endswith("escaped a complete universe")
+        assert message == str(oracle.value)
 
     def test_violated_conditions_reported(self):
         """A chain <P̄ P> in (x, y) blocks the fusion."""

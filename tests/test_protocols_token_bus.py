@@ -1,5 +1,7 @@
 """The token bus and the paper's §4.1 nested-knowledge example (E7)."""
 
+from collections.abc import Sequence
+
 import pytest
 
 from repro.knowledge.evaluator import KnowledgeEvaluator
@@ -10,7 +12,24 @@ from repro.protocols.token_bus import (
     holds_token_atom,
     paper_example_formula,
 )
+from repro.simulation import simulate
 from repro.universe.explorer import Universe
+
+
+class CountingHistory(Sequence):
+    """A history that counts the events read from it."""
+
+    def __init__(self, events) -> None:
+        self._events = tuple(events)
+        self.reads = 0
+
+    def __len__(self) -> int:
+        return len(self._events)
+
+    def __getitem__(self, index):
+        item = self._events[index]
+        self.reads += len(item) if isinstance(index, slice) else 1
+        return item
 
 
 class TestProtocol:
@@ -45,6 +64,22 @@ class TestProtocol:
         large = Universe(TokenBusProtocol(max_hops=3))
         assert len(small) < len(large)
         assert small.is_complete and large.is_complete
+
+    @pytest.mark.parametrize("station", ["p", "q"])
+    def test_local_steps_read_a_fixed_number_of_events(self, station):
+        """One call reads as many history events when the history doubles:
+        a long simulation's steps do not rescan the station's past."""
+        run = simulate(TokenBusProtocol(stations=("p", "q"), max_hops=40))
+        history = run.final_configuration.history(station)
+        assert len(history) >= 40
+        protocol = TokenBusProtocol(stations=("p", "q"), max_hops=1_000)
+        reads = []
+        for length in (20, 40):
+            counted = CountingHistory(history[:length])
+            steps = list(protocol.local_steps(station, counted))
+            assert steps == list(protocol.local_steps(station, history[:length]))
+            reads.append(counted.reads)
+        assert reads[0] == reads[1] <= 1
 
     def test_needs_two_stations(self):
         with pytest.raises(ValueError):
