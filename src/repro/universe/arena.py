@@ -17,10 +17,11 @@ a read-only list-like sequence interface:
   :meth:`ArenaStore.extend_children`: an engine hands over each BFS
   layer's discoveries as three columns at the layer boundary, and the
   replay its stream a chunk at a time;
-* every read is a **chain walk** up the parent column
-  to the nearest materialised ancestor, rebuilding descendants through a
-  bounded LRU — property sweeps and spot lookups never pay for objects
-  they don't touch;
+* every read is a **chain walk** up the parent and event columns to the
+  nearest LRU-resident ancestor (the root at worst) that folds the
+  collected events into one copy of its histories: one object per read,
+  and only read targets enter the bounded LRU — property sweeps and spot
+  lookups never pay for objects they don't touch;
 * sealed **cold chunks** (whole column slices below the retired floor)
   compress with zlib at batch level and, when a ``spill_dir`` is given,
   stream to an mmap-backed on-disk arena so resident memory stays
@@ -86,16 +87,18 @@ def _materialise_child(
 ) -> Configuration:
     """Rebuild the child ``parent + event`` with its recorded hash.
 
-    The same sorted items layout and cache propagation as
-    ``parent.extend(event)``, but with the recorded hash instead of the
-    parent's entry-hash map, which a materialised parent lacks.
+    The same sorted items layout as ``parent.extend(event)``, but with
+    the recorded hash instead of the parent's entry-hash map, which a
+    materialised parent lacks.  No message-set cache is derived: the
+    root is the process-wide empty configuration, whose caches any
+    unrelated caller may have filled, and a reader that wants the sets
+    computes them lazily.
     """
     child = Configuration._from_trusted(
         _with_event(parent._histories, event), content_hash, None
     )
     if parent._length is not None:
         child._length = parent._length + 1
-    parent._propagate_caches(child, event)
     return child
 
 
@@ -163,6 +166,8 @@ class ArenaStore:
         self.raw_bytes = 0
         self.compressed_bytes = 0
         self.spilled_bytes = 0
+        # Configuration objects built: one per cold read, one per
+        # streamed child.
         self.materialisations = 0
         self.chain_walks = 0
 
@@ -471,35 +476,71 @@ class ArenaStore:
         return self._materialise(index)
 
     def _materialise(self, index: int) -> Configuration:
-        """Chain-walk up the parent column from a child ``index`` to the
-        nearest live ancestor (the root at worst), then rebuild downwards
-        through the LRU."""
+        """Build the one object for a child ``index``.
+
+        Walks the parent and event columns up to the nearest
+        LRU-resident ancestor (the root at worst), collecting event
+        indices only, then folds those events into one copy of that
+        ancestor's histories.  Only the target is built and enters the
+        LRU."""
         self.chain_walks += 1
         lru = self._lru
-        chain: list[tuple[int, int, int]] = []
+        chunk_bits = _CHUNK_BITS
+        chunk_mask = _CHUNK_MASK
+        sealed = len(self._chunks) << chunk_bits
+        tail_parent = self._tail_parent
+        tail_event = self._tail_event
+        loaded = -1  # the sealed chunk whose columns are at hand
+        path: list[int] = []  # event indices, target's first
         cursor = index
         while True:
-            parent, event_index, content_hash = self._entry(cursor)
-            chain.append((cursor, event_index, content_hash))
+            if cursor >= sealed:
+                offset = cursor - sealed
+                parent = tail_parent[offset]
+                path.append(tail_event[offset])
+            else:
+                chunk_index = cursor >> chunk_bits
+                if chunk_index != loaded:
+                    parents, events, _ = self._chunk_arrays(chunk_index)
+                    loaded = chunk_index
+                offset = cursor & chunk_mask
+                parent = parents[offset]
+                path.append(events[offset])
             cursor = parent
             if cursor == 0:
-                current = self._root
+                base = self._root
                 break
-            current = lru.get(cursor)
-            if current is not None:
+            base = lru.get(cursor)
+            if base is not None:
                 lru.move_to_end(cursor)
                 break
-        events = self._events
-        lru_size = self._lru_size
-        for child_id, event_index, content_hash in reversed(chain):
-            current = _materialise_child(
-                current, events[event_index], content_hash
-            )
-            self.materialisations += 1
-            lru[child_id] = current
-            if len(lru) > lru_size:
-                lru.popitem(last=False)
-        return current
+        vocabulary = self._events
+        histories = dict(base._histories)
+        last = next(reversed(histories), None)
+        in_order = True
+        for event_index in reversed(path):
+            event = vocabulary[event_index]
+            process = event.process
+            history = histories.get(process)
+            if history is not None:
+                histories[process] = history + (event,)
+            else:
+                histories[process] = (event,)
+                if last is None or last < process:
+                    last = process
+                else:
+                    in_order = False
+        if not in_order:
+            histories = dict(sorted(histories.items()))
+        configuration = Configuration._from_trusted(
+            histories, self.content_hash(index), None
+        )
+        configuration._length = len(base) + len(path)
+        self.materialisations += 1
+        lru[index] = configuration
+        if len(lru) > self._lru_size:
+            lru.popitem(last=False)
+        return configuration
 
     def __iter__(self) -> Iterator[Configuration]:
         """Stream all configurations in id order.
@@ -507,8 +548,8 @@ class ArenaStore:
         BFS parent ids are non-decreasing along the id order, so one
         rolling two-layer cache gives every child an O(1) parent lookup;
         resident transient objects stay bounded by two BFS layers no
-        matter the universe size.  Every child rebuilt here counts in
-        :attr:`materialisations`, like a chain-walk rebuild.
+        matter the universe size.  Every child built here counts in
+        :attr:`materialisations`, like a read target.
         """
         cache: dict[int, Configuration] = {}
         floor = 0

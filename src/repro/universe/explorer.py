@@ -1012,17 +1012,29 @@ class Universe:
         return zip(parents, events), bound_hit
 
     def _id_of(self, configuration: Configuration) -> int | None:
-        """Dense id of ``configuration``, or ``None`` if not a member."""
-        entry = self._ids_by_hash.get(hash(configuration))
+        """Dense id of ``configuration``, or ``None`` if not a member.
+
+        Reads the stored hash slot and tries identity before equality,
+        so the usual hit, an object the arena handed out, makes no
+        Python-level ``__hash__`` or ``__eq__`` call."""
+        try:
+            content_hash = configuration._hash
+        except AttributeError:
+            content_hash = None
+        if content_hash is None:
+            content_hash = hash(configuration)
+        entry = self._ids_by_hash.get(content_hash)
         if entry is None:
             return None
         configurations = self._configurations
         if type(entry) is int:
-            if configurations[entry] == configuration:
+            stored = configurations[entry]
+            if stored is configuration or stored == configuration:
                 return entry
             return None
         for candidate_id in entry:
-            if configurations[candidate_id] == configuration:
+            stored = configurations[candidate_id]
+            if stored is configuration or stored == configuration:
                 return candidate_id
         return None
 

@@ -286,38 +286,76 @@ class PackedFrontier:
 
     def load(self, arena, start: int, end: int) -> None:
         """Rebuild the window over ids ``[start, end)`` from ``arena``
-        after a checkpoint resume.  The replay builds no objects, so
-        each configuration is read through the arena's cold tiers, after
-        the arena's vocabulary is swapped for this interpreter's
-        canonical events.  Call on a fresh frontier: its memo is empty,
-        so it holds nothing the loaded tuples could alias."""
+        after a checkpoint resume, without a ``Configuration``.
+
+        The arena's vocabulary is first swapped for this interpreter's
+        canonical events.  Then one pass over the parent and event
+        columns grows each id's row and message sets from its parent's,
+        the way :meth:`child` does, keeping two BFS layers live (parent
+        ids are non-decreasing, as in :func:`stream_hashes`); each
+        window entry takes its content hash from the hash column.
+        ``start`` is at least 1: a checkpoint commits no layer before
+        the root's.  Call on a fresh frontier: its memo is empty, so it
+        holds nothing the loaded tuples could alias."""
         arena.intern_events(self.canonicaliser())
         window = self.window
         window.clear()
-        ordered = self.ordered
-        intern = self.interned.setdefault
-        # Once the root caches its message sets (in_flight_messages
-        # caches received_messages too), every chain-walk rebuild derives
-        # its child's sets from its parent's instead of rescanning the
-        # histories.
-        arena[0].in_flight_messages
-        custom_enabling = self.initial_steps is None
-        steps_for = self.protocol.step_table.steps
-        for index in range(start, end):
-            configuration = arena[index]
-            history_of = configuration._histories.get
-            received = configuration.received_messages
-            in_flight = configuration.in_flight_messages
-            row = tuple(history_of(process, ()) for process in ordered)
-            window[index] = (
-                row,
-                hash(configuration),
-                intern(received, received),
-                intern(in_flight, in_flight),
-                None if custom_enabling else tuple(map(steps_for, ordered, row)),
-            )
         self.floor = start
         self.count = end
+        if start == end:
+            return  # a complete run: nothing is left to expand
+        ordered = self.ordered
+        intern = self.interned.setdefault
+        steps_for = None if self.initial_steps is None else (
+            self.protocol.step_table.steps
+        )
+        # Per event index: (event, row position, kind, message), kind 1
+        # for a send, 2 for a receive, 0 otherwise.
+        effects = []
+        for event in arena.vocabulary:
+            if isinstance(event, SendEvent):
+                kind, message = 1, event.message
+            elif isinstance(event, ReceiveEvent):
+                kind, message = 2, event.message
+            else:
+                kind, message = 0, None
+            effects.append((event, self.index_of[event.process], kind, message))
+        empty: frozenset = frozenset()
+        live = {0: (((),) * len(ordered), empty, empty)}
+        floor = 0
+        content_hash = arena.content_hash
+        for first, parents, events in arena.parent_event_columns():
+            if first >= end:
+                break
+            for index, parent_id, event_index in zip(
+                range(first, end), parents, events
+            ):
+                if parent_id < 0:
+                    continue  # the root
+                while floor < parent_id:
+                    live.pop(floor, None)
+                    floor += 1
+                row, received, in_flight = live[parent_id]
+                event, position, kind, message = effects[event_index]
+                cells = list(row)
+                cells[position] = row[position] + (event,)
+                row = tuple(cells)
+                if kind == 1:
+                    if message not in received:
+                        in_flight = in_flight | {message}
+                elif kind == 2:
+                    received = received | {message}
+                    in_flight = in_flight - {message}
+                live[index] = (row, received, in_flight)
+                if index >= start:
+                    window[index] = (
+                        row,
+                        content_hash(index),
+                        intern(received, received),
+                        intern(in_flight, in_flight),
+                        None if steps_for is None
+                        else tuple(map(steps_for, ordered, row)),
+                    )
 
     # -- one edge ----------------------------------------------------------
     def step(self, row: tuple, parent_hash: int, event):

@@ -19,7 +19,7 @@ import sys
 
 import pytest
 
-from repro.core.configuration import EMPTY_CONFIGURATION
+from repro.core.configuration import EMPTY_CONFIGURATION, Configuration
 from repro.core.errors import UniverseError
 from repro.core.events import internal
 from repro.protocols.broadcast import (
@@ -49,6 +49,8 @@ from repro.universe.options import (
 )
 from repro.universe.protocol import Protocol
 from repro.universe.reference import reference_bfs
+
+from test_universe_checkpoint import counting_trusted
 
 
 def star(receivers: tuple[str, ...]) -> BroadcastProtocol:
@@ -413,6 +415,110 @@ class TestPackedTiers:
         records = store.records(0, len(store))
         assert len(records) == len(store) - 1  # the root has no record
         assert all(parent >= 0 for parent, _ in records)
+
+
+def tiny_lru_store(spill_dir=None) -> tuple[ArenaStore, list]:
+    """A star n=5 arena replayed into a 4-object LRU and a 2-chunk
+    cache, with its reference configurations.  The receivers' names
+    sort before the hub's, so a read that folds a receiver's first event
+    into the hub's histories must re-sort the keys.  The replay seals
+    (and, given ``spill_dir``, spills) every chunk below the last layer
+    and leaves the rest in the tail."""
+    protocol = star(("a", "b", "c", "d"))
+    universe = Universe(protocol)
+    store = ArenaStore(spill_dir=spill_dir, lru_size=4, chunk_cache_size=2)
+    store.replay(
+        universe._configurations.records(1, len(universe)),
+        protocol.ordered_processes,
+    )
+    return store, reference_bfs(protocol).configurations
+
+
+class TestReadPath:
+    """A cold read folds the parent chain into one object: the target."""
+
+    @pytest.mark.parametrize("spilled", [False, True], ids=["zlib", "spilled"])
+    def test_every_id_in_random_order(self, small_chunks, tmp_path, spilled):
+        store, configurations = tiny_lru_store(tmp_path if spilled else None)
+        stats = store.stats()
+        assert stats["sealed_chunks"] > 0 and stats["tail_bytes"] > 0
+        assert stats["spilled_chunks"] == (stats["sealed_chunks"] if spilled else 0)
+        store.spill_cold()  # drops the LRU and the decoded-chunk cache
+        ids = list(range(len(configurations)))
+        random.Random(37).shuffle(ids)
+        for index in ids:
+            ours, theirs = store[index], configurations[index]
+            assert ours == theirs
+            assert ours._histories == theirs._histories
+            assert list(ours._histories) == sorted(ours._histories)
+            assert hash(ours) == store.content_hash(index) == hash(theirs)
+            assert len(ours) == len(theirs)
+            assert len(store._lru) <= 4
+        store.close()
+
+    def test_cold_read_builds_one_object(self, small_chunks, monkeypatch):
+        store, configurations = tiny_lru_store()
+        deepest = len(configurations) - 1
+        assert len(configurations[deepest]) > 2  # a chain of several steps
+        built = counting_trusted(monkeypatch)
+        assert store[deepest] == configurations[deepest]
+        assert len(built) == 1
+        assert store.materialisations == 1
+        assert list(store._lru) == [deepest]
+        targets = [deepest]
+        for index in random.Random(41).sample(range(1, deepest), 20):
+            before = len(built)
+            store[index]
+            assert len(built) - before == (index not in targets[-4:])
+            targets.append(index)
+        assert set(store._lru) <= set(targets)
+
+    def test_identity_hits_call_no_dunder(self, star_pair, monkeypatch):
+        """An object the arena handed out is found by its stored hash
+        and by identity: no Python-level ``__hash__`` or ``__eq__``."""
+        _, universe = star_pair
+        calls = []
+        for name in ("__hash__", "__eq__"):
+            method = getattr(Configuration, name)
+            monkeypatch.setattr(
+                Configuration,
+                name,
+                lambda *args, method=method, name=name: (
+                    calls.append(name) or method(*args)
+                ),
+            )
+        for index in random.Random(43).sample(range(len(universe)), 50):
+            configuration = universe.configuration_of_id(index)
+            assert universe.config_id(configuration) == index
+            assert configuration in universe
+            assert universe.require(configuration) is configuration
+            universe.successors(configuration)
+        assert calls == []
+
+
+class TestSharedRootCaches:
+    def test_reads_derive_no_message_sets(self):
+        """The arena root is the process-wide empty configuration; once
+        an unrelated caller caches its message sets, reads and streamed
+        configurations still carry none, and compute them lazily."""
+        from repro.simulation.simulator import simulate
+
+        simulate(star(("w", "x", "y")))
+        assert "in_flight_messages" in EMPTY_CONFIGURATION.__dict__
+        reference = reference_bfs(star5()).configurations
+        store = Universe(star5())._configurations
+        cached = ("received_messages", "in_flight_messages")
+        streamed = list(store)[1:]
+        read = [store[index] for index in range(1, len(store))]
+        for configurations in (streamed, read):
+            assert not any(
+                name in configuration.__dict__
+                for configuration in configurations
+                for name in cached
+            )
+            for ours, theirs in zip(configurations, reference[1:]):
+                assert ours.received_messages == theirs.received_messages
+                assert ours.in_flight_messages == theirs.in_flight_messages
 
 
 def tree7() -> BroadcastProtocol:

@@ -23,7 +23,7 @@ import repro.universe.checkpoint as checkpoint_module
 from repro.core.configuration import Configuration
 from repro.core.errors import UniverseError
 from repro.protocols.token_bus import TokenBusProtocol
-from repro.universe.arena import decompress_batch
+from repro.universe.arena import ArenaStore, decompress_batch
 from repro.universe.checkpoint import (
     MANIFEST_MAGIC,
     SEGMENT_MAGIC,
@@ -362,6 +362,20 @@ def tree_protocol():
     return BroadcastProtocol(tree_topology(names), names[0])
 
 
+def counting_trusted(monkeypatch) -> list:
+    """Spy on ``Configuration._from_trusted``: every object it builds
+    appends its arguments to the returned list."""
+    built = []
+    trusted = Configuration._from_trusted.__func__
+
+    def counting(cls, *args):
+        built.append(args)
+        return trusted(cls, *args)
+
+    monkeypatch.setattr(Configuration, "_from_trusted", classmethod(counting))
+    return built
+
+
 class TestObjectFreeResume:
     """Resume replays the discovery stream as rolling hashes: it builds
     no configuration and leaves nothing for a later read to finish."""
@@ -370,16 +384,14 @@ class TestObjectFreeResume:
         path = tmp_path / "done.ckpt"
         options = ExplorationOptions(checkpoint=CheckpointPolicy(path=path))
         first = Universe(tree_protocol(), options=options)
-        built = []
-        trusted = Configuration._from_trusted.__func__
-
-        def counting(cls, *args):
-            built.append(args)
-            return trusted(cls, *args)
-
-        monkeypatch.setattr(Configuration, "_from_trusted", classmethod(counting))
+        built = counting_trusted(monkeypatch)
+        scans = []
+        monkeypatch.setattr(
+            ArenaStore, "parent_event_columns", lambda store: scans.append(store)
+        )
         again = Universe(tree_protocol(), options=options)
         assert built == []
+        assert scans == []  # no frontier is left to load
         arena = again._configurations
         assert (arena.materialisations, arena.chain_walks) == (0, 0)
         arena[len(arena) - 1]  # the counter is live: a read builds objects
@@ -391,6 +403,21 @@ class TestObjectFreeResume:
             first._configurations.content_hash(i) for i in range(len(first))
         ]
         assert_bit_identical(first, again)
+
+    def test_mid_run_resume_builds_no_configuration(self, tmp_path, monkeypatch):
+        """The frontier window is rebuilt from the parent and event
+        columns, so the rest of the exploration builds no object either."""
+        uninterrupted = Universe(star_protocol(5))
+        path = partial_checkpoint(tmp_path, cap=200)
+        built = counting_trusted(monkeypatch)
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
+        assert built == []
+        monkeypatch.undo()
+        assert resumed._checkpoint_session.resumed_from is not None
+        assert_bit_identical(uninterrupted, resumed)
 
     @pytest.mark.parametrize("cap", [None, 150], ids=["complete", "mid-run"])
     def test_resume_under_another_hash_seed(self, tmp_path, cap):
