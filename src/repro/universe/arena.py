@@ -13,10 +13,11 @@ a read-only list-like sequence interface:
   (:class:`~repro.universe.frontier.PackedFrontier`) and the replay
   recomputes each child's hash from rolling entry hashes
   (:func:`~repro.universe.frontier.stream_hashes`);
-* children arrive in batches through one path,
-  :meth:`ArenaStore.extend_children`: an engine hands over each BFS
-  layer's discoveries as three columns at the layer boundary, and the
-  replay its stream a chunk at a time;
+* children arrive in batches: an engine hands each BFS layer's
+  discoveries to :meth:`ArenaStore.extend_children` as three columns at
+  the layer boundary, resolving each event object to its index once,
+  and a replay hands over columns whose event indices already point
+  into the vocabulary it installs;
 * every read is a **chain walk** up the parent and event columns to the
   nearest LRU-resident ancestor (the root at worst) that folds the
   collected events into one copy of its histories: one object per read,
@@ -29,9 +30,9 @@ a read-only list-like sequence interface:
 
 :func:`compress_batch`/:func:`decompress_batch` are the batch codec the
 cold tier shares with the sharded engine's per-layer successor exchange
-and the checkpoint segment payloads (identical bytes to the historical
-``zlib(pickle(...))`` segment idiom, so on-disk checkpoints are
-unaffected).
+and the checkpoint segment payloads.  A checkpoint segment is a slice of
+the arena's own columns (:meth:`ArenaStore.columns`) plus the events it
+uses, and a resume refills the columns in bulk (:meth:`ArenaStore.replay`).
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ import zlib
 from array import array
 from collections import OrderedDict
 from collections.abc import Iterator
-from itertools import islice
 from operator import itemgetter
 
 from repro.core.configuration import (
@@ -80,6 +80,38 @@ _CHUNK_MASK = _CHUNK_SIZE - 1
 _PARENT_BYTES = 8 * _CHUNK_SIZE
 _EVENT_BYTES = 4 * _CHUNK_SIZE
 _RAW_CHUNK_BYTES = _PARENT_BYTES + _EVENT_BYTES + 8 * _CHUNK_SIZE
+
+
+def _event_indices(events, vocabulary: list, event_index: dict):
+    """The index in ``vocabulary`` of each of ``events`` (a sequence),
+    lazily.
+
+    Each distinct event *object* is resolved once, by equality, so an
+    equal but non-identical event (unpickled, or sent by a shard worker)
+    maps to its existing index, and new events are appended to
+    ``vocabulary`` (and ``event_index``, its inverse) in first-appearance
+    order.  ``events`` keeps every object alive, so object ids stay
+    unique."""
+    index_of_id: dict[int, int] = {}
+    for key, event in dict(zip(map(id, events), events)).items():
+        index = event_index.get(event)
+        if index is None:
+            index = event_index[event] = len(vocabulary)
+            vocabulary.append(event)
+        index_of_id[key] = index
+    return map(index_of_id.__getitem__, map(id, events))
+
+
+def record_columns(records) -> tuple[array, array, list[Event]]:
+    """``(parents, events, vocabulary)`` of a list of ``(parent_id,
+    event)`` discovery records: the parent ids, each record's index into
+    ``vocabulary``, and the distinct events by value in first-appearance
+    order — the arguments :meth:`ArenaStore.replay` takes."""
+    vocabulary: list[Event] = []
+    events = array(
+        "i", _event_indices(list(map(itemgetter(1), records)), vocabulary, {})
+    )
+    return array("q", map(itemgetter(0), records)), events, vocabulary
 
 
 def _materialise_child(
@@ -121,8 +153,9 @@ class ArenaStore:
     ``len``, indexing (lazy materialisation), iteration (streaming, two
     layers of transient objects) and equality against any configuration
     sequence.  It grows by one root (:meth:`append`) and then only by
-    batches of children (:meth:`extend_children`: a BFS layer from an
-    engine, a chunk of the stream from :meth:`replay`).
+    batches of children: a BFS layer from an engine
+    (:meth:`extend_children`), or a whole discovery stream's columns
+    (:meth:`replay`).
     """
 
     def __init__(
@@ -241,21 +274,38 @@ class ArenaStore:
         """Stored rolling content hash of ``index``."""
         return self._entry(index)[2]
 
+    def columns(self, start: int, end: int) -> tuple[array, array]:
+        """``(parent ids, event indices)`` of ids ``[start, end)``, as
+        fresh arrays copied slice by slice off the sealed chunks and the
+        tail."""
+        parents = array("q")
+        events = array("i")
+        sealed = len(self._chunks) << _CHUNK_BITS
+        cursor = start
+        while cursor < min(end, sealed):
+            chunk_index = cursor >> _CHUNK_BITS
+            base = chunk_index << _CHUNK_BITS
+            chunk_parents, chunk_events, _ = self._chunk_arrays(chunk_index)
+            offset, stop = cursor - base, min(end - base, _CHUNK_SIZE)
+            parents.extend(chunk_parents[offset:stop])
+            events.extend(chunk_events[offset:stop])
+            cursor = base + _CHUNK_SIZE
+        if end > sealed:
+            offset, stop = max(start, sealed) - sealed, end - sealed
+            parents.extend(self._tail_parent[offset:stop])
+            events.extend(self._tail_event[offset:stop])
+        return parents, events
+
     def records(self, start: int, end: int) -> list[tuple[int, Event]]:
-        """Discovery records ``(parent_id, event)`` for ids in [start, end).
+        """Discovery records ``(parent_id, event)`` for the children
+        among ids [start, end) (the root, id 0, has none).
 
         Read straight off the columns — the arena *is* the discovery
-        stream, so worker respawn and checkpointing never reconstruct it
-        from CSR walks or object identity.
+        stream, so worker respawn never reconstructs it from CSR walks
+        or object identity.
         """
-        events = self._events
-        out: list[tuple[int, Event]] = []
-        for index in range(start, end):
-            parent, event_index, _ = self._entry(index)
-            if parent < 0:
-                continue
-            out.append((parent, events[event_index]))
-        return out
+        parents, events = self.columns(max(start, 1), end)
+        return list(zip(parents, map(self._events.__getitem__, events)))
 
     # ------------------------------------------------------------------
     # Growth (exploration hot path)
@@ -280,24 +330,14 @@ class ArenaStore:
         content hash ``hashes[k]``.  No object is kept; any later read
         materialises through the cold tiers.
 
-        Each distinct event *object* is resolved once, by equality, so
-        an equal but non-identical event (unpickled, or sent by a shard
-        worker) maps to its existing index, and new events take indices
-        in first-appearance order — the columns are the same as one
-        append per child.  ``events`` keeps every object alive during
-        the call, so object ids stay unique.
+        Each distinct event object is resolved to its vocabulary index
+        once (:func:`_event_indices`), so the columns are the same as one
+        append per child.
         """
-        event_index = self._event_index
-        vocabulary = self._events
-        index_of_id: dict[int, int] = {}
-        for key, event in dict(zip(map(id, events), events)).items():
-            index = event_index.get(event)
-            if index is None:
-                index = event_index[event] = len(vocabulary)
-                vocabulary.append(event)
-            index_of_id[key] = index
         self._tail_parent.extend(parents)
-        self._tail_event.extend(map(index_of_id.__getitem__, map(id, events)))
+        self._tail_event.extend(
+            _event_indices(events, self._events, self._event_index)
+        )
         self._tail_hash.extend(hashes)
         self._count += len(hashes)
 
@@ -586,43 +626,54 @@ class ArenaStore:
     # ------------------------------------------------------------------
     # Checkpoint replay
     # ------------------------------------------------------------------
-    def replay(self, stream, processes) -> dict[int, int | list[int]]:
-        """Rebuild the arena from checkpoint discovery records.
+    def replay(
+        self, parents, events, vocabulary, processes
+    ) -> dict[int, int | list[int]]:
+        """Rebuild the arena from a discovery stream given as columns.
 
-        ``stream`` is the saved ``(parent_id, event)`` record list in
-        discovery order and ``processes`` the protocol's
-        ``ordered_processes``.  No configuration is built: each child's
-        content hash is recomputed under this interpreter's hash seed
-        from rolling entry hashes
-        (:func:`~repro.universe.frontier.stream_hashes`), and the three
-        columns are appended in bulk.  Returns the content-hash -> dense
-        id dedup table (collision buckets in id order), ready to install
-        on the universe.
+        Child ``k`` (id ``k + 1``) is ``vocabulary[events[k]]`` on
+        ``parents[k]``, in discovery order (:func:`record_columns` turns
+        a record list into these columns); ``vocabulary`` holds distinct
+        events and ``processes`` is the protocol's ``ordered_processes``.
+        No configuration is built and no event is looked up: each
+        child's content hash is recomputed under this interpreter's hash
+        seed from rolling entry hashes
+        (:func:`~repro.universe.frontier.stream_hashes`), ``vocabulary``
+        becomes the event table, and the columns are copied in a chunk
+        at a time.  Returns the content-hash -> dense id dedup table
+        (collision buckets in id order), ready to install on the
+        universe.
         """
         if self._count:
             self.clear()
         self.append(EMPTY_CONFIGURATION)
-        hashes = stream_hashes(processes, stream)
-        ids_by_hash: dict[int, int | list[int]] = {hash(EMPTY_CONFIGURATION): 0}
-        for child_id, child_hash in enumerate(hashes, 1):
-            entry = ids_by_hash.get(child_hash)
-            if entry is None:
-                ids_by_hash[child_hash] = child_id
-            elif type(entry) is int:
-                ids_by_hash[child_hash] = [entry, child_id]
-            else:
-                entry.append(child_id)
-        # Parents below the last record's are fully expanded.  Appending
-        # a chunk at a time keeps the tail short while it seals.
-        self._floor = stream[-1][0] if stream else 0
-        parent_column = map(itemgetter(0), stream)
-        event_column = map(itemgetter(1), stream)
-        for start in range(0, len(stream), _CHUNK_SIZE):
-            self.extend_children(
-                islice(parent_column, _CHUNK_SIZE),
-                list(islice(event_column, _CHUNK_SIZE)),
-                hashes[start:start + _CHUNK_SIZE],
-            )
+        hashes = stream_hashes(processes, parents, events, vocabulary)
+        count = len(hashes)
+        root_hash = hash(EMPTY_CONFIGURATION)
+        ids_by_hash: dict[int, int | list[int]] = {root_hash: 0}
+        ids_by_hash.update(zip(hashes, range(1, count + 1)))
+        if len(ids_by_hash) <= count:
+            # Two ids share a content hash: bucket them in id order.
+            ids_by_hash = {root_hash: 0}
+            for child_id, child_hash in enumerate(hashes, 1):
+                entry = ids_by_hash.get(child_hash)
+                if entry is None:
+                    ids_by_hash[child_hash] = child_id
+                elif type(entry) is int:
+                    ids_by_hash[child_hash] = [entry, child_id]
+                else:
+                    entry.append(child_id)
+        self._events[:] = vocabulary
+        self._event_index.update(zip(vocabulary, range(len(vocabulary))))
+        # Parents below the last child's are fully expanded.  Copying a
+        # chunk at a time keeps the tail short while it seals.
+        self._floor = parents[-1] if count else 0
+        for start in range(0, count, _CHUNK_SIZE):
+            stop = start + _CHUNK_SIZE
+            self._tail_parent.extend(parents[start:stop])
+            self._tail_event.extend(events[start:stop])
+            self._tail_hash.extend(hashes[start:stop])
+            self._count = 1 + min(stop, count)
             self._seal_cold()
         return ids_by_hash
 
@@ -713,4 +764,5 @@ __all__ = [
     "ArenaStore",
     "compress_batch",
     "decompress_batch",
+    "record_columns",
 ]

@@ -9,10 +9,11 @@ checkpoint itself survive the failure modes long runs actually hit:
 whole-process SIGKILL mid-save, torn writes, and bit-flipped files.
 
 Design: the checkpoint does **not** store configurations or hashes.  It
-stores the *merged discovery stream* — the sequence ``[(parent_id,
-event), ...]`` of first discoveries in global BFS order — plus the CSR
-successor arrays (dense ids only) and the completeness flag.  Replaying
-the stream into the arena (:meth:`repro.universe.arena.ArenaStore.replay`)
+stores the *merged discovery stream* — each first discovery in global
+BFS order as its parent's dense id plus one event, the arena's own
+``(parent id, event index)`` columns — plus the CSR successor arrays
+(dense ids only) and the completeness flag.  Replaying the stream into
+the arena (:meth:`repro.universe.arena.ArenaStore.replay`)
 rebuilds the packed configuration columns and the content-hash id table
 (including collision-bucket layout) *exactly*, so exploration continues
 from the first unexpanded layer as if it had never stopped; the finished universe
@@ -27,12 +28,12 @@ The compatibility token therefore covers what replay genuinely depends
 on: the format version, the protocol identity (class and process set)
 and the ``max_events`` bound.
 
-On-disk format (version 2)
---------------------------
+On-disk format (manifest version 2, segment payload version 3)
+--------------------------------------------------------------
 
-Checkpoints have one format and one writer.  The format is a
-**manifest plus append-only per-layer delta segments**, so a save
-writes O(new layers), not O(stream):
+Checkpoints have one writer.  The format is a **manifest plus
+append-only per-layer delta segments**, so a save writes O(new layers),
+not O(stream):
 
 * ``PATH`` is the *manifest*: magic ``REPRO-CKPT2\\n``, a CRC-32, and a
   compressed pickle of ``{token, layers, frontier_start, count,
@@ -41,14 +42,28 @@ writes O(new layers), not O(stream):
 * each committed save appends one *segment* file
   (``PATH.g<generation>-<index>.seg``): segment magic, a CRC-guarded
   header (layer range, frontier, cumulative count/completeness), and a
-  CRC-guarded compressed payload holding that save's **delta** — the new
-  discovery records plus the CSR slice appended since the previous save.
-  The records are pickled from value-canonical copies
-  (:func:`_canonical_records`), so a segment's bytes are a function of
-  its decoded content, whichever engine or interpreter wrote it;
-* resume concatenates the segment deltas (CSR arrays are rebuilt by
-  concatenation, configurations by replaying the concatenated stream)
-  and verifies every CRC on the way;
+  CRC-guarded compressed payload holding that save's **delta**, the
+  configurations and CSR slice appended since the previous save.  The
+  header's ``version`` names the payload layout.  Version 3, the one
+  this build writes, is a slice of the arena's columns: ``parents`` (an
+  ``array('q')`` as bytes), ``events`` (an ``array('i')`` as bytes,
+  indexing the segment's own ``vocabulary``), ``vocabulary`` (the
+  distinct events the segment uses, in first-use order, pickled from
+  value-canonical copies, :func:`_canonical_vocabulary`) and the CSR
+  slices ``succ_ids``/``succ_offsets``, so a segment's bytes are a
+  function of its decoded content, whichever engine or interpreter
+  wrote it.  Every segment verifies on its own: its column lengths must
+  equal each other and the header's ``records``, and every event index
+  must fall inside its vocabulary;
+* version-2 segments (one pickled ``(parent_id, event)`` record per
+  configuration) still read: one adapter turns their records into the
+  same per-segment columns, and a checkpoint resumed from version-2
+  segments carries on in version 3 (a mixed file, which compaction
+  folds into one version-3 segment);
+* resume concatenates the segment deltas (CSR arrays and the parent
+  column by concatenation, event indices through a vocabulary merged by
+  value in first-appearance order), verifies every CRC on the way, and
+  replays the columns into the arena in bulk;
 * when the segment count exceeds :data:`DEFAULT_COMPACT_SEGMENTS` the
   session *compacts*: folds all committed segments into one under a new
   generation, commits the manifest, then deletes the old files — so the
@@ -74,13 +89,13 @@ universe's ``recovery_log``, and re-explores the lost tail —
 reports per-segment integrity with a non-zero exit on any damage.
 
 **The writer thread.**  Every save runs on a dedicated writer thread:
-``save`` snapshots the delta synchronously (the pending records list is
-handed off wholesale and the CSR slices are copied with ``tobytes()``)
-and returns, so the exploration thread never waits on compression or
-``fsync``.  Crash safety rests on *ordering*: jobs drain FIFO through
-one writer, each job appends its segment (write + fsync) before the
-manifest replace, and the manifest replace remains the only commit
-point.  A crash at any moment therefore leaves either the previous
+``save`` snapshots the delta synchronously (the new configurations'
+column slices are copied off the arena and the CSR slices with
+``tobytes()``) and returns, so the exploration thread never waits on
+compression or ``fsync``.  Crash safety rests on *ordering*: jobs drain
+FIFO through one writer, each job appends its segment (write + fsync)
+before the manifest replace, and the manifest replace remains the only
+commit point.  A crash at any moment therefore leaves either the previous
 manifest (plus discardable orphan segments) or the new one — exactly
 the two states the resume path already heals.  ``flush()`` blocks until
 the queue drains; the final save flushes implicitly, so a completed
@@ -113,12 +128,17 @@ import warnings
 import zlib
 from array import array
 from collections import deque
-from operator import is_, itemgetter
+from operator import is_
 from pathlib import Path
 
 from repro.core.errors import UniverseError
 from repro.core.events import Event, Message
-from repro.universe.arena import compress_batch, decompress_batch
+from repro.universe.arena import (
+    _event_indices,
+    compress_batch,
+    decompress_batch,
+    record_columns,
+)
 from repro.universe.fileops import DEFAULT_FILEOPS
 from repro.universe.recovery import RecoveryLog
 from repro.universe.retry import (
@@ -134,7 +154,12 @@ SEGMENT_MAGIC = b"RSEG"
 """Leading magic of every segment file."""
 
 CHECKPOINT_VERSION = 2
-"""The one on-disk format version this build writes and reads."""
+"""The manifest format version this build writes and reads."""
+
+SEGMENT_VERSION = 3
+"""The segment payload layout this build writes (column slices); a
+segment header's ``version`` names its layout, and version-2 segments
+(one pickled record per configuration) still read."""
 
 DEFAULT_COMPACT_SEGMENTS = 64
 """Compaction threshold: when a manifest references more committed
@@ -250,11 +275,10 @@ def _read_manifest(
 class ResumedExploration:
     """What :meth:`CheckpointSession.try_resume` hands back to an engine."""
 
-    __slots__ = ("frontier_start", "stream", "layers")
+    __slots__ = ("frontier_start", "layers")
 
-    def __init__(self, frontier_start, stream, layers) -> None:
+    def __init__(self, frontier_start, layers) -> None:
         self.frontier_start = frontier_start
-        self.stream = stream
         self.layers = layers
 
 
@@ -342,15 +366,41 @@ def _load_segment(
                 f"segment {field} {header[field]} differs from the "
                 f"manifest's {entry[field]}"
             )
+    version = header.get("version")
+    if version not in (2, SEGMENT_VERSION):
+        raise _SegmentInvalid(f"segment payload version {version} is unknown")
     try:
         decoded = decompress_batch(payload)
+        if version == 2:
+            parents, events, vocabulary = record_columns(decoded["records"])
+        else:
+            parents = array("q")
+            parents.frombytes(decoded["parents"])
+            events = array("i")
+            events.frombytes(decoded["events"])
+            vocabulary = list(decoded["vocabulary"])
+        columns = {
+            "parents": parents,
+            "events": events,
+            "vocabulary": vocabulary,
+            "succ_ids": decoded["succ_ids"],
+            "succ_offsets": decoded["succ_offsets"],
+        }
     except Exception as error:
         raise _SegmentInvalid(
             f"segment payload undecodable: {error}"
         ) from error
-    if len(decoded.get("records", ())) != header["records"]:
-        raise _SegmentInvalid("segment record count differs from its header")
-    return header, decoded
+    if not len(parents) == len(events) == header["records"]:
+        raise _SegmentInvalid(
+            f"segment columns disagree: {len(parents)} parents and "
+            f"{len(events)} events, header records {header['records']}"
+        )
+    if events and not 0 <= min(events) <= max(events) < len(vocabulary):
+        raise _SegmentInvalid(
+            f"segment event index outside its {len(vocabulary)}-event "
+            f"vocabulary"
+        )
+    return header, columns
 
 
 _ENTRY_FIELDS = (
@@ -368,15 +418,15 @@ each segment against the manifest that committed it."""
 
 def _part_key(part) -> object:
     """Dedup key of one part of a canonical copy: its id for the kinds
-    :func:`_canonical_records` makes unique per value, else its value."""
+    :func:`_canonical_vocabulary` makes unique per value, else its value."""
     if type(part) in (str, bytes, tuple) or isinstance(part, (Event, Message)):
         return id(part)
     return type(part), part
 
 
-def _canonical_records(records: list) -> list:
-    """``records`` with each event swapped for an equal object in which
-    equal strings, tuples, messages and events are one object.
+def _canonical_vocabulary(events) -> list:
+    """``events`` with each swapped for an equal object in which equal
+    strings, tuples, messages and events are one object.
 
     Pickle memoises by object identity, so pickling the live events would
     make a segment's bytes depend on which equal objects the writer held.
@@ -384,12 +434,13 @@ def _canonical_records(records: list) -> list:
     frames, and which worker expands a parent is ``content_hash %
     workers``, where content hashes mix in address-derived hashes
     (``hash(None)`` before CPython 3.12): two runs under one
-    ``PYTHONHASHSEED`` shared different strings and messages and wrote
-    different bytes.  After this pass the bytes are a function of the
-    decoded records.  The first object seen for a value is kept when its
-    parts already are the kept ones, so a kernel's records usually come
-    back as they are.  Ints, floats, bools and ``None`` are never
-    memoised, so they pass through, as do other payload types.
+    ``PYTHONHASHSEED`` shared different strings and messages (a send and
+    its receive hold one) and wrote different bytes.  After this pass the
+    bytes are a function of the decoded events.  The first object seen
+    for a value is kept when its parts already are the kept ones, so a
+    kernel's events usually come back as they are.  Ints, floats, bools
+    and ``None`` are never memoised, so they pass through, as do other
+    payload types.
     """
     kept: dict[int, object] = {}  # id of an original -> the object kept
     by_key: dict[tuple, object] = {}
@@ -419,12 +470,23 @@ def _canonical_records(records: list) -> list:
         found = kept[id(value)] = by_key.setdefault(key, found)
         return found
 
-    events = list(map(itemgetter(1), records))
-    distinct = dict(zip(map(id, events), events)).values()
-    if all([canonical(event) is event for event in distinct]):
-        return records
-    return list(
-        zip(map(itemgetter(0), records), map(kept.__getitem__, map(id, events)))
+    return list(map(canonical, events))
+
+
+def _segment_columns(events: array, vocabulary) -> tuple[array, list]:
+    """``events`` (indices into ``vocabulary``) re-indexed into the
+    segment's own vocabulary, and that vocabulary: the events the
+    segment uses, in first-use order.  A stream that takes its events in
+    vocabulary order (a first segment, a fold) keeps its indices."""
+    used = list(dict.fromkeys(events))
+    if used == list(range(len(used))):
+        return events, list(vocabulary[: len(used)])
+    local = [0] * len(vocabulary)
+    for position, index in enumerate(used):
+        local[index] = position
+    return (
+        array("i", map(local.__getitem__, events)),
+        [vocabulary[index] for index in used],
     )
 
 
@@ -440,19 +502,26 @@ def _write_segment(
     """Compress, encode and durably write one segment of checkpoint
     ``path``; return its manifest entry.
 
-    ``segment`` holds the delta (``records``, ``succ_ids``,
-    ``succ_offsets``), where it goes (``generation``, ``index``) and the
-    totals it covers (``layer_from``, ``layer_to``, ``frontier_start``,
-    ``count``, ``complete``); other keys are ignored."""
+    ``segment`` holds the delta (the ``parents`` and ``events`` columns,
+    ``events`` indexing ``vocabulary``, and the CSR slices ``succ_ids``
+    and ``succ_offsets``), where it goes (``generation``, ``index``) and
+    the totals it covers (``layer_from``, ``layer_to``,
+    ``frontier_start``, ``count``, ``complete``); other keys are
+    ignored."""
+    events, vocabulary = _segment_columns(
+        segment["events"], segment["vocabulary"]
+    )
     payload = compress_batch(
         {
-            "records": _canonical_records(segment["records"]),
+            "parents": segment["parents"].tobytes(),
+            "events": events.tobytes(),
+            "vocabulary": _canonical_vocabulary(vocabulary),
             "succ_ids": segment["succ_ids"],
             "succ_offsets": segment["succ_offsets"],
         }
     )
     header = {
-        "version": CHECKPOINT_VERSION,
+        "version": SEGMENT_VERSION,
         "generation": segment["generation"],
         "index": segment["index"],
         "layer_from": segment["layer_from"],
@@ -460,7 +529,7 @@ def _write_segment(
         "frontier_start": segment["frontier_start"],
         "count": segment["count"],
         "complete": segment["complete"],
-        "records": len(segment["records"]),
+        "records": len(segment["parents"]),
         "payload_len": len(payload),
         "payload_crc": zlib.crc32(payload),
     }
@@ -485,10 +554,16 @@ def _read_deltas(
     longest intact prefix.
 
     Returns ``(delta, intact, damage)``: ``delta`` holds the prefix's
-    ``records``, ``succ_ids`` and ``succ_offsets``, ``intact`` is the
-    prefix length, and ``damage`` is why ``entries[intact]`` failed
-    verification (``None`` when every entry is intact)."""
-    records: list = []
+    ``parents`` and ``events`` columns, the ``vocabulary`` those events
+    index (each segment's own, merged by value in first-appearance
+    order), and the CSR slices ``succ_ids`` and ``succ_offsets``;
+    ``intact`` is the prefix length, and ``damage`` is why
+    ``entries[intact]`` failed verification (``None`` when every entry
+    is intact)."""
+    parents = array("q")
+    events = array("i")
+    vocabulary: list = []
+    event_index: dict = {}
     succ_ids_parts: list[bytes] = []
     offsets_parts: list[bytes] = []
     damage = None
@@ -498,11 +573,20 @@ def _read_deltas(
         except _SegmentInvalid as error:
             damage = str(error)
             break
-        records.extend(decoded["records"])
+        indices = list(
+            _event_indices(decoded["vocabulary"], vocabulary, event_index)
+        )
+        parents.extend(decoded["parents"])
+        if indices == list(range(len(indices))):
+            events.extend(decoded["events"])
+        else:
+            events.extend(map(indices.__getitem__, decoded["events"]))
         succ_ids_parts.append(decoded["succ_ids"])
         offsets_parts.append(decoded["succ_offsets"])
     delta = {
-        "records": records,
+        "parents": parents,
+        "events": events,
+        "vocabulary": vocabulary,
         "succ_ids": b"".join(succ_ids_parts),
         "succ_offsets": b"".join(offsets_parts),
     }
@@ -583,8 +667,8 @@ class CheckpointSession:
     ``checkpoint`` path is given and threaded through whichever engine
     runs the exploration.  ``every`` saves once per ``every`` completed
     layers (the final state is always saved).  Every save appends one
-    version-2 delta segment from the background writer thread and then
-    replaces the manifest; resuming any other version raises
+    delta segment from the background writer thread and then replaces
+    the (version-2) manifest; resuming any other manifest version raises
     :class:`CheckpointError`.
 
     ``strict`` turns corrupt-tail salvage into a hard
@@ -639,9 +723,9 @@ class CheckpointSession:
                 f"{self.compact_at}"
             )
         self.token = compatibility_token(protocol, max_events)
-        self._pending_records: list = []
         self._segments: list[dict] = []
         self._generation = 0
+        self._saved_count = 1  # the root is in no segment
         self._saved_frontier = 0
         self._saved_edges = 0
         self._saved_layers = 0
@@ -827,9 +911,9 @@ class CheckpointSession:
         self, universe, delta: dict, last: dict, complete: bool
     ) -> ResumedExploration:
         """Rebuild ``universe``'s stores from a verified ``delta`` (the
-        concatenated stream + CSR) whose totals ``last`` records.
+        concatenated stream columns + CSR) whose totals ``last`` records.
 
-        The replay goes straight into the packed columns
+        The replay copies the columns straight into the arena
         (:meth:`~repro.universe.arena.ArenaStore.replay`) and builds no
         configuration: content hashes are recomputed under this
         interpreter's hash seed from rolling entry hashes, so the rebuilt
@@ -843,10 +927,14 @@ class CheckpointSession:
                 f"checkpoint {self.path} CSR desync: {len(offsets)} "
                 f"offsets for a frontier at {frontier_start}"
             )
-        stream = delta["records"]
         arena = universe._configurations
         try:
-            ids_by_hash = arena.replay(stream, universe.protocol.ordered_processes)
+            ids_by_hash = arena.replay(
+                delta["parents"],
+                delta["events"],
+                delta["vocabulary"],
+                universe.protocol.ordered_processes,
+            )
         except ValueError as error:
             raise CheckpointError(
                 f"checkpoint {self.path} replay desync: {error}"
@@ -856,36 +944,29 @@ class CheckpointSession:
                 f"checkpoint {self.path} replay desync: rebuilt "
                 f"{len(arena)} configurations, file records {last['count']}"
             )
-        universe._ids_by_hash.clear()
-        universe._ids_by_hash.update(ids_by_hash)
+        universe._ids_by_hash = ids_by_hash
         del universe._succ_ids[:]
         universe._succ_ids.frombytes(delta["succ_ids"])
         del universe._succ_offsets[:]
         universe._succ_offsets.extend(offsets)
         universe._complete = complete
         self.layers = self._saved_layers = last["layer_to"]
+        self._saved_count = len(arena)
         self._saved_frontier = frontier_start
         self._saved_edges = len(universe._succ_ids)
         self.resumed_from = frontier_start
-        return ResumedExploration(frontier_start, stream, self.layers)
+        return ResumedExploration(frontier_start, self.layers)
 
     # -- commit --------------------------------------------------------
     def commit_layer(
-        self, records, frontier_start, universe, final: bool = False
+        self, frontier_start, universe, final: bool = False
     ) -> None:
-        """Fold one completed layer's discovery records into the pending
-        delta and save if the interval (or ``final``) says so.
+        """Count one completed layer and save if the interval (or
+        ``final``) says so.
 
-        A degraded session keeps counting layers (the clock other
-        recovery events are stamped with) but buffers nothing — the
-        delta could never be written, so holding it would just leak the
-        memory the run may already be short on."""
+        A degraded session keeps counting layers: they are the clock
+        other recovery events are stamped with."""
         self.layers += 1
-        if self.degraded:
-            self._pending_records = []
-            return
-        if records:
-            self._pending_records.extend(records)
         if final or self.layers % self.every == 0:
             self.save(frontier_start, universe, final=final)
 
@@ -918,19 +999,26 @@ class CheckpointSession:
     def _save_delta(self, frontier_start: int, universe) -> None:
         """Snapshot this save's delta and hand it to the writer.
 
-        Everything the writer needs is copied (or ownership-transferred)
-        here, on the exploration thread: the pending-records list is
-        handed off wholesale, the CSR slices are materialised with
-        ``tobytes()``, and the header counters are plain values — the
-        universe is free to mutate the moment this returns.  Watermarks
-        advance immediately so the *next* delta starts where this one
-        ended, regardless of when the write lands on disk.
+        Everything the writer needs is copied here, on the exploration
+        thread: the new configurations' parent and event columns come
+        off the arena as fresh arrays
+        (:meth:`~repro.universe.arena.ArenaStore.columns`) with a
+        snapshot of the vocabulary their events index, the CSR slices
+        are materialised with ``tobytes()``, and the header counters are
+        plain values — the universe is free to mutate the moment this
+        returns.  Watermarks advance immediately so the
+        *next* delta starts where this one ended, regardless of when the
+        write lands on disk.
         """
+        arena = universe._configurations
+        count = len(arena)
         succ_ids = universe._succ_ids
         offsets = universe._succ_offsets
-        records = self._pending_records
+        parents, events = arena.columns(self._saved_count, count)
         job = {
-            "records": records,
+            "parents": parents,
+            "events": events,
+            "vocabulary": arena.vocabulary,
             "succ_ids": succ_ids[self._saved_edges :].tobytes(),
             "succ_offsets": offsets[
                 self._saved_frontier + 1 : frontier_start + 1
@@ -940,15 +1028,15 @@ class CheckpointSession:
             "layer_from": self._saved_layers,
             "layer_to": self.layers,
             "frontier_start": frontier_start,
-            "count": len(universe._configurations),
+            "count": count,
             "complete": universe._complete,
             "actions": self._take_fault_actions(),
         }
         self._segment_index += 1
+        self._saved_count = count
         self._saved_frontier = frontier_start
         self._saved_edges = len(succ_ids)
         self._saved_layers = self.layers
-        self._pending_records = []
         self._enqueue(job)
         if self._segment_index > self.compact_at:
             self.flush()
@@ -1210,10 +1298,11 @@ def compact_checkpoint(path) -> dict:
 def inspect_checkpoint(path, verify_segments: bool = True) -> dict:
     """Integrity/metadata report of a checkpoint — never raises.
 
-    Returns a dict with ``exists``, ``format_version``, the decoded
-    compatibility ``token`` (as a readable mapping), ``layers``/
-    ``count``/``complete``/``frontier_start``, a per-segment status list
-    (``ok`` / ``missing`` / ``corrupt: <reason>`` / ``unverified``),
+    Returns a dict with ``exists``, ``format_version`` (the manifest's),
+    the decoded compatibility ``token`` (as a readable mapping),
+    ``layers``/``count``/``complete``/``frontier_start``, a per-segment
+    status list (``ok`` / ``missing`` / ``corrupt: <reason>`` /
+    ``unverified``),
     the unreferenced ``orphans``, ``salvageable_layers`` (the valid
     prefix), and ``valid`` — True iff every byte needed for a full
     resume checks out.  ``verify_segments=False`` skips reading segment
@@ -1380,6 +1469,7 @@ __all__ = [
     "DEFAULT_COMPACT_SEGMENTS",
     "MANIFEST_MAGIC",
     "SEGMENT_MAGIC",
+    "SEGMENT_VERSION",
     "CheckpointError",
     "CheckpointSession",
     "ResumedExploration",

@@ -56,7 +56,7 @@ from repro.core.configuration import (
 from repro.core.errors import UniverseError
 from repro.core.events import Event, ReceiveEvent, SendEvent
 from repro.core.process import ProcessId, ProcessSetLike, as_process_set
-from repro.universe.arena import ArenaStore
+from repro.universe.arena import ArenaStore, record_columns
 from repro.universe.fileops import DEFAULT_FILEOPS, FaultInjectingFileOps
 from repro.universe.frontier import PackedFrontier
 from repro.universe.options import ExplorationOptions
@@ -717,9 +717,9 @@ class Universe:
         ``[layer_start, layer_end)`` of BFS layer ``layer``, hands its
         first discoveries to the arena in one
         :meth:`~repro.universe.arena.ArenaStore.extend_children`, and
-        returns ``(records, bound_hit)``: the layer's discovery records,
-        an iterable of ``(parent_id, event)`` for the checkpoint, and
-        whether the ``max_configurations`` bound stopped it mid-layer.
+        returns whether the ``max_configurations`` bound stopped it
+        mid-layer.  The checkpoint reads each save's discoveries back off
+        the arena's columns.
 
         :func:`repro.universe.reference.reference_bfs` is the oracle:
         ``tests/test_universe_arena.py`` holds both engines
@@ -771,16 +771,11 @@ class Universe:
             if engine is None:
                 expand_layer = partial(self._expand_layer, frontier, limit)
             else:
-                # Fresh workers rebuild from the root: on resume their
-                # first replay is the full restored stream, not one
-                # layer's.
-                expand_layer = engine.layer_body(
-                    self, frontier, limit, resumed.stream if resumed else []
-                )
+                expand_layer = engine.layer_body(self, frontier, limit)
             self._arm_storage_faults(layer)
             while layer_start < len(arena):
                 layer_end = len(arena)
-                records, bound_hit = expand_layer(layer_start, layer_end, layer)
+                bound_hit = expand_layer(layer_start, layer_end, layer)
                 if bound_hit:
                     # Mid-layer stop: the checkpoint keeps the previous
                     # (complete) layer boundary, never a torn layer.
@@ -789,7 +784,7 @@ class Universe:
                 done = len(arena) == layer_end  # no new configurations
                 self._arm_storage_faults(layer)
                 if session is not None:
-                    session.commit_layer(records, layer_end, self, final=done)
+                    session.commit_layer(layer_end, self, final=done)
                 # Advance the arena floor (seals + compresses full cold
                 # chunks) and rotate the generation-scoped memos.
                 arena.retire(layer_end)
@@ -829,7 +824,7 @@ class Universe:
         layer_start: int,
         layer_end: int,
         layer: int,
-    ) -> tuple[Iterable | None, bool]:
+    ) -> bool:
         """The kernel's layer body (see :meth:`_explore`): expand BFS
         layer ``layer`` over *packed window rows*.
 
@@ -859,9 +854,7 @@ class Universe:
         parent id, event and hash to three per-layer columns, which go to
         the arena in one :meth:`ArenaStore.extend_children
         <repro.universe.arena.ArenaStore.extend_children>` when the layer
-        ends or the ``max_configurations`` bound stops it.  The discovery
-        records, zipped from the same columns, are only returned when a
-        checkpoint session will commit them (``None`` otherwise).
+        ends or the ``max_configurations`` bound stops it.
         """
         arena: ArenaStore = self._configurations
         ids_by_hash = self._ids_by_hash
@@ -881,7 +874,7 @@ class Universe:
                 if compiled_enabled(transient(window.pop(parent_id))):
                     self._complete = False
                 succ_offsets.append(edges)
-            return None, False
+            return False
         enabled_at = frontier.enabled
         row_matches = frontier.row_matches
         window_get = window.get
@@ -1007,9 +1000,7 @@ class Universe:
             if bound_hit:
                 break
         arena.extend_children(parents, events, hashes)
-        if self._checkpoint_session is None:
-            return None, bound_hit
-        return zip(parents, events), bound_hit
+        return bound_hit
 
     def _id_of(self, configuration: Configuration) -> int | None:
         """Dense id of ``configuration``, or ``None`` if not a member.
@@ -1538,7 +1529,9 @@ class EnumeratedUniverse(Universe):
                 row.append(child_id)
             succ_ids.extend(sorted(row))
             self._succ_offsets.append(len(succ_ids))
-        self._ids_by_hash = self._configurations.replay(stream, sorted(processes))
+        self._ids_by_hash = self._configurations.replay(
+            *record_columns(stream), sorted(processes)
+        )
 
     @property
     def protocol(self) -> Protocol:  # type: ignore[override]

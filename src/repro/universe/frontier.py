@@ -87,59 +87,66 @@ def _transient(ordered, entry: tuple) -> Configuration:
     return configuration
 
 
-def stream_hashes(ordered, stream) -> array:
+def stream_hashes(ordered, parents, events, vocabulary) -> array:
     """The content hash of every child a discovery stream discovers.
 
-    ``stream`` is ``[(parent_id, event), ...]`` in discovery order over
-    the root at id 0, so record ``k`` discovers id ``k + 1``.  Each live
-    configuration is one row ``(entries, content_hash)``: ``entries``
-    holds the rolling entry hash of each process in ``ordered`` (``None``
-    before its first event), so a child costs :meth:`PackedFrontier.step`'s
-    multiply-add and no history tuple or ``Configuration``.  Parent ids
-    are non-decreasing and every edge adds one event, so only two BFS
-    layers of rows are live: the parents' and the one they build.
+    The stream is given as columns over the root at id 0: child ``k``
+    (id ``k + 1``) is ``vocabulary[events[k]]`` on ``parents[k]``.  Each
+    live configuration is one row holding the rolling entry hash of each
+    process in ``ordered`` (``None`` before its first event), and the
+    content hashes are kept by id, so a child costs
+    :meth:`PackedFrontier.step`'s multiply-add and no history tuple or
+    ``Configuration``.  Parent ids are non-decreasing and every edge adds
+    one event, so only two BFS layers of rows are live: the parents' and
+    the one they build.
     """
     index_of = {process: i for i, process in enumerate(ordered)}
     modulus = _HASH_MODULUS
     multiplier = _ROLL_MULTIPLIER
-    # One (position, process seed, event hash) per distinct event object;
-    # the stream keeps every event alive, so ids stay unique.
-    by_event: dict[int, tuple[int, int, int]] = {}
-    hashes = array("q")
+    # One (position, process seed, event hash) per vocabulary index.
+    steps = [
+        (index_of[event.process], hash(event.process) % modulus, hash(event))
+        for event in vocabulary
+    ]
+    # Content hashes by id, the root's first; rows of the two live layers.
+    hashes = [hash(EMPTY_CONFIGURATION)]
     append = hashes.append
-    parents = [((None,) * len(ordered), hash(EMPTY_CONFIGURATION))]
+    parent_rows = [(None,) * len(ordered)]
     parents_start = 0
-    children: list[tuple[tuple, int]] = []
+    children: list[tuple] = []
+    add_child = children.append
     children_start = 1
-    for parent_id, event in stream:
-        if parent_id >= children_start:
-            parents, parents_start = children, children_start
-            children, children_start = [], children_start + len(children)
-        elif parent_id < parents_start:
-            raise ValueError(
-                f"discovery stream is not in BFS order: parent {parent_id} "
-                f"after parents from {parents_start}"
-            )
-        entries, parent_hash = parents[parent_id - parents_start]
-        step = by_event.get(id(event))
-        if step is None:
-            process = event.process
-            step = by_event[id(event)] = (
-                index_of[process], hash(process) % modulus, hash(event)
-            )
-        position, seed, event_hash = step
-        old_entry = entries[position]
-        if old_entry is None:
-            new_entry = (seed * multiplier + event_hash) % modulus
-            child_hash = (parent_hash + new_entry) % modulus
-        else:
-            new_entry = (old_entry * multiplier + event_hash) % modulus
-            child_hash = (parent_hash - old_entry + new_entry) % modulus
-        cells = list(entries)
-        cells[position] = new_entry
-        children.append((tuple(cells), child_hash))
-        append(child_hash)
-    return hashes
+    try:
+        for parent_id, event_index in zip(parents, events):
+            if parent_id >= children_start:
+                parent_rows, parents_start = children, children_start
+                children, children_start = [], children_start + len(children)
+                add_child = children.append
+            elif parent_id < parents_start:
+                raise ValueError(
+                    f"discovery stream is not in BFS order: parent {parent_id} "
+                    f"after parents from {parents_start}"
+                )
+            entries = parent_rows[parent_id - parents_start]
+            parent_hash = hashes[parent_id]
+            position, seed, event_hash = steps[event_index]
+            old_entry = entries[position]
+            if old_entry is None:
+                new_entry = (seed * multiplier + event_hash) % modulus
+                child_hash = (parent_hash + new_entry) % modulus
+            else:
+                new_entry = (old_entry * multiplier + event_hash) % modulus
+                child_hash = (parent_hash - old_entry + new_entry) % modulus
+            cells = list(entries)
+            cells[position] = new_entry
+            add_child(tuple(cells))
+            append(child_hash)
+    except IndexError:
+        raise ValueError(
+            "discovery stream names a parent it has not discovered yet or "
+            "an event outside its vocabulary"
+        ) from None
+    return array("q", hashes[1:])
 
 
 class PackedFrontier:

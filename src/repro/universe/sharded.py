@@ -852,13 +852,15 @@ class ShardedExplorer:
             except (EOFError, BrokenPipeError, OSError):
                 continue
 
-    def layer_body(self, universe, frontier, limit, replay):
+    def layer_body(self, universe, frontier, limit):
         """The driver's hook: bind the coordinator to ``universe``, its
         ``frontier`` and the configuration ``limit``, and return the
-        sharded layer body.  ``replay`` is the workers' first replay
-        stream (the full restored stream on resume, else empty)."""
+        sharded layer body.  Fresh workers rebuild from the root, so
+        their first replay is every discovery the arena already holds:
+        the restored stream on resume, nothing on a fresh run."""
         self._frontier = frontier
-        self._replay = replay
+        arena = universe._configurations
+        self._replay = arena.records(1, len(arena))
         return partial(self._expand_layer, universe, limit)
 
     def _expand_layer(self, universe, limit, layer_start, layer_end, layer):
@@ -874,9 +876,9 @@ class ShardedExplorer:
         of three per-layer columns, never a ``Configuration``; the
         columns go to the arena in one
         :meth:`~repro.universe.arena.ArenaStore.extend_children` when the
-        merge ends or the bound stops it.  Returns the layer's discovery
-        records (next layer's replay) and whether the
-        ``max_configurations`` bound stopped the merge.
+        merge ends or the bound stops it, and are zipped into the
+        discovery records the workers replay next layer.  Returns whether
+        the ``max_configurations`` bound stopped the merge.
         """
         workers = self._workers
         arena = universe._configurations
@@ -973,13 +975,12 @@ class ShardedExplorer:
             if bound_hit:
                 break
         arena.extend_children(parents, events, hashes)
-        replay = self._replay = list(zip(parents, events))
-        if bound_hit:
-            return replay, True
-        # Every parent of the layer is popped: a folded shard's expand
-        # starts at the next layer.
-        frontier.floor = layer_end
-        return replay, False
+        self._replay = list(zip(parents, events))
+        if not bound_hit:
+            # Every parent of the layer is popped: a folded shard's
+            # expand starts at the next layer.
+            frontier.floor = layer_end
+        return bound_hit
 
 
 __all__ = [

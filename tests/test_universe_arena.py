@@ -38,7 +38,12 @@ from repro.protocols.snapshot import SnapshotTokenRingProtocol
 from repro.protocols.token_bus import TokenBusProtocol
 from repro.simulation.network import FifoProtocol
 from repro.universe import arena as arena_module
-from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
+from repro.universe.arena import (
+    ArenaStore,
+    compress_batch,
+    decompress_batch,
+    record_columns,
+)
 from repro.universe.explorer import Universe, iter_bit_ids
 from repro.universe.options import (
     CheckpointPolicy,
@@ -396,7 +401,9 @@ class TestPackedTiers:
         universe = Universe(star5())
         records = universe._configurations.records(1, len(universe))
         tiny = ArenaStore(lru_size=4, chunk_cache_size=2)
-        ids_by_hash = tiny.replay(records, universe.protocol.ordered_processes)
+        ids_by_hash = tiny.replay(
+            *record_columns(records), universe.protocol.ordered_processes
+        )
         assert ids_by_hash == reference.ids_by_hash
         tiny.retire(len(tiny))  # seal every chunk: cold reads only
         configurations = reference.configurations
@@ -428,7 +435,7 @@ def tiny_lru_store(spill_dir=None) -> tuple[ArenaStore, list]:
     universe = Universe(protocol)
     store = ArenaStore(spill_dir=spill_dir, lru_size=4, chunk_cache_size=2)
     store.replay(
-        universe._configurations.records(1, len(universe)),
+        *record_columns(universe._configurations.records(1, len(universe))),
         protocol.ordered_processes,
     )
     return store, reference_bfs(protocol).configurations
@@ -574,7 +581,9 @@ class TestObjectFreeReplay:
             assert len(distinct) == len(stream)
             assert not distinct & {id(event) for event in arena._events}
         rebuilt = ArenaStore()
-        ids_by_hash = rebuilt.replay(stream, universe.protocol.ordered_processes)
+        ids_by_hash = rebuilt.replay(
+            *record_columns(stream), universe.protocol.ordered_processes
+        )
         assert ids_by_hash == universe._ids_by_hash
         assert columns(rebuilt) == columns(arena)
         assert rebuilt._events == arena._events
@@ -589,7 +598,9 @@ class TestObjectFreeReplay:
         arena = universe._configurations
         stream = pickle_each_record(arena.records(1, len(arena)))
         rebuilt = ArenaStore()
-        ids_by_hash = rebuilt.replay(stream, universe.protocol.ordered_processes)
+        ids_by_hash = rebuilt.replay(
+            *record_columns(stream), universe.protocol.ordered_processes
+        )
         assert ids_by_hash == universe._ids_by_hash
         assert columns(rebuilt) == columns(arena)
 
@@ -598,7 +609,8 @@ class TestObjectFreeReplay:
         arena = universe._configurations
         rebuilt = ArenaStore()
         rebuilt.replay(
-            arena.records(1, len(arena)), universe.protocol.ordered_processes
+            *record_columns(arena.records(1, len(arena))),
+            universe.protocol.ordered_processes,
         )
         assert rebuilt.stats()["sealed_chunks"] > 1
         assert columns(rebuilt) == columns(arena)
@@ -609,7 +621,36 @@ class TestObjectFreeReplay:
         stream = arena.records(1, len(arena))
         stream.append((1, stream[-1][1]))
         with pytest.raises(ValueError, match="not in BFS order"):
-            ArenaStore().replay(stream, universe.protocol.ordered_processes)
+            ArenaStore().replay(
+                *record_columns(stream), universe.protocol.ordered_processes
+            )
+
+    def test_undiscovered_parent_rejected(self):
+        """A stream naming a parent it has not discovered yet (a
+        CRC-valid but inconsistent checkpoint) is a ``ValueError``, the
+        error a resume turns into ``CheckpointError``."""
+        universe = Universe(star5())
+        arena = universe._configurations
+        stream = arena.records(1, len(arena))
+        stream.append((len(arena) + 5, stream[-1][1]))
+        with pytest.raises(ValueError, match="has not discovered yet"):
+            ArenaStore().replay(
+                *record_columns(stream), universe.protocol.ordered_processes
+            )
+
+    def test_columns_slice_across_sealed_chunks(self, small_chunks):
+        """``columns(start, end)`` reads the same parent and event ids as
+        the per-id entries, over any range of sealed chunks and tail."""
+        universe = Universe(star5())
+        arena = universe._configurations
+        assert arena.stats()["sealed_chunks"] > 2
+        entries = columns(arena)
+        total = len(arena)
+        ranges = ((0, total), (1, 64), (60, 200), (130, total), (64, 128), (5, 5))
+        for start, end in ranges:
+            parents, events = arena.columns(start, end)
+            assert list(parents) == [entry[0] for entry in entries[start:end]]
+            assert list(events) == [entry[1] for entry in entries[start:end]]
 
 
 def fresh_store() -> ArenaStore:

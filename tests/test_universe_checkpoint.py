@@ -16,6 +16,8 @@ import subprocess
 import sys
 import textwrap
 import warnings
+import zlib
+from array import array
 
 import pytest
 
@@ -23,7 +25,7 @@ import repro.universe.checkpoint as checkpoint_module
 from repro.core.configuration import Configuration
 from repro.core.errors import UniverseError
 from repro.protocols.token_bus import TokenBusProtocol
-from repro.universe.arena import ArenaStore, decompress_batch
+from repro.universe.arena import ArenaStore, compress_batch, decompress_batch
 from repro.universe.checkpoint import (
     MANIFEST_MAGIC,
     SEGMENT_MAGIC,
@@ -235,7 +237,7 @@ def decoded_segments(path):
             if key not in ("payload_len", "payload_crc")
         }
         delta = decompress_batch(payload)
-        for key in ("records", "succ_ids", "succ_offsets"):
+        for key in ("parents", "events", "vocabulary", "succ_ids", "succ_offsets"):
             decoded[f"delta_{key}"] = delta[key]
         segments.append(decoded)
     return segments
@@ -281,35 +283,36 @@ class TestEnginesCommitTheSameStream:
 class TestReproducibleSegmentBytes:
     def test_equal_records_pickle_to_equal_bytes(self):
         """However equal strings, messages and events are shared, equal
-        records pickle to the same bytes, and nothing changes value or
-        type (``1`` and ``True`` stay apart)."""
+        event lists (a segment's vocabulary) pickle to the same bytes,
+        and nothing changes value or type (``1`` and ``True`` stay
+        apart)."""
         import pickle
 
         from repro.core.events import Message, internal, receive, send
 
-        def records(fresh):
+        def events(fresh):
             def copy(value):
                 return pickle.loads(pickle.dumps(value)) if fresh else value
 
             message = Message("hub", "x", "fact", payload=("hub", 1))
             return [
-                (0, copy(send(message))),
-                (1, copy(receive(message))),
-                (1, copy(internal("hub", "step", payload=1))),
-                (2, copy(internal("hub", "step", payload=True))),
-                (2, copy(send(message))),
+                copy(send(message)),
+                copy(receive(message)),
+                copy(internal("hub", "step", payload=1)),
+                copy(internal("hub", "step", payload=True)),
+                copy(send(message)),
             ]
 
-        shared, fresh = records(False), records(True)
+        shared, fresh = events(False), events(True)
         assert shared == fresh
         assert pickle.dumps(shared) != pickle.dumps(fresh)
-        canonical = checkpoint_module._canonical_records
+        canonical = checkpoint_module._canonical_vocabulary
         assert pickle.dumps(canonical(shared)) == pickle.dumps(canonical(fresh))
         decoded = pickle.loads(pickle.dumps(canonical(fresh)))
         assert decoded == shared
-        assert [type(event.payload) for _, event in decoded[2:4]] == [int, bool]
-        assert decoded[0][1] is decoded[4][1]
-        assert decoded[0][1].message is decoded[1][1].message
+        assert [type(event.payload) for event in decoded[2:4]] == [int, bool]
+        assert decoded[0] is decoded[4]
+        assert decoded[0].message is decoded[1].message
 
     def test_bytes_are_a_function_of_the_records(self, tmp_path):
         """Fresh interpreters, both engines, two hash seeds: every run
@@ -1226,29 +1229,193 @@ class TestFormatStability:
         assert not resumed.recovery_log
         assert_bit_identical(single, resumed)
 
+    def test_resumed_fixture_carries_on_in_v3_and_compacts(self, tmp_path):
+        """Resuming the version-2 fixture to completion appends
+        version-3 segments to its version-2 ones; the mixed file
+        verifies and resumes bit-identical, and compaction folds it into
+        one version-3 segment that resumes bit-identical again."""
+        single = Universe(star_protocol(4))
+        path = self.copy_fixture(tmp_path)
+        options = ExplorationOptions(checkpoint=CheckpointPolicy(path=path))
+        Universe(star_protocol(4), options=options)
+        report = inspect_checkpoint(path)
+        assert report["valid"], report
+        assert report["complete"]
+        versions = segment_versions(path)
+        assert versions[:4] == [2, 2, 2, 2]
+        assert versions[4:] and set(versions[4:]) == {3}
+        again = Universe(star_protocol(4), options=options)
+        assert again._checkpoint_session.resumed_from == len(single)
+        assert_bit_identical(single, again)
+        folded = compact_checkpoint(path)
+        assert folded["compacted"] and folded["segments_after"] == 1
+        assert inspect_checkpoint(path)["valid"]
+        assert segment_versions(path) == [3]
+        assert_bit_identical(single, Universe(star_protocol(4), options=options))
+
+    @pytest.mark.parametrize("source", ["v2-fixture", "v3-mid-run", "v3-complete"])
+    def test_resumed_vocabulary_is_in_first_appearance_order(
+        self, tmp_path, source
+    ):
+        """The arena's event table after any resume is the one an
+        uninterrupted build has: every event once, in the order the
+        discovery stream first uses it."""
+        size = 4 if source == "v2-fixture" else 5
+        single = Universe(star_protocol(size))
+        if source == "v2-fixture":
+            path = self.copy_fixture(tmp_path)
+        elif source == "v3-mid-run":
+            path = partial_checkpoint(tmp_path, cap=200)
+        else:
+            path = tmp_path / "done.ckpt"
+            Universe(
+                star_protocol(size),
+                options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+            )
+        resumed = Universe(
+            star_protocol(size),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
+        assert resumed._checkpoint_session.resumed_from is not None
+        ours = resumed._configurations
+        theirs = single._configurations
+        assert ours.vocabulary == theirs.vocabulary
+        assert ours._event_index == theirs._event_index
+        assert columns_of(ours) == columns_of(theirs)
+
+
+def segment_versions(path):
+    """The payload version of each segment of checkpoint ``path``."""
+    return [
+        checkpoint_module._decode_segment(item.read_bytes())[0]["version"]
+        for item in segment_files(path)
+    ]
+
+
+def columns_of(arena):
+    """An arena's parent and event columns, as two lists."""
+    parents, events = arena.columns(0, len(arena))
+    return list(parents), list(events)
+
+
+def rewrite_last_segment(path, mutate):
+    """Re-encode checkpoint ``path``'s last segment with ``mutate``
+    applied to its decoded payload, with fresh CRCs and a manifest entry
+    to match, so only the payload's own consistency checks can catch
+    the damage."""
+    manifest = checkpoint_module._read_manifest(path)
+    entry = manifest["segments"][-1]
+    segment = path.with_name(entry["name"])
+    header, payload = checkpoint_module._decode_segment(segment.read_bytes())
+    decoded = decompress_batch(payload)
+    mutate(decoded)
+    payload = compress_batch(decoded)
+    header = dict(
+        header, payload_len=len(payload), payload_crc=zlib.crc32(payload)
+    )
+    blob = checkpoint_module._encode_segment(header, payload)
+    segment.write_bytes(blob)
+    entry.update(size=len(blob), payload_crc=header["payload_crc"])
+    checkpoint_module._commit_manifest(path, manifest)
+
+
+def drop_last_parent(decoded):
+    decoded["parents"] = decoded["parents"][:-8]
+
+
+def drop_last_record(decoded):
+    decoded["parents"] = decoded["parents"][:-8]
+    decoded["events"] = decoded["events"][:-4]
+
+
+def event_past_the_vocabulary(decoded):
+    events = array("i")
+    events.frombytes(decoded["events"])
+    events[-1] = len(decoded["vocabulary"])
+    decoded["events"] = events.tobytes()
+
+
+class TestColumnDamage:
+    """A version-3 segment whose CRCs check out but whose columns
+    disagree is corrupt: verify reports it, resume salvages the prefix
+    before it, and ``strict`` refuses it."""
+
+    DAMAGE = {
+        "columns-differ": (drop_last_parent, "columns disagree"),
+        "header-records": (drop_last_record, "columns disagree"),
+        "event-index": (event_past_the_vocabulary, "outside its"),
+    }
+
+    @pytest.fixture(params=sorted(DAMAGE))
+    def damaged(self, request, tmp_path):
+        mutate, reason = self.DAMAGE[request.param]
+        path = partial_checkpoint(tmp_path)
+        rewrite_last_segment(path, mutate)
+        return path, reason
+
+    def test_verify_reports_the_segment_corrupt(self, damaged, capsys):
+        from repro.cli import main
+
+        path, reason = damaged
+        report = inspect_checkpoint(path)
+        assert not report["valid"]
+        *intact, last = report["segments"]
+        assert all(row["status"] == "ok" for row in intact)
+        assert last["status"].startswith("corrupt: ")
+        assert reason in last["status"]
+        assert report["salvageable_layers"] == intact[-1]["layer_to"]
+        assert main(["checkpoint", "verify", str(path)]) == 1
+        assert "INTEGRITY: FAILED" in capsys.readouterr().out
+
+    def test_resume_salvages_the_prefix(self, damaged):
+        path, reason = damaged
+        single = Universe(star_protocol(5))
+        resumed = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(checkpoint=CheckpointPolicy(path=path)),
+        )
+        assert resumed._checkpoint_session.salvaged
+        (event,) = [
+            entry
+            for entry in resumed.recovery_log
+            if entry["action"] == "salvage-truncate"
+        ]
+        assert reason in event["detail"]
+        assert_bit_identical(single, resumed)
+
+    def test_strict_resume_raises(self, damaged):
+        path, reason = damaged
+        with pytest.raises(CheckpointError, match=reason):
+            Universe(
+                star_protocol(5),
+                options=ExplorationOptions(
+                    checkpoint=CheckpointPolicy(path=path, strict=True)
+                ),
+            )
+
 
 class TestWriterBytes:
     """The writer's output is pinned by digest: a fresh interpreter
     writes these exact bytes for star n=4 (``hub`` plus ``p0..p2``)
     truncated at 40 configurations, under any hash seed.  The committed
-    ``star4_v2`` fixture pins the reader; an older build wrote it, so
-    its bytes differ from these."""
+    ``star4_v2`` fixture pins the version-2 segment reader; an older
+    build wrote it, so its bytes differ from these."""
 
     DIGESTS = {
         "star4.ckpt": (
-            "497eb867a4510e43b6d6ca3207d8b7826e44e72d213bb730ddf24ee2218a584b"
+            "39c6cdc63ee937bbe2cba50f17bf267d414ef6495fc8ca38ecfca7c281dd22af"
         ),
         "star4.ckpt.g0-000000.seg": (
-            "8443deb9368ad50e588509c3679179734d0335c6886f5f458822750adf398e27"
+            "0ddffc80a5af8624d7d9f51e1cc39ac5b771d0595db4a70866cab991d4e1fdc0"
         ),
         "star4.ckpt.g0-000001.seg": (
-            "2ab6e4a782ac5698253cb653b885d8c878398648dea5c51062f9f0010c03194c"
+            "7e9d760b375e9d510e4f03a145a5d6fe6a035d027b67b0f2ca1c5b1f64715ba4"
         ),
         "star4.ckpt.g0-000002.seg": (
-            "7fc32f6e1c09820eb79781fe9f28ea3effa8680e09129005d61ffa954a474915"
+            "68da0f697e8bf9100d44d79c81465906c85c4573610d5aef0d40f2b70d63c67c"
         ),
         "star4.ckpt.g0-000003.seg": (
-            "7bcc4d40f7cdb97f02bdac0ae2d9f6f3f49fcd4e0c2c7aebdf4bdf7dea0fa96e"
+            "c2f33f0d7bcea227303b71ebc4b3c97fac01dd8f40b92e96b7587ea0023d96f6"
         ),
     }
 

@@ -650,7 +650,7 @@ class TestDiscoveryStreamReconstruction:
     def test_stream_replays_to_the_same_universe(self):
         """The failover replay source: the arena's discovery records,
         replayed into a fresh arena, rebuild the identical state."""
-        from repro.universe.arena import ArenaStore
+        from repro.universe.arena import ArenaStore, record_columns
 
         universe = Universe(star_protocol(5))
         arena = universe._configurations
@@ -658,7 +658,9 @@ class TestDiscoveryStreamReconstruction:
         assert len(stream) == len(universe) - 1  # one record per discovery
         rebuilt = ArenaStore()
         processes = universe.protocol.ordered_processes
-        assert rebuilt.replay(stream, processes) == universe._ids_by_hash
+        assert rebuilt.replay(*record_columns(stream), processes) == (
+            universe._ids_by_hash
+        )
         assert len(rebuilt) == len(universe)
         for ours, theirs in zip(rebuilt, arena):
             assert ours == theirs
