@@ -48,13 +48,11 @@ from itertools import repeat
 
 from repro.core.configuration import (
     _HASH_MODULUS,
-    _ROLL_MULTIPLIER,
-    _entry_hash,
     EMPTY_CONFIGURATION,
     Configuration,
 )
 from repro.core.errors import UniverseError
-from repro.core.events import Event, ReceiveEvent, SendEvent
+from repro.core.events import Event
 from repro.core.process import ProcessId, ProcessSetLike, as_process_set
 from repro.universe.arena import ArenaStore, record_columns
 from repro.universe.fileops import DEFAULT_FILEOPS, FaultInjectingFileOps
@@ -704,10 +702,10 @@ class Universe:
         layer body per BFS layer.  At every layer boundary it runs the one
         epilogue: arm due storage faults, commit the layer to the
         checkpoint, retire the consumed frontier into the arena's cold
-        tier, rotate the frontier's memo generation, then the RSS ladder
-        (spill the cold tier; truncate only if that is not enough).  At
-        the end it raises the ``max_configurations`` error or truncates
-        and pads the CSR rows.
+        tier, start the frontier's next layer of message-set interning,
+        then the RSS ladder (spill the cold tier; truncate only if that
+        is not enough).  At the end it raises the ``max_configurations``
+        error or truncates and pads the CSR rows.
 
         ``engine`` is ``None`` for the in-process kernel, whose layer
         body is :meth:`_expand_layer`, or a
@@ -786,9 +784,9 @@ class Universe:
                 if session is not None:
                     session.commit_layer(layer_end, self, final=done)
                 # Advance the arena floor (seals + compresses full cold
-                # chunks) and rotate the generation-scoped memos.
+                # chunks) and start the next layer's message-set intern table.
                 arena.retire(layer_end)
-                frontier.rotate()
+                frontier.new_layer()
                 layer_start = layer_end
                 if done or watchdog is None or not watchdog.exceeded():
                     continue
@@ -826,29 +824,31 @@ class Universe:
         layer: int,
     ) -> bool:
         """The kernel's layer body (see :meth:`_explore`): expand BFS
-        layer ``layer`` over *packed window rows*.
+        layer ``layer`` over the frontier's *state rows*.
 
         Configurations go into the arena as packed ``(parent id, event,
         hash)`` columns; the kernel never builds child objects.
-        ``frontier`` supplies the per-parent enabled events, the
-        slow-path transient objects and the cross-layer row comparison.
-        Each window entry is popped the moment its expansion completes,
-        so a consumed frontier prefix stops counting toward peak RSS
+        ``frontier`` supplies each parent's enabled moves, the slow-path
+        transient objects and the cross-layer row comparison.  Each
+        window entry is popped the moment its expansion completes, so a
+        consumed frontier prefix stops counting toward peak RSS
         mid-layer instead of at the next boundary.
 
-        The per-edge work stays inline and makes no Python-level call on
-        the duplicate and first-discovery paths, because this loop is the
-        hot path: the child's content hash is O(1) from the parent's
-        (rolling entry hashes); the child row is the parent's with one
-        cell replaced; dedup reads the candidate's window entry and makes
-        one C tuple compare of the two rows — shared history tuples and
-        interned events make its elements identity hits — and only a
-        candidate outside the window (a cross-layer content-hash
-        collision) or a collision bucket calls out, to
-        :meth:`PackedFrontier.row_matches
+        A move ``(position, state, delta, event, kind, message)`` carries
+        everything the parent's state already fixes (see
+        :mod:`repro.universe.frontier`), so the per-edge work stays
+        inline, hashes no history and makes no Python-level call on the
+        duplicate and first-discovery paths.  A duplicate costs one
+        descriptor unpack, one add and conditional subtract (the child's
+        content hash), one cell replacement (the child row), one
+        ``ids_by_hash`` probe
+        and one C tuple compare of the two rows, whose elements are
+        interned states and so identity hits.  Only a candidate outside
+        the window (a cross-layer content-hash collision) or a collision
+        bucket calls out, to :meth:`PackedFrontier.row_matches
         <repro.universe.frontier.PackedFrontier.row_matches>` and
-        :func:`_resolve_collision`.  A first discovery writes its window
-        entry here, with the same message-set and step-row derivation as
+        :func:`_resolve_collision`.  A first discovery adds its window
+        entry, with the message-set derivation of
         :meth:`PackedFrontier.child
         <repro.universe.frontier.PackedFrontier.child>`, and appends its
         parent id, event and hash to three per-layer columns, which go to
@@ -878,17 +878,8 @@ class Universe:
         enabled_at = frontier.enabled
         row_matches = frontier.row_matches
         window_get = window.get
-        index_of = frontier.index_of
-        seed_of = frontier.seed_of
-        entry_hash_of = frontier.entry_hash_of
-        entry_memo_get = entry_hash_of.get
-        entry_prev_get = frontier.entry_prev_get
         intern = frontier.interned.setdefault
-        table = self._protocol.step_table
-        by_history = table._by_history
-        steps_for = table.steps
         modulus = _HASH_MODULUS
-        multiplier = _ROLL_MULTIPLIER
         succ_append = succ_ids.append
         # The layer's first discoveries, as the arena's three columns.
         parents: list[int] = []
@@ -900,35 +891,14 @@ class Universe:
         bound_hit = False
         for parent_id in range(layer_start, layer_end):
             entry = window.pop(parent_id)
-            row = entry[0]
-            parent_hash = entry[1]
-            for event in enabled_at(entry):
-                process = event.process
-                position = index_of[process]
-                try:
-                    event_hash = event._hash_cache
-                except AttributeError:
-                    event_hash = hash(event)
-                old_history = row[position]
-                if not old_history:
-                    new_history = (event,)
-                    new_entry = (
-                        seed_of[process] * multiplier + event_hash
-                    ) % modulus
-                    child_hash = (parent_hash + new_entry) % modulus
-                else:
-                    key = id(old_history)
-                    old_entry = entry_memo_get(key)
-                    if old_entry is None:
-                        old_entry = entry_prev_get(key)
-                        if old_entry is None:
-                            old_entry = _entry_hash(process, old_history)
-                        entry_hash_of[key] = old_entry
-                    new_history = old_history + (event,)
-                    new_entry = (old_entry * multiplier + event_hash) % modulus
-                    child_hash = (parent_hash - old_entry + new_entry) % modulus
+            row, parent_hash, received, in_flight = entry
+            for position, state, delta, event, kind, message in enabled_at(entry):
+                # Both terms lie in [0, modulus): one subtract is the mod.
+                child_hash = parent_hash + delta
+                if child_hash >= modulus:
+                    child_hash -= modulus
                 cells = list(row)
-                cells[position] = new_history
+                cells[position] = state
                 child_row = tuple(cells)
                 existing = ids_by_hash.get(child_hash)
                 if existing is None:
@@ -958,39 +928,26 @@ class Universe:
                         succ_append(child_id)
                         continue
                 # First discovery: keep its packed columns for the
-                # layer's bulk extend and only the row, message sets and
-                # step row hot — no child object.  The window entry is
-                # PackedFrontier.child inlined (memo write, interned
-                # message sets, one step-table lookup for the new
-                # history).
+                # layer's bulk extend and only the row and message sets
+                # hot — no child object.  The window entry is
+                # PackedFrontier.child inlined.
                 child_id = count
                 if existing is None:
                     ids_by_hash[child_hash] = child_id
                 count += 1
-                entry_hash_of[id(new_history)] = new_entry
-                received = entry[2]
-                in_flight = entry[3]
-                if isinstance(event, SendEvent):
-                    message = event.message
-                    if message not in received:
-                        in_flight = in_flight | {message}
-                        in_flight = intern(in_flight, in_flight)
-                elif isinstance(event, ReceiveEvent):
-                    message = event.message
-                    received = received | {message}
-                    received = intern(received, received)
-                    in_flight = in_flight - {message}
-                    in_flight = intern(in_flight, in_flight)
-                steps = entry[4]
-                if steps is not None:
-                    new_steps = by_history[process].get(new_history)
-                    if new_steps is None:
-                        new_steps = steps_for(process, new_history)
-                    cells = list(steps)
-                    cells[position] = new_steps
-                    steps = tuple(cells)
+                child_received = received
+                child_in_flight = in_flight
+                if kind == 1:
+                    if message.isdisjoint(received):
+                        child_in_flight = in_flight | message
+                        child_in_flight = intern(child_in_flight, child_in_flight)
+                elif kind == 2:
+                    child_received = received | message
+                    child_received = intern(child_received, child_received)
+                    child_in_flight = in_flight - message
+                    child_in_flight = intern(child_in_flight, child_in_flight)
                 window[child_id] = (
-                    child_row, child_hash, received, in_flight, steps
+                    child_row, child_hash, child_received, child_in_flight
                 )
                 parents_append(parent_id)
                 events_append(event)

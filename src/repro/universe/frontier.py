@@ -8,78 +8,133 @@ coordinator's (:mod:`repro.universe.sharded`), whose workers each hold
 their own.  Every one of them keeps the configurations it is about to
 expand in a window of packed entries
 
-    ``id -> (row, content_hash, received, in_flight, steps)``
+    ``id -> (row, content_hash, received, in_flight)``
 
-where ``row`` is a fixed-width tuple of per-process histories in
-``ordered_processes`` order (``()`` for absent processes), the two
-message frozensets are interned per layer, so siblings with equal
-channel contents share one set object, and ``steps`` is the row's
-compiled local steps: one step tuple per process, in the same order
-(``None`` for a custom-enabling protocol, which never reads the step
-table).  A first-discovered child copies its parent's ``steps`` and
-replaces the one slot its event changed, so the step table is asked
-once per *new history*, and enumerating a parent's events hashes no
-history.  The step table interns its events, so rows, histories and
-step tuples hold one object per distinct event and row comparisons are
-tuple compares in C that hit identity on every element.  Identity is
-only ever a shortcut: an equal but non-identical event (unpickled after
-a resume, or sent by a shard worker) still compares equal, and such
-events pass through the step table's intern once per distinct object
-(:meth:`~PackedFrontier.canonicaliser`).  No
-``Configuration`` is built on the hot path:
-:meth:`PackedFrontier.transient` materialises a throwaway one only for
-the slow-path hooks (custom enabling, enabling filters, ``max_events``
-probes).
+The paper's §2 gives a process as its prefix-closed set of local
+histories and a configuration as one history per process, and a row is
+exactly that: a fixed-width tuple, in ``ordered_processes`` order, of
+:class:`State` objects, one per ``(process, history)`` the exploration
+reached.  The frontier interns its states by history value, so two rows
+are equal iff they hold the same state objects, and a row compare is a C
+tuple compare that never leaves identity.  The two message frozensets
+are interned per layer, so siblings with equal channel contents share
+one set object.
+
+A state carries everything its history fixes:
+
+* its *contribution* to the content hash: 0 for the empty history, else
+  the rolling entry hash of :func:`repro.core.configuration._entry_hash`;
+* its *moves*, one descriptor per outgoing local step, compiled from the
+  step table the first time a row holding the state is expanded;
+* a memo of its *transitions* by canonical event, receives included.
+
+A move is ``(position, next_state, delta, event, kind, message)``, where
+``delta = (next.contribution - contribution) mod _HASH_MODULUS``, so the
+child's content hash is the parent's plus ``delta``, reduced by one
+conditional subtract (both terms lie below the modulus).  ``kind`` is 1
+for a send, 2 for a receive and 0 otherwise, and ``message`` is the
+one-element frozenset of the event's message (``None`` for an internal
+event): the child's message sets are set algebra on it (``in_flight |
+message``, ``message.isdisjoint(received)``), which reads the hashes the
+sets already store and calls no ``Message.__hash__``.  Enumerating a
+parent's moves is one C-level concatenation of its states' move tuples
+plus, per in-flight set, a receive plan (the receivers' row positions
+and memo keys) read through C-level ``map`` calls, so no edge hashes a
+history, and the step table is asked once per state.
+
+Every transition memo is keyed by the ``id`` of a *canonical* event, the
+step table's one object for that value (:meth:`CompiledStepTable.intern
+<repro.universe.protocol.CompiledStepTable.intern>`), and the move it
+maps to holds that event, so no key can outlive its object.  Events
+that arrive from elsewhere (the checkpoint vocabulary, a shard worker's
+batch, a custom ``enabled_events`` override, an enabling filter's
+output) are mapped to the canonical object first.  Identity is only
+ever a shortcut: a state's successor is looked up by history value in
+the frontier's per-process table before a new state is made.
+
+Only the unfiltered, non-custom enumeration compiles a state's moves
+in full; the enabling filter and custom enabling resolve the surviving
+events' transitions one at a time, so every state the frontier makes
+is a history of some configuration it discovers, in order of first
+discovery (``tests/test_universe_states.py`` holds the states equal to
+``Universe.class_histories``).
 
 The frontier is the one place that knows this format: the per-protocol
-constants, the enabled-event enumeration (:attr:`PackedFrontier.enabled`),
-the rolling child-hash step (:meth:`~PackedFrontier.step`), the child's
-entry (:meth:`~PackedFrontier.child`), the collision-aware row
-comparison (:meth:`~PackedFrontier.row_matches`),
-the checkpoint replay's object-free child hashes (:func:`stream_hashes`),
-the resume rebuild (:meth:`~PackedFrontier.load`), replay of a merged
-discovery stream (:meth:`~PackedFrontier.apply`) and shard expansion
-(:meth:`~PackedFrontier.expand`).  The driver rotates the memo at every
-layer boundary.  The kernel's layer body inlines the per-edge work that
-these methods also do — the rolling hash step, the child row, the
-window-entry dedup compare and the child's window entry — because that
-loop is the hot path and makes no Python-level call per edge; it calls
+constants, the enabled-move enumeration (:attr:`PackedFrontier.enabled`),
+the edge step (:meth:`~PackedFrontier.step`), the child's entry
+(:meth:`~PackedFrontier.child`), the collision-aware row comparison
+(:meth:`~PackedFrontier.row_matches`), the checkpoint replay's
+object-free child hashes (:func:`stream_hashes`), the resume rebuild
+(:meth:`~PackedFrontier.load`), replay of a merged discovery stream
+(:meth:`~PackedFrontier.apply`) and shard expansion
+(:meth:`~PackedFrontier.expand`).  The kernel's layer body inlines the
+per-edge work of :meth:`~PackedFrontier.step` and
+:meth:`~PackedFrontier.child`, because that loop is the hot path and
+makes no Python-level call per edge; it calls
 :meth:`~PackedFrontier.row_matches` only for a candidate outside the
 window (a cross-layer content-hash collision), and hands each layer's
 first discoveries to the arena in one bulk
 :meth:`~repro.universe.arena.ArenaStore.extend_children`.  Every child
-row or step row is a one-cell replacement, ``cells = list(row);
-cells[position] = new; tuple(cells)``: one list and one tuple per row.
+row is a one-cell replacement, ``cells = list(row); cells[position] =
+state; tuple(cells)``: one list and one tuple per row.
 
-Rolling entry hashes are memoised by history-tuple *identity*, and the
-memo rotates generations at BFS layer boundaries (:meth:`rotate`).
-Evicting window entries cannot alias that memo: every history tuple a
-lookup can name is held by a live window row, every tuple a row gains
-after a :meth:`load` is a freshly discovered child's ``new_history``
-whose memo entry is overwritten at creation (by :meth:`child`, or the
-kernel's inlined copy of it), and :meth:`load` only runs on a fresh
-frontier, whose memo is empty.
+States live for one exploration and are never pickled: each shard
+worker interns its own, and what crosses a process boundary is events
+and content hashes.  No ``Configuration`` is built on the hot path:
+:meth:`PackedFrontier.transient` materialises a throwaway one only for
+the slow-path hooks (custom enabling, enabling filters, ``max_events``
+probes).
 """
 
 from __future__ import annotations
 
 from array import array
 from itertools import chain
+from operator import attrgetter
 
 from repro.core.configuration import (
     _HASH_MODULUS,
     _ROLL_MULTIPLIER,
-    _entry_hash,
     EMPTY_CONFIGURATION,
     Configuration,
 )
+from repro.core.errors import ProtocolError
 from repro.core.events import ReceiveEvent, SendEvent
+from repro.universe.protocol import _RECEIVE_SET_CACHE_MAX_ENTRIES
+
+
+class State:
+    """One process's local history within one exploration (see the
+    module docstring).  ``steps`` (the step table's local steps) and
+    ``moves`` are ``None`` until first read, and ``transitions`` maps
+    ``id(canonical event)`` to its move."""
+
+    __slots__ = (
+        "history",
+        "position",
+        "contribution",
+        "steps",
+        "moves",
+        "transitions",
+    )
+
+    def __init__(self, history: tuple, position: int, contribution: int) -> None:
+        self.history = history
+        self.position = position
+        self.contribution = contribution
+        self.steps: tuple | None = None
+        self.moves: tuple | None = None
+        self.transitions: dict[int, tuple] = {}
 
 
 def _transient(ordered, entry: tuple) -> Configuration:
     """A throwaway ``Configuration`` of one window entry."""
-    row, content_hash, received, in_flight, _ = entry
-    items = {process: history for process, history in zip(ordered, row) if history}
+    row, content_hash, received, in_flight = entry
+    items = {
+        process: state.history
+        for process, state in zip(ordered, row)
+        if state.history
+    }
     configuration = Configuration._from_trusted(items, content_hash, None)
     cache = configuration.__dict__
     cache["received_messages"] = received
@@ -94,9 +149,9 @@ def stream_hashes(ordered, parents, events, vocabulary) -> array:
     (id ``k + 1``) is ``vocabulary[events[k]]`` on ``parents[k]``.  Each
     live configuration is one row holding the rolling entry hash of each
     process in ``ordered`` (``None`` before its first event), and the
-    content hashes are kept by id, so a child costs
-    :meth:`PackedFrontier.step`'s multiply-add and no history tuple or
-    ``Configuration``.  Parent ids are non-decreasing and every edge adds
+    content hashes are kept by id, so a child costs one rolling
+    multiply-add (the one :meth:`PackedFrontier.transition` makes once
+    per state) and no history tuple or ``Configuration``.  Parent ids are non-decreasing and every edge adds
     one event, so only two BFS layers of rows are live: the parents' and
     the one they build.
     """
@@ -150,18 +205,20 @@ def stream_hashes(ordered, parents, events, vocabulary) -> array:
 
 
 class PackedFrontier:
-    """A window of packed frontier entries plus everything that reads or
-    grows it (see the module docstring).
+    """A window of packed frontier entries, the states its rows hold, and
+    everything that reads or grows them (see the module docstring).
 
     ``arena`` (optional) is the engine's
     :class:`~repro.universe.arena.ArenaStore`; :meth:`row_matches`
     chain-walks it for candidates outside the window.  Shard workers
     pass none: their dedup is batch-local.
 
-    ``window`` starts as the root entry at id 0 and is never rebound, so
-    engines may hold it.  ``floor`` and ``count`` bound the ids
-    :meth:`apply` and :meth:`expand` have seen: entries below ``floor``
-    are dead and ``count`` is the next id :meth:`apply` assigns.
+    ``states[position]`` maps each history of that row position's
+    process to its one :class:`State`, in order of creation.  ``window``
+    starts as the root entry at id 0 and is never rebound, so engines
+    may hold it.  ``floor`` and ``count`` bound the ids :meth:`apply`
+    and :meth:`expand` have seen: entries below ``floor`` are dead and
+    ``count`` is the next id :meth:`apply` assigns.
     """
 
     __slots__ = (
@@ -170,13 +227,10 @@ class PackedFrontier:
         "arena",
         "ordered",
         "index_of",
-        "seed_of",
-        "initial_steps",
+        "states",
         "window",
         "floor",
         "count",
-        "entry_hash_of",
-        "entry_prev_get",
         "interned",
         "enabled",
     )
@@ -187,73 +241,207 @@ class PackedFrontier:
         self.arena = arena
         ordered = self.ordered = protocol.ordered_processes
         self.index_of = {process: i for i, process in enumerate(ordered)}
-        self.seed_of = {
-            process: hash(process) % _HASH_MODULUS for process in ordered
-        }
-        # A custom-enabling protocol enumerates through its own override
-        # and compiles no step-table entry.
-        if protocol.has_custom_enabling:
-            self.initial_steps = None
-        else:
-            steps_for = protocol.step_table.steps
-            self.initial_steps = tuple(
-                steps_for(process, ()) for process in ordered
-            )
+        self.states: list[dict[tuple, State]] = [
+            {(): State((), position, 0)} for position in range(len(ordered))
+        ]
         empty: frozenset = frozenset()
         self.window: dict[int, tuple] = {
             0: (
-                ((),) * len(ordered),
+                tuple(table[()] for table in self.states),
                 hash(EMPTY_CONFIGURATION),
                 empty,
                 empty,
-                self.initial_steps,
             )
         }
         self.floor = 0
         self.count = 1
-        self.entry_hash_of: dict[int, int] = {}
-        self.entry_prev_get = {}.get
         self.interned: dict[frozenset, frozenset] = {}
         self.enabled = self._enumeration()
 
+    # -- states --------------------------------------------------------------
+    def transition(self, state: State, event) -> tuple:
+        """The move of ``state`` by ``event``, which must be canonical
+        (:meth:`CompiledStepTable.intern
+        <repro.universe.protocol.CompiledStepTable.intern>`), from the
+        state's memo or made and memoised here.  The successor is the
+        frontier's one state for the extended history; its contribution
+        is the rolling entry hash, and ``_HASH_MODULUS`` is read now, so
+        a patched modulus reaches every delta of the exploration."""
+        move = state.transitions.get(id(event))
+        if move is None:
+            modulus = _HASH_MODULUS
+            history = state.history + (event,)
+            table = self.states[state.position]
+            successor = table.get(history)
+            if successor is None:
+                base = (
+                    state.contribution
+                    if state.history
+                    else hash(event.process) % modulus
+                )
+                successor = table[history] = State(
+                    history,
+                    state.position,
+                    (base * _ROLL_MULTIPLIER + hash(event)) % modulus,
+                )
+            if isinstance(event, SendEvent):
+                kind, message = 1, frozenset((event.message,))
+            elif isinstance(event, ReceiveEvent):
+                kind, message = 2, frozenset((event.message,))
+            else:
+                kind, message = 0, None
+            move = state.transitions[id(event)] = (
+                state.position,
+                successor,
+                (successor.contribution - state.contribution) % modulus,
+                event,
+                kind,
+                message,
+            )
+        return move
+
+    def _local_steps(self, state: State) -> tuple:
+        """``state``'s local step events, asked of the step table once."""
+        steps = state.steps
+        if steps is None:
+            steps = state.steps = self.protocol.step_table.steps(
+                self.ordered[state.position], state.history
+            )
+        return steps
+
+    def _compile(self, state: State) -> None:
+        """Compile ``state``'s local moves, in the step table's order."""
+        transition = self.transition
+        state.moves = tuple(
+            [transition(state, event) for event in self._local_steps(state)]
+        )
+
     def _enumeration(self):
-        """Build :attr:`enabled`, ``entry -> list of enabled events``.
+        """Build :attr:`enabled`, ``entry -> list of enabled moves``.
 
         A closure over the protocol's tables, so the per-parent call
         reads cells instead of attributes.  Order: each process's local
-        steps (the entry's step row) in ``ordered_processes`` order, then
-        the receives; the protocol's enabling filter applies last, and a
-        custom ``enabled_events`` override is authoritative.
+        moves in ``ordered_processes`` order, then the receives in
+        ``receive_events_for`` order (or the selective order); the
+        protocol's enabling filter applies last, and a custom
+        ``enabled_events`` override is authoritative.  Only the
+        unfiltered enumeration compiles whole move tuples; the other two
+        resolve each enabled event's transition on its own.
         """
         protocol = self.protocol
         ordered = self.ordered
+        index_of = self.index_of
+        transition = self.transition
+        if protocol.has_custom_enabling:
+            intern = protocol.step_table.intern
+            custom_enabled = protocol.enabled_events
+
+            def custom(entry: tuple) -> list:
+                row = entry[0]
+                return [
+                    transition(row[index_of[event.process]], intern(event))
+                    for event in custom_enabled(_transient(ordered, entry))
+                ]
+
+            return custom
         selective = protocol.is_selective
-        custom_enabling = protocol.has_custom_enabling
-        enabling_filter = (
-            protocol.filter_enabled_events if protocol.has_enabling_filter else None
-        )
         receive_sets = protocol.receive_events_for
         selective_receives = protocol.selective_receive_events
+
+        def receives(entry: tuple):
+            """The entry's canonical receive events, in enumeration order."""
+            in_flight = entry[3]
+            if not in_flight:
+                return ()
+            if not selective:
+                return receive_sets(in_flight)
+            history_of = {
+                process: state.history for process, state in zip(ordered, entry[0])
+            }.get
+            return selective_receives(history_of, in_flight)
+
+        if protocol.has_enabling_filter:
+            enabling_filter = protocol.filter_enabled_events
+            local_steps = self._local_steps
+
+            def filtered(entry: tuple) -> list:
+                row = entry[0]
+                events = list(chain.from_iterable(map(local_steps, row)))
+                events += receives(entry)
+                moves = []
+                cursor = 0
+                # The filter keeps an order-preserving subsequence, so one
+                # pass finds each kept event's canonical original.
+                try:
+                    for event in enabling_filter(_transient(ordered, entry), events):
+                        while not (
+                            events[cursor] is event or events[cursor] == event
+                        ):
+                            cursor += 1
+                        event = events[cursor]
+                        cursor += 1
+                        moves.append(transition(row[index_of[event.process]], event))
+                except IndexError:
+                    raise ProtocolError(
+                        "filter_enabled_events must return an order-preserving "
+                        "subsequence of the events it is given"
+                    ) from None
+                return moves
+
+            return filtered
         concatenated = chain.from_iterable
+        moves_of = attrgetter("moves")
+        compile_moves = self._compile
+
+        def all_moves(entry: tuple) -> list:
+            """Compile the row's uncompiled states, then enumerate."""
+            row = entry[0]
+            for state in row:
+                if state.moves is None:
+                    compile_moves(state)
+            moves = list(concatenated(map(moves_of, row)))
+            moves += [
+                transition(row[index_of[event.process]], event)
+                for event in receives(entry)
+            ]
+            return moves
+
+        if selective:
+            return all_moves
+        # Per in-flight set: the receivers' row positions, the memo keys
+        # and the canonical receive events, which keep the keys' objects
+        # alive.
+        plans: dict[frozenset, tuple] = {}
+        transitions_of = attrgetter("transitions")
+        memoised = dict.__getitem__
+
+        def planned(entry: tuple) -> list:
+            """:func:`enabled` when a state has not compiled its moves, an
+            in-flight set has no plan, or a receive is not memoised yet."""
+            in_flight = entry[3]
+            if in_flight and len(plans) < _RECEIVE_SET_CACHE_MAX_ENTRIES:
+                events = receive_sets(in_flight)
+                plans[in_flight] = (
+                    tuple([index_of[event.process] for event in events]),
+                    tuple(map(id, events)),
+                    events,
+                )
+            return all_moves(entry)
 
         def enabled(entry: tuple) -> list:
-            if custom_enabling:
-                return list(protocol.enabled_events(_transient(ordered, entry)))
-            events = list(concatenated(entry[4]))
-            in_flight = entry[3]
-            if in_flight:
-                if not selective:
-                    events += receive_sets(in_flight)
-                else:
-                    items = {
-                        process: history
-                        for process, history in zip(ordered, entry[0])
-                        if history
-                    }
-                    events += selective_receives(items.get, in_flight)
-            if enabling_filter is not None:
-                events = enabling_filter(_transient(ordered, entry), events)
-            return events
+            row, _, _, in_flight = entry
+            try:
+                moves = list(concatenated(map(moves_of, row)))
+                if in_flight:
+                    positions, keys, _ = plans[in_flight]
+                    moves += map(
+                        memoised,
+                        map(transitions_of, map(row.__getitem__, positions)),
+                        keys,
+                    )
+                return moves
+            except (TypeError, KeyError):
+                return planned(entry)
 
         return enabled
 
@@ -262,12 +450,9 @@ class PackedFrontier:
         return _transient(self.ordered, entry)
 
     # -- window maintenance ----------------------------------------------
-    def rotate(self) -> None:
-        """Start a new memo generation (at a BFS layer boundary): the
-        previous generation stays readable for one more layer, and the
-        frozenset intern table starts empty."""
-        self.entry_prev_get = self.entry_hash_of.get
-        self.entry_hash_of = {}
+    def new_layer(self) -> None:
+        """Start a BFS layer: the frozenset intern table starts empty, so
+        it holds only the current layers' message sets."""
         self.interned = {}
 
     def canonicaliser(self):
@@ -276,18 +461,18 @@ class PackedFrontier:
         merged stream, a checkpoint's vocabulary).  Each distinct object
         goes through :meth:`CompiledStepTable.intern
         <repro.universe.protocol.CompiledStepTable.intern>` once, so the
-        rows, step-table lookups and arena vocabulary built from it hit
-        identity.  The memo is keyed by object id: the caller keeps the
-        events alive while it uses the map."""
-        memo: dict[int, object] = {}
+        rows, transitions and arena vocabulary built from it hit
+        identity.  The memo is keyed by object id and keeps each object
+        it has seen alive, so no key can be reused while it lives."""
+        memo: dict[int, tuple] = {}
         memo_get = memo.get
         intern = self.protocol.step_table.intern
 
         def canonical(event):
             found = memo_get(id(event))
             if found is None:
-                found = memo[id(event)] = intern(event)
-            return found
+                found = memo[id(event)] = (event, intern(event))
+            return found[1]
 
         return canonical
 
@@ -297,13 +482,12 @@ class PackedFrontier:
 
         The arena's vocabulary is first swapped for this interpreter's
         canonical events.  Then one pass over the parent and event
-        columns grows each id's row and message sets from its parent's,
-        the way :meth:`child` does, keeping two BFS layers live (parent
-        ids are non-decreasing, as in :func:`stream_hashes`); each
-        window entry takes its content hash from the hash column.
-        ``start`` is at least 1: a checkpoint commits no layer before
-        the root's.  Call on a fresh frontier: its memo is empty, so it
-        holds nothing the loaded tuples could alias."""
+        columns grows each id's row of states and message sets from its
+        parent's through :meth:`transition`, the way :meth:`child` does,
+        keeping two BFS layers live (parent ids are non-decreasing, as
+        in :func:`stream_hashes`); each window entry takes its content
+        hash from the hash column.  ``start`` is at least 1: a
+        checkpoint commits no layer before the root's."""
         arena.intern_events(self.canonicaliser())
         window = self.window
         window.clear()
@@ -311,24 +495,13 @@ class PackedFrontier:
         self.count = end
         if start == end:
             return  # a complete run: nothing is left to expand
-        ordered = self.ordered
+        index_of = self.index_of
+        transition = self.transition
         intern = self.interned.setdefault
-        steps_for = None if self.initial_steps is None else (
-            self.protocol.step_table.steps
-        )
-        # Per event index: (event, row position, kind, message), kind 1
-        # for a send, 2 for a receive, 0 otherwise.
-        effects = []
-        for event in arena.vocabulary:
-            if isinstance(event, SendEvent):
-                kind, message = 1, event.message
-            elif isinstance(event, ReceiveEvent):
-                kind, message = 2, event.message
-            else:
-                kind, message = 0, None
-            effects.append((event, self.index_of[event.process], kind, message))
+        # Per event index: (row position, event).
+        effects = [(index_of[event.process], event) for event in arena.vocabulary]
         empty: frozenset = frozenset()
-        live = {0: (((),) * len(ordered), empty, empty)}
+        live = {0: (tuple(table[()] for table in self.states), empty, empty)}
         floor = 0
         content_hash = arena.content_hash
         for first, parents, events in arena.parent_event_columns():
@@ -343,16 +516,19 @@ class PackedFrontier:
                     live.pop(floor, None)
                     floor += 1
                 row, received, in_flight = live[parent_id]
-                event, position, kind, message = effects[event_index]
+                position, event = effects[event_index]
+                position, successor, _, _, kind, message = transition(
+                    row[position], event
+                )
                 cells = list(row)
-                cells[position] = row[position] + (event,)
+                cells[position] = successor
                 row = tuple(cells)
                 if kind == 1:
-                    if message not in received:
-                        in_flight = in_flight | {message}
+                    if message.isdisjoint(received):
+                        in_flight = in_flight | message
                 elif kind == 2:
-                    received = received | {message}
-                    in_flight = in_flight - {message}
+                    received = received | message
+                    in_flight = in_flight - message
                 live[index] = (row, received, in_flight)
                 if index >= start:
                     window[index] = (
@@ -360,99 +536,62 @@ class PackedFrontier:
                         content_hash(index),
                         intern(received, received),
                         intern(in_flight, in_flight),
-                        None if steps_for is None
-                        else tuple(map(steps_for, ordered, row)),
                     )
 
     # -- one edge ----------------------------------------------------------
     def step(self, row: tuple, parent_hash: int, event):
-        """The edge ``row --event-->`` as ``(position, child_row,
-        new_entry, child_hash)``: the child's content hash is O(1) from
-        the parent's through the rolling entry hashes, and ``child_row``
-        is ``row`` with ``row[position]`` extended by ``event``."""
-        process = event.process
-        position = self.index_of[process]
-        try:
-            event_hash = event._hash_cache
-        except AttributeError:
-            event_hash = hash(event)
-        old_history = row[position]
-        if not old_history:
-            new_entry = (
-                self.seed_of[process] * _ROLL_MULTIPLIER + event_hash
-            ) % _HASH_MODULUS
-            child_hash = (parent_hash + new_entry) % _HASH_MODULUS
-            new_history = (event,)
-        else:
-            key = id(old_history)
-            memo = self.entry_hash_of
-            old_entry = memo.get(key)
-            if old_entry is None:
-                old_entry = self.entry_prev_get(key)
-                if old_entry is None:
-                    old_entry = _entry_hash(process, old_history)
-                memo[key] = old_entry
-            new_entry = (old_entry * _ROLL_MULTIPLIER + event_hash) % _HASH_MODULUS
-            child_hash = (parent_hash - old_entry + new_entry) % _HASH_MODULUS
-            new_history = old_history + (event,)
+        """The edge ``row --event-->`` for a canonical ``event``, as
+        ``(move, child_row, child_hash)``: the child's content hash is
+        the parent's plus the move's delta, and ``child_row`` is ``row``
+        with the event's process moved to the successor state."""
+        state = row[self.index_of[event.process]]
+        move = state.transitions.get(id(event))
+        if move is None:
+            move = self.transition(state, event)
         cells = list(row)
-        cells[position] = new_history
-        return position, tuple(cells), new_entry, child_hash
+        cells[move[0]] = move[1]
+        return move, tuple(cells), (parent_hash + move[2]) % _HASH_MODULUS
 
     def child(
-        self,
-        entry: tuple,
-        event,
-        position: int,
-        child_row: tuple,
-        new_entry: int,
-        child_hash: int,
+        self, entry: tuple, move: tuple, child_row: tuple, child_hash: int
     ) -> tuple:
-        """The window entry of a first-discovered child of ``entry``.
-
-        Records the new history's entry hash (the write that keeps the
-        identity-keyed memo alias-free), derives the child's message
-        sets from the parent's interned ones — exactly the lazy
-        ``Configuration`` definitions, including the degenerate re-send
-        of an already-received message — and replaces the one slot of
-        the parent's step row that ``event`` changed.
-        """
-        new_history = child_row[position]
-        self.entry_hash_of[id(new_history)] = new_entry
-        _, _, received, in_flight, steps = entry
-        if isinstance(event, SendEvent):
-            message = event.message
-            if message not in received:
-                in_flight = in_flight | {message}
+        """The window entry of a first-discovered child of ``entry`` by
+        ``move``: its message sets derive from the parent's interned
+        ones, exactly the lazy ``Configuration`` definitions, including
+        the degenerate re-send of an already-received message."""
+        _, _, received, in_flight = entry
+        kind = move[4]
+        if kind == 1:
+            message = move[5]
+            if message.isdisjoint(received):
+                in_flight = in_flight | message
                 in_flight = self.interned.setdefault(in_flight, in_flight)
-        elif isinstance(event, ReceiveEvent):
-            message = event.message
+        elif kind == 2:
+            message = move[5]
             intern = self.interned.setdefault
-            received = received | {message}
+            received = received | message
             received = intern(received, received)
-            in_flight = in_flight - {message}
+            in_flight = in_flight - message
             in_flight = intern(in_flight, in_flight)
-        if steps is not None:
-            cells = list(steps)
-            cells[position] = self.protocol.step_table.steps(
-                event.process, new_history
-            )
-            steps = tuple(cells)
-        return child_row, child_hash, received, in_flight, steps
+        return child_row, child_hash, received, in_flight
 
     def row_matches(self, candidate_id: int, child_row: tuple) -> bool:
         """Whether configuration ``candidate_id`` has the row ``child_row``.
 
-        Same-depth duplicates always live in the window; a candidate
-        outside it is a rare cross-layer content-hash collision, read by
-        chain-walking the arena's packed columns.  Either way it is one
-        tuple compare in C, whose elements are mostly identity hits.
+        Same-depth duplicates always live in the window, where rows are
+        equal iff they hold the same states: one tuple compare in C.  A
+        candidate outside it is a rare cross-layer content-hash
+        collision, read by chain-walking the arena's packed columns and
+        compared by history.
         """
         entry = self.window.get(candidate_id)
         if entry is not None:
             return entry[0] == child_row
         history_of = self.arena[candidate_id]._histories.get
-        return tuple(history_of(process, ()) for process in self.ordered) == child_row
+        return all(
+            history_of(process, ()) == state.history
+            for process, state in zip(self.ordered, child_row)
+        )
 
     # -- engines' bulk operations -------------------------------------------
     def apply(self, records, progress=None, progress_every: int = 0) -> None:
@@ -462,9 +601,9 @@ class PackedFrontier:
         Parent ids are non-decreasing in any discovery stream, so entries
         strictly below the current parent are dropped as the replay
         advances — the window floor — and a full-stream replay after a
-        respawn still peaks at one layer of rows.  Rotates the memo
-        generation first, and again wherever the stream crosses a BFS
-        layer (a parent this call itself created).
+        respawn still peaks at one layer of rows.  Starts a new layer of
+        message-set interning first, and again wherever the stream
+        crosses a BFS layer (a parent this call itself created).
         """
         window = self.window
         step = self.step
@@ -473,19 +612,18 @@ class PackedFrontier:
         count = self.count
         since_progress = 0
         canonical = self.canonicaliser()
-        self.rotate()
+        self.new_layer()
         boundary = count
         for parent_id, event in records:
-            event = canonical(event)
             if parent_id >= boundary:
                 boundary = count
-                self.rotate()
+                self.new_layer()
             while floor < parent_id:
                 window.pop(floor, None)
                 floor += 1
             entry = window[parent_id]
             window[count] = child(
-                entry, event, *step(entry[0], entry[1], event)
+                entry, *step(entry[0], entry[1], canonical(event))
             )
             count += 1
             if progress is not None:
@@ -532,13 +670,14 @@ class PackedFrontier:
         max_events = self.max_events
         compiled_enabled = self.protocol.compiled_enabled_events
         enabled = self.enabled
-        step = self.step
+        modulus = _HASH_MODULUS
         # Every BFS edge appends one event, so the layer depth is any
         # frontier member's total event count.
         capped = (
             max_events is not None
             and layer_start < layer_end
-            and sum(map(len, window[layer_start][0])) >= max_events
+            and sum(len(state.history) for state in window[layer_start][0])
+            >= max_events
         )
         records = []
         incomplete = False
@@ -562,8 +701,11 @@ class PackedFrontier:
                 records.append((parent_id, None))
                 continue
             edges: list = []
-            for event in enabled(entry):
-                _, child_row, _, child_hash = step(row, parent_hash, event)
+            for position, successor, delta, event, _, _ in enabled(entry):
+                child_hash = (parent_hash + delta) % modulus
+                cells = list(row)
+                cells[position] = successor
+                child_row = tuple(cells)
                 bucket = layer_candidates.get(child_hash)
                 if bucket is None:
                     bucket = layer_candidates[child_hash] = []
@@ -582,5 +724,4 @@ class PackedFrontier:
             records.append((parent_id, edges))
         return records, incomplete
 
-
-__all__ = ["PackedFrontier"]
+__all__ = ["PackedFrontier", "State"]

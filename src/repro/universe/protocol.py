@@ -422,7 +422,7 @@ class Protocol(abc.ABC):
         ordered = self._ordered_processes
         step_cache = self._local_step_cache
         history_of = configuration.histories.get
-        entry_hash_of = configuration._entry_hash_map().get
+        rolling_hash_of = configuration._entry_hash_map().get
         for process in ordered:
             history = history_of(process, ())
             # local_steps is a pure function of (process, history) — the
@@ -430,7 +430,7 @@ class Protocol(abc.ABC):
             # results are memoised: exploration asks about the same local
             # history once per interleaving otherwise.
             per_process = step_cache[process]
-            key = entry_hash_of(process)  # None for the empty history
+            key = rolling_hash_of(process)  # None for the empty history
             cached = per_process.get(key)
             if cached is not None and (
                 cached[0] is history or cached[0] == history

@@ -40,14 +40,15 @@ layers.  That invariant is what makes the frontier partitionable:
 **One packed frontier.**  The kernel, every worker and the coordinator
 hold their frontier in the same
 :class:`~repro.universe.frontier.PackedFrontier`: a window of packed
-history rows (fixed-width tuples in ``ordered_processes`` order) plus
-per-layer-interned received/in-flight message frozensets and each row's
-compiled step row, with no ``Configuration`` objects and, on the
-workers, no id table.  Events arrive unpickled (a worker's batch at the
-coordinator, the merged stream at a worker), so each distinct object is
-swapped for the receiving interpreter's canonical one once
+state rows (fixed-width tuples of interned per-process states in
+``ordered_processes`` order) plus per-layer-interned received/in-flight
+message frozensets, with no ``Configuration`` objects and, on the
+workers, no id table.  States never cross a process boundary: each
+interpreter interns its own.  Events arrive unpickled (a worker's batch
+at the coordinator, the merged stream at a worker), so each distinct
+object is swapped for the receiving interpreter's canonical one once
 (:meth:`~repro.universe.frontier.PackedFrontier.canonicaliser`), and
-the rows, step-table lookups and arena vocabulary built from them hit
+the transitions, rows and arena vocabulary built from them hit
 identity as the kernel's do.  Shard
 expansion only ever reads the *current* layer — batch dedup is
 layer-local by the uniform-event-count argument above, and cross-layer
@@ -930,10 +931,7 @@ class ShardedExplorer:
                     edges += 1
                     continue
                 event, child_hash = edge
-                event = canonical(event)
-                position, child_row, new_entry, _ = step(
-                    row, parent_hash, event
-                )
+                move, child_row, _ = step(row, parent_hash, canonical(event))
                 existing = ids_by_hash.get(child_hash)
                 if existing is None:
                     if count >= limit:
@@ -962,11 +960,9 @@ class ShardedExplorer:
                 if existing is None:
                     ids_by_hash[child_hash] = child_id
                 count += 1
-                window[child_id] = child_entry(
-                    entry, event, position, child_row, new_entry, child_hash
-                )
+                window[child_id] = child_entry(entry, move, child_row, child_hash)
                 parents.append(parent_id)
-                events.append(event)
+                events.append(move[3])
                 hashes.append(child_hash)
                 resolved.append(child_id)
                 succ_ids.append(child_id)

@@ -204,7 +204,10 @@ class TestReferenceIdentity:
         (complete and truncated)."""
         patched = force_hash_collisions(monkeypatch)
         assert "repro.core.configuration" in patched
+        # The frontier computes every move's delta, and the kernel adds
+        # it to the parent's hash; both read the modulus at exploration.
         assert "repro.universe.frontier" in patched
+        assert "repro.universe.explorer" in patched
         reference = reference_bfs(star5())
         buckets = [b for b in reference.ids_by_hash.values() if type(b) is list]
         assert len(buckets) > 50
