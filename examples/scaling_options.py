@@ -11,8 +11,8 @@ example drives each group:
    truncated run to completion from disk;
 3. ``Sharding`` — explore with two forked worker shards and read back
    their peak memory from the farewell frames;
-4. ``ResourceBudget`` — the arena (the one configuration store) with a
-   spill directory for its cold tier.
+4. ``ResourceBudget`` — an RSS budget the exploration cannot meet, so
+   it truncates at a layer boundary instead of running out of memory.
 
 Run:  python examples/scaling_options.py
 """
@@ -89,16 +89,21 @@ def main() -> None:
     print(f"Sharded x2 matches single-process; worker peaks: {peaks}")
 
     # ------------------------------------------------------------------
-    # 4. ResourceBudget: spill the arena's sealed cold chunks to disk.
+    # 4. ResourceBudget: a 1 MiB RSS budget truncates the exploration.
     # ------------------------------------------------------------------
-    with tempfile.TemporaryDirectory() as tmpdir:
-        spilled = Universe(
-            star(5),
-            options=ExplorationOptions(budget=ResourceBudget(spill_dir=tmpdir)),
+    budgeted = Universe(
+        star(5), options=ExplorationOptions(budget=ResourceBudget(rss_budget_mb=1))
+    )
+    if budgeted.rss_watchdog_active:
+        assert not budgeted.is_complete
+        [event] = budgeted.recovery_log
+        print(
+            f"RSS budget of 1 MiB: truncated at layer {event.layer} with "
+            f"{len(budgeted)} configurations "
+            f"({event.kind} -> {event.rung})"
         )
-        assert len(spilled) == len(single)
-        print(f"Arena with a spill directory rebuilt the same {len(spilled)} "
-              "configurations")
+    else:
+        print("RSS cannot be measured on this host; the budget is inactive")
 
 
 if __name__ == "__main__":

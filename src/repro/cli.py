@@ -121,8 +121,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     print(
         f"arena: {stats['sealed_chunks']} sealed chunks "
         f"({stats['raw_bytes']} raw -> {stats['compressed_bytes']} "
-        f"compressed bytes), {stats['spilled_chunks']} spilled "
-        f"({stats['spilled_bytes']} bytes on disk)"
+        "compressed bytes)"
     )
     session = universe._checkpoint_session
     if session is not None:
@@ -383,7 +382,7 @@ def make_parser() -> argparse.ArgumentParser:
         "need a shard (kill:0@3, drop_batch:1@2, delay_batch:1@2~0.5, "
         "corrupt_batch:0@1), checkpoint kinds take none (torn_save@5, "
         "corrupt_segment@2, stall_write@3~1.0), storage kinds take "
-        "none and hit the next checkpoint/spill filesystem call after "
+        "none and hit the next checkpoint filesystem call after "
         "their layer (enospc@2, eio_write@1, eio_read@0, fsync_fail@3, "
         "slow_io@2~0.2, fd_exhaust@1)",
     )
@@ -417,7 +416,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     budget = explore.add_argument_group(
         "resource budget (ResourceBudget)",
-        "memory ceilings and the arena's disk spill",
+        "the resident-memory ceiling",
     )
     budget.add_argument(
         "--rss-budget",
@@ -427,14 +426,6 @@ def make_parser() -> argparse.ArgumentParser:
         help="resident-memory budget in MiB (all exploration processes); "
         "crossing it truncates the universe at the next layer boundary "
         "instead of risking an OOM kill",
-    )
-    budget.add_argument(
-        "--spill-dir",
-        metavar="PATH",
-        default=None,
-        help="directory for the arena's on-disk cold tier: sealed layers "
-        "stream to an mmap-backed spill file, and the --rss-budget "
-        "watchdog spills before it truncates",
     )
     explore.set_defaults(handler=cmd_explore)
 

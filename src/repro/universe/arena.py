@@ -24,9 +24,8 @@ a read-only list-like sequence interface:
   and only read targets enter the bounded LRU — property sweeps and spot
   lookups never pay for objects they don't touch;
 * sealed **cold chunks** (whole column slices below the retired floor)
-  compress with zlib at batch level and, when a ``spill_dir`` is given,
-  stream to an mmap-backed on-disk arena so resident memory stays
-  O(frontier), not O(universe).
+  compress with zlib at batch level and stay in RAM as ``bytes`` blobs;
+  the arena never touches the filesystem.
 
 :func:`compress_batch`/:func:`decompress_batch` are the batch codec the
 cold tier shares with the sharded engine's per-layer successor exchange
@@ -37,9 +36,7 @@ uses, and a resume refills the columns in bulk (:meth:`ArenaStore.replay`).
 
 from __future__ import annotations
 
-import os
 import pickle
-import warnings
 import zlib
 from array import array
 from collections import OrderedDict
@@ -52,9 +49,7 @@ from repro.core.configuration import (
     _with_event,
 )
 from repro.core.events import Event
-from repro.universe.fileops import DEFAULT_FILEOPS
 from repro.universe.frontier import stream_hashes
-from repro.universe.retry import classify_storage_error, retry_io
 
 
 def compress_batch(payload: object) -> bytes:
@@ -62,7 +57,7 @@ def compress_batch(payload: object) -> bytes:
 
     One codec for every bulk transfer in the system: checkpoint segment
     payloads, the sharded engine's layer exchange and full-stream respawn
-    blobs, and the arena's spilled metadata.  Level 1 because every call
+    blobs, and the arena's sealed chunks.  Level 1 because every call
     site is latency-sensitive and the pickled streams are highly
     repetitive (ratios of 3-6x at negligible CPU).
     """
@@ -79,7 +74,6 @@ _CHUNK_SIZE = 1 << _CHUNK_BITS
 _CHUNK_MASK = _CHUNK_SIZE - 1
 _PARENT_BYTES = 8 * _CHUNK_SIZE
 _EVENT_BYTES = 4 * _CHUNK_SIZE
-_RAW_CHUNK_BYTES = _PARENT_BYTES + _EVENT_BYTES + 8 * _CHUNK_SIZE
 
 
 def _event_indices(events, vocabulary: list, event_index: dict):
@@ -134,18 +128,6 @@ def _materialise_child(
     return child
 
 
-class _Chunk:
-    """One sealed column slice of ``_CHUNK_SIZE`` configurations."""
-
-    __slots__ = ("state", "blob", "offset", "length")
-
-    def __init__(self, blob: bytes) -> None:
-        self.state = "zlib"  # "zlib" (blob in RAM) | "spilled" (on disk)
-        self.blob: bytes | None = blob
-        self.offset = 0
-        self.length = len(blob)
-
-
 class ArenaStore:
     """Packed ``(parent_id, event, hash)`` store behind a sequence API.
 
@@ -158,27 +140,17 @@ class ArenaStore:
     (:meth:`replay`).
     """
 
-    def __init__(
-        self,
-        spill_dir: str | os.PathLike | None = None,
-        lru_size: int = 4096,
-        chunk_cache_size: int = 8,
-        fileops=None,
-        recovery_log=None,
-    ) -> None:
-        self._spill_dir = os.fspath(spill_dir) if spill_dir is not None else None
+    def __init__(self, lru_size: int = 4096, chunk_cache_size: int = 8) -> None:
         self._lru_size = lru_size
         self._chunk_cache_size = chunk_cache_size
-        self._fileops = fileops if fileops is not None else DEFAULT_FILEOPS
-        self._recovery_log = recovery_log
-        self._spill_disabled = False
         self._count = 0
         # Interned event vocabulary: protocols have a small finite event
         # set, so the 4-byte column index replaces a per-history pointer.
         self._events: list[Event] = []
         self._event_index: dict[Event, int] = {}
-        # Sealed cold chunks + the growing uncompressed tail columns.
-        self._chunks: list[_Chunk] = []
+        # Sealed cold chunks (one zlib blob of the three column slices
+        # each) + the growing uncompressed tail columns.
+        self._chunks: list[bytes] = []
         self._tail_parent = array("q")
         self._tail_event = array("i")
         self._tail_hash = array("q")
@@ -191,14 +163,9 @@ class ArenaStore:
         self._chunk_cache: OrderedDict[int, tuple[array, array, array]] = (
             OrderedDict()
         )
-        self._spill_file = None
-        self._spill_path: str | None = None
-        self._spill_mmap = None
-        self._spill_offset = 0
         # Telemetry for perfbench and PERFORMANCE.md.
         self.raw_bytes = 0
         self.compressed_bytes = 0
-        self.spilled_bytes = 0
         # Configuration objects built: one per cold read, one per
         # streamed child.
         self.materialisations = 0
@@ -220,13 +187,7 @@ class ArenaStore:
         return columns
 
     def _decode_chunk(self, chunk_index: int) -> tuple[array, array, array]:
-        chunk = self._chunks[chunk_index]
-        if chunk.state == "zlib":
-            raw = zlib.decompress(chunk.blob)
-        else:
-            raw = zlib.decompress(
-                self._read_spill(chunk.offset, chunk.length)
-            )
+        raw = zlib.decompress(self._chunks[chunk_index])
         parents = array("q")
         parents.frombytes(raw[:_PARENT_BYTES])
         events = array("i")
@@ -364,131 +325,10 @@ class ArenaStore:
             del self._tail_parent[:_CHUNK_SIZE]
             del self._tail_event[:_CHUNK_SIZE]
             del self._tail_hash[:_CHUNK_SIZE]
-            chunk = _Chunk(zlib.compress(raw, 1))
+            blob = zlib.compress(raw, 1)
             self.raw_bytes += len(raw)
-            self.compressed_bytes += chunk.length
-            if self._spill_dir is not None and not self._spill_disabled:
-                self._spill_chunk(chunk)
-            self._chunks.append(chunk)
-
-    # ------------------------------------------------------------------
-    # Spill tier
-    # ------------------------------------------------------------------
-    @property
-    def spill_disabled(self) -> bool:
-        """True once a persistent storage failure sealed the cold tier
-        in RAM (the ``spill_degraded`` rung); chunks stay compressed
-        in-memory from then on and the RSS watchdog's only remaining
-        rung is truncation."""
-        return self._spill_disabled
-
-    def _log_retry(self, operation, attempt, error, delay) -> None:
-        if self._recovery_log is not None:
-            self._recovery_log.record(
-                "storage_retry",
-                "retry",
-                detail=(
-                    f"{operation}: {error} (attempt {attempt}, "
-                    f"backing off {delay:.3f}s)"
-                ),
-            )
-
-    def _disable_spill(self, error: BaseException) -> None:
-        """Sealed-in-RAM rung of the degradation ladder: the spill tier
-        is gone (disk full, I/O errors beyond the retry budget) but the
-        cold chunks are still intact as in-RAM zlib blobs, so
-        exploration continues; if memory pressure persists, the RSS
-        watchdog's graceful truncate is the next (and last) rung."""
-        if self._spill_disabled:
-            return
-        self._spill_disabled = True
-        if self._recovery_log is not None:
-            self._recovery_log.record(
-                "spill_degraded", "sealed-in-ram", detail=str(error)
-            )
-        warnings.warn(
-            f"arena spill disabled after a persistent storage failure "
-            f"({error}); cold chunks stay sealed in RAM — if the RSS "
-            f"budget is exceeded the exploration will truncate instead "
-            f"of spilling",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-    def _ensure_spill_file(self):
-        if self._spill_file is None:
-            fileops = self._fileops
-            fileops.makedirs(self._spill_dir)
-            handle, path = fileops.mkstemp(
-                prefix="arena-", suffix=".spill", dir=self._spill_dir
-            )
-            self._spill_file = fileops.fdopen(handle, "r+b")
-            self._spill_path = path
-        return self._spill_file
-
-    def _spill_chunk(self, chunk: _Chunk) -> int:
-        def write() -> None:
-            # Idempotent retry unit: seek to the chunk's reserved offset
-            # and rewrite the whole blob from RAM — a half-applied
-            # attempt is simply overwritten.
-            spill = self._ensure_spill_file()
-            self._fileops.seek(spill, self._spill_offset)
-            self._fileops.write(spill, chunk.blob)
-
-        try:
-            retry_io("spill write", write, on_retry=self._log_retry)
-        except Exception as error:
-            if classify_storage_error(error) is None:
-                raise
-            self._disable_spill(error)
-            return 0
-        chunk.offset = self._spill_offset
-        self._spill_offset += chunk.length
-        self.spilled_bytes += chunk.length
-        chunk.blob = None
-        chunk.state = "spilled"
-        return chunk.length
-
-    def _read_spill(self, offset: int, length: int) -> bytes:
-        def read() -> bytes:
-            mapped = self._spill_mmap
-            if mapped is None or offset + length > len(mapped):
-                if mapped is not None:
-                    mapped.close()
-                    self._spill_mmap = None
-                self._fileops.flush(self._spill_file)
-                mapped = self._fileops.mmap_read(self._spill_file)
-                self._spill_mmap = mapped
-            return self._fileops.mmap_slice(mapped, offset, length)
-
-        # Transient read errors retry (the blob is zlib-framed, so a bad
-        # read fails loudly downstream rather than silently corrupting).
-        return retry_io("spill read", read, on_retry=self._log_retry)
-
-    def spill_cold(self) -> int:
-        """Push every sealed chunk to disk and drop materialisation caches.
-
-        The RSS watchdog's *first* response to memory pressure — before
-        it falls back to truncating the exploration.  Returns the number
-        of freed bytes (0 when there is no spill directory, the spill
-        tier is degraded, or nothing cold remains in RAM).
-        """
-        freed = 0
-        self._seal_cold()
-        if self._spill_dir is not None and not self._spill_disabled:
-            for chunk in self._chunks:
-                if self._spill_disabled:
-                    break  # sealed-in-RAM mid-sweep: keep the rest hot
-                if chunk.state == "zlib":
-                    freed += self._spill_chunk(chunk)
-            if self._spill_file is not None:
-                self._fileops.flush(self._spill_file)
-        if self._chunk_cache:
-            freed += _RAW_CHUNK_BYTES * len(self._chunk_cache)
-            self._chunk_cache.clear()
-        if self._lru:
-            self._lru.clear()
-        return freed
+            self.compressed_bytes += len(blob)
+            self._chunks.append(blob)
 
     # ------------------------------------------------------------------
     # Sequence protocol + lazy materialisation
@@ -696,6 +536,8 @@ class ArenaStore:
         self._events.clear()
         self._event_index.clear()
         self._chunks.clear()
+        self.raw_bytes = 0
+        self.compressed_bytes = 0
         del self._tail_parent[:]
         del self._tail_event[:]
         del self._tail_hash[:]
@@ -703,61 +545,25 @@ class ArenaStore:
         self._root = None
         self._lru.clear()
         self._chunk_cache.clear()
-        if self._spill_mmap is not None:
-            self._spill_mmap.close()
-            self._spill_mmap = None
-        self._spill_offset = 0
-        if self._spill_file is not None:
-            self._fileops.truncate(self._spill_file, 0)
 
     def stats(self) -> dict:
-        """Layout/compression/spill telemetry for perfbench and docs."""
+        """Layout/compression telemetry for perfbench and docs."""
         tail_bytes = (
             len(self._tail_parent) * 8
             + len(self._tail_event) * 4
             + len(self._tail_hash) * 8
         )
-        resident_blob_bytes = sum(
-            chunk.length for chunk in self._chunks if chunk.state == "zlib"
-        )
         return {
             "configurations": self._count,
             "event_table": len(self._events),
             "sealed_chunks": len(self._chunks),
-            "spilled_chunks": sum(
-                1 for chunk in self._chunks if chunk.state == "spilled"
-            ),
             "tail_bytes": tail_bytes,
             "raw_bytes": self.raw_bytes,
             "compressed_bytes": self.compressed_bytes,
-            "resident_blob_bytes": resident_blob_bytes,
-            "spilled_bytes": self.spilled_bytes,
-            "spill_disabled": self._spill_disabled,
             "lru": len(self._lru),
             "materialisations": self.materialisations,
             "chain_walks": self.chain_walks,
         }
-
-    def close(self) -> None:
-        """Release the spill file (idempotent)."""
-        if self._spill_mmap is not None:
-            self._spill_mmap.close()
-            self._spill_mmap = None
-        if self._spill_file is not None:
-            self._spill_file.close()
-            self._spill_file = None
-        if self._spill_path is not None:
-            try:
-                self._fileops.unlink(self._spill_path)
-            except OSError:
-                pass
-            self._spill_path = None
-
-    def __del__(self):  # pragma: no cover - interpreter shutdown order
-        try:
-            self.close()
-        except Exception:
-            pass
 
 
 __all__ = [

@@ -37,7 +37,6 @@ asks for one.
 from __future__ import annotations
 
 import gc
-import os
 import sys
 from math import inf
 from array import array
@@ -517,8 +516,8 @@ class Universe:
     happens at the cap),
     :class:`~repro.universe.options.CheckpointPolicy` (layer-boundary
     checkpoints, resume and salvage),
-    :class:`~repro.universe.options.ResourceBudget` (RSS watchdog, arena
-    spill directory) and :class:`~repro.universe.options.Sharding`
+    :class:`~repro.universe.options.ResourceBudget` (RSS watchdog) and
+    :class:`~repro.universe.options.Sharding`
     (multiprocess engine, supervision, fault injection).
     """
 
@@ -538,7 +537,6 @@ class Universe:
         supervision = opts.sharding.supervision
         fault_plan = opts.sharding.fault_plan
         checkpoint = opts.checkpoint.path
-        spill_dir = opts.budget.spill_dir
         store = opts.store
         if on_limit not in ("raise", "truncate"):
             raise UniverseError(
@@ -549,7 +547,7 @@ class Universe:
                 f"store must be 'arena' (the object store was removed), "
                 f"got {store!r}"
             )
-        # Storage fault delivery: every checkpoint/spill filesystem call
+        # Storage fault delivery: every checkpoint filesystem call
         # routes through one shared file-ops shim; write-targeting kinds
         # arm at the BFS layer boundary covering their layer, eio_read
         # arms immediately so it can land on the resume read path.
@@ -592,19 +590,12 @@ class Universe:
                 "checkpoint fault injection (torn_save/corrupt_segment) "
                 "requires a checkpoint path"
             )
-        if storage_actions and checkpoint is None and spill_dir is None:
+        if storage_actions and checkpoint is None:
             raise UniverseError(
                 "storage fault injection (enospc/eio_read/eio_write/"
                 "fsync_fail/slow_io/fd_exhaust) requires a checkpoint "
-                "path or a spill_dir — there are no filesystem calls to "
-                "land on otherwise"
+                "path: nothing else touches the filesystem"
             )
-        if checkpoint is not None and spill_dir is not None:
-            # A killed predecessor's spill file is unreachable (spill
-            # offsets live only in its process memory); our own store
-            # has not spilled yet (creation is lazy), so every existing
-            # arena-*.spill here is an orphan.
-            self._clean_orphan_spills(spill_dir)
         session = None
         if checkpoint is not None:
             from repro.universe.checkpoint import CheckpointSession
@@ -657,11 +648,7 @@ class Universe:
         self._checkpoint_session = None
         self._rss_watchdog = None
         self._worker_peak_rss_mb: dict[int, float] = {}
-        self._configurations = ArenaStore(
-            spill_dir=options.budget.spill_dir,
-            fileops=fileops,
-            recovery_log=self._recovery_log,
-        )
+        self._configurations = ArenaStore()
         # Content hash -> dense id (or list of ids on hash collision).
         # This is both the BFS dedup table and, after exploration, the
         # public configuration -> id index: one table, no second
@@ -703,8 +690,8 @@ class Universe:
         epilogue: arm due storage faults, commit the layer to the
         checkpoint, retire the consumed frontier into the arena's cold
         tier, start the frontier's next layer of message-set interning,
-        then the RSS ladder (spill the cold tier; truncate only if that
-        is not enough).  At the end it raises the ``max_configurations``
+        then the RSS ladder's one rung (truncate once resident memory is
+        over budget).  At the end it raises the ``max_configurations``
         error or truncates and pads the CSR rows.
 
         ``engine`` is ``None`` for the in-process kernel, whose layer
@@ -790,17 +777,11 @@ class Universe:
                 layer_start = layer_end
                 if done or watchdog is None or not watchdog.exceeded():
                     continue
-                # Graceful degradation ladder: spill the cold tier to
-                # disk first; only truncate if that doesn't bring RSS
-                # back under budget.
-                detail = f"{len(arena)} configurations"
-                if arena.spill_cold() and not watchdog.exceeded():
-                    self._recovery_log.record(
-                        "rss_budget", "spill", layer=layer, detail=detail
-                    )
-                    continue
                 self._recovery_log.record(
-                    "rss_budget", "truncate", layer=layer, detail=detail
+                    "rss_budget",
+                    "truncate",
+                    layer=layer,
+                    detail=f"{len(arena)} configurations",
                 )
                 rss_truncated = True
                 break
@@ -1014,10 +995,8 @@ class Universe:
         checkpoint salvage event (``"salvage-truncate"``, ``"restart"``
         or ``"discard-orphan"``), per storage retry/degradation rung
         (``"storage_retry"``/``"retry"``, ``"checkpoint_degraded"``/
-        ``"disable-checkpointing"``, ``"spill_degraded"``/
-        ``"sealed-in-ram"``, ``"orphan_spill"``/``"discard-orphan"``),
-        and per RSS-watchdog rung (``"rss_budget"``/``"spill"`` or
-        ``"truncate"``)."""
+        ``"disable-checkpointing"``), and per RSS-watchdog truncation
+        (``"rss_budget"``/``"truncate"``)."""
         return tuple(self._recovery_log)
 
     @property
@@ -1030,31 +1009,12 @@ class Universe:
         session = self._checkpoint_session
         return bool(session is not None and session.degraded)
 
-    def _clean_orphan_spills(self, spill_dir) -> None:
-        """Delete arena spill files a killed predecessor left behind in
-        ``spill_dir`` (their offsets died with its process memory) and
-        log one ``orphan_spill`` recovery event per file."""
-        try:
-            entries = os.listdir(spill_dir)
-        except OSError:
-            return  # nothing spilled yet: the directory may not exist
-        for name in sorted(entries):
-            if not (name.startswith("arena-") and name.endswith(".spill")):
-                continue
-            try:
-                self._fileops.unlink(os.path.join(spill_dir, name))
-            except OSError:
-                continue  # a live sibling may still own it; leave it be
-            self._recovery_log.record(
-                "orphan_spill", "discard-orphan", detail=name
-            )
-
     def _arm_storage_faults(self, layers_done: int) -> None:
         """Arm every planned storage fault whose layer the exploration
         clock has now passed (same ``fault.layer < layers_done``
         semantics as the checkpoint fault actions): the next matching
-        filesystem operation — this layer boundary's checkpoint save,
-        spill write, or a background-writer append — takes the hit.
+        filesystem operation — this layer boundary's checkpoint save or
+        a background-writer append — takes the hit.
 
         When a background checkpoint writer is active the arming is
         queued behind its already-enqueued saves, so a fault for layer

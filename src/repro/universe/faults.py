@@ -50,12 +50,13 @@ too, where there are no workers at all):
     recovery path.
 
 Six **storage fault kinds** (PR 10) target the filesystem underneath
-checkpoints and the arena spill tier rather than a worker or the save
-protocol.  Like checkpoint kinds they are shard-free (``shard`` is the
-``-1`` sentinel; a shard qualifier in the CLI grammar is rejected) and
-layer-keyed; they are delivered through the fault-injecting file-ops
-shim (:class:`repro.universe.fileops.FaultInjectingFileOps`) that every
-checkpoint and spill filesystem call routes through:
+checkpoints (nothing else touches the disk) rather than a worker or
+the save protocol.  Like checkpoint kinds they are shard-free
+(``shard`` is the ``-1`` sentinel; a shard qualifier in the CLI grammar
+is rejected) and layer-keyed; they are delivered through the
+fault-injecting file-ops shim
+(:class:`repro.universe.fileops.FaultInjectingFileOps`) that every
+checkpoint filesystem call routes through:
 
 ``enospc``
     The next write-class operation raises ``OSError(ENOSPC)`` — a
@@ -348,8 +349,8 @@ class FaultPlan:
     @property
     def has_storage_faults(self) -> bool:
         """True if any fault is delivered through the file-ops shim
-        (needs a ``checkpoint`` path or a ``spill_dir`` to have any
-        filesystem calls to land on)."""
+        (needs a ``checkpoint`` path: the checkpoint makes the only
+        filesystem calls there are to land on)."""
         return any(fault.is_storage for fault in self._faults)
 
     def take_for_shard(self, shard: int) -> list[tuple]:

@@ -1,8 +1,8 @@
 """File-operations shim: one seam between the engine and the filesystem.
 
-Everything durable in this codebase — checkpoint segment appends,
-manifest commits, compaction, segment/manifest reads,
-and the arena's spill tier — routes its filesystem calls through a
+The checkpoint is the only part of this codebase that touches the
+filesystem, and it — segment appends, manifest commits, compaction,
+segment/manifest reads — routes every call through a
 :class:`FileOps` instance instead of calling ``open``/``os.fsync``/
 ``os.replace`` directly.  In production that instance is the
 passthrough :data:`DEFAULT_FILEOPS`; under test and chaos it is a
@@ -38,9 +38,7 @@ contract the worker fault kinds have had since PR 6.
 from __future__ import annotations
 
 import errno
-import mmap
 import os
-import tempfile
 import threading
 import time
 
@@ -68,12 +66,6 @@ class FileOps:
     def open(self, path, mode: str):
         return open(path, mode)
 
-    def mkstemp(self, *, prefix: str, suffix: str, dir) -> tuple[int, str]:
-        return tempfile.mkstemp(prefix=prefix, suffix=suffix, dir=dir)
-
-    def fdopen(self, fd: int, mode: str):
-        return os.fdopen(fd, mode)
-
     # -- write-class ---------------------------------------------------
     def write(self, handle, data) -> int:
         return handle.write(data)
@@ -90,27 +82,12 @@ class FileOps:
         with open(path, "rb") as handle:
             return handle.read()
 
-    def mmap_slice(self, mapping, offset: int, length: int) -> bytes:
-        return mapping[offset : offset + length]
-
     # -- unfaulted plumbing --------------------------------------------
     def flush(self, handle) -> None:
         handle.flush()
 
-    def seek(self, handle, position: int) -> None:
-        handle.seek(position)
-
-    def truncate(self, handle, size: int) -> None:
-        handle.truncate(size)
-
-    def makedirs(self, path) -> None:
-        os.makedirs(path, exist_ok=True)
-
     def unlink(self, path) -> None:
         os.unlink(path)
-
-    def mmap_read(self, handle):
-        return mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
 
     # -- composites ----------------------------------------------------
     def write_durable(self, path, blob: bytes) -> None:
@@ -187,10 +164,6 @@ class FaultInjectingFileOps(FileOps):
             self._inject("open")
         return super().open(path, mode)
 
-    def mkstemp(self, *, prefix: str, suffix: str, dir) -> tuple[int, str]:
-        self._inject("open")
-        return super().mkstemp(prefix=prefix, suffix=suffix, dir=dir)
-
     def write(self, handle, data) -> int:
         self._inject("write")
         return super().write(handle, data)
@@ -206,10 +179,6 @@ class FaultInjectingFileOps(FileOps):
     def read_bytes(self, path) -> bytes:
         self._inject("read")
         return super().read_bytes(path)
-
-    def mmap_slice(self, mapping, offset: int, length: int) -> bytes:
-        self._inject("read")
-        return super().mmap_slice(mapping, offset, length)
 
 
 DEFAULT_FILEOPS = FileOps()

@@ -79,7 +79,7 @@ class CheckpointPolicy:
 
 @dataclass(frozen=True)
 class ResourceBudget:
-    """Memory ceilings: the RSS watchdog and the arena spill directory.
+    """Memory ceiling: the RSS watchdog.
 
     ``rss_budget_mb`` is a resident-memory budget (MiB, coordinator plus
     live workers).  When exploration crosses it at a layer boundary it
@@ -87,14 +87,12 @@ class ResourceBudget:
     universe, ``is_complete`` ``False`` — instead of being OOM-killed
     (pair it with a checkpoint to resume elsewhere).  On hosts where RSS
     cannot be measured the watchdog deactivates with a one-time warning
-    (see ``Universe.rss_watchdog_active``).  ``spill_dir`` is the
-    directory of the arena's on-disk cold tier: sealed cold chunks
-    stream to an mmap-backed spill file there as layers retire, and the
-    watchdog force-spills before it ever truncates.
+    (see ``Universe.rss_watchdog_active``).  Truncation is the
+    watchdog's one rung: the arena keeps every configuration in RAM and
+    never touches the filesystem.
     """
 
     rss_budget_mb: float | None = None
-    spill_dir: Any = None
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,8 @@ class Sharding:
     (:mod:`repro.universe.faults`): worker fault kinds need
     ``workers >= 2``; checkpoint fault kinds (``torn_save``,
     ``corrupt_segment``) need a checkpoint path and run on either
-    engine; storage fault kinds need a checkpoint path or a spill
-    directory.
+    engine; storage fault kinds need a checkpoint path, the only thing
+    that touches the filesystem.
     """
 
     workers: int | None = None
@@ -169,10 +167,7 @@ def options_from_args(args: Any) -> ExplorationOptions:
             every=getattr(args, "checkpoint_every", 1),
             strict=getattr(args, "strict", False),
         ),
-        budget=ResourceBudget(
-            rss_budget_mb=rss_budget_mb,
-            spill_dir=getattr(args, "spill_dir", None),
-        ),
+        budget=ResourceBudget(rss_budget_mb=rss_budget_mb),
         sharding=Sharding(
             workers=getattr(args, "workers", None),
             fault_plan=(

@@ -1,8 +1,8 @@
 """Structured recovery events: what the engine did when something broke.
 
 Every degradation or failover path in the exploration stack — worker
-respawns, shard folds, RSS-budget spills and truncations, corrupt-tail
-salvage, checkpoint degradation, spill fallback — records what it did on
+respawns, shard folds, RSS-budget truncations, corrupt-tail salvage,
+checkpoint degradation — records what it did on
 the universe's ``recovery_log``.  Until PR 10 those entries were loose
 dicts and every consumer (bench, chaos, the CLI summary) string-matched
 its way through them; this module promotes the entry to a frozen
@@ -22,13 +22,11 @@ Vocabulary (see RELIABILITY.md for the full catalogue):
 ``kind``
     What failed or crossed a threshold — e.g. ``spawn``, ``worker``,
     ``rss_budget``, ``corrupt_segment``, ``torn_save``,
-    ``checkpoint_degraded``, ``spill_degraded``, ``storage_retry``,
-    ``orphan_spill``.
+    ``checkpoint_degraded``, ``storage_retry``.
 ``rung``
     The ladder rung taken in response — e.g. ``retry``, ``respawn``,
-    ``fold``, ``spill``, ``truncate``, ``salvage-truncate``,
-    ``discard-orphan``, ``disable-checkpointing``, ``sealed-in-ram``,
-    ``unlink``.
+    ``fold``, ``truncate``, ``salvage-truncate``, ``discard-orphan``,
+    ``disable-checkpointing``, ``unlink``.
 ``layer`` / ``shard``
     Where, when known (``None`` otherwise; checkpoint-side events have
     no shard).

@@ -3,7 +3,7 @@
 PR 7 taught the worker-spawn path to retry ``EAGAIN`` with exponential
 backoff; this module generalises that into one shared vocabulary for
 *every* operation that touches the OS — storage I/O (checkpoint segment
-appends, manifest commits, arena spill writes and reads) and process
+appends, manifest commits and reads) and process
 spawning — so each call site stops inventing its own errno folklore.
 
 The policy is **typed**: an :class:`OSError` is classified as
@@ -23,8 +23,7 @@ The policy is **typed**: an :class:`OSError` is classified as
     exhausted (``EDQUOT``), or the filesystem went read-only
     (``EROFS``).  These escalate immediately to the caller, which
     decides the degradation rung (see ``checkpoint.py``'s
-    disable-checkpointing ladder and ``arena.py``'s sealed-in-RAM
-    fallback).
+    disable-checkpointing ladder).
 ``None`` (unclassified)
     Anything else — programming errors, ``EBADF``, permission walls.
     Never retried, never absorbed by a degradation ladder; these

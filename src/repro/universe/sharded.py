@@ -246,10 +246,10 @@ def _send_error(connection, error: BaseException | None, message: str) -> None:
     """Ship a structured error frame; never raise from the shipper.
 
     ``environmental`` marks storage/resource failures (ENOSPC, EIO,
-    descriptor exhaustion — e.g. a worker-side spill hitting a hostile
-    disk): the coordinator routes those into deterministic failover
-    (respawn or fold re-derives the same batch) instead of re-raising
-    them as the exploration's own deterministic error.
+    descriptor exhaustion): the coordinator routes those into
+    deterministic failover (respawn or fold re-derives the same batch)
+    instead of re-raising them as the exploration's own deterministic
+    error.
     """
     payload = {
         "type": type(error).__name__ if error is not None else "UniverseError",

@@ -35,7 +35,6 @@ the CI smoke::
     python tests/chaos.py --size 5 --kills 3 --seed 7
     python tests/chaos.py --size 6 --kills 3 --workers 2 --seed 1
     python tests/chaos.py --size 6 --kills 4 --workers-schedule 1,2,1,3
-    python tests/chaos.py --size 6 --kills 3 --spill-dir /tmp/spill --seed 2
     python tests/chaos.py --size 5 --kills 3 --stall-kill --seed 4
     python tests/chaos.py --size 5 --kills 1 --disk-faults --seed 11
 """
@@ -145,7 +144,6 @@ def explore_command(
     size: int,
     workers: int,
     fault_specs: tuple[str, ...] = (),
-    spill_dir: pathlib.Path | None = None,
 ) -> list[str]:
     """The exact ``repro explore`` invocation the campaign crashes."""
     cmd = [
@@ -165,8 +163,6 @@ def explore_command(
     ]
     if workers > 1:
         cmd += ["--workers", str(workers)]
-    if spill_dir is not None:
-        cmd += ["--spill-dir", str(spill_dir)]
     for spec in fault_specs:
         cmd += ["--fault", spec]
     return cmd
@@ -255,7 +251,6 @@ def run_campaign(
     torn_save: bool = True,
     stall_kill: bool = False,
     timeout: float = DEFAULT_TIMEOUT,
-    spill_dir: pathlib.Path | None = None,
     disk_faults: bool = False,
 ) -> ChaosResult:
     """Crash/resume until the exploration completes.
@@ -269,9 +264,6 @@ def run_campaign(
     the fresh file guarantees the watched-for orphan is ours).
     ``workers_schedule`` cycles across attempts, so mixed schedules
     exercise kernel<->sharded resume of the same file.
-    ``spill_dir`` enables the arena's disk spill for every attempt (a
-    SIGKILL mid-spill must be survived like any other — spilled chunks
-    are a cache, never checkpoint state).
 
     ``disk_faults`` layers hostile storage on top: every crashed
     attempt carries one seeded transient storage fault (retried or
@@ -328,13 +320,7 @@ def run_campaign(
                 faults = (f"torn_save@{target_layer}",)
                 target_layer = None  # the fault itself is the killer
         outcome, returncode = _run_and_kill(
-            explore_command(
-                path,
-                size,
-                workers,
-                faults + storage_faults,
-                spill_dir=spill_dir,
-            ),
+            explore_command(path, size, workers, faults + storage_faults),
             path,
             target_layer,
             hash_seed,
@@ -441,14 +427,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="PATH",
         help="write the checkpoint here and keep it (default: temp dir)",
     )
-    parser.add_argument(
-        "--spill-dir",
-        type=str,
-        default=None,
-        metavar="PATH",
-        help="arena cold-chunk spill directory for every attempt, so "
-        "kills land while spill files exist (default: no spill)",
-    )
     args = parser.parse_args(argv)
 
     if args.workers_schedule:
@@ -462,7 +440,6 @@ def main(argv: list[str] | None = None) -> int:
             if args.keep_checkpoint
             else pathlib.Path(tmp) / "chaos.ckpt"
         )
-        spill_dir = pathlib.Path(args.spill_dir) if args.spill_dir else None
         result = run_campaign(
             path,
             size=args.size,
@@ -471,7 +448,6 @@ def main(argv: list[str] | None = None) -> int:
             workers_schedule=schedule,
             torn_save=not args.no_torn_save,
             stall_kill=args.stall_kill,
-            spill_dir=spill_dir,
             disk_faults=args.disk_faults,
         )
         print(result.describe())

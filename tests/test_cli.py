@@ -52,20 +52,16 @@ class TestCommands:
         assert "634 configurations (complete: True)" in single
         assert "634 configurations (complete: True, workers: 2)" in sharded
 
-    def test_explore_reports_spilled_arena(self, small_chunks, capsys, tmp_path):
+    def test_explore_reports_sealed_arena(self, small_chunks, capsys):
         assert main(
-            ["explore", "broadcast", "--topology", "star", "--size", "5",
-             "--spill-dir", str(tmp_path)]
+            ["explore", "broadcast", "--topology", "star", "--size", "5"]
         ) == 0
         arena_line = next(
             line for line in capsys.readouterr().out.splitlines()
             if line.startswith("arena: ")
         )
-        sealed, raw, compressed, spilled, on_disk = map(
-            int, re.findall(r"\d+", arena_line)
-        )
+        sealed, raw, compressed = map(int, re.findall(r"\d+", arena_line))
         assert sealed > 0 and 0 < compressed < raw
-        assert spilled > 0 and on_disk > 0
 
     def test_check_broadcast(self, capsys):
         assert main(["check", "broadcast", "--size", "3"]) == 0
@@ -337,7 +333,7 @@ class TestStorageFaultCli:
             ["explore", "broadcast", "--topology", "star", "--size", "4",
              "--fault", "enospc@1"]
         ) == 2
-        assert "checkpoint path or a spill" in capsys.readouterr().err
+        assert "nothing else touches the filesystem" in capsys.readouterr().err
 
     def test_shard_qualified_storage_kind_exits_two(self, capsys):
         assert main(

@@ -75,6 +75,17 @@ class TestImportGraph:
                 m for m in loaded if m == package or m.startswith(package + ".")
             ]
 
+    def test_arena_loads_no_storage_shim(self):
+        """The arena lives in RAM: building one loads neither the file-ops
+        shim nor the storage retry policy."""
+        loaded = set(json.loads(fresh_python(
+            "import json, sys\n"
+            "import repro.universe.arena\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        )))
+        assert "repro.universe.arena" in loaded
+        assert not loaded & {"repro.universe.fileops", "repro.universe.retry"}
+
     def test_every_module_imports_without_site_packages(self):
         """``python -S`` keeps site-packages off ``sys.path``, so a
         third-party import anywhere under ``repro`` fails here."""

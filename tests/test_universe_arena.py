@@ -6,13 +6,14 @@ engine must reproduce its dense ids, CSR successor arrays, hash table
 (collision buckets included), completeness flag and truncation point
 bit for bit — and, under randomized access patterns, the same
 materialised configurations, projections, and mask queries.  The packed
-tiers (sealed zlib chunks, disk spill, bounded LRU with chain-walk
+tiers (sealed zlib chunks, bounded LRU with chain-walk
 materialisation) are exercised directly by shrinking the chunk size so
 small test universes cross every tier.
 """
 
 from __future__ import annotations
 
+import inspect
 import pickle
 import random
 import sys
@@ -49,7 +50,6 @@ from repro.universe.options import (
     CheckpointPolicy,
     ExplorationOptions,
     Limits,
-    ResourceBudget,
     Sharding,
 )
 from repro.universe.protocol import Protocol
@@ -343,8 +343,8 @@ class TestBatchCodec:
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Shrink the arena chunk to 64 entries so small universes seal,
-    compress, and spill — every tier crossed in milliseconds."""
+    """Shrink the arena chunk to 64 entries so small universes seal and
+    compress — every tier crossed in milliseconds."""
     bits = 6
     size = 1 << bits
     monkeypatch.setattr(arena_module, "_CHUNK_BITS", bits)
@@ -352,7 +352,6 @@ def small_chunks(monkeypatch):
     monkeypatch.setattr(arena_module, "_CHUNK_MASK", size - 1)
     monkeypatch.setattr(arena_module, "_PARENT_BYTES", 8 * size)
     monkeypatch.setattr(arena_module, "_EVENT_BYTES", 4 * size)
-    monkeypatch.setattr(arena_module, "_RAW_CHUNK_BYTES", 20 * size)
 
 
 class TestPackedTiers:
@@ -372,29 +371,47 @@ class TestPackedTiers:
             assert store[index] == configurations[index]
         assert store.chain_walks > 0
 
-    def test_spill_tier_round_trip(self, small_chunks, tmp_path):
-        reference = reference_bfs(star5())
-        universe = Universe(
-            star5(),
-            options=ExplorationOptions(budget=ResourceBudget(spill_dir=tmp_path)),
-        )
-        store = universe._configurations
+    def test_store_takes_only_cache_sizes(self):
+        """The arena is all in RAM: its only knobs size its two caches."""
+        assert list(inspect.signature(ArenaStore).parameters) == [
+            "lru_size",
+            "chunk_cache_size",
+        ]
+
+    def test_stats_report_in_ram_layout(self, small_chunks):
+        """``stats`` reports the sealed zlib chunks perfbench reads, and
+        every sealed chunk is one in-memory blob."""
+        store = Universe(star5())._configurations
         stats = store.stats()
-        assert stats["spilled_chunks"] > 0
-        assert stats["spilled_bytes"] > 0
-        spill_files = list(tmp_path.glob("arena-*.spill"))
-        assert len(spill_files) == 1
-        assert_same_universe(universe, reference)
-        # spill_cold drops the caches; reads fault back in via mmap.
-        store.spill_cold()
-        configurations = reference.configurations
-        rng = random.Random(23)
-        for index in rng.sample(range(len(configurations)), 50):
-            assert store[index] == configurations[index]
-        # close() releases and removes the spill file (idempotent).
-        store.close()
-        store.close()
-        assert not list(tmp_path.glob("arena-*.spill"))
+        assert set(stats) == {
+            "configurations", "event_table", "sealed_chunks", "tail_bytes",
+            "raw_bytes", "compressed_bytes", "lru", "materialisations",
+            "chain_walks",
+        }
+        assert stats["configurations"] == len(store)
+        assert stats["sealed_chunks"] == len(store._chunks) > 0
+        assert all(type(chunk) is bytes for chunk in store._chunks)
+        assert stats["compressed_bytes"] == sum(map(len, store._chunks))
+
+    def test_replay_into_used_store_resets_layout(self, small_chunks):
+        """A replay over a filled store clears it first: the same
+        configurations, and the same layout figures as a fresh store."""
+        universe = Universe(star5())
+        columns = record_columns(
+            universe._configurations.records(1, len(universe))
+        )
+        processes = star5().ordered_processes
+        fresh = ArenaStore()
+        fresh.replay(*columns, processes)
+        used = ArenaStore()
+        used.replay(*columns, processes)
+        used.replay(*columns, processes)
+        layout = ("configurations", "sealed_chunks", "tail_bytes",
+                  "raw_bytes", "compressed_bytes")
+        assert [used.stats()[key] for key in layout] == [
+            fresh.stats()[key] for key in layout
+        ]
+        assert used == reference_bfs(star5()).configurations
 
     def test_tiny_lru_replay_matches(self, small_chunks):
         """A pathologically small LRU forces long chain-walks up the
@@ -427,16 +444,15 @@ class TestPackedTiers:
         assert all(parent >= 0 for parent, _ in records)
 
 
-def tiny_lru_store(spill_dir=None) -> tuple[ArenaStore, list]:
+def tiny_lru_store() -> tuple[ArenaStore, list]:
     """A star n=5 arena replayed into a 4-object LRU and a 2-chunk
     cache, with its reference configurations.  The receivers' names
     sort before the hub's, so a read that folds a receiver's first event
     into the hub's histories must re-sort the keys.  The replay seals
-    (and, given ``spill_dir``, spills) every chunk below the last layer
-    and leaves the rest in the tail."""
+    every chunk below the last layer and leaves the rest in the tail."""
     protocol = star(("a", "b", "c", "d"))
     universe = Universe(protocol)
-    store = ArenaStore(spill_dir=spill_dir, lru_size=4, chunk_cache_size=2)
+    store = ArenaStore(lru_size=4, chunk_cache_size=2)
     store.replay(
         *record_columns(universe._configurations.records(1, len(universe))),
         protocol.ordered_processes,
@@ -447,13 +463,12 @@ def tiny_lru_store(spill_dir=None) -> tuple[ArenaStore, list]:
 class TestReadPath:
     """A cold read folds the parent chain into one object: the target."""
 
-    @pytest.mark.parametrize("spilled", [False, True], ids=["zlib", "spilled"])
-    def test_every_id_in_random_order(self, small_chunks, tmp_path, spilled):
-        store, configurations = tiny_lru_store(tmp_path if spilled else None)
+    def test_every_id_in_random_order(self, small_chunks):
+        store, configurations = tiny_lru_store()
         stats = store.stats()
         assert stats["sealed_chunks"] > 0 and stats["tail_bytes"] > 0
-        assert stats["spilled_chunks"] == (stats["sealed_chunks"] if spilled else 0)
-        store.spill_cold()  # drops the LRU and the decoded-chunk cache
+        # The replay builds no object and decodes no chunk: reads start cold.
+        assert not store._lru and not store._chunk_cache
         ids = list(range(len(configurations)))
         random.Random(37).shuffle(ids)
         for index in ids:
@@ -464,7 +479,6 @@ class TestReadPath:
             assert hash(ours) == store.content_hash(index) == hash(theirs)
             assert len(ours) == len(theirs)
             assert len(store._lru) <= 4
-        store.close()
 
     def test_cold_read_builds_one_object(self, small_chunks, monkeypatch):
         store, configurations = tiny_lru_store()

@@ -70,27 +70,6 @@ class TestShardedChaos:
         assert result.torn_saves >= 1, result.describe()
 
 
-class TestArenaChaos:
-    def test_arena_with_spill_survives_kills(self, tmp_path):
-        """Disk spill enabled: spilled chunks are a read cache, never
-        checkpoint state, so a kill while spill files exist (and a
-        resume that never sees them again) must still reconstruct
-        bit-identically — verified against the reference BFS."""
-        spill = tmp_path / "spill"
-        spill.mkdir()
-        result, count = run_and_check(
-            tmp_path,
-            size=6,
-            kills=3,
-            seed=7,
-            workers_schedule=(1,),
-            spill_dir=spill,
-        )
-        assert count == STAR6
-        assert result.kills + result.torn_saves >= 3, result.describe()
-        assert result.torn_saves >= 1, result.describe()
-
-
 class TestEngineSwitchChaos:
     def test_kernel_and_sharded_share_the_survivor(self, tmp_path):
         """The same checkpoint file is crashed and resumed under the

@@ -663,8 +663,9 @@ class TestRssWatchdog:
         assert len(universe._succ_offsets) == len(universe) + 1
 
     def test_tiny_budget_truncates_sharded(self):
-        """Both engines run the one RSS ladder: the same truncation
-        point, and the same ``(kind, rung, layer)`` recovery events."""
+        """Both engines run the one-rung RSS ladder: the same truncation
+        point, and one ``("rss_budget", "truncate", layer)`` recovery
+        event each, the only rung there is."""
         kernel, sharded = (
             Universe(
                 star_protocol(5),
@@ -687,7 +688,32 @@ class TestRssWatchdog:
             ]
 
         assert rungs(kernel) == rungs(sharded)
-        assert rungs(kernel) and all(layer is not None for *_, layer in rungs(kernel))
+        for universe in (kernel, sharded):
+            [(kind, rung, layer)] = rungs(universe)
+            assert (kind, rung) == ("rss_budget", "truncate")
+            assert layer is not None
+
+    def test_truncation_writes_only_the_checkpoint(self, tmp_path):
+        """The ladder's one rung truncates; the arena writes nothing of
+        its own, so the checkpoint's manifest and segments are the only
+        files the run leaves."""
+        universe = Universe(
+            star_protocol(5),
+            options=ExplorationOptions(
+                checkpoint=CheckpointPolicy(path=tmp_path / "oom.ckpt"),
+                budget=ResourceBudget(rss_budget_mb=1),
+            ),
+        )
+        assert not universe.is_complete
+        assert [
+            (event["kind"], event["action"]) for event in universe.recovery_log
+        ] == [("rss_budget", "truncate")]
+        names = sorted(entry.name for entry in tmp_path.iterdir())
+        assert names[0] == "oom.ckpt"
+        assert names[1:] and all(
+            name.startswith("oom.ckpt.") and name.endswith(".seg")
+            for name in names[1:]
+        )
 
     def test_generous_budget_changes_nothing(self):
         single = Universe(star_protocol(5))

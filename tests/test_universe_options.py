@@ -9,6 +9,7 @@ object travels intact through both ``fork`` and ``spawn`` worker
 starts.
 """
 
+import dataclasses
 import inspect
 import multiprocessing
 import pickle
@@ -53,15 +54,9 @@ class TestOptionsStyle:
         )
         assert_bit_identical(single, sharded)
 
-    def test_arena_store_options_style(self, tmp_path):
+    def test_arena_store_options_style(self):
         default = Universe(star_protocol(5))
-        arena = Universe(
-            star_protocol(5),
-            options=ExplorationOptions(
-                store="arena",
-                budget=ResourceBudget(spill_dir=tmp_path),
-            ),
-        )
+        arena = Universe(star_protocol(5), options=ExplorationOptions(store="arena"))
         assert len(default) == len(arena)
         assert default._succ_ids == arena._succ_ids
         assert default._ids_by_hash == arena._ids_by_hash
@@ -123,7 +118,6 @@ class TestSignature:
             ("fault_plan", None),
             ("supervision", None),
             ("store", "arena"),
-            ("spill_dir", None),
         ],
     )
     def test_flat_keywords_rejected(self, kwarg, value):
@@ -131,6 +125,11 @@ class TestSignature:
         assert list(signature.parameters) == ["protocol", "options"]
         with pytest.raises(TypeError, match=kwarg):
             signature.bind(star_protocol(4), **{kwarg: value})
+
+    def test_resource_budget_is_the_rss_ceiling_only(self):
+        assert [field.name for field in dataclasses.fields(ResourceBudget)] == [
+            "rss_budget_mb"
+        ]
 
     def test_unknown_kwarg_rejected(self):
         with pytest.raises(TypeError, match="max_configs"):
@@ -216,7 +215,6 @@ class TestOptionsFromArgs:
             checkpoint_every=3,
             strict=True,
             rss_budget=2048.0,
-            spill_dir=str(tmp_path),
             workers=4,
             fault=["torn_save@2"],
         )

@@ -24,7 +24,6 @@ from repro.universe.options import (
     CheckpointPolicy,
     ExplorationOptions,
     Limits,
-    ResourceBudget,
     Sharding,
 )
 from repro.universe.reference import streamed_history_labels
@@ -433,17 +432,10 @@ class TestPackedHistoryLabels:
         assert any(type(bucket) is list for bucket in universe._ids_by_hash.values())
         assert_labels_match_oracle(universe)
 
-    def test_sealed_and_spilled_chunks(self, small_chunks, tmp_path):
-        universe = Universe(
-            star5(),
-            options=ExplorationOptions(budget=ResourceBudget(spill_dir=tmp_path)),
-        )
-        store = universe._configurations
-        stats = store.stats()
-        assert stats["sealed_chunks"] > 1
-        assert stats["spilled_chunks"] > 0
+    def test_sealed_chunks(self, small_chunks):
+        universe = Universe(star5())
+        assert universe._configurations.stats()["sealed_chunks"] > 1
         assert_labels_match_oracle(universe)
-        store.close()
 
     def test_configuration_list_replays(self):
         """A universe over an explored universe's configuration list

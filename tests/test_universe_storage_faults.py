@@ -1,34 +1,31 @@
 """Hostile-storage hardening: fault shim, typed retry, degradation ladder.
 
 The reliability contract of PR 10: every filesystem call under the
-checkpoint and spill tiers routes through the file-ops shim, so the six
+checkpoint routes through the file-ops shim, so the six
 storage fault kinds (``enospc``/``eio_read``/``eio_write``/
 ``fsync_fail``/``slow_io``/``fd_exhaust``) are deterministic and
 testable.  Transient errors are absorbed by the typed retry (the run
 stays healthy and bit-identical); permanent errors take a *graceful
-degradation* rung (checkpointing disabled loudly, spill sealed in RAM)
-and the exploration still completes; unclassified errors stay sticky
+degradation* rung (checkpointing disabled loudly) and the exploration
+still completes; unclassified errors stay sticky
 and re-raise verbatim — robustness must never hide a bug.
 """
 
 import errno
 import json
 import warnings
-import zlib
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.core.errors import UniverseError
-from repro.universe.arena import ArenaStore, _Chunk
 from repro.universe.checkpoint import CheckpointSession, inspect_checkpoint
 from repro.universe.explorer import Universe
 from repro.universe.options import (
     CheckpointPolicy,
     ExplorationOptions,
     Limits,
-    ResourceBudget,
     Sharding,
 )
 from repro.universe.faults import (
@@ -240,13 +237,28 @@ class TestTypedRetry:
 
 class TestStorageFaultPlanDelivery:
     def test_storage_faults_need_a_filesystem_target(self):
-        with pytest.raises(UniverseError, match="checkpoint path or a spill"):
+        with pytest.raises(UniverseError, match="nothing else touches the filesystem"):
             Universe(
                 star_protocol(4),
                 options=ExplorationOptions(
                     sharding=Sharding(fault_plan=FaultPlan.parse(["enospc@1"])),
                 ),
             )
+
+    @pytest.mark.parametrize("kind", STORAGE_FAULT_KINDS)
+    def test_every_storage_kind_needs_a_checkpoint(self, kind):
+        """The checkpoint is the only filesystem user, so each storage
+        kind is refused without one, on either engine."""
+        for workers in (None, 2):
+            plan = FaultPlan.parse([f"{kind}@1"])
+            assert plan.has_storage_faults
+            with pytest.raises(UniverseError, match="requires a checkpoint path"):
+                Universe(
+                    star_protocol(4),
+                    options=ExplorationOptions(
+                        sharding=Sharding(workers=workers, fault_plan=plan),
+                    ),
+                )
 
     def test_storage_helper_rejects_worker_kinds(self):
         with pytest.raises(UniverseError, match="unknown storage fault"):
@@ -439,101 +451,6 @@ class TestWriterStickyError:
         with pytest.warns(RuntimeWarning, match="checkpointing disabled"):
             session._degrade(OSError(errno.ENOSPC, "disk full"))
         assert not session.arm_storage_faults([("enospc", 0.0)])
-
-
-class TestArenaSpillLadder:
-    """Spill failure seals the cold tier in RAM; exploration continues."""
-
-    def make_store(self, tmp_path):
-        ops = FaultInjectingFileOps()
-        log = RecoveryLog()
-        store = ArenaStore(
-            spill_dir=str(tmp_path), fileops=ops, recovery_log=log
-        )
-        return store, ops, log
-
-    def chunk(self, payload=b"cold-layer-data" * 64):
-        return _Chunk(zlib.compress(payload, 1))
-
-    def test_transient_write_retries_then_spills(self, tmp_path):
-        store, ops, log = self.make_store(tmp_path)
-        ops.arm("eio_write")
-        chunk = self.chunk()
-        freed = store._spill_chunk(chunk)
-        assert freed == chunk.length
-        assert chunk.state == "spilled" and chunk.blob is None
-        assert not store.spill_disabled
-        assert [e.kind for e in log] == ["storage_retry"]
-
-    def test_permanent_failure_seals_in_ram(self, tmp_path):
-        store, ops, log = self.make_store(tmp_path)
-        ops.arm("enospc", times=10)
-        chunk = self.chunk()
-        with pytest.warns(RuntimeWarning, match="sealed in RAM"):
-            assert store._spill_chunk(chunk) == 0
-        assert store.spill_disabled
-        assert chunk.state == "zlib" and chunk.blob is not None
-        events = [e for e in log if e.kind == "spill_degraded"]
-        assert len(events) == 1 and events[0].rung == "sealed-in-ram"
-        # Further spill sweeps are a silent no-op on the spill tier.
-        assert store.stats()["spill_disabled"]
-        store.spill_cold()
-        assert chunk.state == "zlib"
-
-    def test_retry_exhaustion_on_transients_also_seals(self, tmp_path):
-        store, ops, log = self.make_store(tmp_path)
-        ops.arm("eio_write", times=16)  # outlasts the retry budget
-        with pytest.warns(RuntimeWarning, match="spill disabled"):
-            assert store._spill_chunk(self.chunk()) == 0
-        assert store.spill_disabled
-        kinds = [e.kind for e in log]
-        assert kinds.count("storage_retry") >= 1
-        assert kinds[-1] == "spill_degraded"
-
-    def test_unclassified_error_propagates(self, tmp_path):
-        error = OSError(errno.EBADF, "not environmental")
-        store = ArenaStore(
-            spill_dir=str(tmp_path), fileops=_ExplodingFileOps(error)
-        )
-        with pytest.raises(OSError) as info:
-            store._spill_chunk(self.chunk())
-        assert info.value is error
-        assert not store.spill_disabled
-
-    def test_spill_read_retries_transient_eio(self, tmp_path):
-        store, ops, log = self.make_store(tmp_path)
-        payload = b"round-trip" * 100
-        chunk = self.chunk(payload)
-        store._spill_chunk(chunk)
-        ops.arm("eio_read")
-        raw = store._read_spill(chunk.offset, chunk.length)
-        assert zlib.decompress(raw) == payload
-        assert any(e.kind == "storage_retry" for e in log)
-
-
-class TestOrphanSpillCleanup:
-    def test_resume_deletes_and_logs_orphans(self, tmp_path):
-        spill_dir = tmp_path / "spill"
-        spill_dir.mkdir()
-        orphan = spill_dir / "arena-orphan0.spill"
-        orphan.write_bytes(b"stale bytes from a dead process")
-        unrelated = spill_dir / "keep.txt"
-        unrelated.write_bytes(b"not ours")
-        path = tmp_path / "arena.ckpt"
-        universe = Universe(
-            star_protocol(4),
-            options=ExplorationOptions(
-                checkpoint=CheckpointPolicy(path=path),
-                budget=ResourceBudget(spill_dir=spill_dir),
-                store="arena",
-            ),
-        )
-        assert not orphan.exists()
-        assert unrelated.exists()
-        events = [e for e in universe.recovery_log if e.kind == "orphan_spill"]
-        assert len(events) == 1
-        assert events[0].rung == "discard-orphan"
-        assert "arena-orphan0.spill" in events[0].detail
 
 
 class TestRecoveryEventCompat:
