@@ -11,7 +11,8 @@ a read-only list-like sequence interface:
   (:meth:`ArenaStore.replay`) build objects: the engines keep their
   frontier as packed rows
   (:class:`~repro.universe.frontier.PackedFrontier`) and the replay
-  recomputes each child's hash from rolling entry hashes
+  recomputes each child's hash from its parent's by one memoised
+  per-transition delta over packed state labels
   (:func:`~repro.universe.frontier.stream_hashes`);
 * children arrive in batches: an engine hands each BFS layer's
   discoveries to :meth:`ArenaStore.extend_children` as three columns at
@@ -477,10 +478,14 @@ class ArenaStore:
         events and ``processes`` is the protocol's ``ordered_processes``.
         No configuration is built and no event is looked up: each
         child's content hash is recomputed under this interpreter's hash
-        seed from rolling entry hashes
-        (:func:`~repro.universe.frontier.stream_hashes`), ``vocabulary``
-        becomes the event table, and the columns are copied in a chunk
-        at a time.  Returns the content-hash -> dense id dedup table
+        seed by :func:`~repro.universe.frontier.stream_hashes`, which
+        keeps each live row as one ``int`` of per-process state labels
+        and hashes each event once per ``(label, event)`` transition,
+        not once per record.  ``vocabulary`` becomes the event table,
+        and the columns are copied in a chunk at a time.  A parent the
+        stream has not discovered yet, parents out of BFS order, or an
+        event index outside ``vocabulary`` (negative included) is a
+        ``ValueError``.  Returns the content-hash -> dense id dedup table
         (collision buckets in id order), ready to install on the
         universe.
         """

@@ -64,7 +64,9 @@ constants, the enabled-move enumeration (:attr:`PackedFrontier.enabled`),
 the edge step (:meth:`~PackedFrontier.step`), the child's entry
 (:meth:`~PackedFrontier.child`), the collision-aware row comparison
 (:meth:`~PackedFrontier.row_matches`), the checkpoint replay's
-object-free child hashes (:func:`stream_hashes`), the resume rebuild
+object-free child hashes (:func:`stream_hashes`, which walks the
+same view with a row packed into one ``int`` of per-process state
+labels and no ``State`` object), the resume rebuild
 (:meth:`~PackedFrontier.load`), replay of a merged discovery stream
 (:meth:`~PackedFrontier.apply`) and shard expansion
 (:meth:`~PackedFrontier.expand`).  The kernel's layer body inlines the
@@ -146,29 +148,44 @@ def stream_hashes(ordered, parents, events, vocabulary) -> array:
     """The content hash of every child a discovery stream discovers.
 
     The stream is given as columns over the root at id 0: child ``k``
-    (id ``k + 1``) is ``vocabulary[events[k]]`` on ``parents[k]``.  Each
-    live configuration is one row holding the rolling entry hash of each
-    process in ``ordered`` (``None`` before its first event), and the
-    content hashes are kept by id, so a child costs one rolling
-    multiply-add (the one :meth:`PackedFrontier.transition` makes once
-    per state) and no history tuple or ``Configuration``.  Parent ids are non-decreasing and every edge adds
-    one event, so only two BFS layers of rows are live: the parents' and
-    the one they build.
+    (id ``k + 1``) is ``vocabulary[events[k]]`` on ``parents[k]``.
+
+    A live configuration is one ``int`` row: one fixed-width field per
+    process in ``ordered``, holding a label for that process's history,
+    0 for the empty one.  A history is named by its parent history's
+    label and its last event, so each ``(label, event index)`` pair is
+    one transition, memoised the first time the stream takes it under
+    the key ``label * len(vocabulary) + event index``: it makes the next
+    label, and its value holds the row delta ``(new - label) << shift``
+    and the content-hash delta, the rolling entry hash of
+    :func:`repro.core.configuration._entry_hash` after the event minus
+    the one before (0 before the first event), reduced mod
+    ``_HASH_MODULUS``.  A stream makes at most one label per record, so
+    a field of ``(len(parents) + 1).bit_length()`` bits never overflows.
+    A child then costs one shift-and-mask, one dict probe, two int adds
+    and one conditional subtract: no history tuple, row copy,
+    ``Configuration`` or modular multiply.  Parent ids are
+    non-decreasing and every edge adds one event, so only two BFS layers
+    of rows are live: the parents' and the one they build.
     """
-    index_of = {process: i for i, process in enumerate(ordered)}
+    if len(events) and min(events) < 0:
+        raise ValueError(_OUTSIDE_STREAM)
     modulus = _HASH_MODULUS
-    multiplier = _ROLL_MULTIPLIER
-    # One (position, process seed, event hash) per vocabulary index.
-    steps = [
-        (index_of[event.process], hash(event.process) % modulus, hash(event))
-        for event in vocabulary
-    ]
+    width = (len(parents) + 1).bit_length()
+    mask = (1 << width) - 1
+    size = len(vocabulary)
+    index_of = {process: i for i, process in enumerate(ordered)}
+    shifts = [index_of[event.process] * width for event in vocabulary]
+    # Per (label, event index) key: (row delta, content-hash delta); per
+    # label: its rolling entry hash.
+    memo: dict[int, tuple[int, int]] = {}
+    entry_hashes = [0]
     # Content hashes by id, the root's first; rows of the two live layers.
     hashes = [hash(EMPTY_CONFIGURATION)]
     append = hashes.append
-    parent_rows = [(None,) * len(ordered)]
+    parent_rows = [0]
     parents_start = 0
-    children: list[tuple] = []
+    children: list[int] = []
     add_child = children.append
     children_start = 1
     try:
@@ -182,26 +199,42 @@ def stream_hashes(ordered, parents, events, vocabulary) -> array:
                     f"discovery stream is not in BFS order: parent {parent_id} "
                     f"after parents from {parents_start}"
                 )
-            entries = parent_rows[parent_id - parents_start]
-            parent_hash = hashes[parent_id]
-            position, seed, event_hash = steps[event_index]
-            old_entry = entries[position]
-            if old_entry is None:
-                new_entry = (seed * multiplier + event_hash) % modulus
-                child_hash = (parent_hash + new_entry) % modulus
-            else:
-                new_entry = (old_entry * multiplier + event_hash) % modulus
-                child_hash = (parent_hash - old_entry + new_entry) % modulus
-            cells = list(entries)
-            cells[position] = new_entry
-            add_child(tuple(cells))
+            row = parent_rows[parent_id - parents_start]
+            shift = shifts[event_index]
+            key = (row >> shift & mask) * size + event_index
+            try:
+                row_delta, hash_delta = memo[key]
+            except KeyError:
+                row_delta, hash_delta = memo[key] = _label_transition(
+                    entry_hashes, row >> shift & mask, shift,
+                    vocabulary[event_index], modulus,
+                )
+            add_child(row + row_delta)
+            child_hash = hashes[parent_id] + hash_delta
+            if child_hash >= modulus:
+                child_hash -= modulus
             append(child_hash)
     except IndexError:
-        raise ValueError(
-            "discovery stream names a parent it has not discovered yet or "
-            "an event outside its vocabulary"
-        ) from None
+        raise ValueError(_OUTSIDE_STREAM) from None
     return array("q", hashes[1:])
+
+
+_OUTSIDE_STREAM = (
+    "discovery stream names a parent it has not discovered yet or "
+    "an event outside its vocabulary"
+)
+
+
+def _label_transition(entry_hashes, label, shift, event, modulus):
+    """The ``(row delta, content-hash delta)`` of :func:`stream_hashes`'s
+    first step from ``label`` by ``event``; the successor's label is the
+    next free one and its entry hash goes into ``entry_hashes``."""
+    old = entry_hashes[label]
+    base = old if label else hash(event.process) % modulus
+    new = (base * _ROLL_MULTIPLIER + hash(event)) % modulus
+    successor = len(entry_hashes)
+    entry_hashes.append(new)
+    return (successor - label) << shift, (new - old) % modulus
 
 
 class PackedFrontier:

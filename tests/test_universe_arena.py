@@ -17,6 +17,7 @@ import inspect
 import pickle
 import random
 import sys
+from array import array
 
 import pytest
 
@@ -46,6 +47,7 @@ from repro.universe.arena import (
     record_columns,
 )
 from repro.universe.explorer import Universe, iter_bit_ids
+from repro.universe.frontier import stream_hashes
 from repro.universe.options import (
     CheckpointPolicy,
     ExplorationOptions,
@@ -655,6 +657,20 @@ class TestObjectFreeReplay:
                 *record_columns(stream), universe.protocol.ordered_processes
             )
 
+    def test_negative_event_index_rejected(self):
+        """A negative event index would silently read the vocabulary from
+        its end (id 1 of star n=4 would become a receive with no send);
+        it is the same ``ValueError`` as an index past the end."""
+        universe = Universe(star(("x", "y", "z")))
+        arena = universe._configurations
+        parents, events = arena.columns(1, len(arena))
+        events[0] = -1
+        with pytest.raises(ValueError, match="outside its vocabulary"):
+            ArenaStore().replay(
+                parents, events, arena.vocabulary,
+                universe.protocol.ordered_processes,
+            )
+
     def test_columns_slice_across_sealed_chunks(self, small_chunks):
         """``columns(start, end)`` reads the same parent and event ids as
         the per-id entries, over any range of sealed chunks and tail."""
@@ -668,6 +684,85 @@ class TestObjectFreeReplay:
             parents, events = arena.columns(start, end)
             assert list(parents) == [entry[0] for entry in entries[start:end]]
             assert list(events) == [entry[1] for entry in entries[start:end]]
+
+
+def oracle_hash(configuration: Configuration) -> int:
+    """The content hash of ``configuration``'s histories, recomputed by
+    the public constructor from nothing any store or stream kept."""
+    return hash(Configuration(configuration._histories))
+
+
+class TestStreamHashes:
+    """:func:`~repro.universe.frontier.stream_hashes`, the checkpoint
+    replay's walk over packed state labels, against the exploration's
+    hash column and against hashes recomputed from histories."""
+
+    @pytest.mark.parametrize("collisions", [False, True], ids=["", "collisions"])
+    @pytest.mark.parametrize("capped", [False, True], ids=["complete", "capped"])
+    @pytest.mark.parametrize(
+        "label,factory,bounds",
+        REFERENCE_CASES,
+        ids=[entry[0] for entry in REFERENCE_CASES],
+    )
+    def test_matches_hash_column_and_histories(
+        self, label, factory, bounds, capped, collisions, monkeypatch
+    ):
+        if collisions:
+            force_hash_collisions(monkeypatch)
+        if capped:
+            bounds = {**bounds, "max_configurations": 60, "on_limit": "truncate"}
+        universe = Universe(
+            factory(), options=ExplorationOptions(limits=Limits(**bounds))
+        )
+        arena = universe._configurations
+        hashes = stream_hashes(
+            universe.protocol.ordered_processes,
+            *arena.columns(1, len(arena)),
+            arena.vocabulary,
+        )
+        assert list(hashes) == [
+            arena.content_hash(index) for index in range(1, len(arena))
+        ]
+        assert list(hashes) == [oracle_hash(c) for c in arena][1:]
+
+    def test_empty_stream(self):
+        assert list(stream_hashes(("p", "q"), [], [], [])) == []
+        store = ArenaStore()
+        assert store.replay(array("q"), array("i"), [], ("p", "q")) == {
+            hash(EMPTY_CONFIGURATION): 0
+        }
+        assert len(store) == 1
+
+    def test_one_record_stream(self):
+        (event,) = steps_on_p(1)
+        child = EMPTY_CONFIGURATION.extend(event)
+        assert list(stream_hashes(("p", "q"), [0], [0], [event])) == [
+            oracle_hash(child)
+        ]
+
+    @pytest.mark.parametrize(
+        "states",
+        [size for k in (2, 4, 7) for size in (2**k - 1, 2**k, 2**k + 1)],
+    )
+    def test_state_counts_around_a_power_of_two(self, states):
+        """A chain of ``states`` records, each making a new state: q
+        steps, p steps ``states - 2`` times, then q steps again, so the
+        last record reads q's field after p's labels have climbed past
+        every smaller power of two."""
+        p_steps = steps_on_p(states - 2)
+        q_steps = [internal("q", "step", payload=k) for k in range(2)]
+        chain = [q_steps[0], *p_steps, q_steps[1]]
+        vocabulary = list(reversed(chain))
+        index_of = {event: index for index, event in enumerate(vocabulary)}
+        configuration = EMPTY_CONFIGURATION
+        expected = []
+        for event in chain:
+            configuration = configuration.extend(event)
+            expected.append(oracle_hash(configuration))
+        parents = array("q", range(states))
+        events = array("i", [index_of[event] for event in chain])
+        hashes = stream_hashes(("p", "q"), parents, events, vocabulary)
+        assert list(hashes) == expected
 
 
 def fresh_store() -> ArenaStore:
